@@ -16,7 +16,7 @@ from . import datafiles, surfaces
 from .admissibility import PipelineOptions, run_pipeline
 from .codim import run_codim_pipeline
 from .curvature import metric_field
-from .errors import DatasetFormatError, DomainError, IsoGaussError
+from .errors import DatasetFormatError, IsoGaussError
 from .gaussmap import build_gauss_field
 from .grid import build_chart
 from .reconstruct import compare_up_to_translation, integrate, verify_immersion
@@ -168,11 +168,9 @@ def cmd_reconstruct(args) -> int:
     datafiles.write_dataset(out + ".immersion.txt",
                             datafiles.immersion_dataset(chart, imm.u))
     _write_plot_data(out + ".xyz.txt", chart, imm.u)
-    if normals.shape[-1] == 1:
-        G = build_gauss_field(chart, normals[..., 0])
-        res_g, res_n = verify_immersion(imm, metric, G)
-        print(f"verification: metric residual {res_g:.3e}, "
-              f"tangency residual {res_n:.3e}, curl residual {imm.curl_residual:.3e}")
+    res_g, res_n = verify_immersion(imm, metric, normals)
+    print(f"verification: metric residual {res_g:.3e}, "
+          f"tangency residual {res_n:.3e}, curl residual {imm.curl_residual:.3e}")
     print(f"wrote {out}.immersion.txt and {out}.xyz.txt")
     return EXIT_ADMISSIBLE
 
@@ -194,7 +192,6 @@ def cmd_roundtrip(args) -> int:
     options = _options(args)
     levels = max(0, args.refine)
     rows = []
-    errors = []
     last_exit = EXIT_USAGE
     for level in range(levels + 1):
         data = surfaces.generate(surface, chart)
@@ -216,7 +213,6 @@ def cmd_roundtrip(args) -> int:
             # stays a fixed coordinate box across levels
             region = chart.interior_slices(4 * 2 ** level)
             rec_err = compare_up_to_translation(imm.u[region], data.u[region])
-            errors.append(rec_err)
         gap = report.residuals.get("nullspace_gap", math.nan)
         rows.append((f"{'x'.join(str(s) for s in chart.shape)}",
                      report.verdict, report.method, max_res, rec_err, gap))
@@ -227,8 +223,10 @@ def cmd_roundtrip(args) -> int:
           f"{'rec_error':>11} {'null_gap':>11} {'order':>7}")
     for i, row in enumerate(rows):
         order = ""
-        if i > 0 and errors[i - 1:i + 1] and len(errors) > i and errors[i] > 0:
-            order = f"{math.log2(errors[i - 1] / errors[i]):7.2f}"
+        # only between adjacent levels that both have a finite, positive
+        # error (NaN marks a level that was not admissible)
+        if i > 0 and all(0 < e < math.inf for e in (rows[i - 1][4], row[4])):
+            order = f"{math.log2(rows[i - 1][4] / row[4]):7.2f}"
         print(f"{row[0]:>12} {row[1]:>13} {row[2]:>11} {row[3]:11.3e} "
               f"{row[4]:11.3e} {row[5]:11.3e} {order:>7}")
     return last_exit
@@ -306,10 +304,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CliError, DatasetFormatError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IsoGaussError as exc:
+    except (CliError, IsoGaussError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,8 +9,11 @@ forms from ``h^b = sum_a H^a (Ric + k)^{-1} k^{ab}``, and the final verdict
 from the quadratic product check ``h^a h^b = k^{ab}`` plus isometry and
 parallelity of ``U``.
 
-Everything reduces bit-exactly to the hypersurface machinery when the frame
-has a single column.
+Hypersurface data (a single-column frame) can run through this module too,
+but the result is not the hypersurface pipeline's: the route and the
+residuals differ.  On the ellipsoid at 49^2, ``h_squared`` is 5.7e-4 through
+the hypersurface path and 4.9e-4 through this one; the catenoid is
+admissible there (minimal_m2 branch) and inapplicable here.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .curvature import (MetricField, node_norm, raise_index, riemann_tensor,
                         to_orthonormal)
 from .errors import DomainError, InvalidGrassmannDataError
 from .grid import (Chart, align_signs, grad_all, interior_max,
-                   staircase_orders)
+                   staircase_slabs)
 
 _FLIP_THRESHOLD = 0.5
 
@@ -39,9 +42,8 @@ class NormalFrame:
 
     ``frame[..., :, a]`` are the frame columns; ``A[..., :, i, a]`` is the
     tangential part of ``d_i nu^a`` (components along the *other* frame
-    directions removed -- the self component vanishes identically for unit
-    columns, and leaving it untouched keeps the codimension-1 reduction
-    bit-exact with the hypersurface module).
+    directions removed; the self component vanishes identically for unit
+    columns and is left untouched).
     """
 
     chart: Chart
@@ -101,15 +103,17 @@ def build_normal_frame(chart: Chart, spans: np.ndarray,
     Q = Q * diag_sign[..., None, :]
 
     min_det = math.inf
-    for idx, prev in staircase_orders(chart):
+    for slab, prev in staircase_slabs(chart):
         if prev is None:
             continue
-        D = Q[prev].T @ Q[idx]
-        if np.linalg.norm(D - np.eye(d)) > _FLIP_THRESHOLD:
-            G = _signed_permutation_fit(D.T)
-            Q[idx] = Q[idx] @ G.T
-            D = Q[prev].T @ Q[idx]
-        min_det = min(min_det, float(np.linalg.det(D)))
+        Qs, Qp = Q[slab], Q[prev]                              # views
+        D = np.swapaxes(Qp, -1, -2) @ Qs
+        flagged = np.linalg.norm(D - np.eye(d), axis=(-2, -1)) > _FLIP_THRESHOLD
+        for k in zip(*np.nonzero(flagged)):
+            G = _signed_permutation_fit(D[k].T)
+            Qs[k] = Qs[k] @ G.T
+            D[k] = Qp[k].T @ Qs[k]
+        min_det = min(min_det, float(np.min(np.linalg.det(D))))
 
     gram = np.einsum("...na,...nb->...ab", Q, Q)
     defect = float(np.max(node_norm(gram - np.eye(d), 2)))
@@ -264,17 +268,31 @@ def _resolve_full_fixed_space(chart: Chart, length: np.ndarray, B: np.ndarray,
                               options: PipelineOptions) -> list[np.ndarray]:
     """Scan unit directions (constant in the continued frame) for product fit.
 
-    Directions live on the half-circle (global sign is free); each local
-    minimum of the coarse scan is sharpened by golden-section search, so the
-    located direction is accurate to the data's own noise floor.
+    ``h^b`` is linear in the direction ``w = (cos psi, sin psi)``, so with
+    ``P_a`` the operators for ``H = length * e_a`` the products are
+    ``h^a h^b = c^2 P0P0 + cs (P0P1 + P1P0) + s^2 P1P1``.  The three product
+    fields are built once, on the interior the score averages over, and
+    each score is a weighted sum of them minus ``k^{ab}``, normed as in
+    :func:`_product_defect`.  Directions live on the half-circle (global
+    sign is free); each local minimum of the 180-point coarse scan within
+    the margin is sharpened by golden-section search, so the located
+    direction is accurate to the data's own noise floor.
     """
     inter = chart.interior
+    length_i, B_i, K = length[inter], B[inter], k_ab_op[inter]
+    P0, P1 = (_halpha_ops(length_i[..., None] * e, B_i, K) for e in np.eye(2))
+
+    def products(X, Y):
+        return np.einsum("...aik,...bkj->...abij", X, Y, optimize=True)
+
+    Q00, Q11 = products(P0, P0), products(P1, P1)
+    Qx = products(P0, P1) + products(P1, P0)
+    denom = 1.0 + node_norm(K, 4)
 
     def score(psi: float) -> float:
-        w = np.array([math.cos(psi), math.sin(psi)])
-        H = length[..., None] * w
-        h_ops = _halpha_ops(H, B, k_ab_op)
-        return float(np.mean(_product_defect(h_ops, k_ab_op)[inter]))
+        c, s = math.cos(psi), math.sin(psi)
+        prod = (c * c) * Q00 + (c * s) * Qx + (s * s) * Q11
+        return float(np.mean(node_norm(prod - K, 4) / denom))
 
     npts = 180
     angles = np.linspace(0.0, math.pi, npts, endpoint=False)

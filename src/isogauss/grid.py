@@ -194,45 +194,52 @@ def interior_max(chart: Chart, pointwise: np.ndarray, margin: int = 2) -> float:
 def align_signs(chart: Chart, vectors: np.ndarray) -> np.ndarray:
     """Per-node +-1 factors making a sign-ambiguous vector field continuous.
 
-    ``vectors`` holds one flat vector per node (trailing axis); the sign of
-    each node is chosen so that its dot product with the already-aligned
-    staircase neighbor is nonnegative.  Meaningful when the underlying field
-    is continuous and nonvanishing, so adjacent raw vectors are near-parallel.
+    ``vectors`` holds one flat vector per node (trailing axis).  The center
+    keeps sign +1; every other node takes the sign that makes its dot product
+    with its already-aligned staircase neighbor nonnegative (a zero dot
+    product keeps +1).  The neighbors of a whole slab lie in the previous
+    slab, so each slab is settled by one einsum and one ``where``.
+    Meaningful when the underlying field is continuous and nonvanishing, so
+    adjacent raw vectors are near-parallel.
     """
     sign = np.ones(chart.shape)
     flat = vectors.reshape(chart.shape + (-1,))
-    for idx, prev in staircase_orders(chart):
+    for slab, prev in staircase_slabs(chart):
         if prev is None:
             continue
-        d = float(np.dot(flat[idx], flat[prev])) * sign[prev]
-        sign[idx] = 1.0 if d >= 0 else -1.0
+        d = np.einsum("...k,...k->...", flat[slab], flat[prev]) * sign[prev]
+        sign[slab] = np.where(d >= 0, 1.0, -1.0)
     return sign
 
 
-def staircase_orders(chart: Chart) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Deterministic center-out, axis-ordered traversal.
+Slab = tuple[slice, ...]
 
-    Yields ``(index, previous_index)`` pairs such that ``previous_index`` has
-    already been yielded and differs from ``index`` by one step along a single
-    axis.  The chart center is yielded first with ``previous_index = None``.
-    Used wherever a per-node sign or frame has to be continued across the
-    chart without seams.
+
+def staircase_slabs(chart: Chart) -> Iterator[tuple[Slab, Slab | None]]:
+    """Deterministic center-out, axis-ordered traversal, one slab at a time.
+
+    The first item is ``(center, None)``.  After it, for each axis ``a`` in
+    turn and each position ``i`` on that axis walking out from the center
+    (upwards first, then downwards), the item is ``(slab, previous)``: the
+    nodes that are free on the axes before ``a``, at ``i`` on axis ``a`` and
+    at the center on the axes after it, and the same nodes one step back
+    towards the center on axis ``a``.  Both are tuples of slices (length-1
+    slices on the pinned axes), so ``array[slab]`` and ``array[previous]``
+    are matching views that keep every grid axis.  Every node lies in
+    exactly one yielded slab, and each previous slab is covered by the items
+    before it, so a per-node sign or frame can be continued across the chart
+    without seams in ``sum(shape) - m + 1`` steps.
     """
+    def pin(i):
+        return slice(i, i + 1)
+
     base = chart.center
-    yield base, None
-    # grow the filled region one axis at a time: after handling axis a the
-    # filled set is {indices free on axes <= a, at base on axes > a}
-    filled_ranges = [range(b, b + 1) for b in base]
+    yield tuple(pin(c) for c in base), None
     for a in range(chart.m):
-        n = chart.shape[a]
+        lead = (slice(None),) * a
+        tail = tuple(pin(c) for c in base[a + 1:])
         b = base[a]
-        prefix_iter = list(np.ndindex(*[len(r) for r in filled_ranges[:a]]))
-        for side in (range(b + 1, n), range(b - 1, -1, -1)):
+        for side, step in ((range(b + 1, chart.shape[a]), 1),
+                           (range(b - 1, -1, -1), -1)):
             for i in side:
-                step = -1 if i < b else 1
-                for pre in prefix_iter:
-                    lead = tuple(filled_ranges[t][pre[t]] for t in range(a))
-                    idx = lead + (i,) + base[a + 1:]
-                    prev = lead + (i - step,) + base[a + 1:]
-                    yield idx, prev
-        filled_ranges[a] = range(n)
+                yield lead + (pin(i),) + tail, lead + (pin(i - step),) + tail

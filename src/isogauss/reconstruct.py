@@ -83,18 +83,21 @@ def integrate(U: np.ndarray, chart: Chart, base_index: tuple[int, ...] | None = 
 
 
 def verify_immersion(imm: Immersion, metric: MetricField,
-                     G: GaussField) -> tuple[float, float]:
+                     normals: np.ndarray) -> tuple[float, float]:
     """Re-differentiate u and report the metric and tangency residuals.
 
-    Returns interior maxima of ``|<u_i, u_j> - g| / (1 + |g|)`` and of
-    ``|<u_i, nu>| / (1 + |du|)``.
+    ``normals`` is the ``(*grid, n, d)`` stack of normal columns for any
+    codimension ``d``; each column is normalized per node.  Returns interior
+    maxima of ``|<u_i, u_j> - g| / (1 + |g|)`` and of
+    ``max_a |<u_i, nu^a>| / (1 + |du|)``.
     """
     chart = metric.chart
     du = grad_all(imm.u, chart)
     gram = np.einsum("...ni,...nj->...ij", du, du)
     res_g = node_norm(gram - metric.g, 2) / (1.0 + node_norm(metric.g, 2))
-    tang = np.einsum("...nj,...n->...j", du, G.nu)
-    res_n = np.max(np.abs(tang), axis=-1) / (1.0 + node_norm(du, 2))
+    nu = normals / np.sqrt(np.sum(normals * normals, axis=-2, keepdims=True))
+    tang = np.einsum("...nj,...na->...ja", du, nu)
+    res_n = np.max(np.abs(tang), axis=(-2, -1)) / (1.0 + node_norm(du, 2))
     # u integrates a derived field: strip its boundary-layer error margin
     return interior_max(chart, res_g, margin=4), interior_max(chart, res_n, margin=4)
 

@@ -124,7 +124,51 @@ class TestReconstruct:
         assert (tmp_path / "catrec.immersion.txt").exists()
 
 
+    def test_clifford_reconstruction_is_verified(self, tmp_path, capsys):
+        out = tmp_path / "torus"
+        assert run_cli("forward", "--surface", "clifford-torus", "--grid", "25x25",
+                       "--out", str(out)) == 0
+        code = run_cli("reconstruct", str(out) + ".dataset.txt",
+                       "--out", str(tmp_path / "torusrec"))
+        captured = capsys.readouterr()
+        assert code == 0
+        line = next(ln for ln in captured.out.splitlines()
+                    if ln.startswith("verification:"))
+        values = [float(part.split()[-1]) for part in line.split(",")]
+        assert len(values) == 3
+        dx = datafiles.read_dataset(str(out) + ".dataset.txt").chart.max_spacing
+        assert all(0 <= v <= 50 * dx ** 2 for v in values)
+
+
 class TestRoundtrip:
+    def test_order_skips_a_level_that_is_not_admissible(self, monkeypatch, capsys):
+        import dataclasses
+
+        from isogauss import cli
+        real = cli._run_check
+        calls = []
+
+        def first_level_inapplicable(metric, normals, options):
+            report = real(metric, normals, options)
+            calls.append(report.verdict)
+            if len(calls) == 1:
+                return dataclasses.replace(report, verdict="inapplicable")
+            return report
+
+        monkeypatch.setattr(cli, "_run_check", first_level_inapplicable)
+        code = run_cli("roundtrip", "--surface", "round-sphere",
+                       "--grid", "13x13", "--refine", "2")
+        out = capsys.readouterr().out
+        assert code == 0 and calls == ["admissible"] * 3
+        rows = [ln.split() for ln in out.splitlines()
+                if "admissible" in ln or "inapplicable" in ln]
+        assert [r[1] for r in rows] == ["inapplicable", "admissible", "admissible"]
+        assert rows[0][4] == "nan"
+        # no order where either neighbour lacks an error; the only order is
+        # between the two admissible levels, on the finer one's row
+        assert [len(r) for r in rows] == [6, 6, 7]
+        expect = np.log2(float(rows[1][4]) / float(rows[2][4]))
+        assert abs(float(rows[2][6]) - expect) < 5e-3
     def test_sphere_with_refinement_prints_order(self, capsys):
         code = run_cli("roundtrip", "--surface", "round-sphere",
                        "--grid", "25x25", "--refine", "1")

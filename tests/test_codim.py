@@ -4,14 +4,17 @@ import pytest
 from isogauss.admissibility import (PipelineOptions, build_U, check_parallel,
                                     h_from_theorem2, run_pipeline,
                                     step1_positivity)
-from isogauss.codim import (build_normal_frame, build_U_codim,
+from isogauss.codim import (_resolve_full_fixed_space, _rho_and_B,
+                            build_normal_frame, build_U_codim,
                             mean_curvature_vector, run_codim_pipeline,
                             second_forms, third_forms)
 from isogauss.curvature import metric_field, node_norm, riemann_tensor
 from isogauss.errors import InvalidGrassmannDataError
 from isogauss.grid import build_chart, interior_max
 from isogauss.reconstruct import compare_up_to_translation, integrate
-from isogauss.surfaces import CliffordTorus, generate
+from isogauss.surfaces import CATALOG, CliffordTorus, generate
+
+import reference_loops
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +315,58 @@ class TestCodimPipeline:
             reg = chart.interior_slices(4 * 2 ** lvl)
             errs.append(compare_up_to_translation(imm.u[reg], data.u[reg]))
         assert np.log2(errs[0] / errs[1]) >= 1.5
+
+
+class TestLoopEquivalence:
+    """The slab-wise frame repair and the product-field direction scan give
+    what the per-node and per-angle loops give."""
+
+    @staticmethod
+    def _assert_same_frame(chart, spans):
+        frame = build_normal_frame(chart, spans)
+        Q, min_det = reference_loops.normal_frame(chart, spans)
+        assert np.array_equal(frame.frame, Q)
+        assert abs(frame.min_overlap_det - min_det) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_frames_match_node_loop_on_catalog(self, name):
+        surf = CATALOG[name]()
+        data = generate(surf, surf.default_chart(9 if surf.m == 3 else 15))
+        self._assert_same_frame(data.chart, data.frame)
+
+    @pytest.mark.parametrize("name", ["ellipsoid", "clifford-torus", "graph-r4"])
+    def test_frames_match_node_loop_under_column_flips(self, name):
+        surf = CATALOG[name]()
+        chart = surf.default_chart(21)
+        spans = generate(surf, chart).frame
+        rng = np.random.default_rng(17)
+        spans = spans * rng.choice([-1.0, 1.0], size=chart.shape + (1, spans.shape[-1]))
+        swap = rng.random(chart.shape) < 0.3
+        spans = np.where(swap[..., None, None], spans[..., ::-1], spans)
+        self._assert_same_frame(chart, spans)
+
+    @pytest.mark.parametrize("r2", [1.0, 1.4])
+    @pytest.mark.parametrize("branch", [1, -1])
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_scan_candidates_match_angle_loop(self, r2, branch, theta):
+        surf = CliffordTorus(1.0, r2)
+        chart = surf.default_chart(25)
+        data = generate(surf, chart)
+        metric = metric_field(chart, data.g)
+        pack = riemann_tensor(metric)
+        # a constant rotation of the frame mixes the two operator fields,
+        # so the cross products P0 P1 + P1 P0 no longer vanish
+        O = np.array([[np.cos(theta), -np.sin(theta)],
+                      [np.sin(theta), np.cos(theta)]])
+        spans = np.einsum("...nb,ab->...na", data.frame, O)
+        forms = third_forms(build_normal_frame(chart, spans))
+        options = PipelineOptions(sign_branch=branch)
+        _, B, k_ab_op = _rho_and_B(forms, pack.Ric, metric)
+        length = np.sqrt(pack.s + np.einsum("...ij,...ij->...", metric.g_inv,
+                                            forms.k))
+        got = _resolve_full_fixed_space(chart, length, B, k_ab_op, options)
+        want = reference_loops.resolve_full_fixed_space(chart, length, B,
+                                                        k_ab_op, options)
+        assert len(got) == len(want) >= 1
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-12

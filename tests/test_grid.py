@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from isogauss.errors import ConfigurationError, SamplingError
 from isogauss.grid import (Field, align_signs, build_chart, deriv, grad_all,
-                           partial_derivative, sample, staircase_orders)
+                           partial_derivative, sample, staircase_slabs)
+
+import reference_loops
 
 
 def chart2(n=17, dx=0.05):
@@ -156,16 +158,42 @@ class TestStaircase:
     @pytest.mark.parametrize("shape", [(5, 7), (6, 5, 7)])
     def test_visits_every_node_once_with_valid_predecessor(self, shape):
         chart = build_chart(len(shape), shape, (0.1,) * len(shape))
-        seen = set()
-        for idx, prev in staircase_orders(chart):
-            assert idx not in seen
+        index = np.indices(shape)
+        covered = np.zeros(shape, dtype=int)
+        steps = 0
+        for slab, prev in staircase_slabs(chart):
             if prev is None:
-                assert idx == chart.center
+                assert steps == 0
+                assert covered[slab].size == 1
+                assert tuple(int(i[slab].item()) for i in index) == chart.center
             else:
-                assert prev in seen
-                assert sum(abs(a - b) for a, b in zip(idx, prev)) == 1
-            seen.add(idx)
-        assert len(seen) == chart.num_points
+                assert np.all(covered[prev] == 1)
+                # every node of the slab is one step from its partner in
+                # the previous slab, along the same single axis
+                delta = np.abs(index[(slice(None),) + slab]
+                               - index[(slice(None),) + prev])
+                moved = [a for a in range(len(shape)) if np.any(delta[a])]
+                assert len(moved) == 1 and np.all(delta[moved[0]] == 1)
+            covered[slab] += 1
+            steps += 1
+        assert np.all(covered == 1)
+        assert steps == sum(shape) - len(shape) + 1
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 5, 7)])
+    def test_slabs_expand_to_node_staircase(self, shape):
+        chart = build_chart(len(shape), shape, (0.1,) * len(shape))
+        index = np.indices(shape)
+        pairs = set()
+        for slab, prev in staircase_slabs(chart):
+            if prev is None:
+                continue
+            nodes = index[(slice(None),) + slab].reshape(len(shape), -1).T
+            prevs = index[(slice(None),) + prev].reshape(len(shape), -1).T
+            pairs.update((tuple(map(int, a)), tuple(map(int, b)))
+                         for a, b in zip(nodes, prevs))
+        reference = {(idx, prev) for idx, prev
+                     in reference_loops.staircase_orders(chart) if prev is not None}
+        assert pairs == reference
 
     def test_align_signs_recovers_global_consistency(self):
         chart = build_chart(2, (15, 15), (0.05, 0.05))
@@ -177,6 +205,22 @@ class TestStaircase:
             align_signs(chart, base * flips[..., None])[..., None]
         dots = np.einsum("...n,...n->...", aligned, base)
         assert np.all(dots > 0) or np.all(dots < 0)
+
+    @pytest.mark.parametrize("shape", [(15, 12), (9, 8, 7)])
+    def test_align_signs_matches_node_loop(self, shape):
+        chart = build_chart(len(shape), shape, (0.05,) * len(shape))
+        x = chart.mesh()
+        base = np.stack([np.sin(x[..., 0] + 1) + 1.5, np.cos(x[..., -1]),
+                         x[..., 0] * x[..., -1]], axis=-1)
+        rng = np.random.default_rng(len(shape))
+        for _ in range(3):
+            flips = rng.choice([-1.0, 1.0], size=chart.shape)
+            vectors = base * flips[..., None]
+            assert np.array_equal(align_signs(chart, vectors),
+                                  reference_loops.align_signs(chart, vectors))
+        # a zero dot product keeps +1 in both
+        zero = np.zeros(chart.shape + (3,))
+        assert np.array_equal(align_signs(chart, zero), np.ones(chart.shape))
 
 
 def test_grad_all_stacks_derivative_axis_last():

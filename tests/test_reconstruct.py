@@ -64,7 +64,7 @@ class TestIntegrate:
 class TestVerifyImmersion:
     def test_oracle_reconstruction_verifies(self, ellipsoid):
         imm = integrate(ellipsoid.data.du, ellipsoid.chart)
-        res_g, res_n = verify_immersion(imm, ellipsoid.metric, ellipsoid.gauss)
+        res_g, res_n = verify_immersion(imm, ellipsoid.metric, ellipsoid.data.frame)
         tol = 50 * ellipsoid.dx2
         assert res_g < tol and res_n < tol
 
@@ -73,7 +73,7 @@ class TestVerifyImmersion:
         imm = Immersion(u=np.zeros(ellipsoid.chart.shape + (3,)),
                         base_index=ellipsoid.chart.center,
                         base_value=np.zeros(3), curl_residual=0.0)
-        res_g, _ = verify_immersion(imm, ellipsoid.metric, ellipsoid.gauss)
+        res_g, _ = verify_immersion(imm, ellipsoid.metric, ellipsoid.data.frame)
         g_norm = np.linalg.norm(ellipsoid.metric.g, axis=(-2, -1))
         assert res_g > 0.5 * np.min(g_norm / (1 + g_norm))
 
@@ -81,13 +81,22 @@ class TestVerifyImmersion:
         surf = Catenoid()
         data = generate(surf, surf.default_chart(49))
         from isogauss.curvature import metric_field
-        from isogauss.gaussmap import build_gauss_field
         metric = metric_field(data.chart, data.g)
-        G = build_gauss_field(data.chart, data.frame[..., 0])
         imm = integrate(data.du, data.chart)
-        res_g, res_n = verify_immersion(imm, metric, G)
+        res_g, res_n = verify_immersion(imm, metric, data.frame)
         tol = 50 * data.chart.max_spacing ** 2
         assert res_g < tol and res_n < tol
+
+    def test_codim2_oracle_verifies_and_every_column_counts(self, clifford):
+        imm = integrate(clifford.data.du, clifford.chart)
+        tol = 50 * clifford.dx2
+        res_g, res_n = verify_immersion(imm, clifford.metric, clifford.data.frame)
+        assert res_g < tol and res_n < tol
+        # a tangent direction in the second column must show up
+        wrong = clifford.data.frame.copy()
+        wrong[..., 1] = clifford.data.du[..., 0]
+        _, res_wrong = verify_immersion(imm, clifford.metric, wrong)
+        assert res_wrong > 0.1
 
     def test_second_form_recovered_from_reconstruction(self, ellipsoid):
         # pipeline candidate h vs h recomputed from the integrated u
