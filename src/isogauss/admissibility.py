@@ -220,7 +220,7 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     mat = rows.reshape(chart.shape + (nb * m * m, p))
     norm = np.sqrt(np.sum(mat * mat, axis=(-2, -1)))
     mat = mat / norm[..., None, None]
-    _, sig, Vh = np.linalg.svd(mat)
+    _, sig, Vh = np.linalg.svd(mat, full_matrices=False)
     sig1 = sig[..., 0]
     sig_last = sig[..., -1]
     sig_prev = sig[..., -2]

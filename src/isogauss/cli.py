@@ -180,10 +180,9 @@ def _write_plot_data(path, chart, u) -> None:
     pts = u.reshape(chart.num_points, -1)
     header = " ".join([f"x{i+1}" for i in range(chart.m)]
                       + [f"u{i+1}" for i in range(pts.shape[1])])
+    rows = np.concatenate([coords, pts], axis=1)
     with open(path, "w", newline="\n") as fh:
-        fh.write("# " + header + "\n")
-        for c, p in zip(coords, pts):
-            fh.write(" ".join(f"{v:.17g}" for v in np.concatenate([c, p])) + "\n")
+        fh.write("# " + header + "\n" + datafiles.format_rows(rows))
 
 
 def cmd_roundtrip(args) -> int:

@@ -93,11 +93,13 @@ def build_normal_frame(chart: Chart, spans: np.ndarray,
     n, d = spans.shape[-2:]
     if d < 1 or d > n:
         raise InvalidGrassmannDataError(f"invalid plane dimension {d} in R^{n}")
-    sv = np.linalg.svd(spans, compute_uv=False)
+    Q, R = np.linalg.qr(spans)
+    # spans = Q R with orthonormal columns in Q: the small R has the same
+    # singular values as the spans
+    sv = np.linalg.svd(R, compute_uv=False)
     if float(np.min(sv[..., -1])) <= rank_rel_tol * float(np.max(sv)):
         raise InvalidGrassmannDataError(
             "spanning sets are rank deficient at some node")
-    Q, R = np.linalg.qr(spans)
     diag_sign = np.sign(np.einsum("...aa->...a", R))
     diag_sign = np.where(diag_sign == 0, 1.0, diag_sign)
     Q = Q * diag_sign[..., None, :]
@@ -159,6 +161,9 @@ class MeanCurvatureResult:
     fixed_dim: int                  # typical fixed-space dimension
     rho: np.ndarray                 # (*grid, d, d)
     notes: list[str] = field(default_factory=list)
+    # the operators of the recovery formula, once rho has been formed
+    B: np.ndarray | None = None         # (*grid, m, m), (Ric + k)^{-1}
+    k_ab_op: np.ndarray | None = None   # (*grid, d, d, m, m)
 
 
 def _rho_and_B(forms: CodimForms, Ric: np.ndarray, metric: MetricField):
@@ -226,24 +231,27 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray, s: np.ndarray,
     if frac0 > 0.01:
         return MeanCurvatureResult("rejected", [], unit_dist, 0, rho,
                                    ["rho has no eigenvalue within tolerance "
-                                    "of 1: data inadmissible"])
+                                    "of 1: data inadmissible"], B, k_ab_op)
     length = np.sqrt(np.clip(q, tau * local, None))
     frac1 = float(np.mean(dims[inter] == 1))
     if frac1 >= 0.99:
         v = Vh[..., -1, :]
         v = _sign_continue(chart, v)
         v = _center_sign(chart, v, options.sign_branch)
-        return MeanCurvatureResult("ok", [length[..., None] * v], unit_dist, 1, rho)
+        return MeanCurvatureResult("ok", [length[..., None] * v], unit_dist, 1,
+                                   rho, [], B, k_ab_op)
     if float(np.mean(dims[inter] == d)) >= 0.99 and d == 2:
         cands = _resolve_full_fixed_space(chart, length, B, k_ab_op, options)
         return MeanCurvatureResult("degenerate", cands, unit_dist, d, rho,
                                    ["fixed space of rho is the whole normal "
                                     "space; direction resolved against the "
-                                    "quadratic product constraint"])
+                                    "quadratic product constraint"],
+                                   B, k_ab_op)
     return MeanCurvatureResult("indeterminate", [], unit_dist,
                                int(np.max(dims[inter])), rho,
                                ["fixed space of rho has dimension >= 2 and "
-                                "no supported resolution applies"])
+                                "no supported resolution applies"],
+                               B, k_ab_op)
 
 
 def _sign_continue(chart: Chart, v: np.ndarray) -> np.ndarray:
@@ -337,10 +345,14 @@ def _golden_min(fn, a: float, b: float, iters: int = 80) -> float:
     return 0.5 * (a + b)
 
 
-def second_forms(forms: CodimForms, H: np.ndarray, Ric: np.ndarray,
+def second_forms(H: np.ndarray, B: np.ndarray, k_ab_op: np.ndarray,
                  metric: MetricField) -> tuple[np.ndarray, float]:
-    """Candidate second forms (lowered, symmetrized) plus the product residual."""
-    _, B, k_ab_op = _rho_and_B(forms, Ric, metric)
+    """Candidate second forms (lowered, symmetrized) plus the product residual.
+
+    ``B`` and ``k_ab_op`` are the operators :func:`mean_curvature_vector`
+    formed (``MeanCurvatureResult.B`` / ``.k_ab_op``), shared by every
+    candidate ``H``.
+    """
     h_ops = _halpha_ops(H, B, k_ab_op)
     res = interior_max(metric.chart, _product_defect(h_ops, k_ab_op))
     h_low = np.einsum("...ik,...akj->...aij", metric.g, h_ops)
@@ -490,7 +502,7 @@ def run_codim_pipeline(metric: MetricField, spans: np.ndarray,
     thresholds["parallelity"] = tau
     best_report = None
     for H in mc.candidates:
-        h_alpha, product_res = second_forms(forms, H, pack.Ric, metric)
+        h_alpha, product_res = second_forms(H, mc.B, mc.k_ab_op, metric)
         try:
             ures = build_U_codim(frame, h_alpha, metric, pack.Gamma, options)
         except DomainError as exc:

@@ -4,11 +4,22 @@ Datasets are line-oriented: a fixed-order header (format_version, kind, m, n,
 grid_shape, spacing, origin) followed by named blocks of per-node rows in
 row-major node order.  Numbers are written with 17 significant digits, which
 round-trips binary doubles exactly; re-writing a parsed file therefore
-reproduces it byte for byte.
+reproduces it byte for byte.  Blank lines and ``#`` comment lines may appear
+anywhere, and rows may be indented.
 
 Kinds: ``metric+gauss`` (block ``g`` as the lower triangle of the metric,
 plus ``nu`` for hypersurfaces or ``frame`` for codimension >= 2),
 ``immersion`` (block ``u``), ``oracle`` (blocks ``u``, ``h``, ``k``, ``H``).
+
+Reading makes one pass over the lines that settles the structure -- header
+entries, ``begin``/``end`` pairs, blank and comment lines -- and gathers each
+block's rows as text without parsing them.  Each block is then parsed by one
+``numpy.loadtxt`` call, which also rejects ragged rows; only when that call
+fails are the block's rows parsed again one at a time, to name the file line
+at fault.  Writing formats each block with one ``%`` operation
+(:func:`format_rows`).  The parser is numpy's, not ``float()``: tokens that
+``float()`` alone accepts, such as ``1_0`` or non-ASCII digits, are bad
+numbers.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetFormatError
+from .errors import ConfigurationError, DatasetFormatError
 from .grid import Chart, build_chart
 
 FORMAT_VERSION = 1
@@ -73,6 +84,17 @@ class Dataset:
         return self.n - self.chart.m
 
 
+def format_rows(rows: np.ndarray) -> str:
+    """A ``(count, width)`` array as text: one line per row, ``%.17g`` values.
+
+    One ``%`` operation formats the whole array; ``%.17g`` gives the same
+    bytes as ``f"{v:.17g}"``.
+    """
+    count, width = rows.shape
+    line = " ".join(["%.17g"] * width) + "\n"
+    return (line * count) % tuple(rows.ravel().tolist())
+
+
 def write_dataset(path, dataset: Dataset) -> None:
     chart = dataset.chart
     lines = ["# isogauss dataset",
@@ -83,27 +105,36 @@ def write_dataset(path, dataset: Dataset) -> None:
              "grid_shape = " + " ".join(str(s) for s in chart.shape),
              "spacing = " + " ".join(_fmt(dx) for dx in chart.spacing),
              "origin = " + " ".join(_fmt(x) for x in chart.origin)]
+    parts = ["\n".join(lines) + "\n"]
     for name in _BLOCK_ORDER:
         if name not in dataset.blocks:
             continue
         rows = dataset.blocks[name].reshape(chart.num_points, -1)
-        lines.append(f"begin {name}")
-        lines.extend(" ".join(_fmt(v) for v in row) for row in rows)
-        lines.append(f"end {name}")
+        parts += [f"begin {name}\n", format_rows(rows), f"end {name}\n"]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))
+
+
+# first character of an unindented data row; any other line takes the
+# structural checks (a row that starts otherwise is still read as a row)
+_ROW_START = frozenset("0123456789+-.")
 
 
 def read_dataset(path) -> Dataset:
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetFormatError(f"cannot read dataset: {exc}") from exc
     header: dict[str, str] = {}
-    blocks: dict[str, list[list[float]]] = {}
+    # name -> (index of the line after ``begin``, the block's rows as text)
+    blocks: dict[str, tuple[int, list[str]]] = {}
     current: str | None = None
+    rows: list[str] = []
     for ln, raw in enumerate(lines, 1):
+        if current is not None and raw[:1] in _ROW_START:
+            rows.append(raw)
+            continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -111,18 +142,14 @@ def read_dataset(path) -> Dataset:
             if current is not None:
                 raise DatasetFormatError(f"line {ln}: nested block")
             current = line[6:].strip()
-            blocks[current] = []
-            continue
-        if line.startswith("end "):
+            rows = []
+            blocks[current] = (ln, rows)
+        elif line.startswith("end "):
             if current != line[4:].strip():
                 raise DatasetFormatError(f"line {ln}: mismatched block end")
             current = None
-            continue
-        if current is not None:
-            try:
-                blocks[current].append([float(tok) for tok in line.split()])
-            except ValueError as exc:
-                raise DatasetFormatError(f"line {ln}: bad number: {exc}") from exc
+        elif current is not None:
+            rows.append(line)
         else:
             if "=" not in line:
                 raise DatasetFormatError(f"line {ln}: expected 'key = value'")
@@ -147,26 +174,54 @@ def read_dataset(path) -> Dataset:
         raise DatasetFormatError(f"unrecognized format_version {version}")
     if kind not in KINDS:
         raise DatasetFormatError(f"unrecognized kind '{kind}'")
-    chart = build_chart(m, shape, spacing, origin)
+    try:
+        chart = build_chart(m, shape, spacing, origin)
+    except ConfigurationError as exc:
+        raise DatasetFormatError(f"bad chart header: {exc}") from exc
 
     arrays: dict[str, np.ndarray] = {}
-    for name, rows in blocks.items():
+    for name, (first, rows) in blocks.items():
         if not rows:
             raise DatasetFormatError(f"block '{name}' is empty")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise DatasetFormatError(f"block '{name}' has ragged rows")
-        arr = np.array(rows, dtype=float)
+        try:
+            arr = np.loadtxt(rows, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise _row_error(name, lines, first, exc) from exc
         if arr.shape[0] != chart.num_points:
             raise DatasetFormatError(
                 f"block '{name}' has {arr.shape[0]} rows, expected "
                 f"{chart.num_points}")
         if not np.all(np.isfinite(arr)):
             raise DatasetFormatError(f"block '{name}' contains non-finite values")
-        arrays[name] = arr.reshape(chart.shape + (width,))
+        arrays[name] = arr.reshape(chart.shape + (arr.shape[1],))
 
     _validate_blocks(kind, chart, n, arrays)
     return Dataset(kind=kind, chart=chart, n=n, blocks=arrays)
+
+
+def _row_error(name: str, lines: list[str], first: int,
+               exc: ValueError) -> DatasetFormatError:
+    """The error naming the file line of a block's first ragged or bad row.
+
+    Runs only after the block's one-call parse failed: the rows are parsed
+    again one line at a time by the same parser.
+    """
+    width = None
+    for i in range(first, len(lines)):
+        line = lines[i].strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("end "):
+            break
+        try:
+            row = np.loadtxt([line], ndmin=2, comments=None)
+        except ValueError as row_exc:
+            return DatasetFormatError(f"line {i + 1}: bad number: {row_exc}")
+        width = row.shape[1] if width is None else width
+        if row.shape[1] != width:
+            return DatasetFormatError(
+                f"line {i + 1}: block '{name}' has ragged rows")
+    return DatasetFormatError(f"block '{name}': {exc}")
 
 
 def _validate_blocks(kind: str, chart: Chart, n: int, arrays) -> None:

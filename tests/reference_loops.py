@@ -1,9 +1,10 @@
-"""Per-node and per-angle reference implementations of the continuation
-and direction-scan loops.
+"""Per-node, per-angle and per-value reference implementations.
 
 These are the straightforward loops that ``grid.align_signs``,
-``codim.build_normal_frame`` and ``codim._resolve_full_fixed_space``
-vectorize; the equivalence tests compare the package against them.
+``codim.build_normal_frame``, ``codim._resolve_full_fixed_space`` and the
+text I/O (``datafiles.read_dataset``, ``datafiles.write_dataset``,
+``cli._write_plot_data``) vectorize; the equivalence tests compare the
+package against them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ import numpy as np
 from isogauss.codim import (_FLIP_THRESHOLD, _center_sign, _golden_min,
                             _halpha_ops, _product_defect,
                             _signed_permutation_fit)
+from isogauss.datafiles import (_BLOCK_ORDER, FORMAT_VERSION, KINDS, Dataset,
+                                _validate_blocks)
+from isogauss.errors import DatasetFormatError
+from isogauss.grid import build_chart
 
 
 def staircase_orders(chart):
@@ -98,3 +103,117 @@ def resolve_full_fixed_space(chart, length, B, k_ab_op, options):
     sign = 1 if options.sign_branch >= 0 else -1
     candidates.sort(key=lambda H: -sign * float(np.sum(H[chart.center])))
     return candidates
+
+
+def _fmt(x):
+    return f"{x:.17g}"
+
+
+def write_dataset(path, dataset):
+    """Dataset writer that formats one value at a time."""
+    chart = dataset.chart
+    lines = ["# isogauss dataset",
+             f"format_version = {FORMAT_VERSION}",
+             f"kind = {dataset.kind}",
+             f"m = {chart.m}",
+             f"n = {dataset.n}",
+             "grid_shape = " + " ".join(str(s) for s in chart.shape),
+             "spacing = " + " ".join(_fmt(dx) for dx in chart.spacing),
+             "origin = " + " ".join(_fmt(x) for x in chart.origin)]
+    for name in _BLOCK_ORDER:
+        if name not in dataset.blocks:
+            continue
+        rows = dataset.blocks[name].reshape(chart.num_points, -1)
+        lines.append(f"begin {name}")
+        lines.extend(" ".join(_fmt(v) for v in row) for row in rows)
+        lines.append(f"end {name}")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_dataset(path):
+    """Dataset reader that parses one token at a time with ``float()``."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise DatasetFormatError(f"cannot read dataset: {exc}") from exc
+    header = {}
+    blocks = {}
+    current = None
+    for ln, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("begin "):
+            if current is not None:
+                raise DatasetFormatError(f"line {ln}: nested block")
+            current = line[6:].strip()
+            blocks[current] = []
+            continue
+        if line.startswith("end "):
+            if current != line[4:].strip():
+                raise DatasetFormatError(f"line {ln}: mismatched block end")
+            current = None
+            continue
+        if current is not None:
+            try:
+                blocks[current].append([float(tok) for tok in line.split()])
+            except ValueError as exc:
+                raise DatasetFormatError(f"line {ln}: bad number: {exc}") from exc
+        else:
+            if "=" not in line:
+                raise DatasetFormatError(f"line {ln}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            header[key.strip()] = value.strip()
+    if current is not None:
+        raise DatasetFormatError(f"unterminated block '{current}'")
+
+    try:
+        version = int(header["format_version"])
+        kind = header["kind"]
+        m = int(header["m"])
+        n = int(header["n"])
+        shape = tuple(int(t) for t in header["grid_shape"].split())
+        spacing = tuple(float(t) for t in header["spacing"].split())
+        origin = tuple(float(t) for t in header["origin"].split())
+    except KeyError as exc:
+        raise DatasetFormatError(f"missing header key {exc}") from exc
+    except ValueError as exc:
+        raise DatasetFormatError(f"bad header value: {exc}") from exc
+    if version != FORMAT_VERSION:
+        raise DatasetFormatError(f"unrecognized format_version {version}")
+    if kind not in KINDS:
+        raise DatasetFormatError(f"unrecognized kind '{kind}'")
+    chart = build_chart(m, shape, spacing, origin)
+
+    arrays = {}
+    for name, rows in blocks.items():
+        if not rows:
+            raise DatasetFormatError(f"block '{name}' is empty")
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
+            raise DatasetFormatError(f"block '{name}' has ragged rows")
+        arr = np.array(rows, dtype=float)
+        if arr.shape[0] != chart.num_points:
+            raise DatasetFormatError(
+                f"block '{name}' has {arr.shape[0]} rows, expected "
+                f"{chart.num_points}")
+        if not np.all(np.isfinite(arr)):
+            raise DatasetFormatError(f"block '{name}' contains non-finite values")
+        arrays[name] = arr.reshape(chart.shape + (width,))
+
+    _validate_blocks(kind, chart, n, arrays)
+    return Dataset(kind=kind, chart=chart, n=n, blocks=arrays)
+
+
+def write_plot_data(path, chart, u):
+    """``.xyz.txt`` writer with one Python line per node."""
+    coords = chart.mesh().reshape(chart.num_points, chart.m)
+    pts = u.reshape(chart.num_points, -1)
+    header = " ".join([f"x{i+1}" for i in range(chart.m)]
+                      + [f"u{i+1}" for i in range(pts.shape[1])])
+    with open(path, "w", newline="\n") as fh:
+        fh.write("# " + header + "\n")
+        for c, p in zip(coords, pts):
+            fh.write(" ".join(f"{v:.17g}" for v in np.concatenate([c, p])) + "\n")

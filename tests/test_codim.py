@@ -66,6 +66,23 @@ class TestNormalFrame:
         with pytest.raises(InvalidGrassmannDataError):
             build_normal_frame(chart, spans)
 
+    @pytest.mark.parametrize("tilt, rejected", [(1e-10, True), (1e-6, False)])
+    def test_rank_tolerance_relative_to_largest_singular_value(self, tilt,
+                                                               rejected):
+        # one node's second column leans off the first by `tilt`: its
+        # smallest singular value is about tilt / sqrt(2) of the largest,
+        # against rank_rel_tol = 1e-8
+        chart = build_chart(2, (9, 9), (0.1, 0.1))
+        spans = np.zeros(chart.shape + (4, 2))
+        spans[..., 2, 0] = 1.0
+        spans[..., 3, 1] = 1.0
+        spans[4, 4, :, 1] = [0.0, 0.0, 1.0, tilt]
+        if rejected:
+            with pytest.raises(InvalidGrassmannDataError):
+                build_normal_frame(chart, spans)
+        else:
+            assert build_normal_frame(chart, spans).orthonormality_defect < 1e-8
+
 
 class TestThirdForms:
     def test_codim1_reduction_matches_gauss_data(self, ellipsoid):
@@ -139,7 +156,7 @@ class TestSecondForms:
         forms = third_forms(frame)
         mc = mean_curvature_vector(forms, ellipsoid.pack.Ric, ellipsoid.pack.s,
                                    ellipsoid.metric)
-        h_alpha, res = second_forms(forms, mc.candidates[0], ellipsoid.pack.Ric,
+        h_alpha, res = second_forms(mc.candidates[0], mc.B, mc.k_ab_op,
                                     ellipsoid.metric)
         s1 = step1_positivity(ellipsoid.pack.s, ellipsoid.gauss, ellipsoid.metric)
         h2 = h_from_theorem2(ellipsoid.pack.Ric, ellipsoid.gauss.k, s1.H)
@@ -153,7 +170,7 @@ class TestSecondForms:
         clifford, _, forms = clifford_problem
         mc = mean_curvature_vector(forms, clifford.pack.Ric, clifford.pack.s,
                                    clifford.metric)
-        h_alpha, res = second_forms(forms, mc.candidates[0], clifford.pack.Ric,
+        h_alpha, res = second_forms(mc.candidates[0], mc.B, mc.k_ab_op,
                                     clifford.metric)
         assert res < 50 * clifford.dx2
         err = interior_max(clifford.chart,
@@ -170,7 +187,8 @@ class TestSecondForms:
         forms = third_forms(frame)
         pack = riemann_tensor(metric)
         H = np.ones(chart.shape + (2,))
-        _, res = second_forms(forms, H, pack.Ric, metric)
+        _, B, k_ab_op = _rho_and_B(forms, pack.Ric, metric)
+        _, res = second_forms(H, B, k_ab_op, metric)
         assert res > 0.1
 
 
