@@ -14,7 +14,6 @@ import numpy as np
 
 from isogauss.admissibility import PipelineOptions, run_pipeline
 from isogauss.curvature import metric_field, riemann_tensor
-from isogauss.gaussmap import build_gauss_field
 from isogauss.grid import interior_max
 from isogauss.reconstruct import compare_up_to_translation, integrate
 from isogauss.surfaces import (Ellipsoid, Graph, RoundSphere,
@@ -27,8 +26,7 @@ def residuals_at(surface, chart, level):
     data = generate(surface, chart)
     metric = metric_field(chart, data.g)
     pack = riemann_tensor(metric)
-    G = build_gauss_field(chart, data.frame[..., 0])
-    report = run_pipeline(metric, G)
+    report = run_pipeline(metric, data.frame)
     margin = 2 * 2 ** level
 
     tr_k = np.einsum("...ij,...ij->...", metric.g_inv, data.k)

@@ -11,9 +11,7 @@ import math
 from dataclasses import dataclass
 
 from isogauss.admissibility import PipelineOptions, run_pipeline
-from isogauss.codim import run_codim_pipeline
 from isogauss.curvature import metric_field
-from isogauss.gaussmap import build_gauss_field
 from isogauss.reconstruct import compare_up_to_translation, integrate
 from isogauss.surfaces import (Catenoid, CliffordTorus, Cylinder, Ellipsoid,
                                EllipsoidM3, Graph, GraphR4, Helicoid,
@@ -52,11 +50,7 @@ def run_surface(surface, cfg: RunConfig):
     for level in range(cfg.refine + 1):
         data = generate(surface, chart)
         metric = metric_field(chart, data.g)
-        if data.d == 1:
-            report = run_pipeline(
-                metric, build_gauss_field(chart, data.frame[..., 0]), options)
-        else:
-            report = run_codim_pipeline(metric, data.frame, options)
+        report = run_pipeline(metric, data.frame, options)
         worst = max((v for v in report.residuals.values() if not math.isnan(v)),
                     default=math.nan)
         err = math.nan

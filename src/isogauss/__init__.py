@@ -4,7 +4,8 @@ Given a Riemannian metric g and a candidate Gauss map sampled on a
 rectangular chart, decide whether the pair arises as first fundamental form
 and Gauss map of an isometric immersion into Euclidean space, and integrate
 the immersion when it does.  Hypersurfaces are the main case; Grassmannian
-normal data of higher codimension is handled by :mod:`isogauss.codim`.
+normal data of higher codimension takes the same :func:`run_pipeline`, with
+its candidates recovered by :mod:`isogauss.codim`.
 """
 
 from .admissibility import (AdmissibilityReport, CandidateSolution,
@@ -14,14 +15,12 @@ from .admissibility import (AdmissibilityReport, CandidateSolution,
                             h_from_theorem3, run_pipeline, spd_sqrt,
                             step1_positivity)
 from .codim import (CodimForms, NormalFrame, build_normal_frame,
-                    build_U_codim, mean_curvature_vector, run_codim_pipeline,
-                    second_forms, third_forms)
+                    mean_curvature_vector, second_forms, third_forms)
 from .curvature import (CurvaturePack, MetricField, christoffel,
-                        curvature_operator, lower_index, metric_field,
-                        raise_index, riemann_tensor)
-from .gaussmap import (GaussField, build_gauss_field, degeneracy_report,
-                       project_normal_complement)
-from .grid import Chart, Field, build_chart, partial_derivative, sample
+                        curvature_operator, metric_field, raise_index,
+                        riemann_tensor)
+from .gaussmap import GaussField, build_gauss_field, degeneracy_report
+from .grid import Chart, build_chart
 from .reconstruct import (Immersion, compare_up_to_translation, integrate,
                           verify_immersion)
 from .surfaces import CATALOG, OracleData, associated_family, generate
@@ -30,16 +29,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport", "CandidateSolution", "Chart", "CodimForms",
-    "CurvaturePack", "Field", "GaussField", "Immersion", "MetricField",
+    "CurvaturePack", "GaussField", "Immersion", "MetricField",
     "NormalFrame", "OracleData", "PipelineOptions", "CATALOG",
-    "associated_family", "build_U", "build_U_codim", "build_chart",
-    "build_gauss_field", "build_normal_frame", "check_h_squared",
-    "check_isometry", "check_minimal_m2", "check_parallel",
-    "christoffel", "codazzi_residual", "compare_up_to_translation",
-    "curvature_operator", "degeneracy_report", "generate",
-    "h_from_theorem2", "h_from_theorem3", "integrate", "lower_index",
-    "metric_field", "partial_derivative", "project_normal_complement",
-    "raise_index", "riemann_tensor", "run_codim_pipeline", "run_pipeline",
-    "sample", "second_forms", "spd_sqrt", "step1_positivity", "third_forms",
+    "associated_family", "build_U", "build_chart", "build_gauss_field",
+    "build_normal_frame", "check_h_squared", "check_isometry",
+    "check_minimal_m2", "check_parallel", "christoffel", "codazzi_residual",
+    "compare_up_to_translation", "curvature_operator", "degeneracy_report",
+    "generate", "h_from_theorem2", "h_from_theorem3", "integrate",
+    "metric_field", "raise_index", "riemann_tensor", "run_pipeline",
+    "second_forms", "spd_sqrt", "step1_positivity", "third_forms",
     "verify_immersion",
 ]

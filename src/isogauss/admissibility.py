@@ -6,8 +6,10 @@ The decision pipeline follows four steps: positivity of the scalar invariant
 SVD when ``q = 0`` and ``m >= 3``, a Gauss-condition/conformality test when
 ``q = 0`` and ``m = 2``); the quadratic check ``h^2 = k``; and isometry plus
 parallelity of the bundle map ``U`` that would be the differential of the
-immersion.  All verdicts carry named residuals (never bare booleans) so that
-convergence behaviour can be asserted by callers.
+immersion.  Normal data of codimension ``d >= 2`` shares steps 1, 3 and 4
+and recovers its candidates in step 2 from the trace matrix of
+:mod:`isogauss.codim`.  All verdicts carry named residuals (never bare
+booleans) so that convergence behaviour can be asserted by callers.
 """
 
 from __future__ import annotations
@@ -17,11 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codim import (build_normal_frame, frame_consistency,
+                    mean_curvature_vector, second_forms, third_forms,
+                    weingarten_combination)
 from .curvature import (CurvaturePack, MetricField, node_norm, raise_index,
                         riemann_tensor, to_orthonormal)
 from .errors import (BranchError, DegenerateGaussMapError, DomainError,
                      NotPositiveSemidefiniteError)
-from .gaussmap import GaussField, degeneracy_report, third_form_trace
+from .gaussmap import (GaussField, build_gauss_field, degeneracy_report,
+                       third_form_trace)
 from .grid import Chart, align_signs, grad_all, interior_max
 
 RESIDUAL_KEYS = ("step1_positivity", "h_squared", "isometry", "parallelity",
@@ -57,10 +63,11 @@ class PipelineOptions:
 
 @dataclass(frozen=True)
 class CandidateSolution:
-    """Per-node candidate (h, H, U) produced by one solve branch."""
+    """Per-node candidate (h^a, H^a, U) produced by one solve route; the
+    normal axis has length d (1 for hypersurfaces)."""
 
-    h: np.ndarray          # (*grid, m, m), symmetric
-    H: np.ndarray          # (*grid,), = Tr_g h
+    h_alpha: np.ndarray    # (*grid, d, m, m), symmetric
+    H_alpha: np.ndarray    # (*grid, d), = Tr_g h^a
     U: np.ndarray          # (*grid, n, m)
     method: str
     sign_branch: int
@@ -100,17 +107,20 @@ class Step1Result:
     H: np.ndarray | None    # positive branch only
 
 
-def step1_positivity(s: np.ndarray, G: GaussField, metric: MetricField,
+def step1_positivity(s: np.ndarray, k: np.ndarray, metric: MetricField,
                      options: PipelineOptions | None = None) -> Step1Result:
     """Classify ``q = s + Tr_g k``: positive, zero (minimal), or negative.
 
-    A sign change across the chart beyond noise is classified ``mixed``; the
-    smooth-square-root subtlety makes any branch choice there a guess, so the
-    pipeline reports the data inapplicable instead of picking one.
+    ``k`` is the third form, summed over the normal directions.  On the
+    positive branch ``H = sqrt(q)`` is the mean curvature (its length in
+    codimension ``d >= 2``).  A sign change across the chart beyond noise is
+    classified ``mixed``; the smooth-square-root subtlety makes any branch
+    choice there a guess, so the pipeline reports the data inapplicable
+    instead of picking one.
     """
     options = options or PipelineOptions()
     chart = metric.chart
-    tr_k = third_form_trace(G, metric)
+    tr_k = third_form_trace(k, metric)
     q = s + tr_k
     # FD noise in q scales with the local field sizes: normalize pointwise so
     # a chart mixing O(10) and O(0.1) values still classifies cleanly
@@ -299,21 +309,32 @@ def check_h_squared(h: np.ndarray, k: np.ndarray, metric: MetricField) -> float:
     return interior_max(metric.chart, res)
 
 
-def build_U(G: GaussField, h: np.ndarray) -> np.ndarray:
-    """Solve ``A^T U = -h`` with columns constrained to nu-perp.
+def build_U(A: np.ndarray, k: np.ndarray, h: np.ndarray,
+            frame: np.ndarray) -> np.ndarray:
+    """Solve ``A^T U = -h`` with columns in the normal complement.
 
-    ``A`` has full column rank on non-degenerate data, so the solution is
-    ``U = -A k^{-1} h``; columns are re-projected onto nu-perp to strip the
-    O(dx^2) normal component that discrete differentiation leaves in ``A``.
+    ``A`` is the ``(*grid, n, m)`` differential of one normal direction,
+    ``k = A^T A`` its third form and ``h`` its second form.  For ``d >= 2``
+    that direction is an everywhere-invertible combination of the frame
+    (:func:`isogauss.codim.weingarten_combination`) and ``h`` the same
+    combination of the ``h^a``: the two combine covariantly, so any such
+    combination determines the same U.  ``A`` has full column rank on
+    non-degenerate data, so the solution is ``U = -A k^{-1} h``; columns are
+    re-projected onto the complement of the ``(*grid, n, d)`` normal frame
+    to strip the O(dx^2) normal component that discrete differentiation
+    leaves in ``A``.
     """
     try:
-        kinvh = np.linalg.solve(G.k, h)
+        kinvh = np.linalg.solve(k, h)
     except np.linalg.LinAlgError as exc:
         raise DegenerateGaussMapError(
             f"third form singular, cannot invert A^*: {exc}") from exc
-    U = -np.einsum("...nk,...kj->...nj", G.A, kinvh)
-    coeff = np.einsum("...n,...nj->...j", G.nu, U)
-    return U - coeff[..., None, :] * G.nu[..., :, None]
+    U = -np.einsum("...nk,...kj->...nj", A, kinvh)
+    for a in range(frame.shape[-1]):
+        nu = frame[..., a]
+        coeff = np.einsum("...n,...nj->...j", nu, U)
+        U = U - coeff[..., None, :] * nu[..., :, None]
+    return U
 
 
 def check_isometry(U: np.ndarray, metric: MetricField) -> float:
@@ -323,17 +344,21 @@ def check_isometry(U: np.ndarray, metric: MetricField) -> float:
     return interior_max(metric.chart, res)
 
 
-def check_parallel(U: np.ndarray, Gamma: np.ndarray, nu: np.ndarray,
+def check_parallel(U: np.ndarray, Gamma: np.ndarray, frame: np.ndarray,
                    chart: Chart) -> float:
     """Parallelity defect of U: tangential part of dU minus the Gamma term.
 
     Per node and index pair (i, j) this is the norm of
-    ``d_i u_j - <d_i u_j, nu> nu - Gamma^k_ij u_k``, normalized by
+    ``d_i u_j - sum_a <d_i u_j, nu^a> nu^a - Gamma^k_ij u_k`` over the
+    columns of the ``(*grid, n, d)`` normal frame, normalized by
     ``1 + |Gamma| |U|``; the interior maximum is returned.
     """
     dU = grad_all(U, chart)                                   # (..., n, j, i)
-    ip = np.einsum("...n,...nji->...ji", nu, dU)
-    tang = dU - np.einsum("...ji,...n->...nji", ip, nu)
+    tang = dU
+    for a in range(frame.shape[-1]):
+        nu = frame[..., a]
+        ip = np.einsum("...n,...nji->...ji", nu, dU)
+        tang = tang - np.einsum("...ji,...n->...nji", ip, nu)
     gam = np.einsum("...kij,...nk->...nji", Gamma, U)
     res = np.sqrt(np.sum((tang - gam) ** 2, axis=-3))         # norm over n
     res = np.max(res, axis=(-2, -1))
@@ -388,154 +413,214 @@ def codazzi_residual(h: np.ndarray, Gamma: np.ndarray, metric: MetricField) -> f
 # ---------------------------------------------------------------------------
 # the pipeline
 
-
-def _report(verdict, failed_step, residuals, thresholds, method,
-            candidate=None, notes=None, extra=None) -> AdmissibilityReport:
-    return AdmissibilityReport(verdict=verdict, failed_step=failed_step,
-                               residuals=residuals, thresholds=thresholds,
-                               method=method, candidate=candidate,
-                               notes=notes or [], extra=extra or {})
+# the residuals a candidate is judged by, in report order (a residual
+# without a threshold is never judged)
+_JUDGED = ("gauss_condition_m2", "conformality_m2", "h_squared", "isometry",
+           "parallelity")
 
 
-def _mk_candidate(h, metric, U, method, sign_branch) -> CandidateSolution:
-    H = np.einsum("...ij,...ij->...", metric.g_inv, h)
-    return CandidateSolution(h=h, H=H, U=U, method=method, sign_branch=sign_branch)
+def _failed_step(failing: list[str]) -> str:
+    if failing[0].endswith("_m2"):
+        return "minimal-case"
+    return "3" if {"h_squared", "aalpha_consistency"} & set(failing) else "4"
 
 
-def run_pipeline(metric: MetricField, G: GaussField,
+def _failure_note(failing: list[str], step: str,
+                  hypersurface: bool) -> list[str]:
+    if not hypersurface:
+        return [f"failing: {', '.join(failing)}"]
+    if step == "3":
+        return ["candidate h does not square to the third form"]
+    if step == "4":
+        return [f"bundle map fails the {' and '.join(failing)} check"]
+    return []
+
+
+def _badness(report: AdmissibilityReport) -> float:
+    keys = ("h_squared", "isometry", "parallelity")
+    return max(report.residuals[k] for k in keys
+               if not math.isnan(report.residuals[k]))
+
+
+def run_pipeline(metric: MetricField, normals: np.ndarray,
                  options: PipelineOptions | None = None) -> AdmissibilityReport:
-    """Execute the full hypersurface decision algorithm on (g, nu) data."""
+    """Execute the full decision algorithm on (g, normals) of any codimension.
+
+    ``normals`` is the ``(*grid, n, d)`` stack of normal spans.  Hypersurface
+    data (``d = 1``) takes the theorem2, theorem3, minimal_m2 or sqrt route;
+    ``d >= 2`` takes the trace-matrix route of :mod:`isogauss.codim`.
+    """
     options = options or PipelineOptions()
     chart = metric.chart
     tau = options.fd_tol(chart)
+    sign = 1 if options.sign_branch >= 0 else -1
     residuals = _nan_residuals()
-    thresholds = {key: math.nan for key in RESIDUAL_KEYS}
+    thresholds = _nan_residuals()
     notes: list[str] = []
     extra: dict[str, float] = {}
 
-    deg = degeneracy_report(G, metric, options.rank_rel_tol)
-    extra["dnu_min_singular"] = deg.min_singular
-    extra["dnu_max_singular"] = deg.max_singular
-    if not deg.invertible:
-        notes.append("dnu is not everywhere invertible; the decision theorems "
-                     "require an invertible Gauss-map differential")
-        return _report(VERDICT_INAPPLICABLE, None, residuals, thresholds,
-                       "none", notes=notes, extra=extra)
+    def finish(verdict, step, method, note=None):
+        return AdmissibilityReport(verdict, step, residuals, thresholds, method,
+                                   None, notes + ([note] if note else []), extra)
+
+    hypersurface = normals.shape[-1] == 1
+    if hypersurface:
+        G = build_gauss_field(chart, normals[..., 0])
+        deg = degeneracy_report(G, metric, options.rank_rel_tol)
+        extra["dnu_min_singular"] = deg.min_singular
+        extra["dnu_max_singular"] = deg.max_singular
+        if not deg.invertible:
+            return finish(VERDICT_INAPPLICABLE, None, "none",
+                          "dnu is not everywhere invertible; the decision "
+                          "theorems require an invertible Gauss-map "
+                          "differential")
+        frame, k = G.nu[..., None], G.k
+    else:
+        nf = build_normal_frame(chart, normals, options.rank_rel_tol)
+        extra["frame_orthonormality_defect"] = nf.orthonormality_defect
+        extra["frame_min_overlap_det"] = nf.min_overlap_det
+        forms = third_forms(nf)
+        frame, k = nf.frame, forms.k
 
     pack = riemann_tensor(metric)
-    s1 = step1_positivity(pack.s, G, metric, options)
+    s1 = step1_positivity(pack.s, k, metric, options)
     residuals["step1_positivity"] = s1.residual
     thresholds["step1_positivity"] = tau
-    extra["q_min_normalized"] = float(np.min(s1.q[chart.interior])) / s1.q_scale
-    extra["q_max_normalized"] = float(np.max(s1.q[chart.interior])) / s1.q_scale
-
+    if hypersurface:
+        q = s1.q[chart.interior]
+        extra["q_min_normalized"] = float(np.min(q)) / s1.q_scale
+        extra["q_max_normalized"] = float(np.max(q)) / s1.q_scale
     if s1.classification == "rejected":
-        notes.append("s + Tr k is negative beyond noise: no immersion exists")
-        return _report(VERDICT_REJECTED, "1", residuals, thresholds, "none",
-                       notes=notes, extra=extra)
+        return finish(VERDICT_REJECTED, "1", "none",
+                      "s + Tr k is negative beyond noise: no immersion exists")
     if s1.classification == "mixed":
-        notes.append("s + Tr k changes sign across the chart beyond noise; a "
-                     "smooth square root may or may not exist and no branch "
-                     "is selected")
-        return _report(VERDICT_INAPPLICABLE, None, residuals, thresholds,
-                       "none", notes=notes, extra=extra)
+        return finish(VERDICT_INAPPLICABLE, None, "none",
+                      "s + Tr k changes sign across the chart beyond noise; a "
+                      "smooth square root may or may not exist and no branch "
+                      "is selected")
 
-    method = options.method
-    if method == "auto":
-        if s1.classification == "positive":
-            method = "theorem2"
-        elif chart.m >= 3:
-            method = "theorem3"
-        elif chart.m == 2:
-            method = "minimal_m2"
-        else:
-            notes.append("m = 1 charts carry no curvature data to decide with")
-            return _report(VERDICT_INAPPLICABLE, None, residuals, thresholds,
-                           "none", notes=notes, extra=extra)
-    if method == "theorem2" and s1.classification != "positive":
-        notes.append("the closed-form route needs s + Tr k > 0; data is in "
-                     "the degenerate (minimal) regime")
-        return _report(VERDICT_INAPPLICABLE, None, residuals, thresholds,
-                       method, notes=notes, extra=extra)
-    if method == "theorem3" and chart.m < 3:
-        notes.append("the linear-system route needs m >= 3")
-        return _report(VERDICT_INAPPLICABLE, None, residuals, thresholds,
-                       method, notes=notes, extra=extra)
+    # step 2: candidates (h^a, H^a) with their h^2 = k residual
+    if not hypersurface:
+        if s1.classification == "minimal":
+            return finish(VERDICT_INAPPLICABLE, None, "none",
+                          "|H| = sqrt(s + Tr k) vanishes; the trace-matrix "
+                          "recovery needs |H| != 0")
+        method = "codim"
+        try:
+            mc = mean_curvature_vector(forms, pack.Ric, s1.H, metric, tau, sign)
+        except DomainError as exc:
+            return finish(VERDICT_INAPPLICABLE, None, method, str(exc))
+        residuals["nullspace_gap"] = mc.unit_eigen_distance
+        thresholds["nullspace_gap"] = max(1e-6, tau)
+        extra["fixed_space_dim"] = float(mc.fixed_dim)
+        notes.extend(mc.notes)
+        if mc.status == "rejected":
+            return finish(VERDICT_REJECTED, "2", method)
+        if not mc.candidates:
+            return finish(VERDICT_INAPPLICABLE, None, method)
+        # lazily: the first admissible candidate ends the search
+        candidates = ((*second_forms(H, mc.B, mc.k_ab_op, metric), H)
+                      for H in mc.candidates)
+    else:
+        method = options.method
+        if method == "auto":
+            if s1.classification == "positive":
+                method = "theorem2"
+            elif chart.m >= 3:
+                method = "theorem3"
+            elif chart.m == 2:
+                method = "minimal_m2"
+            else:
+                return finish(VERDICT_INAPPLICABLE, None, "none",
+                              "m = 1 charts carry no curvature data to "
+                              "decide with")
+        if method == "theorem2" and s1.classification != "positive":
+            return finish(VERDICT_INAPPLICABLE, None, method,
+                          "the closed-form route needs s + Tr k > 0; data is "
+                          "in the degenerate (minimal) regime")
+        if method == "theorem3" and chart.m < 3:
+            return finish(VERDICT_INAPPLICABLE, None, method,
+                          "the linear-system route needs m >= 3")
 
-    sign = 1 if options.sign_branch >= 0 else -1
-
-    if method == "minimal_m2":
-        mres = check_minimal_m2(metric, G, pack.s)
-        residuals["gauss_condition_m2"] = mres.gauss_condition
-        residuals["conformality_m2"] = mres.conformality
-        thresholds["gauss_condition_m2"] = tau
-        thresholds["conformality_m2"] = tau
-        h = sign * spd_sqrt(G.k, metric)
-        U = build_U(G, h)
-        residuals["h_squared"] = check_h_squared(h, G.k, metric)
-        residuals["isometry"] = check_isometry(U, metric)
-        thresholds["h_squared"] = tau
-        thresholds["isometry"] = tau
-        extra["representative_parallelity"] = check_parallel(U, pack.Gamma, G.nu, chart)
-        extra["codazzi"] = codazzi_residual(h, pack.Gamma, metric)
-        candidate = _mk_candidate(h, metric, U, "minimal_m2", sign)
-        notes.append("minimal-surface regime: the candidate is the PSD-root "
-                     "representative; the solution is a one-parameter family "
-                     "and the representative itself need not be parallel")
-        operative = ("gauss_condition_m2", "conformality_m2", "h_squared",
-                     "isometry")
-        failing = [key for key in operative if residuals[key] > thresholds[key]]
-        if failing:
-            step = "minimal-case" if failing[0].endswith("_m2") else "3"
-            return _report(VERDICT_REJECTED, step, residuals, thresholds,
-                           "minimal_m2", candidate, notes, extra)
-        return _report(VERDICT_ADMISSIBLE, None, residuals, thresholds,
-                       "minimal_m2", candidate, notes, extra)
-
-    if method == "theorem2":
-        H = sign * s1.H
-        h = h_from_theorem2(pack.Ric, G.k, H)
-    elif method == "theorem3":
-        r3 = h_from_theorem3(pack, G.k, metric, options)
-        residuals["nullspace_gap"] = interior_max(chart, r3.gap)
-        thresholds["nullspace_gap"] = r3.gap_tol
-        extra["nullspace_frac_unique"] = r3.frac_unique
-        if r3.status == "no_solution":
-            notes.append("the pointwise linear system has no nonzero solution; "
-                         "no second fundamental form is compatible with the "
-                         "curvature")
-            return _report(VERDICT_REJECTED, "2", residuals, thresholds,
-                           "theorem3", notes=notes, extra=extra)
-        if r3.status == "indeterminate":
-            notes.append("linear-system nullspace not one-dimensional; "
-                         "falling back to the PSD root as a diagnostic")
+        if method == "minimal_m2":
+            mres = check_minimal_m2(metric, G, pack.s)
+            residuals["gauss_condition_m2"] = mres.gauss_condition
+            residuals["conformality_m2"] = mres.conformality
+            thresholds["gauss_condition_m2"] = tau
+            thresholds["conformality_m2"] = tau
+            h = sign * spd_sqrt(G.k, metric)
+            notes.append("minimal-surface regime: the candidate is the PSD-root "
+                         "representative; the solution is a one-parameter "
+                         "family and the representative itself need not be "
+                         "parallel")
+        elif method == "theorem2":
+            h = h_from_theorem2(pack.Ric, G.k, sign * s1.H)
+        elif method == "theorem3":
+            r3 = h_from_theorem3(pack, G.k, metric, options)
+            residuals["nullspace_gap"] = interior_max(chart, r3.gap)
+            thresholds["nullspace_gap"] = r3.gap_tol
+            extra["nullspace_frac_unique"] = r3.frac_unique
+            if r3.status == "no_solution":
+                return finish(VERDICT_REJECTED, "2", "theorem3",
+                              "the pointwise linear system has no nonzero "
+                              "solution; no second fundamental form is "
+                              "compatible with the curvature")
+            if r3.status == "indeterminate":
+                notes.append("linear-system nullspace not one-dimensional; "
+                             "falling back to the PSD root as a diagnostic")
+                h = sign * spd_sqrt(G.k, metric)
+                method = "spd_sqrt"
+            else:
+                h = r3.h if sign > 0 else -r3.h
+        else:  # explicit sqrt override
             h = sign * spd_sqrt(G.k, metric)
             method = "spd_sqrt"
-        else:
-            h = r3.h if sign > 0 else -r3.h
-    else:  # explicit sqrt override
-        h = sign * spd_sqrt(G.k, metric)
-        method = "spd_sqrt"
+        H = np.einsum("...ij,...ij->...", metric.g_inv, h)
+        candidates = [(h[..., None, :, :], check_h_squared(h, G.k, metric),
+                       H[..., None])]
 
-    U = build_U(G, h)
-    residuals["h_squared"] = check_h_squared(h, G.k, metric)
-    residuals["isometry"] = check_isometry(U, metric)
-    residuals["parallelity"] = check_parallel(U, pack.Gamma, G.nu, chart)
+    # steps 3 and 4; the minimal-surface representative need not be parallel
     thresholds["h_squared"] = tau
     thresholds["isometry"] = tau
-    thresholds["parallelity"] = tau
-    extra["codazzi"] = codazzi_residual(h, pack.Gamma, metric)
-    candidate = _mk_candidate(h, metric, U, method, sign)
-
-    if residuals["h_squared"] > tau:
-        notes.append("candidate h does not square to the third form")
-        return _report(VERDICT_REJECTED, "3", residuals, thresholds, method,
-                       candidate, notes, extra)
-    failing = [key for key in ("isometry", "parallelity")
-               if residuals[key] > tau]
-    if failing:
-        notes.append(f"bundle map fails the {' and '.join(failing)} check")
-        return _report(VERDICT_REJECTED, "4", residuals, thresholds, method,
-                       candidate, notes, extra)
-    return _report(VERDICT_ADMISSIBLE, None, residuals, thresholds, method,
-                   candidate, notes, extra)
+    if method != "minimal_m2":
+        thresholds["parallelity"] = tau
+    # U inverts one normal direction w whose third form is invertible
+    if hypersurface:
+        w, A_w, k_w = np.ones(1), G.A, G.k
+    else:
+        try:
+            w, A_w, k_w = weingarten_combination(nf.A, metric,
+                                                 options.rank_rel_tol)
+        except DomainError as exc:
+            return finish(VERDICT_INAPPLICABLE, None, method, str(exc))
+    best = None
+    for h_alpha, h_squared, H_alpha in candidates:
+        U = build_U(A_w, k_w, np.einsum("...aij,a->...ij", h_alpha, w), frame)
+        res, ext = dict(residuals), dict(extra)
+        res["h_squared"] = h_squared
+        res["isometry"] = check_isometry(U, metric)
+        parallelity = check_parallel(U, pack.Gamma, frame, chart)
+        if method == "minimal_m2":
+            ext["representative_parallelity"] = parallelity
+        else:
+            res["parallelity"] = parallelity
+        if hypersurface:
+            ext["codazzi"] = codazzi_residual(h_alpha[..., 0, :, :], pack.Gamma,
+                                              metric)
+        else:
+            ext["aalpha_consistency"] = frame_consistency(nf.A, U, h_alpha,
+                                                          chart)
+        candidate = CandidateSolution(h_alpha, H_alpha, U, method, sign)
+        failing = [key for key in _JUDGED if res[key] > thresholds[key]]
+        if ext.get("aalpha_consistency", 0.0) > tau:
+            failing.append("aalpha_consistency")
+        if not failing:
+            return AdmissibilityReport(VERDICT_ADMISSIBLE, None, res, thresholds,
+                                       method, candidate, notes, ext)
+        step = _failed_step(failing)
+        report = AdmissibilityReport(
+            VERDICT_REJECTED, step, res, thresholds, method, candidate,
+            notes + _failure_note(failing, step, hypersurface), ext)
+        if best is None or _badness(report) < _badness(best):
+            best = report
+    return best

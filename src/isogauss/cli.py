@@ -14,10 +14,8 @@ import numpy as np
 
 from . import datafiles, surfaces
 from .admissibility import PipelineOptions, run_pipeline
-from .codim import run_codim_pipeline
 from .curvature import metric_field
 from .errors import DatasetFormatError, IsoGaussError
-from .gaussmap import build_gauss_field
 from .grid import build_chart
 from .reconstruct import compare_up_to_translation, integrate, verify_immersion
 
@@ -104,13 +102,6 @@ def _load_problem(path):
     return ds, metric, normals
 
 
-def _run_check(metric, normals, options):
-    if normals.shape[-1] == 1:
-        G = build_gauss_field(metric.chart, normals[..., 0])
-        return run_pipeline(metric, G, options)
-    return run_codim_pipeline(metric, normals, options)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -138,7 +129,7 @@ def cmd_forward(args) -> int:
 
 def cmd_check(args) -> int:
     ds, metric, normals = _load_problem(args.dataset)
-    report = _run_check(metric, normals, _options(args))
+    report = run_pipeline(metric, normals, _options(args))
     text = datafiles.format_report(report)
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
@@ -150,7 +141,7 @@ def cmd_check(args) -> int:
 def cmd_reconstruct(args) -> int:
     ds, metric, normals = _load_problem(args.dataset)
     options = _options(args)
-    report = _run_check(metric, normals, options)
+    report = run_pipeline(metric, normals, options)
     if args.report:
         datafiles.write_report(args.report, report)
     if not report.admissible:
@@ -200,7 +191,7 @@ def cmd_roundtrip(args) -> int:
             nu = surfaces.smooth_rotation_of_gauss_map(
                 normals[..., 0], chart, float(args.perturb_nu), seed=args.seed)
             normals = nu[..., None]
-        report = _run_check(metric, normals, options)
+        report = run_pipeline(metric, normals, options)
         max_res = max((v for v in report.residuals.values()
                        if not math.isnan(v)), default=math.nan)
         rec_err = math.nan

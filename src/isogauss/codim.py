@@ -9,11 +9,7 @@ forms from ``h^b = sum_a H^a (Ric + k)^{-1} k^{ab}``, and the final verdict
 from the quadratic product check ``h^a h^b = k^{ab}`` plus isometry and
 parallelity of ``U``.
 
-Hypersurface data (a single-column frame) can run through this module too,
-but the result is not the hypersurface pipeline's: the route and the
-residuals differ.  On the ellipsoid at 49^2, ``h_squared`` is 5.7e-4 through
-the hypersurface path and 4.9e-4 through this one; the catenoid is
-admissible there (minimal_m2 branch) and inapplicable here.
+d = 1 always takes the hypersurface routes; this module serves d >= 2.
 """
 
 from __future__ import annotations
@@ -23,12 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admissibility import (RESIDUAL_KEYS, VERDICT_ADMISSIBLE,
-                            VERDICT_INAPPLICABLE, VERDICT_REJECTED,
-                            AdmissibilityReport, PipelineOptions,
-                            _nan_residuals, check_isometry)
-from .curvature import (MetricField, node_norm, raise_index, riemann_tensor,
-                        to_orthonormal)
+from .curvature import MetricField, node_norm, raise_index, to_orthonormal
 from .errors import DomainError, InvalidGrassmannDataError
 from .grid import (Chart, align_signs, grad_all, interior_max,
                    staircase_slabs)
@@ -155,15 +146,15 @@ def third_forms(frame: NormalFrame) -> CodimForms:
 
 @dataclass(frozen=True)
 class MeanCurvatureResult:
-    status: str                     # ok | degenerate | rejected | inapplicable
+    status: str                     # ok | degenerate | rejected | indeterminate
     candidates: list[np.ndarray]    # each (*grid, d)
     unit_eigen_distance: float      # interior max of sigma_min(rho^T - I)
     fixed_dim: int                  # typical fixed-space dimension
     rho: np.ndarray                 # (*grid, d, d)
+    # the operators of the recovery formula, shared by every candidate
+    B: np.ndarray                   # (*grid, m, m), (Ric + k)^{-1}
+    k_ab_op: np.ndarray             # (*grid, d, d, m, m)
     notes: list[str] = field(default_factory=list)
-    # the operators of the recovery formula, once rho has been formed
-    B: np.ndarray | None = None         # (*grid, m, m), (Ric + k)^{-1}
-    k_ab_op: np.ndarray | None = None   # (*grid, d, d, m, m)
 
 
 def _rho_and_B(forms: CodimForms, Ric: np.ndarray, metric: MetricField):
@@ -189,69 +180,55 @@ def _product_defect(h_ops: np.ndarray, k_ab_op: np.ndarray) -> np.ndarray:
     return node_norm(prod - k_ab_op, 4) / (1.0 + node_norm(k_ab_op, 4))
 
 
-def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray, s: np.ndarray,
-                          metric: MetricField,
-                          options: PipelineOptions | None = None,
+def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
+                          length: np.ndarray, metric: MetricField, tau: float,
+                          sign_branch: int = 1,
                           unit_tol: float = 1e-6) -> MeanCurvatureResult:
     """Recover the mean curvature vector from the fixed space of rho.
 
+    ``length`` is ``|H| = sqrt(s + Tr k)`` from step 1 and ``tau`` its
+    threshold, which also bounds the unit-eigenvalue tolerance from below.
     Generic data has a one-dimensional fixed space at eigenvalue 1; the unit
-    fixed vector is scaled to length ``sqrt(s + Tr k)`` with the sign fixed
-    at the chart center and continued outwards.  When the fixed space is the
-    whole normal space (e.g. products of plane curves) the direction is
-    resolved by scanning the unit circle for directions compatible with the
-    quadratic product constraint; all near-optimal directions are returned as
-    candidates for the caller to test in full.
+    fixed vector is scaled to ``length`` with the sign fixed at the chart
+    center (by ``sign_branch``) and continued outwards.  When the fixed
+    space is the whole normal space (e.g. products of plane curves) the
+    direction is resolved by scanning the unit circle for directions
+    compatible with the quadratic product constraint; all near-optimal
+    directions are returned as candidates for the caller to test in full.
     """
-    options = options or PipelineOptions()
     chart = metric.chart
     d = forms.d
     inter = chart.interior
-    tr_k = np.einsum("...ij,...ij->...", metric.g_inv, forms.k)
-    q = s + tr_k
-    local = 1.0 + np.abs(s) + np.abs(tr_k)
-    qn = (q / local)[inter]
-    tau = options.fd_tol(chart)
-    if float(np.min(qn)) < -tau:
-        return MeanCurvatureResult("rejected", [], math.inf, 0, np.zeros(chart.shape + (d, d)),
-                                   ["s + Tr k is negative: no immersion exists"])
-    if float(np.min(qn)) <= tau:
-        return MeanCurvatureResult("inapplicable", [], math.inf, 0,
-                                   np.zeros(chart.shape + (d, d)),
-                                   ["|H| = sqrt(s + Tr k) vanishes; the "
-                                    "trace-matrix recovery needs |H| != 0"])
     rho, B, k_ab_op = _rho_and_B(forms, Ric, metric)
     scale = np.maximum(1.0, node_norm(rho, 2))
     E = np.swapaxes(rho, -1, -2) - np.eye(d)
     _, sig, Vh = np.linalg.svd(E)
-    utol = max(unit_tol, options.fd_tol(chart))
+    utol = max(unit_tol, tau)
     dims = np.sum(sig <= utol * scale[..., None], axis=-1)
     unit_dist = interior_max(chart, sig[..., -1] / scale)
     frac0 = float(np.mean(dims[inter] == 0))
     if frac0 > 0.01:
-        return MeanCurvatureResult("rejected", [], unit_dist, 0, rho,
+        return MeanCurvatureResult("rejected", [], unit_dist, 0, rho, B, k_ab_op,
                                    ["rho has no eigenvalue within tolerance "
-                                    "of 1: data inadmissible"], B, k_ab_op)
-    length = np.sqrt(np.clip(q, tau * local, None))
+                                    "of 1: data inadmissible"])
     frac1 = float(np.mean(dims[inter] == 1))
     if frac1 >= 0.99:
         v = Vh[..., -1, :]
         v = _sign_continue(chart, v)
-        v = _center_sign(chart, v, options.sign_branch)
+        v = _center_sign(chart, v, sign_branch)
         return MeanCurvatureResult("ok", [length[..., None] * v], unit_dist, 1,
-                                   rho, [], B, k_ab_op)
+                                   rho, B, k_ab_op)
     if float(np.mean(dims[inter] == d)) >= 0.99 and d == 2:
-        cands = _resolve_full_fixed_space(chart, length, B, k_ab_op, options)
-        return MeanCurvatureResult("degenerate", cands, unit_dist, d, rho,
+        cands = _resolve_full_fixed_space(chart, length, B, k_ab_op, sign_branch)
+        return MeanCurvatureResult("degenerate", cands, unit_dist, d, rho, B,
+                                   k_ab_op,
                                    ["fixed space of rho is the whole normal "
                                     "space; direction resolved against the "
-                                    "quadratic product constraint"],
-                                   B, k_ab_op)
+                                    "quadratic product constraint"])
     return MeanCurvatureResult("indeterminate", [], unit_dist,
-                               int(np.max(dims[inter])), rho,
+                               int(np.max(dims[inter])), rho, B, k_ab_op,
                                ["fixed space of rho has dimension >= 2 and "
-                                "no supported resolution applies"],
-                               B, k_ab_op)
+                                "no supported resolution applies"])
 
 
 def _sign_continue(chart: Chart, v: np.ndarray) -> np.ndarray:
@@ -273,7 +250,7 @@ def _center_sign(chart: Chart, v: np.ndarray, sign_branch: int) -> np.ndarray:
 
 def _resolve_full_fixed_space(chart: Chart, length: np.ndarray, B: np.ndarray,
                               k_ab_op: np.ndarray,
-                              options: PipelineOptions) -> list[np.ndarray]:
+                              sign_branch: int) -> list[np.ndarray]:
     """Scan unit directions (constant in the continued frame) for product fit.
 
     ``h^b`` is linear in the direction ``w = (cos psi, sin psi)``, so with
@@ -317,11 +294,11 @@ def _resolve_full_fixed_space(chart: Chart, length: np.ndarray, B: np.ndarray,
     for _, psi in sorted(minima):
         w = np.array([math.cos(psi), math.sin(psi)])
         H = length[..., None] * w
-        H = _center_sign(chart, H, options.sign_branch)
+        H = _center_sign(chart, H, sign_branch)
         candidates.append(H)
     # deterministic preference among equally-good minima: larger component
     # sum on the selected sign branch, so the two branches mirror each other
-    sign = 1 if options.sign_branch >= 0 else -1
+    sign = 1 if sign_branch >= 0 else -1
     candidates.sort(key=lambda H: -sign * float(np.sum(H[chart.center])))
     return candidates
 
@@ -360,181 +337,51 @@ def second_forms(H: np.ndarray, B: np.ndarray, k_ab_op: np.ndarray,
     return h_low, res
 
 
+
+
 # ---------------------------------------------------------------------------
 # the bundle map U
 
 
-@dataclass(frozen=True)
-class CodimUResult:
-    U: np.ndarray
-    direction: np.ndarray          # the frame combination used to invert
-    consistency: float             # max_a |h^a + (A^a)^T U| (normalized)
-    isometry: float
-    parallelity: float
-
-
 def _combination_candidates(d: int) -> list[np.ndarray]:
     cands = [np.eye(d)[a] for a in range(d)]
-    if d > 1:
-        cands.append(np.ones(d) / math.sqrt(d))
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            w = rng.standard_normal(d)
-            cands.append(w / np.linalg.norm(w))
+    cands.append(np.ones(d) / math.sqrt(d))
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        w = rng.standard_normal(d)
+        cands.append(w / np.linalg.norm(w))
     return cands
 
 
-def check_parallel_frame(U: np.ndarray, Gamma: np.ndarray, frame: np.ndarray,
-                         chart: Chart) -> float:
-    """Parallelity defect of U with the projection connection of the frame."""
-    dU = grad_all(U, chart)                                    # (..., n, j, i)
-    tang = dU.copy()
-    for a in range(frame.shape[-1]):
-        nu_a = frame[..., a]
-        ip = np.einsum("...n,...nji->...ji", nu_a, dU)
-        tang -= np.einsum("...ji,...n->...nji", ip, nu_a)
-    gam = np.einsum("...kij,...nk->...nji", Gamma, U)
-    res = np.max(np.sqrt(np.sum((tang - gam) ** 2, axis=-3)), axis=(-2, -1))
-    scale = 1.0 + node_norm(Gamma, 3) * node_norm(U, 2)
-    return interior_max(chart, res / scale, margin=4)
-
-
-def build_U_codim(frame: NormalFrame, h_alpha: np.ndarray, metric: MetricField,
-                  Gamma: np.ndarray,
-                  options: PipelineOptions | None = None) -> CodimUResult:
-    """Invert one everywhere-invertible Weingarten combination for U.
+def weingarten_combination(A: np.ndarray, metric: MetricField,
+                           rank_rel_tol: float = 1e-8):
+    """Frame combination ``w`` whose differential ``A_w = sum_a w_a A^a``
+    has an everywhere-invertible third form ``k_w = A_w^T A_w``; returns
+    ``(w, A_w, k_w)`` for the best conditioned of the candidates.
 
     Individual frame directions are tried first; when none is invertible
     everywhere (products of curves), fixed linear combinations of the frame
-    are tried -- ``h`` and ``A`` combine covariantly, so any combination with
-    an everywhere-invertible tangential differential determines the same U.
-    The remaining directions then serve as consistency checks.
+    are tried.
     """
-    options = options or PipelineOptions()
-    chart = frame.chart
     best = None
-    for w in _combination_candidates(frame.d):
-        A_w = np.einsum("...nia,a->...ni", frame.A, w)
+    for w in _combination_candidates(A.shape[-1]):
+        A_w = np.einsum("...nia,a->...ni", A, w)
         k_w = np.einsum("...ni,...nj->...ij", A_w, A_w)
         eigs = np.linalg.eigvalsh(to_orthonormal(metric, k_w))
         score = float(np.min(eigs)) / max(float(np.max(eigs)), 1e-300)
         if best is None or score > best[0]:
             best = (score, w, A_w, k_w)
     score, w, A_w, k_w = best
-    if score <= options.rank_rel_tol ** 2:
+    if score <= rank_rel_tol ** 2:
         raise DomainError("no everywhere-invertible combination of the "
                           "Weingarten operators exists; cannot build U")
-    h_w = np.einsum("...aij,a->...ij", h_alpha, w)
-    U = -np.einsum("...nk,...kj->...nj", A_w, np.linalg.solve(k_w, h_w))
-    for a in range(frame.d):
-        nu_a = frame.frame[..., a]
-        coeff = np.einsum("...n,...nj->...j", nu_a, U)
-        U = U - coeff[..., None, :] * nu_a[..., :, None]
+    return w, A_w, k_w
 
-    h_back = -np.einsum("...nia,...nj->...aij", frame.A, U)
+
+def frame_consistency(A: np.ndarray, U: np.ndarray, h_alpha: np.ndarray,
+                      chart: Chart) -> float:
+    """Interior max of ``|h^a + (A^a)^T U|`` over all directions (normalized):
+    the directions that :func:`weingarten_combination` did not invert."""
+    h_back = -np.einsum("...nia,...nj->...aij", A, U)
     cons = node_norm(h_back - h_alpha, 3) / (1.0 + node_norm(h_alpha, 3))
-    consistency = interior_max(chart, cons)
-    return CodimUResult(U=U, direction=w, consistency=consistency,
-                        isometry=check_isometry(U, metric),
-                        parallelity=check_parallel_frame(U, Gamma, frame.frame, chart))
-
-
-@dataclass(frozen=True)
-class CodimSolution:
-    """Codimension analogue of the hypersurface candidate."""
-
-    h_alpha: np.ndarray     # (*grid, d, m, m)
-    H_alpha: np.ndarray     # (*grid, d)
-    U: np.ndarray           # (*grid, n, m)
-    frame: np.ndarray       # (*grid, n, d)
-    method: str
-    sign_branch: int
-
-
-# ---------------------------------------------------------------------------
-# pipeline
-
-
-def run_codim_pipeline(metric: MetricField, spans: np.ndarray,
-                       options: PipelineOptions | None = None) -> AdmissibilityReport:
-    """Full decision pipeline for Grassmannian-valued Gauss data."""
-    options = options or PipelineOptions()
-    chart = metric.chart
-    tau = options.fd_tol(chart)
-    residuals = _nan_residuals()
-    thresholds = {key: math.nan for key in RESIDUAL_KEYS}
-    notes: list[str] = []
-    extra: dict[str, float] = {}
-
-    frame = build_normal_frame(chart, spans, options.rank_rel_tol)
-    extra["frame_orthonormality_defect"] = frame.orthonormality_defect
-    extra["frame_min_overlap_det"] = frame.min_overlap_det
-    forms = third_forms(frame)
-    pack = riemann_tensor(metric)
-
-    tr_k = np.einsum("...ij,...ij->...", metric.g_inv, forms.k)
-    q = pack.s + tr_k
-    inter = chart.interior
-    local = 1.0 + np.abs(pack.s) + np.abs(tr_k)
-    residuals["step1_positivity"] = max(0.0, -float(np.min((q / local)[inter])))
-    thresholds["step1_positivity"] = tau
-
-    try:
-        mc = mean_curvature_vector(forms, pack.Ric, pack.s, metric, options)
-    except DomainError as exc:
-        notes.append(str(exc))
-        return AdmissibilityReport(VERDICT_INAPPLICABLE, None, residuals,
-                                   thresholds, "codim", notes=notes, extra=extra)
-    residuals["nullspace_gap"] = mc.unit_eigen_distance
-    thresholds["nullspace_gap"] = max(1e-6, tau)
-    extra["fixed_space_dim"] = float(mc.fixed_dim)
-    notes.extend(mc.notes)
-    if mc.status == "rejected":
-        step = "1" if residuals["step1_positivity"] > tau else "2"
-        return AdmissibilityReport(VERDICT_REJECTED, step, residuals,
-                                   thresholds, "codim", notes=notes, extra=extra)
-    if mc.status in ("inapplicable", "indeterminate") or not mc.candidates:
-        return AdmissibilityReport(VERDICT_INAPPLICABLE, None, residuals,
-                                   thresholds, "codim", notes=notes, extra=extra)
-
-    thresholds["h_squared"] = tau
-    thresholds["isometry"] = tau
-    thresholds["parallelity"] = tau
-    best_report = None
-    for H in mc.candidates:
-        h_alpha, product_res = second_forms(H, mc.B, mc.k_ab_op, metric)
-        try:
-            ures = build_U_codim(frame, h_alpha, metric, pack.Gamma, options)
-        except DomainError as exc:
-            notes.append(str(exc))
-            return AdmissibilityReport(VERDICT_INAPPLICABLE, None, residuals,
-                                       thresholds, "codim", notes=notes,
-                                       extra=extra)
-        res = dict(residuals)
-        res["h_squared"] = product_res
-        res["isometry"] = ures.isometry
-        res["parallelity"] = ures.parallelity
-        ext = dict(extra)
-        ext["aalpha_consistency"] = ures.consistency
-        candidate = CodimSolution(h_alpha=h_alpha, H_alpha=H, U=ures.U,
-                                  frame=frame.frame, method="codim",
-                                  sign_branch=1 if options.sign_branch >= 0 else -1)
-        failing = [key for key in ("h_squared", "isometry", "parallelity")
-                   if res[key] > tau]
-        if ures.consistency > tau:
-            failing.append("aalpha_consistency")
-        if not failing:
-            return AdmissibilityReport(VERDICT_ADMISSIBLE, None, res, thresholds,
-                                       "codim", candidate, notes, ext)
-        step = "3" if ("h_squared" in failing or "aalpha_consistency" in failing) else "4"
-        report = AdmissibilityReport(VERDICT_REJECTED, step, res, thresholds,
-                                     "codim", candidate,
-                                     notes + [f"failing: {', '.join(failing)}"], ext)
-        if best_report is None or _report_badness(report) < _report_badness(best_report):
-            best_report = report
-    return best_report
-
-
-def _report_badness(report: AdmissibilityReport) -> float:
-    keys = ("h_squared", "isometry", "parallelity")
-    return max(report.residuals[k] for k in keys if not math.isnan(report.residuals[k]))
+    return interior_max(chart, cons)

@@ -4,8 +4,8 @@ Index conventions (fixed once, all modules inherit them):
 
 * ``Gamma[..., k, i, j]``  = Christoffel symbol with upper index first,
   symmetric in ``(i, j)``.
-* ``R_up[..., l, i, j, k]`` = curvature of the coordinate frame in the
-  convention ``R(e_i, e_j) e_k = R^l_{ijk} e_l`` with
+* ``R^l_{ijk}`` = curvature of the coordinate frame in the convention
+  ``R(e_i, e_j) e_k = R^l_{ijk} e_l`` with
   ``R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma^l_{ip}Gamma^p_{jk}
   - Gamma^l_{jp}Gamma^p_{ik}``.
 * ``R_low[..., i, j, k, l] = g_{lp} R^p_{ijk}``.
@@ -83,7 +83,6 @@ class CurvaturePack:
 
     chart: Chart
     Gamma: np.ndarray      # (*grid, m, m, m)  Gamma^k_ij
-    R_up: np.ndarray       # (*grid, m, m, m, m)  R^l_ijk
     R_low: np.ndarray      # (*grid, m, m, m, m)  R_ijkl
     Ric: np.ndarray        # (*grid, m, m)
     s: np.ndarray          # (*grid,)
@@ -112,17 +111,12 @@ def riemann_tensor(metric: MetricField, Gamma: np.ndarray | None = None) -> Curv
     R_low = np.einsum("...lp,...pijk->...ijkl", metric.g, R)
     Ric = np.einsum("...jk,...ijkl->...il", metric.g_inv, R_low)
     s = np.einsum("...il,...il->...", metric.g_inv, Ric)
-    return CurvaturePack(chart=chart, Gamma=Gamma, R_up=R, R_low=R_low, Ric=Ric, s=s)
+    return CurvaturePack(chart=chart, Gamma=Gamma, R_low=R_low, Ric=Ric, s=s)
 
 
 def raise_index(metric: MetricField, b_low: np.ndarray) -> np.ndarray:
     """Bilinear form -> operator: ``b^i_j = g^{ik} b_kj``."""
     return np.einsum("...ik,...kj->...ij", metric.g_inv, b_low)
-
-
-def lower_index(metric: MetricField, b_op: np.ndarray) -> np.ndarray:
-    """Operator -> bilinear form: ``b_ij = g_ik b^k_j``."""
-    return np.einsum("...ik,...kj->...ij", metric.g, b_op)
 
 
 def to_orthonormal(metric: MetricField, b_low: np.ndarray) -> np.ndarray:

@@ -89,12 +89,6 @@ def degeneracy_report(G: GaussField, metric: MetricField,
                             invertible=bool(min_sv > tau and max_sv > 0.0))
 
 
-def project_normal_complement(G: GaussField, w: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of an ambient field onto nu-perp per node."""
-    coeff = np.einsum("...n,...n->...", w, G.nu)
-    return w - coeff[..., None] * G.nu
-
-
-def third_form_trace(G: GaussField, metric: MetricField) -> np.ndarray:
+def third_form_trace(k: np.ndarray, metric: MetricField) -> np.ndarray:
     """Tr_g k, equal per node to |A|^2 in g-orthonormal frames."""
-    return np.einsum("...ij,...ij->...", metric.g_inv, G.k)
+    return np.einsum("...ij,...ij->...", metric.g_inv, k)

@@ -15,12 +15,13 @@ built from two successive derivatives are free of one-sided-stencil noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError, SamplingError
+from .errors import ConfigurationError
 
 MIN_POINTS_PER_AXIS = 5
 
@@ -53,7 +54,7 @@ class Chart:
 
     @property
     def num_points(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def interior(self) -> tuple[slice, ...]:
@@ -109,65 +110,6 @@ def build_chart(m: int, shape, spacing, origin=None) -> Chart:
                  origin=tuple(float(x) for x in origin))
 
 
-@dataclass(frozen=True)
-class Field:
-    """A grid-sampled tensor: ``values[grid..., indices...]``.
-
-    ``cov``/``con`` count covariant and contravariant manifold indices,
-    ``amb`` counts ambient (R^n-valued) component axes.  The counts are
-    bookkeeping for callers; numerical routines work on ``values`` directly.
-    """
-
-    chart: Chart
-    values: np.ndarray
-    cov: int = 0
-    con: int = 0
-    amb: int = 0
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape[:self.chart.m] != self.chart.shape:
-            raise ConfigurationError(
-                f"field shape {v.shape} does not start with chart shape "
-                f"{self.chart.shape}")
-        if not np.all(np.isfinite(v)):
-            node = _first_nonfinite_node(v, self.chart.m)
-            raise SamplingError(f"non-finite field value at node {node}", node=node)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def index_shape(self) -> tuple[int, ...]:
-        return self.values.shape[self.chart.m:]
-
-
-def _first_nonfinite_node(values: np.ndarray, m: int) -> tuple[int, ...]:
-    bad = ~np.isfinite(values)
-    flat = np.argwhere(bad)[0]
-    return tuple(int(i) for i in flat[:m])
-
-
-def sample(chart: Chart, fn: Callable[[np.ndarray], np.ndarray],
-           cov: int = 0, con: int = 0, amb: int = 0) -> Field:
-    """Evaluate ``fn`` on the whole mesh.
-
-    ``fn`` receives coordinates of shape ``(*grid, m)`` and must return the
-    sampled values with the grid axes leading.  Non-finite output is rejected
-    with the offending node index.
-    """
-    out = np.asarray(fn(chart.mesh()), dtype=float)
-    if out.shape == chart.shape + ():
-        pass
-    elif out.shape[:chart.m] != chart.shape:
-        raise ConfigurationError(
-            f"evaluator returned shape {out.shape}, expected leading {chart.shape}")
-    if not np.all(np.isfinite(out)):
-        node = _first_nonfinite_node(out, chart.m)
-        raise SamplingError(f"evaluator returned non-finite value at node {node}",
-                            node=node)
-    return Field(chart=chart, values=out, cov=cov, con=con, amb=amb)
-
-
 def deriv(values: np.ndarray, chart: Chart, axis: int) -> np.ndarray:
     """Second-order finite difference along grid axis ``axis``."""
     if not 0 <= axis < chart.m:
@@ -178,12 +120,6 @@ def deriv(values: np.ndarray, chart: Chart, axis: int) -> np.ndarray:
 def grad_all(values: np.ndarray, chart: Chart) -> np.ndarray:
     """All first derivatives, stacked on a new trailing axis."""
     return np.stack([deriv(values, chart, a) for a in range(chart.m)], axis=-1)
-
-
-def partial_derivative(f: Field, axis: int) -> Field:
-    """Componentwise derivative of a Field; gains one covariant index (last)."""
-    return Field(chart=f.chart, values=deriv(f.values, f.chart, axis),
-                 cov=f.cov + 1, con=f.con, amb=f.amb)
 
 
 def interior_max(chart: Chart, pointwise: np.ndarray, margin: int = 2) -> float:

@@ -76,7 +76,7 @@ def normal_frame(chart, spans):
     return Q, min_det
 
 
-def resolve_full_fixed_space(chart, length, B, k_ab_op, options):
+def resolve_full_fixed_space(chart, length, B, k_ab_op, sign_branch):
     """Direction scan that rebuilds ``h`` and its products at every angle."""
     inter = chart.interior
 
@@ -99,8 +99,8 @@ def resolve_full_fixed_space(chart, length, B, k_ab_op, options):
     candidates = []
     for _, psi in sorted(minima):
         H = length[..., None] * np.array([math.cos(psi), math.sin(psi)])
-        candidates.append(_center_sign(chart, H, options.sign_branch))
-    sign = 1 if options.sign_branch >= 0 else -1
+        candidates.append(_center_sign(chart, H, sign_branch))
+    sign = 1 if sign_branch >= 0 else -1
     candidates.sort(key=lambda H: -sign * float(np.sum(H[chart.center])))
     return candidates
 

@@ -13,10 +13,10 @@ import numpy as np
 
 from isogauss import datafiles
 from isogauss.admissibility import (RESIDUAL_KEYS, PipelineOptions,
-                                    h_from_theorem3, run_pipeline)
+                                    h_from_theorem3, run_pipeline,
+                                    step1_positivity)
 from isogauss.cli import main as cli_main
-from isogauss.codim import (CodimForms, mean_curvature_vector,
-                            run_codim_pipeline)
+from isogauss.codim import CodimForms, mean_curvature_vector
 from isogauss.curvature import metric_field, node_norm, riemann_tensor
 from isogauss.gaussmap import build_gauss_field
 from isogauss.grid import interior_max
@@ -37,9 +37,8 @@ def solve(surface, points, options=None):
     chart = surface.default_chart(points)
     data = generate(surface, chart)
     metric = metric_field(chart, data.g)
-    G = build_gauss_field(chart, data.frame[..., 0])
-    report = run_pipeline(metric, G, options)
-    return chart, data, metric, G, report
+    report = run_pipeline(metric, data.frame, options)
+    return chart, data, metric, report
 
 
 def reconstruction_error(chart, report, data, level):
@@ -76,8 +75,7 @@ def test_criterion_01_roundtrip_admissibility(tmp_path):
             chart_l = surf.default_chart(pts)
             data_l = generate(surf, chart_l)
             metric = metric_field(chart_l, data_l.g)
-            G = build_gauss_field(chart_l, data_l.frame[..., 0])
-            rep = run_pipeline(metric, G)
+            rep = run_pipeline(metric, data_l.frame)
             assert rep.admissible
             errs.append(reconstruction_error(chart_l, rep, data_l, level))
         orders.append(math.log2(errs[0] / errs[1]))
@@ -168,10 +166,10 @@ def test_criterion_04_negative_detection():
         chart = surf.default_chart(pts)
         data = generate(surf, chart)
         metric = metric_field(chart, data.g)
-        good = run_pipeline(metric, build_gauss_field(chart, data.frame[..., 0]))
+        good = run_pipeline(metric, data.frame)
         nu_bad = smooth_rotation_of_gauss_map(data.frame[..., 0], chart,
                                               1e-2, seed=0)
-        bad = run_pipeline(metric, build_gauss_field(chart, nu_bad))
+        bad = run_pipeline(metric, nu_bad[..., None])
         assert good.admissible
         assert bad.verdict == "rejected"
         assert bad.failed_step in ("3", "4")
@@ -191,7 +189,7 @@ def test_criterion_05_minimal_branch_and_nonuniqueness():
         chart = surf.default_chart(64)
         data = generate(surf, chart)
         metric = metric_field(chart, data.g)
-        report = run_pipeline(metric, build_gauss_field(chart, data.frame[..., 0]))
+        report = run_pipeline(metric, data.frame)
         assert report.admissible and report.method == "minimal_m2"
         tol = C * chart.max_spacing ** 2
         assert report.residuals["gauss_condition_m2"] <= tol
@@ -214,7 +212,7 @@ def test_criterion_06_codazzi_gauss_consequences():
     without ever being checked by the pipeline."""
     from isogauss.surfaces import gauss_codazzi_residuals
     for surf in ROUNDTRIP_SURFACES:
-        chart, data, metric, G, report = solve(surf, 64)
+        chart, data, metric, report = solve(surf, 64)
         assert report.admissible
         bound = 5.0 * (report.residuals["parallelity"] + chart.max_spacing ** 2)
         assert report.extra["codazzi"] <= bound, surf.name
@@ -245,7 +243,9 @@ def test_criterion_07_codimension_two():
     metric = metric_field(chart, data.g)
     pack = riemann_tensor(metric)
     forms_exact = CodimForms(chart=chart, k_ab=data.k_ab, k=data.k)
-    mc = mean_curvature_vector(forms_exact, pack.Ric, pack.s, metric)
+    s1 = step1_positivity(pack.s, forms_exact.k, metric)
+    mc = mean_curvature_vector(forms_exact, pack.Ric, s1.H, metric,
+                               s1.threshold)
     assert mc.unit_eigen_distance < 1e-6
 
     errs = []
@@ -253,7 +253,7 @@ def test_criterion_07_codimension_two():
         chart = surf.default_chart(n)
         data = generate(surf, chart)
         metric = metric_field(chart, data.g)
-        report = run_codim_pipeline(metric, data.frame)
+        report = run_pipeline(metric, data.frame)
         assert report.admissible
         tol = C * chart.max_spacing ** 2
         assert report.residuals["h_squared"] <= tol         # product check
@@ -298,9 +298,8 @@ def test_criterion_09_sign_invariance(capsys):
     chart = surf.default_chart(64)
     data = generate(surf, chart)
     metric = metric_field(chart, data.g)
-    G = build_gauss_field(chart, data.frame[..., 0])
-    plus = run_pipeline(metric, G, PipelineOptions(sign_branch=1))
-    minus = run_pipeline(metric, G, PipelineOptions(sign_branch=-1))
+    plus = run_pipeline(metric, data.frame, PipelineOptions(sign_branch=1))
+    minus = run_pipeline(metric, data.frame, PipelineOptions(sign_branch=-1))
     for key in RESIDUAL_KEYS:
         a, b = plus.residuals[key], minus.residuals[key]
         assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12

@@ -17,30 +17,35 @@ from isogauss.errors import (BranchError, DomainError,
                              NotPositiveSemidefiniteError)
 from isogauss.gaussmap import build_gauss_field
 from isogauss.grid import build_chart, interior_max
-from isogauss.surfaces import (Catenoid, Ellipsoid, Helicoid, generate,
-                               smooth_rotation_of_gauss_map)
+from isogauss.surfaces import (CATALOG, Catenoid, Ellipsoid, Helicoid,
+                               generate, smooth_rotation_of_gauss_map)
 
 
-def saddle_problem(nu_slope, n=33):
-    """Metric of the saddle graph z = x^2 - y^2 paired with a fabricated
-    nondegenerate Gauss map whose third-form trace is tunable."""
-    chart = build_chart(2, (n, n), (1.0 / (n - 1),) * 2, (-0.5, -0.5))
-    x = chart.mesh()
+def saddle_metric(x):
+    """Metric of the saddle graph z = x^2 - y^2 at coordinates ``x``."""
     fx, fy = 2 * x[..., 0], -2 * x[..., 1]
-    g = np.zeros(chart.shape + (2, 2))
+    g = np.zeros(x.shape[:-1] + (2, 2))
     g[..., 0, 0] = 1 + fx ** 2
     g[..., 0, 1] = g[..., 1, 0] = fx * fy
     g[..., 1, 1] = 1 + fy ** 2
+    return g
+
+
+def saddle_problem(nu_slope, n=33):
+    """The saddle metric paired with a fabricated nondegenerate Gauss map
+    whose third-form trace is tunable."""
+    chart = build_chart(2, (n, n), (1.0 / (n - 1),) * 2, (-0.5, -0.5))
+    x = chart.mesh()
     raw = np.stack([nu_slope * x[..., 0], nu_slope * x[..., 1],
-                    np.ones_like(fx)], axis=-1)
+                    np.ones(chart.shape)], axis=-1)
     nu = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-    metric = metric_field(chart, g)
+    metric = metric_field(chart, saddle_metric(x))
     return chart, metric, build_gauss_field(chart, nu)
 
 
 class TestStep1:
     def test_unit_sphere_gives_H_equals_m(self, sphere):
-        res = step1_positivity(sphere.pack.s, sphere.gauss, sphere.metric)
+        res = step1_positivity(sphere.pack.s, sphere.gauss.k, sphere.metric)
         assert res.classification == "positive"
         # q = s + Tr k = m(m-1) + m = m^2, H = m
         assert interior_max(sphere.chart, np.abs(res.q - 4.0)) < 100 * sphere.dx2
@@ -51,31 +56,31 @@ class TestStep1:
         data = generate(surf, surf.default_chart(33))
         metric = metric_field(data.chart, data.g)
         G = build_gauss_field(data.chart, data.frame[..., 0])
-        res = step1_positivity(riemann_tensor(metric).s, G, metric)
+        res = step1_positivity(riemann_tensor(metric).s, G.k, metric)
         assert res.classification == "minimal"
 
     def test_ellipsoid_H_matches_oracle(self, ellipsoid):
-        res = step1_positivity(ellipsoid.pack.s, ellipsoid.gauss, ellipsoid.metric)
+        res = step1_positivity(ellipsoid.pack.s, ellipsoid.gauss.k, ellipsoid.metric)
         assert res.classification == "positive"
         err = interior_max(ellipsoid.chart, np.abs(res.H - ellipsoid.data.H))
         assert err < 50 * ellipsoid.dx2
 
     def test_negative_q_rejected(self):
         _, metric, G = saddle_problem(nu_slope=0.05)
-        res = step1_positivity(riemann_tensor(metric).s, G, metric)
+        res = step1_positivity(riemann_tensor(metric).s, G.k, metric)
         assert res.classification == "rejected"
         assert res.residual > res.threshold
 
     def test_sign_change_classified_mixed(self):
         # q vanishes on part of the chart and is clearly positive elsewhere
         _, metric, G = saddle_problem(nu_slope=2.0, n=65)
-        res = step1_positivity(riemann_tensor(metric).s, G, metric)
+        res = step1_positivity(riemann_tensor(metric).s, G.k, metric)
         assert res.classification == "mixed"
 
 
 class TestTheorem2:
     def test_unit_sphere_h_equals_g(self, sphere):
-        res = step1_positivity(sphere.pack.s, sphere.gauss, sphere.metric)
+        res = step1_positivity(sphere.pack.s, sphere.gauss.k, sphere.metric)
         h = h_from_theorem2(sphere.pack.Ric, sphere.gauss.k, res.H)
         err = interior_max(sphere.chart, node_norm(h - sphere.data.g, 2))
         assert err < 50 * sphere.dx2
@@ -83,7 +88,7 @@ class TestTheorem2:
     @pytest.mark.parametrize("fixture", ["ellipsoid", "graph_surface"])
     def test_h_matches_oracle(self, fixture, request):
         p = request.getfixturevalue(fixture)
-        res = step1_positivity(p.pack.s, p.gauss, p.metric)
+        res = step1_positivity(p.pack.s, p.gauss.k, p.metric)
         h = h_from_theorem2(p.pack.Ric, p.gauss.k, res.H)
         scale = 1.0 + float(np.max(node_norm(p.data.h, 2)))
         err = interior_max(p.chart, node_norm(h - p.data.h, 2)) / scale
@@ -150,7 +155,7 @@ class TestTheorem3:
     def test_consistency_with_theorem2(self, ellipsoid_m3):
         # positive-trace data: both routes must produce the same h up to sign
         p = ellipsoid_m3
-        s1 = step1_positivity(p.pack.s, p.gauss, p.metric)
+        s1 = step1_positivity(p.pack.s, p.gauss.k, p.metric)
         h2 = h_from_theorem2(p.pack.Ric, p.gauss.k, s1.H)
         h3 = h_from_theorem3(p.pack, p.gauss.k, p.metric, PipelineOptions()).h
         scale = float(np.max(node_norm(h2, 2)))
@@ -199,25 +204,28 @@ class TestChecks:
         assert res < 50 * sphere.dx2
 
     def test_h_squared_theorem2_ellipsoid(self, ellipsoid):
-        s1 = step1_positivity(ellipsoid.pack.s, ellipsoid.gauss, ellipsoid.metric)
+        s1 = step1_positivity(ellipsoid.pack.s, ellipsoid.gauss.k, ellipsoid.metric)
         h = h_from_theorem2(ellipsoid.pack.Ric, ellipsoid.gauss.k, s1.H)
         assert check_h_squared(h, ellipsoid.gauss.k, ellipsoid.metric) < \
             50 * ellipsoid.dx2
 
     def test_build_U_on_unit_sphere_is_minus_A(self, sphere):
         # with h = g and k = g the solve gives U = -A, the antipodal branch
-        U = build_U(sphere.gauss, sphere.data.g)
+        G = sphere.gauss
+        U = build_U(G.A, G.k, sphere.data.g, G.nu[..., None])
         err = interior_max(sphere.chart, node_norm(U + sphere.gauss.A, 2))
         assert err < 50 * sphere.dx2
         assert check_isometry(U, sphere.metric) < 50 * sphere.dx2
 
     def test_build_U_matches_oracle_differential(self, ellipsoid):
-        U = build_U(ellipsoid.gauss, ellipsoid.data.h)
+        G = ellipsoid.gauss
+        U = build_U(G.A, G.k, ellipsoid.data.h, G.nu[..., None])
         err = interior_max(ellipsoid.chart, node_norm(U - ellipsoid.data.du, 2))
         assert err < 50 * ellipsoid.dx2
 
     def test_zero_h_fails_isometry(self, ellipsoid):
-        U = build_U(ellipsoid.gauss, np.zeros_like(ellipsoid.data.h))
+        G = ellipsoid.gauss
+        U = build_U(G.A, G.k, np.zeros_like(ellipsoid.data.h), G.nu[..., None])
         assert np.max(np.abs(U)) < 1e-12
         expect = interior_max(
             ellipsoid.chart,
@@ -230,7 +238,7 @@ class TestChecks:
 
     def test_parallel_on_oracle_data(self, ellipsoid):
         res = check_parallel(ellipsoid.data.du, ellipsoid.pack.Gamma,
-                             ellipsoid.gauss.nu, ellipsoid.chart)
+                             ellipsoid.gauss.nu[..., None], ellipsoid.chart)
         assert res < 50 * ellipsoid.dx2
 
     def test_parallel_fails_for_rotated_gauss_map(self):
@@ -243,7 +251,7 @@ class TestChecks:
             nu_bad = smooth_rotation_of_gauss_map(data.frame[..., 0], chart,
                                                   5e-2, seed=1)
             Gamma = riemann_tensor(metric).Gamma
-            vals.append(check_parallel(data.du, Gamma, nu_bad, chart))
+            vals.append(check_parallel(data.du, Gamma, nu_bad[..., None], chart))
         # the defect is driven by the perturbation, not by discretization
         assert min(vals) > 1e-3
         assert abs(vals[0] - vals[1]) < 0.5 * vals[0]
@@ -266,7 +274,7 @@ class TestMinimalCase:
                              ellipsoid_m3.pack.s)
 
     def test_sphere_routed_to_theorem2_not_minimal(self, sphere):
-        report = run_pipeline(sphere.metric, sphere.gauss)
+        report = run_pipeline(sphere.metric, sphere.data.frame)
         assert report.method == "theorem2"
         assert math.isnan(report.residuals["gauss_condition_m2"])
 
@@ -297,7 +305,7 @@ class TestCodazziResidual:
 
 class TestPipeline:
     def test_oracle_ellipsoid_admissible(self, ellipsoid):
-        report = run_pipeline(ellipsoid.metric, ellipsoid.gauss)
+        report = run_pipeline(ellipsoid.metric, ellipsoid.data.frame)
         assert report.verdict == "admissible"
         assert report.method == "theorem2"
         tau = PipelineOptions().fd_tol(ellipsoid.chart)
@@ -307,20 +315,22 @@ class TestPipeline:
     def test_perturbed_gauss_map_rejected_with_margin(self, ellipsoid):
         nu_bad = smooth_rotation_of_gauss_map(ellipsoid.data.frame[..., 0],
                                               ellipsoid.chart, 1e-2, seed=0)
-        G_bad = build_gauss_field(ellipsoid.chart, nu_bad)
-        good = run_pipeline(ellipsoid.metric, ellipsoid.gauss)
-        bad = run_pipeline(ellipsoid.metric, G_bad)
+        good = run_pipeline(ellipsoid.metric, ellipsoid.data.frame)
+        bad = run_pipeline(ellipsoid.metric, nu_bad[..., None])
         assert bad.verdict == "rejected"
         assert bad.failed_step in ("3", "4")
         key = "h_squared" if bad.failed_step == "3" else "parallelity"
         assert bad.residuals[key] > 10 * good.residuals[key]
+        # a failing h^2 = k names step 3 even when the bundle checks fail too
+        if bad.residuals["h_squared"] > bad.thresholds["h_squared"]:
+            assert bad.failed_step == "3"
+            assert bad.notes == ["candidate h does not square to the third form"]
 
     def test_catenoid_admissible_via_minimal_branch(self):
         surf = Catenoid()
         data = generate(surf, surf.default_chart(49))
         metric = metric_field(data.chart, data.g)
-        G = build_gauss_field(data.chart, data.frame[..., 0])
-        report = run_pipeline(metric, G)
+        report = run_pipeline(metric, data.frame)
         assert report.verdict == "admissible"
         assert report.method == "minimal_m2"
         assert report.candidate is not None
@@ -330,25 +340,24 @@ class TestPipeline:
         for surf in (Cylinder(1.0), Plane()):
             data = generate(surf, surf.default_chart(17))
             metric = metric_field(data.chart, data.g)
-            G = build_gauss_field(data.chart, data.frame[..., 0])
-            report = run_pipeline(metric, G)
+            report = run_pipeline(metric, data.frame)
             assert report.verdict == "inapplicable"
 
     def test_negative_q_rejected_at_step_1(self):
         _, metric, G = saddle_problem(nu_slope=0.05)
-        report = run_pipeline(metric, G)
+        report = run_pipeline(metric, G.nu[..., None])
         assert report.verdict == "rejected"
         assert report.failed_step == "1"
 
     def test_mixed_q_inapplicable(self):
         _, metric, G = saddle_problem(nu_slope=2.0, n=65)
-        report = run_pipeline(metric, G)
+        report = run_pipeline(metric, G.nu[..., None])
         assert report.verdict == "inapplicable"
 
     def test_sign_branch_flip_is_exact(self, ellipsoid):
-        plus = run_pipeline(ellipsoid.metric, ellipsoid.gauss,
+        plus = run_pipeline(ellipsoid.metric, ellipsoid.data.frame,
                             PipelineOptions(sign_branch=1))
-        minus = run_pipeline(ellipsoid.metric, ellipsoid.gauss,
+        minus = run_pipeline(ellipsoid.metric, ellipsoid.data.frame,
                              PipelineOptions(sign_branch=-1))
         assert minus.verdict == "admissible"
         for key, val in plus.residuals.items():
@@ -357,12 +366,12 @@ class TestPipeline:
                 assert math.isnan(other)
             else:
                 assert abs(val - other) <= 1e-12
-        assert np.array_equal(minus.candidate.h, -plus.candidate.h)
+        assert np.array_equal(minus.candidate.h_alpha, -plus.candidate.h_alpha)
         assert np.array_equal(minus.candidate.U, -plus.candidate.U)
-        assert np.array_equal(minus.candidate.H, -plus.candidate.H)
+        assert np.array_equal(minus.candidate.H_alpha, -plus.candidate.H_alpha)
 
     def test_method_override_sqrt_on_sphere(self, sphere):
-        report = run_pipeline(sphere.metric, sphere.gauss,
+        report = run_pipeline(sphere.metric, sphere.data.frame,
                               PipelineOptions(method="sqrt"))
         # PSD root of k = g is h = g: the true solution on the sphere
         assert report.verdict == "admissible"
@@ -372,14 +381,14 @@ class TestPipeline:
         surf = Catenoid()
         data = generate(surf, surf.default_chart(17))
         metric = metric_field(data.chart, data.g)
-        G = build_gauss_field(data.chart, data.frame[..., 0])
-        report = run_pipeline(metric, G, PipelineOptions(method="theorem2"))
+        report = run_pipeline(metric, data.frame,
+                              PipelineOptions(method="theorem2"))
         assert report.verdict == "inapplicable"
 
     def test_gauss_equation_follows_from_pipeline_success(self, ellipsoid):
         # never checked by the pipeline, yet it must hold for admissible data
-        report = run_pipeline(ellipsoid.metric, ellipsoid.gauss)
-        h = report.candidate.h
+        report = run_pipeline(ellipsoid.metric, ellipsoid.data.frame)
+        h = report.candidate.h_alpha[..., 0, :, :]
         quad = (np.einsum("...il,...jk->...ijkl", h, h)
                 - np.einsum("...ik,...jl->...ijkl", h, h))
         scale = 1.0 + float(np.max(node_norm(quad, 4)))
@@ -389,6 +398,74 @@ class TestPipeline:
 
     def test_report_carries_all_residual_keys(self, sphere):
         from isogauss.admissibility import RESIDUAL_KEYS
-        report = run_pipeline(sphere.metric, sphere.gauss)
+        report = run_pipeline(sphere.metric, sphere.data.frame)
         assert set(RESIDUAL_KEYS) <= set(report.residuals)
         assert set(RESIDUAL_KEYS) <= set(report.thresholds)
+
+
+# (verdict, method, failed_step) of every catalog surface through the one
+# entry point, at 33^2 (13^3 for m = 3)
+CATALOG_ROUTES = {
+    "associated-family": ("admissible", "minimal_m2", None),
+    "catenoid": ("admissible", "minimal_m2", None),
+    "clifford-torus": ("admissible", "codim", None),
+    "cylinder": ("inapplicable", "none", None),
+    "ellipsoid": ("admissible", "theorem2", None),
+    "ellipsoid-m3": ("admissible", "theorem2", None),
+    "graph": ("admissible", "theorem2", None),
+    "graph-r4": ("admissible", "codim", None),
+    "helicoid": ("admissible", "minimal_m2", None),
+    "hypersphere-m3": ("admissible", "theorem2", None),
+    "plane": ("inapplicable", "none", None),
+    "round-sphere": ("admissible", "theorem2", None),
+}
+FIXED_SPACE_DIM = {"clifford-torus": 2.0, "graph-r4": 1.0}
+
+
+def plane_field_problem(g_of_x, n=17):
+    """A metric on a square chart paired with one constant normal plane in
+    R^4: the third forms vanish, so q = s + Tr k is the scalar curvature."""
+    chart = build_chart(2, (n, n), (1.0 / (n - 1),) * 2, (-0.5, -0.5))
+    spans = np.zeros(chart.shape + (4, 2))
+    spans[..., 2, 0] = 1.0
+    spans[..., 3, 1] = 1.0
+    return metric_field(chart, g_of_x(chart.mesh())), spans
+
+
+class TestRouting:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_route_through_run_pipeline(self, name):
+        surf = CATALOG[name]()
+        data = generate(surf, surf.default_chart(13 if surf.m == 3 else 33))
+        report = run_pipeline(metric_field(data.chart, data.g), data.frame)
+        assert (report.verdict, report.method,
+                report.failed_step) == CATALOG_ROUTES[name]
+        if data.d == 2:
+            assert report.extra["fixed_space_dim"] == FIXED_SPACE_DIM[name]
+            assert report.candidate.h_alpha.shape[-3] == 2
+        elif report.admissible:
+            assert report.candidate.h_alpha.shape[-3] == 1
+
+    def test_codim2_negative_q_takes_the_shared_step1_report(self):
+        # negatively curved metric, flat normal planes: q = s < 0
+        metric, spans = plane_field_problem(saddle_metric)
+        report = run_pipeline(metric, spans)
+        assert (report.verdict, report.failed_step, report.method) == \
+            ("rejected", "1", "none")
+        assert report.notes == ["s + Tr k is negative beyond noise: no "
+                                "immersion exists"]
+        assert math.isnan(report.residuals["nullspace_gap"])
+        assert math.isnan(report.thresholds["nullspace_gap"])
+        assert "fixed_space_dim" not in report.extra
+        assert "frame_orthonormality_defect" in report.extra
+
+    def test_codim2_vanishing_q_is_inapplicable(self):
+        metric, spans = plane_field_problem(
+            lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy())
+        report = run_pipeline(metric, spans)
+        assert (report.verdict, report.failed_step, report.method) == \
+            ("inapplicable", None, "none")
+        assert report.notes == ["|H| = sqrt(s + Tr k) vanishes; the "
+                                "trace-matrix recovery needs |H| != 0"]
+        assert math.isnan(report.residuals["nullspace_gap"])
+        assert "fixed_space_dim" not in report.extra

@@ -145,7 +145,7 @@ class TestRoundtrip:
         import dataclasses
 
         from isogauss import cli
-        real = cli._run_check
+        real = cli.run_pipeline
         calls = []
 
         def first_level_inapplicable(metric, normals, options):
@@ -155,7 +155,7 @@ class TestRoundtrip:
                 return dataclasses.replace(report, verdict="inapplicable")
             return report
 
-        monkeypatch.setattr(cli, "_run_check", first_level_inapplicable)
+        monkeypatch.setattr(cli, "run_pipeline", first_level_inapplicable)
         code = run_cli("roundtrip", "--surface", "round-sphere",
                        "--grid", "13x13", "--refine", "2")
         out = capsys.readouterr().out

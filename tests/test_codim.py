@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from isogauss.admissibility import (PipelineOptions, build_U, check_parallel,
-                                    h_from_theorem2, run_pipeline,
-                                    step1_positivity)
+from isogauss.admissibility import (PipelineOptions, build_U, check_isometry,
+                                    check_parallel, h_from_theorem2,
+                                    run_pipeline, step1_positivity)
 from isogauss.codim import (_resolve_full_fixed_space, _rho_and_B,
-                            build_normal_frame, build_U_codim,
-                            mean_curvature_vector, run_codim_pipeline,
-                            second_forms, third_forms)
+                            build_normal_frame, frame_consistency,
+                            mean_curvature_vector, second_forms, third_forms,
+                            weingarten_combination)
 from isogauss.curvature import metric_field, node_norm, riemann_tensor
 from isogauss.errors import InvalidGrassmannDataError
 from isogauss.grid import build_chart, interior_max
@@ -15,6 +15,20 @@ from isogauss.reconstruct import compare_up_to_translation, integrate
 from isogauss.surfaces import CATALOG, CliffordTorus, generate
 
 import reference_loops
+
+
+def mean_curvature(forms, problem):
+    """``mean_curvature_vector`` with the step-1 length and threshold."""
+    s1 = step1_positivity(problem.pack.s, forms.k, problem.metric)
+    return mean_curvature_vector(forms, problem.pack.Ric, s1.H, problem.metric,
+                                 s1.threshold)
+
+
+def frame_U(frame, h_alpha, metric):
+    """``build_U`` through the best-conditioned Weingarten combination."""
+    w, A_w, k_w = weingarten_combination(frame.A, metric)
+    return build_U(A_w, k_w, np.einsum("...aij,a->...ij", h_alpha, w),
+                   frame.frame)
 
 
 @pytest.fixture(scope="module")
@@ -111,16 +125,14 @@ class TestMeanCurvatureVector:
         # rho = Tr((Ric+k)^{-1} k) = 1 because Ric + k = h H
         frame = build_normal_frame(ellipsoid.chart, ellipsoid.data.frame)
         forms = third_forms(frame)
-        mc = mean_curvature_vector(forms, ellipsoid.pack.Ric, ellipsoid.pack.s,
-                                   ellipsoid.metric)
+        mc = mean_curvature(forms, ellipsoid)
         assert mc.status == "ok"
         rho = mc.rho[..., 0, 0]
         assert interior_max(ellipsoid.chart, np.abs(rho - 1.0)) < 50 * ellipsoid.dx2
 
     def test_clifford_recovers_oracle_direction(self, clifford_problem):
         clifford, _, forms = clifford_problem
-        mc = mean_curvature_vector(forms, clifford.pack.Ric, clifford.pack.s,
-                                   clifford.metric)
+        mc = mean_curvature(forms, clifford)
         assert mc.status == "degenerate"
         assert mc.fixed_dim == 2
         best = mc.candidates[0]
@@ -135,8 +147,7 @@ class TestMeanCurvatureVector:
         spans = np.real(CliffordTorus(1.0, 1.0).frame(chart.mesh()))
         frame = build_normal_frame(chart, spans)
         forms = third_forms(frame)
-        mc = mean_curvature_vector(forms, ellipsoid.pack.Ric, ellipsoid.pack.s,
-                                   ellipsoid.metric)
+        mc = mean_curvature(forms, ellipsoid)
         assert mc.status == "rejected"
         assert mc.unit_eigen_distance > 0.1
 
@@ -145,8 +156,7 @@ class TestMeanCurvatureVector:
         from isogauss.codim import CodimForms
         forms = CodimForms(chart=clifford.chart, k_ab=clifford.data.k_ab,
                            k=clifford.data.k)
-        mc = mean_curvature_vector(forms, clifford.pack.Ric, clifford.pack.s,
-                                   clifford.metric)
+        mc = mean_curvature(forms, clifford)
         assert mc.unit_eigen_distance < 1e-6
 
 
@@ -154,11 +164,10 @@ class TestSecondForms:
     def test_codim1_reduction_agrees_with_closed_form(self, ellipsoid):
         frame = build_normal_frame(ellipsoid.chart, ellipsoid.data.frame)
         forms = third_forms(frame)
-        mc = mean_curvature_vector(forms, ellipsoid.pack.Ric, ellipsoid.pack.s,
-                                   ellipsoid.metric)
+        mc = mean_curvature(forms, ellipsoid)
         h_alpha, res = second_forms(mc.candidates[0], mc.B, mc.k_ab_op,
                                     ellipsoid.metric)
-        s1 = step1_positivity(ellipsoid.pack.s, ellipsoid.gauss, ellipsoid.metric)
+        s1 = step1_positivity(ellipsoid.pack.s, ellipsoid.gauss.k, ellipsoid.metric)
         h2 = h_from_theorem2(ellipsoid.pack.Ric, ellipsoid.gauss.k, s1.H)
         scale = 1.0 + float(np.max(node_norm(h2, 2)))
         err = interior_max(ellipsoid.chart,
@@ -168,8 +177,7 @@ class TestSecondForms:
 
     def test_clifford_matches_oracle(self, clifford_problem):
         clifford, _, forms = clifford_problem
-        mc = mean_curvature_vector(forms, clifford.pack.Ric, clifford.pack.s,
-                                   clifford.metric)
+        mc = mean_curvature(forms, clifford)
         h_alpha, res = second_forms(mc.candidates[0], mc.B, mc.k_ab_op,
                                     clifford.metric)
         assert res < 50 * clifford.dx2
@@ -194,25 +202,29 @@ class TestSecondForms:
 
 class TestBuildU:
     def test_codim1_reduction_equals_hypersurface_builder(self, ellipsoid):
+        # the continued one-column frame against the Gauss field's raw
+        # differential
         frame = build_normal_frame(ellipsoid.chart, ellipsoid.data.frame)
-        h_alpha = ellipsoid.data.h_alpha
-        ures = build_U_codim(frame, h_alpha, ellipsoid.metric,
-                             ellipsoid.pack.Gamma)
-        U_hyper = build_U(ellipsoid.gauss, ellipsoid.data.h)
-        assert np.max(np.abs(ures.U - U_hyper)) < 1e-9
+        U = frame_U(frame, ellipsoid.data.h_alpha, ellipsoid.metric)
+        G = ellipsoid.gauss
+        U_hyper = build_U(G.A, G.k, ellipsoid.data.h, G.nu[..., None])
+        assert np.max(np.abs(U - U_hyper)) < 1e-9
+        par = check_parallel(U, ellipsoid.pack.Gamma, frame.frame,
+                             ellipsoid.chart)
         par_hyper = check_parallel(U_hyper, ellipsoid.pack.Gamma,
-                                   ellipsoid.gauss.nu, ellipsoid.chart)
-        assert abs(ures.parallelity - par_hyper) < 1e-10
+                                   G.nu[..., None], ellipsoid.chart)
+        assert abs(par - par_hyper) < 1e-10
 
     def test_clifford_residuals_and_roundtrip(self, clifford_problem):
         clifford, frame, forms = clifford_problem
-        ures = build_U_codim(frame, clifford.data.h_alpha, clifford.metric,
-                             clifford.pack.Gamma)
+        U = frame_U(frame, clifford.data.h_alpha, clifford.metric)
         tol = 50 * clifford.dx2
-        assert ures.consistency < tol
-        assert ures.isometry < tol
-        assert ures.parallelity < tol
-        imm = integrate(ures.U, clifford.chart, curl_tol=tol)
+        assert frame_consistency(frame.A, U, clifford.data.h_alpha,
+                                 clifford.chart) < tol
+        assert check_isometry(U, clifford.metric) < tol
+        assert check_parallel(U, clifford.pack.Gamma, frame.frame,
+                              clifford.chart) < tol
+        imm = integrate(U, clifford.chart, curl_tol=tol)
         reg = clifford.chart.interior_slices(4)
         err = compare_up_to_translation(imm.u[reg], clifford.data.u[reg])
         assert err < tol
@@ -221,11 +233,10 @@ class TestBuildU:
         clifford, frame, _ = clifford_problem
         swapped = build_normal_frame(clifford.chart,
                                      clifford.data.frame[..., ::-1])
-        ures_a = build_U_codim(frame, clifford.data.h_alpha, clifford.metric,
-                               clifford.pack.Gamma)
-        ures_b = build_U_codim(swapped, clifford.data.h_alpha[..., ::-1, :, :],
-                               clifford.metric, clifford.pack.Gamma)
-        assert np.max(np.abs(ures_a.U - ures_b.U)) < 1e-9
+        U_a = frame_U(frame, clifford.data.h_alpha, clifford.metric)
+        U_b = frame_U(swapped, clifford.data.h_alpha[..., ::-1, :, :],
+                      clifford.metric)
+        assert np.max(np.abs(U_a - U_b)) < 1e-9
 
 
 class TestFrameCovariance:
@@ -234,8 +245,8 @@ class TestFrameCovariance:
         O = np.array([[np.cos(theta), -np.sin(theta)],
                       [np.sin(theta), np.cos(theta)]])
         rotated_spans = np.einsum("...nb,ab->...na", clifford.data.frame, O)
-        rep_a = run_codim_pipeline(clifford.metric, clifford.data.frame)
-        rep_b = run_codim_pipeline(clifford.metric, rotated_spans)
+        rep_a = run_pipeline(clifford.metric, clifford.data.frame)
+        rep_b = run_pipeline(clifford.metric, rotated_spans)
         assert rep_a.verdict == rep_b.verdict == "admissible"
         for key, val in rep_a.residuals.items():
             other = rep_b.residuals[key]
@@ -264,13 +275,12 @@ class TestGenericCodimTwo:
     def test_fixed_space_is_one_dimensional(self, graph4):
         frame = build_normal_frame(graph4.chart, graph4.data.frame)
         forms = third_forms(frame)
-        mc = mean_curvature_vector(forms, graph4.pack.Ric, graph4.pack.s,
-                                   graph4.metric)
+        mc = mean_curvature(forms, graph4)
         assert mc.status == "ok"
         assert mc.fixed_dim == 1
 
     def test_pipeline_recovers_oracle(self, graph4):
-        rep = run_codim_pipeline(graph4.metric, graph4.data.frame)
+        rep = run_pipeline(graph4.metric, graph4.data.frame)
         assert rep.verdict == "admissible"
         tol = 50 * graph4.dx2
         H_err = interior_max(graph4.chart, np.max(np.abs(
@@ -285,7 +295,7 @@ class TestGenericCodimTwo:
 
 class TestCodimPipeline:
     def test_clifford_admissible_with_oracle_match(self, clifford):
-        rep = run_codim_pipeline(clifford.metric, clifford.data.frame)
+        rep = run_pipeline(clifford.metric, clifford.data.frame)
         assert rep.verdict == "admissible"
         tol = 50 * clifford.dx2
         assert rep.residuals["h_squared"] < tol
@@ -302,15 +312,10 @@ class TestCodimPipeline:
         got = np.linalg.norm(rep.candidate.H_alpha, axis=-1)
         assert interior_max(clifford.chart, np.abs(got - expect)) < tol
 
-    def test_hypersurface_data_through_codim_path(self, ellipsoid):
-        rep = run_codim_pipeline(ellipsoid.metric, ellipsoid.data.frame)
-        hyper = run_pipeline(ellipsoid.metric, ellipsoid.gauss)
-        assert rep.verdict == hyper.verdict == "admissible"
-
     def test_sign_branch_flip(self, clifford):
-        plus = run_codim_pipeline(clifford.metric, clifford.data.frame,
+        plus = run_pipeline(clifford.metric, clifford.data.frame,
                                   PipelineOptions(sign_branch=1))
-        minus = run_codim_pipeline(clifford.metric, clifford.data.frame,
+        minus = run_pipeline(clifford.metric, clifford.data.frame,
                                    PipelineOptions(sign_branch=-1))
         assert plus.verdict == minus.verdict == "admissible"
         assert np.array_equal(minus.candidate.H_alpha, -plus.candidate.H_alpha)
@@ -326,7 +331,7 @@ class TestCodimPipeline:
             chart = surf.default_chart(n)
             data = generate(surf, chart)
             metric = metric_field(chart, data.g)
-            rep = run_codim_pipeline(metric, data.frame)
+            rep = run_pipeline(metric, data.frame)
             assert rep.admissible
             imm = integrate(rep.candidate.U, chart,
                             curl_tol=PipelineOptions().fd_tol(chart))
@@ -378,13 +383,12 @@ class TestLoopEquivalence:
                       [np.sin(theta), np.cos(theta)]])
         spans = np.einsum("...nb,ab->...na", data.frame, O)
         forms = third_forms(build_normal_frame(chart, spans))
-        options = PipelineOptions(sign_branch=branch)
         _, B, k_ab_op = _rho_and_B(forms, pack.Ric, metric)
         length = np.sqrt(pack.s + np.einsum("...ij,...ij->...", metric.g_inv,
                                             forms.k))
-        got = _resolve_full_fixed_space(chart, length, B, k_ab_op, options)
+        got = _resolve_full_fixed_space(chart, length, B, k_ab_op, branch)
         want = reference_loops.resolve_full_fixed_space(chart, length, B,
-                                                        k_ab_op, options)
+                                                        k_ab_op, branch)
         assert len(got) == len(want) >= 1
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) <= 1e-12

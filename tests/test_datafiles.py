@@ -109,11 +109,23 @@ class TestMalformed:
         with pytest.raises(DatasetFormatError, match="cannot read dataset"):
             datafiles.read_dataset(path)
 
+    def test_row_count_of_a_huge_grid_is_exact(self, tmp_path, capsys):
+        # 2^32 x 2^32 nodes is 2^64, one past the int64 range
+        path = tmp_path / "huge.txt"
+        path.write_text("format_version = 1\nkind = immersion\nm = 2\nn = 3\n"
+                        "grid_shape = 4294967296 4294967296\n"
+                        "spacing = 0.1 0.1\norigin = 0 0\n"
+                        "begin u\n" + "0 0 0\n" * 25 + "end u\n")
+        with pytest.raises(DatasetFormatError,
+                           match="25 rows, expected 18446744073709551616"):
+            datafiles.read_dataset(path)
+        assert cli.main(["check", str(path)]) == 2
+
 
 class TestReports:
     def test_format_contains_every_contract_key(self, sphere):
         from isogauss.admissibility import RESIDUAL_KEYS
-        report = run_pipeline(sphere.metric, sphere.gauss)
+        report = run_pipeline(sphere.metric, sphere.data.frame)
         text = datafiles.format_report(report)
         for key in RESIDUAL_KEYS:
             assert f"residual.{key} = " in text
@@ -124,7 +136,7 @@ class TestReports:
         assert set(RESIDUAL_KEYS) <= set(parsed["residuals"])
 
     def test_parse_roundtrip_values(self, sphere):
-        report = run_pipeline(sphere.metric, sphere.gauss)
+        report = run_pipeline(sphere.metric, sphere.data.frame)
         parsed = datafiles.parse_report(datafiles.format_report(report))
         for key, val in report.residuals.items():
             back = parsed["residuals"][key]

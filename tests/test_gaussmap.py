@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from isogauss.curvature import metric_field, node_norm, to_orthonormal
 from isogauss.errors import InvalidGaussMapError
 from isogauss.gaussmap import (build_gauss_field, degeneracy_report,
-                               project_normal_complement, third_form_trace)
+                               third_form_trace)
 from isogauss.grid import build_chart, interior_max
 from isogauss.surfaces import Cylinder, Plane, generate
 
@@ -60,7 +58,7 @@ class TestBuildGaussField:
     def test_trace_equals_frame_norm_of_A(self, ellipsoid):
         # Tr_g k per node = |A|^2 measured in g-orthonormal frames
         G, metric = ellipsoid.gauss, ellipsoid.metric
-        tr = third_form_trace(G, metric)
+        tr = third_form_trace(G.k, metric)
         Ahat = np.einsum("...nk,...ki->...ni", G.A,
                          np.linalg.inv(np.swapaxes(metric.chol, -1, -2)))
         frob = np.sum(Ahat ** 2, axis=(-2, -1))
@@ -90,31 +88,3 @@ class TestDegeneracy:
                                 metric_field(chart, data.g))
         assert not rep.invertible
         assert np.all(rep.rank == 0)
-
-
-class TestProjection:
-    def test_projects_nu_to_zero(self, sphere):
-        out = project_normal_complement(sphere.gauss, sphere.gauss.nu)
-        assert np.max(np.abs(out)) < 1e-14
-
-    def test_keeps_orthogonal_vectors(self, sphere):
-        w = sphere.data.du[..., 0]          # tangent, hence orthogonal to nu
-        out = project_normal_complement(sphere.gauss, w)
-        assert np.max(np.abs(out - w)) < 1e-9
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_output_orthogonal_idempotent_selfadjoint(self, seed):
-        chart = build_chart(2, (7, 7), (0.1, 0.1))
-        rng = np.random.default_rng(seed)
-        nu = rng.standard_normal(chart.shape + (3,))
-        nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
-        G = build_gauss_field(chart, nu)
-        w = rng.standard_normal(chart.shape + (3,))
-        v = rng.standard_normal(chart.shape + (3,))
-        pw = project_normal_complement(G, w)
-        assert np.max(np.abs(np.einsum("...n,...n->...", pw, G.nu))) < 1e-12
-        assert np.max(np.abs(project_normal_complement(G, pw) - pw)) < 1e-12
-        lhs = np.einsum("...n,...n->...", pw, v)
-        rhs = np.einsum("...n,...n->...", w, project_normal_complement(G, v))
-        assert np.max(np.abs(lhs - rhs)) < 1e-12

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isogauss.errors import ConfigurationError, SamplingError
-from isogauss.grid import (Field, align_signs, build_chart, deriv, grad_all,
-                           partial_derivative, sample, staircase_slabs)
+from isogauss.errors import ConfigurationError
+from isogauss.grid import (align_signs, build_chart, deriv, grad_all,
+                           staircase_slabs)
 
 import reference_loops
 
@@ -45,57 +45,22 @@ class TestBuildChart:
                 chart.spacing[a] * (chart.shape[a] - 1))
 
 
-class TestSample:
-    def test_zero_field(self):
-        f = sample(chart2(), lambda x: np.zeros(x.shape[:-1]))
-        assert np.all(f.values == 0.0)
-
-    def test_coordinate_projection(self):
-        chart = chart2()
-        f = sample(chart, lambda x: x[..., 0])
-        assert np.allclose(f.values, chart.mesh()[..., 0])
-
-    def test_closed_form_parametrization_spot_check(self):
-        from isogauss.surfaces import RoundSphere
-        surf = RoundSphere(1.0)
-        chart = surf.default_chart(9)
-        f = sample(chart, lambda x: np.real(surf.point(x)), amb=1)
-        for node in ((0, 0), (4, 4), (8, 3)):
-            x = chart.node_coords(node)
-            expect = np.real(surf.point(x[None, :]))[0]
-            assert np.allclose(f.values[node], expect, atol=1e-14)
-
-    def test_nonfinite_rejected_with_node(self):
-        chart = chart2()
-
-        def bad(x):
-            out = x[..., 0].copy()
-            out[3, 4] = np.inf
-            return out
-
-        with pytest.raises(SamplingError) as err:
-            sample(chart, bad)
-        assert err.value.node == (3, 4)
-
-
 class TestDerivative:
     def test_constant_is_exactly_zero(self):
         chart = chart2()
-        f = sample(chart, lambda x: np.full(x.shape[:-1], 3.7))
-        d = partial_derivative(f, 0)
-        assert np.all(d.values == 0.0)
-        assert d.cov == 1
+        f = np.full(chart.shape, 3.7)
+        assert np.all(deriv(f, chart, 0) == 0.0)
 
     def test_linear_ramp_exact(self):
         chart = chart2()
-        f = sample(chart, lambda x: x[..., 0])
-        assert np.allclose(deriv(f.values, chart, 0), 1.0, atol=1e-12)
-        assert np.allclose(deriv(f.values, chart, 1), 0.0, atol=1e-12)
+        f = chart.mesh()[..., 0]
+        assert np.allclose(deriv(f, chart, 0), 1.0, atol=1e-12)
+        assert np.allclose(deriv(f, chart, 1), 0.0, atol=1e-12)
 
     def test_quadratic_exact_in_interior(self):
         chart = chart2()
-        f = sample(chart, lambda x: x[..., 0] ** 2 + x[..., 0] * x[..., 1])
-        d0 = deriv(f.values, chart, 0)
+        x = chart.mesh()
+        d0 = deriv(x[..., 0] ** 2 + x[..., 0] * x[..., 1], chart, 0)
         expect = 2 * chart.mesh()[..., 0] + chart.mesh()[..., 1]
         assert np.allclose(d0[chart.interior], expect[chart.interior], atol=1e-12)
 
@@ -104,8 +69,7 @@ class TestDerivative:
         errs = []
         for n in (17, 33):
             chart = build_chart(2, (n, n), (1.0 / (n - 1),) * 2, (0.0, 0.0))
-            f = sample(chart, lambda x: np.sin(3 * x[..., 0]))
-            d = deriv(f.values, chart, 0)
+            d = deriv(np.sin(3 * chart.mesh()[..., 0]), chart, 0)
             errs.append(np.max(np.abs(d - 3 * np.cos(3 * chart.mesh()[..., 0]))))
         order = np.log2(errs[0] / errs[1])
         assert order >= 1.9
@@ -116,11 +80,11 @@ class TestDerivative:
         errs = []
         for n in (17, 33):
             chart = build_chart(2, (n, n), (1.0 / (n - 1),) * 2, (0.0, 0.0))
-            f = sample(chart, lambda x: np.sin(2 * x[..., 0]) * np.cos(x[..., 1]))
-            d01 = deriv(deriv(f.values, chart, 0), chart, 1)
-            d10 = deriv(deriv(f.values, chart, 1), chart, 0)
-            assert np.max(np.abs(d01 - d10)) < 1e-11
             x = chart.mesh()
+            f = np.sin(2 * x[..., 0]) * np.cos(x[..., 1])
+            d01 = deriv(deriv(f, chart, 0), chart, 1)
+            d10 = deriv(deriv(f, chart, 1), chart, 0)
+            assert np.max(np.abs(d01 - d10)) < 1e-11
             exact = -2 * np.cos(2 * x[..., 0]) * np.sin(x[..., 1])
             errs.append(np.max(np.abs((d01 - exact)[chart.interior])))
         assert np.log2(errs[0] / errs[1]) >= 1.5
@@ -135,23 +99,6 @@ class TestDerivative:
         lhs = deriv(a * f + b * g, chart, 0)
         rhs = a * deriv(f, chart, 0) + b * deriv(g, chart, 0)
         assert np.allclose(lhs, rhs, atol=1e-10)
-
-
-class TestFieldValidation:
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            Field(chart=chart2(), values=np.zeros((3, 3)))
-
-    def test_nan_rejected(self):
-        vals = np.zeros(chart2().shape)
-        vals[1, 1] = np.nan
-        with pytest.raises(SamplingError):
-            Field(chart=chart2(), values=vals)
-
-    def test_values_read_only(self):
-        f = sample(chart2(), lambda x: x[..., 0])
-        with pytest.raises(ValueError):
-            f.values[0, 0] = 1.0
 
 
 class TestStaircase:
@@ -225,8 +172,8 @@ class TestStaircase:
 
 def test_grad_all_stacks_derivative_axis_last():
     chart = chart2()
-    f = sample(chart, lambda x: x[..., 0] + 2 * x[..., 1])
-    g = grad_all(f.values, chart)
+    x = chart.mesh()
+    g = grad_all(x[..., 0] + 2 * x[..., 1], chart)
     assert g.shape == chart.shape + (2,)
     assert np.allclose(g[..., 0], 1.0)
     assert np.allclose(g[..., 1], 2.0)

@@ -1,0 +1,39 @@
+"""Smoke tests of the experiment scripts under ``scripts/`` on small grids."""
+
+import math
+import runpy
+from pathlib import Path
+
+import pytest
+
+from isogauss.surfaces import CliffordTorus, Ellipsoid
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture(scope="module")
+def roundtrips():
+    return runpy.run_path(str(SCRIPTS / "run_catalog_roundtrips.py"))
+
+
+@pytest.mark.parametrize("surface", [Ellipsoid((1.0, 1.5, 2.0)),
+                                     CliffordTorus(1.0, 1.4)],
+                         ids=lambda s: s.name)
+def test_catalog_roundtrip_row(roundtrips, surface):
+    cfg = roundtrips["RunConfig"](points_2d=17, points_3d=9, refine=0)
+    rows, order = roundtrips["run_surface"](surface, cfg)
+    [(shape, verdict, method, worst, err)] = rows
+    assert shape == (17, 17)
+    assert verdict == "admissible"
+    assert method == ("theorem2" if surface.name == "ellipsoid" else "codim")
+    assert math.isfinite(worst) and math.isfinite(err)
+    assert math.isnan(order)            # one level carries no order
+
+
+def test_convergence_study_residuals():
+    study = runpy.run_path(str(SCRIPTS / "convergence_study.py"))
+    surface = Ellipsoid((1.0, 1.5, 2.0))
+    values = study["residuals_at"](surface, surface.default_chart(17), 0)
+    assert set(values) == {"trace_identity", "gauss_defect", "parallelity",
+                           "reconstruction"}
+    assert all(math.isfinite(v) and v >= 0 for v in values.values())
