@@ -8,38 +8,32 @@ reconstruction error.  Healthy output shows orders near 2 everywhere.
 """
 
 import argparse
-import math
 
 import numpy as np
 
-from isogauss.admissibility import PipelineOptions, run_pipeline
-from isogauss.curvature import metric_field, riemann_tensor
+from isogauss.admissibility import PipelineOptions
+from isogauss.curvature import riemann_tensor
 from isogauss.grid import interior_max
-from isogauss.reconstruct import compare_up_to_translation, integrate
+from isogauss.reconstruct import observed_order, roundtrip_level
 from isogauss.surfaces import (Ellipsoid, Graph, RoundSphere,
-                               gauss_codazzi_residuals, generate)
+                               gauss_codazzi_residuals)
 
 BENCHMARKS = [RoundSphere(1.0), Ellipsoid((1.0, 1.5, 2.0)), Graph((1.0, 0.0, 2.0))]
 
 
 def residuals_at(surface, chart, level):
-    data = generate(surface, chart)
-    metric = metric_field(chart, data.g)
+    """The residuals of ``chart`` refined ``level`` times."""
+    run = roundtrip_level(surface, chart, PipelineOptions(), level)
+    chart, data, metric = run.chart, run.data, run.metric
     pack = riemann_tensor(metric)
-    report = run_pipeline(metric, data.frame)
     margin = 2 * 2 ** level
 
     tr_k = np.einsum("...ij,...ij->...", metric.g_inv, data.k)
     trace_id = interior_max(chart, np.abs(data.H ** 2 - (pack.s + tr_k)), margin)
     gauss, _ = gauss_codazzi_residuals(data, pack, metric)
-
-    imm = integrate(report.candidate.U, chart,
-                    curl_tol=PipelineOptions().fd_tol(chart))
-    region = chart.interior_slices(4 * 2 ** level)
-    rec = compare_up_to_translation(imm.u[region], data.u[region])
     return {"trace_identity": trace_id, "gauss_defect": gauss,
-            "parallelity": report.residuals["parallelity"],
-            "reconstruction": rec}
+            "parallelity": run.report.residuals["parallelity"],
+            "reconstruction": run.rec_error}
 
 
 def main():
@@ -52,16 +46,14 @@ def main():
 
     for surface in BENCHMARKS:
         chart = surface.default_chart(args.points)
-        history = []
-        for level in range(args.levels + 1):
-            history.append(residuals_at(surface, chart, level))
-            chart = chart.refine()
+        history = [residuals_at(surface, chart, level)
+                   for level in range(args.levels + 1)]
         print(f"\n{surface.name}")
         keys = list(history[0])
         print(f"{'level':>6} " + " ".join(f"{k:>16}" for k in keys))
         for level, row in enumerate(history):
             print(f"{level:>6} " + " ".join(f"{row[k]:16.4e}" for k in keys))
-        orders = {k: math.log2(history[-2][k] / history[-1][k]) for k in keys}
+        orders = {k: observed_order(history[-2][k], history[-1][k]) for k in keys}
         print(f"{'order':>6} " + " ".join(f"{orders[k]:16.2f}" for k in keys))
 
 

@@ -10,12 +10,11 @@ import argparse
 import math
 from dataclasses import dataclass
 
-from isogauss.admissibility import PipelineOptions, run_pipeline
-from isogauss.curvature import metric_field
-from isogauss.reconstruct import compare_up_to_translation, integrate
+from isogauss.admissibility import PipelineOptions
+from isogauss.reconstruct import observed_order, roundtrip
 from isogauss.surfaces import (Catenoid, CliffordTorus, Cylinder, Ellipsoid,
                                EllipsoidM3, Graph, GraphR4, Helicoid,
-                               HypersphereM3, Plane, RoundSphere, generate)
+                               HypersphereM3, Plane, RoundSphere)
 
 
 @dataclass
@@ -42,31 +41,14 @@ CATALOG_RUNS = [
 
 
 def run_surface(surface, cfg: RunConfig):
+    """The driver's rows for one surface and the order between its last two
+    levels (NaN with a single level or when either error is NaN)."""
     points = cfg.points_3d if surface.m == 3 else cfg.points_2d
-    chart = surface.default_chart(points)
-    options = PipelineOptions(tol_scale=cfg.tol_scale)
-    rows = []
-    errors = []
-    for level in range(cfg.refine + 1):
-        data = generate(surface, chart)
-        metric = metric_field(chart, data.g)
-        report = run_pipeline(metric, data.frame, options)
-        worst = max((v for v in report.residuals.values() if not math.isnan(v)),
-                    default=math.nan)
-        err = math.nan
-        if report.admissible:
-            imm = integrate(report.candidate.U, chart,
-                            curl_tol=options.fd_tol(chart),
-                            on_curl="warn" if report.method == "minimal_m2"
-                            else "raise")
-            region = chart.interior_slices(4 * 2 ** level)
-            err = compare_up_to_translation(imm.u[region], data.u[region])
-            errors.append(err)
-        rows.append((chart.shape, report.verdict, report.method, worst, err))
-        chart = chart.refine()
+    rows = roundtrip(surface, surface.default_chart(points),
+                     PipelineOptions(tol_scale=cfg.tol_scale), cfg.refine)
     order = math.nan
-    if len(errors) >= 2 and errors[-1] > 0:
-        order = math.log2(errors[-2] / errors[-1])
+    if len(rows) >= 2:
+        order = observed_order(rows[-2].rec_error, rows[-1].rec_error)
     return rows, order
 
 
@@ -84,10 +66,12 @@ def main():
           f"{'max_resid':>11} {'rec_error':>11} {'order':>7}")
     for surface in CATALOG_RUNS:
         rows, order = run_surface(surface, cfg)
-        for i, (shape, verdict, method, worst, err) in enumerate(rows):
-            tag = f"{order:7.2f}" if (i == len(rows) - 1 and not math.isnan(order)) else ""
-            print(f"{surface.name:>16} {'x'.join(map(str, shape)):>12} "
-                  f"{verdict:>13} {method:>11} {worst:11.3e} {err:11.3e} {tag}")
+        for i, row in enumerate(rows):
+            last = i == len(rows) - 1
+            tag = f"{order:7.2f}" if last and not math.isnan(order) else ""
+            print(f"{surface.name:>16} {'x'.join(map(str, row.shape)):>12} "
+                  f"{row.verdict:>13} {row.method:>11} {row.max_residual:11.3e} "
+                  f"{row.rec_error:11.3e} {tag}")
 
 
 if __name__ == "__main__":

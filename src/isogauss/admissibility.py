@@ -476,6 +476,10 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
                           "differential")
         frame, k = G.nu[..., None], G.k
     else:
+        if options.method != "auto":
+            notes.append(f"method {options.method} applies to hypersurface "
+                         f"data only; normal data of codimension "
+                         f"{normals.shape[-1]} takes the codim route")
         nf = build_normal_frame(chart, normals, options.rank_rel_tol)
         extra["frame_orthonormality_defect"] = nf.orthonormality_defect
         extra["frame_min_overlap_det"] = nf.min_overlap_det

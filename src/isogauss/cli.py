@@ -17,7 +17,7 @@ from .admissibility import PipelineOptions, run_pipeline
 from .curvature import metric_field
 from .errors import DatasetFormatError, IsoGaussError
 from .grid import build_chart
-from .reconstruct import compare_up_to_translation, integrate, verify_immersion
+from .reconstruct import immerse, observed_order, roundtrip, verify_immersion
 
 EXIT_ADMISSIBLE = 0
 EXIT_REJECTED = 1
@@ -87,6 +87,12 @@ def _make_chart(surface: surfaces.Surface, args):
     return surface.default_chart(shape)
 
 
+def _perturb_nu(args, surface: surfaces.Surface) -> float:
+    if args.perturb_nu and surface.codim != 1:
+        raise CliError("--perturb-nu applies to hypersurface data only")
+    return args.perturb_nu or 0.0
+
+
 def _options(args) -> PipelineOptions:
     return PipelineOptions(tol_scale=args.tol_scale, gap_tol=args.gap_tol,
                            method=args.method, sign_branch=args.sign_branch)
@@ -108,14 +114,13 @@ def _load_problem(path):
 
 def cmd_forward(args) -> int:
     surface = _make_surface(args)
+    perturb_nu = _perturb_nu(args, surface)
     chart = _make_chart(surface, args)
     data = surfaces.generate(surface, chart)
     frame = data.frame
-    if args.perturb_nu:
-        if data.d != 1:
-            raise CliError("--perturb-nu applies to hypersurface data only")
+    if perturb_nu:
         nu = surfaces.smooth_rotation_of_gauss_map(
-            data.frame[..., 0], chart, float(args.perturb_nu), seed=args.seed)
+            data.frame[..., 0], chart, perturb_nu, seed=args.seed)
         frame = nu[..., None]
     out = args.out or f"{surface.name}_{'x'.join(str(s) for s in chart.shape)}"
     ds = datafiles.gauss_dataset(chart, data.n, data.g, frame=frame)
@@ -148,13 +153,10 @@ def cmd_reconstruct(args) -> int:
         print(f"verdict = {report.verdict}: no reconstruction written")
         return _VERDICT_EXIT[report.verdict]
     chart = metric.chart
-    curl_tol = options.fd_tol(chart)
-    minimal = report.method == "minimal_m2"
-    if minimal:
+    if report.method == "minimal_m2":
         print("note: minimal-surface data determines a one-parameter family; "
               "writing the PSD-root representative (need not integrate cleanly)")
-    imm = integrate(report.candidate.U, chart, curl_tol=curl_tol,
-                    on_curl="warn" if minimal else "raise")
+    imm = immerse(report, chart, options)
     out = args.out or "reconstruction"
     datafiles.write_dataset(out + ".immersion.txt",
                             datafiles.immersion_dataset(chart, imm.u))
@@ -178,48 +180,22 @@ def _write_plot_data(path, chart, u) -> None:
 
 def cmd_roundtrip(args) -> int:
     surface = _make_surface(args)
+    perturb_nu = _perturb_nu(args, surface)
     chart = _make_chart(surface, args)
-    options = _options(args)
-    levels = max(0, args.refine)
-    rows = []
-    last_exit = EXIT_USAGE
-    for level in range(levels + 1):
-        data = surfaces.generate(surface, chart)
-        metric = metric_field(chart, data.g)
-        normals = data.frame
-        if args.perturb_nu:
-            nu = surfaces.smooth_rotation_of_gauss_map(
-                normals[..., 0], chart, float(args.perturb_nu), seed=args.seed)
-            normals = nu[..., None]
-        report = run_pipeline(metric, normals, options)
-        max_res = max((v for v in report.residuals.values()
-                       if not math.isnan(v)), default=math.nan)
-        rec_err = math.nan
-        if report.admissible:
-            imm = integrate(report.candidate.U, chart,
-                            curl_tol=options.fd_tol(chart),
-                            on_curl="warn" if report.method == "minimal_m2" else "raise")
-            # node margin scales with refinement so the measurement region
-            # stays a fixed coordinate box across levels
-            region = chart.interior_slices(4 * 2 ** level)
-            rec_err = compare_up_to_translation(imm.u[region], data.u[region])
-        gap = report.residuals.get("nullspace_gap", math.nan)
-        rows.append((f"{'x'.join(str(s) for s in chart.shape)}",
-                     report.verdict, report.method, max_res, rec_err, gap))
-        last_exit = _VERDICT_EXIT[report.verdict]
-        chart = chart.refine()
+    rows = roundtrip(surface, chart, _options(args), max(0, args.refine),
+                     perturb_nu, args.seed)
     print(f"surface: {surface.name}")
     print(f"{'grid':>12} {'verdict':>13} {'method':>11} {'max_resid':>11} "
           f"{'rec_error':>11} {'null_gap':>11} {'order':>7}")
-    for i, row in enumerate(rows):
-        order = ""
-        # only between adjacent levels that both have a finite, positive
-        # error (NaN marks a level that was not admissible)
-        if i > 0 and all(0 < e < math.inf for e in (rows[i - 1][4], row[4])):
-            order = f"{math.log2(rows[i - 1][4] / row[4]):7.2f}"
-        print(f"{row[0]:>12} {row[1]:>13} {row[2]:>11} {row[3]:11.3e} "
-              f"{row[4]:11.3e} {row[5]:11.3e} {order:>7}")
-    return last_exit
+    previous = math.nan
+    for row in rows:
+        order = observed_order(previous, row.rec_error)
+        previous = row.rec_error
+        tag = "" if math.isnan(order) else f"{order:7.2f}"
+        print(f"{'x'.join(map(str, row.shape)):>12} {row.verdict:>13} "
+              f"{row.method:>11} {row.max_residual:11.3e} "
+              f"{row.rec_error:11.3e} {row.nullspace_gap:11.3e} {tag:>7}")
+    return _VERDICT_EXIT[rows[-1].verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=float)
         p.add_argument("--r1")
         p.add_argument("--r2")
-        p.add_argument("--perturb-nu", dest="perturb_nu",
+        p.add_argument("--perturb-nu", dest="perturb_nu", type=float,
                        help="fabricate inadmissible data: smooth rotation of "
                             "nu by this magnitude")
         p.add_argument("--seed", type=int, default=0)

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import MetricField, node_norm
+from .admissibility import AdmissibilityReport, PipelineOptions, run_pipeline
+from .curvature import MetricField, metric_field, node_norm
 from .errors import NonIntegrableError
 from .gaussmap import GaussField
 from .grid import Chart, grad_all, interior_max
+from .surfaces import (OracleData, Surface, generate,
+                       smooth_rotation_of_gauss_map)
 
 
 @dataclass(frozen=True)
@@ -121,3 +126,88 @@ def compare_up_to_translation(a: np.ndarray, b: np.ndarray) -> float:
     diff = a - b
     mean = np.mean(diff.reshape(-1, diff.shape[-1]), axis=0)
     return float(np.max(np.sqrt(np.sum((diff - mean) ** 2, axis=-1))))
+
+
+# ---------------------------------------------------------------------------
+# the roundtrip driver: generate, decide, integrate, compare with the oracle
+
+
+def immerse(report: AdmissibilityReport, chart: Chart,
+            options: PipelineOptions) -> Immersion:
+    """Integrate an admissible candidate at the pipeline tolerance; only the
+    minimal-surface representative, which need not integrate, merely warns."""
+    return integrate(report.candidate.U, chart, curl_tol=options.fd_tol(chart),
+                     on_curl="warn" if report.method == "minimal_m2" else "raise")
+
+
+def box_error(u: np.ndarray, oracle_u: np.ndarray, chart: Chart,
+              level: int) -> float:
+    """Error of refinement ``level`` on the coordinate box that level 0
+    measures; NaN if the box is one node wide, where any ``u`` reads 0."""
+    region = chart.interior_slices(4 * 2 ** level)
+    if any(s.stop - s.start < 2 for s in region):
+        return math.nan
+    return compare_up_to_translation(u[region], oracle_u[region])
+
+
+def observed_order(coarse: float, fine: float) -> float:
+    """Order between the errors of two successive refinements; NaN unless
+    both are finite and positive."""
+    if not all(0 < e < math.inf for e in (coarse, fine)):
+        return math.nan
+    return math.log2(coarse / fine)
+
+
+class RoundtripRow(NamedTuple):
+    shape: tuple[int, ...]
+    verdict: str
+    method: str
+    max_residual: float
+    rec_error: float
+    nullspace_gap: float
+
+
+class RoundtripLevel(NamedTuple):
+    chart: Chart
+    data: OracleData
+    metric: MetricField
+    report: AdmissibilityReport
+    max_residual: float     # worst finite residual
+    rec_error: float        # NaN unless admissible with a measurable box
+
+    def row(self) -> RoundtripRow:
+        return RoundtripRow(self.chart.shape, self.report.verdict,
+                            self.report.method, self.max_residual, self.rec_error,
+                            self.report.residuals.get("nullspace_gap", math.nan))
+
+
+def roundtrip_level(surface: Surface, chart: Chart, options: PipelineOptions,
+                    level: int, perturb_nu: float = 0.0,
+                    seed: int = 0) -> RoundtripLevel:
+    """Sample ``surface`` on ``chart`` refined ``level`` times, decide, and
+    integrate and compare when admissible.  A nonzero ``perturb_nu`` first
+    rotates a hypersurface Gauss map smoothly by that magnitude."""
+    for _ in range(level):
+        chart = chart.refine()
+    data = generate(surface, chart)
+    metric = metric_field(chart, data.g)
+    normals = data.frame
+    if perturb_nu:
+        normals = smooth_rotation_of_gauss_map(
+            normals[..., 0], chart, perturb_nu, seed=seed)[..., None]
+    report = run_pipeline(metric, normals, options)
+    worst = max((v for v in report.residuals.values() if not math.isnan(v)),
+                default=math.nan)
+    error = math.nan
+    if report.admissible:
+        error = box_error(immerse(report, chart, options).u, data.u, chart, level)
+    return RoundtripLevel(chart, data, metric, report, worst, error)
+
+
+def roundtrip(surface: Surface, chart: Chart, options: PipelineOptions,
+              levels: int, perturb_nu: float = 0.0,
+              seed: int = 0) -> list[RoundtripRow]:
+    """The rows of levels ``0..levels``; only scalars outlive a level, so no
+    field of one level is alive while the next is computed."""
+    return [roundtrip_level(surface, chart, options, level, perturb_nu,
+                            seed).row() for level in range(levels + 1)]

@@ -1,6 +1,8 @@
-import numpy as np
+import dataclasses
+
 import pytest
 
+from isogauss import reconstruct
 from isogauss.curvature import metric_field, riemann_tensor
 from isogauss.gaussmap import build_gauss_field
 from isogauss.surfaces import (CliffordTorus, Ellipsoid, EllipsoidM3, Graph,
@@ -51,12 +53,6 @@ def ellipsoid():
 
 
 @pytest.fixture(scope="session")
-def ellipsoid_pair():
-    return (Problem(Ellipsoid((1.0, 1.5, 2.0)), 33),
-            Problem(Ellipsoid((1.0, 1.5, 2.0)), 65))
-
-
-@pytest.fixture(scope="session")
 def graph_surface():
     return Problem(Graph((1.0, 0.0, 2.0)), 49)
 
@@ -71,5 +67,21 @@ def clifford():
     return Problem(CliffordTorus(1.0, 1.4), 41)
 
 
-def observed_order(coarse: float, fine: float) -> float:
-    return float(np.log2(coarse / fine))
+@pytest.fixture
+def inapplicable_levels(monkeypatch):
+    """``inapplicable_levels(*levels)`` makes the roundtrip driver read those
+    levels as inapplicable; it returns the list of the real verdicts."""
+    real = reconstruct.run_pipeline
+    verdicts = []
+
+    def install(*levels):
+        def run_pipeline(metric, normals, options):
+            report = real(metric, normals, options)
+            verdicts.append(report.verdict)
+            if len(verdicts) - 1 in levels:
+                return dataclasses.replace(report, verdict="inapplicable")
+            return report
+
+        monkeypatch.setattr(reconstruct, "run_pipeline", run_pipeline)
+        return verdicts
+    return install

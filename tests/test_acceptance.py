@@ -20,7 +20,8 @@ from isogauss.codim import CodimForms, mean_curvature_vector
 from isogauss.curvature import metric_field, node_norm, riemann_tensor
 from isogauss.gaussmap import build_gauss_field
 from isogauss.grid import interior_max
-from isogauss.reconstruct import compare_up_to_translation, integrate
+from isogauss.reconstruct import (compare_up_to_translation, integrate,
+                                   observed_order, roundtrip, roundtrip_level)
 from isogauss.surfaces import (Catenoid, CliffordTorus, Cylinder, Ellipsoid,
                                EllipsoidM3, Graph, Helicoid, HypersphereM3,
                                Plane, RoundSphere, generate,
@@ -31,21 +32,6 @@ C = 50.0          # generic residual constant (pipeline default)
 
 def announce(num, detail):
     print(f"acceptance criterion {num:02d}: PASS - {detail}")
-
-
-def solve(surface, points, options=None):
-    chart = surface.default_chart(points)
-    data = generate(surface, chart)
-    metric = metric_field(chart, data.g)
-    report = run_pipeline(metric, data.frame, options)
-    return chart, data, metric, report
-
-
-def reconstruction_error(chart, report, data, level):
-    imm = integrate(report.candidate.U, chart,
-                    curl_tol=PipelineOptions().fd_tol(chart))
-    region = chart.interior_slices(4 * 2 ** level)
-    return compare_up_to_translation(imm.u[region], data.u[region])
 
 
 ROUNDTRIP_SURFACES = [RoundSphere(1.0), Ellipsoid((1.0, 1.5, 2.0)),
@@ -70,15 +56,10 @@ def test_criterion_01_roundtrip_admissibility(tmp_path):
             if not math.isnan(val):
                 assert val <= parsed["thresholds"][key], (surf.name, key)
 
-        errs = []
-        for level, pts in enumerate((64, 127)):
-            chart_l = surf.default_chart(pts)
-            data_l = generate(surf, chart_l)
-            metric = metric_field(chart_l, data_l.g)
-            rep = run_pipeline(metric, data_l.frame)
-            assert rep.admissible
-            errs.append(reconstruction_error(chart_l, rep, data_l, level))
-        orders.append(math.log2(errs[0] / errs[1]))
+        # 64 points refined once is the 127-point chart
+        coarse, fine = roundtrip(surf, chart, PipelineOptions(), 1)
+        assert coarse.verdict == fine.verdict == "admissible"
+        orders.append(observed_order(coarse.rec_error, fine.rec_error))
         assert orders[-1] >= 1.5, surf.name
     announce(1, f"orders {['%.2f' % o for o in orders]} for "
                 f"{[s.name for s in ROUNDTRIP_SURFACES]}")
@@ -121,8 +102,9 @@ def test_criterion_02_closed_form_identities():
             assert r2 <= C * chart.max_spacing ** 2, (surf.name, "form", r2)
             vals.append(max(r1, r2))
         if vals[0] > 1e-10:        # zero-residual surfaces carry no order
-            worst_order = min(worst_order, math.log2(vals[0] / vals[1]))
-            assert math.log2(vals[0] / vals[1]) >= 1.5, surf.name
+            order = observed_order(vals[0], vals[1])
+            worst_order = min(worst_order, order)
+            assert order >= 1.5, surf.name
     announce(2, f"identities on {len(ALL_HYPERSURFACES)} surfaces, "
                 f"worst order {worst_order:.2f}")
 
@@ -212,9 +194,10 @@ def test_criterion_06_codazzi_gauss_consequences():
     without ever being checked by the pipeline."""
     from isogauss.surfaces import gauss_codazzi_residuals
     for surf in ROUNDTRIP_SURFACES:
-        chart, data, metric, report = solve(surf, 64)
+        run = roundtrip_level(surf, surf.default_chart(64), PipelineOptions(), 0)
+        report = run.report
         assert report.admissible
-        bound = 5.0 * (report.residuals["parallelity"] + chart.max_spacing ** 2)
+        bound = 5.0 * (report.residuals["parallelity"] + run.chart.max_spacing ** 2)
         assert report.extra["codazzi"] <= bound, surf.name
     orders = []
     for surf in (RoundSphere(1.0), Ellipsoid((1.0, 1.5, 2.0)), Catenoid()):
@@ -227,7 +210,7 @@ def test_criterion_06_codazzi_gauss_consequences():
             gauss, _ = gauss_codazzi_residuals(data, pack, metric)
             assert gauss <= C * chart.max_spacing ** 2
             gs.append(gauss)
-        orders.append(math.log2(gs[0] / gs[1]))
+        orders.append(observed_order(gs[0], gs[1]))
         assert orders[-1] >= 1.5
     announce(6, f"codazzi bounded by parallelity, gauss orders "
                 f"{['%.2f' % o for o in orders]}")
@@ -249,11 +232,10 @@ def test_criterion_07_codimension_two():
     assert mc.unit_eigen_distance < 1e-6
 
     errs = []
-    for level, n in enumerate((33, 65)):
-        chart = surf.default_chart(n)
-        data = generate(surf, chart)
-        metric = metric_field(chart, data.g)
-        report = run_pipeline(metric, data.frame)
+    for level in (0, 1):      # 33 points, then 65
+        run = roundtrip_level(surf, surf.default_chart(33), PipelineOptions(),
+                              level)
+        chart, data, report = run.chart, run.data, run.report
         assert report.admissible
         tol = C * chart.max_spacing ** 2
         assert report.residuals["h_squared"] <= tol         # product check
@@ -269,11 +251,8 @@ def test_criterion_07_codimension_two():
             interior_max(chart, node_norm(
                 report.candidate.h_alpha + data.h_alpha, 3), margin))
         assert H_err <= tol and h_err <= tol
-        imm = integrate(report.candidate.U, chart,
-                        curl_tol=PipelineOptions().fd_tol(chart))
-        region = chart.interior_slices(4 * 2 ** level)
-        errs.append(compare_up_to_translation(imm.u[region], data.u[region]))
-    order = math.log2(errs[0] / errs[1])
+        errs.append(run.rec_error)
+    order = observed_order(*errs)
     assert order >= 1.5
     announce(7, f"unit eigenvalue within 1e-6, reconstruction order {order:.2f}")
 

@@ -446,6 +446,19 @@ class TestRouting:
         elif report.admissible:
             assert report.candidate.h_alpha.shape[-3] == 1
 
+    def test_method_request_on_codim2_data_is_noted(self):
+        surf = CATALOG["clifford-torus"]()
+        data = generate(surf, surf.default_chart(17))
+        metric = metric_field(data.chart, data.g)
+        auto = run_pipeline(metric, data.frame)
+        forced = run_pipeline(metric, data.frame,
+                              PipelineOptions(method="theorem3"))
+        assert (forced.verdict, forced.method) == (auto.verdict, auto.method) \
+            == ("admissible", "codim")
+        assert forced.notes == ["method theorem3 applies to hypersurface data "
+                                "only; normal data of codimension 2 takes "
+                                "the codim route"] + auto.notes
+
     def test_codim2_negative_q_takes_the_shared_step1_report(self):
         # negatively curved metric, flat normal planes: q = s < 0
         metric, spans = plane_field_problem(saddle_metric)

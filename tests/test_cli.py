@@ -5,6 +5,7 @@ import pytest
 
 from isogauss import datafiles
 from isogauss.cli import main
+from isogauss.reconstruct import box_error, observed_order
 
 
 def run_cli(*argv):
@@ -95,10 +96,7 @@ class TestReconstruct:
         assert len(plot) == 1 + 33 * 33
         # reconstruction matches the oracle up to translation
         oracle = datafiles.read_dataset(str(ellipsoid_files) + ".oracle.txt")
-        from isogauss.reconstruct import compare_up_to_translation
-        reg = imm.chart.interior_slices(4)
-        err = compare_up_to_translation(imm.blocks["u"][reg],
-                                        oracle.blocks["u"][reg])
+        err = box_error(imm.blocks["u"], oracle.blocks["u"], imm.chart, 0)
         assert err < 50 * imm.chart.max_spacing ** 2
 
     def test_rejected_writes_nothing(self, tmp_path, capsys):
@@ -141,21 +139,9 @@ class TestReconstruct:
 
 
 class TestRoundtrip:
-    def test_order_skips_a_level_that_is_not_admissible(self, monkeypatch, capsys):
-        import dataclasses
-
-        from isogauss import cli
-        real = cli.run_pipeline
-        calls = []
-
-        def first_level_inapplicable(metric, normals, options):
-            report = real(metric, normals, options)
-            calls.append(report.verdict)
-            if len(calls) == 1:
-                return dataclasses.replace(report, verdict="inapplicable")
-            return report
-
-        monkeypatch.setattr(cli, "run_pipeline", first_level_inapplicable)
+    def test_order_skips_a_level_that_is_not_admissible(self, inapplicable_levels,
+                                                          capsys):
+        calls = inapplicable_levels(0)
         code = run_cli("roundtrip", "--surface", "round-sphere",
                        "--grid", "13x13", "--refine", "2")
         out = capsys.readouterr().out
@@ -167,8 +153,9 @@ class TestRoundtrip:
         # no order where either neighbour lacks an error; the only order is
         # between the two admissible levels, on the finer one's row
         assert [len(r) for r in rows] == [6, 6, 7]
-        expect = np.log2(float(rows[1][4]) / float(rows[2][4]))
+        expect = observed_order(float(rows[1][4]), float(rows[2][4]))
         assert abs(float(rows[2][6]) - expect) < 5e-3
+
     def test_sphere_with_refinement_prints_order(self, capsys):
         code = run_cli("roundtrip", "--surface", "round-sphere",
                        "--grid", "25x25", "--refine", "1")
@@ -194,10 +181,33 @@ class TestRoundtrip:
         gap = float(row.split()[-1])
         assert np.isfinite(gap) and gap < 0.1
 
+    def test_one_node_box_has_no_error(self, capsys):
+        # margin 4 on 9 points (8 on 17) leaves one node per axis: the error
+        # there is 0 whatever the reconstruction, so it is not reported
+        code = run_cli("roundtrip", "--surface", "hypersphere-m3",
+                       "--grid", "9x9x9", "--refine", "1")
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = [ln.split() for ln in out.splitlines() if "admissible" in ln]
+        assert [r[0] for r in rows] == ["9x9x9", "17x17x17"]
+        assert [r[4] for r in rows] == ["nan", "nan"]
+        assert [len(r) for r in rows] == [6, 6]          # and no order
+
+    @pytest.mark.parametrize("command", ["forward", "roundtrip"])
+    def test_perturb_nu_is_refused_for_codim_2(self, command, tmp_path, capsys):
+        extra = ["--out", str(tmp_path / "x")] if command == "forward" else []
+        code = run_cli(command, "--surface", "clifford-torus", "--grid", "17x17",
+                       "--perturb-nu", "1e-2", *extra)
+        assert code == 2
+        assert ("--perturb-nu applies to hypersurface data only"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
 
 def test_usage_error_exit_2(capsys):
     assert run_cli("check") == 2
     assert run_cli() == 2
+    assert run_cli("roundtrip", "--surface", "ellipsoid", "--perturb-nu", "x") == 2
 
 
 def test_wrong_kind_dataset_exit_2(ellipsoid_files, capsys):

@@ -11,7 +11,8 @@ from isogauss.codim import (_resolve_full_fixed_space, _rho_and_B,
 from isogauss.curvature import metric_field, node_norm, riemann_tensor
 from isogauss.errors import InvalidGrassmannDataError
 from isogauss.grid import build_chart, interior_max
-from isogauss.reconstruct import compare_up_to_translation, integrate
+from isogauss.reconstruct import (box_error, immerse, integrate,
+                                   observed_order, roundtrip)
 from isogauss.surfaces import CATALOG, CliffordTorus, generate
 
 import reference_loops
@@ -225,9 +226,7 @@ class TestBuildU:
         assert check_parallel(U, clifford.pack.Gamma, frame.frame,
                               clifford.chart) < tol
         imm = integrate(U, clifford.chart, curl_tol=tol)
-        reg = clifford.chart.interior_slices(4)
-        err = compare_up_to_translation(imm.u[reg], clifford.data.u[reg])
-        assert err < tol
+        assert box_error(imm.u, clifford.data.u, clifford.chart, 0) < tol
 
     def test_frame_order_independence(self, clifford_problem):
         clifford, frame, _ = clifford_problem
@@ -288,9 +287,8 @@ class TestGenericCodimTwo:
         h_err = interior_max(graph4.chart, node_norm(
             rep.candidate.h_alpha - graph4.data.h_alpha, 3))
         assert H_err < tol and h_err < tol
-        imm = integrate(rep.candidate.U, graph4.chart, curl_tol=tol)
-        reg = graph4.chart.interior_slices(4)
-        assert compare_up_to_translation(imm.u[reg], graph4.data.u[reg]) < tol
+        imm = immerse(rep, graph4.chart, PipelineOptions())
+        assert box_error(imm.u, graph4.data.u, graph4.chart, 0) < tol
 
 
 class TestCodimPipeline:
@@ -326,18 +324,9 @@ class TestCodimPipeline:
 
     def test_reconstruction_convergence(self):
         surf = CliffordTorus(1.0, 1.4)
-        errs = []
-        for lvl, n in enumerate((25, 49)):
-            chart = surf.default_chart(n)
-            data = generate(surf, chart)
-            metric = metric_field(chart, data.g)
-            rep = run_pipeline(metric, data.frame)
-            assert rep.admissible
-            imm = integrate(rep.candidate.U, chart,
-                            curl_tol=PipelineOptions().fd_tol(chart))
-            reg = chart.interior_slices(4 * 2 ** lvl)
-            errs.append(compare_up_to_translation(imm.u[reg], data.u[reg]))
-        assert np.log2(errs[0] / errs[1]) >= 1.5
+        coarse, fine = roundtrip(surf, surf.default_chart(25), PipelineOptions(), 1)
+        assert coarse.verdict == fine.verdict == "admissible"
+        assert observed_order(coarse.rec_error, fine.rec_error) >= 1.5
 
 
 class TestLoopEquivalence:

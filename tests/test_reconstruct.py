@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from isogauss.admissibility import PipelineOptions, run_pipeline
+from isogauss.curvature import metric_field
 from isogauss.errors import NonIntegrableError
 from isogauss.grid import build_chart
-from isogauss.reconstruct import (compare_up_to_translation, curl_residual,
-                                  integrate, second_form_from_immersion,
-                                  verify_immersion)
-from isogauss.surfaces import Catenoid, generate
+from isogauss.reconstruct import (box_error, compare_up_to_translation,
+                                  curl_residual, immerse, integrate,
+                                  observed_order, roundtrip, roundtrip_level,
+                                  second_form_from_immersion, verify_immersion)
+from isogauss.surfaces import Catenoid, Ellipsoid, Plane, RoundSphere, generate
+
+ELLIPSOID = Ellipsoid((1.0, 1.5, 2.0))
 
 
 class TestIntegrate:
@@ -22,13 +28,10 @@ class TestIntegrate:
         assert np.allclose(imm.u[chart.center], [1.0, 2.0, 3.0])
 
     def test_sphere_oracle_roundtrip(self, sphere_pair):
-        errs = []
-        for lvl, p in enumerate(sphere_pair):
-            imm = integrate(p.data.du, p.chart)
-            reg = p.chart.interior_slices(4 * 2 ** lvl)
-            errs.append(compare_up_to_translation(imm.u[reg], p.data.u[reg]))
+        errs = [box_error(integrate(p.data.du, p.chart).u, p.data.u, p.chart, level)
+                for level, p in enumerate(sphere_pair)]
         assert errs[1] < 50 * sphere_pair[1].dx2
-        assert np.log2(errs[0] / errs[1]) >= 1.5
+        assert observed_order(*errs) >= 1.5
 
     def test_synthetic_curl_raises(self, sphere):
         U = sphere.data.du.copy()
@@ -80,7 +83,6 @@ class TestVerifyImmersion:
     def test_catenoid_self_consistent(self):
         surf = Catenoid()
         data = generate(surf, surf.default_chart(49))
-        from isogauss.curvature import metric_field
         metric = metric_field(data.chart, data.g)
         imm = integrate(data.du, data.chart)
         res_g, res_n = verify_immersion(imm, metric, data.frame)
@@ -123,16 +125,54 @@ class TestCompare:
         rotated = np.einsum("ij,...j->...i", R, sphere.data.u)
         assert compare_up_to_translation(sphere.data.u, rotated) > 0.01
 
-    def test_pipeline_reconstruction_converges(self, ellipsoid_pair):
-        errs = []
-        for lvl, p in enumerate(ellipsoid_pair):
-            report = run_pipeline(p.metric, p.data.frame)
-            assert report.admissible
-            imm = integrate(report.candidate.U, p.chart,
-                            curl_tol=PipelineOptions().fd_tol(p.chart))
-            reg = p.chart.interior_slices(4 * 2 ** lvl)
-            errs.append(compare_up_to_translation(imm.u[reg], p.data.u[reg]))
-        assert np.log2(errs[0] / errs[1]) >= 1.5
+    def test_pipeline_reconstruction_converges(self):
+        # this case's errors, pinned to rounding
+        coarse, fine = roundtrip(ELLIPSOID, ELLIPSOID.default_chart(33),
+                                 PipelineOptions(), 1)
+        assert (coarse.method, fine.method) == ("theorem2", "theorem2")
+        assert coarse.rec_error == pytest.approx(5.441904606979945e-4, rel=1e-12)
+        assert fine.rec_error == pytest.approx(1.3639702909713346e-4, rel=1e-12)
+        assert observed_order(coarse.rec_error, fine.rec_error) >= 1.5
+
+    def test_observed_order_needs_two_finite_positive_errors(self):
+        assert observed_order(4e-3, 2e-3) == 1.0
+        for pair in [(math.nan, 1e-3), (0.0, 1e-3), (1e-3, 0.0), (math.inf, 1e-3)]:
+            assert math.isnan(observed_order(*pair))
+
+
+class TestRoundtripDriver:
+    def test_one_row_per_level_on_the_refined_chart(self):
+        rows = roundtrip(RoundSphere(1.0), RoundSphere(1.0).default_chart(9),
+                         PipelineOptions(), 2)
+        assert [row.shape for row in rows] == [(9, 9), (17, 17), (33, 33)]
+        assert all(row.verdict == "admissible" for row in rows)
+        # a 9-point chart leaves a one-node box at every level
+        assert all(math.isnan(row.rec_error) for row in rows)
+
+    def test_rejected_and_inapplicable_levels_have_no_error(self):
+        [rejected] = roundtrip(ELLIPSOID, ELLIPSOID.default_chart(17),
+                               PipelineOptions(), 0, perturb_nu=1e-2)
+        [inapplicable] = roundtrip(Plane(), Plane().default_chart(17),
+                                   PipelineOptions(), 0)
+        assert (rejected.verdict, inapplicable.verdict) == ("rejected", "inapplicable")
+        assert math.isnan(rejected.rec_error) and math.isnan(inapplicable.rec_error)
+
+    def test_last_row_is_that_level_alone(self):
+        chart = ELLIPSOID.default_chart(17)
+        rows = roundtrip(ELLIPSOID, chart, PipelineOptions(), 1)
+        run = roundtrip_level(ELLIPSOID, chart, PipelineOptions(), 1)
+        assert run.chart == chart.refine() and rows[-1] == run.row()
+
+    def test_curl_warns_only_for_the_minimal_representative(self, ellipsoid):
+        zero_tol = PipelineOptions(tol_scale=0.0)
+        report = run_pipeline(ellipsoid.metric, ellipsoid.data.frame)
+        with pytest.raises(NonIntegrableError):
+            immerse(report, ellipsoid.chart, zero_tol)
+        data = generate(Catenoid(), Catenoid().default_chart(17))
+        report = run_pipeline(metric_field(data.chart, data.g), data.frame)
+        assert report.method == "minimal_m2"
+        with pytest.warns(UserWarning, match="not integrable"):
+            immerse(report, data.chart, zero_tol)
 
 
 def test_sign_flip_reconstructs_negated_immersion(ellipsoid):

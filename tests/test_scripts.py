@@ -22,12 +22,24 @@ def roundtrips():
 def test_catalog_roundtrip_row(roundtrips, surface):
     cfg = roundtrips["RunConfig"](points_2d=17, points_3d=9, refine=0)
     rows, order = roundtrips["run_surface"](surface, cfg)
-    [(shape, verdict, method, worst, err)] = rows
+    [(shape, verdict, method, worst, err, _)] = rows
     assert shape == (17, 17)
     assert verdict == "admissible"
     assert method == ("theorem2" if surface.name == "ellipsoid" else "codim")
     assert math.isfinite(worst) and math.isfinite(err)
     assert math.isnan(order)            # one level carries no order
+
+
+def test_catalog_order_needs_adjacent_errors(roundtrips, inapplicable_levels):
+    # a middle level that is not admissible leaves no one-step order
+    calls = inapplicable_levels(1)
+    cfg = roundtrips["RunConfig"](points_2d=17, refine=2)
+    rows, order = roundtrips["run_surface"](Ellipsoid((1.0, 1.5, 2.0)), cfg)
+    assert calls == ["admissible"] * 3
+    assert [row.verdict for row in rows] == ["admissible", "inapplicable",
+                                             "admissible"]
+    assert math.isfinite(rows[0].rec_error) and math.isfinite(rows[2].rec_error)
+    assert math.isnan(order)
 
 
 def test_convergence_study_residuals():
