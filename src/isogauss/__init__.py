@@ -3,9 +3,10 @@
 Given a Riemannian metric g and a candidate Gauss map sampled on a
 rectangular chart, decide whether the pair arises as first fundamental form
 and Gauss map of an isometric immersion into Euclidean space, and integrate
-the immersion when it does.  Hypersurfaces are the main case; Grassmannian
-normal data of higher codimension takes the same :func:`run_pipeline`, with
-its candidates recovered by :mod:`isogauss.codim`.
+the immersion when it does.  Hypersurfaces are the main case, the normal
+data of codimension 1; Grassmannian normal data of higher codimension takes
+the same :func:`run_pipeline` and the same normal frame of
+:mod:`isogauss.codim`.
 """
 
 from .admissibility import (AdmissibilityReport, CandidateSolution,
@@ -19,7 +20,6 @@ from .codim import (CodimForms, NormalFrame, build_normal_frame,
 from .curvature import (CurvaturePack, MetricField, christoffel,
                         curvature_operator, metric_field, raise_index,
                         riemann_tensor)
-from .gaussmap import GaussField, build_gauss_field, degeneracy_report
 from .grid import Chart, build_chart
 from .reconstruct import (Immersion, compare_up_to_translation, integrate,
                           verify_immersion)
@@ -29,14 +29,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport", "CandidateSolution", "Chart", "CodimForms",
-    "CurvaturePack", "GaussField", "Immersion", "MetricField",
-    "NormalFrame", "OracleData", "PipelineOptions", "CATALOG",
-    "associated_family", "build_U", "build_chart", "build_gauss_field",
-    "build_normal_frame", "check_h_squared", "check_isometry",
+    "CurvaturePack", "Immersion", "MetricField", "NormalFrame", "OracleData",
+    "PipelineOptions", "CATALOG", "associated_family", "build_U",
+    "build_chart", "build_normal_frame", "check_h_squared", "check_isometry",
     "check_minimal_m2", "check_parallel", "christoffel", "codazzi_residual",
-    "compare_up_to_translation", "curvature_operator", "degeneracy_report",
-    "generate", "h_from_theorem2", "h_from_theorem3", "integrate",
-    "metric_field", "raise_index", "riemann_tensor", "run_pipeline",
-    "second_forms", "spd_sqrt", "step1_positivity", "third_forms",
-    "verify_immersion",
+    "compare_up_to_translation", "curvature_operator", "generate",
+    "h_from_theorem2", "h_from_theorem3", "integrate", "metric_field",
+    "raise_index", "riemann_tensor", "run_pipeline", "second_forms",
+    "spd_sqrt", "step1_positivity", "third_forms", "verify_immersion",
 ]

@@ -6,10 +6,11 @@ The decision pipeline follows four steps: positivity of the scalar invariant
 SVD when ``q = 0`` and ``m >= 3``, a Gauss-condition/conformality test when
 ``q = 0`` and ``m = 2``); the quadratic check ``h^2 = k``; and isometry plus
 parallelity of the bundle map ``U`` that would be the differential of the
-immersion.  Normal data of codimension ``d >= 2`` shares steps 1, 3 and 4
-and recovers its candidates in step 2 from the trace matrix of
-:mod:`isogauss.codim`.  All verdicts carry named residuals (never bare
-booleans) so that convergence behaviour can be asserted by callers.
+immersion.  Every codimension ``d`` shares the normal frame of
+:mod:`isogauss.codim` and steps 1, 3 and 4; normal data of codimension
+``d >= 2`` recovers its candidates in step 2 from the trace matrix.  All
+verdicts carry named residuals (never bare booleans) so that convergence
+behaviour can be asserted by callers.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .curvature import (CurvaturePack, MetricField, node_norm, raise_index,
                         riemann_tensor, to_orthonormal)
 from .errors import (BranchError, DegenerateGaussMapError, DomainError,
                      NotPositiveSemidefiniteError)
-from .gaussmap import (GaussField, build_gauss_field, degeneracy_report,
-                       third_form_trace)
 from .grid import Chart, align_signs, grad_all, interior_max
 
 RESIDUAL_KEYS = ("step1_positivity", "h_squared", "isometry", "parallelity",
@@ -95,6 +94,11 @@ def _nan_residuals() -> dict[str, float]:
 
 # ---------------------------------------------------------------------------
 # step 1
+
+
+def third_form_trace(k: np.ndarray, metric: MetricField) -> np.ndarray:
+    """Tr_g k, equal per node to |A|^2 in g-orthonormal frames."""
+    return np.einsum("...ij,...ij->...", metric.g_inv, k)
 
 
 @dataclass(frozen=True)
@@ -314,12 +318,12 @@ def build_U(A: np.ndarray, k: np.ndarray, h: np.ndarray,
     """Solve ``A^T U = -h`` with columns in the normal complement.
 
     ``A`` is the ``(*grid, n, m)`` differential of one normal direction,
-    ``k = A^T A`` its third form and ``h`` its second form.  For ``d >= 2``
-    that direction is an everywhere-invertible combination of the frame
-    (:func:`isogauss.codim.weingarten_combination`) and ``h`` the same
-    combination of the ``h^a``: the two combine covariantly, so any such
-    combination determines the same U.  ``A`` has full column rank on
-    non-degenerate data, so the solution is ``U = -A k^{-1} h``; columns are
+    ``k = A^T A`` its third form and ``h`` its second form.  That direction
+    is an everywhere-invertible combination of the frame (the unit normal
+    when ``d = 1``; :func:`isogauss.codim.weingarten_combination`) and ``h``
+    the same combination of the ``h^a``: the two combine covariantly, so
+    any such combination determines the same U.  ``A`` has full column rank
+    on non-degenerate data, so the solution is ``U = -A k^{-1} h``; columns are
     re-projected onto the complement of the ``(*grid, n, d)`` normal frame
     to strip the O(dx^2) normal component that discrete differentiation
     leaves in ``A``.
@@ -374,20 +378,21 @@ class MinimalCaseResult:
     conformality: float
 
 
-def check_minimal_m2(metric: MetricField, G: GaussField, s: np.ndarray) -> MinimalCaseResult:
+def check_minimal_m2(metric: MetricField, k: np.ndarray,
+                     s: np.ndarray) -> MinimalCaseResult:
     """Minimal-surface admissibility for m = 2: K + sqrt(det_g k) = 0 and
-    conformality of the Gauss map (unsigned)."""
+    conformality of the Gauss map (unsigned); ``k`` is its third form."""
     chart = metric.chart
     if chart.m != 2:
         raise DomainError("the minimal-surface check applies to m = 2 only")
     K = 0.5 * s
-    det_gk = np.linalg.det(G.k) / np.linalg.det(metric.g)
+    det_gk = np.linalg.det(k) / np.linalg.det(metric.g)
     root = np.sqrt(np.clip(det_gk, 0.0, None))
     inter = chart.interior
     scale1 = 1.0 + float(np.max(np.abs(K[inter]))) + float(np.max(root[inter]))
     gauss_res = float(np.max(np.abs(K + root)[inter])) / scale1
 
-    k_on = to_orthonormal(metric, G.k)
+    k_on = to_orthonormal(metric, k)
     s1 = np.sqrt(np.clip(k_on[..., 0, 0], 0.0, None))
     s2 = np.sqrt(np.clip(k_on[..., 1, 1], 0.0, None))
     sigma = 0.5 * (s1 + s2)
@@ -446,9 +451,11 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
                  options: PipelineOptions | None = None) -> AdmissibilityReport:
     """Execute the full decision algorithm on (g, normals) of any codimension.
 
-    ``normals`` is the ``(*grid, n, d)`` stack of normal spans.  Hypersurface
-    data (``d = 1``) takes the theorem2, theorem3, minimal_m2 or sqrt route;
-    ``d >= 2`` takes the trace-matrix route of :mod:`isogauss.codim`.
+    ``normals`` is the ``(*grid, n, d)`` stack of normal spans; hypersurface
+    data is the one-column case ``d = 1``.  Every codimension shares the
+    normal frame, the invertibility gate, step 1 and steps 3-4.  In step 2
+    hypersurface data takes the theorem2, theorem3, minimal_m2 or sqrt
+    route; ``d >= 2`` takes the trace-matrix route of :mod:`isogauss.codim`.
     """
     options = options or PipelineOptions()
     chart = metric.chart
@@ -464,36 +471,32 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
                                    None, notes + ([note] if note else []), extra)
 
     hypersurface = normals.shape[-1] == 1
-    if hypersurface:
-        G = build_gauss_field(chart, normals[..., 0])
-        deg = degeneracy_report(G, metric, options.rank_rel_tol)
-        extra["dnu_min_singular"] = deg.min_singular
-        extra["dnu_max_singular"] = deg.max_singular
-        if not deg.invertible:
-            return finish(VERDICT_INAPPLICABLE, None, "none",
-                          "dnu is not everywhere invertible; the decision "
-                          "theorems require an invertible Gauss-map "
-                          "differential")
-        frame, k = G.nu[..., None], G.k
-    else:
-        if options.method != "auto":
-            notes.append(f"method {options.method} applies to hypersurface "
-                         f"data only; normal data of codimension "
-                         f"{normals.shape[-1]} takes the codim route")
-        nf = build_normal_frame(chart, normals, options.rank_rel_tol)
-        extra["frame_orthonormality_defect"] = nf.orthonormality_defect
-        extra["frame_min_overlap_det"] = nf.min_overlap_det
-        forms = third_forms(nf)
-        frame, k = nf.frame, forms.k
+    if not hypersurface and options.method != "auto":
+        notes.append(f"method {options.method} applies to hypersurface "
+                     f"data only; normal data of codimension "
+                     f"{normals.shape[-1]} takes the codim route")
+    nf = build_normal_frame(chart, normals, options.rank_rel_tol)
+    extra["frame_orthonormality_defect"] = nf.orthonormality_defect
+    extra["frame_min_overlap_det"] = nf.min_overlap_det
+    forms = third_forms(nf)
+    frame, k = nf.frame, forms.k
+    # U inverts one normal direction w whose third form is invertible
+    wc = weingarten_combination(nf.A, forms.k_ab, metric, options.rank_rel_tol)
+    extra["dnu_min_singular"] = wc.min_singular
+    extra["dnu_max_singular"] = wc.max_singular
+    if not wc.invertible:
+        return finish(VERDICT_INAPPLICABLE, None, "none",
+                      "dnu is not everywhere invertible; the decision "
+                      "theorems require an invertible Gauss-map "
+                      "differential")
 
     pack = riemann_tensor(metric)
     s1 = step1_positivity(pack.s, k, metric, options)
     residuals["step1_positivity"] = s1.residual
     thresholds["step1_positivity"] = tau
-    if hypersurface:
-        q = s1.q[chart.interior]
-        extra["q_min_normalized"] = float(np.min(q)) / s1.q_scale
-        extra["q_max_normalized"] = float(np.max(q)) / s1.q_scale
+    q = s1.q[chart.interior]
+    extra["q_min_normalized"] = float(np.min(q)) / s1.q_scale
+    extra["q_max_normalized"] = float(np.max(q)) / s1.q_scale
     if s1.classification == "rejected":
         return finish(VERDICT_REJECTED, "1", "none",
                       "s + Tr k is negative beyond noise: no immersion exists")
@@ -547,20 +550,20 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
                           "the linear-system route needs m >= 3")
 
         if method == "minimal_m2":
-            mres = check_minimal_m2(metric, G, pack.s)
+            mres = check_minimal_m2(metric, k, pack.s)
             residuals["gauss_condition_m2"] = mres.gauss_condition
             residuals["conformality_m2"] = mres.conformality
             thresholds["gauss_condition_m2"] = tau
             thresholds["conformality_m2"] = tau
-            h = sign * spd_sqrt(G.k, metric)
+            h = sign * spd_sqrt(k, metric)
             notes.append("minimal-surface regime: the candidate is the PSD-root "
                          "representative; the solution is a one-parameter "
                          "family and the representative itself need not be "
                          "parallel")
         elif method == "theorem2":
-            h = h_from_theorem2(pack.Ric, G.k, sign * s1.H)
+            h = h_from_theorem2(pack.Ric, k, sign * s1.H)
         elif method == "theorem3":
-            r3 = h_from_theorem3(pack, G.k, metric, options)
+            r3 = h_from_theorem3(pack, k, metric, options)
             residuals["nullspace_gap"] = interior_max(chart, r3.gap)
             thresholds["nullspace_gap"] = r3.gap_tol
             extra["nullspace_frac_unique"] = r3.frac_unique
@@ -572,15 +575,15 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
             if r3.status == "indeterminate":
                 notes.append("linear-system nullspace not one-dimensional; "
                              "falling back to the PSD root as a diagnostic")
-                h = sign * spd_sqrt(G.k, metric)
+                h = sign * spd_sqrt(k, metric)
                 method = "spd_sqrt"
             else:
                 h = r3.h if sign > 0 else -r3.h
         else:  # explicit sqrt override
-            h = sign * spd_sqrt(G.k, metric)
+            h = sign * spd_sqrt(k, metric)
             method = "spd_sqrt"
         H = np.einsum("...ij,...ij->...", metric.g_inv, h)
-        candidates = [(h[..., None, :, :], check_h_squared(h, G.k, metric),
+        candidates = [(h[..., None, :, :], check_h_squared(h, k, metric),
                        H[..., None])]
 
     # steps 3 and 4; the minimal-surface representative need not be parallel
@@ -588,18 +591,10 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
     thresholds["isometry"] = tau
     if method != "minimal_m2":
         thresholds["parallelity"] = tau
-    # U inverts one normal direction w whose third form is invertible
-    if hypersurface:
-        w, A_w, k_w = np.ones(1), G.A, G.k
-    else:
-        try:
-            w, A_w, k_w = weingarten_combination(nf.A, metric,
-                                                 options.rank_rel_tol)
-        except DomainError as exc:
-            return finish(VERDICT_INAPPLICABLE, None, method, str(exc))
     best = None
     for h_alpha, h_squared, H_alpha in candidates:
-        U = build_U(A_w, k_w, np.einsum("...aij,a->...ij", h_alpha, w), frame)
+        U = build_U(wc.A, wc.k, np.einsum("...aij,a->...ij", h_alpha, wc.w),
+                    frame)
         res, ext = dict(residuals), dict(extra)
         res["h_squared"] = h_squared
         res["isometry"] = check_isometry(U, metric)

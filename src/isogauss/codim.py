@@ -9,18 +9,23 @@ forms from ``h^b = sum_a H^a (Ric + k)^{-1} k^{ab}``, and the final verdict
 from the quadratic product check ``h^a h^b = k^{ab}`` plus isometry and
 parallelity of ``U``.
 
-d = 1 always takes the hypersurface routes; this module serves d >= 2.
+Hypersurface data is the case ``d = 1``: the frame is the unit normal and
+the one third form is that of the Gauss map.  Every ``d`` shares the frame,
+the third forms and the invertibility gate below; only the step-2
+candidates of ``d = 1`` come from the hypersurface routes of
+:mod:`isogauss.admissibility`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .curvature import MetricField, node_norm, raise_index, to_orthonormal
-from .errors import DomainError, InvalidGrassmannDataError
+from .errors import DomainError, InvalidGrassmannDataError, SamplingError
 from .grid import (Chart, align_signs, grad_all, interior_max,
                    staircase_slabs)
 
@@ -69,12 +74,17 @@ def build_normal_frame(chart: Chart, spans: np.ndarray,
                        rank_rel_tol: float = 1e-8) -> NormalFrame:
     """Orthonormalize per-node spanning sets into a continuous frame.
 
-    Per node the spans are Gram-Schmidt-orthonormalized (QR with positive
-    diagonal, which is smooth in smooth full-rank input and invariant under
-    positive column scalings).  A center-out sweep then compares each node
-    with its already-processed neighbor and repairs residual sign or order
-    flips by the maximal-overlap signed permutation, so the frame is
-    continuous across the whole chart.
+    The spans are Gram-Schmidt-orthonormalized column by column, vectorized
+    over the nodes; this is QR with positive diagonal, smooth in smooth
+    full-rank input and invariant under positive column scalings, and for
+    ``d = 1`` it is plain normalization.  The data is rank deficient when
+    the smallest pivot anywhere is at most ``rank_rel_tol`` times the
+    largest.  A center-out sweep over :func:`isogauss.grid.staircase_slabs`
+    then compares each node with its already repaired neighbor one step
+    towards the chart center and repairs a sign or order flip (an overlap
+    far from the identity) by the maximal-overlap signed permutation.  So
+    the frame is continuous across the whole chart: normal data is an
+    unoriented plane.
     """
     spans = np.asarray(spans, dtype=float)
     if spans.ndim != chart.m + 2 or spans.shape[:chart.m] != chart.shape:
@@ -82,18 +92,30 @@ def build_normal_frame(chart: Chart, spans: np.ndarray,
             f"spanning sets have shape {spans.shape}, expected "
             f"{chart.shape} x (n, d)")
     n, d = spans.shape[-2:]
-    if d < 1 or d > n:
-        raise InvalidGrassmannDataError(f"invalid plane dimension {d} in R^{n}")
-    Q, R = np.linalg.qr(spans)
-    # spans = Q R with orthonormal columns in Q: the small R has the same
-    # singular values as the spans
-    sv = np.linalg.svd(R, compute_uv=False)
-    if float(np.min(sv[..., -1])) <= rank_rel_tol * float(np.max(sv)):
+    if d < 1 or n != chart.m + d:
+        raise InvalidGrassmannDataError(
+            f"invalid plane dimension {d} in R^{n} for m = {chart.m}")
+    if not np.all(np.isfinite(spans)):
+        raise SamplingError("normal data contains non-finite values")
+    Q = np.empty_like(spans)
+    pivots = np.empty(chart.shape + (d,))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(d):
+            v = spans[..., a]
+            for b in range(a):
+                q = Q[..., b]
+                v = v - np.sum(q * v, axis=-1)[..., None] * q
+            pivots[..., a] = np.sqrt(np.sum(v * v, axis=-1))
+            Q[..., a] = v / pivots[..., a, None]
+    # a zero pivot leaves NaN, which fails the comparison too
+    if not float(np.min(pivots)) > rank_rel_tol * float(np.max(pivots)):
         raise InvalidGrassmannDataError(
             "spanning sets are rank deficient at some node")
-    diag_sign = np.sign(np.einsum("...aa->...a", R))
-    diag_sign = np.where(diag_sign == 0, 1.0, diag_sign)
-    Q = Q * diag_sign[..., None, :]
+
+    eye = np.eye(d)
+
+    def flipped(D):
+        return np.linalg.norm(D - eye, axis=(-2, -1)) > _FLIP_THRESHOLD
 
     min_det = math.inf
     for slab, prev in staircase_slabs(chart):
@@ -101,22 +123,22 @@ def build_normal_frame(chart: Chart, spans: np.ndarray,
             continue
         Qs, Qp = Q[slab], Q[prev]                              # views
         D = np.swapaxes(Qp, -1, -2) @ Qs
-        flagged = np.linalg.norm(D - np.eye(d), axis=(-2, -1)) > _FLIP_THRESHOLD
-        for k in zip(*np.nonzero(flagged)):
-            G = _signed_permutation_fit(D[k].T)
-            Qs[k] = Qs[k] @ G.T
+        for k in zip(*np.nonzero(flipped(D))):
+            Qs[k] = Qs[k] @ _signed_permutation_fit(D[k].T).T
             D[k] = Qp[k].T @ Qs[k]
-        min_det = min(min_det, float(np.min(np.linalg.det(D))))
+        # a 1 x 1 overlap is its own determinant; LAPACK per node costs more
+        dets = D[..., 0, 0] if d == 1 else np.linalg.det(D)
+        min_det = min(min_det, float(np.min(dets)))
 
     gram = np.einsum("...na,...nb->...ab", Q, Q)
-    defect = float(np.max(node_norm(gram - np.eye(d), 2)))
+    defect = float(np.max(node_norm(gram - eye, 2)))
 
-    dF = grad_all(Q, chart)                                    # (..., n, a, i)
-    A_raw = np.einsum("...nai->...nia", dF)
-    coeff = np.einsum("...nia,...nb->...iab", A_raw, Q)
-    off = coeff * (1.0 - np.eye(d))                            # skip self terms
-    A_tan = A_raw - np.einsum("...iab,...nb->...nia", off, Q)
-    return NormalFrame(chart=chart, frame=Q, A=A_tan,
+    A = np.einsum("...nai->...nia", grad_all(Q, chart))
+    if d > 1:
+        coeff = np.einsum("...nia,...nb->...iab", A, Q)
+        off = coeff * (1.0 - eye)                              # skip self terms
+        A = A - np.einsum("...iab,...nb->...nia", off, Q)
+    return NormalFrame(chart=chart, frame=Q, A=A,
                        orthonormality_defect=defect, min_overlap_det=min_det)
 
 
@@ -137,6 +159,9 @@ def third_forms(frame: NormalFrame) -> CodimForms:
     k_ab = np.einsum("...nia,...njb->...abij", frame.A, frame.A)
     k = np.einsum("...aaij->...ij", k_ab)
     k = 0.5 * (k + np.swapaxes(k, -1, -2))
+    if frame.d == 1:
+        # the one block is k: hold the per-node forms once
+        k_ab = k[..., None, None, :, :]
     return CodimForms(chart=frame.chart, k_ab=k_ab, k=k)
 
 
@@ -343,39 +368,59 @@ def second_forms(H: np.ndarray, B: np.ndarray, k_ab_op: np.ndarray,
 # the bundle map U
 
 
-def _combination_candidates(d: int) -> list[np.ndarray]:
-    cands = [np.eye(d)[a] for a in range(d)]
-    cands.append(np.ones(d) / math.sqrt(d))
+class WeingartenCombination(NamedTuple):
+    """One normal direction ``sum_a w_a nu^a`` with its differential."""
+
+    w: np.ndarray          # (d,)
+    A: np.ndarray          # (*grid, n, m), sum_a w_a A^a
+    k: np.ndarray          # (*grid, m, m), its third form
+    min_singular: float    # extreme singular values of A, domain in g
+    max_singular: float
+    invertible: bool
+
+
+def _combinations(A: np.ndarray, k_ab: np.ndarray):
+    """``(w, A_w, k_w)`` per candidate: each frame direction (as views), and
+    for ``d >= 2`` fixed linear combinations of the frame."""
+    d = A.shape[-1]
+    for a in range(d):
+        yield np.eye(d)[a], A[..., a], k_ab[..., a, a, :, :]
+    if d == 1:
+        return
     rng = np.random.default_rng(0)
-    for _ in range(3):
-        w = rng.standard_normal(d)
-        cands.append(w / np.linalg.norm(w))
-    return cands
+    mixes = [np.ones(d)] + [rng.standard_normal(d) for _ in range(3)]
+    for w in mixes:
+        w = w / np.linalg.norm(w)
+        yield (w, np.einsum("...nia,a->...ni", A, w),
+               np.einsum("...abij,a,b->...ij", k_ab, w, w))
 
 
-def weingarten_combination(A: np.ndarray, metric: MetricField,
-                           rank_rel_tol: float = 1e-8):
-    """Frame combination ``w`` whose differential ``A_w = sum_a w_a A^a``
-    has an everywhere-invertible third form ``k_w = A_w^T A_w``; returns
-    ``(w, A_w, k_w)`` for the best conditioned of the candidates.
+def weingarten_combination(A: np.ndarray, k_ab: np.ndarray,
+                           metric: MetricField,
+                           rank_rel_tol: float = 1e-8) -> WeingartenCombination:
+    """The best-conditioned frame combination ``w``, and whether its
+    differential ``A_w = sum_a w_a A^a`` is everywhere invertible.
 
-    Individual frame directions are tried first; when none is invertible
-    everywhere (products of curves), fixed linear combinations of the frame
-    are tried.
+    ``A`` and ``k_ab`` are a :class:`NormalFrame`'s differentials and their
+    mixed third forms; ``k_w = sum_ab w_a w_b k^{ab}``.  Every candidate of
+    :func:`_combinations` is scored by the ratio of the smallest to the
+    largest singular value of ``A_w`` over the chart, with the domain
+    measured in g (the square roots of the extreme eigenvalues of ``k_w`` in
+    g-orthonormal frames), and the best one is kept.  It is invertible when
+    that ratio exceeds ``rank_rel_tol``: for ``d = 1`` this is the Gauss map
+    having an invertible differential.
     """
     best = None
-    for w in _combination_candidates(A.shape[-1]):
-        A_w = np.einsum("...nia,a->...ni", A, w)
-        k_w = np.einsum("...ni,...nj->...ij", A_w, A_w)
+    for w, A_w, k_w in _combinations(A, k_ab):
         eigs = np.linalg.eigvalsh(to_orthonormal(metric, k_w))
-        score = float(np.min(eigs)) / max(float(np.max(eigs)), 1e-300)
+        max_sv = math.sqrt(max(float(np.max(eigs)), 0.0))
+        min_sv = math.sqrt(max(float(np.min(eigs)), 0.0))
+        score = min_sv / max(max_sv, 1e-300)
         if best is None or score > best[0]:
-            best = (score, w, A_w, k_w)
-    score, w, A_w, k_w = best
-    if score <= rank_rel_tol ** 2:
-        raise DomainError("no everywhere-invertible combination of the "
-                          "Weingarten operators exists; cannot build U")
-    return w, A_w, k_w
+            best = (score, WeingartenCombination(
+                w, A_w, k_w, min_sv, max_sv,
+                min_sv > rank_rel_tol * max_sv and max_sv > 0.0))
+    return best[1]
 
 
 def frame_consistency(A: np.ndarray, U: np.ndarray, h_alpha: np.ndarray,

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetFormatError
+from .errors import (ConfigurationError, DatasetFormatError,
+                     InvalidGaussMapError)
 from .grid import Chart, build_chart
 
 FORMAT_VERSION = 1
@@ -288,10 +289,23 @@ def dataset_metric(ds: Dataset) -> np.ndarray:
 
 
 def dataset_normals(ds: Dataset) -> np.ndarray:
-    """Normal data as an (*grid, n, d) stack regardless of codimension."""
+    """Normal data as an (*grid, n, d) stack regardless of codimension.
+
+    Codimension-1 data holds unit normals, in a ``nu`` or a ``frame`` block:
+    rows off unit length by ``1e-6`` or more are an error, smaller
+    deviations (text rounding) are left to the normal frame to renormalize.
+    """
     if "frame" in ds.blocks:
-        return unpack_frame(ds.blocks["frame"], ds.n, ds.codim)
-    return ds.blocks["nu"][..., None]
+        normals = unpack_frame(ds.blocks["frame"], ds.n, ds.codim)
+    else:
+        normals = ds.blocks["nu"][..., None]
+    if ds.codim == 1:
+        nu = normals[..., 0]
+        dev = float(np.max(np.abs(np.sqrt(np.sum(nu * nu, axis=-1)) - 1.0)))
+        if dev >= 1e-6:
+            raise InvalidGaussMapError(
+                f"gauss map is not unit length: max deviation {dev:.3e}")
+    return normals
 
 
 def oracle_h_alpha(ds: Dataset) -> np.ndarray:

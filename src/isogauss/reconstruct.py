@@ -12,7 +12,6 @@ import numpy as np
 from .admissibility import AdmissibilityReport, PipelineOptions, run_pipeline
 from .curvature import MetricField, metric_field, node_norm
 from .errors import NonIntegrableError
-from .gaussmap import GaussField
 from .grid import Chart, grad_all, interior_max
 from .surfaces import (OracleData, Surface, generate,
                        smooth_rotation_of_gauss_map)
@@ -105,14 +104,6 @@ def verify_immersion(imm: Immersion, metric: MetricField,
     res_n = np.max(np.abs(tang), axis=(-2, -1)) / (1.0 + node_norm(du, 2))
     # u integrates a derived field: strip its boundary-layer error margin
     return interior_max(chart, res_g, margin=4), interior_max(chart, res_n, margin=4)
-
-
-def second_form_from_immersion(imm: Immersion, G: GaussField, chart: Chart) -> np.ndarray:
-    """Recompute h from the reconstructed u via ``h_ij = <d_j u_i, nu>``."""
-    du = grad_all(imm.u, chart)
-    ddu = grad_all(du, chart)                                 # (..., n, i, j)
-    h = np.einsum("...nij,...n->...ij", ddu, G.nu)
-    return 0.5 * (h + np.swapaxes(h, -1, -2))
 
 
 def compare_up_to_translation(a: np.ndarray, b: np.ndarray) -> float:

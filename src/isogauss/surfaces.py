@@ -234,9 +234,16 @@ class AssociatedFamily(Surface):
     the first fundamental form and the Gauss map of the catenoid.
     """
 
-    name = "associated-family"
     scale: float = 1.0
     theta: float = 0.0
+
+    @property
+    def name(self):
+        if self.theta == 0.0:
+            return "catenoid"
+        if self.theta == math.pi / 2:
+            return "helicoid"
+        return "associated-family"
 
     @property
     def m(self): return 2

@@ -3,8 +3,8 @@ import dataclasses
 import pytest
 
 from isogauss import reconstruct
+from isogauss.codim import build_normal_frame, third_forms
 from isogauss.curvature import metric_field, riemann_tensor
-from isogauss.gaussmap import build_gauss_field
 from isogauss.surfaces import (CliffordTorus, Ellipsoid, EllipsoidM3, Graph,
                                RoundSphere, generate)
 
@@ -18,7 +18,8 @@ class Problem:
         self.data = generate(surface, self.chart)
         self.metric = metric_field(self.chart, self.data.g)
         self._pack = None
-        self._gauss = None
+        self._frame = None
+        self._forms = None
 
     @property
     def pack(self):
@@ -27,10 +28,16 @@ class Problem:
         return self._pack
 
     @property
-    def gauss(self):
-        if self._gauss is None:
-            self._gauss = build_gauss_field(self.chart, self.data.frame[..., 0])
-        return self._gauss
+    def frame(self):
+        if self._frame is None:
+            self._frame = build_normal_frame(self.chart, self.data.frame)
+        return self._frame
+
+    @property
+    def forms(self):
+        if self._forms is None:
+            self._forms = third_forms(self.frame)
+        return self._forms
 
     @property
     def dx2(self):

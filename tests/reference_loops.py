@@ -4,7 +4,8 @@ These are the straightforward loops that ``grid.align_signs``,
 ``codim.build_normal_frame``, ``codim._resolve_full_fixed_space`` and the
 text I/O (``datafiles.read_dataset``, ``datafiles.write_dataset``,
 ``cli._write_plot_data``) vectorize; the equivalence tests compare the
-package against them.
+package against them.  ``gauss_map_differential`` is the hypersurface
+formula that the one-column normal frame reproduces.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from isogauss.codim import (_FLIP_THRESHOLD, _center_sign, _golden_min,
 from isogauss.datafiles import (_BLOCK_ORDER, FORMAT_VERSION, KINDS, Dataset,
                                 _validate_blocks)
 from isogauss.errors import DatasetFormatError
-from isogauss.grid import build_chart
+from isogauss.grid import build_chart, grad_all
 
 
 def staircase_orders(chart):
@@ -58,11 +59,16 @@ def align_signs(chart, vectors):
 
 
 def normal_frame(chart, spans):
-    """QR frame repaired node by node; returns ``(frame, min_overlap_det)``."""
+    """Gram-Schmidt frame repaired node by node; returns
+    ``(frame, min_overlap_det)``."""
     d = spans.shape[-1]
-    Q, R = np.linalg.qr(np.asarray(spans, dtype=float))
-    diag_sign = np.sign(np.einsum("...aa->...a", R))
-    Q = Q * np.where(diag_sign == 0, 1.0, diag_sign)[..., None, :]
+    Q = np.empty_like(spans, dtype=float)
+    for idx in np.ndindex(*chart.shape):
+        for a in range(d):
+            v = spans[idx][:, a]
+            for b in range(a):
+                v = v - np.sum(Q[idx][:, b] * v) * Q[idx][:, b]
+            Q[idx][:, a] = v / np.sqrt(np.sum(v * v))
     min_det = math.inf
     for idx, prev in staircase_orders(chart):
         if prev is None:
@@ -74,6 +80,14 @@ def normal_frame(chart, spans):
             D = Q[prev].T @ Q[idx]
         min_det = min(min_det, float(np.linalg.det(D)))
     return Q, min_det
+
+
+def gauss_map_differential(chart, nu):
+    """``A = d nu`` and ``k = A^T A`` of the normalized field ``nu``,
+    straight from the differences: what the one-column frame reduces to."""
+    A = grad_all(nu / np.sqrt(np.sum(nu * nu, axis=-1))[..., None], chart)
+    k = np.einsum("...ni,...nj->...ij", A, A)
+    return A, 0.5 * (k + np.swapaxes(k, -1, -2))
 
 
 def resolve_full_fixed_space(chart, length, B, k_ab_op, sign_branch):

@@ -16,9 +16,9 @@ from isogauss.admissibility import (RESIDUAL_KEYS, PipelineOptions,
                                     h_from_theorem3, run_pipeline,
                                     step1_positivity)
 from isogauss.cli import main as cli_main
-from isogauss.codim import CodimForms, mean_curvature_vector
+from isogauss.codim import (CodimForms, build_normal_frame,
+                            mean_curvature_vector, third_forms)
 from isogauss.curvature import metric_field, node_norm, riemann_tensor
-from isogauss.gaussmap import build_gauss_field
 from isogauss.grid import interior_max
 from isogauss.reconstruct import (compare_up_to_translation, integrate,
                                    observed_order, roundtrip, roundtrip_level)
@@ -129,8 +129,8 @@ def test_criterion_03_linear_system_uniqueness():
     assert frac >= 0.99
     assert exact.status == "ok"
 
-    fd = h_from_theorem3(pack, build_gauss_field(chart, data.frame[..., 0]).k,
-                         metric, PipelineOptions())
+    k = third_forms(build_normal_frame(chart, data.frame)).k
+    fd = h_from_theorem3(pack, k, metric, PipelineOptions())
     assert fd.status == "ok"
     scale = float(np.max(node_norm(data.h, 2)))
     rel = interior_max(chart, node_norm(fd.h - data.h, 2)) / scale

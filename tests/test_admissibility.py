@@ -11,11 +11,11 @@ from isogauss.admissibility import (PipelineOptions, build_U, check_h_squared,
                                     check_parallel, codazzi_residual,
                                     h_from_theorem2, h_from_theorem3,
                                     run_pipeline, spd_sqrt, step1_positivity)
+from isogauss.codim import build_normal_frame, third_forms
 from isogauss.curvature import (metric_field, node_norm, raise_index,
                                 riemann_tensor)
 from isogauss.errors import (BranchError, DomainError,
-                             NotPositiveSemidefiniteError)
-from isogauss.gaussmap import build_gauss_field
+                             NotPositiveSemidefiniteError, SamplingError)
 from isogauss.grid import build_chart, interior_max
 from isogauss.surfaces import (CATALOG, Catenoid, Ellipsoid, Helicoid,
                                generate, smooth_rotation_of_gauss_map)
@@ -31,21 +31,25 @@ def saddle_metric(x):
     return g
 
 
+def third_form(chart, normals):
+    return third_forms(build_normal_frame(chart, normals)).k
+
+
 def saddle_problem(nu_slope, n=33):
     """The saddle metric paired with a fabricated nondegenerate Gauss map
-    whose third-form trace is tunable."""
+    whose third-form trace is tunable; returns ``(chart, metric, normals)``."""
     chart = build_chart(2, (n, n), (1.0 / (n - 1),) * 2, (-0.5, -0.5))
     x = chart.mesh()
     raw = np.stack([nu_slope * x[..., 0], nu_slope * x[..., 1],
                     np.ones(chart.shape)], axis=-1)
     nu = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
     metric = metric_field(chart, saddle_metric(x))
-    return chart, metric, build_gauss_field(chart, nu)
+    return chart, metric, nu[..., None]
 
 
 class TestStep1:
     def test_unit_sphere_gives_H_equals_m(self, sphere):
-        res = step1_positivity(sphere.pack.s, sphere.gauss.k, sphere.metric)
+        res = step1_positivity(sphere.pack.s, sphere.forms.k, sphere.metric)
         assert res.classification == "positive"
         # q = s + Tr k = m(m-1) + m = m^2, H = m
         assert interior_max(sphere.chart, np.abs(res.q - 4.0)) < 100 * sphere.dx2
@@ -55,41 +59,43 @@ class TestStep1:
         surf = Catenoid()
         data = generate(surf, surf.default_chart(33))
         metric = metric_field(data.chart, data.g)
-        G = build_gauss_field(data.chart, data.frame[..., 0])
-        res = step1_positivity(riemann_tensor(metric).s, G.k, metric)
+        res = step1_positivity(riemann_tensor(metric).s,
+                               third_form(data.chart, data.frame), metric)
         assert res.classification == "minimal"
 
     def test_ellipsoid_H_matches_oracle(self, ellipsoid):
-        res = step1_positivity(ellipsoid.pack.s, ellipsoid.gauss.k, ellipsoid.metric)
+        res = step1_positivity(ellipsoid.pack.s, ellipsoid.forms.k, ellipsoid.metric)
         assert res.classification == "positive"
         err = interior_max(ellipsoid.chart, np.abs(res.H - ellipsoid.data.H))
         assert err < 50 * ellipsoid.dx2
 
     def test_negative_q_rejected(self):
-        _, metric, G = saddle_problem(nu_slope=0.05)
-        res = step1_positivity(riemann_tensor(metric).s, G.k, metric)
+        chart, metric, normals = saddle_problem(nu_slope=0.05)
+        res = step1_positivity(riemann_tensor(metric).s,
+                               third_form(chart, normals), metric)
         assert res.classification == "rejected"
         assert res.residual > res.threshold
 
     def test_sign_change_classified_mixed(self):
         # q vanishes on part of the chart and is clearly positive elsewhere
-        _, metric, G = saddle_problem(nu_slope=2.0, n=65)
-        res = step1_positivity(riemann_tensor(metric).s, G.k, metric)
+        chart, metric, normals = saddle_problem(nu_slope=2.0, n=65)
+        res = step1_positivity(riemann_tensor(metric).s,
+                               third_form(chart, normals), metric)
         assert res.classification == "mixed"
 
 
 class TestTheorem2:
     def test_unit_sphere_h_equals_g(self, sphere):
-        res = step1_positivity(sphere.pack.s, sphere.gauss.k, sphere.metric)
-        h = h_from_theorem2(sphere.pack.Ric, sphere.gauss.k, res.H)
+        res = step1_positivity(sphere.pack.s, sphere.forms.k, sphere.metric)
+        h = h_from_theorem2(sphere.pack.Ric, sphere.forms.k, res.H)
         err = interior_max(sphere.chart, node_norm(h - sphere.data.g, 2))
         assert err < 50 * sphere.dx2
 
     @pytest.mark.parametrize("fixture", ["ellipsoid", "graph_surface"])
     def test_h_matches_oracle(self, fixture, request):
         p = request.getfixturevalue(fixture)
-        res = step1_positivity(p.pack.s, p.gauss.k, p.metric)
-        h = h_from_theorem2(p.pack.Ric, p.gauss.k, res.H)
+        res = step1_positivity(p.pack.s, p.forms.k, p.metric)
+        h = h_from_theorem2(p.pack.Ric, p.forms.k, res.H)
         scale = 1.0 + float(np.max(node_norm(p.data.h, 2)))
         err = interior_max(p.chart, node_norm(h - p.data.h, 2)) / scale
         assert err < 50 * p.dx2
@@ -106,7 +112,7 @@ class TestTheorem2:
 class TestTheorem3:
     def test_m3_ellipsoid_unique_and_accurate(self, ellipsoid_m3):
         p = ellipsoid_m3
-        res = h_from_theorem3(p.pack, p.gauss.k, p.metric, PipelineOptions())
+        res = h_from_theorem3(p.pack, p.forms.k, p.metric, PipelineOptions())
         assert res.status == "ok"
         assert res.frac_unique >= 0.99
         scale = float(np.max(node_norm(p.data.h, 2)))
@@ -149,15 +155,15 @@ class TestTheorem3:
 
     def test_m2_rejected(self, sphere):
         with pytest.raises(DomainError):
-            h_from_theorem3(sphere.pack, sphere.gauss.k, sphere.metric,
+            h_from_theorem3(sphere.pack, sphere.forms.k, sphere.metric,
                             PipelineOptions())
 
     def test_consistency_with_theorem2(self, ellipsoid_m3):
         # positive-trace data: both routes must produce the same h up to sign
         p = ellipsoid_m3
-        s1 = step1_positivity(p.pack.s, p.gauss.k, p.metric)
-        h2 = h_from_theorem2(p.pack.Ric, p.gauss.k, s1.H)
-        h3 = h_from_theorem3(p.pack, p.gauss.k, p.metric, PipelineOptions()).h
+        s1 = step1_positivity(p.pack.s, p.forms.k, p.metric)
+        h2 = h_from_theorem2(p.pack.Ric, p.forms.k, s1.H)
+        h3 = h_from_theorem3(p.pack, p.forms.k, p.metric, PipelineOptions()).h
         scale = float(np.max(node_norm(h2, 2)))
         diff = min(interior_max(p.chart, node_norm(h3 - h2, 2)),
                    interior_max(p.chart, node_norm(h3 + h2, 2)))
@@ -191,8 +197,8 @@ class TestSpdSqrt:
 
     def test_metric_aware_root_solves_operator_equation(self, ellipsoid):
         # h g^{-1} h = k with g^{-1} h PSD: root of the operator equation
-        h = spd_sqrt(ellipsoid.gauss.k, ellipsoid.metric)
-        res = check_h_squared(h, ellipsoid.gauss.k, ellipsoid.metric)
+        h = spd_sqrt(ellipsoid.forms.k, ellipsoid.metric)
+        res = check_h_squared(h, ellipsoid.forms.k, ellipsoid.metric)
         assert res < 1e-10
         hop = raise_index(ellipsoid.metric, h)
         assert float(np.min(np.linalg.eigvals(hop).real)) > -1e-10
@@ -200,32 +206,34 @@ class TestSpdSqrt:
 
 class TestChecks:
     def test_h_squared_on_sphere_h_equals_g(self, sphere):
-        res = check_h_squared(sphere.data.g, sphere.gauss.k, sphere.metric)
+        res = check_h_squared(sphere.data.g, sphere.forms.k, sphere.metric)
         assert res < 50 * sphere.dx2
 
     def test_h_squared_theorem2_ellipsoid(self, ellipsoid):
-        s1 = step1_positivity(ellipsoid.pack.s, ellipsoid.gauss.k, ellipsoid.metric)
-        h = h_from_theorem2(ellipsoid.pack.Ric, ellipsoid.gauss.k, s1.H)
-        assert check_h_squared(h, ellipsoid.gauss.k, ellipsoid.metric) < \
+        s1 = step1_positivity(ellipsoid.pack.s, ellipsoid.forms.k, ellipsoid.metric)
+        h = h_from_theorem2(ellipsoid.pack.Ric, ellipsoid.forms.k, s1.H)
+        assert check_h_squared(h, ellipsoid.forms.k, ellipsoid.metric) < \
             50 * ellipsoid.dx2
 
     def test_build_U_on_unit_sphere_is_minus_A(self, sphere):
         # with h = g and k = g the solve gives U = -A, the antipodal branch
-        G = sphere.gauss
-        U = build_U(G.A, G.k, sphere.data.g, G.nu[..., None])
-        err = interior_max(sphere.chart, node_norm(U + sphere.gauss.A, 2))
+        A = sphere.frame.A[..., 0]
+        U = build_U(A, sphere.forms.k, sphere.data.g, sphere.frame.frame)
+        err = interior_max(sphere.chart, node_norm(U + A, 2))
         assert err < 50 * sphere.dx2
         assert check_isometry(U, sphere.metric) < 50 * sphere.dx2
 
     def test_build_U_matches_oracle_differential(self, ellipsoid):
-        G = ellipsoid.gauss
-        U = build_U(G.A, G.k, ellipsoid.data.h, G.nu[..., None])
+        frame = ellipsoid.frame
+        U = build_U(frame.A[..., 0], ellipsoid.forms.k, ellipsoid.data.h,
+                    frame.frame)
         err = interior_max(ellipsoid.chart, node_norm(U - ellipsoid.data.du, 2))
         assert err < 50 * ellipsoid.dx2
 
     def test_zero_h_fails_isometry(self, ellipsoid):
-        G = ellipsoid.gauss
-        U = build_U(G.A, G.k, np.zeros_like(ellipsoid.data.h), G.nu[..., None])
+        frame = ellipsoid.frame
+        U = build_U(frame.A[..., 0], ellipsoid.forms.k,
+                    np.zeros_like(ellipsoid.data.h), frame.frame)
         assert np.max(np.abs(U)) < 1e-12
         expect = interior_max(
             ellipsoid.chart,
@@ -238,7 +246,7 @@ class TestChecks:
 
     def test_parallel_on_oracle_data(self, ellipsoid):
         res = check_parallel(ellipsoid.data.du, ellipsoid.pack.Gamma,
-                             ellipsoid.gauss.nu[..., None], ellipsoid.chart)
+                             ellipsoid.frame.frame, ellipsoid.chart)
         assert res < 50 * ellipsoid.dx2
 
     def test_parallel_fails_for_rotated_gauss_map(self):
@@ -262,15 +270,15 @@ class TestMinimalCase:
     def test_minimal_pair_passes(self, surf):
         data = generate(surf, surf.default_chart(49))
         metric = metric_field(data.chart, data.g)
-        G = build_gauss_field(data.chart, data.frame[..., 0])
-        res = check_minimal_m2(metric, G, riemann_tensor(metric).s)
+        res = check_minimal_m2(metric, third_form(data.chart, data.frame),
+                               riemann_tensor(metric).s)
         tol = 50 * data.chart.max_spacing ** 2
         assert res.gauss_condition < tol
         assert res.conformality < tol
 
     def test_m3_rejected(self, ellipsoid_m3):
         with pytest.raises(DomainError):
-            check_minimal_m2(ellipsoid_m3.metric, ellipsoid_m3.gauss,
+            check_minimal_m2(ellipsoid_m3.metric, ellipsoid_m3.forms.k,
                              ellipsoid_m3.pack.s)
 
     def test_sphere_routed_to_theorem2_not_minimal(self, sphere):
@@ -344,14 +352,14 @@ class TestPipeline:
             assert report.verdict == "inapplicable"
 
     def test_negative_q_rejected_at_step_1(self):
-        _, metric, G = saddle_problem(nu_slope=0.05)
-        report = run_pipeline(metric, G.nu[..., None])
+        _, metric, normals = saddle_problem(nu_slope=0.05)
+        report = run_pipeline(metric, normals)
         assert report.verdict == "rejected"
         assert report.failed_step == "1"
 
     def test_mixed_q_inapplicable(self):
-        _, metric, G = saddle_problem(nu_slope=2.0, n=65)
-        report = run_pipeline(metric, G.nu[..., None])
+        _, metric, normals = saddle_problem(nu_slope=2.0, n=65)
+        report = run_pipeline(metric, normals)
         assert report.verdict == "inapplicable"
 
     def test_sign_branch_flip_is_exact(self, ellipsoid):
@@ -422,6 +430,15 @@ CATALOG_ROUTES = {
 FIXED_SPACE_DIM = {"clifford-torus": 2.0, "graph-r4": 1.0}
 
 
+def in_r4(normals):
+    """Hypersurface normals of R^3 as normal planes of R^3 x R: the unit
+    normal plus the constant fourth axis."""
+    spans = np.zeros(normals.shape[:-2] + (4, 2))
+    spans[..., :3, 0] = normals[..., 0]
+    spans[..., 3, 1] = 1.0
+    return spans
+
+
 def plane_field_problem(g_of_x, n=17):
     """A metric on a square chart paired with one constant normal plane in
     R^4: the third forms vanish, so q = s + Tr k is the scalar curvature."""
@@ -460,9 +477,9 @@ class TestRouting:
                                 "the codim route"] + auto.notes
 
     def test_codim2_negative_q_takes_the_shared_step1_report(self):
-        # negatively curved metric, flat normal planes: q = s < 0
-        metric, spans = plane_field_problem(saddle_metric)
-        report = run_pipeline(metric, spans)
+        # negatively curved metric, a slowly turning normal plane: q < 0
+        _, metric, normals = saddle_problem(nu_slope=0.05)
+        report = run_pipeline(metric, in_r4(normals))
         assert (report.verdict, report.failed_step, report.method) == \
             ("rejected", "1", "none")
         assert report.notes == ["s + Tr k is negative beyond noise: no "
@@ -473,12 +490,96 @@ class TestRouting:
         assert "frame_orthonormality_defect" in report.extra
 
     def test_codim2_vanishing_q_is_inapplicable(self):
-        metric, spans = plane_field_problem(
-            lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy())
-        report = run_pipeline(metric, spans)
+        # the catenoid in a hyperplane of R^4: minimal, so |H| = 0
+        surf = Catenoid()
+        data = generate(surf, surf.default_chart(17))
+        report = run_pipeline(metric_field(data.chart, data.g),
+                              in_r4(data.frame))
         assert (report.verdict, report.failed_step, report.method) == \
             ("inapplicable", None, "none")
         assert report.notes == ["|H| = sqrt(s + Tr k) vanishes; the "
                                 "trace-matrix recovery needs |H| != 0"]
         assert math.isnan(report.residuals["nullspace_gap"])
         assert "fixed_space_dim" not in report.extra
+
+    def test_codim2_singular_dnu_fails_the_gate_before_step_1(self):
+        # constant normal planes: every combination of dnu vanishes
+        metric, spans = plane_field_problem(saddle_metric)
+        report = run_pipeline(metric, spans)
+        assert (report.verdict, report.failed_step, report.method) == \
+            ("inapplicable", None, "none")
+        assert report.notes == ["dnu is not everywhere invertible; the "
+                                "decision theorems require an invertible "
+                                "Gauss-map differential"]
+        assert report.extra["dnu_min_singular"] == \
+            report.extra["dnu_max_singular"] == 0.0
+        assert math.isnan(report.residuals["step1_positivity"])
+        assert "q_min_normalized" not in report.extra
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_non_finite_normal_data_is_a_sampling_error(self, d):
+        surf = CATALOG["ellipsoid" if d == 1 else "clifford-torus"]()
+        data = generate(surf, surf.default_chart(17))
+        normals = data.frame.copy()
+        normals[3, 5, 0, -1] = np.nan
+        with pytest.raises(SamplingError, match="non-finite"):
+            run_pipeline(metric_field(data.chart, data.g), normals)
+
+
+class TestUnorientedNormals:
+    """Normal data is an unoriented plane for every d: the frame continues
+    the orientation from the chart center, so flipped normals change
+    nothing."""
+
+    @pytest.fixture(scope="class")
+    def ellipsoid33(self):
+        surf = Ellipsoid()
+        data = generate(surf, surf.default_chart(33))
+        return metric_field(data.chart, data.g), data.frame
+
+    def test_one_flipped_node_is_repaired(self, ellipsoid33):
+        metric, normals = ellipsoid33
+        flipped = normals.copy()
+        flipped[20, 11] *= -1.0
+        base = run_pipeline(metric, normals)
+        report = run_pipeline(metric, flipped)
+        assert report.admissible and base.admissible
+        assert report.residuals == base.residuals
+        assert np.array_equal(report.candidate.U, base.candidate.U)
+
+    def test_global_flip_is_admissible(self, ellipsoid33):
+        metric, normals = ellipsoid33
+        report = run_pipeline(metric, -normals)
+        assert report.admissible
+        assert report.residuals == run_pipeline(metric, normals).residuals
+
+
+def rotated(normals, seed):
+    """The normal data of the same submanifold rotated by a seeded
+    orthogonal Q of the ambient space."""
+    n = normals.shape[-2]
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return np.einsum("pn,...na->...pa", Q, normals)
+
+
+ROTATION_CASES = ([(name, "auto") for name in sorted(CATALOG)]
+                  + [("ellipsoid-m3", "theorem3"),
+                     ("hypersphere-m3", "theorem3")])
+
+
+class TestAmbientRotation:
+    @pytest.mark.parametrize("name, method", ROTATION_CASES)
+    def test_rotation_changes_no_verdict_and_no_residual(self, name, method):
+        surf = CATALOG[name]()
+        data = generate(surf, surf.default_chart(13 if surf.m == 3 else 33))
+        metric = metric_field(data.chart, data.g)
+        options = PipelineOptions(method=method)
+        base = run_pipeline(metric, data.frame, options)
+        for seed in range(3):
+            report = run_pipeline(metric, rotated(data.frame, seed), options)
+            assert (report.verdict, report.method, report.failed_step) == \
+                (base.verdict, base.method, base.failed_step)
+            for key, threshold in base.thresholds.items():
+                if not math.isnan(threshold):
+                    assert abs(report.residuals[key] - base.residuals[key]) \
+                        <= 1e-8 * threshold, (seed, key)

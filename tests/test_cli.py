@@ -36,6 +36,13 @@ class TestForward:
                        "--out", str(tmp_path / "x"))
         assert code == 2
 
+    def test_default_prefix_is_the_surface_name(self, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("forward", "--surface", "helicoid", "--grid", "9x9") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "helicoid_9x9.dataset.txt", "helicoid_9x9.oracle.txt"]
+
     def test_codim_forward(self, tmp_path):
         out = tmp_path / "torus"
         assert run_cli("forward", "--surface", "clifford-torus", "--r1", "1",
@@ -75,6 +82,18 @@ class TestCheck:
         bad = tmp_path / "bad.txt"
         bad.write_text("not a dataset\n")
         assert run_cli("check", str(bad)) == 2
+
+    def test_non_unit_frame_block_exit_2(self, ellipsoid_files, tmp_path,
+                                         capsys):
+        # d = 1 normals are unit length in a one-column frame block too
+        ds = datafiles.read_dataset(str(ellipsoid_files) + ".dataset.txt")
+        frame = datafiles.pack_frame(2.0 * datafiles.dataset_normals(ds))
+        bad = tmp_path / "bad.dataset.txt"
+        datafiles.write_dataset(bad, datafiles.Dataset(
+            kind=ds.kind, chart=ds.chart, n=ds.n,
+            blocks={"g": ds.blocks["g"], "frame": frame}))
+        assert run_cli("check", str(bad)) == 2
+        assert "not unit length" in capsys.readouterr().err
 
     def test_clifford_exit_0(self, tmp_path, capsys):
         out = tmp_path / "torus"
@@ -192,6 +211,18 @@ class TestRoundtrip:
         assert [r[0] for r in rows] == ["9x9x9", "17x17x17"]
         assert [r[4] for r in rows] == ["nan", "nan"]
         assert [len(r) for r in rows] == [6, 6]          # and no order
+
+    @pytest.mark.filterwarnings("ignore:.*not integrable")
+    @pytest.mark.parametrize("surface, theta, name", [
+        ("catenoid", None, "catenoid"), ("helicoid", None, "helicoid"),
+        ("associated-family", "0.3", "associated-family")])
+    def test_family_members_print_their_own_name(self, surface, theta, name,
+                                                 capsys):
+        extra = ["--theta", theta] if theta else []
+        code = run_cli("roundtrip", "--surface", surface, "--grid", "17x17",
+                       *extra)
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"surface: {name}"
 
     @pytest.mark.parametrize("command", ["forward", "roundtrip"])
     def test_perturb_nu_is_refused_for_codim_2(self, command, tmp_path, capsys):

@@ -8,7 +8,8 @@ from isogauss.codim import (_resolve_full_fixed_space, _rho_and_B,
                             build_normal_frame, frame_consistency,
                             mean_curvature_vector, second_forms, third_forms,
                             weingarten_combination)
-from isogauss.curvature import metric_field, node_norm, riemann_tensor
+from isogauss.curvature import (metric_field, node_norm, riemann_tensor,
+                                to_orthonormal)
 from isogauss.errors import InvalidGrassmannDataError
 from isogauss.grid import build_chart, interior_max
 from isogauss.reconstruct import (box_error, immerse, integrate,
@@ -27,8 +28,8 @@ def mean_curvature(forms, problem):
 
 def frame_U(frame, h_alpha, metric):
     """``build_U`` through the best-conditioned Weingarten combination."""
-    w, A_w, k_w = weingarten_combination(frame.A, metric)
-    return build_U(A_w, k_w, np.einsum("...aij,a->...ij", h_alpha, w),
+    wc = weingarten_combination(frame.A, third_forms(frame).k_ab, metric)
+    return build_U(wc.A, wc.k, np.einsum("...aij,a->...ij", h_alpha, wc.w),
                    frame.frame)
 
 
@@ -103,8 +104,10 @@ class TestThirdForms:
     def test_codim1_reduction_matches_gauss_data(self, ellipsoid):
         frame = build_normal_frame(ellipsoid.chart, ellipsoid.data.frame)
         forms = third_forms(frame)
-        assert np.max(np.abs(forms.k - ellipsoid.gauss.k)) < 1e-10
-        assert np.max(np.abs(forms.k_ab[..., 0, 0, :, :] - ellipsoid.gauss.k)) < 1e-10
+        _, k = reference_loops.gauss_map_differential(
+            ellipsoid.chart, ellipsoid.data.frame[..., 0])
+        assert np.array_equal(forms.k, k)
+        assert np.array_equal(forms.k_ab[..., 0, 0, :, :], k)
 
     def test_clifford_matches_oracle(self, clifford_problem):
         clifford, _, forms = clifford_problem
@@ -168,8 +171,8 @@ class TestSecondForms:
         mc = mean_curvature(forms, ellipsoid)
         h_alpha, res = second_forms(mc.candidates[0], mc.B, mc.k_ab_op,
                                     ellipsoid.metric)
-        s1 = step1_positivity(ellipsoid.pack.s, ellipsoid.gauss.k, ellipsoid.metric)
-        h2 = h_from_theorem2(ellipsoid.pack.Ric, ellipsoid.gauss.k, s1.H)
+        s1 = step1_positivity(ellipsoid.pack.s, ellipsoid.forms.k, ellipsoid.metric)
+        h2 = h_from_theorem2(ellipsoid.pack.Ric, ellipsoid.forms.k, s1.H)
         scale = 1.0 + float(np.max(node_norm(h2, 2)))
         err = interior_max(ellipsoid.chart,
                            node_norm(h_alpha[..., 0, :, :] - h2, 2)) / scale
@@ -201,20 +204,50 @@ class TestSecondForms:
         assert res > 0.1
 
 
+class TestWeingartenCombination:
+    def test_codim1_gate_is_the_normal_itself(self, ellipsoid):
+        frame, forms = ellipsoid.frame, ellipsoid.forms
+        wc = weingarten_combination(frame.A, forms.k_ab, ellipsoid.metric)
+        assert wc.invertible and np.array_equal(wc.w, [1.0])
+        # one frame direction is taken as views, not copied
+        assert np.shares_memory(wc.A, frame.A)
+        assert np.shares_memory(wc.k, forms.k_ab)
+        eigs = np.linalg.eigvalsh(to_orthonormal(ellipsoid.metric, forms.k))
+        assert wc.min_singular == np.sqrt(np.min(eigs))
+        assert wc.max_singular == np.sqrt(np.max(eigs))
+
+    def test_clifford_needs_a_combination(self, clifford_problem):
+        # each direction of a product of circles bends along one axis only
+        clifford, frame, forms = clifford_problem
+        wc = weingarten_combination(frame.A, forms.k_ab, clifford.metric)
+        assert wc.invertible and np.count_nonzero(wc.w) == 2
+        assert wc.min_singular > 0.1 * wc.max_singular
+        k_w = np.einsum("...ni,...nj->...ij", wc.A, wc.A)
+        assert np.max(np.abs(wc.k - k_w)) < 1e-12
+
+    def test_constant_planes_are_not_invertible(self):
+        chart = build_chart(2, (9, 9), (0.1, 0.1))
+        spans = np.zeros(chart.shape + (4, 2))
+        spans[..., 2, 0] = 1.0
+        spans[..., 3, 1] = 1.0
+        frame = build_normal_frame(chart, spans)
+        g = np.broadcast_to(np.eye(2), chart.shape + (2, 2))
+        wc = weingarten_combination(frame.A, third_forms(frame).k_ab,
+                                    metric_field(chart, g))
+        assert not wc.invertible
+        assert wc.min_singular == wc.max_singular == 0.0
+
+
 class TestBuildU:
     def test_codim1_reduction_equals_hypersurface_builder(self, ellipsoid):
-        # the continued one-column frame against the Gauss field's raw
+        # the continued one-column frame against the Gauss map's raw
         # differential
         frame = build_normal_frame(ellipsoid.chart, ellipsoid.data.frame)
         U = frame_U(frame, ellipsoid.data.h_alpha, ellipsoid.metric)
-        G = ellipsoid.gauss
-        U_hyper = build_U(G.A, G.k, ellipsoid.data.h, G.nu[..., None])
-        assert np.max(np.abs(U - U_hyper)) < 1e-9
-        par = check_parallel(U, ellipsoid.pack.Gamma, frame.frame,
-                             ellipsoid.chart)
-        par_hyper = check_parallel(U_hyper, ellipsoid.pack.Gamma,
-                                   G.nu[..., None], ellipsoid.chart)
-        assert abs(par - par_hyper) < 1e-10
+        A, k = reference_loops.gauss_map_differential(
+            ellipsoid.chart, ellipsoid.data.frame[..., 0])
+        U_hyper = build_U(A, k, ellipsoid.data.h, frame.frame)
+        assert np.array_equal(U, U_hyper)
 
     def test_clifford_residuals_and_roundtrip(self, clifford_problem):
         clifford, frame, forms = clifford_problem

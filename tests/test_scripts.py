@@ -2,6 +2,8 @@
 
 import math
 import runpy
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,19 @@ def test_catalog_order_needs_adjacent_errors(roundtrips, inapplicable_levels):
                                              "admissible"]
     assert math.isfinite(rows[0].rec_error) and math.isfinite(rows[2].rec_error)
     assert math.isnan(order)
+
+
+def test_catalog_rows_name_catenoid_and_helicoid(roundtrips, monkeypatch,
+                                                 capsys):
+    monkeypatch.setattr(sys, "argv", ["run_catalog_roundtrips.py",
+                                      "--points", "17", "--refine", "0"])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*not integrable.*")
+        roundtrips["main"]()
+    names = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert names == [s.name for s in roundtrips["CATALOG_RUNS"]]
+    assert "catenoid" in names and "helicoid" in names
+    assert len(set(names)) == len(names)
 
 
 def test_convergence_study_residuals():
