@@ -23,15 +23,15 @@ from .curvature import (CurvaturePack, MetricField, christoffel,
 from .grid import Chart, build_chart
 from .reconstruct import (Immersion, compare_up_to_translation, integrate,
                           verify_immersion)
-from .surfaces import CATALOG, OracleData, associated_family, generate
+from .surfaces import CATALOG, OracleData, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport", "CandidateSolution", "Chart", "CodimForms",
     "CurvaturePack", "Immersion", "MetricField", "NormalFrame", "OracleData",
-    "PipelineOptions", "CATALOG", "associated_family", "build_U",
-    "build_chart", "build_normal_frame", "check_h_squared", "check_isometry",
+    "PipelineOptions", "CATALOG", "build_U", "build_chart",
+    "build_normal_frame", "check_h_squared", "check_isometry",
     "check_minimal_m2", "check_parallel", "christoffel", "codazzi_residual",
     "compare_up_to_translation", "curvature_operator", "generate",
     "h_from_theorem2", "h_from_theorem3", "integrate", "metric_field",

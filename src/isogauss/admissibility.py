@@ -518,7 +518,7 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
         except DomainError as exc:
             return finish(VERDICT_INAPPLICABLE, None, method, str(exc))
         residuals["nullspace_gap"] = mc.unit_eigen_distance
-        thresholds["nullspace_gap"] = max(1e-6, tau)
+        thresholds["nullspace_gap"] = mc.unit_tol
         extra["fixed_space_dim"] = float(mc.fixed_dim)
         notes.extend(mc.notes)
         if mc.status == "rejected":

@@ -52,21 +52,23 @@ def _make_surface(args) -> surfaces.Surface:
         raise CliError(f"unknown surface {name!r}; known: "
                        + ", ".join(sorted(surfaces.CATALOG)))
     kwargs = {}
-    if name in ("round-sphere", "cylinder", "hypersphere-m3") and args.radius:
-        kwargs["radius"] = float(args.radius)
-    if name in ("ellipsoid", "ellipsoid-m3") and args.axes:
+    if (name in ("round-sphere", "cylinder", "hypersphere-m3")
+            and args.radius is not None):
+        kwargs["radius"] = args.radius
+    if name in ("ellipsoid", "ellipsoid-m3") and args.axes is not None:
         kwargs["axes"] = _parse_floats(args.axes)
-    if name in ("graph", "graph-r4") and args.coeffs:
+    if name in ("graph", "graph-r4") and args.coeffs is not None:
         kwargs["coeffs"] = _parse_floats(args.coeffs)
-    if name in ("catenoid", "helicoid", "associated-family") and args.scale:
-        kwargs["scale"] = float(args.scale)
+    if (name in ("catenoid", "helicoid", "associated-family")
+            and args.scale is not None):
+        kwargs["scale"] = args.scale
     if name == "associated-family" and args.theta is not None:
-        kwargs["theta"] = float(args.theta)
+        kwargs["theta"] = args.theta
     if name == "clifford-torus":
-        if args.r1:
-            kwargs["r1"] = float(args.r1)
-        if args.r2:
-            kwargs["r2"] = float(args.r2)
+        if args.r1 is not None:
+            kwargs["r1"] = args.r1
+        if args.r2 is not None:
+            kwargs["r2"] = args.r2
     try:
         return surfaces.CATALOG[name](**kwargs)
     except TypeError as exc:
@@ -213,13 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", help="points per axis, e.g. 64x64")
         p.add_argument("--spacing", help="comma-separated spacings")
         p.add_argument("--origin", help="comma-separated origin")
-        p.add_argument("--radius")
+        p.add_argument("--radius", type=float)
         p.add_argument("--axes")
         p.add_argument("--coeffs")
-        p.add_argument("--scale")
+        p.add_argument("--scale", type=float)
         p.add_argument("--theta", type=float)
-        p.add_argument("--r1")
-        p.add_argument("--r2")
+        p.add_argument("--r1", type=float)
+        p.add_argument("--r2", type=float)
         p.add_argument("--perturb-nu", dest="perturb_nu", type=float,
                        help="fabricate inadmissible data: smooth rotation of "
                             "nu by this magnitude")

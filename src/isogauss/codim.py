@@ -7,7 +7,10 @@ action, eigenvalue 1 of rho^T) carries the direction of the mean curvature
 vector.  Scale comes from ``|H| = sqrt(s + Tr k)``, the candidate second
 forms from ``h^b = sum_a H^a (Ric + k)^{-1} k^{ab}``, and the final verdict
 from the quadratic product check ``h^a h^b = k^{ab}`` plus isometry and
-parallelity of ``U``.
+parallelity of ``U``.  When the fixed space is the whole normal plane
+(``d = 2``) the product check itself fixes the direction: its mean squared
+defect is a quartic form in the direction, minimized exactly through the
+roots of one polynomial.
 
 Hypersurface data is the case ``d = 1``: the frame is the unit normal and
 the one third form is that of the Gauss map.  Every ``d`` shares the frame,
@@ -174,6 +177,7 @@ class MeanCurvatureResult:
     status: str                     # ok | degenerate | rejected | indeterminate
     candidates: list[np.ndarray]    # each (*grid, d)
     unit_eigen_distance: float      # interior max of sigma_min(rho^T - I)
+    unit_tol: float                 # unit-eigenvalue tolerance of the counts
     fixed_dim: int                  # typical fixed-space dimension
     rho: np.ndarray                 # (*grid, d, d)
     # the operators of the recovery formula, shared by every candidate
@@ -207,19 +211,20 @@ def _product_defect(h_ops: np.ndarray, k_ab_op: np.ndarray) -> np.ndarray:
 
 def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
                           length: np.ndarray, metric: MetricField, tau: float,
-                          sign_branch: int = 1,
-                          unit_tol: float = 1e-6) -> MeanCurvatureResult:
+                          sign_branch: int = 1) -> MeanCurvatureResult:
     """Recover the mean curvature vector from the fixed space of rho.
 
     ``length`` is ``|H| = sqrt(s + Tr k)`` from step 1 and ``tau`` its
-    threshold, which also bounds the unit-eigenvalue tolerance from below.
-    Generic data has a one-dimensional fixed space at eigenvalue 1; the unit
-    fixed vector is scaled to ``length`` with the sign fixed at the chart
-    center (by ``sign_branch``) and continued outwards.  When the fixed
-    space is the whole normal space (e.g. products of plane curves) the
-    direction is resolved by scanning the unit circle for directions
-    compatible with the quadratic product constraint; all near-optimal
-    directions are returned as candidates for the caller to test in full.
+    threshold; singular values of ``rho^T - I`` up to
+    ``unit_tol = max(1e-6, tau)`` count as unit eigenvalues.  Generic data
+    has a one-dimensional fixed space at eigenvalue 1; the unit fixed vector
+    is scaled to ``length`` with the sign fixed at the chart center (by
+    ``sign_branch``) and continued outwards.  When the fixed space is the
+    whole normal plane (``d = 2``, e.g. products of plane curves) the
+    direction is solved exactly from the quadratic product constraint by
+    :func:`_resolve_full_fixed_space`; every minimizing direction is
+    returned as a candidate for the caller to test in full.  A full fixed
+    space with ``d >= 3`` is left unresolved.
     """
     chart = metric.chart
     d = forms.d
@@ -228,32 +233,32 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
     scale = np.maximum(1.0, node_norm(rho, 2))
     E = np.swapaxes(rho, -1, -2) - np.eye(d)
     _, sig, Vh = np.linalg.svd(E)
-    utol = max(unit_tol, tau)
+    utol = max(1e-6, tau)
     dims = np.sum(sig <= utol * scale[..., None], axis=-1)
     unit_dist = interior_max(chart, sig[..., -1] / scale)
-    frac0 = float(np.mean(dims[inter] == 0))
-    if frac0 > 0.01:
-        return MeanCurvatureResult("rejected", [], unit_dist, 0, rho, B, k_ab_op,
-                                   ["rho has no eigenvalue within tolerance "
-                                    "of 1: data inadmissible"])
-    frac1 = float(np.mean(dims[inter] == 1))
-    if frac1 >= 0.99:
+
+    def result(status, candidates, fixed_dim, notes=()):
+        return MeanCurvatureResult(status, candidates, unit_dist, utol,
+                                   fixed_dim, rho, B, k_ab_op, list(notes))
+
+    if float(np.mean(dims[inter] == 0)) > 0.01:
+        return result("rejected", [], 0,
+                      ["rho has no eigenvalue within tolerance of 1: data "
+                       "inadmissible"])
+    if float(np.mean(dims[inter] == 1)) >= 0.99:
         v = Vh[..., -1, :]
         v = _sign_continue(chart, v)
         v = _center_sign(chart, v, sign_branch)
-        return MeanCurvatureResult("ok", [length[..., None] * v], unit_dist, 1,
-                                   rho, B, k_ab_op)
+        return result("ok", [length[..., None] * v], 1)
     if float(np.mean(dims[inter] == d)) >= 0.99 and d == 2:
         cands = _resolve_full_fixed_space(chart, length, B, k_ab_op, sign_branch)
-        return MeanCurvatureResult("degenerate", cands, unit_dist, d, rho, B,
-                                   k_ab_op,
-                                   ["fixed space of rho is the whole normal "
-                                    "space; direction resolved against the "
-                                    "quadratic product constraint"])
-    return MeanCurvatureResult("indeterminate", [], unit_dist,
-                               int(np.max(dims[inter])), rho, B, k_ab_op,
-                               ["fixed space of rho has dimension >= 2 and "
-                                "no supported resolution applies"])
+        return result("degenerate", cands, d,
+                      ["fixed space of rho is the whole normal space; "
+                       "direction resolved against the quadratic product "
+                       "constraint"])
+    return result("indeterminate", [], int(np.max(dims[inter])),
+                  ["fixed space of rho has dimension >= 2 and no supported "
+                   "resolution applies"])
 
 
 def _sign_continue(chart: Chart, v: np.ndarray) -> np.ndarray:
@@ -276,17 +281,18 @@ def _center_sign(chart: Chart, v: np.ndarray, sign_branch: int) -> np.ndarray:
 def _resolve_full_fixed_space(chart: Chart, length: np.ndarray, B: np.ndarray,
                               k_ab_op: np.ndarray,
                               sign_branch: int) -> list[np.ndarray]:
-    """Scan unit directions (constant in the continued frame) for product fit.
+    """Directions (constant in the continued frame) that best fit the products.
 
-    ``h^b`` is linear in the direction ``w = (cos psi, sin psi)``, so with
-    ``P_a`` the operators for ``H = length * e_a`` the products are
-    ``h^a h^b = c^2 P0P0 + cs (P0P1 + P1P0) + s^2 P1P1``.  The three product
-    fields are built once, on the interior the score averages over, and
-    each score is a weighted sum of them minus ``k^{ab}``, normed as in
-    :func:`_product_defect`.  Directions live on the half-circle (global
-    sign is free); each local minimum of the 180-point coarse scan within
-    the margin is sharpened by golden-section search, so the located
-    direction is accurate to the data's own noise floor.
+    With ``P_a`` the operators for ``H = length * e_a`` and
+    ``w = (cos psi, sin psi)``, the defect ``h^a h^b - k^{ab}`` is
+    ``c^2 X_00 + cs (X_01 + X_10) + s^2 X_11`` for ``X_ab = P_a P_b -
+    delta_ab k``, normalized per node by ``1 + |k|``.  In ``phi = 2 psi``
+    (the half-circle of directions; the global sign is free) it is
+    ``Y_0 + cos phi Y_1 + sin phi Y_2``, so its interior mean square is
+    ``F = a_0 + Re(c_1 z + c_2 z^2)`` on ``z = e^{i phi}``.  The critical
+    points are the unit-modulus roots of the quartic ``z^2 F' / i``; the
+    minima (``F'' > 0``) within 5 % of the critical values' range are the
+    candidates.
     """
     inter = chart.interior
     length_i, B_i, K = length[inter], B[inter], k_ab_op[inter]
@@ -295,26 +301,26 @@ def _resolve_full_fixed_space(chart: Chart, length: np.ndarray, B: np.ndarray,
     def products(X, Y):
         return np.einsum("...aik,...bkj->...abij", X, Y, optimize=True)
 
-    Q00, Q11 = products(P0, P0), products(P1, P1)
-    Qx = products(P0, P1) + products(P1, P0)
-    denom = 1.0 + node_norm(K, 4)
+    X00, X11 = products(P0, P0) - K, products(P1, P1) - K
+    Xx = products(P0, P1) + products(P1, P0)
+    denom = 2.0 * (1.0 + node_norm(K, 4))[..., None, None, None, None]
+    Y = (np.stack([X00 + X11, X00 - X11, Xx]) / denom).reshape(3, -1)
+    G = (Y @ Y.T) / math.prod(K.shape[:-4])               # mean over nodes
 
-    def score(psi: float) -> float:
-        c, s = math.cos(psi), math.sin(psi)
-        prod = (c * c) * Q00 + (c * s) * Qx + (s * s) * Q11
-        return float(np.mean(node_norm(prod - K, 4) / denom))
-
-    npts = 180
-    angles = np.linspace(0.0, math.pi, npts, endpoint=False)
-    scores = np.array([score(psi) for psi in angles])
-    best = float(np.min(scores))
-    margin = best + 0.05 * (float(np.max(scores)) - best) + 1e-14
-    minima = []
-    step = math.pi / npts
-    for i, sc in enumerate(scores):
-        if sc <= scores[i - 1] and sc <= scores[(i + 1) % npts] and sc <= margin:
-            psi = _golden_min(score, angles[i] - step, angles[i] + step)
-            minima.append((score(psi), psi % math.pi))
+    a0 = G[0, 0] + 0.5 * (G[1, 1] + G[2, 2])
+    c1 = 2.0 * (G[0, 1] - 1j * G[0, 2])
+    c2 = 0.5 * (G[1, 1] - G[2, 2]) - 1j * G[1, 2]
+    roots = np.roots([2.0 * c2, c1, 0.0, -np.conj(c1), -2.0 * np.conj(c2)])
+    # the other roots pair up as z, 1/conj(z) off the circle
+    crit = [z / abs(z) for z in roots if abs(abs(z) - 1.0) <= 1e-6]
+    if not crit:                    # F is constant: no direction is fixed
+        return []
+    values = [a0 + (c1 * z + c2 * z * z).real for z in crit]
+    best = min(values)
+    margin = best + 0.05 * (max(values) - best) + 1e-14
+    minima = [(F, (0.5 * float(np.angle(z))) % math.pi)
+              for F, z in zip(values, crit)
+              if F <= margin and -(c1 * z + 4.0 * c2 * z * z).real > 0.0]
     candidates = []
     for _, psi in sorted(minima):
         w = np.array([math.cos(psi), math.sin(psi)])
@@ -326,25 +332,6 @@ def _resolve_full_fixed_space(chart: Chart, length: np.ndarray, B: np.ndarray,
     sign = 1 if sign_branch >= 0 else -1
     candidates.sort(key=lambda H: -sign * float(np.sum(H[chart.center])))
     return candidates
-
-
-def _golden_min(fn, a: float, b: float, iters: int = 80) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if b - a < 1e-12:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
 
 
 def second_forms(H: np.ndarray, B: np.ndarray, k_ab_op: np.ndarray,

@@ -258,17 +258,12 @@ def _validate_blocks(kind: str, chart: Chart, n: int, arrays) -> None:
 
 
 def gauss_dataset(chart: Chart, n: int, g: np.ndarray,
-                  nu: np.ndarray | None = None,
-                  frame: np.ndarray | None = None) -> Dataset:
+                  frame: np.ndarray) -> Dataset:
     blocks = {"g": pack_sym(g)}
-    if frame is not None and frame.shape[-1] > 1:
+    if frame.shape[-1] > 1:
         blocks["frame"] = pack_frame(frame)
-    elif nu is not None:
-        blocks["nu"] = nu
-    elif frame is not None:
-        blocks["nu"] = frame[..., 0]
     else:
-        raise DatasetFormatError("need nu or frame for a metric+gauss dataset")
+        blocks["nu"] = frame[..., 0]
     return Dataset(kind="metric+gauss", chart=chart, n=n, blocks=blocks)
 
 

@@ -19,7 +19,7 @@ stored as parametrized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +41,24 @@ class Surface:
     """Base class: a parametrized piece of a submanifold of R^n."""
 
     name = "surface"
+
+    def __post_init__(self):
+        """Reject malformed parameters: a tuple holds as many values as its
+        default, every value is finite, and lengths (all parameters but
+        ``coeffs`` and ``theta``) are nonzero."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            size = len(f.default) if isinstance(f.default, tuple) else None
+            values = (value,) if size is None else tuple(value)
+            if size is not None and len(values) != size:
+                raise DomainError(f"{self.name}: {f.name} needs {size} "
+                                  f"values, got {len(values)}")
+            length = f.name not in ("coeffs", "theta")
+            if not all(math.isfinite(v) and (v != 0.0 or not length)
+                       for v in values):
+                kind = "finite and nonzero" if length else "finite"
+                raise DomainError(f"{self.name}: {f.name} must be {kind}, "
+                                  f"got {value}")
 
     @property
     def m(self) -> int:
@@ -441,7 +459,6 @@ class OracleData:
     u: np.ndarray          # (*grid, n)
     du: np.ndarray         # (*grid, n, m)
     frame: np.ndarray      # (*grid, n, d)
-    A_frame: np.ndarray    # (*grid, n, m, d) tangential parts of d nu^a
     g: np.ndarray          # (*grid, m, m)
     h_alpha: np.ndarray    # (*grid, d, m, m)
     H_alpha: np.ndarray    # (*grid, d)
@@ -546,13 +563,7 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
         u, du, h_alpha, H_alpha = -u, -du, -h_alpha, -H_alpha
 
     return OracleData(surface=surface, chart=chart, u=u, du=du, frame=frame,
-                      A_frame=A_frame, g=g, h_alpha=h_alpha, H_alpha=H_alpha,
-                      k_ab=k_ab, k=k)
-
-
-def associated_family(scale: float, theta: float, chart: Chart) -> OracleData:
-    """Member of the catenoid-helicoid family; all share (g, nu)."""
-    return generate(AssociatedFamily(scale=scale, theta=theta), chart)
+                      g=g, h_alpha=h_alpha, H_alpha=H_alpha, k_ab=k_ab, k=k)
 
 
 def gauss_codazzi_residuals(data: OracleData, pack: CurvaturePack,

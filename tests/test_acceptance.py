@@ -309,7 +309,7 @@ def test_criterion_10_format_and_exit_contract(tmp_path):
     assert set(RESIDUAL_KEYS) <= set(parsed["residuals"])
 
     nu_bad = smooth_rotation_of_gauss_map(data.frame[..., 0], chart, 1e-2, 0)
-    bad = datafiles.gauss_dataset(chart, 3, data.g, nu=nu_bad)
+    bad = datafiles.gauss_dataset(chart, 3, data.g, frame=nu_bad[..., None])
     bad_path = tmp_path / "bad.txt"
     datafiles.write_dataset(bad_path, bad)
     codes["rejected"] = cli_main(["check", str(bad_path)])

@@ -235,10 +235,22 @@ class TestRoundtrip:
         assert not list(tmp_path.iterdir())
 
 
-def test_usage_error_exit_2(capsys):
+def test_usage_error_exit_2(capsys, tmp_path, monkeypatch):
     assert run_cli("check") == 2
     assert run_cli() == 2
     assert run_cli("roundtrip", "--surface", "ellipsoid", "--perturb-nu", "x") == 2
+    # malformed surface parameters are usage errors, not rejections
+    monkeypatch.chdir(tmp_path)
+    for argv in (("forward", "--surface", "round-sphere", "--radius", "abc"),
+                 ("forward", "--surface", "catenoid", "--scale", "nope"),
+                 ("forward", "--surface", "clifford-torus", "--r1", "zz"),
+                 ("forward", "--surface", "ellipsoid", "--axes", "1,2"),
+                 ("forward", "--surface", "graph-r4", "--coeffs", "1,2"),
+                 ("roundtrip", "--surface", "round-sphere", "--radius", "0")):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_wrong_kind_dataset_exit_2(ellipsoid_files, capsys):

@@ -17,6 +17,7 @@ from isogauss.reconstruct import (box_error, immerse, integrate,
 from isogauss.surfaces import CATALOG, CliffordTorus, generate
 
 import reference_loops
+from conftest import Problem
 
 
 def mean_curvature(forms, problem):
@@ -134,15 +135,24 @@ class TestMeanCurvatureVector:
         rho = mc.rho[..., 0, 0]
         assert interior_max(ellipsoid.chart, np.abs(rho - 1.0)) < 50 * ellipsoid.dx2
 
-    def test_clifford_recovers_oracle_direction(self, clifford_problem):
-        clifford, _, forms = clifford_problem
-        mc = mean_curvature(forms, clifford)
+    @pytest.mark.parametrize("r2", [1.0, 1.4])
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_clifford_recovers_oracle_direction(self, theta, r2):
+        # the exact solve against the oracle; a constant frame rotation
+        # rotates the components H^a = <H, nu^a> to match
+        torus = Problem(CliffordTorus(1.0, r2), 41)
+        O = np.array([[np.cos(theta), -np.sin(theta)],
+                      [np.sin(theta), np.cos(theta)]])
+        spans = np.einsum("...nb,ab->...na", torus.data.frame, O)
+        mc = mean_curvature(third_forms(build_normal_frame(torus.chart, spans)),
+                            torus)
         assert mc.status == "degenerate"
         assert mc.fixed_dim == 2
-        best = mc.candidates[0]
-        err = interior_max(clifford.chart,
-                           np.max(np.abs(best - clifford.data.H_alpha), axis=-1))
-        assert err < 50 * clifford.dx2
+        assert mc.unit_tol == max(1e-6, 50 * torus.dx2)
+        want = np.einsum("ab,...b->...a", O, torus.data.H_alpha)
+        err = interior_max(torus.chart,
+                           np.max(np.abs(mc.candidates[0] - want), axis=-1))
+        assert err < 50 * torus.dx2
 
     def test_rho_without_unit_eigenvalue_rejected(self, ellipsoid):
         # curved metric paired with an unrelated plane field: both rho
@@ -363,8 +373,8 @@ class TestCodimPipeline:
 
 
 class TestLoopEquivalence:
-    """The slab-wise frame repair and the product-field direction scan give
-    what the per-node and per-angle loops give."""
+    """The slab-wise frame repair and the exact direction solve give what
+    the per-node loop and the per-angle scan give."""
 
     @staticmethod
     def _assert_same_frame(chart, spans):

@@ -21,7 +21,7 @@ def constant_gauss(chart, vec=(0.0, 0.0, 1.0)):
 
 def nu_dataset(chart, nu):
     g = np.broadcast_to(np.eye(chart.m), chart.shape + (chart.m, chart.m))
-    return datafiles.gauss_dataset(chart, 3, g, nu=nu)
+    return datafiles.gauss_dataset(chart, 3, g, frame=nu[..., None])
 
 
 class TestBuildGaussField:

@@ -7,10 +7,11 @@ from isogauss.curvature import metric_field, node_norm, raise_index, riemann_ten
 from isogauss.errors import DomainError
 from isogauss.grid import interior_max
 from isogauss.reconstruct import compare_up_to_translation, observed_order
-from isogauss.surfaces import (Catenoid, Ellipsoid, Helicoid,
-                               HypersphereM3, Plane, RoundSphere,
-                               associated_family, gauss_codazzi_residuals,
-                               generate, smooth_rotation_of_gauss_map)
+from isogauss.surfaces import (CATALOG, AssociatedFamily, Catenoid,
+                               Ellipsoid, Graph, Helicoid, HypersphereM3,
+                               Plane, RoundSphere,
+                               gauss_codazzi_residuals, generate,
+                               smooth_rotation_of_gauss_map)
 
 ALL_HYPERSURFACES = [
     (RoundSphere(1.0), 33),
@@ -63,8 +64,8 @@ class TestMinimalFamily:
 
     def test_theta_pi_is_antipodal_catenoid(self):
         chart = Catenoid().default_chart(17)
-        cat = associated_family(1.0, 0.0, chart)
-        anti = associated_family(1.0, math.pi, chart)
+        cat = generate(AssociatedFamily(1.0, 0.0), chart)
+        anti = generate(AssociatedFamily(1.0, math.pi), chart)
         assert np.max(np.abs(anti.u + cat.u)) < 1e-12
         assert compare_up_to_translation(anti.u, cat.u) > 0.1
 
@@ -169,6 +170,26 @@ class TestWindows:
         surf = HypersphereM3(1.0)
         with pytest.raises(DomainError):
             generate(surf, RoundSphere(1.0).default_chart(9))
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("round-sphere", {"radius": 0.0}), ("cylinder", {"radius": math.nan}),
+    ("hypersphere-m3", {"radius": 0.0}), ("ellipsoid", {"axes": (1.0, 2.0)}),
+    ("ellipsoid", {"axes": (1.0, 0.0, 2.0)}),
+    ("ellipsoid-m3", {"axes": (1.0, 1.0, 1.0)}),
+    ("graph", {"coeffs": (1.0, math.inf, 0.0)}),
+    ("graph-r4", {"coeffs": (1.0, 2.0)}), ("catenoid", {"scale": 0.0}),
+    ("associated-family", {"theta": math.nan}),
+    ("clifford-torus", {"r1": 0.0}), ("clifford-torus", {"r2": 0.0}),
+])
+def test_malformed_parameters_rejected(name, kwargs):
+    with pytest.raises(DomainError):
+        CATALOG[name](**kwargs)
+
+
+def test_zero_coefficients_and_negative_lengths_allowed():
+    assert Graph((0.0, 0.0, 0.0)).coeffs == (0.0, 0.0, 0.0)
+    assert RoundSphere(-1.0).radius == -1.0
 
 
 class TestPerturbation:
