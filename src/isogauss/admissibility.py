@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codim import (build_normal_frame, frame_consistency,
+from .codim import (RANK_REL_TOL, build_normal_frame, frame_consistency,
                     mean_curvature_vector, second_forms, third_forms,
                     weingarten_combination)
 from .curvature import (CurvaturePack, MetricField, node_norm, raise_index,
@@ -48,7 +48,6 @@ class PipelineOptions:
     """
 
     tol_scale: float = 50.0
-    rank_rel_tol: float = 1e-8
     gap_tol: float = 1e-6
     method: str = "auto"           # auto | theorem2 | theorem3 | sqrt
     sign_branch: int = 1
@@ -150,10 +149,9 @@ def step1_positivity(s: np.ndarray, k: np.ndarray, metric: MetricField,
 # candidate h: three routes
 
 
-def h_from_theorem2(Ric: np.ndarray, k: np.ndarray, H: np.ndarray,
-                    min_H: float = 1e-12) -> np.ndarray:
+def h_from_theorem2(Ric: np.ndarray, k: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Closed-form candidate ``h = (Ric + k) / H`` (positive-trace branch)."""
-    if float(np.min(np.abs(H))) <= min_H:
+    if float(np.min(np.abs(H))) <= 1e-12:
         raise BranchError(
             "mean curvature vanishes somewhere; use the linear-system or "
             "minimal-surface route instead")
@@ -215,7 +213,7 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
         raise DomainError("the linear-system route needs m >= 3")
     kop = raise_index(metric, k)
     k_eigs = np.linalg.eigvalsh(to_orthonormal(metric, k))
-    if float(np.min(k_eigs)) <= options.rank_rel_tol * max(float(np.max(k_eigs)), 1e-300):
+    if float(np.min(k_eigs)) <= RANK_REL_TOL * max(float(np.max(k_eigs)), 1e-300):
         raise DegenerateGaussMapError("third form not invertible; dnu is degenerate")
     kop_inv = np.linalg.inv(kop)
     ginv = metric.g_inv
@@ -277,8 +275,7 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     return Theorem3Result(h, gap, has_null, unique, frac_unique, "ok", gtol)
 
 
-def spd_sqrt(k: np.ndarray, metric: MetricField | None = None,
-             neg_rel_tol: float = 1e-10) -> np.ndarray:
+def spd_sqrt(k: np.ndarray, metric: MetricField | None = None) -> np.ndarray:
     """Unique PSD square root of a PSD form field.
 
     Without a metric this is the plain matrix square root per node.  With a
@@ -288,16 +285,16 @@ def spd_sqrt(k: np.ndarray, metric: MetricField | None = None,
     """
     if metric is not None:
         k_on = to_orthonormal(metric, k)
-        h_on = spd_sqrt(k_on, None, neg_rel_tol)
+        h_on = spd_sqrt(k_on)
         L = metric.chol
         return np.einsum("...ik,...kl,...jl->...ij", L, h_on, L)
     k = 0.5 * (k + np.swapaxes(k, -1, -2))
     eigs, Q = np.linalg.eigh(k)
     scale = max(float(np.max(np.abs(eigs))), 1e-300)
     worst = float(np.min(eigs))
-    if worst < -neg_rel_tol * scale:
+    if worst < -1e-10 * scale:
         raise NotPositiveSemidefiniteError(
-            f"form has eigenvalue {worst:.3e} below -{neg_rel_tol:.1e} * scale")
+            f"form has eigenvalue {worst:.3e} below -1.0e-10 * scale")
     root = np.sqrt(np.clip(eigs, 0.0, None))
     return np.einsum("...ik,...k,...jk->...ij", Q, root, Q)
 
@@ -475,13 +472,13 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
         notes.append(f"method {options.method} applies to hypersurface "
                      f"data only; normal data of codimension "
                      f"{normals.shape[-1]} takes the codim route")
-    nf = build_normal_frame(chart, normals, options.rank_rel_tol)
+    nf = build_normal_frame(chart, normals)
     extra["frame_orthonormality_defect"] = nf.orthonormality_defect
     extra["frame_min_overlap_det"] = nf.min_overlap_det
     forms = third_forms(nf)
     frame, k = nf.frame, forms.k
     # U inverts one normal direction w whose third form is invertible
-    wc = weingarten_combination(nf.A, forms.k_ab, metric, options.rank_rel_tol)
+    wc = weingarten_combination(nf.A, forms.k_ab, metric)
     extra["dnu_min_singular"] = wc.min_singular
     extra["dnu_max_singular"] = wc.max_singular
     if not wc.invertible:
@@ -497,6 +494,14 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
     q = s1.q[chart.interior]
     extra["q_min_normalized"] = float(np.min(q)) / s1.q_scale
     extra["q_max_normalized"] = float(np.max(q)) / s1.q_scale
+    if tau >= 1.0:
+        # |q| / (1 + |s| + |Tr k|) < 1 at every node, so every chart would
+        # read as minimal
+        return finish(VERDICT_INAPPLICABLE, None, "none",
+                      f"the chart is too coarse to decide: the threshold "
+                      f"tau = C * dx^2 = {tau:.4g} is at least 1, which no "
+                      f"normalized s + Tr k reaches, so step 1 cannot tell "
+                      f"its sign")
     if s1.classification == "rejected":
         return finish(VERDICT_REJECTED, "1", "none",
                       "s + Tr k is negative beyond noise: no immersion exists")

@@ -7,6 +7,7 @@ format error, 3 inapplicable.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 
@@ -46,33 +47,25 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise CliError(f"bad numeric list {text!r}: {exc}") from exc
 
 
+# one --<name> flag per keyword of a catalog factory, in catalog order; a
+# tuple default makes it a comma list, any other default one number
+_PARAMS = {name: param.default for factory in surfaces.CATALOG.values()
+           for name, param in inspect.signature(factory).parameters.items()}
+
+
 def _make_surface(args) -> surfaces.Surface:
     name = args.surface
     if name not in surfaces.CATALOG:
         raise CliError(f"unknown surface {name!r}; known: "
                        + ", ".join(sorted(surfaces.CATALOG)))
+    factory = surfaces.CATALOG[name]
     kwargs = {}
-    if (name in ("round-sphere", "cylinder", "hypersphere-m3")
-            and args.radius is not None):
-        kwargs["radius"] = args.radius
-    if name in ("ellipsoid", "ellipsoid-m3") and args.axes is not None:
-        kwargs["axes"] = _parse_floats(args.axes)
-    if name in ("graph", "graph-r4") and args.coeffs is not None:
-        kwargs["coeffs"] = _parse_floats(args.coeffs)
-    if (name in ("catenoid", "helicoid", "associated-family")
-            and args.scale is not None):
-        kwargs["scale"] = args.scale
-    if name == "associated-family" and args.theta is not None:
-        kwargs["theta"] = args.theta
-    if name == "clifford-torus":
-        if args.r1 is not None:
-            kwargs["r1"] = args.r1
-        if args.r2 is not None:
-            kwargs["r2"] = args.r2
-    try:
-        return surfaces.CATALOG[name](**kwargs)
-    except TypeError as exc:
-        raise CliError(f"bad parameters for {name}: {exc}") from exc
+    for param in inspect.signature(factory).parameters:
+        value = getattr(args, param)
+        if value is not None:
+            is_list = isinstance(_PARAMS[param], tuple)
+            kwargs[param] = _parse_floats(value) if is_list else value
+    return factory(**kwargs)
 
 
 def _make_chart(surface: surfaces.Surface, args):
@@ -215,13 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", help="points per axis, e.g. 64x64")
         p.add_argument("--spacing", help="comma-separated spacings")
         p.add_argument("--origin", help="comma-separated origin")
-        p.add_argument("--radius", type=float)
-        p.add_argument("--axes")
-        p.add_argument("--coeffs")
-        p.add_argument("--scale", type=float)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--r1", type=float)
-        p.add_argument("--r2", type=float)
+        for name, default in _PARAMS.items():
+            p.add_argument(f"--{name}",
+                           type=None if isinstance(default, tuple) else float)
         p.add_argument("--perturb-nu", dest="perturb_nu", type=float,
                        help="fabricate inadmissible data: smooth rotation of "
                             "nu by this magnitude")

@@ -29,10 +29,13 @@ import numpy as np
 
 from .curvature import MetricField, node_norm, raise_index, to_orthonormal
 from .errors import DomainError, InvalidGrassmannDataError, SamplingError
-from .grid import (Chart, align_signs, grad_all, interior_max,
+from .grid import (Chart, align_signs, center_sign, grad_all, interior_max,
                    staircase_slabs)
 
 _FLIP_THRESHOLD = 0.5
+# relative size below which a pivot, singular value or eigenvalue counts as
+# zero: the rank gate of the normal data and of the Gauss-map differential
+RANK_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,15 +76,14 @@ def _signed_permutation_fit(D: np.ndarray) -> np.ndarray:
     return G
 
 
-def build_normal_frame(chart: Chart, spans: np.ndarray,
-                       rank_rel_tol: float = 1e-8) -> NormalFrame:
+def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
     """Orthonormalize per-node spanning sets into a continuous frame.
 
     The spans are Gram-Schmidt-orthonormalized column by column, vectorized
     over the nodes; this is QR with positive diagonal, smooth in smooth
     full-rank input and invariant under positive column scalings, and for
     ``d = 1`` it is plain normalization.  The data is rank deficient when
-    the smallest pivot anywhere is at most ``rank_rel_tol`` times the
+    the smallest pivot anywhere is at most ``RANK_REL_TOL`` times the
     largest.  A center-out sweep over :func:`isogauss.grid.staircase_slabs`
     then compares each node with its already repaired neighbor one step
     towards the chart center and repairs a sign or order flip (an overlap
@@ -111,7 +113,7 @@ def build_normal_frame(chart: Chart, spans: np.ndarray,
             pivots[..., a] = np.sqrt(np.sum(v * v, axis=-1))
             Q[..., a] = v / pivots[..., a, None]
     # a zero pivot leaves NaN, which fails the comparison too
-    if not float(np.min(pivots)) > rank_rel_tol * float(np.max(pivots)):
+    if not float(np.min(pivots)) > RANK_REL_TOL * float(np.max(pivots)):
         raise InvalidGrassmannDataError(
             "spanning sets are rank deficient at some node")
 
@@ -218,8 +220,9 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
     threshold; singular values of ``rho^T - I`` up to
     ``unit_tol = max(1e-6, tau)`` count as unit eigenvalues.  Generic data
     has a one-dimensional fixed space at eigenvalue 1; the unit fixed vector
-    is scaled to ``length`` with the sign fixed at the chart center (by
-    ``sign_branch``) and continued outwards.  When the fixed space is the
+    is continued outwards from the chart center and scaled to ``length``,
+    on the branch :func:`isogauss.grid.center_sign` picks times
+    ``sign_branch`` (+1 or -1).  When the fixed space is the
     whole normal plane (``d = 2``, e.g. products of plane curves) the
     direction is solved exactly from the quadratic product constraint by
     :func:`_resolve_full_fixed_space`; every minimizing direction is
@@ -247,8 +250,8 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
                        "inadmissible"])
     if float(np.mean(dims[inter] == 1)) >= 0.99:
         v = Vh[..., -1, :]
-        v = _sign_continue(chart, v)
-        v = _center_sign(chart, v, sign_branch)
+        v = v * align_signs(chart, v)[..., None]
+        v = v * (center_sign(chart, v) * sign_branch)
         return result("ok", [length[..., None] * v], 1)
     if float(np.mean(dims[inter] == d)) >= 0.99 and d == 2:
         cands = _resolve_full_fixed_space(chart, length, B, k_ab_op, sign_branch)
@@ -259,23 +262,6 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
     return result("indeterminate", [], int(np.max(dims[inter])),
                   ["fixed space of rho has dimension >= 2 and no supported "
                    "resolution applies"])
-
-
-def _sign_continue(chart: Chart, v: np.ndarray) -> np.ndarray:
-    return v * align_signs(chart, v)[..., None]
-
-
-def _center_sign(chart: Chart, v: np.ndarray, sign_branch: int) -> np.ndarray:
-    vc = v[chart.center]
-    lead = 0.0
-    for comp in vc:
-        if abs(comp) > 1e-8:
-            lead = comp
-            break
-    want = 1 if sign_branch >= 0 else -1
-    if lead * want < 0:
-        return -v
-    return v
 
 
 def _resolve_full_fixed_space(chart: Chart, length: np.ndarray, B: np.ndarray,
@@ -323,14 +309,11 @@ def _resolve_full_fixed_space(chart: Chart, length: np.ndarray, B: np.ndarray,
               if F <= margin and -(c1 * z + 4.0 * c2 * z * z).real > 0.0]
     candidates = []
     for _, psi in sorted(minima):
-        w = np.array([math.cos(psi), math.sin(psi)])
-        H = length[..., None] * w
-        H = _center_sign(chart, H, sign_branch)
-        candidates.append(H)
+        H = length[..., None] * np.array([math.cos(psi), math.sin(psi)])
+        candidates.append(H * (center_sign(chart, H) * sign_branch))
     # deterministic preference among equally-good minima: larger component
     # sum on the selected sign branch, so the two branches mirror each other
-    sign = 1 if sign_branch >= 0 else -1
-    candidates.sort(key=lambda H: -sign * float(np.sum(H[chart.center])))
+    candidates.sort(key=lambda H: -sign_branch * float(np.sum(H[chart.center])))
     return candidates
 
 
@@ -383,8 +366,7 @@ def _combinations(A: np.ndarray, k_ab: np.ndarray):
 
 
 def weingarten_combination(A: np.ndarray, k_ab: np.ndarray,
-                           metric: MetricField,
-                           rank_rel_tol: float = 1e-8) -> WeingartenCombination:
+                           metric: MetricField) -> WeingartenCombination:
     """The best-conditioned frame combination ``w``, and whether its
     differential ``A_w = sum_a w_a A^a`` is everywhere invertible.
 
@@ -394,7 +376,7 @@ def weingarten_combination(A: np.ndarray, k_ab: np.ndarray,
     largest singular value of ``A_w`` over the chart, with the domain
     measured in g (the square roots of the extreme eigenvalues of ``k_w`` in
     g-orthonormal frames), and the best one is kept.  It is invertible when
-    that ratio exceeds ``rank_rel_tol``: for ``d = 1`` this is the Gauss map
+    that ratio exceeds ``RANK_REL_TOL``: for ``d = 1`` this is the Gauss map
     having an invertible differential.
     """
     best = None
@@ -406,7 +388,7 @@ def weingarten_combination(A: np.ndarray, k_ab: np.ndarray,
         if best is None or score > best[0]:
             best = (score, WeingartenCombination(
                 w, A_w, k_w, min_sv, max_sv,
-                min_sv > rank_rel_tol * max_sv and max_sv > 0.0))
+                min_sv > RANK_REL_TOL * max_sv and max_sv > 0.0))
     return best[1]
 
 

@@ -148,6 +148,23 @@ def align_signs(chart: Chart, vectors: np.ndarray) -> np.ndarray:
     return sign
 
 
+def center_sign(chart: Chart, vectors: np.ndarray) -> int:
+    """The sign branch rule: +-1 making a vector field point "up" at the
+    chart center.
+
+    ``vectors`` holds one vector per node (trailing axes).  The result is the
+    sign of the first center component whose size exceeds
+    ``1e-8 * max(1, max |vectors|)``, or +1 when none does.  The oracle
+    catalog stores, and the pipeline selects by default, the branch on which
+    this is +1 for the mean curvature (vector).
+    """
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(vectors))))
+    for comp in np.ravel(vectors[chart.center]):
+        if abs(comp) > tol:
+            return 1 if comp > 0 else -1
+    return 1
+
+
 Slab = tuple[slice, ...]
 
 

@@ -7,28 +7,40 @@ tiny-step central difference of the complex-step gradient (error ~ 1e-10,
 independent of the chart resolution).  Nothing in this module uses the grid
 stencils that the rest of the package is built on.
 
+A catalog surface is declared data plus two functions.  The class data is
+``name``, the dimensions ``m`` and ``n``, the default chart ``window`` as
+``(origin, extent)`` and the ``polar_axes`` whose polar angle must stay off
+the poles; the dataclass fields are the surface's parameters, and
+``CATALOG`` maps each name to its factory, whose keywords are the
+parameters the command line offers.  A subclass defines only ``point``
+(the immersion) and ``frame`` (its orthonormal normal frame), both
+complex-safe; :meth:`Surface.default_chart` and
+:meth:`Surface.validate_window` read the data.
+
 Orientation conventions: normals follow the stated geometric convention per
 surface (outward for closed surfaces, upward for graphs).  The stored
 immersion branch is flipped, when necessary, so that the mean curvature
-trace is >= 0 at the chart center -- the sign freedom of the problem makes
-``-u`` a solution whenever ``u`` is, and this choice matches the branch the
-admissibility pipeline selects.  Minimal surfaces (mean curvature zero) are
-stored as parametrized.
+vector passes :func:`isogauss.grid.center_sign` at the chart center -- the
+sign freedom of the problem makes ``-u`` a solution whenever ``u`` is, and
+the admissibility pipeline selects its branch by the same rule.  Minimal
+surfaces (mean curvature zero) are stored as parametrized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
 from .curvature import CurvaturePack, MetricField, node_norm
 from .errors import DomainError
-from .grid import Chart, build_chart
+from .grid import Chart, build_chart, center_sign
 
 _CSTEP = 1e-100
 _FD2_STEP = 1e-5
+_POLAR_MARGIN = 0.05    # closest a polar angle may come to a pole
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -41,6 +53,10 @@ class Surface:
     """Base class: a parametrized piece of a submanifold of R^n."""
 
     name = "surface"
+    m: ClassVar[int]
+    n: ClassVar[int]
+    window: ClassVar[tuple[tuple[float, ...], tuple[float, ...]]]
+    polar_axes: ClassVar[tuple[int, ...]] = ()
 
     def __post_init__(self):
         """Reject malformed parameters: a tuple holds as many values as its
@@ -61,14 +77,6 @@ class Surface:
                                   f"got {value}")
 
     @property
-    def m(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def n(self) -> int:
-        raise NotImplementedError
-
-    @property
     def codim(self) -> int:
         return self.n - self.m
 
@@ -80,41 +88,33 @@ class Surface:
         """Orthonormal normal frame ``(..., n, n-m)`` (complex-safe)."""
         raise NotImplementedError
 
-    def default_window(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(origin, extent) of the default coordinate box."""
-        raise NotImplementedError
-
-    def validate_window(self, chart: Chart) -> None:
-        """Raise DomainError if the chart leaves the validity region."""
-
     def default_chart(self, shape) -> Chart:
+        """``shape`` nodes (an int means the same count on every axis)
+        spanning the declared ``window``."""
         if isinstance(shape, int):
             shape = (shape,) * self.m
-        origin, extent = self.default_window()
+        origin, extent = self.window
         spacing = tuple(extent[i] / (shape[i] - 1) for i in range(self.m))
         return build_chart(self.m, shape, spacing, origin)
 
-
-def _angle_window_guard(chart: Chart, axes: tuple[int, ...], lo: float, hi: float,
-                        what: str) -> None:
-    for a in axes:
-        start = chart.origin[a]
-        stop = chart.origin[a] + chart.spacing[a] * (chart.shape[a] - 1)
-        if start <= lo or stop >= hi:
-            raise DomainError(
-                f"{what}: axis {a} range [{start:.3f}, {stop:.3f}] leaves the "
-                f"validity window ({lo:.3f}, {hi:.3f})")
+    def validate_window(self, chart: Chart) -> None:
+        """Raise DomainError if a polar angle axis of the chart reaches a
+        pole, where the chart degenerates."""
+        lo, hi = _POLAR_MARGIN, math.pi - _POLAR_MARGIN
+        for a in self.polar_axes:
+            start = chart.origin[a]
+            stop = chart.origin[a] + chart.spacing[a] * (chart.shape[a] - 1)
+            if start <= lo or stop >= hi:
+                raise DomainError(
+                    f"{self.name}: axis {a} range [{start:.3f}, {stop:.3f}] "
+                    f"leaves the validity window ({lo:.3f}, {hi:.3f})")
 
 
 @dataclass(frozen=True)
 class Plane(Surface):
     name = "plane"
-
-    @property
-    def m(self): return 2
-
-    @property
-    def n(self): return 3
+    m, n = 2, 3
+    window = (-0.5, -0.5), (1.0, 1.0)
 
     def point(self, x):
         z = np.zeros_like(x[..., 0])
@@ -125,22 +125,16 @@ class Plane(Surface):
         nu[..., 2] = 1.0
         return nu[..., None]
 
-    def default_window(self):
-        return (-0.5, -0.5), (1.0, 1.0)
-
 
 @dataclass(frozen=True)
 class RoundSphere(Surface):
     """Unit-speed colatitude/longitude chart of a round 2-sphere."""
 
     name = "round-sphere"
+    m, n = 2, 3
+    window = (0.65, 0.3), (0.9, 1.2)
+    polar_axes = (0,)
     radius: float = 1.0
-
-    @property
-    def m(self): return 2
-
-    @property
-    def n(self): return 3
 
     def point(self, x):
         th, ph = x[..., 0], x[..., 1]
@@ -150,23 +144,14 @@ class RoundSphere(Surface):
     def frame(self, x):
         return (self.point(x) / self.radius)[..., None]   # outward
 
-    def default_window(self):
-        return (0.65, 0.3), (0.9, 1.2)
-
-    def validate_window(self, chart):
-        _angle_window_guard(chart, (0,), 0.05, math.pi - 0.05, self.name)
-
 
 @dataclass(frozen=True)
 class Ellipsoid(Surface):
     name = "ellipsoid"
+    m, n = 2, 3
+    window = (0.65, 0.3), (0.9, 1.2)
+    polar_axes = (0,)
     axes: tuple[float, float, float] = (1.0, 1.5, 2.0)
-
-    @property
-    def m(self): return 2
-
-    @property
-    def n(self): return 3
 
     def point(self, x):
         th, ph = x[..., 0], x[..., 1]
@@ -181,25 +166,15 @@ class Ellipsoid(Surface):
         w = np.stack([u[..., 0] / a**2, u[..., 1] / b**2, u[..., 2] / c**2], axis=-1)
         return _unit(w)[..., None]   # outward
 
-    def default_window(self):
-        return (0.65, 0.3), (0.9, 1.2)
-
-    def validate_window(self, chart):
-        _angle_window_guard(chart, (0,), 0.05, math.pi - 0.05, self.name)
-
 
 @dataclass(frozen=True)
 class Graph(Surface):
     """Graph z = cxx x^2 + cxy x y + cyy y^2 over the plane, upward normal."""
 
     name = "graph"
+    m, n = 2, 3
+    window = (-0.55, -0.45), (1.0, 1.0)
     coeffs: tuple[float, float, float] = (1.0, 0.0, 2.0)
-
-    @property
-    def m(self): return 2
-
-    @property
-    def n(self): return 3
 
     def point(self, x):
         cxx, cxy, cyy = self.coeffs
@@ -214,22 +189,15 @@ class Graph(Surface):
         w = np.stack([-fx, -fy, np.ones_like(p)], axis=-1)
         return _unit(w)[..., None]
 
-    def default_window(self):
-        return (-0.55, -0.45), (1.0, 1.0)
-
 
 @dataclass(frozen=True)
 class Cylinder(Surface):
     """Circular cylinder; its Gauss map kills the axis direction."""
 
     name = "cylinder"
+    m, n = 2, 3
+    window = (0.2, -0.5), (1.2, 1.2)
     radius: float = 1.0
-
-    @property
-    def m(self): return 2
-
-    @property
-    def n(self): return 3
 
     def point(self, x):
         th, z = x[..., 0], x[..., 1]
@@ -240,9 +208,6 @@ class Cylinder(Surface):
         th = x[..., 0]
         return np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=-1)[..., None]
 
-    def default_window(self):
-        return (0.2, -0.5), (1.2, 1.2)
-
 
 @dataclass(frozen=True)
 class AssociatedFamily(Surface):
@@ -252,6 +217,8 @@ class AssociatedFamily(Surface):
     the first fundamental form and the Gauss map of the catenoid.
     """
 
+    m, n = 2, 3
+    window = (-0.85, 0.25), (1.8, 1.2)
     scale: float = 1.0
     theta: float = 0.0
 
@@ -262,12 +229,6 @@ class AssociatedFamily(Surface):
         if self.theta == math.pi / 2:
             return "helicoid"
         return "associated-family"
-
-    @property
-    def m(self): return 2
-
-    @property
-    def n(self): return 3
 
     def point(self, x):
         s, t = x[..., 0], x[..., 1]
@@ -280,9 +241,6 @@ class AssociatedFamily(Surface):
         nu = np.stack([-np.cos(t) / np.cosh(s), -np.sin(t) / np.cosh(s),
                        np.sinh(s) / np.cosh(s)], axis=-1)
         return nu[..., None]
-
-    def default_window(self):
-        return (-0.85, 0.25), (1.8, 1.2)
 
 
 def Catenoid(scale: float = 1.0) -> AssociatedFamily:
@@ -298,14 +256,10 @@ class CliffordTorus(Surface):
     """Product of two circles in R^4 (flat metric, codimension 2)."""
 
     name = "clifford-torus"
+    m, n = 2, 4
+    window = (0.2, 0.35), (1.2, 1.2)
     r1: float = 1.0
     r2: float = 1.0
-
-    @property
-    def m(self): return 2
-
-    @property
-    def n(self): return 4
 
     def point(self, x):
         t1, t2 = x[..., 0], x[..., 1]
@@ -319,9 +273,6 @@ class CliffordTorus(Surface):
         n2 = np.stack([z, z, np.cos(t2), np.sin(t2)], axis=-1)
         return np.stack([n1, n2], axis=-1)
 
-    def default_window(self):
-        return (0.2, 0.35), (1.2, 1.2)
-
 
 @dataclass(frozen=True)
 class GraphR4(Surface):
@@ -329,23 +280,15 @@ class GraphR4(Surface):
     codimension-2 surface whose trace matrix has a simple unit eigenvalue."""
 
     name = "graph-r4"
+    m, n = 2, 4
+    window = (-0.55, -0.45), (1.0, 1.0)
     coeffs: tuple[float, ...] = (0.3, 0.1, 0.2, 0.25, 0.2, -0.15)
 
-    @property
-    def m(self): return 2
-
-    @property
-    def n(self): return 4
-
-    def _heights(self, p, q):
-        a1, b1, c1, a2, b2, c2 = self.coeffs
-        return (a1 * p * p + b1 * p * q + c1 * q * q,
-                a2 * p * p + b2 * p * q + c2 * q * q)
-
     def point(self, x):
+        a1, b1, c1, a2, b2, c2 = self.coeffs
         p, q = x[..., 0], x[..., 1]
-        f, g = self._heights(p, q)
-        return np.stack([p, q, f, g], axis=-1)
+        return np.stack([p, q, a1 * p * p + b1 * p * q + c1 * q * q,
+                         a2 * p * p + b2 * p * q + c2 * q * q], axis=-1)
 
     def frame(self, x):
         a1, b1, c1, a2, b2, c2 = self.coeffs
@@ -361,9 +304,6 @@ class GraphR4(Surface):
         n2 = n2 - np.sum(n2 * q1, axis=-1)[..., None] * q1
         return np.stack([q1, _unit(n2)], axis=-1)
 
-    def default_window(self):
-        return (-0.55, -0.45), (1.0, 1.0)
-
 
 def _sphere3(x: np.ndarray) -> np.ndarray:
     t1, t2, t3 = x[..., 0], x[..., 1], x[..., 2]
@@ -376,13 +316,10 @@ def _sphere3(x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class HypersphereM3(Surface):
     name = "hypersphere-m3"
+    m, n = 3, 4
+    window = (0.7, 0.65, 0.3), (0.7, 0.7, 0.8)
+    polar_axes = (0, 1)
     radius: float = 1.0
-
-    @property
-    def m(self): return 3
-
-    @property
-    def n(self): return 4
 
     def point(self, x):
         return self.radius * _sphere3(x)
@@ -390,23 +327,14 @@ class HypersphereM3(Surface):
     def frame(self, x):
         return _sphere3(x)[..., None]   # outward
 
-    def default_window(self):
-        return (0.7, 0.65, 0.3), (0.7, 0.7, 0.8)
-
-    def validate_window(self, chart):
-        _angle_window_guard(chart, (0, 1), 0.05, math.pi - 0.05, self.name)
-
 
 @dataclass(frozen=True)
 class EllipsoidM3(Surface):
     name = "ellipsoid-m3"
+    m, n = 3, 4
+    window = (0.7, 0.65, 0.3), (0.7, 0.7, 0.8)
+    polar_axes = (0, 1)
     axes: tuple[float, float, float, float] = (1.0, 1.1, 1.2, 1.3)
-
-    @property
-    def m(self): return 3
-
-    @property
-    def n(self): return 4
 
     def point(self, x):
         w = _sphere3(x)
@@ -416,12 +344,6 @@ class EllipsoidM3(Surface):
         u = self.point(x)
         w = u / np.asarray(self.axes) ** 2
         return _unit(w)[..., None]   # outward
-
-    def default_window(self):
-        return (0.7, 0.65, 0.3), (0.7, 0.7, 0.8)
-
-    def validate_window(self, chart):
-        _angle_window_guard(chart, (0, 1), 0.05, math.pi - 0.05, self.name)
 
 
 CATALOG = {
@@ -550,16 +472,8 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
     k = np.einsum("...aaij->...ij", k_ab)
     k = 0.5 * (k + np.swapaxes(k, -1, -2))
 
-    # pick the mean-curvature-positive branch at the chart center so that the
-    # stored immersion matches the sign the decision pipeline selects
-    Hc = H_alpha[chart.center]
-    scale = float(np.max(np.abs(H_alpha))) if H_alpha.size else 0.0
-    lead = 0.0
-    for comp in np.atleast_1d(Hc):
-        if abs(comp) > 1e-8 * max(scale, 1.0):
-            lead = comp
-            break
-    if lead < 0:
+    # the branch the decision pipeline selects by default
+    if center_sign(chart, H_alpha) < 0:
         u, du, h_alpha, H_alpha = -u, -du, -h_alpha, -H_alpha
 
     return OracleData(surface=surface, chart=chart, u=u, du=du, frame=frame,

@@ -15,13 +15,12 @@ import math
 
 import numpy as np
 
-from isogauss.codim import (_FLIP_THRESHOLD, _center_sign,
-                            _halpha_ops, _product_defect,
+from isogauss.codim import (_FLIP_THRESHOLD, _halpha_ops, _product_defect,
                             _signed_permutation_fit)
 from isogauss.datafiles import (_BLOCK_ORDER, FORMAT_VERSION, KINDS, Dataset,
                                 _validate_blocks)
 from isogauss.errors import DatasetFormatError
-from isogauss.grid import build_chart, grad_all
+from isogauss.grid import build_chart, center_sign, grad_all
 
 
 def staircase_orders(chart):
@@ -116,7 +115,7 @@ def resolve_full_fixed_space(chart, length, B, k_ab_op, sign_branch):
     candidates = []
     for _, psi in sorted(minima):
         H = length[..., None] * np.array([math.cos(psi), math.sin(psi)])
-        candidates.append(_center_sign(chart, H, sign_branch))
+        candidates.append(H * (center_sign(chart, H) * sign_branch))
     sign = 1 if sign_branch >= 0 else -1
     candidates.sort(key=lambda H: -sign * float(np.sum(H[chart.center])))
     return candidates

@@ -516,6 +516,29 @@ class TestRouting:
         assert math.isnan(report.residuals["step1_positivity"])
         assert "q_min_normalized" not in report.extra
 
+    @pytest.mark.parametrize("name, perturb", [
+        ("round-sphere", 0.0), ("ellipsoid", 0.0), ("ellipsoid", 1e-2)])
+    def test_chart_too_coarse_for_step1_is_inapplicable(self, name, perturb):
+        # 9 points: tau = 50 * 0.15^2 = 1.125, beyond every normalized q
+        surf = CATALOG[name]()
+        data = generate(surf, surf.default_chart(9))
+        normals = data.frame
+        if perturb:
+            normals = smooth_rotation_of_gauss_map(
+                data.nu, data.chart, perturb, seed=3)[..., None]
+        report = run_pipeline(metric_field(data.chart, data.g), normals)
+        assert (report.verdict, report.failed_step, report.method) == \
+            ("inapplicable", None, "none")
+        assert report.thresholds["step1_positivity"] == pytest.approx(1.125)
+        assert len(report.notes) == 1 and "tau = C * dx^2 = 1.125" \
+            in report.notes[0]
+
+    def test_sphere_just_fine_enough_takes_theorem2(self):
+        surf = CATALOG["round-sphere"]()
+        data = generate(surf, surf.default_chart(11))
+        report = run_pipeline(metric_field(data.chart, data.g), data.frame)
+        assert (report.verdict, report.method) == ("admissible", "theorem2")
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_non_finite_normal_data_is_a_sampling_error(self, d):
         surf = CATALOG["ellipsoid" if d == 1 else "clifford-torus"]()

@@ -1,11 +1,14 @@
+import argparse
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
 from isogauss import datafiles
-from isogauss.cli import main
+from isogauss.cli import build_parser, main
 from isogauss.reconstruct import box_error, observed_order
+from isogauss.surfaces import CATALOG, generate
 
 
 def run_cli(*argv):
@@ -232,6 +235,75 @@ class TestRoundtrip:
         assert code == 2
         assert ("--perturb-nu applies to hypersurface data only"
                 in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
+
+# a non-default value for every parameter of every catalog surface
+CATALOG_PARAMS = {
+    "plane": {}, "round-sphere": {"radius": 1.3},
+    "ellipsoid": {"axes": (1.1, 1.4, 2.2)}, "graph": {"coeffs": (0.8, 0.2, 1.5)},
+    "cylinder": {"radius": 0.7}, "catenoid": {"scale": 1.2},
+    "helicoid": {"scale": 0.9},
+    "associated-family": {"scale": 1.1, "theta": 0.4},
+    "clifford-torus": {"r1": 1.1, "r2": 1.4},
+    "graph-r4": {"coeffs": (0.31, 0.1, 0.21, 0.24, 0.2, -0.14)},
+    "hypersphere-m3": {"radius": 1.2},
+    "ellipsoid-m3": {"axes": (1.0, 1.05, 1.2, 1.35)},
+}
+
+
+class TestCatalogFlags:
+    @staticmethod
+    def flags(command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return {opt for action in sub.choices[command]._actions
+                for opt in action.option_strings}
+
+    @pytest.mark.parametrize("command", ["forward", "roundtrip"])
+    def test_flags_are_the_catalog_parameters(self, command):
+        params = {f"--{name}" for factory in CATALOG.values()
+                  for name in inspect.signature(factory).parameters}
+        assert params == {"--axes", "--coeffs", "--r1", "--r2", "--radius",
+                          "--scale", "--theta"}
+        chart_flags = {"--surface", "--grid", "--spacing", "--origin",
+                       "--perturb-nu", "--seed", "--refine"}
+        assert self.flags(command) - self.flags("check") - chart_flags \
+            == params
+
+    def test_every_factory_parameter_is_covered(self):
+        assert {name: set(params) for name, params in CATALOG_PARAMS.items()} \
+            == {name: set(inspect.signature(factory).parameters)
+                for name, factory in CATALOG.items()}
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_forward_writes_what_the_factory_builds(self, name, tmp_path,
+                                                    capsys):
+        params = CATALOG_PARAMS[name]
+        argv = []
+        for key, value in params.items():
+            text = ",".join(map(str, value)) if isinstance(value, tuple) \
+                else str(value)
+            argv += [f"--{key}", text]
+        grid = "7x7x7" if CATALOG[name]().m == 3 else "11x11"
+        out = tmp_path / "cli"
+        assert run_cli("forward", "--surface", name, "--grid", grid, *argv,
+                       "--out", str(out)) == 0
+        surf = CATALOG[name](**params)
+        data = generate(surf, surf.default_chart(int(grid.split("x")[0])))
+        direct = tmp_path / "direct"
+        datafiles.write_dataset(f"{direct}.dataset.txt", datafiles.gauss_dataset(
+            data.chart, data.n, data.g, frame=data.frame))
+        datafiles.write_dataset(f"{direct}.oracle.txt", datafiles.oracle_dataset(
+            data.chart, data.n, data.u, data.h_alpha, data.k, data.H_alpha))
+        for suffix in (".dataset.txt", ".oracle.txt"):
+            assert (tmp_path / f"cli{suffix}").read_bytes() == \
+                (tmp_path / f"direct{suffix}").read_bytes()
+
+    def test_a_list_for_a_number_is_a_usage_error(self, tmp_path, capsys):
+        assert run_cli("forward", "--surface", "round-sphere", "--radius", "1,2",
+                       "--out", str(tmp_path / "x")) == 2
+        assert "--radius" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
 

@@ -88,7 +88,7 @@ class TestNormalFrame:
                                                                rejected):
         # one node's second column leans off the first by `tilt`: its
         # smallest singular value is about tilt / sqrt(2) of the largest,
-        # against rank_rel_tol = 1e-8
+        # against RANK_REL_TOL = 1e-8
         chart = build_chart(2, (9, 9), (0.1, 0.1))
         spans = np.zeros(chart.shape + (4, 2))
         spans[..., 2, 0] = 1.0

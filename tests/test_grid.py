@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogauss.errors import ConfigurationError
-from isogauss.grid import (align_signs, build_chart, deriv, grad_all,
-                           staircase_slabs)
+from isogauss.grid import (align_signs, build_chart, center_sign, deriv,
+                           grad_all, staircase_slabs)
 from isogauss.reconstruct import observed_order
 
 import reference_loops
@@ -168,6 +168,27 @@ class TestStaircase:
         # a zero dot product keeps +1 in both
         zero = np.zeros(chart.shape + (3,))
         assert np.array_equal(align_signs(chart, zero), np.ones(chart.shape))
+
+
+class TestCenterSign:
+    def test_first_component_above_the_relative_floor_decides(self):
+        chart = chart2(5)
+        v = np.zeros(chart.shape + (3,))
+        v[2, 2] = [0.0, -0.5, 2.0]
+        assert center_sign(chart, v) == -1
+        v[2, 2, 0] = 1e-9            # below 1e-8 * max(1, max|v|): skipped
+        assert center_sign(chart, v) == -1
+        v[0, 0, 0] = 1e3             # the floor scales with the largest value
+        v[2, 2, 0] = 1e-6
+        assert center_sign(chart, v) == -1
+        v[2, 2, 0] = 1e-4
+        assert center_sign(chart, v) == 1
+
+    def test_zero_center_keeps_plus(self):
+        chart = chart2(5)
+        v = np.zeros(chart.shape + (2, 2))
+        v[1, 1] = -1.0
+        assert center_sign(chart, v) == 1
 
 
 def test_grad_all_stacks_derivative_axis_last():

@@ -149,7 +149,9 @@ class TestRoundtripDriver:
         rows = roundtrip(RoundSphere(1.0), RoundSphere(1.0).default_chart(9),
                          PipelineOptions(), 2)
         assert [row.shape for row in rows] == [(9, 9), (17, 17), (33, 33)]
-        assert all(row.verdict == "admissible" for row in rows)
+        # tau = 50 * 0.15^2 >= 1 on the 9-point level: too coarse to decide
+        assert [row.verdict for row in rows] == ["inapplicable", "admissible",
+                                                 "admissible"]
         # a 9-point chart leaves a one-node box at every level
         assert all(math.isnan(row.rec_error) for row in rows)
 

@@ -1,8 +1,11 @@
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from isogauss import surfaces
 from isogauss.curvature import metric_field, node_norm, raise_index, riemann_tensor
 from isogauss.errors import DomainError
 from isogauss.grid import interior_max
@@ -170,6 +173,41 @@ class TestWindows:
         surf = HypersphereM3(1.0)
         with pytest.raises(DomainError):
             generate(surf, RoundSphere(1.0).default_chart(9))
+
+
+class TestDeclaredData:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_a_surface_defines_only_point_and_frame(self, name):
+        cls = type(CATALOG[name]())
+        # dataclass-generated methods are compiled from strings
+        own = {key for key, value in vars(cls).items()
+               if isinstance(value, property) or (
+                   inspect.isfunction(value)
+                   and value.__code__.co_filename == surfaces.__file__)}
+        assert own == {"point", "frame"} | (
+            {"name"} if cls is AssociatedFamily else set())
+        assert 1 <= cls.m < cls.n and len(cls.window[0]) == len(cls.window[1]) \
+            == cls.m
+        assert set(cls.polar_axes) <= set(range(cls.m))
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_default_chart_spans_the_window(self, name):
+        surf = CATALOG[name]()
+        chart = surf.default_chart(5)
+        origin, extent = surf.window
+        assert chart.shape == (5,) * surf.m and chart.origin == origin
+        assert np.allclose([4 * dx for dx in chart.spacing], extent)
+        surf.validate_window(chart)
+
+    @pytest.mark.parametrize("name", ["round-sphere", "hypersphere-m3"])
+    def test_every_polar_axis_is_guarded(self, name):
+        surf = CATALOG[name]()
+        for a in surf.polar_axes:
+            chart = surf.default_chart(5)
+            origin = list(chart.origin)
+            origin[a] = 0.01
+            with pytest.raises(DomainError, match=f"axis {a} range"):
+                surf.validate_window(replace(chart, origin=tuple(origin)))
 
 
 @pytest.mark.parametrize("name,kwargs", [
