@@ -224,8 +224,8 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     Om_up = np.einsum("...ik,bkl,...lj->...bij", ginv, W, ginv, optimize=True)
     T = np.einsum("...ip,...jq,...pqkl,...bkl->...bij",
                   ginv, ginv, pack.R_low, Om_up, optimize=True)
-    CO = -np.einsum("...bip,...pj->...bij", T, g)          # R(Om_b) as operator
-    M = np.einsum("...ik,...bkj->...bij", kop_inv, CO)
+    CO = -(T @ g[..., None, :, :])                         # R(Om_b) as operator
+    M = kop_inv[..., None, :, :] @ CO
     rows = (np.einsum("eik,...bkj->...bije", S, M, optimize=True)
             - 2.0 * np.einsum("bik,...kl,elj->...bije", W, ginv, S, optimize=True))
     nb, p = W.shape[0], S.shape[0]
@@ -251,8 +251,8 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
         return Theorem3Result(None, gap, has_null, unique, frac_unique,
                               "indeterminate", gtol)
 
-    h_raw = np.einsum("...e,eij->...ij", Vh[..., -1, :], S)
-    hop = np.einsum("...ik,...kj->...ij", ginv, h_raw)
+    h_raw = (Vh[..., -1, :] @ S.reshape(p, m * m)).reshape(chart.shape + (m, m))
+    hop = ginv @ h_raw
     tr_h2 = np.einsum("...ij,...ji->...", hop, hop)
     tr_k = np.einsum("...ii->...", kop)
     lam = np.sqrt(tr_k / np.where(tr_h2 > 0, tr_h2, np.inf))
@@ -287,7 +287,7 @@ def spd_sqrt(k: np.ndarray, metric: MetricField | None = None) -> np.ndarray:
         k_on = to_orthonormal(metric, k)
         h_on = spd_sqrt(k_on)
         L = metric.chol
-        return np.einsum("...ik,...kl,...jl->...ij", L, h_on, L)
+        return L @ h_on @ L.mT
     k = 0.5 * (k + np.swapaxes(k, -1, -2))
     eigs, Q = np.linalg.eigh(k)
     scale = max(float(np.max(np.abs(eigs))), 1e-300)
@@ -296,7 +296,7 @@ def spd_sqrt(k: np.ndarray, metric: MetricField | None = None) -> np.ndarray:
         raise NotPositiveSemidefiniteError(
             f"form has eigenvalue {worst:.3e} below -1.0e-10 * scale")
     root = np.sqrt(np.clip(eigs, 0.0, None))
-    return np.einsum("...ik,...k,...jk->...ij", Q, root, Q)
+    return (Q * root[..., None, :]) @ Q.mT
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def spd_sqrt(k: np.ndarray, metric: MetricField | None = None) -> np.ndarray:
 
 def check_h_squared(h: np.ndarray, k: np.ndarray, metric: MetricField) -> float:
     """Interior max of ``|h g^{-1} h - k| / (1 + |k|)`` per node."""
-    hgh = np.einsum("...ik,...kl,...lj->...ij", h, metric.g_inv, h)
+    hgh = h @ metric.g_inv @ h
     res = node_norm(hgh - k, 2) / (1.0 + node_norm(k, 2))
     return interior_max(metric.chart, res)
 
@@ -330,17 +330,16 @@ def build_U(A: np.ndarray, k: np.ndarray, h: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise DegenerateGaussMapError(
             f"third form singular, cannot invert A^*: {exc}") from exc
-    U = -np.einsum("...nk,...kj->...nj", A, kinvh)
+    U = -(A @ kinvh)
     for a in range(frame.shape[-1]):
         nu = frame[..., a]
-        coeff = np.einsum("...n,...nj->...j", nu, U)
-        U = U - coeff[..., None, :] * nu[..., :, None]
+        U = U - nu[..., :, None] * (nu[..., None, :] @ U)
     return U
 
 
 def check_isometry(U: np.ndarray, metric: MetricField) -> float:
     """Interior max of ``|U^T U - g| / (1 + |g|)`` per node."""
-    utu = np.einsum("...ni,...nj->...ij", U, U)
+    utu = U.mT @ U
     res = node_norm(utu - metric.g, 2) / (1.0 + node_norm(metric.g, 2))
     return interior_max(metric.chart, res)
 
@@ -354,14 +353,20 @@ def check_parallel(U: np.ndarray, Gamma: np.ndarray, frame: np.ndarray,
     columns of the ``(*grid, n, d)`` normal frame, normalized by
     ``1 + |Gamma| |U|``; the interior maximum is returned.
     """
+    m = chart.m
     dU = grad_all(U, chart)                                   # (..., n, j, i)
-    tang = dU
+    flat = dU.reshape(U.shape[:-1] + (m * m,))
+    tang = dU.copy()
     for a in range(frame.shape[-1]):
         nu = frame[..., a]
-        ip = np.einsum("...n,...nji->...ji", nu, dU)
-        tang = tang - np.einsum("...ji,...n->...nji", ip, nu)
-    gam = np.einsum("...kij,...nk->...nji", Gamma, U)
-    res = np.sqrt(np.sum((tang - gam) ** 2, axis=-3))         # norm over n
+        ip = (nu[..., None, :] @ flat).reshape(chart.shape + (1, m, m))
+        tang -= nu[..., :, None, None] * ip
+    del dU, flat
+    # [..., n, i, j] = u_k Gamma^k_ij
+    gam = (U @ Gamma.reshape(chart.shape + (m, m * m))).reshape(tang.shape)
+    tang -= np.swapaxes(gam, -1, -2)
+    del gam
+    res = np.sqrt(np.sum(np.square(tang, out=tang), axis=-3))  # norm over n
     res = np.max(res, axis=(-2, -1))
     scale = 1.0 + node_norm(Gamma, 3) * node_norm(U, 2)
     # U is a derived field: a deeper margin keeps its boundary-layer
@@ -402,11 +407,17 @@ def check_minimal_m2(metric: MetricField, k: np.ndarray,
 def codazzi_residual(h: np.ndarray, Gamma: np.ndarray, metric: MetricField) -> float:
     """Interior max of ``(nabla_i h)_jk - (nabla_j h)_ik`` (normalized)."""
     chart = metric.chart
+    m = chart.m
     dh = grad_all(h, chart)                                   # (..., j, k, i)
-    nabla = (np.einsum("...jki->...ijk", dh)
-             - np.einsum("...pij,...pk->...ijk", Gamma, h)
-             - np.einsum("...pik,...jp->...ijk", Gamma, h))
+    G = Gamma.reshape(chart.shape + (m, m * m))
+    # [..., (i, j), k] = Gamma^p_ij h_pk and [..., j, (i, k)] = h_jp Gamma^p_ik
+    t1 = (G.mT @ h).reshape(dh.shape)
+    t2 = (h @ G).reshape(dh.shape)
+    nabla = np.einsum("...jki->...ijk", dh) - t1
+    nabla -= np.swapaxes(t2, -3, -2)
+    del dh, t1, t2
     defect = nabla - np.swapaxes(nabla, -3, -2)
+    del nabla
     res = node_norm(defect, 3)
     scale = 1.0 + node_norm(h, 2) * (1.0 + node_norm(Gamma, 3))
     return interior_max(chart, res / scale, margin=4)
@@ -598,8 +609,7 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
         thresholds["parallelity"] = tau
     best = None
     for h_alpha, h_squared, H_alpha in candidates:
-        U = build_U(wc.A, wc.k, np.einsum("...aij,a->...ij", h_alpha, wc.w),
-                    frame)
+        U = build_U(wc.A, wc.k, np.moveaxis(h_alpha, -3, -1) @ wc.w, frame)
         res, ext = dict(residuals), dict(extra)
         res["h_squared"] = h_squared
         res["isometry"] = check_isometry(U, metric)

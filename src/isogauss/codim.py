@@ -135,15 +135,17 @@ def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
         dets = D[..., 0, 0] if d == 1 else np.linalg.det(D)
         min_det = min(min_det, float(np.min(dets)))
 
-    gram = np.einsum("...na,...nb->...ab", Q, Q)
-    defect = float(np.max(node_norm(gram - eye, 2)))
+    defect = float(np.max(node_norm(Q.mT @ Q - eye, 2)))
 
-    A = np.einsum("...nai->...nia", grad_all(Q, chart))
+    dQ = grad_all(Q, chart)                                    # [..., n, a, i]
     if d > 1:
-        coeff = np.einsum("...nia,...nb->...iab", A, Q)
-        off = coeff * (1.0 - eye)                              # skip self terms
-        A = A - np.einsum("...iab,...nb->...nia", off, Q)
-    return NormalFrame(chart=chart, frame=Q, A=A,
+        flat = dQ.reshape(chart.shape + (n, d * chart.m))
+        # [..., a, i, b] = <d_i nu^a, nu^b>, self terms skipped
+        off = (flat.mT @ Q).reshape(chart.shape + (d, chart.m, d))
+        off *= (1.0 - eye)[:, None, :]
+        off = off.reshape(chart.shape + (d * chart.m, d))
+        dQ = dQ - (Q @ off.mT).reshape(dQ.shape)
+    return NormalFrame(chart=chart, frame=Q, A=np.swapaxes(dQ, -1, -2),
                        orthonormality_defect=defect, min_overlap_det=min_det)
 
 
@@ -161,7 +163,11 @@ class CodimForms:
 
 
 def third_forms(frame: NormalFrame) -> CodimForms:
-    k_ab = np.einsum("...nia,...njb->...abij", frame.A, frame.A)
+    # A^T A once for all blocks: [..., (a, i), (b, j)]
+    flat = frame.A.mT.reshape(frame.frame.shape[:-1] + (-1,))
+    kk = (flat.mT @ flat).reshape(flat.shape[:-2]
+                                  + (frame.d, frame.chart.m) * 2)
+    k_ab = np.einsum("...aibj->...abij", kk)
     k = np.einsum("...aaij->...ij", k_ab)
     k = 0.5 * (k + np.swapaxes(k, -1, -2))
     if frame.d == 1:
@@ -195,20 +201,27 @@ def _rho_and_B(forms: CodimForms, Ric: np.ndarray, metric: MetricField):
     if float(np.min(np.abs(eigs))) <= 1e-10 * max(float(np.max(np.abs(eigs))), 1e-300):
         raise DomainError("Ric + k is not invertible; the trace matrix is undefined")
     B = np.linalg.inv(raise_index(metric, ric_k))
-    k_ab_op = np.einsum("...ik,...abkj->...abij", metric.g_inv, forms.k_ab)
-    rho = np.einsum("...ij,...abji->...ab", B, k_ab_op)
+    k_ab_op = metric.g_inv[..., None, None, :, :] @ forms.k_ab
+    rho = np.einsum("...ij,...abji->...ab", B, k_ab_op, optimize=True)
     return rho, B, k_ab_op
 
 
 def _halpha_ops(H: np.ndarray, B: np.ndarray, k_ab_op: np.ndarray) -> np.ndarray:
     """h^b as operators from the recovery formula, shape (*grid, d, m, m)."""
-    return np.einsum("...a,...ik,...abkj->...bij", H, B, k_ab_op, optimize=True)
+    Hk = H[..., None, :] @ k_ab_op.reshape(k_ab_op.shape[:-3] + (-1,))
+    return B[..., None, :, :] @ Hk.reshape(k_ab_op.shape[:-4] + k_ab_op.shape[-3:])
+
+
+def _block_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``X^a Y^b`` for every pair of blocks, shape (*grid, d, d, m, m)."""
+    return X[..., :, None, :, :] @ Y[..., None, :, :, :]
 
 
 def _product_defect(h_ops: np.ndarray, k_ab_op: np.ndarray) -> np.ndarray:
     """Per-node norm of h^a h^b - k^{ab} over all blocks (normalized)."""
-    prod = np.einsum("...aik,...bkj->...abij", h_ops, h_ops, optimize=True)
-    return node_norm(prod - k_ab_op, 4) / (1.0 + node_norm(k_ab_op, 4))
+    defect = _block_products(h_ops, h_ops)
+    defect -= k_ab_op
+    return node_norm(defect, 4) / (1.0 + node_norm(k_ab_op, 4))
 
 
 def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
@@ -283,12 +296,9 @@ def _resolve_full_fixed_space(chart: Chart, length: np.ndarray, B: np.ndarray,
     inter = chart.interior
     length_i, B_i, K = length[inter], B[inter], k_ab_op[inter]
     P0, P1 = (_halpha_ops(length_i[..., None] * e, B_i, K) for e in np.eye(2))
-
-    def products(X, Y):
-        return np.einsum("...aik,...bkj->...abij", X, Y, optimize=True)
-
-    X00, X11 = products(P0, P0) - K, products(P1, P1) - K
-    Xx = products(P0, P1) + products(P1, P0)
+    X00 = _block_products(P0, P0) - K
+    X11 = _block_products(P1, P1) - K
+    Xx = _block_products(P0, P1) + _block_products(P1, P0)
     denom = 2.0 * (1.0 + node_norm(K, 4))[..., None, None, None, None]
     Y = (np.stack([X00 + X11, X00 - X11, Xx]) / denom).reshape(3, -1)
     G = (Y @ Y.T) / math.prod(K.shape[:-4])               # mean over nodes
@@ -327,7 +337,7 @@ def second_forms(H: np.ndarray, B: np.ndarray, k_ab_op: np.ndarray,
     """
     h_ops = _halpha_ops(H, B, k_ab_op)
     res = interior_max(metric.chart, _product_defect(h_ops, k_ab_op))
-    h_low = np.einsum("...ik,...akj->...aij", metric.g, h_ops)
+    h_low = metric.g[..., None, :, :] @ h_ops
     h_low = 0.5 * (h_low + np.swapaxes(h_low, -1, -2))
     return h_low, res
 
@@ -361,8 +371,8 @@ def _combinations(A: np.ndarray, k_ab: np.ndarray):
     mixes = [np.ones(d)] + [rng.standard_normal(d) for _ in range(3)]
     for w in mixes:
         w = w / np.linalg.norm(w)
-        yield (w, np.einsum("...nia,a->...ni", A, w),
-               np.einsum("...abij,a,b->...ij", k_ab, w, w))
+        yield (w, A @ w, np.einsum("...abij,a,b->...ij", k_ab, w, w,
+                                   optimize=True))
 
 
 def weingarten_combination(A: np.ndarray, k_ab: np.ndarray,
@@ -396,6 +406,8 @@ def frame_consistency(A: np.ndarray, U: np.ndarray, h_alpha: np.ndarray,
                       chart: Chart) -> float:
     """Interior max of ``|h^a + (A^a)^T U|`` over all directions (normalized):
     the directions that :func:`weingarten_combination` did not invert."""
-    h_back = -np.einsum("...nia,...nj->...aij", A, U)
+    # [..., (a, i), j] = <A^a e_i, u_j>
+    flat = A.mT.reshape(A.shape[:-2] + (-1,))
+    h_back = -(flat.mT @ U).reshape(h_alpha.shape)
     cons = node_norm(h_back - h_alpha, 3) / (1.0 + node_norm(h_alpha, 3))
     return interior_max(chart, cons)

@@ -38,14 +38,16 @@ def node_norm(a: np.ndarray, k: int) -> np.ndarray:
 class MetricField:
     """A symmetric positive definite metric sampled on a chart.
 
-    ``g_inv`` and the Cholesky factor ``chol`` (``g = L L^T``, lower) are
-    computed eagerly; columns of ``inv(L)^T`` form g-orthonormal frames.
+    The Cholesky factor ``chol`` (``g = L L^T``, lower) and its inverse
+    ``chol_inv`` are computed eagerly, and ``g_inv = chol_inv^T chol_inv``;
+    the columns of ``chol_inv^T`` form g-orthonormal frames.
     """
 
     chart: Chart
     g: np.ndarray
     g_inv: np.ndarray
     chol: np.ndarray
+    chol_inv: np.ndarray
 
 
 def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
@@ -67,14 +69,18 @@ def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
         raise SingularMetricError(
             f"metric not positive definite at node {node} "
             f"(min eigenvalue {np.min(eigs):.3e})", node=node)
-    g_inv = np.linalg.inv(g)
-    eye = np.eye(m)
-    err = np.max(node_norm(np.einsum("...ik,...kj->...ij", g, g_inv) - eye, 2))
+    chol = np.linalg.cholesky(g)
+    # inv(L) directly: L^T inv(g) agrees with it only to about
+    # cond(g) * 1e-16, which is 1e-6 on a metric near singularity
+    chol_inv = np.linalg.inv(chol)
+    g_inv = chol_inv.mT @ chol_inv
+    err = np.max(node_norm(g @ g_inv - np.eye(m), 2))
     rel = float(np.max(node_norm(g, 2)) * np.max(node_norm(g_inv, 2)))
     if err > 1e-12 * max(1.0, rel):
         raise SingularMetricError(
             f"metric inversion failed the identity check: {err:.3e}")
-    return MetricField(chart=chart, g=g, g_inv=g_inv, chol=np.linalg.cholesky(g))
+    return MetricField(chart=chart, g=g, g_inv=g_inv, chol=chol,
+                       chol_inv=chol_inv)
 
 
 @dataclass(frozen=True)
@@ -91,32 +97,45 @@ class CurvaturePack:
 def christoffel(metric: MetricField) -> np.ndarray:
     """Christoffel symbols ``Gamma^k_ij`` of the Levi-Civita connection."""
     chart = metric.chart
+    m = chart.m
     dg = grad_all(metric.g, chart)                    # [..., i, j, l] = d_l g_ij
     low = 0.5 * (np.einsum("...jli->...lij", dg)      # d_i g_jl
                  + np.einsum("...ilj->...lij", dg)    # d_j g_il
                  - np.einsum("...ijl->...lij", dg))   # d_l g_ij
-    return np.einsum("...kl,...lij->...kij", metric.g_inv, low)
+    flat = low.reshape(chart.shape + (m, m * m))
+    return (metric.g_inv @ flat).reshape(low.shape)
 
 
 def riemann_tensor(metric: MetricField, Gamma: np.ndarray | None = None) -> CurvaturePack:
     """Full curvature data of the metric (see module docstring for signs)."""
     chart = metric.chart
+    m = chart.m
     if Gamma is None:
         Gamma = christoffel(metric)
     dG = grad_all(Gamma, chart)                       # [..., l, j, k, a] = d_a G^l_jk
-    R = (np.einsum("...ljki->...lijk", dG)
-         - np.einsum("...likj->...lijk", dG)
-         + np.einsum("...lip,...pjk->...lijk", Gamma, Gamma)
-         - np.einsum("...ljp,...pik->...lijk", Gamma, Gamma))
-    R_low = np.einsum("...lp,...pijk->...ijkl", metric.g, R)
-    Ric = np.einsum("...jk,...ijkl->...il", metric.g_inv, R_low)
+    R = np.einsum("...ljki->...lijk", dG) - np.einsum("...likj->...lijk", dG)
+    del dG
+    # [..., l, i, j, k] = Gamma^l_ip Gamma^p_jk: one (m^2 x m)(m x m^2)
+    # product per node
+    GG = (Gamma.reshape(chart.shape + (m * m, m))
+          @ Gamma.reshape(chart.shape + (m, m * m))).reshape(R.shape)
+    R += GG
+    R -= np.swapaxes(GG, -3, -2)                      # Gamma^l_jp Gamma^p_ik
+    del GG
+    # [..., (i, j, k), l] = g_lp R^p_ijk
+    R_low = (R.reshape(chart.shape + (m, m ** 3)).mT
+             @ metric.g.mT).reshape(R.shape)
+    del R
+    # [..., i, l] = R_low[..., i, (j, k), l] g^(jk): a matrix-vector product
+    Ric = (np.swapaxes(R_low.reshape(chart.shape + (m, m * m, m)), -1, -2)
+           @ metric.g_inv.reshape(chart.shape + (1, m * m, 1)))[..., 0]
     s = np.einsum("...il,...il->...", metric.g_inv, Ric)
     return CurvaturePack(chart=chart, Gamma=Gamma, R_low=R_low, Ric=Ric, s=s)
 
 
 def raise_index(metric: MetricField, b_low: np.ndarray) -> np.ndarray:
     """Bilinear form -> operator: ``b^i_j = g^{ik} b_kj``."""
-    return np.einsum("...ik,...kj->...ij", metric.g_inv, b_low)
+    return metric.g_inv @ b_low
 
 
 def to_orthonormal(metric: MetricField, b_low: np.ndarray) -> np.ndarray:
@@ -125,13 +144,12 @@ def to_orthonormal(metric: MetricField, b_low: np.ndarray) -> np.ndarray:
     Returns ``inv(L) b inv(L)^T`` where ``g = L L^T``; symmetric input gives
     a symmetric output whose eigenvalues are those of the g-raised operator.
     """
-    tmp = np.linalg.solve(metric.chol, b_low)
-    return np.swapaxes(np.linalg.solve(metric.chol, np.swapaxes(tmp, -1, -2)), -1, -2)
+    return metric.chol_inv @ b_low @ metric.chol_inv.mT
 
 
 def antisymmetry_defect(metric: MetricField, Om_op: np.ndarray) -> float:
     """Max deviation of an operator field from so_g (g Om skew)."""
-    gOm = np.einsum("...ik,...kj->...ij", metric.g, Om_op)
+    gOm = metric.g @ Om_op
     scale = 1.0 + float(np.max(node_norm(gOm, 2)))
     return float(np.max(node_norm(gOm + np.swapaxes(gOm, -1, -2), 2))) / scale
 
@@ -147,7 +165,7 @@ def curvature_operator(pack: CurvaturePack, metric: MetricField,
     """
     if check and antisymmetry_defect(metric, Om_op) > 1e-8:
         raise DomainError("operator argument is not g-antisymmetric")
-    Om_up = np.einsum("...kp,...pl->...kl", Om_op, metric.g_inv)
+    Om_up = Om_op @ metric.g_inv
     T = np.einsum("...ip,...jq,...pqkl,...kl->...ij",
-                  metric.g_inv, metric.g_inv, pack.R_low, Om_up)
-    return -np.einsum("...ip,...pj->...ij", T, metric.g)
+                  metric.g_inv, metric.g_inv, pack.R_low, Om_up, optimize=True)
+    return -(T @ metric.g)

@@ -97,10 +97,10 @@ def verify_immersion(imm: Immersion, metric: MetricField,
     """
     chart = metric.chart
     du = grad_all(imm.u, chart)
-    gram = np.einsum("...ni,...nj->...ij", du, du)
+    gram = du.mT @ du
     res_g = node_norm(gram - metric.g, 2) / (1.0 + node_norm(metric.g, 2))
     nu = normals / np.sqrt(np.sum(normals * normals, axis=-2, keepdims=True))
-    tang = np.einsum("...nj,...na->...ja", du, nu)
+    tang = du.mT @ nu
     res_n = np.max(np.abs(tang), axis=(-2, -1)) / (1.0 + node_norm(du, 2))
     # u integrates a derived field: strip its boundary-layer error margin
     return interior_max(chart, res_g, margin=4), interior_max(chart, res_n, margin=4)

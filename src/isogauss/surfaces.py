@@ -459,16 +459,23 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
     frame = np.real(surface.frame(x))
     d = frame.shape[-1]
 
-    g = np.einsum("...ni,...nj->...ij", du, du)
-    h_alpha = np.einsum("...nij,...na->...aij", u2, frame)
+    m = chart.m
+    g = du.mT @ du
+    h_alpha = (frame.mT @ u2.reshape(u.shape + (m * m,))).reshape(
+        chart.shape + (d, m, m))
     g_inv = np.linalg.inv(g)
-    H_alpha = np.einsum("...ij,...aij->...a", g_inv, h_alpha)
+    H_alpha = (h_alpha.reshape(chart.shape + (d, m * m))
+               @ g_inv.reshape(chart.shape + (m * m, 1)))[..., 0]
 
     dframe = _cstep_jacobian(surface.frame, x)   # (..., n, a, j)
-    A_raw = np.einsum("...naj->...nja", dframe)
-    normal_part = np.einsum("...nja,...nb->...jab", A_raw, frame)
-    A_frame = A_raw - np.einsum("...jab,...nb->...nja", normal_part, frame)
-    k_ab = np.einsum("...nia,...njb->...abij", A_frame, A_frame)
+    flat = dframe.reshape(u.shape + (d * m,))
+    # [..., (a, j), b] = <d_j nu^a, nu^b>; removing it leaves the
+    # tangential differentials [..., n, (a, j)]
+    normal_part = flat.mT @ frame
+    A_frame = flat - frame @ normal_part.mT
+    # [..., (a, i), (b, j)] = <A^a e_i, A^b e_j>
+    k_ab = np.einsum("...aibj->...abij", (A_frame.mT @ A_frame).reshape(
+        chart.shape + (d, m) * 2))
     k = np.einsum("...aaij->...ij", k_ab)
     k = 0.5 * (k + np.swapaxes(k, -1, -2))
 
@@ -492,8 +499,8 @@ def gauss_codazzi_residuals(data: OracleData, pack: CurvaturePack,
     from .admissibility import codazzi_residual   # cycle-free at call time
 
     h = data.h_alpha
-    quad = (np.einsum("...ail,...ajk->...ijkl", h, h)
-            - np.einsum("...aik,...ajl->...ijkl", h, h))
+    quad = (np.einsum("...ail,...ajk->...ijkl", h, h, optimize=True)
+            - np.einsum("...aik,...ajl->...ijkl", h, h, optimize=True))
     scale = 1.0 + float(np.max(node_norm(quad, 4)))
     gauss = float(np.max(node_norm((pack.R_low - quad)[data.chart.interior], 4))) / scale
     codazzi = max(codazzi_residual(h[..., a, :, :], pack.Gamma, metric)
@@ -522,9 +529,9 @@ def smooth_rotation_of_gauss_map(nu: np.ndarray, chart: Chart, magnitude: float,
                        for i in range(chart.m)])
     omega = 2.0 * math.pi / extent * (1.0 + 0.3 * rng.random(chart.m))
     phase = rng.random() * 2.0 * math.pi
-    alpha = magnitude * np.sin(np.einsum("...i,i->...", x, omega) + phase)
+    alpha = magnitude * np.sin(x @ omega + phase)
     ca = np.cos(alpha)[..., None]
     sa = np.sin(alpha)[..., None]
-    pa = np.einsum("...n,n->...", nu, a)[..., None]
-    pb = np.einsum("...n,n->...", nu, b)[..., None]
+    pa = (nu @ a)[..., None]
+    pb = (nu @ b)[..., None]
     return nu + sa * (pa * b - pb * a) + (ca - 1.0) * (pa * a + pb * b)

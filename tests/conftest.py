@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from isogauss import reconstruct
@@ -72,6 +73,24 @@ def ellipsoid_m3():
 @pytest.fixture(scope="session")
 def clifford():
     return Problem(CliffordTorus(1.0, 1.4), 41)
+
+
+@pytest.fixture(scope="session")
+def near_singular_metric():
+    """``near_singular_metric(chart, eps)`` is a smooth m = 2 metric with
+    eigenvalues ``lam`` and ``eps * lam`` along a frame that turns across
+    the chart, so its condition number is ``1 / eps`` at every node."""
+    def build(chart, eps):
+        x = chart.mesh()
+        theta = x[..., 0] + 2.0 * x[..., 1]
+        c, s = np.cos(theta), np.sin(theta)
+        rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        lam = 1.0 + 0.3 * np.sin(x[..., 1])
+        diag = np.zeros(chart.shape + (2, 2))
+        diag[..., 0, 0] = lam
+        diag[..., 1, 1] = eps * lam
+        return rot @ diag @ np.swapaxes(rot, -1, -2)
+    return build
 
 
 @pytest.fixture

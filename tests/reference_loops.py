@@ -2,11 +2,12 @@
 
 These are the straightforward loops that ``grid.align_signs``,
 ``codim.build_normal_frame`` and the text I/O (``datafiles.read_dataset``,
-``datafiles.write_dataset``, ``cli._write_plot_data``) vectorize, and the
+``datafiles.write_dataset``, ``cli._write_plot_data``) vectorize, the
 180-angle scan that ``codim._resolve_full_fixed_space`` replaces by an
-exact solve; the equivalence tests compare the package against them.
-``gauss_map_differential`` is the hypersurface formula that the one-column
-normal frame reproduces.
+exact solve, and the index-notation contractions and triangular solves
+that ``curvature`` replaces by batched matrix products; the equivalence
+tests compare the package against them.  ``gauss_map_differential`` is the
+hypersurface formula that the one-column normal frame reproduces.
 """
 
 from __future__ import annotations
@@ -84,10 +85,41 @@ def normal_frame(chart, spans):
 
 def gauss_map_differential(chart, nu):
     """``A = d nu`` and ``k = A^T A`` of the normalized field ``nu``,
-    straight from the differences: what the one-column frame reduces to."""
+    straight from the differences: what the one-column frame reduces to.
+    ``k`` is the same batched product ``codim.third_forms`` forms, so the
+    two agree bit for bit."""
     A = grad_all(nu / np.sqrt(np.sum(nu * nu, axis=-1))[..., None], chart)
-    k = np.einsum("...ni,...nj->...ij", A, A)
+    k = A.mT @ A
     return A, 0.5 * (k + np.swapaxes(k, -1, -2))
+
+
+def christoffel(metric):
+    """``Gamma^k_ij = g^kl Gamma_lij``, contracted in index notation."""
+    dg = grad_all(metric.g, metric.chart)             # [..., i, j, l] = d_l g_ij
+    low = 0.5 * (np.einsum("...jli->...lij", dg)
+                 + np.einsum("...ilj->...lij", dg)
+                 - np.einsum("...ijl->...lij", dg))
+    return np.einsum("...kl,...lij->...kij", metric.g_inv, low)
+
+
+def riemann_tensor(metric, Gamma):
+    """``(R_low, Ric, s)`` of ``Gamma``, contracted in index notation."""
+    dG = grad_all(Gamma, metric.chart)                # [..., l, j, k, a] = d_a G^l_jk
+    R = (np.einsum("...ljki->...lijk", dG)
+         - np.einsum("...likj->...lijk", dG)
+         + np.einsum("...lip,...pjk->...lijk", Gamma, Gamma)
+         - np.einsum("...ljp,...pik->...lijk", Gamma, Gamma))
+    R_low = np.einsum("...lp,...pijk->...ijkl", metric.g, R)
+    Ric = np.einsum("...jk,...ijkl->...il", metric.g_inv, R_low)
+    s = np.einsum("...il,...il->...", metric.g_inv, Ric)
+    return R_low, Ric, s
+
+
+def to_orthonormal(metric, b_low):
+    """``inv(L) b inv(L)^T`` by two batched solves against ``L``."""
+    tmp = np.linalg.solve(metric.chol, b_low)
+    return np.swapaxes(np.linalg.solve(metric.chol, np.swapaxes(tmp, -1, -2)),
+                       -1, -2)
 
 
 def resolve_full_fixed_space(chart, length, B, k_ab_op, sign_branch):

@@ -4,11 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogauss.curvature import (christoffel, curvature_operator, metric_field,
-                                node_norm, raise_index, riemann_tensor)
+                                node_norm, raise_index, riemann_tensor,
+                                to_orthonormal)
 from isogauss.errors import DomainError, SingularMetricError
 from isogauss.grid import build_chart, interior_max
 from isogauss.reconstruct import observed_order
 from isogauss.surfaces import RoundSphere, generate
+
+import reference_loops
+
+
+def per_node_rel(new, old, k):
+    """Largest per-node ``|new - old| / |old|`` over the last ``k`` axes; a
+    node where the two agree exactly counts 0."""
+    diff = node_norm(new - old, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(diff == 0, 0.0, diff / node_norm(old, k))))
 
 
 def flat_metric(chart):
@@ -52,6 +63,30 @@ class TestMetricField:
         chart, metric, _ = polar_metric(17)
         eye = np.einsum("...ik,...kj->...ij", metric.g, metric.g_inv)
         assert np.max(np.abs(eye - np.eye(2))) < 1e-12
+
+    def test_near_singular_metric_accepted(self, near_singular_metric):
+        chart = build_chart(2, (17, 17), (0.05, 0.05), (0.3, 0.2))
+        metric = metric_field(chart, near_singular_metric(chart, 1e-10))
+        cond = np.linalg.cond(metric.g)
+        assert 0.5e10 < np.min(cond) and np.max(cond) < 2e10
+        assert np.all(np.isfinite(metric.g_inv))
+        assert np.all(np.isfinite(metric.chol_inv))
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
+    def test_near_singular_frames_match_two_solves(self, near_singular_metric,
+                                                   eps):
+        # a form unrelated to g: for one near g itself the product cancels,
+        # and the explicit inverse agrees only to about cond(g) * 1e-16
+        chart = build_chart(2, (17, 17), (0.05, 0.05), (0.3, 0.2))
+        metric = metric_field(chart, near_singular_metric(chart, eps))
+        x = chart.mesh()
+        b = np.zeros(chart.shape + (2, 2))
+        b[..., 0, 0] = 1.0 + x[..., 0]
+        b[..., 1, 1] = 2.0 - x[..., 1]
+        b[..., 0, 1] = b[..., 1, 0] = 0.3 * x[..., 0] * x[..., 1]
+        assert per_node_rel(to_orthonormal(metric, b),
+                            reference_loops.to_orthonormal(metric, b),
+                            2) <= 1e-10
 
 
 class TestChristoffel:
@@ -229,3 +264,37 @@ class TestCurvatureOperator:
         defect = node_norm(gRO + np.swapaxes(gRO, -1, -2), 2)
         scale = 1.0 + float(np.max(node_norm(gRO, 2)))
         assert interior_max(p.chart, defect) / scale < 30 * p.dx2
+
+
+class TestBatchedKernels:
+    """The batched matrix products agree node by node with the index-notation
+    contractions and the two triangular solves of ``reference_loops``."""
+
+    PROBLEMS = ["ellipsoid", "ellipsoid_m3", "clifford"]
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_curvature_matches_index_notation(self, name, request):
+        problem = request.getfixturevalue(name)
+        metric, pack = problem.metric, problem.pack
+        Gamma = reference_loops.christoffel(metric)
+        R_low, Ric, s = reference_loops.riemann_tensor(metric, Gamma)
+        assert per_node_rel(christoffel(metric), Gamma, 3) <= 1e-12
+        assert per_node_rel(pack.R_low, R_low, 4) <= 1e-12
+        assert per_node_rel(pack.Ric, Ric, 2) <= 1e-12
+        assert per_node_rel(pack.s[..., None], s[..., None], 1) <= 1e-12
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_to_orthonormal_matches_two_solves(self, name, request):
+        problem = request.getfixturevalue(name)
+        metric = problem.metric
+        for form in (problem.data.k, metric.g):
+            assert per_node_rel(to_orthonormal(metric, form),
+                                reference_loops.to_orthonormal(metric, form),
+                                2) <= 1e-12
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_inverse_from_the_cholesky_factor(self, name, request):
+        metric = request.getfixturevalue(name).metric
+        eye = np.eye(metric.chart.m)
+        assert np.max(np.abs(metric.chol_inv @ metric.chol - eye)) <= 1e-12
+        assert per_node_rel(metric.g_inv, np.linalg.inv(metric.g), 2) <= 1e-12

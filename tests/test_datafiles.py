@@ -301,6 +301,23 @@ def fuzz_bases(tmp_path_factory):
 
 
 class TestFuzzedInput:
+    @pytest.mark.parametrize("surf", [Ellipsoid((1.0, 1.5, 2.0)),
+                                      CliffordTorus(1.0, 1.3)],
+                             ids=lambda surf: surf.name)
+    @pytest.mark.parametrize("eps", [1e-10, 1e-12])
+    def test_near_singular_metric_ends_in_exit_code(self, near_singular_metric,
+                                                    tmp_path, surf, eps):
+        data = generate(surf, surf.default_chart(17))
+        g = near_singular_metric(data.chart, eps)
+        path = tmp_path / "near_singular.txt"
+        datafiles.write_dataset(path, datafiles.gauss_dataset(
+            data.chart, data.n, g, frame=data.frame))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["check", str(path)])
+        assert code in (cli.EXIT_ADMISSIBLE, cli.EXIT_REJECTED,
+                        cli.EXIT_USAGE, cli.EXIT_INAPPLICABLE)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_mangled_files_end_in_format_error_or_exit_code(self, fuzz_bases,
