@@ -63,13 +63,16 @@ def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
     if asym > _SYM_TOL * scale:
         raise SingularMetricError(f"metric not symmetric: asymmetry {asym:.3e}")
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    eigs = np.linalg.eigvalsh(g)
-    if np.min(eigs) <= 0:
-        node = tuple(int(i) for i in np.argwhere(eigs[..., 0] <= 0)[0][:m])
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        # eigenvalues only to name the node; the smallest one is named even
+        # when eigvalsh rounds it to just above zero
+        low = np.linalg.eigvalsh(g)[..., 0]
+        node = tuple(int(i) for i in np.unravel_index(np.argmin(low), low.shape))
         raise SingularMetricError(
             f"metric not positive definite at node {node} "
-            f"(min eigenvalue {np.min(eigs):.3e})", node=node)
-    chol = np.linalg.cholesky(g)
+            f"(min eigenvalue {low[node]:.3e})", node=node) from None
     # inv(L) directly: L^T inv(g) agrees with it only to about
     # cond(g) * 1e-16, which is 1e-6 on a metric near singularity
     chol_inv = np.linalg.inv(chol)

@@ -1,11 +1,13 @@
 """Closed-form immersion catalog and the forward ground-truth generator.
 
 Every derived expectation in the test suite comes from here: a surface is
-sampled analytically, its first derivatives are computed by complex-step
-differentiation (exact to machine precision) and second derivatives by a
-tiny-step central difference of the complex-step gradient (error ~ 1e-10,
-independent of the chart resolution).  Nothing in this module uses the grid
-stencils that the rest of the package is built on.
+sampled analytically and differentiated once, by complex step, in both its
+immersion ``u`` and its normal frame ``nu``; the step leaves no truncation
+error, so the derivatives are exact to rounding.  No second derivative is
+taken: the second fundamental forms come from the Weingarten identity
+``h^a_ij = -<d_i u, d_j nu^a>`` (differentiate ``<d_i u, nu^a> = 0``), and
+the third forms from the tangential part of ``d nu``.  Nothing in this
+module uses the grid stencils that the rest of the package is built on.
 
 A catalog surface is declared data plus two functions.  The class data is
 ``name``, the dimensions ``m`` and ``n``, the default chart ``window`` as
@@ -39,7 +41,6 @@ from .errors import DomainError
 from .grid import Chart, build_chart, center_sign
 
 _CSTEP = 1e-100
-_FD2_STEP = 1e-5
 _POLAR_MARGIN = 0.05    # closest a polar angle may come to a pole
 
 
@@ -372,8 +373,10 @@ class OracleData:
 
     The normal frame is stored as columns ``frame[..., :, alpha]``; for
     hypersurfaces it has a single column, exposed as ``nu``/``h``/``H`` for
-    convenience.  ``k_ab[..., a, b, i, j]`` holds the mixed third forms
-    ``<A^a e_i, A^b e_j>`` built from the tangential parts of ``d frame``.
+    convenience.  ``h_alpha[..., a, i, j] = -<d_i u, d_j nu^a>``, symmetrized,
+    and ``k_ab[..., a, b, i, j]`` holds the mixed third forms
+    ``<A^a e_i, A^b e_j>`` built from the tangential parts of ``d frame``;
+    both come from complex-step first derivatives and are exact to rounding.
     """
 
     surface: Surface
@@ -430,22 +433,6 @@ def _cstep_jacobian(fn, x: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _second_derivatives(fn, x: np.ndarray) -> np.ndarray:
-    """u_ij = d_j d_i u, shape (..., n, m, m), via FD of the exact gradient."""
-    m = x.shape[-1]
-    cols = []
-    for j in range(m):
-        xp = x.copy()
-        xm = x.copy()
-        xp[..., j] += _FD2_STEP
-        xm[..., j] -= _FD2_STEP
-        dp = _cstep_jacobian(fn, xp)
-        dm = _cstep_jacobian(fn, xm)
-        cols.append((dp - dm) / (2 * _FD2_STEP))
-    u2 = np.stack(cols, axis=-1)                 # (..., n, i, j)
-    return 0.5 * (u2 + np.swapaxes(u2, -1, -2))  # kill the ~1e-11 FD asymmetry
-
-
 def generate(surface: Surface, chart: Chart) -> OracleData:
     """Sample one catalog surface and differentiate it analytically."""
     if chart.m != surface.m:
@@ -455,20 +442,22 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
     x = chart.mesh()
     u = np.real(surface.point(x))
     du = _cstep_jacobian(surface.point, x)
-    u2 = _second_derivatives(surface.point, x)
     frame = np.real(surface.frame(x))
+    dframe = _cstep_jacobian(surface.frame, x)   # (..., n, a, j)
     d = frame.shape[-1]
 
     m = chart.m
     g = du.mT @ du
-    h_alpha = (frame.mT @ u2.reshape(u.shape + (m * m,))).reshape(
-        chart.shape + (d, m, m))
+    flat = dframe.reshape(u.shape + (d * m,))
+    # Weingarten: <d_i u, nu^a> = 0 gives h^a_ij = -<d_i u, d_j nu^a>;
+    # [..., i, (a, j)] -> [..., a, i, j]
+    h_alpha = -np.swapaxes((du.mT @ flat).reshape(chart.shape + (m, d, m)),
+                           -3, -2)
+    h_alpha = 0.5 * (h_alpha + np.swapaxes(h_alpha, -1, -2))
     g_inv = np.linalg.inv(g)
     H_alpha = (h_alpha.reshape(chart.shape + (d, m * m))
                @ g_inv.reshape(chart.shape + (m * m, 1)))[..., 0]
 
-    dframe = _cstep_jacobian(surface.frame, x)   # (..., n, a, j)
-    flat = dframe.reshape(u.shape + (d * m,))
     # [..., (a, j), b] = <d_j nu^a, nu^b>; removing it leaves the
     # tangential differentials [..., n, (a, j)]
     normal_part = flat.mT @ frame

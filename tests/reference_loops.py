@@ -4,10 +4,12 @@ These are the straightforward loops that ``grid.align_signs``,
 ``codim.build_normal_frame`` and the text I/O (``datafiles.read_dataset``,
 ``datafiles.write_dataset``, ``cli._write_plot_data``) vectorize, the
 180-angle scan that ``codim._resolve_full_fixed_space`` replaces by an
-exact solve, and the index-notation contractions and triangular solves
-that ``curvature`` replaces by batched matrix products; the equivalence
-tests compare the package against them.  ``gauss_map_differential`` is the
-hypersurface formula that the one-column normal frame reproduces.
+exact solve, the index-notation contractions and triangular solves that
+``curvature`` replaces by batched matrix products, and the finite-difference
+second derivatives that ``surfaces.generate`` replaces by the Weingarten
+identity; the equivalence tests compare the package against them.
+``gauss_map_differential`` is the hypersurface formula that the one-column
+normal frame reproduces.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from isogauss.datafiles import (_BLOCK_ORDER, FORMAT_VERSION, KINDS, Dataset,
                                 _validate_blocks)
 from isogauss.errors import DatasetFormatError
 from isogauss.grid import build_chart, center_sign, grad_all
+from isogauss.surfaces import _cstep_jacobian
+
+_FD2_STEP = 1e-5
 
 
 def staircase_orders(chart):
@@ -120,6 +125,23 @@ def to_orthonormal(metric, b_low):
     tmp = np.linalg.solve(metric.chol, b_low)
     return np.swapaxes(np.linalg.solve(metric.chol, np.swapaxes(tmp, -1, -2)),
                        -1, -2)
+
+
+def second_derivatives(fn, x):
+    """u_ij = d_j d_i u, shape (..., n, m, m), by a central difference of
+    the complex-step gradient (error ~ 1e-10)."""
+    m = x.shape[-1]
+    cols = []
+    for j in range(m):
+        xp = x.copy()
+        xm = x.copy()
+        xp[..., j] += _FD2_STEP
+        xm[..., j] -= _FD2_STEP
+        dp = _cstep_jacobian(fn, xp)
+        dm = _cstep_jacobian(fn, xm)
+        cols.append((dp - dm) / (2 * _FD2_STEP))
+    u2 = np.stack(cols, axis=-1)                 # (..., n, i, j)
+    return 0.5 * (u2 + np.swapaxes(u2, -1, -2))
 
 
 def resolve_full_fixed_space(chart, length, B, k_ab_op, sign_branch):

@@ -52,6 +52,27 @@ class TestMetricField:
         with pytest.raises(SingularMetricError):
             metric_field(chart, g)
 
+    @pytest.mark.parametrize("bad", [[[1.0, 0.2], [0.2, -0.5]],
+                                     [[1.0, 1.0], [1.0, 1.0]],
+                                     [[1.0, 0.0], [0.0, 0.0]]],
+                             ids=["indefinite", "rank-one", "diagonal-zero"])
+    def test_failing_node_is_named(self, bad):
+        # one interior node indefinite or with an eigenvalue exactly 0
+        chart = build_chart(2, (7, 9), (0.1, 0.1))
+        g = np.broadcast_to(np.eye(2), chart.shape + (2, 2)).copy()
+        g[3, 5] = bad
+        with pytest.raises(SingularMetricError, match=r"at node \(3, 5\)") as err:
+            metric_field(chart, g)
+        assert err.value.node == (3, 5)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
+    def test_near_singular_metric_passes_cholesky(self, near_singular_metric,
+                                                  eps):
+        chart = build_chart(2, (17, 17), (0.05, 0.05), (0.3, 0.2))
+        g = near_singular_metric(chart, eps)
+        metric = metric_field(chart, g)
+        assert per_node_rel(metric.chol @ metric.chol.mT, g, 2) <= 1e-14
+
     def test_asymmetric_rejected(self):
         chart = build_chart(2, (7, 7), (0.1, 0.1))
         g = np.broadcast_to(np.array([[1.0, 0.2], [0.0, 1.0]]),

@@ -16,6 +16,8 @@ from isogauss.surfaces import (CATALOG, AssociatedFamily, Catenoid,
                                gauss_codazzi_residuals, generate,
                                smooth_rotation_of_gauss_map)
 
+import reference_loops
+
 ALL_HYPERSURFACES = [
     (RoundSphere(1.0), 33),
     (Ellipsoid((1.0, 1.5, 2.0)), 33),
@@ -50,7 +52,11 @@ class TestPlane:
 class TestMinimalFamily:
     def test_catenoid_is_minimal(self):
         data = generate(Catenoid(), Catenoid().default_chart(33))
-        assert np.max(np.abs(data.H)) < 1e-10
+        assert np.max(np.abs(data.H)) < 1e-13
+
+    def test_helicoid_is_minimal(self):
+        data = generate(Helicoid(), Helicoid().default_chart(33))
+        assert np.max(np.abs(data.H)) < 1e-13
 
     def test_family_shares_metric_and_gauss_map(self):
         chart = Catenoid().default_chart(33)
@@ -118,6 +124,51 @@ class TestOracleSelfConsistency:
         rhs = pack.Ric + data.k
         assert interior_max(clifford.chart, node_norm(lhs - rhs, 2)) < \
             50 * clifford.dx2
+
+
+def catalog_chart(surf):
+    return surf.default_chart(17 if surf.m == 2 else 9)
+
+
+class TestWeingartenOracle:
+    """``h^a_ij = -<d_i u, d_j nu^a>`` from complex-step first derivatives."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_h_matches_second_derivative_reference(self, name):
+        surf = CATALOG[name]()
+        data = generate(surf, catalog_chart(surf))
+        x = data.chart.mesh()
+        point = np.real(surf.point(x))
+        u2 = reference_loops.second_derivatives(surf.point, x)
+        ref = np.einsum("...na,...nij->...aij", np.real(surf.frame(x)), u2)
+        if np.array_equal(data.u, -point):      # the stored branch
+            ref = -ref
+        assert np.max(node_norm(data.h_alpha - ref, 3)) <= \
+            1e-9 * np.max(node_norm(ref, 3))
+
+    @pytest.mark.parametrize("surf", [RoundSphere(2.0), HypersphereM3(2.0)],
+                             ids=lambda v: v.name)
+    def test_sphere_h_is_g_over_radius(self, surf):
+        data = generate(surf, catalog_chart(surf))
+        assert np.max(np.abs(np.abs(data.h) - np.abs(data.g) / 2.0)) < 1e-13
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_frame_is_the_normal_of_point(self, name):
+        # du^T frame = 0, and -du^T dframe is symmetric before the
+        # symmetrization in generate: a frame that is not the normal of
+        # its point fails one of the two
+        surf = CATALOG[name]()
+        chart = catalog_chart(surf)
+        x = chart.mesh()
+        du = surfaces._cstep_jacobian(surf.point, x)
+        frame = np.real(surf.frame(x))
+        dframe = surfaces._cstep_jacobian(surf.frame, x)
+        d, m = frame.shape[-1], chart.m
+        assert np.max(np.abs(du.mT @ frame)) <= 1e-13 * np.max(np.abs(du))
+        w = -(du.mT @ dframe.reshape(chart.shape + (-1, d * m))).reshape(
+            chart.shape + (m, d, m))
+        asym = w - np.swapaxes(w, -1, -3)
+        assert np.max(np.abs(asym)) <= 1e-13 * np.max(np.abs(w))
 
 
 class TestGaussCodazziResiduals:
