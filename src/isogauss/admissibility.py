@@ -3,14 +3,15 @@
 The decision pipeline follows four steps: positivity of the scalar invariant
 ``q = s + Tr_g k``; recovery of a candidate second fundamental form ``h``
 (closed form when ``q > 0``, a per-node homogeneous linear system solved by
-SVD when ``q = 0`` and ``m >= 3``, a Gauss-condition/conformality test when
-``q = 0`` and ``m = 2``); the quadratic check ``h^2 = k``; and isometry plus
-parallelity of the bundle map ``U`` that would be the differential of the
-immersion.  Every codimension ``d`` shares the normal frame of
-:mod:`isogauss.codim` and steps 1, 3 and 4; normal data of codimension
-``d >= 2`` recovers its candidates in step 2 from the trace matrix.  All
-verdicts carry named residuals (never bare booleans) so that convergence
-behaviour can be asserted by callers.
+an eigensolve of its Gram matrix when ``q = 0`` and ``m >= 3``, a
+Gauss-condition/conformality test when ``q = 0`` and ``m = 2``); the
+quadratic check ``h^2 = k``; and isometry plus parallelity of the bundle
+map ``U`` that would be the differential of the immersion.  Every
+codimension ``d`` shares the normal frame of :mod:`isogauss.codim` and
+steps 1, 3 and 4; normal data of codimension ``d >= 2`` recovers its
+candidates in step 2 from the trace matrix.  All verdicts carry named
+residuals (never bare booleans) so that convergence behaviour can be
+asserted by callers.
 """
 
 from __future__ import annotations
@@ -195,16 +196,30 @@ def _antisymmetric_basis(m: int) -> np.ndarray:
     return np.array(mats)
 
 
+# theorem3 assembles its per-node system this many nodes at a time (rounded
+# to whole axis-0 slabs), so its temporaries do not grow with the grid
+_THEOREM3_BLOCK_NODES = 4096
+
+
 def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
                     options: PipelineOptions | None = None) -> Theorem3Result:
     """Per-node nullspace solve of ``h k^{-1} R(Om) = 2 Om h`` over so_g.
 
     Assembles, for every node, the linear map on symmetric ``h`` obtained by
     letting ``Om`` run over the m(m-1)/2 basis elements of so_g, and takes the
-    SVD nullspace.  A one-dimensional numerical nullspace (small last singular
-    value, clear gap to the second-last) certifies uniqueness up to scale; the
-    missing scale is restored from ``Tr(h^2) = Tr k`` and the sign is fixed
-    once per chart (trace >= 0 at the center) and continued seamlessly.
+    bottom eigenvector of its trace-scaled Gram matrix as the nullspace.  A
+    one-dimensional numerical nullspace (small last singular value, clear gap
+    to the second-last) certifies uniqueness up to scale; the missing scale is
+    restored from ``Tr(h^2) = Tr k`` and the sign is fixed once per chart
+    (trace >= 0 at the center) and continued seamlessly.
+
+    The last singular value is the residual norm ``|mat v|`` of that
+    eigenvector, so the gap keeps the accuracy of an SVD.  The others are
+    square roots of Gram eigenvalues, resolved only to about ``1e-8`` of the
+    largest; a gap tolerance below that cannot separate the second-last
+    from zero.  The system is assembled in blocks of whole axis-0 slabs of
+    about ``_THEOREM3_BLOCK_NODES`` nodes, so its temporaries do not grow
+    with the grid.
     """
     options = options or PipelineOptions()
     chart = metric.chart
@@ -221,21 +236,30 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
 
     W = _antisymmetric_basis(m)            # (nb, m, m)
     S = _symmetric_basis(m)                # (p, m, m)
-    Om_up = np.einsum("...ik,bkl,...lj->...bij", ginv, W, ginv, optimize=True)
-    T = np.einsum("...ip,...jq,...pqkl,...bkl->...bij",
-                  ginv, ginv, pack.R_low, Om_up, optimize=True)
-    CO = -(T @ g[..., None, :, :])                         # R(Om_b) as operator
-    M = kop_inv[..., None, :, :] @ CO
-    rows = (np.einsum("eik,...bkj->...bije", S, M, optimize=True)
-            - 2.0 * np.einsum("bik,...kl,elj->...bije", W, ginv, S, optimize=True))
     nb, p = W.shape[0], S.shape[0]
-    mat = rows.reshape(chart.shape + (nb * m * m, p))
-    norm = np.sqrt(np.sum(mat * mat, axis=(-2, -1)))
-    mat = mat / norm[..., None, None]
-    _, sig, Vh = np.linalg.svd(mat, full_matrices=False)
-    sig1 = sig[..., 0]
-    sig_last = sig[..., -1]
-    sig_prev = sig[..., -2]
+    null = np.empty(chart.shape + (p,))
+    sig1, sig_prev, sig_last = np.empty((3,) + chart.shape)
+    step = max(1, _THEOREM3_BLOCK_NODES // math.prod(chart.shape[1:]))
+    for i0 in range(0, chart.shape[0], step):
+        blk = slice(i0, i0 + step)
+        gi = ginv[blk]
+        Om_up = np.einsum("...ik,bkl,...lj->...bij", gi, W, gi, optimize=True)
+        T = np.einsum("...ip,...jq,...pqkl,...bkl->...bij",
+                      gi, gi, pack.R_low[blk], Om_up, optimize=True)
+        CO = -(T @ g[blk][..., None, :, :])                # R(Om_b) as operator
+        M = kop_inv[blk][..., None, :, :] @ CO
+        rows = (np.einsum("eik,...bkj->...bije", S, M, optimize=True)
+                - 2.0 * np.einsum("bik,...kl,elj->...bije", W, gi, S,
+                                  optimize=True))
+        mat = rows.reshape(rows.shape[:-4] + (nb * m * m, p))
+        gram = mat.mT @ mat
+        tr = np.einsum("...ii->...", gram)
+        ev, V = np.linalg.eigh(gram / tr[..., None, None])
+        null[blk] = V[..., :, 0]
+        sig1[blk] = np.sqrt(ev[..., -1])
+        sig_prev[blk] = np.sqrt(np.clip(ev[..., 1], 0.0, None))
+        resid = mat @ V[..., :, :1]
+        sig_last[blk] = np.sqrt(np.sum(resid * resid, axis=(-2, -1)) / tr)
     gtol = options.gap_tol_effective(chart)
     has_null = sig_last <= gtol * sig1
     unique = has_null & (sig_prev > gtol * sig1)
@@ -251,7 +275,7 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
         return Theorem3Result(None, gap, has_null, unique, frac_unique,
                               "indeterminate", gtol)
 
-    h_raw = (Vh[..., -1, :] @ S.reshape(p, m * m)).reshape(chart.shape + (m, m))
+    h_raw = (null @ S.reshape(p, m * m)).reshape(chart.shape + (m, m))
     hop = ginv @ h_raw
     tr_h2 = np.einsum("...ij,...ji->...", hop, hop)
     tr_k = np.einsum("...ii->...", kop)
@@ -261,7 +285,7 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
                               "no_solution", gtol)
     h = lam[..., None, None] * h_raw
 
-    # per-node SVD signs are arbitrary: continue the sign from the center out
+    # per-node eigenvector signs are arbitrary: continue them from the center
     h = h * align_signs(chart, h)[..., None, None]
 
     H = np.einsum("...ij,...ij->...", ginv, h)

@@ -7,7 +7,9 @@ These are the straightforward loops that ``grid.align_signs``,
 exact solve, the index-notation contractions and triangular solves that
 ``curvature`` replaces by batched matrix products, and the finite-difference
 second derivatives that ``surfaces.generate`` replaces by the Weingarten
-identity; the equivalence tests compare the package against them.
+identity, and the whole-grid batched SVD that
+``admissibility.h_from_theorem3`` replaces by a blocked Gram eigensolve;
+the equivalence tests compare the package against them.
 ``gauss_map_differential`` is the hypersurface formula that the one-column
 normal frame reproduces.
 """
@@ -18,11 +20,15 @@ import math
 
 import numpy as np
 
-from isogauss.codim import (_FLIP_THRESHOLD, _halpha_ops, _product_defect,
-                            _signed_permutation_fit)
+from isogauss.admissibility import (PipelineOptions, Theorem3Result,
+                                    _antisymmetric_basis, _symmetric_basis)
+from isogauss.codim import (_FLIP_THRESHOLD, RANK_REL_TOL, _halpha_ops,
+                            _product_defect, _signed_permutation_fit)
+from isogauss.curvature import raise_index, to_orthonormal
 from isogauss.datafiles import (_BLOCK_ORDER, FORMAT_VERSION, KINDS, Dataset,
                                 _validate_blocks)
-from isogauss.errors import DatasetFormatError
+from isogauss.errors import (DatasetFormatError, DegenerateGaussMapError,
+                             DomainError)
 from isogauss.grid import build_chart, center_sign, grad_all
 from isogauss.surfaces import _cstep_jacobian
 
@@ -193,6 +199,77 @@ def golden_min(fn, a, b, iters=80):
             d = a + inv_phi * (b - a)
             fd = fn(d)
     return 0.5 * (a + b)
+
+
+def h_from_theorem3_svd(pack, k, metric, options=None):
+    """theorem3 by one whole-grid batched SVD of the Frobenius-normalized
+    per-node system, with the last right singular vector as the nullspace
+    and the signs continued by the node loop above."""
+    options = options or PipelineOptions()
+    chart = metric.chart
+    m = chart.m
+    if m < 3:
+        raise DomainError("the linear-system route needs m >= 3")
+    kop = raise_index(metric, k)
+    k_eigs = np.linalg.eigvalsh(to_orthonormal(metric, k))
+    if float(np.min(k_eigs)) <= RANK_REL_TOL * max(float(np.max(k_eigs)), 1e-300):
+        raise DegenerateGaussMapError("third form not invertible; dnu is degenerate")
+    kop_inv = np.linalg.inv(kop)
+    ginv = metric.g_inv
+    g = metric.g
+
+    W = _antisymmetric_basis(m)
+    S = _symmetric_basis(m)
+    Om_up = np.einsum("...ik,bkl,...lj->...bij", ginv, W, ginv, optimize=True)
+    T = np.einsum("...ip,...jq,...pqkl,...bkl->...bij",
+                  ginv, ginv, pack.R_low, Om_up, optimize=True)
+    CO = -(T @ g[..., None, :, :])
+    M = kop_inv[..., None, :, :] @ CO
+    rows = (np.einsum("eik,...bkj->...bije", S, M, optimize=True)
+            - 2.0 * np.einsum("bik,...kl,elj->...bije", W, ginv, S, optimize=True))
+    nb, p = W.shape[0], S.shape[0]
+    mat = rows.reshape(chart.shape + (nb * m * m, p))
+    norm = np.sqrt(np.sum(mat * mat, axis=(-2, -1)))
+    mat = mat / norm[..., None, None]
+    _, sig, Vh = np.linalg.svd(mat, full_matrices=False)
+    sig1 = sig[..., 0]
+    sig_last = sig[..., -1]
+    sig_prev = sig[..., -2]
+    gtol = options.gap_tol_effective(chart)
+    has_null = sig_last <= gtol * sig1
+    unique = has_null & (sig_prev > gtol * sig1)
+    gap = sig_last / np.where(sig_prev > 0, sig_prev, np.inf)
+
+    inter = chart.interior
+    frac_has = float(np.mean(has_null[inter]))
+    frac_unique = float(np.mean(unique[inter]))
+    if frac_has < 0.99:
+        return Theorem3Result(None, gap, has_null, unique, frac_unique,
+                              "no_solution", gtol)
+    if frac_unique < 0.99:
+        return Theorem3Result(None, gap, has_null, unique, frac_unique,
+                              "indeterminate", gtol)
+
+    h_raw = (Vh[..., -1, :] @ S.reshape(p, m * m)).reshape(chart.shape + (m, m))
+    hop = ginv @ h_raw
+    tr_h2 = np.einsum("...ij,...ji->...", hop, hop)
+    tr_k = np.einsum("...ii->...", kop)
+    lam = np.sqrt(tr_k / np.where(tr_h2 > 0, tr_h2, np.inf))
+    if not np.all(np.isfinite(lam)):
+        return Theorem3Result(None, gap, has_null, unique, frac_unique,
+                              "no_solution", gtol)
+    h = lam[..., None, None] * h_raw
+    h = h * align_signs(chart, h)[..., None, None]
+
+    H = np.einsum("...ij,...ij->...", ginv, h)
+    c = chart.center
+    lead = H[c]
+    if abs(lead) <= 1e-8 * (1.0 + float(np.max(np.abs(H)))):
+        hc = h[c].ravel()
+        lead = hc[np.argmax(np.abs(hc))]
+    if lead * options.sign_branch < 0:
+        h = -h
+    return Theorem3Result(h, gap, has_null, unique, frac_unique, "ok", gtol)
 
 
 def _fmt(x):

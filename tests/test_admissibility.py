@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isogauss import admissibility
 from isogauss.admissibility import (PipelineOptions, build_U, check_h_squared,
                                     check_isometry, check_minimal_m2,
                                     check_parallel, codazzi_residual,
@@ -17,8 +19,11 @@ from isogauss.curvature import (metric_field, node_norm, raise_index,
 from isogauss.errors import (BranchError, DomainError,
                              NotPositiveSemidefiniteError, SamplingError)
 from isogauss.grid import build_chart, interior_max
-from isogauss.surfaces import (CATALOG, Catenoid, Ellipsoid, Helicoid,
-                               generate, smooth_rotation_of_gauss_map)
+from isogauss.surfaces import (CATALOG, Catenoid, Ellipsoid, EllipsoidM3,
+                               Helicoid, HypersphereM3, generate,
+                               smooth_rotation_of_gauss_map)
+
+import reference_loops
 
 
 def saddle_metric(x):
@@ -33,6 +38,23 @@ def saddle_metric(x):
 
 def third_form(chart, normals):
     return third_forms(build_normal_frame(chart, normals)).k
+
+
+def exact_curvature_pack(p):
+    """``p.pack`` with ``R_low`` assembled exactly from the oracle ``h`` by
+    the Gauss equation, free of finite-difference error."""
+    h = p.data.h_alpha
+    quad = (np.einsum("...ail,...ajk->...ijkl", h, h)
+            - np.einsum("...aik,...ajl->...ijkl", h, h))
+    return replace(p.pack, R_low=quad)
+
+
+def theorem3_inputs(surface, points):
+    """``(chart, pack, k, metric)`` for theorem3 on ``surface``'s chart."""
+    chart = surface.default_chart(points)
+    data = generate(surface, chart)
+    metric = metric_field(chart, data.g)
+    return chart, riemann_tensor(metric), third_form(chart, data.frame), metric
 
 
 def saddle_problem(nu_slope, n=33):
@@ -123,16 +145,38 @@ class TestTheorem3:
         # with curvature assembled exactly from the oracle h, the nullspace
         # certificate reaches machine precision (the uniqueness statement)
         p = ellipsoid_m3
-        h = p.data.h_alpha
-        quad = (np.einsum("...ail,...ajk->...ijkl", h, h)
-                - np.einsum("...aik,...ajl->...ijkl", h, h))
-        pack_exact = replace(p.pack, R_low=quad)
-        res = h_from_theorem3(pack_exact, p.data.k, p.metric, PipelineOptions())
+        res = h_from_theorem3(exact_curvature_pack(p), p.data.k, p.metric,
+                              PipelineOptions())
         assert res.status == "ok"
         assert interior_max(p.chart, res.gap) < 1e-6
         scale = float(np.max(node_norm(p.data.h, 2)))
         err = np.max(node_norm(res.h - p.data.h, 2)) / scale
         assert err < 1e-8
+
+    def test_exact_forms_gap_at_rounding_level(self, ellipsoid_m3):
+        # the last singular value is the residual |mat v| of the null vector
+        # (2e-15 here); the square root of the Gram's bottom eigenvalue only
+        # resolves it to about 1e-8 and must fail this bound
+        p = ellipsoid_m3
+        res = h_from_theorem3(exact_curvature_pack(p), p.data.k, p.metric,
+                              PipelineOptions())
+        assert interior_max(p.chart, res.gap) < 1e-12
+
+    def test_temporaries_do_not_grow_with_the_grid(self):
+        # the per-node system is assembled in node blocks, so the traced peak
+        # grows only by the full-grid inputs and results (about 0.8 KB per
+        # node); whole-grid temporaries cost about 5.6 KB per node
+        peaks = {}
+        for n in (17, 25):
+            chart, pack, k, metric = theorem3_inputs(EllipsoidM3(), n)
+            tracemalloc.start()
+            try:
+                h_from_theorem3(pack, k, metric, PipelineOptions())
+                peaks[chart.num_points] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        (n0, p0), (n1, p1) = sorted(peaks.items())
+        assert (p1 - p0) / (n1 - n0) < 2048
 
     def test_round_3sphere_solution_proportional_to_metric(self):
         from isogauss.surfaces import HypersphereM3
@@ -168,6 +212,49 @@ class TestTheorem3:
         diff = min(interior_max(p.chart, node_norm(h3 - h2, 2)),
                    interior_max(p.chart, node_norm(h3 + h2, 2)))
         assert diff / scale < 100 * p.dx2
+
+
+class TestTheorem3Reference:
+    """The blocked Gram eigensolve against the whole-grid batched SVD that it
+    replaced: same certificate, same ``h``."""
+
+    def assert_agrees(self, pack, k, metric):
+        new = h_from_theorem3(pack, k, metric, PipelineOptions())
+        ref = reference_loops.h_from_theorem3_svd(pack, k, metric,
+                                                  PipelineOptions())
+        assert new.status == ref.status
+        assert new.frac_unique == ref.frac_unique
+        assert np.array_equal(new.has_nullspace, ref.has_nullspace)
+        assert np.array_equal(new.unique, ref.unique)
+        resolved = ref.gap > 1e-12
+        assert np.all(np.abs(new.gap - ref.gap)[resolved]
+                      <= 1e-9 * ref.gap[resolved])
+        if ref.h is None:
+            assert new.h is None
+        else:
+            assert np.max(np.abs(new.h - ref.h)) <= 1e-12 * np.max(np.abs(ref.h))
+        return new
+
+    def test_ellipsoid_m3(self, ellipsoid_m3):
+        p = ellipsoid_m3
+        assert self.assert_agrees(p.pack, p.forms.k, p.metric).status == "ok"
+
+    def test_hypersphere_m3(self):
+        _, pack, k, metric = theorem3_inputs(HypersphereM3(1.0), 13)
+        assert self.assert_agrees(pack, k, metric).status == "ok"
+
+    def test_flat_metric_no_solution(self):
+        chart = build_chart(3, (9, 9, 9), (0.1,) * 3)
+        g = np.broadcast_to(np.eye(3), chart.shape + (3, 3)).copy()
+        metric = metric_field(chart, g)
+        res = self.assert_agrees(riemann_tensor(metric), g.copy(), metric)
+        assert res.status == "no_solution"
+
+    def test_last_block_shorter_than_the_others(self):
+        chart, pack, k, metric = theorem3_inputs(EllipsoidM3(), (23, 15, 13))
+        slabs = admissibility._THEOREM3_BLOCK_NODES // (15 * 13)
+        assert 1 < slabs < chart.shape[0] and chart.shape[0] % slabs != 0
+        assert self.assert_agrees(pack, k, metric).status == "ok"
 
 
 class TestSpdSqrt:

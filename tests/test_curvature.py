@@ -109,6 +109,21 @@ class TestMetricField:
                             reference_loops.to_orthonormal(metric, b),
                             2) <= 1e-10
 
+    def test_near_singular_orthonormal_image_of_g(self, near_singular_metric):
+        # pins the open FOUND in CHANGES.md: the explicit inv(L) makes
+        # to_orthonormal(g) cancel and lose about cond(g) * 1e-16 (3.0e-7 at
+        # cond 1e10; two solves lose 3.2e-10); a fix should tighten this bound
+        chart = build_chart(2, (17, 17), (0.05, 0.05), (0.3, 0.2))
+        metric = metric_field(chart, near_singular_metric(chart, 1e-10))
+        L = metric.chol.astype(np.longdouble)
+        L_inv = np.zeros_like(L)
+        L_inv[..., 0, 0] = 1.0 / L[..., 0, 0]
+        L_inv[..., 1, 1] = 1.0 / L[..., 1, 1]
+        L_inv[..., 1, 0] = -L[..., 1, 0] / (L[..., 0, 0] * L[..., 1, 1])
+        want = L_inv @ metric.g.astype(np.longdouble) @ L_inv.mT
+        assert per_node_rel(to_orthonormal(metric, metric.g),
+                            want.astype(float), 2) <= 1e-6
+
 
 class TestChristoffel:
     def test_euclidean_vanishes(self):
