@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run the forward -> check -> reconstruct -> compare loop over the catalog.
 
-Produces one summary row per surface: verdict, solve method, worst residual,
-reconstruction error against the generating immersion, and the observed
-convergence order when refinement is enabled.
+Produces one summary row per ``CATALOG`` entry, built with its factory's
+default parameters and labelled by its catalog name: verdict, solve method,
+worst residual, reconstruction error against the generating immersion, and
+the observed convergence order when refinement is enabled.
 """
 
 import argparse
@@ -12,9 +13,7 @@ from dataclasses import dataclass
 
 from isogauss.admissibility import PipelineOptions
 from isogauss.reconstruct import observed_order, roundtrip
-from isogauss.surfaces import (Catenoid, CliffordTorus, Cylinder, Ellipsoid,
-                               EllipsoidM3, Graph, GraphR4, Helicoid,
-                               HypersphereM3, Plane, RoundSphere)
+from isogauss.surfaces import CATALOG
 
 
 @dataclass
@@ -23,21 +22,6 @@ class RunConfig:
     points_3d: int = 17
     refine: int = 1
     tol_scale: float = 50.0
-
-
-CATALOG_RUNS = [
-    RoundSphere(1.0),
-    Ellipsoid((1.0, 1.5, 2.0)),
-    Graph((1.0, 0.0, 2.0)),
-    Catenoid(),
-    Helicoid(),
-    Cylinder(1.0),
-    Plane(),
-    HypersphereM3(1.0),
-    EllipsoidM3((1.0, 1.1, 1.2, 1.3)),
-    CliffordTorus(1.0, 1.4),
-    GraphR4(),
-]
 
 
 def run_surface(surface, cfg: RunConfig):
@@ -62,14 +46,14 @@ def main():
                     points_3d=max(9, args.points // 3),
                     refine=args.refine, tol_scale=args.tol_scale)
 
-    print(f"{'surface':>16} {'grid':>12} {'verdict':>13} {'method':>11} "
+    print(f"{'surface':>17} {'grid':>12} {'verdict':>13} {'method':>11} "
           f"{'max_resid':>11} {'rec_error':>11} {'order':>7}")
-    for surface in CATALOG_RUNS:
-        rows, order = run_surface(surface, cfg)
+    for name, factory in CATALOG.items():
+        rows, order = run_surface(factory(), cfg)
         for i, row in enumerate(rows):
             last = i == len(rows) - 1
             tag = f"{order:7.2f}" if last and not math.isnan(order) else ""
-            print(f"{surface.name:>16} {'x'.join(map(str, row.shape)):>12} "
+            print(f"{name:>17} {'x'.join(map(str, row.shape)):>12} "
                   f"{row.verdict:>13} {row.method:>11} {row.max_residual:11.3e} "
                   f"{row.rec_error:11.3e} {tag}")
 

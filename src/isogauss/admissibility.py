@@ -25,7 +25,7 @@ from .codim import (RANK_REL_TOL, build_normal_frame, frame_consistency,
                     mean_curvature_vector, second_forms, third_forms,
                     weingarten_combination)
 from .curvature import (CurvaturePack, MetricField, node_norm, raise_index,
-                        riemann_tensor, to_orthonormal)
+                        riemann_tensor, spd_solve, to_orthonormal)
 from .errors import (BranchError, DegenerateGaussMapError, DomainError,
                      NotPositiveSemidefiniteError)
 from .grid import Chart, align_signs, grad_all, interior_max
@@ -228,9 +228,10 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
         raise DomainError("the linear-system route needs m >= 3")
     kop = raise_index(metric, k)
     k_eigs = np.linalg.eigvalsh(to_orthonormal(metric, k))
-    if float(np.min(k_eigs)) <= RANK_REL_TOL * max(float(np.max(k_eigs)), 1e-300):
+    kop_inv = spd_solve(k, metric.g)
+    if (kop_inv is None or float(np.min(k_eigs))
+            <= RANK_REL_TOL * max(float(np.max(k_eigs)), 1e-300)):
         raise DegenerateGaussMapError("third form not invertible; dnu is degenerate")
-    kop_inv = np.linalg.inv(kop)
     ginv = metric.g_inv
     g = metric.g
 
@@ -344,16 +345,18 @@ def build_U(A: np.ndarray, k: np.ndarray, h: np.ndarray,
     when ``d = 1``; :func:`isogauss.codim.weingarten_combination`) and ``h``
     the same combination of the ``h^a``: the two combine covariantly, so
     any such combination determines the same U.  ``A`` has full column rank
-    on non-degenerate data, so the solution is ``U = -A k^{-1} h``; columns are
-    re-projected onto the complement of the ``(*grid, n, d)`` normal frame
-    to strip the O(dx^2) normal component that discrete differentiation
-    leaves in ``A``.
+    on non-degenerate data, so the solution is ``U = -A k^{-1} h``, with
+    ``k^{-1} h = L^{-T} (L^{-1} h)`` from the Cholesky factor ``k = L L^T``
+    (:func:`isogauss.curvature.spd_solve`); a ``k`` that is not positive
+    definite at some node raises :class:`DegenerateGaussMapError`.
+    Columns are re-projected onto the complement of the ``(*grid, n, d)``
+    normal frame to strip the O(dx^2) normal component that discrete
+    differentiation leaves in ``A``.
     """
-    try:
-        kinvh = np.linalg.solve(k, h)
-    except np.linalg.LinAlgError as exc:
+    kinvh = spd_solve(k, h)
+    if kinvh is None:
         raise DegenerateGaussMapError(
-            f"third form singular, cannot invert A^*: {exc}") from exc
+            "third form not positive definite, cannot invert A^*")
     U = -(A @ kinvh)
     for a in range(frame.shape[-1]):
         nu = frame[..., a]

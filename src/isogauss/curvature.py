@@ -34,13 +34,62 @@ def node_norm(a: np.ndarray, k: int) -> np.ndarray:
     return np.sqrt(np.sum(a * a, axis=tuple(range(-k, 0))))
 
 
+def cholesky_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lower Cholesky factor ``L`` (``a = L L^T``) and ``inv(L)`` per node.
+
+    ``a`` is a ``(..., m, m)`` stack of symmetric matrices; only its lower
+    triangle is read.  ``L`` comes from the unblocked Cholesky-Banachiewicz
+    recurrence and ``inv(L)`` from forward substitution, one entry at a time,
+    each entry one elementwise operation over all nodes.  At these sizes
+    that is LAPACK's arithmetic up to the order of the rounding, without a
+    LAPACK call per matrix.  Returns ``None`` when any pivot is not ``> 0``
+    (a NaN pivot included), i.e. when some node is not positive definite.
+    """
+    m = a.shape[-1]
+    L = np.zeros(a.shape)
+    L_inv = np.zeros(a.shape)
+    for i in range(m):
+        for j in range(i + 1):
+            s = a[..., i, j].copy()
+            for k in range(j):
+                s -= L[..., i, k] * L[..., j, k]
+            if i == j:
+                if not np.all(s > 0):
+                    return None
+                L[..., i, i] = np.sqrt(s)
+            else:
+                L[..., i, j] = s / L[..., j, j]
+    for j in range(m):
+        L_inv[..., j, j] = 1.0 / L[..., j, j]
+        for i in range(j + 1, m):
+            s = L[..., i, j] * L_inv[..., j, j]
+            for k in range(j + 1, i):
+                s += L[..., i, k] * L_inv[..., k, j]
+            L_inv[..., i, j] = -s / L[..., i, i]
+    return L, L_inv
+
+
+def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """``a^{-1} b`` per node as ``L^{-T} (L^{-1} b)``, ``L`` from
+    :func:`cholesky_factors`; ``None`` when ``a`` is not positive definite.
+    The factors are dropped on return, so they do not add to the memory
+    peak of a caller that only needs the solution.
+    """
+    factors = cholesky_factors(a)
+    if factors is None:
+        return None
+    L_inv = factors[1]
+    return L_inv.mT @ (L_inv @ b)
+
+
 @dataclass(frozen=True)
 class MetricField:
     """A symmetric positive definite metric sampled on a chart.
 
     The Cholesky factor ``chol`` (``g = L L^T``, lower) and its inverse
-    ``chol_inv`` are computed eagerly, and ``g_inv = chol_inv^T chol_inv``;
-    the columns of ``chol_inv^T`` form g-orthonormal frames.
+    ``chol_inv`` are computed eagerly by :func:`cholesky_factors`, and
+    ``g_inv = chol_inv^T chol_inv``; the columns of ``chol_inv^T`` form
+    g-orthonormal frames.
     """
 
     chart: Chart
@@ -51,6 +100,16 @@ class MetricField:
 
 
 def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
+    """Validate a sampled metric and factor it once for every node.
+
+    The metric must have the chart's shape, be finite and symmetric to
+    ``_SYM_TOL`` (it is then symmetrized), and be positive definite at every
+    node.  ``chol`` and ``chol_inv`` come from :func:`cholesky_factors`, which
+    agrees with LAPACK to the last bits; when it fails, the eigenvalues name
+    the node of the smallest one in the :class:`SingularMetricError`.  The
+    product ``g g_inv`` must be the identity to ``1e-12`` relative to
+    ``|g| |g_inv|``.
+    """
     g = np.asarray(g_values, dtype=float)
     m = chart.m
     if g.shape != chart.shape + (m, m):
@@ -63,19 +122,18 @@ def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
     if asym > _SYM_TOL * scale:
         raise SingularMetricError(f"metric not symmetric: asymmetry {asym:.3e}")
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
+    factors = cholesky_factors(g)
+    if factors is None:
         # eigenvalues only to name the node; the smallest one is named even
         # when eigvalsh rounds it to just above zero
         low = np.linalg.eigvalsh(g)[..., 0]
         node = tuple(int(i) for i in np.unravel_index(np.argmin(low), low.shape))
         raise SingularMetricError(
             f"metric not positive definite at node {node} "
-            f"(min eigenvalue {low[node]:.3e})", node=node) from None
+            f"(min eigenvalue {low[node]:.3e})", node=node)
     # inv(L) directly: L^T inv(g) agrees with it only to about
     # cond(g) * 1e-16, which is 1e-6 on a metric near singularity
-    chol_inv = np.linalg.inv(chol)
+    chol, chol_inv = factors
     g_inv = chol_inv.mT @ chol_inv
     err = np.max(node_norm(g @ g_inv - np.eye(m), 2))
     rel = float(np.max(node_norm(g, 2)) * np.max(node_norm(g_inv, 2)))

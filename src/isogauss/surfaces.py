@@ -36,8 +36,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .curvature import CurvaturePack, MetricField, node_norm
-from .errors import DomainError
+from .curvature import CurvaturePack, MetricField, node_norm, spd_solve
+from .errors import DomainError, SingularMetricError
 from .grid import Chart, build_chart, center_sign
 
 _CSTEP = 1e-100
@@ -454,7 +454,11 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
     h_alpha = -np.swapaxes((du.mT @ flat).reshape(chart.shape + (m, d, m)),
                            -3, -2)
     h_alpha = 0.5 * (h_alpha + np.swapaxes(h_alpha, -1, -2))
-    g_inv = np.linalg.inv(g)
+    g_inv = spd_solve(g, np.eye(m))
+    if g_inv is None:
+        raise SingularMetricError(
+            f"{surface.name} is not immersed on this chart: the induced "
+            "metric is not positive definite")
     H_alpha = (h_alpha.reshape(chart.shape + (d, m * m))
                @ g_inv.reshape(chart.shape + (m * m, 1)))[..., 0]
 

@@ -7,8 +7,10 @@ These are the straightforward loops that ``grid.align_signs``,
 exact solve, the index-notation contractions and triangular solves that
 ``curvature`` replaces by batched matrix products, and the finite-difference
 second derivatives that ``surfaces.generate`` replaces by the Weingarten
-identity, and the whole-grid batched SVD that
-``admissibility.h_from_theorem3`` replaces by a blocked Gram eigensolve;
+identity, the whole-grid batched SVD that
+``admissibility.h_from_theorem3`` replaces by a blocked Gram eigensolve,
+and the per-matrix LAPACK ``cholesky``, ``inv`` and ``solve`` calls that
+``curvature.cholesky_factors`` replaces by one elementwise kernel;
 the equivalence tests compare the package against them.
 ``gauss_map_differential`` is the hypersurface formula that the one-column
 normal frame reproduces.
@@ -384,3 +386,27 @@ def write_plot_data(path, chart, u):
         fh.write("# " + header + "\n")
         for c, p in zip(coords, pts):
             fh.write(" ".join(f"{v:.17g}" for v in np.concatenate([c, p])) + "\n")
+
+
+def cholesky_factors(a):
+    """``curvature.cholesky_factors`` by one LAPACK ``cholesky`` and one
+    ``inv`` call per matrix.  ``None`` when the factorization fails, or when
+    a NaN pivot passed through it: numpy's bundled ``potrf`` tests only
+    ``<= 0``."""
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(L)):
+        return None
+    return L, np.linalg.inv(L)
+
+
+def build_U(A, k, h, frame):
+    """``admissibility.build_U`` with ``k^{-1} h`` from one LAPACK ``solve``
+    per node."""
+    U = -(A @ np.linalg.solve(k, h))
+    for a in range(frame.shape[-1]):
+        nu = frame[..., a]
+        U = U - nu[..., :, None] * (nu[..., None, :] @ U)
+    return U

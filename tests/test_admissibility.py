@@ -16,8 +16,9 @@ from isogauss.admissibility import (PipelineOptions, build_U, check_h_squared,
 from isogauss.codim import build_normal_frame, third_forms
 from isogauss.curvature import (metric_field, node_norm, raise_index,
                                 riemann_tensor)
-from isogauss.errors import (BranchError, DomainError,
-                             NotPositiveSemidefiniteError, SamplingError)
+from isogauss.errors import (BranchError, DegenerateGaussMapError,
+                             DomainError, NotPositiveSemidefiniteError,
+                             SamplingError)
 from isogauss.grid import build_chart, interior_max
 from isogauss.surfaces import (CATALOG, Catenoid, Ellipsoid, EllipsoidM3,
                                Helicoid, HypersphereM3, generate,
@@ -316,6 +317,22 @@ class TestChecks:
                     frame.frame)
         err = interior_max(ellipsoid.chart, node_norm(U - ellipsoid.data.du, 2))
         assert err < 50 * ellipsoid.dx2
+
+    def test_build_U_agrees_with_a_solve(self, ellipsoid):
+        args = (ellipsoid.frame.A[..., 0], ellipsoid.forms.k, ellipsoid.data.h,
+                ellipsoid.frame.frame)
+        U, ref = build_U(*args), reference_loops.build_U(*args)
+        assert np.max(node_norm(U - ref, 2) / node_norm(ref, 2)) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [[[1.0, 1.0], [1.0, 1.0]],
+                                     [[1.0, 0.2], [0.2, -0.5]]],
+                             ids=["singular", "indefinite"])
+    def test_build_U_degenerate_third_form_raises(self, ellipsoid, bad):
+        k = ellipsoid.forms.k.copy()
+        k[10, 20] = bad
+        with pytest.raises(DegenerateGaussMapError):
+            build_U(ellipsoid.frame.A[..., 0], k, ellipsoid.data.h,
+                    ellipsoid.frame.frame)
 
     def test_zero_h_fails_isometry(self, ellipsoid):
         frame = ellipsoid.frame

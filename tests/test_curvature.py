@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isogauss.curvature import (christoffel, curvature_operator, metric_field,
-                                node_norm, raise_index, riemann_tensor,
-                                to_orthonormal)
+from isogauss.curvature import (cholesky_factors, christoffel,
+                                curvature_operator, metric_field, node_norm,
+                                raise_index, riemann_tensor, to_orthonormal)
 from isogauss.errors import DomainError, SingularMetricError
 from isogauss.grid import build_chart, interior_max
 from isogauss.reconstruct import observed_order
@@ -123,6 +123,60 @@ class TestMetricField:
         want = L_inv @ metric.g.astype(np.longdouble) @ L_inv.mT
         assert per_node_rel(to_orthonormal(metric, metric.g),
                             want.astype(float), 2) <= 1e-6
+
+
+def one_bad_node(m, bad):
+    """Identity matrices on a 7 x 9 chart, with one matrix at node (3, 5)
+    that fails the last pivot or, for ``nan-first``, the first one."""
+    a = np.broadcast_to(np.eye(m), (7, 9, m, m)).copy()
+    b = a[3, 5]
+    if bad == "indefinite":
+        b[-1, 0] = b[0, -1] = 0.2
+        b[-1, -1] = -0.5
+    elif bad == "rank-one":
+        b[:] = 1.0
+    elif bad == "zero-diagonal":
+        b[-1, -1] = 0.0
+    elif bad == "nan":
+        b[-1, 0] = np.nan
+    elif bad == "nan-first":
+        b[0, 0] = np.nan
+    return a
+
+
+class TestCholeskyFactors:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_lapack_on_random_batches(self, m):
+        rng = np.random.default_rng(m)
+        X = rng.standard_normal((40, 30, m, m))
+        a = X @ X.mT + m * np.eye(m)
+        L, L_inv = cholesky_factors(a)
+        ref_L, ref_L_inv = reference_loops.cholesky_factors(a)
+        assert per_node_rel(L, ref_L, 2) <= 1e-14
+        assert per_node_rel(L_inv, ref_L_inv, 2) <= 1e-14
+        assert np.all(np.triu(L, 1) == 0) and np.all(np.triu(L_inv, 1) == 0)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
+    def test_near_singular_metric_agrees_to_cond(self, near_singular_metric,
+                                                 eps):
+        # metric_field runs the identity check on the kernel's factors; the
+        # two factorizations round differently, and each is accurate only
+        # to about cond(g) * 1e-16
+        chart = build_chart(2, (17, 17), (0.05, 0.05), (0.3, 0.2))
+        metric = metric_field(chart, near_singular_metric(chart, eps))
+        ref_L, ref_L_inv = reference_loops.cholesky_factors(metric.g)
+        assert per_node_rel(metric.chol, ref_L, 2) <= 1e-15 / eps
+        assert per_node_rel(metric.chol_inv, ref_L_inv, 2) <= 1e-15 / eps
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("bad", ["indefinite", "rank-one", "zero-diagonal",
+                                     "nan", "nan-first"])
+    def test_one_failing_node_fails_the_batch(self, m, bad):
+        a = one_bad_node(m, bad)
+        assert cholesky_factors(a) is None
+        assert reference_loops.cholesky_factors(a) is None
+        a[3, 5] = np.eye(m)
+        assert cholesky_factors(a) is not None
 
 
 class TestChristoffel:

@@ -335,11 +335,13 @@ class TestFuzzedInput:
         if bad_line is not None:
             assert read_error is not None
             assert read_error.startswith(f"line {bad_line}: bad number")
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(["check", str(path)])
-        if read_error is not None:
-            assert code == cli.EXIT_USAGE
-        else:
-            assert code in (cli.EXIT_ADMISSIBLE, cli.EXIT_REJECTED,
-                            cli.EXIT_USAGE, cli.EXIT_INAPPLICABLE)
+        for argv in (["check", str(path)],
+                     ["reconstruct", str(path), "--out", str(root / "rec")]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            if read_error is not None:
+                assert code == cli.EXIT_USAGE
+            else:
+                assert code in (cli.EXIT_ADMISSIBLE, cli.EXIT_REJECTED,
+                                cli.EXIT_USAGE, cli.EXIT_INAPPLICABLE)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from isogauss.surfaces import CliffordTorus, Ellipsoid
+from isogauss.surfaces import CATALOG, Ellipsoid
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -18,16 +18,14 @@ def roundtrips():
     return runpy.run_path(str(SCRIPTS / "run_catalog_roundtrips.py"))
 
 
-@pytest.mark.parametrize("surface", [Ellipsoid((1.0, 1.5, 2.0)),
-                                     CliffordTorus(1.0, 1.4)],
-                         ids=lambda s: s.name)
-def test_catalog_roundtrip_row(roundtrips, surface):
+@pytest.mark.parametrize("name", ["ellipsoid", "clifford-torus"])
+def test_catalog_roundtrip_row(roundtrips, name):
     cfg = roundtrips["RunConfig"](points_2d=17, points_3d=9, refine=0)
-    rows, order = roundtrips["run_surface"](surface, cfg)
+    rows, order = roundtrips["run_surface"](CATALOG[name](), cfg)
     [(shape, verdict, method, worst, err, _)] = rows
     assert shape == (17, 17)
     assert verdict == "admissible"
-    assert method == ("theorem2" if surface.name == "ellipsoid" else "codim")
+    assert method == ("theorem2" if name == "ellipsoid" else "codim")
     assert math.isfinite(worst) and math.isfinite(err)
     assert math.isnan(order)            # one level carries no order
 
@@ -52,7 +50,7 @@ def test_catalog_rows_name_catenoid_and_helicoid(roundtrips, monkeypatch,
         warnings.filterwarnings("ignore", message=".*not integrable.*")
         roundtrips["main"]()
     names = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()[1:]]
-    assert names == [s.name for s in roundtrips["CATALOG_RUNS"]]
+    assert names == list(CATALOG)
     assert "catenoid" in names and "helicoid" in names
     assert len(set(names)) == len(names)
 

@@ -1,13 +1,13 @@
 import inspect
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from isogauss import surfaces
 from isogauss.curvature import metric_field, node_norm, raise_index, riemann_tensor
-from isogauss.errors import DomainError
+from isogauss.errors import DomainError, SingularMetricError
 from isogauss.grid import interior_max
 from isogauss.reconstruct import compare_up_to_translation, observed_order
 from isogauss.surfaces import (CATALOG, AssociatedFamily, Catenoid,
@@ -224,6 +224,19 @@ class TestWindows:
         surf = HypersphereM3(1.0)
         with pytest.raises(DomainError):
             generate(surf, RoundSphere(1.0).default_chart(9))
+
+    def test_chart_that_is_not_immersed_rejected(self):
+        # d_2 u = 3 x_2^2 vanishes on the chart's middle row, x_2 = 0
+        @dataclass(frozen=True)
+        class Cusp(Plane):
+            name = "cusp"
+
+            def point(self, x):
+                z = np.zeros_like(x[..., 0])
+                return np.stack([x[..., 0], x[..., 1] ** 3, z], axis=-1)
+
+        with pytest.raises(SingularMetricError, match="not immersed"):
+            generate(Cusp(), Cusp().default_chart(9))
 
 
 class TestDeclaredData:
