@@ -24,8 +24,8 @@ import numpy as np
 from .codim import (RANK_REL_TOL, build_normal_frame, frame_consistency,
                     mean_curvature_vector, second_forms, third_forms,
                     weingarten_combination)
-from .curvature import (CurvaturePack, MetricField, node_norm, raise_index,
-                        riemann_tensor, spd_solve, to_orthonormal)
+from .curvature import (CurvaturePack, MetricField, node_norm, riemann_tensor,
+                        spd_solve, symmetric_eig, to_orthonormal)
 from .errors import (BranchError, DegenerateGaussMapError, DomainError,
                      NotPositiveSemidefiniteError)
 from .grid import Chart, align_signs, grad_all, interior_max
@@ -226,8 +226,7 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     m = chart.m
     if m < 3:
         raise DomainError("the linear-system route needs m >= 3")
-    kop = raise_index(metric, k)
-    k_eigs = np.linalg.eigvalsh(to_orthonormal(metric, k))
+    k_eigs = symmetric_eig(to_orthonormal(metric, k))
     kop_inv = spd_solve(k, metric.g)
     if (kop_inv is None or float(np.min(k_eigs))
             <= RANK_REL_TOL * max(float(np.max(k_eigs)), 1e-300)):
@@ -279,7 +278,7 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     h_raw = (null @ S.reshape(p, m * m)).reshape(chart.shape + (m, m))
     hop = ginv @ h_raw
     tr_h2 = np.einsum("...ij,...ji->...", hop, hop)
-    tr_k = np.einsum("...ii->...", kop)
+    tr_k = third_form_trace(k, metric)
     lam = np.sqrt(tr_k / np.where(tr_h2 > 0, tr_h2, np.inf))
     if not np.all(np.isfinite(lam)):
         return Theorem3Result(None, gap, has_null, unique, frac_unique,
@@ -303,10 +302,12 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
 def spd_sqrt(k: np.ndarray, metric: MetricField | None = None) -> np.ndarray:
     """Unique PSD square root of a PSD form field.
 
-    Without a metric this is the plain matrix square root per node.  With a
-    metric the root is taken in g-orthonormal frames, which is the square
-    root of the ``h^2 = k`` *operator* equation: the result satisfies
-    ``h g^{-1} h = k`` with ``g^{-1} h`` positive semi-definite.
+    Without a metric this is the plain matrix square root per node,
+    ``Q sqrt(diag(w)) Q^T`` from the eigenvalues ``w`` and eigenvectors
+    ``Q`` of :func:`isogauss.curvature.symmetric_eig`.  With a metric the
+    root is taken in g-orthonormal frames, which is the square root of the
+    ``h^2 = k`` *operator* equation: the result satisfies ``h g^{-1} h = k``
+    with ``g^{-1} h`` positive semi-definite.
     """
     if metric is not None:
         k_on = to_orthonormal(metric, k)
@@ -314,7 +315,7 @@ def spd_sqrt(k: np.ndarray, metric: MetricField | None = None) -> np.ndarray:
         L = metric.chol
         return L @ h_on @ L.mT
     k = 0.5 * (k + np.swapaxes(k, -1, -2))
-    eigs, Q = np.linalg.eigh(k)
+    eigs, Q = symmetric_eig(k, vectors=True)
     scale = max(float(np.max(np.abs(eigs))), 1e-300)
     worst = float(np.min(eigs))
     if worst < -1e-10 * scale:

@@ -27,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import MetricField, node_norm, raise_index, to_orthonormal
+from .curvature import (MetricField, node_norm, raise_index, symmetric_eig,
+                        to_orthonormal)
 from .errors import DomainError, InvalidGrassmannDataError, SamplingError
 from .grid import (Chart, align_signs, center_sign, grad_all, interior_max,
                    staircase_slabs)
@@ -122,18 +123,23 @@ def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
     def flipped(D):
         return np.linalg.norm(D - eye, axis=(-2, -1)) > _FLIP_THRESHOLD
 
-    min_det = math.inf
+    # each node's repaired overlap with its previous node; the center has
+    # none, holds the identity and is left out of the minimum
+    overlaps = np.empty(chart.shape + (d, d))
     for slab, prev in staircase_slabs(chart):
         if prev is None:
+            overlaps[slab] = eye
             continue
         Qs, Qp = Q[slab], Q[prev]                              # views
         D = np.swapaxes(Qp, -1, -2) @ Qs
         for k in zip(*np.nonzero(flipped(D))):
             Qs[k] = Qs[k] @ _signed_permutation_fit(D[k].T).T
             D[k] = Qp[k].T @ Qs[k]
-        # a 1 x 1 overlap is its own determinant; LAPACK per node costs more
-        dets = D[..., 0, 0] if d == 1 else np.linalg.det(D)
-        min_det = min(min_det, float(np.min(dets)))
+        overlaps[slab] = D
+    # a 1 x 1 overlap is its own determinant; LAPACK per node costs more
+    dets = overlaps[..., 0, 0] if d == 1 else np.linalg.det(overlaps)
+    dets[chart.center] = math.inf
+    min_det = float(np.min(dets))
 
     defect = float(np.max(node_norm(Q.mT @ Q - eye, 2)))
 
@@ -197,7 +203,7 @@ class MeanCurvatureResult:
 def _rho_and_B(forms: CodimForms, Ric: np.ndarray, metric: MetricField):
     ric_k = Ric + forms.k
     ric_k = 0.5 * (ric_k + np.swapaxes(ric_k, -1, -2))
-    eigs = np.linalg.eigvalsh(to_orthonormal(metric, ric_k))
+    eigs = symmetric_eig(to_orthonormal(metric, ric_k))
     if float(np.min(np.abs(eigs))) <= 1e-10 * max(float(np.max(np.abs(eigs))), 1e-300):
         raise DomainError("Ric + k is not invertible; the trace matrix is undefined")
     B = np.linalg.inv(raise_index(metric, ric_k))
@@ -224,6 +230,19 @@ def _product_defect(h_ops: np.ndarray, k_ab_op: np.ndarray) -> np.ndarray:
     return node_norm(defect, 4) / (1.0 + node_norm(k_ab_op, 4))
 
 
+def _right_singular(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of a ``(..., d, d)`` stack, ascending, and the right
+    singular vectors as columns, from the eigenpairs of the Gram ``E^T E``.
+    The smallest singular value is the residual norm ``|E v|`` of its vector
+    ``v``, which is as accurate as an SVD's; the square root of the smallest
+    Gram eigenvalue would resolve it only to about ``1e-8 |E|``.
+    """
+    lam, V = symmetric_eig(E.mT @ E, vectors=True)
+    sig = np.sqrt(np.clip(lam, 0.0, None))
+    sig[..., 0] = node_norm(E @ V[..., :, :1], 2)
+    return sig, V
+
+
 def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
                           length: np.ndarray, metric: MetricField, tau: float,
                           sign_branch: int = 1) -> MeanCurvatureResult:
@@ -231,12 +250,18 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
 
     ``length`` is ``|H| = sqrt(s + Tr k)`` from step 1 and ``tau`` its
     threshold; singular values of ``rho^T - I`` up to
-    ``unit_tol = max(1e-6, tau)`` count as unit eigenvalues.  Generic data
-    has a one-dimensional fixed space at eigenvalue 1; the unit fixed vector
-    is continued outwards from the chart center and scaled to ``length``,
-    on the branch :func:`isogauss.grid.center_sign` picks times
-    ``sign_branch`` (+1 or -1).  When the fixed space is the
-    whole normal plane (``d = 2``, e.g. products of plane curves) the
+    ``unit_tol = max(1e-6, tau)`` count as unit eigenvalues.  The singular
+    values and right singular vectors of ``E = rho^T - I`` come from
+    :func:`isogauss.curvature.symmetric_eig` of the ``d x d`` Gram
+    ``E^T E`` (:func:`_right_singular`).  The smallest singular value is
+    the residual norm ``|E v|`` of its vector ``v``, not the square root of
+    the smallest Gram eigenvalue (which resolves it only to about
+    ``1e-8 |E|``), so ``unit_eigen_distance`` keeps the accuracy of an SVD.
+    Generic data has a one-dimensional fixed space at eigenvalue 1; the unit
+    fixed vector is continued outwards from the chart center and scaled to
+    ``length``, on the branch :func:`isogauss.grid.center_sign` picks times
+    ``sign_branch`` (+1 or -1).  When the fixed space is the whole normal
+    plane (``d = 2``, e.g. products of plane curves) the
     direction is solved exactly from the quadratic product constraint by
     :func:`_resolve_full_fixed_space`; every minimizing direction is
     returned as a candidate for the caller to test in full.  A full fixed
@@ -247,11 +272,10 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
     inter = chart.interior
     rho, B, k_ab_op = _rho_and_B(forms, Ric, metric)
     scale = np.maximum(1.0, node_norm(rho, 2))
-    E = np.swapaxes(rho, -1, -2) - np.eye(d)
-    _, sig, Vh = np.linalg.svd(E)
+    sig, V = _right_singular(np.swapaxes(rho, -1, -2) - np.eye(d))
     utol = max(1e-6, tau)
     dims = np.sum(sig <= utol * scale[..., None], axis=-1)
-    unit_dist = interior_max(chart, sig[..., -1] / scale)
+    unit_dist = interior_max(chart, sig[..., 0] / scale)
 
     def result(status, candidates, fixed_dim, notes=()):
         return MeanCurvatureResult(status, candidates, unit_dist, utol,
@@ -262,7 +286,7 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
                       ["rho has no eigenvalue within tolerance of 1: data "
                        "inadmissible"])
     if float(np.mean(dims[inter] == 1)) >= 0.99:
-        v = Vh[..., -1, :]
+        v = V[..., :, 0]
         v = v * align_signs(chart, v)[..., None]
         v = v * (center_sign(chart, v) * sign_branch)
         return result("ok", [length[..., None] * v], 1)
@@ -359,20 +383,29 @@ class WeingartenCombination(NamedTuple):
     invertible: bool
 
 
-def _combinations(A: np.ndarray, k_ab: np.ndarray):
-    """``(w, A_w, k_w)`` per candidate: each frame direction (as views), and
-    for ``d >= 2`` fixed linear combinations of the frame."""
-    d = A.shape[-1]
-    for a in range(d):
-        yield np.eye(d)[a], A[..., a], k_ab[..., a, a, :, :]
-    if d == 1:
-        return
-    rng = np.random.default_rng(0)
-    mixes = [np.ones(d)] + [rng.standard_normal(d) for _ in range(3)]
-    for w in mixes:
-        w = w / np.linalg.norm(w)
-        yield (w, A @ w, np.einsum("...abij,a,b->...ij", k_ab, w, w,
-                                   optimize=True))
+def _combinations(d: int) -> np.ndarray:
+    """Candidate weights ``w``, one per row: each frame direction, and for
+    ``d >= 2`` fixed unit linear combinations of the frame."""
+    weights = list(np.eye(d))
+    if d > 1:
+        rng = np.random.default_rng(0)
+        mixes = [np.ones(d)] + [rng.standard_normal(d) for _ in range(3)]
+        weights += [w / np.linalg.norm(w) for w in mixes]
+    return np.array(weights)
+
+
+def _candidate_forms(weights: np.ndarray, k_ab: np.ndarray,
+                     metric: MetricField) -> np.ndarray:
+    """``k_w = sum_ab w_a w_b k^{ab}`` in g-orthonormal frames for every row
+    ``w`` of ``weights``, shape ``(len(weights), *grid, m, m)``; the ``d^2``
+    blocks are taken to g-orthonormal frames once."""
+    d = k_ab.shape[-4]
+    # [a, b, ...] = k^{ab} in g-orthonormal frames
+    blocks = (metric.chol_inv @ np.moveaxis(k_ab, (-4, -3), (0, 1))
+              @ metric.chol_inv.mT)
+    pair_weights = (weights[:, :, None] * weights[:, None, :]).reshape(-1, d * d)
+    return (pair_weights @ blocks.reshape(d * d, -1)).reshape(
+        (len(weights),) + blocks.shape[2:])
 
 
 def weingarten_combination(A: np.ndarray, k_ab: np.ndarray,
@@ -385,21 +418,31 @@ def weingarten_combination(A: np.ndarray, k_ab: np.ndarray,
     :func:`_combinations` is scored by the ratio of the smallest to the
     largest singular value of ``A_w`` over the chart, with the domain
     measured in g (the square roots of the extreme eigenvalues of ``k_w`` in
-    g-orthonormal frames), and the best one is kept.  It is invertible when
-    that ratio exceeds ``RANK_REL_TOL``: for ``d = 1`` this is the Gauss map
-    having an invertible differential.
+    g-orthonormal frames), and the best one is kept.  The ``d^2`` blocks
+    ``k^{ab}`` are taken to g-orthonormal frames once; each candidate's form
+    is their ``w_a w_b``-weighted sum, and one call of
+    :func:`isogauss.curvature.symmetric_eig` gives the eigenvalues of every
+    candidate.  ``A_w`` and ``k_w`` are formed for the winner only (as
+    views when it is a frame direction).  It is invertible when that ratio
+    exceeds ``RANK_REL_TOL``: for ``d = 1`` this is the Gauss map having an
+    invertible differential.
     """
-    best = None
-    for w, A_w, k_w in _combinations(A, k_ab):
-        eigs = np.linalg.eigvalsh(to_orthonormal(metric, k_w))
-        max_sv = math.sqrt(max(float(np.max(eigs)), 0.0))
-        min_sv = math.sqrt(max(float(np.min(eigs)), 0.0))
-        score = min_sv / max(max_sv, 1e-300)
-        if best is None or score > best[0]:
-            best = (score, WeingartenCombination(
-                w, A_w, k_w, min_sv, max_sv,
-                min_sv > RANK_REL_TOL * max_sv and max_sv > 0.0))
-    return best[1]
+    d = k_ab.shape[-4]
+    weights = _combinations(d)
+    # a temporary: the kernel frees it once read
+    eigs = symmetric_eig(_candidate_forms(weights, k_ab, metric))
+    axes = tuple(range(1, eigs.ndim))
+    max_sv = np.sqrt(np.clip(np.max(eigs, axis=axes), 0.0, None))
+    min_sv = np.sqrt(np.clip(np.min(eigs, axis=axes), 0.0, None))
+    c = int(np.argmax(min_sv / np.maximum(max_sv, 1e-300)))
+    w, min_sv, max_sv = weights[c], float(min_sv[c]), float(max_sv[c])
+    if c < d:
+        A_w, k_w = A[..., c], k_ab[..., c, c, :, :]
+    else:
+        A_w = A @ w
+        k_w = np.einsum("...abij,a,b->...ij", k_ab, w, w, optimize=True)
+    return WeingartenCombination(w, A_w, k_w, min_sv, max_sv,
+                                 min_sv > RANK_REL_TOL * max_sv and max_sv > 0.0)
 
 
 def frame_consistency(A: np.ndarray, U: np.ndarray, h_alpha: np.ndarray,

@@ -69,6 +69,148 @@ def cholesky_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return L, L_inv
 
 
+# a safety cap only: Jacobi converges quadratically, and for m <= 4 it meets
+# its tolerance within about six sweeps
+_JACOBI_MAX_SWEEPS = 32
+
+
+def _rotate(c: np.ndarray, s: np.ndarray, x: np.ndarray, y: np.ndarray,
+            tmp: np.ndarray) -> None:
+    """``(x, y) <- (c x - s y, s x + c y)`` in place, elementwise."""
+    np.multiply(s, x, out=tmp[0])
+    x *= c
+    np.multiply(s, y, out=tmp[1])
+    x -= tmp[1]
+    y *= c
+    y += tmp[0]
+
+
+def symmetric_eig(a: np.ndarray, vectors: bool = False):
+    """Eigenvalues, ascending, and on request eigenvectors, per node.
+
+    ``a`` is a ``(..., m, m)`` stack of symmetric matrices; only its lower
+    triangle is read.  Cyclic Jacobi (Golub & Van Loan, *Matrix
+    Computations*, section 8.5): each sweep rotates every index pair
+    ``(p, q)`` once so that entry ``(p, q)`` of every node vanishes, and
+    each rotation is a few elementwise numpy operations over all nodes
+    instead of one LAPACK call per matrix.  One sweep is exact for
+    ``2 x 2``; larger ``m`` converge quadratically.  Each node is first
+    scaled by a power of two so that its largest entry lies in ``[1/2, 1)``:
+    the squares in the rotation formula cannot overflow, and only entries
+    far below ``eps`` times the largest can underflow.  The sweeps stop
+    once every node's off-diagonal mass is at most ``eps`` times its
+    Frobenius norm, or after ``_JACOBI_MAX_SWEEPS``.  The eigenvalues are
+    then accurate to about ``eps * |a|``, as LAPACK's are (Demmel &
+    Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).  A node with a
+    non-finite entry gets NaN eigenvalues (and vectors); the kernel never
+    raises.
+
+    Returns ``w`` of shape ``(..., m)``, or with ``vectors`` the pair
+    ``(w, V)`` with orthonormal columns ``V[..., :, i]`` and
+    ``a V = V diag(w)``.
+    """
+    a = np.asarray(a, dtype=float)
+    m = a.shape[-1]
+    batch = a.shape[:-2]
+    lower = [(i, j) for i in range(m) for j in range(i + 1)]
+    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
+    # entries (i, j) and (j, i) of every node are one contiguous row of work
+    row = {}
+    for n, (i, j) in enumerate(lower):
+        row[i, j] = row[j, i] = n
+    work = np.empty((len(lower),) + batch)
+    d, r, t = np.empty((3,) + batch)
+    amax = np.zeros(batch)
+    for i, j in lower:
+        np.maximum(amax, np.abs(a[..., i, j], out=d), out=amax)
+    bad = ~np.isfinite(amax)
+    expo = np.frexp(amax)[1]
+    del amax
+    for i, j in lower:
+        np.ldexp(a[..., i, j], -expo, out=work[row[i, j]])
+    # a is not read again: a temporary passed in is freed here
+    del a
+    off2 = np.zeros(batch)
+    for p, q in pairs:
+        off2 += np.square(work[row[p, q]], out=d)
+    tol = off2 + off2
+    for i in range(m):
+        tol += np.square(work[row[i, i]], out=d)
+    tol *= 0.5 * np.finfo(float).eps ** 2
+    # c and s rotate the other rows and the vectors; with neither (m = 2,
+    # values only) t alone finishes each pair
+    rotates = vectors or m > 2
+    if rotates:
+        c, s = np.empty((2,) + batch)
+        pair_tmp = np.empty((2,) + batch)
+    if vectors:
+        V = np.zeros((m, m) + batch)
+        for i in range(m):
+            V[i, i] = 1.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(_JACOBI_MAX_SWEEPS):
+            if not np.any(off2 > tol):
+                break
+            for p, q in pairs:
+                app, aqq = work[row[p, p]], work[row[q, q]]
+                apq = work[row[p, q]]
+                # t = tan(angle), the smaller root of
+                # t^2 + t (aqq - app) / apq - 1 = 0; tiny keeps 0 / 0 away
+                np.subtract(aqq, app, out=d)
+                np.square(d, out=r)
+                np.square(apq, out=t)
+                t *= 4.0
+                r += t
+                np.sqrt(r, out=r)
+                r += np.finfo(float).tiny
+                np.copysign(r, d, out=r)
+                r += d
+                np.add(apq, apq, out=t)
+                t /= r
+                if rotates:
+                    np.square(t, out=c)
+                    c += 1.0
+                    np.sqrt(c, out=c)
+                    np.reciprocal(c, out=c)
+                    np.multiply(t, c, out=s)
+                t *= apq
+                app -= t
+                aqq += t
+                apq.fill(0.0)
+                for k in range(m):
+                    if k != p and k != q:
+                        _rotate(c, s, work[row[k, p]], work[row[k, q]],
+                                pair_tmp)
+                if vectors:
+                    for k in range(m):
+                        _rotate(c, s, V[k, p], V[k, q], pair_tmp)
+            off2.fill(0.0)
+            for p, q in pairs:
+                off2 += np.square(work[row[p, q]], out=d)
+        # odd-even transposition sort of the diagonal, ascending
+        for sweep in range(m):
+            for i in range(sweep % 2, m - 1, 2):
+                x, y = work[row[i, i]], work[row[i + 1, i + 1]]
+                if vectors:
+                    # swapping two columns is a quarter turn: c = 0, s = 1
+                    np.greater(x, y, out=s)
+                    np.subtract(1.0, s, out=c)
+                    for k in range(m):
+                        _rotate(c, s, V[k, i], V[k, i + 1], pair_tmp)
+                np.minimum(x, y, out=d)
+                np.maximum(x, y, out=y)
+                np.copyto(x, d)
+    w = np.empty(batch + (m,))
+    for i in range(m):
+        np.ldexp(work[row[i, i]], expo, out=w[..., i])
+    np.copyto(w, np.nan, where=bad[..., None])
+    if not vectors:
+        return w
+    V = np.moveaxis(V, (0, 1), (-2, -1))
+    np.copyto(V, np.nan, where=bad[..., None, None])
+    return w, V
+
+
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """``a^{-1} b`` per node as ``L^{-T} (L^{-1} b)``, ``L`` from
     :func:`cholesky_factors`; ``None`` when ``a`` is not positive definite.
@@ -125,8 +267,8 @@ def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
     factors = cholesky_factors(g)
     if factors is None:
         # eigenvalues only to name the node; the smallest one is named even
-        # when eigvalsh rounds it to just above zero
-        low = np.linalg.eigvalsh(g)[..., 0]
+        # when it rounds to just above zero
+        low = symmetric_eig(g)[..., 0]
         node = tuple(int(i) for i in np.unravel_index(np.argmin(low), low.shape))
         raise SingularMetricError(
             f"metric not positive definite at node {node} "

@@ -175,6 +175,9 @@ def read_dataset(path) -> Dataset:
         raise DatasetFormatError(f"unrecognized format_version {version}")
     if kind not in KINDS:
         raise DatasetFormatError(f"unrecognized kind '{kind}'")
+    if n <= m:
+        raise DatasetFormatError(
+            f"ambient dimension n = {n} must exceed the chart dimension m = {m}")
     try:
         chart = build_chart(m, shape, spacing, origin)
     except ConfigurationError as exc:

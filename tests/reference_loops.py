@@ -9,9 +9,12 @@ exact solve, the index-notation contractions and triangular solves that
 second derivatives that ``surfaces.generate`` replaces by the Weingarten
 identity, the whole-grid batched SVD that
 ``admissibility.h_from_theorem3`` replaces by a blocked Gram eigensolve,
-and the per-matrix LAPACK ``cholesky``, ``inv`` and ``solve`` calls that
-``curvature.cholesky_factors`` replaces by one elementwise kernel;
-the equivalence tests compare the package against them.
+the per-matrix LAPACK ``cholesky``, ``inv`` and ``solve`` calls that
+``curvature.cholesky_factors`` replaces by one elementwise kernel, and the
+per-matrix LAPACK ``eigvalsh``, ``eigh`` and ``svd`` calls that
+``curvature.symmetric_eig`` replaces by one elementwise Jacobi kernel (with
+``codim.weingarten_combination`` as it scored each candidate by its own
+eigensolve); the equivalence tests compare the package against them.
 ``gauss_map_differential`` is the hypersurface formula that the one-column
 normal frame reproduces.
 """
@@ -24,7 +27,8 @@ import numpy as np
 
 from isogauss.admissibility import (PipelineOptions, Theorem3Result,
                                     _antisymmetric_basis, _symmetric_basis)
-from isogauss.codim import (_FLIP_THRESHOLD, RANK_REL_TOL, _halpha_ops,
+from isogauss.codim import (_FLIP_THRESHOLD, RANK_REL_TOL,
+                            WeingartenCombination, _combinations, _halpha_ops,
                             _product_defect, _signed_permutation_fit)
 from isogauss.curvature import raise_index, to_orthonormal
 from isogauss.datafiles import (_BLOCK_ORDER, FORMAT_VERSION, KINDS, Dataset,
@@ -410,3 +414,39 @@ def build_U(A, k, h, frame):
         nu = frame[..., a]
         U = U - nu[..., :, None] * (nu[..., None, :] @ U)
     return U
+
+
+def symmetric_eig(a, vectors=False):
+    """``curvature.symmetric_eig`` by one LAPACK ``eigvalsh`` or ``eigh``
+    call per matrix (lower triangle, ascending)."""
+    return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+
+
+def right_singular(E):
+    """``codim._right_singular`` from one LAPACK SVD per matrix: singular
+    values ascending, right singular vectors as columns."""
+    _, sig, Vh = np.linalg.svd(E)
+    return sig[..., ::-1], Vh[..., ::-1, :].mT
+
+
+def weingarten_combination(A, k_ab, metric):
+    """``codim.weingarten_combination`` forming ``A_w`` and ``k_w`` for every
+    candidate and scoring each by its own LAPACK ``eigvalsh`` of
+    ``to_orthonormal(k_w)``."""
+    d = A.shape[-1]
+    best = None
+    for c, w in enumerate(_combinations(d)):
+        if c < d:
+            A_w, k_w = A[..., c], k_ab[..., c, c, :, :]
+        else:
+            A_w = A @ w
+            k_w = np.einsum("...abij,a,b->...ij", k_ab, w, w, optimize=True)
+        eigs = np.linalg.eigvalsh(to_orthonormal(metric, k_w))
+        max_sv = math.sqrt(max(float(np.max(eigs)), 0.0))
+        min_sv = math.sqrt(max(float(np.min(eigs)), 0.0))
+        score = min_sv / max(max_sv, 1e-300)
+        if best is None or score > best[0]:
+            best = (score, WeingartenCombination(
+                w, A_w, k_w, min_sv, max_sv,
+                min_sv > RANK_REL_TOL * max_sv and max_sv > 0.0))
+    return best[1]

@@ -283,6 +283,21 @@ class TestSpdSqrt:
         with pytest.raises(NotPositiveSemidefiniteError):
             spd_sqrt(k)
 
+    @pytest.mark.parametrize("surf", [Catenoid(), Ellipsoid((1.0, 1.5, 2.0))],
+                             ids=lambda surf: surf.name)
+    def test_matches_the_lapack_root(self, surf, monkeypatch):
+        # the catenoid's third form is conformal: the orthonormal k has a
+        # repeated eigenvalue at every node, so its eigenvectors are
+        # arbitrary while the root is not
+        data = generate(surf, surf.default_chart(33))
+        metric = metric_field(data.chart, data.g)
+        k = third_forms(build_normal_frame(data.chart, data.frame)).k
+        h = spd_sqrt(k, metric)
+        monkeypatch.setattr(admissibility, "symmetric_eig",
+                            reference_loops.symmetric_eig)
+        ref = spd_sqrt(k, metric)
+        assert np.max(node_norm(h - ref, 2) / node_norm(ref, 2)) <= 1e-14
+
     def test_metric_aware_root_solves_operator_equation(self, ellipsoid):
         # h g^{-1} h = k with g^{-1} h PSD: root of the operator equation
         h = spd_sqrt(ellipsoid.forms.k, ellipsoid.metric)

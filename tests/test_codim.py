@@ -1,15 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
+from isogauss import admissibility, codim
 from isogauss.admissibility import (PipelineOptions, build_U, check_isometry,
                                     check_parallel, h_from_theorem2,
                                     run_pipeline, step1_positivity)
 from isogauss.codim import (_resolve_full_fixed_space, _rho_and_B,
-                            build_normal_frame, frame_consistency,
-                            mean_curvature_vector, second_forms, third_forms,
-                            weingarten_combination)
+                            _right_singular, build_normal_frame,
+                            frame_consistency, mean_curvature_vector,
+                            second_forms, third_forms, weingarten_combination)
 from isogauss.curvature import (metric_field, node_norm, riemann_tensor,
-                                to_orthonormal)
+                                symmetric_eig, to_orthonormal)
 from isogauss.errors import InvalidGrassmannDataError
 from isogauss.grid import build_chart, interior_max
 from isogauss.reconstruct import (box_error, immerse, integrate,
@@ -222,7 +225,7 @@ class TestWeingartenCombination:
         # one frame direction is taken as views, not copied
         assert np.shares_memory(wc.A, frame.A)
         assert np.shares_memory(wc.k, forms.k_ab)
-        eigs = np.linalg.eigvalsh(to_orthonormal(ellipsoid.metric, forms.k))
+        eigs = symmetric_eig(to_orthonormal(ellipsoid.metric, forms.k))
         assert wc.min_singular == np.sqrt(np.min(eigs))
         assert wc.max_singular == np.sqrt(np.max(eigs))
 
@@ -424,3 +427,91 @@ class TestLoopEquivalence:
         assert len(got) == len(want) >= 1
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) <= 1e-12
+
+
+class TestLapackAgreement:
+    """The gate, the fixed-space solve and the pipeline against the per-node
+    LAPACK ``eigvalsh`` / SVD route they replace, on the benchmark's two
+    codimension-2 surfaces (the torus with its full fixed space) and on
+    hypersurface data."""
+
+    @staticmethod
+    def _problem(name):
+        surf, n = {"graph-r4": (CATALOG["graph-r4"](), 65),
+                   "clifford-torus": (CliffordTorus(1.0, 1.0), 33),
+                   "ellipsoid": (CATALOG["ellipsoid"](), 49)}[name]
+        return Problem(surf, n)
+
+    @pytest.fixture(scope="class",
+                    params=["graph-r4", "clifford-torus", "ellipsoid"])
+    def problem(self, request):
+        return self._problem(request.param)
+
+    @pytest.fixture(scope="class", params=["graph-r4", "clifford-torus"])
+    def codim_problem(self, request):
+        return self._problem(request.param)
+
+    def test_gate_matches_per_candidate_eigvalsh(self, problem):
+        A, k_ab = problem.frame.A, problem.forms.k_ab
+        wc = weingarten_combination(A, k_ab, problem.metric)
+        ref = reference_loops.weingarten_combination(A, k_ab, problem.metric)
+        assert np.array_equal(wc.w, ref.w)
+        assert wc.invertible == ref.invertible
+        assert np.array_equal(wc.A, ref.A) and np.array_equal(wc.k, ref.k)
+        for got, want in ((wc.min_singular, ref.min_singular),
+                          (wc.max_singular, ref.max_singular)):
+            assert abs(got - want) <= 1e-14 * want
+
+    def test_singular_values_match_svd(self, codim_problem):
+        problem = codim_problem
+        rho = _rho_and_B(problem.forms, problem.pack.Ric, problem.metric)[0]
+        E = rho.mT - np.eye(2)
+        sig, V = _right_singular(E)
+        ref_sig, ref_V = reference_loops.right_singular(E)
+        assert np.all(np.abs(sig - ref_sig) <= 1e-12 * ref_sig[..., -1:])
+        # the smallest one, a residual norm, agrees with the SVD's to
+        # rounding of |E| even where it is far below |E|
+        assert np.all(np.abs(sig[..., 0] - ref_sig[..., 0])
+                      <= 1e-14 * ref_sig[..., -1])
+        # the smallest one's vector, where it is defined (the torus' trace
+        # matrix is a multiple of the identity at many nodes)
+        simple = ref_sig[..., 1] - ref_sig[..., 0] > 1e-3 * ref_sig[..., -1]
+        cos = np.abs(np.sum(V[..., :, 0] * ref_V[..., :, 0], axis=-1))
+        assert np.all(np.abs(cos[simple] - 1.0) <= 1e-10)
+
+    def test_mean_curvature_matches_lapack_route(self, codim_problem,
+                                                 monkeypatch):
+        problem = codim_problem
+        mc = mean_curvature(problem.forms, problem)
+        monkeypatch.setattr(codim, "symmetric_eig",
+                            reference_loops.symmetric_eig)
+        monkeypatch.setattr(codim, "_right_singular",
+                            reference_loops.right_singular)
+        ref = mean_curvature(problem.forms, problem)
+        assert (mc.status, mc.fixed_dim, mc.notes) == \
+            (ref.status, ref.fixed_dim, ref.notes)
+        assert abs(mc.unit_eigen_distance - ref.unit_eigen_distance) <= \
+            1e-12 * ref.unit_eigen_distance
+        assert len(mc.candidates) == len(ref.candidates) >= 1
+        for a, b in zip(mc.candidates, ref.candidates):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_pipeline_matches_lapack_route(self, problem, monkeypatch):
+        rep = run_pipeline(problem.metric, problem.data.frame)
+        for module, name, ref in (
+                (codim, "symmetric_eig", reference_loops.symmetric_eig),
+                (codim, "_right_singular", reference_loops.right_singular),
+                (admissibility, "weingarten_combination",
+                 reference_loops.weingarten_combination)):
+            monkeypatch.setattr(module, name, ref)
+        old = run_pipeline(problem.metric, problem.data.frame)
+        assert (rep.verdict, rep.method, rep.failed_step, rep.notes) == \
+            (old.verdict, old.method, old.failed_step, old.notes)
+        for got, want in ((rep.residuals, old.residuals),
+                          (rep.extra, old.extra)):
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if math.isnan(value):
+                    assert math.isnan(got[key])
+                else:
+                    assert abs(got[key] - value) <= 1e-10 * abs(value)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from isogauss.curvature import (cholesky_factors, christoffel,
                                 curvature_operator, metric_field, node_norm,
-                                raise_index, riemann_tensor, to_orthonormal)
+                                raise_index, riemann_tensor, symmetric_eig,
+                                to_orthonormal)
 from isogauss.errors import DomainError, SingularMetricError
 from isogauss.grid import build_chart, interior_max
 from isogauss.reconstruct import observed_order
@@ -177,6 +180,71 @@ class TestCholeskyFactors:
         assert reference_loops.cholesky_factors(a) is None
         a[3, 5] = np.eye(m)
         assert cholesky_factors(a) is not None
+
+
+def special_nodes(m, rng):
+    """A batch of nodes that stress an eigensolver: diagonal, zero,
+    repeated eigenvalues, rank one, and eigenvalues 1e10 and 1e-10 apart."""
+    Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    v = rng.standard_normal(m)
+    spread = np.geomspace(1e10, 1e-10, m)
+    nodes = [np.diag(np.arange(1.0, m + 1.0)[::-1]), np.zeros((m, m)),
+             3.0 * np.eye(m), Q @ np.diag(np.r_[2.0, np.ones(m - 1)]) @ Q.T,
+             np.outer(v, v), Q @ np.diag(spread) @ Q.T,
+             Q @ np.diag(spread * np.r_[1.0, -np.ones(m - 1)]) @ Q.T,
+             1e10 * np.outer(v, v) + np.eye(m), 1e-10 * (Q + Q.T)]
+    return np.array(nodes)
+
+
+class TestSymmetricEig:
+    @staticmethod
+    def _assert_matches_lapack(a):
+        m = a.shape[-1]
+        w, V = symmetric_eig(a, vectors=True)
+        assert np.array_equal(symmetric_eig(a), w)
+        ref = reference_loops.symmetric_eig(a)
+        scale = np.max(np.abs(ref), axis=-1)
+        assert np.all(np.abs(w - ref) <= 1e-14 * scale[..., None])
+        assert np.max(np.abs(V.mT @ V - np.eye(m))) <= 1e-14
+        resid = node_norm(a @ V - V * w[..., None, :], 2)
+        assert np.all(resid <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_lapack_on_random_batches(self, m):
+        rng = np.random.default_rng(m)
+        X = rng.standard_normal((40, 30, m, m))
+        a = X + X.mT
+        before = a.copy()
+        self._assert_matches_lapack(a)
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_lapack_on_special_nodes(self, m):
+        self._assert_matches_lapack(special_nodes(m, np.random.default_rng(m)))
+
+    def test_reads_the_lower_triangle(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((50, 3, 3))
+        a = X + X.mT
+        w, V = symmetric_eig(a, vectors=True)
+        w_low, V_low = symmetric_eig(np.tril(a), vectors=True)
+        assert np.array_equal(w, w_low) and np.array_equal(V, V_low)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_node_gives_nan_without_raising(self, m, bad):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((6, m, m))
+        a = X + X.mT
+        a[2, m - 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, V = symmetric_eig(a, vectors=True)
+            assert np.array_equal(symmetric_eig(a), w, equal_nan=True)
+        assert np.all(np.isnan(w[2])) and np.all(np.isnan(V[2]))
+        keep = np.arange(6) != 2
+        self._assert_matches_lapack(a[keep])
+        assert np.array_equal(w[keep], symmetric_eig(a[keep]))
 
 
 class TestChristoffel:

@@ -86,6 +86,22 @@ class TestMalformed:
         with pytest.raises(DatasetFormatError):
             datafiles.read_dataset(path)
 
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2])
+    def test_ambient_dimension_not_above_m(self, ellipsoid_file, tmp_path, n):
+        # the one-column normal as a 3-column frame block: with n = -1 the
+        # block width n * (n - m) = 3 matches it
+        text = ellipsoid_file[0].read_text()
+        text = text.replace("n = 3\n", f"n = {n}\n")
+        text = text.replace("begin nu", "begin frame").replace("end nu",
+                                                               "end frame")
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match=f"n = {n} .* m = 2"):
+            datafiles.read_dataset(path)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["check", str(path)]) == cli.EXIT_USAGE
+
     def test_non_numeric_payload(self, ellipsoid_file, tmp_path):
         lines = ellipsoid_file[0].read_text().splitlines()
         start = lines.index("begin nu")
