@@ -24,8 +24,9 @@ import numpy as np
 from .codim import (RANK_REL_TOL, build_normal_frame, frame_consistency,
                     mean_curvature_vector, second_forms, third_forms,
                     weingarten_combination)
-from .curvature import (CurvaturePack, MetricField, node_norm, riemann_tensor,
-                        spd_solve, symmetric_eig, to_orthonormal)
+from .curvature import (CurvaturePack, MetricField, node_max, node_norm,
+                        riemann_tensor, spd_solve, symmetric_eig,
+                        to_orthonormal)
 from .errors import (BranchError, DegenerateGaussMapError, DomainError,
                      NotPositiveSemidefiniteError)
 from .grid import Chart, align_signs, grad_all, interior_max
@@ -259,7 +260,7 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
         sig1[blk] = np.sqrt(ev[..., -1])
         sig_prev[blk] = np.sqrt(np.clip(ev[..., 1], 0.0, None))
         resid = mat @ V[..., :, :1]
-        sig_last[blk] = np.sqrt(np.sum(resid * resid, axis=(-2, -1)) / tr)
+        sig_last[blk] = node_norm(resid, 2) / np.sqrt(tr)
     gtol = options.gap_tol_effective(chart)
     has_null = sig_last <= gtol * sig1
     unique = has_null & (sig_prev > gtol * sig1)
@@ -394,8 +395,8 @@ def check_parallel(U: np.ndarray, Gamma: np.ndarray, frame: np.ndarray,
     gam = (U @ Gamma.reshape(chart.shape + (m, m * m))).reshape(tang.shape)
     tang -= np.swapaxes(gam, -1, -2)
     del gam
-    res = np.sqrt(np.sum(np.square(tang, out=tang), axis=-3))  # norm over n
-    res = np.max(res, axis=(-2, -1))
+    # norm over n, then the largest over (i, j)
+    res = node_max(node_norm(np.moveaxis(tang, -3, -1), 1), 2)
     scale = 1.0 + node_norm(Gamma, 3) * node_norm(U, 2)
     # U is a derived field: a deeper margin keeps its boundary-layer
     # truncation error out of the stencil
@@ -408,6 +409,11 @@ class MinimalCaseResult:
     conformality: float
 
 
+def _det2(a: np.ndarray) -> np.ndarray:
+    """Determinant of each ``2 x 2`` matrix, elementwise."""
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
 def check_minimal_m2(metric: MetricField, k: np.ndarray,
                      s: np.ndarray) -> MinimalCaseResult:
     """Minimal-surface admissibility for m = 2: K + sqrt(det_g k) = 0 and
@@ -416,7 +422,7 @@ def check_minimal_m2(metric: MetricField, k: np.ndarray,
     if chart.m != 2:
         raise DomainError("the minimal-surface check applies to m = 2 only")
     K = 0.5 * s
-    det_gk = np.linalg.det(k) / np.linalg.det(metric.g)
+    det_gk = _det2(k) / _det2(metric.g)
     root = np.sqrt(np.clip(det_gk, 0.0, None))
     inter = chart.interior
     scale1 = 1.0 + float(np.max(np.abs(K[inter]))) + float(np.max(root[inter]))

@@ -30,8 +30,32 @@ _SYM_TOL = 1e-8
 
 
 def node_norm(a: np.ndarray, k: int) -> np.ndarray:
-    """Frobenius norm over the last ``k`` axes, per node."""
-    return np.sqrt(np.sum(a * a, axis=tuple(range(-k, 0))))
+    """Frobenius norm over the last ``k`` axes, per node.
+
+    The ``k`` axes are flattened (a view for contiguous input) and summed by
+    one ``einsum``: numpy's ``reduce`` over a block of a few trailing
+    entries costs more than the arithmetic.  The order of the sum differs
+    from ``np.sum``'s, which moves a norm by at most a few ulp.
+    """
+    a = np.asarray(a)
+    flat = a.reshape(a.shape[:a.ndim - k] + (-1,))
+    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
+
+
+def node_max(a: np.ndarray, k: int) -> np.ndarray:
+    """Maximum over the last ``k`` axes, per node.
+
+    A chain of elementwise ``np.maximum`` over the flattened trailing block,
+    for the reason given in :func:`node_norm`.  The maximum is exact, and a
+    NaN anywhere in a node's block makes that node's result NaN, as with
+    ``np.max``.
+    """
+    a = np.asarray(a)
+    flat = a.reshape(a.shape[:a.ndim - k] + (-1,))
+    out = flat[..., 0].copy()
+    for i in range(1, flat.shape[-1]):
+        np.maximum(out, flat[..., i], out=out)
+    return out
 
 
 def cholesky_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curvature import node_norm
 from .errors import (ConfigurationError, DatasetFormatError,
                      InvalidGaussMapError)
 from .grid import Chart, build_chart
@@ -299,7 +300,7 @@ def dataset_normals(ds: Dataset) -> np.ndarray:
         normals = ds.blocks["nu"][..., None]
     if ds.codim == 1:
         nu = normals[..., 0]
-        dev = float(np.max(np.abs(np.sqrt(np.sum(nu * nu, axis=-1)) - 1.0)))
+        dev = float(np.max(np.abs(node_norm(nu, 1) - 1.0)))
         if dev >= 1e-6:
             raise InvalidGaussMapError(
                 f"gauss map is not unit length: max deviation {dev:.3e}")

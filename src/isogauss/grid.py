@@ -26,6 +26,15 @@ from .errors import ConfigurationError
 MIN_POINTS_PER_AXIS = 5
 
 
+def check_shape(shape: tuple[int, ...]) -> None:
+    """Raise :class:`ConfigurationError` unless every axis has at least
+    ``MIN_POINTS_PER_AXIS`` points, the fewest the stencils need."""
+    if any(n < MIN_POINTS_PER_AXIS for n in shape):
+        raise ConfigurationError(
+            f"grid too small for 2nd-order stencils: every axis needs "
+            f">= {MIN_POINTS_PER_AXIS} points, got {tuple(shape)}")
+
+
 @dataclass(frozen=True)
 class Chart:
     """A uniform rectangular grid over an open box in R^m."""
@@ -43,10 +52,7 @@ class Chart:
             if len(tup) != self.m:
                 raise ConfigurationError(
                     f"chart {name} has length {len(tup)}, expected m = {self.m}")
-        if any(n < MIN_POINTS_PER_AXIS for n in self.shape):
-            raise ConfigurationError(
-                f"grid too small for 2nd-order stencils: every axis needs "
-                f">= {MIN_POINTS_PER_AXIS} points, got {self.shape}")
+        check_shape(self.shape)
         if any(not np.isfinite(dx) or dx <= 0 for dx in self.spacing):
             raise ConfigurationError(f"spacings must be positive, got {self.spacing}")
         if any(not np.isfinite(x) for x in self.origin):
@@ -110,16 +116,50 @@ def build_chart(m: int, shape, spacing, origin=None) -> Chart:
                  origin=tuple(float(x) for x in origin))
 
 
+def _deriv_into(f: np.ndarray, dx: float, axis: int, out: np.ndarray) -> None:
+    """Write the derivative of ``f`` along ``axis`` into ``out``.
+
+    ``np.gradient``'s ``edge_order=2`` stencil on a uniform grid, operation
+    for operation, so the result is bitwise equal to it: ``(f[2:] - f[:-2])
+    / (2 dx)`` inside, and the one-sided weights ``(-1.5, 2, -0.5) / dx`` and
+    ``(0.5, -2, 1.5) / dx`` on the two end layers.  ``out`` may be any view
+    of ``f``'s shape, such as one slot of a trailing derivative axis.
+    """
+    f = np.moveaxis(f, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    np.subtract(f[2:], f[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0 * dx
+    # one-layer slices, not indices, so that a 1-D field stays an array
+    first, last = o[:1], o[-1:]
+    np.multiply(f[:1], -1.5 / dx, out=first)
+    first += f[1:2] * (2.0 / dx)
+    first += f[2:3] * (-0.5 / dx)
+    np.multiply(f[-3:-2], 0.5 / dx, out=last)
+    last += f[-2:-1] * (-2.0 / dx)
+    last += f[-1:] * (1.5 / dx)
+
+
 def deriv(values: np.ndarray, chart: Chart, axis: int) -> np.ndarray:
     """Second-order finite difference along grid axis ``axis``."""
     if not 0 <= axis < chart.m:
         raise ConfigurationError(f"axis {axis} out of range for m = {chart.m}")
-    return np.gradient(values, chart.spacing[axis], axis=axis, edge_order=2)
+    values = np.asarray(values, dtype=float)
+    out = np.empty(values.shape)
+    _deriv_into(values, chart.spacing[axis], axis, out)
+    return out
 
 
 def grad_all(values: np.ndarray, chart: Chart) -> np.ndarray:
-    """All first derivatives, stacked on a new trailing axis."""
-    return np.stack([deriv(values, chart, a) for a in range(chart.m)], axis=-1)
+    """All first derivatives, on a new trailing axis.
+
+    The ``(*values.shape, m)`` result is allocated once and each axis's
+    derivative is written into its slot, with no stacking copy.
+    """
+    values = np.asarray(values, dtype=float)
+    out = np.empty(values.shape + (chart.m,))
+    for a in range(chart.m):
+        _deriv_into(values, chart.spacing[a], a, out[..., a])
+    return out
 
 
 def interior_max(chart: Chart, pointwise: np.ndarray, margin: int = 2) -> float:

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .admissibility import AdmissibilityReport, PipelineOptions, run_pipeline
-from .curvature import MetricField, metric_field, node_norm
+from .curvature import MetricField, metric_field, node_max, node_norm
 from .errors import NonIntegrableError
 from .grid import Chart, grad_all, interior_max
 from .surfaces import (OracleData, Surface, generate,
@@ -33,7 +33,7 @@ def curl_residual(U: np.ndarray, chart: Chart) -> float:
     """
     dU = grad_all(U, chart)                                   # (..., n, j, i)
     defect = dU - np.swapaxes(dU, -1, -2)
-    res = np.max(np.sqrt(np.sum(defect ** 2, axis=-3)), axis=(-2, -1))
+    res = node_max(node_norm(np.moveaxis(defect, -3, -1), 1), 2)
     scale = 1.0 + float(np.max(node_norm(U, 2)))
     return interior_max(chart, res, margin=4) / scale
 
@@ -99,9 +99,9 @@ def verify_immersion(imm: Immersion, metric: MetricField,
     du = grad_all(imm.u, chart)
     gram = du.mT @ du
     res_g = node_norm(gram - metric.g, 2) / (1.0 + node_norm(metric.g, 2))
-    nu = normals / np.sqrt(np.sum(normals * normals, axis=-2, keepdims=True))
+    nu = normals / node_norm(normals.mT, 1)[..., None, :]
     tang = du.mT @ nu
-    res_n = np.max(np.abs(tang), axis=(-2, -1)) / (1.0 + node_norm(du, 2))
+    res_n = node_max(np.abs(tang), 2) / (1.0 + node_norm(du, 2))
     # u integrates a derived field: strip its boundary-layer error margin
     return interior_max(chart, res_g, margin=4), interior_max(chart, res_n, margin=4)
 
@@ -116,7 +116,7 @@ def compare_up_to_translation(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = a - b
     mean = np.mean(diff.reshape(-1, diff.shape[-1]), axis=0)
-    return float(np.max(np.sqrt(np.sum((diff - mean) ** 2, axis=-1))))
+    return float(np.max(node_norm(diff - mean, 1)))
 
 
 # ---------------------------------------------------------------------------

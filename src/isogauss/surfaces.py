@@ -38,7 +38,7 @@ import numpy as np
 
 from .curvature import CurvaturePack, MetricField, node_norm, spd_solve
 from .errors import DomainError, SingularMetricError
-from .grid import Chart, build_chart, center_sign
+from .grid import Chart, build_chart, center_sign, check_shape
 
 _CSTEP = 1e-100
 _POLAR_MARGIN = 0.05    # closest a polar angle may come to a pole
@@ -94,6 +94,8 @@ class Surface:
         spanning the declared ``window``."""
         if isinstance(shape, int):
             shape = (shape,) * self.m
+        # the spacing divides by shape - 1: the shape is checked first
+        check_shape(shape)
         origin, extent = self.window
         spacing = tuple(extent[i] / (shape[i] - 1) for i in range(self.m))
         return build_chart(self.m, shape, spacing, origin)
@@ -215,13 +217,15 @@ class AssociatedFamily(Surface):
     """Associated family of the catenoid in conformal coordinates.
 
     theta = 0 is the catenoid, theta = pi/2 the helicoid; every member shares
-    the first fundamental form and the Gauss map of the catenoid.
+    the first fundamental form and the Gauss map of the catenoid.  The
+    default is the member theta = pi/4, between the two; :func:`Catenoid`
+    and :func:`Helicoid` give theta = 0 and pi/2.
     """
 
     m, n = 2, 3
     window = (-0.85, 0.25), (1.8, 1.2)
     scale: float = 1.0
-    theta: float = 0.0
+    theta: float = math.pi / 4
 
     @property
     def name(self):

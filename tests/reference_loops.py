@@ -14,7 +14,11 @@ the per-matrix LAPACK ``cholesky``, ``inv`` and ``solve`` calls that
 per-matrix LAPACK ``eigvalsh``, ``eigh`` and ``svd`` calls that
 ``curvature.symmetric_eig`` replaces by one elementwise Jacobi kernel (with
 ``codim.weingarten_combination`` as it scored each candidate by its own
-eigensolve); the equivalence tests compare the package against them.
+eigensolve), the ``np.sum`` / ``np.max`` reductions over trailing axes and
+the ``np.gradient`` stack that ``curvature.node_norm``,
+``curvature.node_max`` and ``grid.grad_all`` replace by elementwise
+kernels, and the per-matrix LAPACK ``det`` of ``check_minimal_m2``; the
+equivalence tests compare the package against them.
 ``gauss_map_differential`` is the hypersurface formula that the one-column
 normal frame reproduces.
 """
@@ -25,8 +29,9 @@ import math
 
 import numpy as np
 
-from isogauss.admissibility import (PipelineOptions, Theorem3Result,
-                                    _antisymmetric_basis, _symmetric_basis)
+from isogauss.admissibility import (MinimalCaseResult, PipelineOptions,
+                                    Theorem3Result, _antisymmetric_basis,
+                                    _symmetric_basis)
 from isogauss.codim import (_FLIP_THRESHOLD, RANK_REL_TOL,
                             WeingartenCombination, _combinations, _halpha_ops,
                             _product_defect, _signed_permutation_fit)
@@ -450,3 +455,40 @@ def weingarten_combination(A, k_ab, metric):
                 w, A_w, k_w, min_sv, max_sv,
                 min_sv > RANK_REL_TOL * max_sv and max_sv > 0.0))
     return best[1]
+
+
+def node_norm(a, k):
+    """``curvature.node_norm`` by ``np.sum`` over the last ``k`` axes."""
+    return np.sqrt(np.sum(a * a, axis=tuple(range(-k, 0))))
+
+
+def node_max(a, k):
+    """``curvature.node_max`` by ``np.max`` over the last ``k`` axes."""
+    return np.max(a, axis=tuple(range(-k, 0)))
+
+
+def gradient_stack(values, chart):
+    """``grid.grad_all`` as one ``np.gradient`` per axis, stacked."""
+    return np.stack([np.gradient(values, chart.spacing[a], axis=a, edge_order=2)
+                     for a in range(chart.m)], axis=-1)
+
+
+def check_minimal_m2(metric, k, s):
+    """``admissibility.check_minimal_m2`` with ``det(k) / det(g)`` from one
+    LAPACK ``det`` per matrix."""
+    chart = metric.chart
+    K = 0.5 * s
+    det_gk = np.linalg.det(k) / np.linalg.det(metric.g)
+    root = np.sqrt(np.clip(det_gk, 0.0, None))
+    inter = chart.interior
+    scale1 = 1.0 + float(np.max(np.abs(K[inter]))) + float(np.max(root[inter]))
+    gauss_res = float(np.max(np.abs(K + root)[inter])) / scale1
+
+    k_on = to_orthonormal(metric, k)
+    s1 = np.sqrt(np.clip(k_on[..., 0, 0], 0.0, None))
+    s2 = np.sqrt(np.clip(k_on[..., 1, 1], 0.0, None))
+    sigma = 0.5 * (s1 + s2)
+    sigma = np.where(sigma > 0, sigma, np.inf)
+    pw = np.abs(k_on[..., 0, 1]) / sigma ** 2 + np.abs(s1 - s2) / sigma
+    conf_res = float(np.max(pw[inter]))
+    return MinimalCaseResult(gauss_condition=gauss_res, conformality=conf_res)

@@ -395,6 +395,17 @@ class TestMinimalCase:
         assert res.gauss_condition < tol
         assert res.conformality < tol
 
+    @pytest.mark.parametrize("surf", [Catenoid(), Helicoid()], ids=lambda s: s.name)
+    def test_matches_the_lapack_determinants(self, surf):
+        data = generate(surf, surf.default_chart(49))
+        metric = metric_field(data.chart, data.g)
+        args = (metric, third_form(data.chart, data.frame),
+                riemann_tensor(metric).s)
+        res, ref = check_minimal_m2(*args), reference_loops.check_minimal_m2(*args)
+        assert res.gauss_condition == pytest.approx(ref.gauss_condition,
+                                                    rel=1e-14, abs=0.0)
+        assert res.conformality == ref.conformality
+
     def test_m3_rejected(self, ellipsoid_m3):
         with pytest.raises(DomainError):
             check_minimal_m2(ellipsoid_m3.metric, ellipsoid_m3.forms.k,

@@ -307,6 +307,14 @@ class TestCatalogFlags:
         assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["forward", "roundtrip"])
+@pytest.mark.parametrize("grid", ["1x9", "9x1", "0x9", "4x9"])
+def test_grid_too_small_exit_2(command, grid, tmp_path, capsys):
+    extra = ("--out", str(tmp_path / "x")) if command == "forward" else ()
+    assert run_cli(command, "--surface", "ellipsoid", "--grid", grid, *extra) == 2
+    assert "grid too small for 2nd-order stencils" in capsys.readouterr().err
+
+
 def test_usage_error_exit_2(capsys, tmp_path, monkeypatch):
     assert run_cli("check") == 2
     assert run_cli() == 2

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogauss.curvature import (cholesky_factors, christoffel,
-                                curvature_operator, metric_field, node_norm,
-                                raise_index, riemann_tensor, symmetric_eig,
-                                to_orthonormal)
+                                curvature_operator, metric_field, node_max,
+                                node_norm, raise_index, riemann_tensor,
+                                symmetric_eig, to_orthonormal)
 from isogauss.errors import DomainError, SingularMetricError
 from isogauss.grid import build_chart, interior_max
 from isogauss.reconstruct import observed_order
@@ -245,6 +245,51 @@ class TestSymmetricEig:
         keep = np.arange(6) != 2
         self._assert_matches_lapack(a[keep])
         assert np.array_equal(w[keep], symmetric_eig(a[keep]))
+
+
+class TestNodeReductions:
+    """``node_norm`` and ``node_max`` against the ``np.sum`` / ``np.max``
+    reductions they replace."""
+
+    @staticmethod
+    def _assert_match(a, k):
+        before = a.copy()
+        norm, ref = node_norm(a, k), reference_loops.node_norm(a, k)
+        # a reordered sum of at most 81 squares: a few ulp
+        assert norm.shape == ref.shape
+        assert np.all(np.abs(norm - ref) <= 1e-15 * ref)
+        assert np.array_equal(node_max(a, k), reference_loops.node_max(a, k))
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_matches_numpy_reductions(self, k, size):
+        rng = np.random.default_rng(10 * k + size)
+        self._assert_match(rng.standard_normal((9, 7) + (size,) * k), k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_non_contiguous_views(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((11, 9) + (3,) * k)
+        self._assert_match(a[2:-2, 1::2], k)
+        self._assert_match(np.swapaxes(a, -1, -k - 1)[..., ::2], k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_non_finite_entries_propagate_as_in_numpy(self, k, bad):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 4) + (2,) * k)
+        a[1, 2].flat[-1] = bad
+        a[3, 0].flat[0] = bad
+        a[4, 1] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm, mx = node_norm(a, k), node_max(a, k)
+        ref_norm = reference_loops.node_norm(a, k)
+        assert np.array_equal(np.isfinite(norm), np.isfinite(ref_norm))
+        assert np.array_equal(norm[np.isnan(ref_norm)], ref_norm[np.isnan(ref_norm)],
+                              equal_nan=True)
+        assert np.array_equal(mx, reference_loops.node_max(a, k), equal_nan=True)
 
 
 class TestChristoffel:

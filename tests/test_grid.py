@@ -198,3 +198,35 @@ def test_grad_all_stacks_derivative_axis_last():
     assert g.shape == chart.shape + (2,)
     assert np.allclose(g[..., 0], 1.0)
     assert np.allclose(g[..., 1], 2.0)
+
+
+class TestGradAll:
+    """``grad_all`` and ``deriv`` are ``np.gradient``'s stencil bit for bit."""
+
+    @pytest.mark.parametrize("shape,index", [((5,), (2,)), ((13,), ()),
+                                             ((5, 9), (2, 2, 2)),
+                                             ((17, 6), (3,)),
+                                             ((7, 5, 6), (3, 3)),
+                                             ((5, 5, 5), ())])
+    def test_equals_the_gradient_stack(self, shape, index):
+        m = len(shape)
+        rng = np.random.default_rng(sum(shape))
+        chart = build_chart(m, shape, tuple(rng.uniform(0.01, 0.3, m)))
+        f = rng.standard_normal(shape + index)
+        g = grad_all(f, chart)
+        assert g.shape == shape + index + (m,)
+        assert np.array_equal(g, reference_loops.gradient_stack(f, chart))
+        for a in range(m):
+            assert np.array_equal(deriv(f, chart, a), g[..., a])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_non_contiguous_views(self, m):
+        shape = (5, 9, 6)[:m]
+        rng = np.random.default_rng(m)
+        chart = build_chart(m, shape, (0.1, 0.07, 0.2)[:m])
+        big = rng.standard_normal(tuple(n + 4 for n in shape) + (3, 2))
+        interior = big[(slice(2, -2),) * m + (Ellipsis, 1)]
+        for f in (interior, np.asfortranarray(interior),
+                  big[(slice(2, -2),) * m].mT):
+            assert np.array_equal(grad_all(f, chart),
+                                  reference_loops.gradient_stack(f, chart))
