@@ -21,14 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codim import (RANK_REL_TOL, build_normal_frame, frame_consistency,
-                    mean_curvature_vector, second_forms, third_forms,
-                    weingarten_combination)
+from .codim import (RANK_REL_TOL, _block_products, build_normal_frame,
+                    frame_consistency, mean_curvature_vector, second_forms,
+                    third_forms, weingarten_combination)
 from .curvature import (CurvaturePack, MetricField, node_max, node_norm,
                         riemann_tensor, spd_solve, symmetric_eig,
                         to_orthonormal)
-from .errors import (BranchError, DegenerateGaussMapError, DomainError,
-                     NotPositiveSemidefiniteError)
+from .errors import (BranchError, ConfigurationError, DegenerateGaussMapError,
+                     DomainError, NotPositiveSemidefiniteError)
 from .grid import Chart, align_signs, grad_all, interior_max
 
 RESIDUAL_KEYS = ("step1_positivity", "h_squared", "isometry", "parallelity",
@@ -38,27 +38,34 @@ VERDICT_ADMISSIBLE = "admissible"
 VERDICT_REJECTED = "rejected"
 VERDICT_INAPPLICABLE = "inapplicable"
 
+METHODS = ("auto", "theorem2", "theorem3")
+
 
 @dataclass(frozen=True)
 class PipelineOptions:
     """Tunable knobs of the decision pipeline.
 
-    ``tol_scale`` is the constant C in the C*dx^2 residual thresholds.  The
-    nullspace gap certificate uses ``max(gap_tol, tol_scale*dx^2)`` so that
-    finite-difference input is judged at its own accuracy level while exact
-    input keeps the tight default.
+    ``tol_scale`` is the constant C in the C*dx^2 residual thresholds.
+    Theorem3's gap certificate and the trace matrix's unit-eigenvalue count
+    share ``unit_tol = max(1e-6, C*dx^2)``, so finite-difference input is
+    judged at its own accuracy level while exact input keeps a tight floor.
     """
 
     tol_scale: float = 50.0
-    gap_tol: float = 1e-6
-    method: str = "auto"           # auto | theorem2 | theorem3 | sqrt
+    method: str = "auto"           # auto | theorem2 | theorem3
     sign_branch: int = 1
+
+    def __post_init__(self):
+        if self.method not in METHODS or self.sign_branch not in (1, -1):
+            raise ConfigurationError(
+                f"method must be one of {', '.join(METHODS)} and sign_branch "
+                f"1 or -1, got {self.method!r} and {self.sign_branch!r}")
 
     def fd_tol(self, chart: Chart) -> float:
         return self.tol_scale * chart.max_spacing ** 2
 
-    def gap_tol_effective(self, chart: Chart) -> float:
-        return max(self.gap_tol, self.fd_tol(chart))
+    def unit_tol(self, chart: Chart) -> float:
+        return max(1e-6, self.fd_tol(chart))
 
 
 @dataclass(frozen=True)
@@ -169,7 +176,7 @@ class Theorem3Result:
     unique: np.ndarray         # (*grid,) bool
     frac_unique: float
     status: str                # ok | no_solution | indeterminate
-    gap_tol: float
+    unit_tol: float
 
 
 def _symmetric_basis(m: int) -> np.ndarray:
@@ -261,9 +268,9 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
         sig_prev[blk] = np.sqrt(np.clip(ev[..., 1], 0.0, None))
         resid = mat @ V[..., :, :1]
         sig_last[blk] = node_norm(resid, 2) / np.sqrt(tr)
-    gtol = options.gap_tol_effective(chart)
-    has_null = sig_last <= gtol * sig1
-    unique = has_null & (sig_prev > gtol * sig1)
+    utol = options.unit_tol(chart)
+    has_null = sig_last <= utol * sig1
+    unique = has_null & (sig_prev > utol * sig1)
     gap = sig_last / np.where(sig_prev > 0, sig_prev, np.inf)
 
     inter = chart.interior
@@ -271,10 +278,10 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     frac_unique = float(np.mean(unique[inter]))
     if frac_has < 0.99:
         return Theorem3Result(None, gap, has_null, unique, frac_unique,
-                              "no_solution", gtol)
+                              "no_solution", utol)
     if frac_unique < 0.99:
         return Theorem3Result(None, gap, has_null, unique, frac_unique,
-                              "indeterminate", gtol)
+                              "indeterminate", utol)
 
     h_raw = (null @ S.reshape(p, m * m)).reshape(chart.shape + (m, m))
     hop = ginv @ h_raw
@@ -283,7 +290,7 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     lam = np.sqrt(tr_k / np.where(tr_h2 > 0, tr_h2, np.inf))
     if not np.all(np.isfinite(lam)):
         return Theorem3Result(None, gap, has_null, unique, frac_unique,
-                              "no_solution", gtol)
+                              "no_solution", utol)
     h = lam[..., None, None] * h_raw
 
     # per-node eigenvector signs are arbitrary: continue them from the center
@@ -297,7 +304,7 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
         lead = hc[np.argmax(np.abs(hc))]
     if lead * options.sign_branch < 0:
         h = -h
-    return Theorem3Result(h, gap, has_null, unique, frac_unique, "ok", gtol)
+    return Theorem3Result(h, gap, has_null, unique, frac_unique, "ok", utol)
 
 
 def spd_sqrt(k: np.ndarray, metric: MetricField | None = None) -> np.ndarray:
@@ -330,10 +337,15 @@ def spd_sqrt(k: np.ndarray, metric: MetricField | None = None) -> np.ndarray:
 # checks (steps 3 and 4, plus the appendix cross-check)
 
 
-def check_h_squared(h: np.ndarray, k: np.ndarray, metric: MetricField) -> float:
-    """Interior max of ``|h g^{-1} h - k| / (1 + |k|)`` per node."""
-    hgh = h @ metric.g_inv @ h
-    res = node_norm(hgh - k, 2) / (1.0 + node_norm(k, 2))
+def check_h_squared(h_alpha: np.ndarray, k_ab: np.ndarray,
+                    metric: MetricField) -> float:
+    """Interior max of ``|h^a g^{-1} h^b - k^{ab}| / (1 + |k^{ab}|)`` per
+    node, over every block of the ``(*grid, d, m, m)`` lowered second forms
+    and the ``(*grid, d, d, m, m)`` mixed third forms (``h^2 = k`` when
+    ``d = 1``)."""
+    defect = _block_products(h_alpha @ metric.g_inv[..., None, :, :], h_alpha)
+    defect -= k_ab
+    res = node_norm(defect, 4) / (1.0 + node_norm(k_ab, 4))
     return interior_max(metric.chart, res)
 
 
@@ -496,13 +508,14 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
     ``normals`` is the ``(*grid, n, d)`` stack of normal spans; hypersurface
     data is the one-column case ``d = 1``.  Every codimension shares the
     normal frame, the invertibility gate, step 1 and steps 3-4.  In step 2
-    hypersurface data takes the theorem2, theorem3, minimal_m2 or sqrt
-    route; ``d >= 2`` takes the trace-matrix route of :mod:`isogauss.codim`.
+    hypersurface data takes the theorem2, theorem3 or minimal_m2 route;
+    ``d >= 2`` takes the trace-matrix route of :mod:`isogauss.codim`.  Every
+    route hands steps 3-4 the same ``(h^a, H^a)`` candidates.
     """
     options = options or PipelineOptions()
     chart = metric.chart
     tau = options.fd_tol(chart)
-    sign = 1 if options.sign_branch >= 0 else -1
+    sign = options.sign_branch
     residuals = _nan_residuals()
     thresholds = _nan_residuals()
     notes: list[str] = []
@@ -556,7 +569,7 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
                       "smooth square root may or may not exist and no branch "
                       "is selected")
 
-    # step 2: candidates (h^a, H^a) with their h^2 = k residual
+    # step 2: candidates (h^a, H^a)
     if not hypersurface:
         if s1.classification == "minimal":
             return finish(VERDICT_INAPPLICABLE, None, "none",
@@ -564,7 +577,8 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
                           "recovery needs |H| != 0")
         method = "codim"
         try:
-            mc = mean_curvature_vector(forms, pack.Ric, s1.H, metric, tau, sign)
+            mc = mean_curvature_vector(forms, pack.Ric, s1.H, metric,
+                                       options.unit_tol(chart), sign)
         except DomainError as exc:
             return finish(VERDICT_INAPPLICABLE, None, method, str(exc))
         residuals["nullspace_gap"] = mc.unit_eigen_distance
@@ -576,7 +590,7 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
         if not mc.candidates:
             return finish(VERDICT_INAPPLICABLE, None, method)
         # lazily: the first admissible candidate ends the search
-        candidates = ((*second_forms(H, mc.B, mc.k_ab_op, metric), H)
+        candidates = ((second_forms(H, mc.B, mc.k_ab_op, metric), H)
                       for H in mc.candidates)
     else:
         method = options.method
@@ -612,10 +626,10 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
                          "parallel")
         elif method == "theorem2":
             h = h_from_theorem2(pack.Ric, k, sign * s1.H)
-        elif method == "theorem3":
+        else:  # theorem3
             r3 = h_from_theorem3(pack, k, metric, options)
             residuals["nullspace_gap"] = interior_max(chart, r3.gap)
-            thresholds["nullspace_gap"] = r3.gap_tol
+            thresholds["nullspace_gap"] = r3.unit_tol
             extra["nullspace_frac_unique"] = r3.frac_unique
             if r3.status == "no_solution":
                 return finish(VERDICT_REJECTED, "2", "theorem3",
@@ -623,18 +637,13 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
                               "solution; no second fundamental form is "
                               "compatible with the curvature")
             if r3.status == "indeterminate":
-                notes.append("linear-system nullspace not one-dimensional; "
-                             "falling back to the PSD root as a diagnostic")
-                h = sign * spd_sqrt(k, metric)
-                method = "spd_sqrt"
-            else:
-                h = r3.h if sign > 0 else -r3.h
-        else:  # explicit sqrt override
-            h = sign * spd_sqrt(k, metric)
-            method = "spd_sqrt"
+                return finish(VERDICT_INAPPLICABLE, None, "theorem3",
+                              "the linear-system nullspace has dimension "
+                              ">= 2 at some nodes; it does not determine "
+                              "h up to scale")
+            h = r3.h  # h_from_theorem3 applies options.sign_branch itself
         H = np.einsum("...ij,...ij->...", metric.g_inv, h)
-        candidates = [(h[..., None, :, :], check_h_squared(h, k, metric),
-                       H[..., None])]
+        candidates = [(h[..., None, :, :], H[..., None])]
 
     # steps 3 and 4; the minimal-surface representative need not be parallel
     thresholds["h_squared"] = tau
@@ -642,10 +651,10 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
     if method != "minimal_m2":
         thresholds["parallelity"] = tau
     best = None
-    for h_alpha, h_squared, H_alpha in candidates:
+    for h_alpha, H_alpha in candidates:
         U = build_U(wc.A, wc.k, np.moveaxis(h_alpha, -3, -1) @ wc.w, frame)
         res, ext = dict(residuals), dict(extra)
-        res["h_squared"] = h_squared
+        res["h_squared"] = check_h_squared(h_alpha, forms.k_ab, metric)
         res["isometry"] = check_isometry(U, metric)
         parallelity = check_parallel(U, pack.Gamma, frame, chart)
         if method == "minimal_m2":

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import datafiles, surfaces
-from .admissibility import PipelineOptions, run_pipeline
+from .admissibility import METHODS, PipelineOptions, run_pipeline
 from .curvature import metric_field
 from .errors import DatasetFormatError, IsoGaussError
 from .grid import build_chart
@@ -89,8 +89,8 @@ def _perturb_nu(args, surface: surfaces.Surface) -> float:
 
 
 def _options(args) -> PipelineOptions:
-    return PipelineOptions(tol_scale=args.tol_scale, gap_tol=args.gap_tol,
-                           method=args.method, sign_branch=args.sign_branch)
+    return PipelineOptions(tol_scale=args.tol_scale, method=args.method,
+                           sign_branch=args.sign_branch)
 
 
 def _load_problem(path):
@@ -219,9 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_tol_args(p):
         p.add_argument("--tol-scale", dest="tol_scale", type=float, default=50.0,
                        help="C in the C*dx^2 residual thresholds")
-        p.add_argument("--gap-tol", dest="gap_tol", type=float, default=1e-6)
-        p.add_argument("--method", choices=("auto", "theorem2", "theorem3", "sqrt"),
-                       default="auto")
+        p.add_argument("--method", choices=METHODS, default="auto")
         p.add_argument("--sign-branch", dest="sign_branch", type=int,
                        choices=(1, -1), default=1)
 

@@ -223,13 +223,6 @@ def _block_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X[..., :, None, :, :] @ Y[..., None, :, :, :]
 
 
-def _product_defect(h_ops: np.ndarray, k_ab_op: np.ndarray) -> np.ndarray:
-    """Per-node norm of h^a h^b - k^{ab} over all blocks (normalized)."""
-    defect = _block_products(h_ops, h_ops)
-    defect -= k_ab_op
-    return node_norm(defect, 4) / (1.0 + node_norm(k_ab_op, 4))
-
-
 def _right_singular(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values of a ``(..., d, d)`` stack, ascending, and the right
     singular vectors as columns, from the eigenpairs of the Gram ``E^T E``.
@@ -244,14 +237,16 @@ def _right_singular(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
-                          length: np.ndarray, metric: MetricField, tau: float,
+                          length: np.ndarray, metric: MetricField,
+                          unit_tol: float,
                           sign_branch: int = 1) -> MeanCurvatureResult:
     """Recover the mean curvature vector from the fixed space of rho.
 
-    ``length`` is ``|H| = sqrt(s + Tr k)`` from step 1 and ``tau`` its
-    threshold; singular values of ``rho^T - I`` up to
-    ``unit_tol = max(1e-6, tau)`` count as unit eigenvalues.  The singular
-    values and right singular vectors of ``E = rho^T - I`` come from
+    ``length`` is ``|H| = sqrt(s + Tr k)`` from step 1; relative singular
+    values of ``rho^T - I`` up to ``unit_tol``
+    (:meth:`isogauss.admissibility.PipelineOptions.unit_tol`) count as unit
+    eigenvalues.  The singular values and right singular vectors of
+    ``E = rho^T - I`` come from
     :func:`isogauss.curvature.symmetric_eig` of the ``d x d`` Gram
     ``E^T E`` (:func:`_right_singular`).  The smallest singular value is
     the residual norm ``|E v|`` of its vector ``v``, not the square root of
@@ -273,12 +268,11 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
     rho, B, k_ab_op = _rho_and_B(forms, Ric, metric)
     scale = np.maximum(1.0, node_norm(rho, 2))
     sig, V = _right_singular(np.swapaxes(rho, -1, -2) - np.eye(d))
-    utol = max(1e-6, tau)
-    dims = np.sum(sig <= utol * scale[..., None], axis=-1)
+    dims = np.sum(sig <= unit_tol * scale[..., None], axis=-1)
     unit_dist = interior_max(chart, sig[..., 0] / scale)
 
     def result(status, candidates, fixed_dim, notes=()):
-        return MeanCurvatureResult(status, candidates, unit_dist, utol,
+        return MeanCurvatureResult(status, candidates, unit_dist, unit_tol,
                                    fixed_dim, rho, B, k_ab_op, list(notes))
 
     if float(np.mean(dims[inter] == 0)) > 0.01:
@@ -352,20 +346,16 @@ def _resolve_full_fixed_space(chart: Chart, length: np.ndarray, B: np.ndarray,
 
 
 def second_forms(H: np.ndarray, B: np.ndarray, k_ab_op: np.ndarray,
-                 metric: MetricField) -> tuple[np.ndarray, float]:
-    """Candidate second forms (lowered, symmetrized) plus the product residual.
+                 metric: MetricField) -> np.ndarray:
+    """Candidate second forms ``h^a``, lowered and symmetrized.
 
     ``B`` and ``k_ab_op`` are the operators :func:`mean_curvature_vector`
     formed (``MeanCurvatureResult.B`` / ``.k_ab_op``), shared by every
-    candidate ``H``.
+    candidate ``H``; the product check ``h^a h^b = k^{ab}`` is
+    :func:`isogauss.admissibility.check_h_squared`.
     """
-    h_ops = _halpha_ops(H, B, k_ab_op)
-    res = interior_max(metric.chart, _product_defect(h_ops, k_ab_op))
-    h_low = metric.g[..., None, :, :] @ h_ops
-    h_low = 0.5 * (h_low + np.swapaxes(h_low, -1, -2))
-    return h_low, res
-
-
+    h_low = metric.g[..., None, :, :] @ _halpha_ops(H, B, k_ab_op)
+    return 0.5 * (h_low + np.swapaxes(h_low, -1, -2))
 
 
 # ---------------------------------------------------------------------------

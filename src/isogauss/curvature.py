@@ -333,12 +333,11 @@ def christoffel(metric: MetricField) -> np.ndarray:
     return (metric.g_inv @ flat).reshape(low.shape)
 
 
-def riemann_tensor(metric: MetricField, Gamma: np.ndarray | None = None) -> CurvaturePack:
+def riemann_tensor(metric: MetricField) -> CurvaturePack:
     """Full curvature data of the metric (see module docstring for signs)."""
     chart = metric.chart
     m = chart.m
-    if Gamma is None:
-        Gamma = christoffel(metric)
+    Gamma = christoffel(metric)
     dG = grad_all(Gamma, chart)                       # [..., l, j, k, a] = d_a G^l_jk
     R = np.einsum("...ljki->...lijk", dG) - np.einsum("...likj->...lijk", dG)
     del dG

@@ -33,9 +33,9 @@ from isogauss.admissibility import (MinimalCaseResult, PipelineOptions,
                                     Theorem3Result, _antisymmetric_basis,
                                     _symmetric_basis)
 from isogauss.codim import (_FLIP_THRESHOLD, RANK_REL_TOL,
-                            WeingartenCombination, _combinations, _halpha_ops,
-                            _product_defect, _signed_permutation_fit)
-from isogauss.curvature import raise_index, to_orthonormal
+                            WeingartenCombination, _block_products,
+                            _combinations, _halpha_ops, _signed_permutation_fit)
+from isogauss.curvature import node_norm, raise_index, to_orthonormal
 from isogauss.datafiles import (_BLOCK_ORDER, FORMAT_VERSION, KINDS, Dataset,
                                 _validate_blocks)
 from isogauss.errors import (DatasetFormatError, DegenerateGaussMapError,
@@ -161,6 +161,14 @@ def second_derivatives(fn, x):
     return 0.5 * (u2 + np.swapaxes(u2, -1, -2))
 
 
+def _product_defect(h_ops, k_ab_op):
+    """Per-node norm of h^a h^b - k^{ab} over all blocks, on operators
+    (normalized): the score the direction scan minimizes."""
+    defect = _block_products(h_ops, h_ops)
+    defect -= k_ab_op
+    return node_norm(defect, 4) / (1.0 + node_norm(k_ab_op, 4))
+
+
 def resolve_full_fixed_space(chart, length, B, k_ab_op, sign_branch):
     """Direction scan that rebuilds ``h`` and its products at every angle:
     180 angles on the half-circle, each local minimum within 5 % of the
@@ -246,7 +254,7 @@ def h_from_theorem3_svd(pack, k, metric, options=None):
     sig1 = sig[..., 0]
     sig_last = sig[..., -1]
     sig_prev = sig[..., -2]
-    gtol = options.gap_tol_effective(chart)
+    gtol = options.unit_tol(chart)
     has_null = sig_last <= gtol * sig1
     unique = has_null & (sig_prev > gtol * sig1)
     gap = sig_last / np.where(sig_prev > 0, sig_prev, np.inf)

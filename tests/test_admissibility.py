@@ -16,9 +16,9 @@ from isogauss.admissibility import (PipelineOptions, build_U, check_h_squared,
 from isogauss.codim import build_normal_frame, third_forms
 from isogauss.curvature import (metric_field, node_norm, raise_index,
                                 riemann_tensor)
-from isogauss.errors import (BranchError, DegenerateGaussMapError,
-                             DomainError, NotPositiveSemidefiniteError,
-                             SamplingError)
+from isogauss.errors import (BranchError, ConfigurationError,
+                             DegenerateGaussMapError, DomainError,
+                             NotPositiveSemidefiniteError, SamplingError)
 from isogauss.grid import build_chart, interior_max
 from isogauss.surfaces import (CATALOG, Catenoid, Ellipsoid, EllipsoidM3,
                                Helicoid, HypersphereM3, generate,
@@ -301,7 +301,8 @@ class TestSpdSqrt:
     def test_metric_aware_root_solves_operator_equation(self, ellipsoid):
         # h g^{-1} h = k with g^{-1} h PSD: root of the operator equation
         h = spd_sqrt(ellipsoid.forms.k, ellipsoid.metric)
-        res = check_h_squared(h, ellipsoid.forms.k, ellipsoid.metric)
+        res = check_h_squared(h[..., None, :, :], ellipsoid.forms.k_ab,
+                              ellipsoid.metric)
         assert res < 1e-10
         hop = raise_index(ellipsoid.metric, h)
         assert float(np.min(np.linalg.eigvals(hop).real)) > -1e-10
@@ -309,14 +310,28 @@ class TestSpdSqrt:
 
 class TestChecks:
     def test_h_squared_on_sphere_h_equals_g(self, sphere):
-        res = check_h_squared(sphere.data.g, sphere.forms.k, sphere.metric)
+        res = check_h_squared(sphere.data.g[..., None, :, :], sphere.forms.k_ab,
+                              sphere.metric)
         assert res < 50 * sphere.dx2
 
     def test_h_squared_theorem2_ellipsoid(self, ellipsoid):
         s1 = step1_positivity(ellipsoid.pack.s, ellipsoid.forms.k, ellipsoid.metric)
         h = h_from_theorem2(ellipsoid.pack.Ric, ellipsoid.forms.k, s1.H)
-        assert check_h_squared(h, ellipsoid.forms.k, ellipsoid.metric) < \
-            50 * ellipsoid.dx2
+        res = check_h_squared(h[..., None, :, :], ellipsoid.forms.k_ab,
+                              ellipsoid.metric)
+        assert res < 50 * ellipsoid.dx2
+        # the block-wise check is the hypersurface h g^{-1} h = k, bit for bit
+        k, metric = ellipsoid.forms.k, ellipsoid.metric
+        single = node_norm(h @ metric.g_inv @ h - k, 2) / (1.0 + node_norm(k, 2))
+        assert res == interior_max(ellipsoid.chart, single)
+
+    def test_h_squared_codim2_is_every_block_product(self, clifford):
+        # the oracle's forms satisfy h^a g^{-1} h^b = k^{ab} for all (a, b);
+        # swapping the two normal directions breaks the diagonal blocks
+        data = clifford.data
+        assert check_h_squared(data.h_alpha, data.k_ab, clifford.metric) < 1e-12
+        assert check_h_squared(data.h_alpha[..., ::-1, :, :], data.k_ab,
+                               clifford.metric) > 0.1
 
     def test_build_U_on_unit_sphere_is_minus_A(self, sphere):
         # with h = g and k = g the solve gives U = -A, the antipodal branch
@@ -492,12 +507,14 @@ class TestPipeline:
         report = run_pipeline(metric, normals)
         assert report.verdict == "inapplicable"
 
-    def test_sign_branch_flip_is_exact(self, ellipsoid):
-        plus = run_pipeline(ellipsoid.metric, ellipsoid.data.frame,
-                            PipelineOptions(sign_branch=1))
-        minus = run_pipeline(ellipsoid.metric, ellipsoid.data.frame,
-                             PipelineOptions(sign_branch=-1))
+    @staticmethod
+    def assert_sign_flip_is_exact(problem, method):
+        plus = run_pipeline(problem.metric, problem.data.frame,
+                            PipelineOptions(method=method, sign_branch=1))
+        minus = run_pipeline(problem.metric, problem.data.frame,
+                             PipelineOptions(method=method, sign_branch=-1))
         assert minus.verdict == "admissible"
+        assert minus.method == plus.method
         for key, val in plus.residuals.items():
             other = minus.residuals[key]
             if math.isnan(val):
@@ -508,12 +525,20 @@ class TestPipeline:
         assert np.array_equal(minus.candidate.U, -plus.candidate.U)
         assert np.array_equal(minus.candidate.H_alpha, -plus.candidate.H_alpha)
 
-    def test_method_override_sqrt_on_sphere(self, sphere):
-        report = run_pipeline(sphere.metric, sphere.data.frame,
-                              PipelineOptions(method="sqrt"))
-        # PSD root of k = g is h = g: the true solution on the sphere
-        assert report.verdict == "admissible"
-        assert report.method == "spd_sqrt"
+    def test_sign_branch_flip_is_exact(self, ellipsoid):
+        self.assert_sign_flip_is_exact(ellipsoid, "auto")
+
+    def test_theorem3_sign_branch_flip_is_exact(self, ellipsoid_m3):
+        self.assert_sign_flip_is_exact(ellipsoid_m3, "theorem3")
+
+    @pytest.mark.parametrize("name, value", [
+        ("method", "sqrt"), ("method", "theorem4"), ("method", "minimal_m2"),
+        ("sign_branch", 0), ("sign_branch", 2)])
+    def test_unknown_option_raises(self, name, value):
+        # the PSD root is a diagnostic, never a route, and no branch is
+        # guessed from an out-of-range sign
+        with pytest.raises(ConfigurationError):
+            PipelineOptions(**{name: value})
 
     def test_theorem2_override_on_minimal_data_inapplicable(self):
         surf = Catenoid()

@@ -333,6 +333,19 @@ def test_usage_error_exit_2(capsys, tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags", [("--method", "sqrt"), ("--gap-tol", "1e-3")])
+def test_removed_options_exit_2(flags, ellipsoid_files, tmp_path, monkeypatch,
+                                capsys):
+    # the PSD root issues no verdict, and one tolerance serves every
+    # nullspace certificate
+    monkeypatch.chdir(tmp_path)
+    ds = str(ellipsoid_files) + ".dataset.txt"
+    for argv in (("check", ds), ("reconstruct", ds),
+                 ("roundtrip", "--surface", "ellipsoid", "--grid", "9x9")):
+        assert run_cli(*argv, *flags) == 2, argv
+    assert not list(tmp_path.iterdir())
+
+
 def test_wrong_kind_dataset_exit_2(ellipsoid_files, capsys):
     assert run_cli("check", str(ellipsoid_files) + ".oracle.txt") == 2
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from isogauss import admissibility, codim
-from isogauss.admissibility import (PipelineOptions, build_U, check_isometry,
-                                    check_parallel, h_from_theorem2,
-                                    run_pipeline, step1_positivity)
+from isogauss.admissibility import (PipelineOptions, build_U, check_h_squared,
+                                    check_isometry, check_parallel,
+                                    h_from_theorem2, run_pipeline,
+                                    step1_positivity)
 from isogauss.codim import (_resolve_full_fixed_space, _rho_and_B,
                             _right_singular, build_normal_frame,
                             frame_consistency, mean_curvature_vector,
@@ -24,10 +25,11 @@ from conftest import Problem
 
 
 def mean_curvature(forms, problem):
-    """``mean_curvature_vector`` with the step-1 length and threshold."""
+    """``mean_curvature_vector`` with the step-1 length and the pipeline's
+    unit tolerance."""
     s1 = step1_positivity(problem.pack.s, forms.k, problem.metric)
     return mean_curvature_vector(forms, problem.pack.Ric, s1.H, problem.metric,
-                                 s1.threshold)
+                                 PipelineOptions().unit_tol(problem.chart))
 
 
 def frame_U(frame, h_alpha, metric):
@@ -182,8 +184,9 @@ class TestSecondForms:
         frame = build_normal_frame(ellipsoid.chart, ellipsoid.data.frame)
         forms = third_forms(frame)
         mc = mean_curvature(forms, ellipsoid)
-        h_alpha, res = second_forms(mc.candidates[0], mc.B, mc.k_ab_op,
-                                    ellipsoid.metric)
+        h_alpha = second_forms(mc.candidates[0], mc.B, mc.k_ab_op,
+                               ellipsoid.metric)
+        res = check_h_squared(h_alpha, forms.k_ab, ellipsoid.metric)
         s1 = step1_positivity(ellipsoid.pack.s, ellipsoid.forms.k, ellipsoid.metric)
         h2 = h_from_theorem2(ellipsoid.pack.Ric, ellipsoid.forms.k, s1.H)
         scale = 1.0 + float(np.max(node_norm(h2, 2)))
@@ -195,8 +198,9 @@ class TestSecondForms:
     def test_clifford_matches_oracle(self, clifford_problem):
         clifford, _, forms = clifford_problem
         mc = mean_curvature(forms, clifford)
-        h_alpha, res = second_forms(mc.candidates[0], mc.B, mc.k_ab_op,
-                                    clifford.metric)
+        h_alpha = second_forms(mc.candidates[0], mc.B, mc.k_ab_op,
+                               clifford.metric)
+        res = check_h_squared(h_alpha, forms.k_ab, clifford.metric)
         assert res < 50 * clifford.dx2
         err = interior_max(clifford.chart,
                            node_norm(h_alpha - clifford.data.h_alpha, 3))
@@ -213,8 +217,8 @@ class TestSecondForms:
         pack = riemann_tensor(metric)
         H = np.ones(chart.shape + (2,))
         _, B, k_ab_op = _rho_and_B(forms, pack.Ric, metric)
-        _, res = second_forms(H, B, k_ab_op, metric)
-        assert res > 0.1
+        h_alpha = second_forms(H, B, k_ab_op, metric)
+        assert check_h_squared(h_alpha, forms.k_ab, metric) > 0.1
 
 
 class TestWeingartenCombination:

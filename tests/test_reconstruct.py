@@ -195,7 +195,7 @@ def test_sign_flip_reconstructs_negated_immersion(ellipsoid):
 
 # (surface, points per axis) -> (verdict, method, decade of rec_error or
 # None when it is NaN); every CATALOG surface with its factory's defaults at
-# 17^2 and 33^2, m = 3 at 13^3
+# 17^2 and 33^2, m = 3 at 7^3, 9^3 and 13^3
 VERDICT_MATRIX = {
     ("plane", 17): ("inapplicable", "none", None),
     ("plane", 33): ("inapplicable", "none", None),
@@ -217,8 +217,25 @@ VERDICT_MATRIX = {
     ("clifford-torus", 33): ("admissible", "codim", -5),
     ("graph-r4", 17): ("admissible", "codim", -1),
     ("graph-r4", 33): ("admissible", "codim", -4),
+    ("hypersphere-m3", 7): ("admissible", "theorem2", None),
+    ("hypersphere-m3", 9): ("admissible", "theorem2", None),
     ("hypersphere-m3", 13): ("admissible", "theorem2", -4),
+    ("ellipsoid-m3", 7): ("inapplicable", "theorem3", None),
+    ("ellipsoid-m3", 9): ("admissible", "theorem2", None),
     ("ellipsoid-m3", 13): ("admissible", "theorem2", -4),
+}
+
+# the m = 3 surfaces with theorem3 forced: below 11^3 its nullspace is not
+# one-dimensional and the chart reads inapplicable (the PSD root is no route)
+THEOREM3_MATRIX = {
+    ("hypersphere-m3", 7): ("inapplicable", "theorem3", None),
+    ("hypersphere-m3", 9): ("inapplicable", "theorem3", None),
+    ("hypersphere-m3", 11): ("admissible", "theorem3", -5),
+    ("hypersphere-m3", 13): ("admissible", "theorem3", -5),
+    ("ellipsoid-m3", 7): ("inapplicable", "theorem3", None),
+    ("ellipsoid-m3", 9): ("inapplicable", "theorem3", None),
+    ("ellipsoid-m3", 11): ("admissible", "theorem3", -4),
+    ("ellipsoid-m3", 13): ("admissible", "theorem3", -4),
 }
 
 # Cells of VERDICT_MATRIX that are known to be wrong, each with the
@@ -232,10 +249,22 @@ KNOWN_DEFECTS = {
     ("graph-r4", 17): "FOUND: codim.mean_curvature_vector counts rho's second "
                       "eigenvalue as 1 on coarse grids; graph-r4 at 17^2 then "
                       "reads admissible with a wrong immersion",
+    ("ellipsoid-m3", 7): "FOUND: the coarse-chart gate covers only tau >= 1; "
+                         "below it step 1 misreads non-minimal data as "
+                         "minimal whenever tau exceeds its normalized q "
+                         "(here q 0.721 < tau 0.889: convex data is routed "
+                         "to theorem3)",
     **{(name, points): _MINIMAL
        for name in ("catenoid", "helicoid", "associated-family")
        for points in (17, 33)},
 }
+
+
+def _matrix_cell(surface, points, options):
+    level = roundtrip_level(surface, surface.default_chart(points), options, 0)
+    error = level.rec_error
+    return (level.report.verdict, level.report.method,
+            None if math.isnan(error) else math.floor(math.log10(error)))
 
 
 def test_verdict_matrix_is_pinned():
@@ -249,12 +278,15 @@ def test_verdict_matrix_is_pinned():
         warnings.filterwarnings("ignore", "mixed-partials residual")
         for name, factory in CATALOG.items():
             surface = factory()
-            for points in ((13,) if surface.m == 3 else (17, 33)):
-                level = roundtrip_level(surface, surface.default_chart(points),
-                                        PipelineOptions(), 0)
-                error = level.rec_error
-                got[name, points] = (
-                    level.report.verdict, level.report.method,
-                    None if math.isnan(error) else math.floor(math.log10(error)))
+            for points in ((7, 9, 13) if surface.m == 3 else (17, 33)):
+                got[name, points] = _matrix_cell(surface, points,
+                                                 PipelineOptions())
     assert got == VERDICT_MATRIX
     assert set(KNOWN_DEFECTS) <= set(VERDICT_MATRIX)
+
+
+def test_theorem3_matrix_is_pinned():
+    options = PipelineOptions(method="theorem3")
+    got = {(name, points): _matrix_cell(CATALOG[name](), points, options)
+           for name, points in THEOREM3_MATRIX}
+    assert got == THEOREM3_MATRIX
