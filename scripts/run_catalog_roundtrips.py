@@ -59,6 +59,4 @@ def main():
 
 
 if __name__ == "__main__":
-    import warnings
-    warnings.filterwarnings("ignore", message=".*not integrable.*")
     main()

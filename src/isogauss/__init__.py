@@ -12,8 +12,8 @@ the same :func:`run_pipeline` and the same normal frame of
 from .admissibility import (AdmissibilityReport, CandidateSolution,
                             PipelineOptions, build_U, check_h_squared,
                             check_isometry, check_minimal_m2, check_parallel,
-                            codazzi_residual, h_from_theorem2,
-                            h_from_theorem3, run_pipeline, spd_sqrt,
+                            codazzi_residual, h_from_hopf_angle,
+                            h_from_theorem2, h_from_theorem3, run_pipeline,
                             step1_positivity)
 from .codim import (CodimForms, NormalFrame, build_normal_frame,
                     mean_curvature_vector, second_forms, third_forms)
@@ -34,7 +34,7 @@ __all__ = [
     "build_normal_frame", "check_h_squared", "check_isometry",
     "check_minimal_m2", "check_parallel", "christoffel", "codazzi_residual",
     "compare_up_to_translation", "curvature_operator", "generate",
-    "h_from_theorem2", "h_from_theorem3", "integrate", "metric_field",
-    "raise_index", "riemann_tensor", "run_pipeline", "second_forms",
-    "spd_sqrt", "step1_positivity", "third_forms", "verify_immersion",
+    "h_from_hopf_angle", "h_from_theorem2", "h_from_theorem3", "integrate",
+    "metric_field", "raise_index", "riemann_tensor", "run_pipeline",
+    "second_forms", "step1_positivity", "third_forms", "verify_immersion",
 ]

@@ -3,12 +3,12 @@
 The decision pipeline follows four steps: positivity of the scalar invariant
 ``q = s + Tr_g k``; recovery of a candidate second fundamental form ``h``
 (closed form when ``q > 0``, a per-node homogeneous linear system solved by
-an eigensolve of its Gram matrix when ``q = 0`` and ``m >= 3``, a
-Gauss-condition/conformality test when ``q = 0`` and ``m = 2``); the
-quadratic check ``h^2 = k``; and isometry plus parallelity of the bundle
-map ``U`` that would be the differential of the immersion.  Every
-codimension ``d`` shares the normal frame of :mod:`isogauss.codim` and
-steps 1, 3 and 4; normal data of codimension ``d >= 2`` recovers its
+an eigensolve of its Gram matrix when ``q = 0`` and ``m >= 3``, one member
+of the associated family, from its Hopf angle, when ``q = 0`` and
+``m = 2``); the quadratic check ``h^2 = k``; and isometry plus parallelity
+of the bundle map ``U`` that would be the differential of the immersion.
+Every codimension ``d`` shares the normal frame of :mod:`isogauss.codim`
+and steps 1, 3 and 4; normal data of codimension ``d >= 2`` recovers its
 candidates in step 2 from the trace matrix.  All verdicts carry named
 residuals (never bare booleans) so that convergence behaviour can be
 asserted by callers.
@@ -28,7 +28,7 @@ from .curvature import (CurvaturePack, MetricField, node_max, node_norm,
                         riemann_tensor, spd_solve, symmetric_eig,
                         to_orthonormal)
 from .errors import (BranchError, ConfigurationError, DegenerateGaussMapError,
-                     DomainError, NotPositiveSemidefiniteError)
+                     DomainError)
 from .grid import Chart, align_signs, grad_all, interior_max
 
 RESIDUAL_KEYS = ("step1_positivity", "h_squared", "isometry", "parallelity",
@@ -56,6 +56,9 @@ class PipelineOptions:
     sign_branch: int = 1
 
     def __post_init__(self):
+        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
+            raise ConfigurationError(
+                f"tol_scale must be finite and > 0, got {self.tol_scale!r}")
         if self.method not in METHODS or self.sign_branch not in (1, -1):
             raise ConfigurationError(
                 f"method must be one of {', '.join(METHODS)} and sign_branch "
@@ -113,7 +116,8 @@ def third_form_trace(k: np.ndarray, metric: MetricField) -> np.ndarray:
 class Step1Result:
     classification: str     # positive | minimal | rejected | mixed
     q: np.ndarray
-    q_scale: float
+    qn_min: float           # interior extremes of the per-node normalized q
+    qn_max: float
     residual: float         # normalized negativity excess
     threshold: float
     H: np.ndarray | None    # positive branch only
@@ -142,16 +146,15 @@ def step1_positivity(s: np.ndarray, k: np.ndarray, metric: MetricField,
     qn_min = float(np.min(qn))
     qn_max = float(np.max(qn))
     residual = max(0.0, -qn_min)
-    q_scale = float(np.max(local[chart.interior]))
     if qn_min < -tau:
-        return Step1Result("rejected", q, q_scale, residual, tau, None)
+        return Step1Result("rejected", q, qn_min, qn_max, residual, tau, None)
     if qn_min > tau:
         # clip guards boundary-layer noise; interior values are all positive
         H = np.sqrt(np.clip(q, tau * local, None))
-        return Step1Result("positive", q, q_scale, residual, tau, H)
+        return Step1Result("positive", q, qn_min, qn_max, residual, tau, H)
     if qn_max <= tau:
-        return Step1Result("minimal", q, q_scale, residual, tau, None)
-    return Step1Result("mixed", q, q_scale, residual, tau, None)
+        return Step1Result("minimal", q, qn_min, qn_max, residual, tau, None)
+    return Step1Result("mixed", q, qn_min, qn_max, residual, tau, None)
 
 
 # ---------------------------------------------------------------------------
@@ -307,30 +310,44 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     return Theorem3Result(h, gap, has_null, unique, frac_unique, "ok", utol)
 
 
-def spd_sqrt(k: np.ndarray, metric: MetricField | None = None) -> np.ndarray:
-    """Unique PSD square root of a PSD form field.
+def hopf_angle_gradient(metric: MetricField, Gamma: np.ndarray,
+                        kappa: np.ndarray) -> np.ndarray:
+    """Gradient ``f_j = chol[j, a] dphi(e_a)`` of the Hopf angle, m = 2.
 
-    Without a metric this is the plain matrix square root per node,
-    ``Q sqrt(diag(w)) Q^T`` from the eigenvalues ``w`` and eigenvectors
-    ``Q`` of :func:`isogauss.curvature.symmetric_eig`.  With a metric the
-    root is taken in g-orthonormal frames, which is the square root of the
-    ``h^2 = k`` *operator* equation: the result satisfies ``h g^{-1} h = k``
-    with ``g^{-1} h`` positive semi-definite.
+    In the Cholesky frame ``e_a`` (the rows of ``chol_inv``) a trace-free
+    ``h`` with ``h^2 = kappa^2 I`` is ``h_phi = kappa [[cos phi, sin phi],
+    [sin phi, -cos phi]]``.  Codazzi for it reads ``dphi(e1) = -2 w(e1) +
+    e2(log kappa)`` and ``dphi(e2) = -2 w(e2) - e1(log kappa)`` with
+    ``w(X) = g(nabla_X e1, e2)``; ``f`` is closed exactly when the Hopf
+    differential is holomorphic.
     """
-    if metric is not None:
-        k_on = to_orthonormal(metric, k)
-        h_on = spd_sqrt(k_on)
-        L = metric.chol
-        return L @ h_on @ L.mT
-    k = 0.5 * (k + np.swapaxes(k, -1, -2))
-    eigs, Q = symmetric_eig(k, vectors=True)
-    scale = max(float(np.max(np.abs(eigs))), 1e-300)
-    worst = float(np.min(eigs))
-    if worst < -1e-10 * scale:
-        raise NotPositiveSemidefiniteError(
-            f"form has eigenvalue {worst:.3e} below -1.0e-10 * scale")
-    root = np.sqrt(np.clip(eigs, 0.0, None))
-    return (Q * root[..., None, :]) @ Q.mT
+    L, Li = metric.chol, metric.chol_inv
+    # e1 = d_0 / L00 and g(d_i, e2) = L_i1, so w_j = L11 Gamma^1_j0 / L00
+    f = (-2.0 * L[..., 1, 1] / L[..., 0, 0])[..., None] * Gamma[..., 1, :, 0]
+    dlog = grad_all(np.log(kappa), metric.chart)
+    e1_log = Li[..., 0, 0] * dlog[..., 0]
+    e2_log = Li[..., 1, 0] * dlog[..., 0] + Li[..., 1, 1] * dlog[..., 1]
+    f[..., 0] += L[..., 0, 0] * e2_log
+    f[..., 1] += L[..., 1, 0] * e2_log - L[..., 1, 1] * e1_log
+    return f
+
+
+def h_from_hopf_angle(metric: MetricField, Gamma: np.ndarray, k: np.ndarray,
+                      sign: int = 1) -> np.ndarray:
+    """The member ``chol h_phi chol^T`` of the associated family of minimal
+    m = 2 data whose Hopf angle is 0 at the chart center (``sign = -1`` is
+    ``phi = pi``, i.e. ``-h``); ``kappa^2 = tr(k_on) / 2`` and ``phi``
+    integrates :func:`hopf_angle_gradient`."""
+    from .reconstruct import integrate     # reconstruct imports this module
+    k_on = to_orthonormal(metric, k)
+    kappa = np.sqrt(0.5 * (k_on[..., 0, 0] + k_on[..., 1, 1]))
+    phi = integrate(hopf_angle_gradient(metric, Gamma, kappa)[..., None, :],
+                    metric.chart).u[..., 0]
+    c, s = sign * kappa * np.cos(phi), sign * kappa * np.sin(phi)
+    h_on = np.empty(k.shape)
+    h_on[..., 0, 0], h_on[..., 1, 1] = c, -c
+    h_on[..., 0, 1] = h_on[..., 1, 0] = s
+    return metric.chol @ h_on @ metric.chol.mT
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +513,8 @@ def _failure_note(failing: list[str], step: str,
 
 
 def _badness(report: AdmissibilityReport) -> float:
-    keys = ("h_squared", "isometry", "parallelity")
-    return max(report.residuals[k] for k in keys
-               if not math.isnan(report.residuals[k]))
+    return max(report.residuals[k]
+               for k in ("h_squared", "isometry", "parallelity"))
 
 
 def run_pipeline(metric: MetricField, normals: np.ndarray,
@@ -549,9 +565,8 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
     s1 = step1_positivity(pack.s, k, metric, options)
     residuals["step1_positivity"] = s1.residual
     thresholds["step1_positivity"] = tau
-    q = s1.q[chart.interior]
-    extra["q_min_normalized"] = float(np.min(q)) / s1.q_scale
-    extra["q_max_normalized"] = float(np.max(q)) / s1.q_scale
+    extra["q_min_normalized"] = s1.qn_min
+    extra["q_max_normalized"] = s1.qn_max
     if tau >= 1.0:
         # |q| / (1 + |s| + |Tr k|) < 1 at every node, so every chart would
         # read as minimal
@@ -617,13 +632,11 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
             mres = check_minimal_m2(metric, k, pack.s)
             residuals["gauss_condition_m2"] = mres.gauss_condition
             residuals["conformality_m2"] = mres.conformality
-            thresholds["gauss_condition_m2"] = tau
-            thresholds["conformality_m2"] = tau
-            h = sign * spd_sqrt(k, metric)
-            notes.append("minimal-surface regime: the candidate is the PSD-root "
-                         "representative; the solution is a one-parameter "
-                         "family and the representative itself need not be "
-                         "parallel")
+            thresholds["gauss_condition_m2"] = thresholds["conformality_m2"] = tau
+            h = h_from_hopf_angle(metric, pack.Gamma, k, sign)
+            notes.append("minimal-surface regime: the data fix a one-parameter "
+                         "family; the candidate is its member with Hopf angle "
+                         f"{'0' if sign > 0 else 'pi'} at the chart center")
         elif method == "theorem2":
             h = h_from_theorem2(pack.Ric, k, sign * s1.H)
         else:  # theorem3
@@ -645,22 +658,15 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
         H = np.einsum("...ij,...ij->...", metric.g_inv, h)
         candidates = [(h[..., None, :, :], H[..., None])]
 
-    # steps 3 and 4; the minimal-surface representative need not be parallel
-    thresholds["h_squared"] = tau
-    thresholds["isometry"] = tau
-    if method != "minimal_m2":
-        thresholds["parallelity"] = tau
+    # steps 3 and 4
+    thresholds.update(h_squared=tau, isometry=tau, parallelity=tau)
     best = None
     for h_alpha, H_alpha in candidates:
         U = build_U(wc.A, wc.k, np.moveaxis(h_alpha, -3, -1) @ wc.w, frame)
         res, ext = dict(residuals), dict(extra)
         res["h_squared"] = check_h_squared(h_alpha, forms.k_ab, metric)
         res["isometry"] = check_isometry(U, metric)
-        parallelity = check_parallel(U, pack.Gamma, frame, chart)
-        if method == "minimal_m2":
-            ext["representative_parallelity"] = parallelity
-        else:
-            res["parallelity"] = parallelity
+        res["parallelity"] = check_parallel(U, pack.Gamma, frame, chart)
         if hypersurface:
             ext["codazzi"] = codazzi_residual(h_alpha[..., 0, :, :], pack.Gamma,
                                               metric)

@@ -18,7 +18,7 @@ from .admissibility import METHODS, PipelineOptions, run_pipeline
 from .curvature import metric_field
 from .errors import DatasetFormatError, IsoGaussError
 from .grid import build_chart
-from .reconstruct import immerse, observed_order, roundtrip, verify_immersion
+from .reconstruct import integrate, observed_order, roundtrip, verify_immersion
 
 EXIT_ADMISSIBLE = 0
 EXIT_REJECTED = 1
@@ -150,8 +150,9 @@ def cmd_reconstruct(args) -> int:
     chart = metric.chart
     if report.method == "minimal_m2":
         print("note: minimal-surface data determines a one-parameter family; "
-              "writing the PSD-root representative (need not integrate cleanly)")
-    imm = immerse(report, chart, options)
+              "writing its member with Hopf angle phi = "
+              f"{'0' if options.sign_branch > 0 else 'pi'} at the chart center")
+    imm = integrate(report.candidate.U, chart, curl_tol=options.fd_tol(chart))
     out = args.out or "reconstruction"
     datafiles.write_dataset(out + ".immersion.txt",
                             datafiles.immersion_dataset(chart, imm.u))

@@ -37,10 +37,6 @@ class InvalidGrassmannDataError(IsoGaussError):
     """Normal-plane spanning sets are rank deficient or inconsistent."""
 
 
-class NotPositiveSemidefiniteError(IsoGaussError):
-    """A form that must be PSD has a significantly negative eigenvalue."""
-
-
 class BranchError(IsoGaussError):
     """A solve branch was called outside its validity region."""
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,18 +38,14 @@ def curl_residual(U: np.ndarray, chart: Chart) -> float:
 
 
 def integrate(U: np.ndarray, chart: Chart, base_index: tuple[int, ...] | None = None,
-              base_value=0.0, curl_tol: float | None = None,
-              on_curl: str = "raise") -> Immersion:
+              base_value=0.0, curl_tol: float | None = None) -> Immersion:
     """Trapezoidal integration of U along axis-ordered staircase paths.
 
     The path runs from the base node (chart center by default) first along
     axis 0, then axis 1, and so on; path independence is not assumed but
     certified via :func:`curl_residual`.  Above ``curl_tol`` the data fails
-    the integrability condition: ``on_curl`` selects whether that raises or
-    merely warns (the minimal-surface representative uses the latter).
+    the integrability condition and :class:`NonIntegrableError` is raised.
     """
-    if on_curl not in ("raise", "warn"):
-        raise ValueError(f"on_curl must be 'raise' or 'warn', got {on_curl!r}")
     n = U.shape[-2] if U.ndim >= 2 else 0
     if U.shape != chart.shape + (n, chart.m):
         raise NonIntegrableError(
@@ -60,11 +55,9 @@ def integrate(U: np.ndarray, chart: Chart, base_index: tuple[int, ...] | None = 
 
     res = curl_residual(U, chart)
     if curl_tol is not None and res > curl_tol:
-        msg = (f"mixed-partials residual {res:.3e} exceeds {curl_tol:.3e}: "
-               f"du = U is not integrable")
-        if on_curl == "raise":
-            raise NonIntegrableError(msg, residual=res)
-        warnings.warn(msg, stacklevel=2)
+        raise NonIntegrableError(
+            f"mixed-partials residual {res:.3e} exceeds {curl_tol:.3e}: "
+            f"du = U is not integrable", residual=res)
 
     u = np.zeros(chart.shape + (n,))
     u[base_index] = base_value
@@ -121,14 +114,6 @@ def compare_up_to_translation(a: np.ndarray, b: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # the roundtrip driver: generate, decide, integrate, compare with the oracle
-
-
-def immerse(report: AdmissibilityReport, chart: Chart,
-            options: PipelineOptions) -> Immersion:
-    """Integrate an admissible candidate at the pipeline tolerance; only the
-    minimal-surface representative, which need not integrate, merely warns."""
-    return integrate(report.candidate.U, chart, curl_tol=options.fd_tol(chart),
-                     on_curl="warn" if report.method == "minimal_m2" else "raise")
 
 
 def box_error(u: np.ndarray, oracle_u: np.ndarray, chart: Chart,
@@ -191,7 +176,19 @@ def roundtrip_level(surface: Surface, chart: Chart, options: PipelineOptions,
                 default=math.nan)
     error = math.nan
     if report.admissible:
-        error = box_error(immerse(report, chart, options).u, data.u, chart, level)
+        U = report.candidate.U
+        if report.method == "minimal_m2":
+            # the data fix only the associated family: turn to the oracle's
+            # member by the center Hopf angle delta, h_{phi + delta} = h_phi
+            # (cos delta - sin delta J) in the Cholesky frame; U is linear in h
+            Li, c = metric.chol_inv, chart.center
+            z = [complex(*(Li[c] @ h[c][0] @ Li[c].T)[0])
+                 for h in (data.h_alpha, report.candidate.h_alpha)]
+            turn = z[0] / z[1] / abs(z[0] / z[1])      # exp(i delta)
+            J = np.array([[0.0, -1.0], [1.0, 0.0]])
+            U = turn.real * U - turn.imag * (U @ Li.mT @ J @ metric.chol.mT)
+        u = integrate(U, chart, curl_tol=options.fd_tol(chart)).u
+        error = box_error(u, data.u, chart, level)
     return RoundtripLevel(chart, data, metric, report, worst, error)
 
 

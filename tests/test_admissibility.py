@@ -4,21 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from isogauss import admissibility
 from isogauss.admissibility import (PipelineOptions, build_U, check_h_squared,
                                     check_isometry, check_minimal_m2,
                                     check_parallel, codazzi_residual,
                                     h_from_theorem2, h_from_theorem3,
-                                    run_pipeline, spd_sqrt, step1_positivity)
+                                    hopf_angle_gradient, run_pipeline,
+                                    step1_positivity)
 from isogauss.codim import build_normal_frame, third_forms
-from isogauss.curvature import (metric_field, node_norm, raise_index,
-                                riemann_tensor)
+from isogauss.curvature import (metric_field, node_norm, riemann_tensor,
+                                to_orthonormal)
+from isogauss.grid import grad_all
 from isogauss.errors import (BranchError, ConfigurationError,
                              DegenerateGaussMapError, DomainError,
-                             NotPositiveSemidefiniteError, SamplingError)
+                             SamplingError)
 from isogauss.grid import build_chart, interior_max
 from isogauss.surfaces import (CATALOG, Catenoid, Ellipsoid, EllipsoidM3,
                                Helicoid, HypersphereM3, generate,
@@ -98,6 +98,20 @@ class TestStep1:
                                third_form(chart, normals), metric)
         assert res.classification == "rejected"
         assert res.residual > res.threshold
+
+    @pytest.mark.parametrize("name, points, q_min", [("graph", 10, 0.806),
+                                                     ("ellipsoid", 13, 0.407)])
+    def test_report_carries_the_normalized_q_step1_compared(self, name, points,
+                                                            q_min):
+        surf = CATALOG[name]()
+        data = generate(surf, surf.default_chart(points))
+        metric = metric_field(data.chart, data.g)
+        res = step1_positivity(riemann_tensor(metric).s,
+                               third_form(data.chart, data.frame), metric)
+        report = run_pipeline(metric, data.frame)
+        assert report.extra["q_min_normalized"] == res.qn_min
+        assert report.extra["q_max_normalized"] == res.qn_max
+        assert res.qn_min == pytest.approx(q_min, abs=5e-4)
 
     def test_sign_change_classified_mixed(self):
         # q vanishes on part of the chart and is clearly positive elsewhere
@@ -258,56 +272,6 @@ class TestTheorem3Reference:
         assert self.assert_agrees(pack, k, metric).status == "ok"
 
 
-class TestSpdSqrt:
-    def test_identity(self):
-        k = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
-        assert np.allclose(spd_sqrt(k), k)
-
-    def test_diagonal(self):
-        k = np.diag([4.0, 9.0])[None]
-        assert np.allclose(spd_sqrt(k), np.diag([2.0, 3.0]))
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10_000), dim=st.integers(2, 4))
-    def test_square_root_roundtrip(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((6, dim, dim))
-        k = np.einsum("...ik,...jk->...ij", a, a) + 1e-3 * np.eye(dim)
-        h = spd_sqrt(k)
-        assert np.max(np.abs(np.einsum("...ik,...kj->...ij", h, h) - k)) < \
-            1e-10 * np.max(np.abs(k))
-        assert np.min(np.linalg.eigvalsh(h)) >= -1e-12
-
-    def test_rejects_indefinite(self):
-        k = np.diag([1.0, -0.5])[None]
-        with pytest.raises(NotPositiveSemidefiniteError):
-            spd_sqrt(k)
-
-    @pytest.mark.parametrize("surf", [Catenoid(), Ellipsoid((1.0, 1.5, 2.0))],
-                             ids=lambda surf: surf.name)
-    def test_matches_the_lapack_root(self, surf, monkeypatch):
-        # the catenoid's third form is conformal: the orthonormal k has a
-        # repeated eigenvalue at every node, so its eigenvectors are
-        # arbitrary while the root is not
-        data = generate(surf, surf.default_chart(33))
-        metric = metric_field(data.chart, data.g)
-        k = third_forms(build_normal_frame(data.chart, data.frame)).k
-        h = spd_sqrt(k, metric)
-        monkeypatch.setattr(admissibility, "symmetric_eig",
-                            reference_loops.symmetric_eig)
-        ref = spd_sqrt(k, metric)
-        assert np.max(node_norm(h - ref, 2) / node_norm(ref, 2)) <= 1e-14
-
-    def test_metric_aware_root_solves_operator_equation(self, ellipsoid):
-        # h g^{-1} h = k with g^{-1} h PSD: root of the operator equation
-        h = spd_sqrt(ellipsoid.forms.k, ellipsoid.metric)
-        res = check_h_squared(h[..., None, :, :], ellipsoid.forms.k_ab,
-                              ellipsoid.metric)
-        assert res < 1e-10
-        hop = raise_index(ellipsoid.metric, h)
-        assert float(np.min(np.linalg.eigvals(hop).real)) > -1e-10
-
-
 class TestChecks:
     def test_h_squared_on_sphere_h_equals_g(self, sphere):
         res = check_h_squared(sphere.data.g[..., None, :, :], sphere.forms.k_ab,
@@ -432,6 +396,35 @@ class TestMinimalCase:
         assert math.isnan(report.residuals["gauss_condition_m2"])
 
 
+def hopf_angle_error(surf, chart, margin):
+    """Max of ``|f - d phi|`` over ``chart.interior_slices(margin)``, with
+    ``phi`` the oracle's Hopf angle ``atan2(h_on[0, 1], h_on[0, 0])``
+    differentiated without wrapping as ``(a db - b da) / (a^2 + b^2)``."""
+    data = generate(surf, chart)
+    metric = metric_field(chart, data.g)
+    k_on = to_orthonormal(metric, third_form(chart, data.frame))
+    kappa = np.sqrt(0.5 * (k_on[..., 0, 0] + k_on[..., 1, 1]))
+    f = hopf_angle_gradient(metric, riemann_tensor(metric).Gamma, kappa)
+    h_on = to_orthonormal(metric, data.h)
+    a, b = h_on[..., 0, 0], h_on[..., 0, 1]
+    da, db = grad_all(a, chart), grad_all(b, chart)
+    dphi = (a[..., None] * db - b[..., None] * da) / (a * a + b * b)[..., None]
+    return float(np.max(np.abs(f - dphi)[chart.interior_slices(margin)]))
+
+
+class TestHopfAngle:
+    @pytest.mark.parametrize("name", ["catenoid", "helicoid",
+                                      "associated-family"])
+    def test_gradient_matches_the_oracle_angle_at_order_2(self, name):
+        # Codazzi for h_phi, on one box at 17^2 and at half the spacing
+        surf = CATALOG[name]()
+        chart = surf.default_chart(17)
+        coarse = hopf_angle_error(surf, chart, 4)
+        fine = hopf_angle_error(surf, chart.refine(), 8)
+        assert coarse < 2e-2
+        assert math.log2(coarse / fine) >= 1.9
+
+
 class TestCodazziResidual:
     def test_flat_constant_h_exactly_zero(self):
         chart = build_chart(2, (17, 17), (0.05, 0.05))
@@ -533,10 +526,12 @@ class TestPipeline:
 
     @pytest.mark.parametrize("name, value", [
         ("method", "sqrt"), ("method", "theorem4"), ("method", "minimal_m2"),
-        ("sign_branch", 0), ("sign_branch", 2)])
+        ("sign_branch", 0), ("sign_branch", 2), ("tol_scale", 0.0),
+        ("tol_scale", -1.0), ("tol_scale", math.nan), ("tol_scale", math.inf)])
     def test_unknown_option_raises(self, name, value):
-        # the PSD root is a diagnostic, never a route, and no branch is
-        # guessed from an out-of-range sign
+        # only the listed routes can be forced (minimal_m2 follows from the
+        # data); no branch is guessed from an out-of-range sign, and no
+        # threshold from a C that is not a positive number
         with pytest.raises(ConfigurationError):
             PipelineOptions(**{name: value})
 

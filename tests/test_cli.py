@@ -1,6 +1,5 @@
 import argparse
 import inspect
-import warnings
 
 import numpy as np
 import pytest
@@ -134,14 +133,23 @@ class TestReconstruct:
         out = tmp_path / "cat"
         run_cli("forward", "--surface", "catenoid", "--grid", "33x33",
                 "--out", str(out))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = run_cli("reconstruct", str(out) + ".dataset.txt",
-                           "--out", str(tmp_path / "catrec"))
+        code = run_cli("reconstruct", str(out) + ".dataset.txt",
+                       "--out", str(tmp_path / "catrec"))
         captured = capsys.readouterr()
         assert code == 0
         assert "one-parameter family" in captured.out
+        assert "Hopf angle phi = 0 at the chart center" in captured.out
         assert (tmp_path / "catrec.immersion.txt").exists()
+        # the oracle catenoid has Hopf angle pi at the center: the phi = 0
+        # member is its point reflection, and the -1 branch is the oracle
+        assert run_cli("reconstruct", str(out) + ".dataset.txt", "--out",
+                       str(tmp_path / "catpi"), "--sign-branch", "-1") == 0
+        assert "Hopf angle phi = pi" in capsys.readouterr().out
+        oracle = datafiles.read_dataset(str(out) + ".oracle.txt").blocks["u"]
+        for name, sign in (("catrec", -1), ("catpi", 1)):
+            imm = datafiles.read_dataset(str(tmp_path / f"{name}.immersion.txt"))
+            err = box_error(imm.blocks["u"], sign * oracle, imm.chart, 0)
+            assert err < 50 * imm.chart.max_spacing ** 2
 
 
     def test_clifford_reconstruction_is_verified(self, tmp_path, capsys):
@@ -215,7 +223,6 @@ class TestRoundtrip:
         assert [r[4] for r in rows] == ["nan", "nan"]
         assert [len(r) for r in rows] == [6, 6]          # and no order
 
-    @pytest.mark.filterwarnings("ignore:.*not integrable")
     @pytest.mark.parametrize("surface, theta, name", [
         ("catenoid", None, "catenoid"), ("helicoid", None, "helicoid"),
         ("associated-family", "0.3", "associated-family")])
@@ -226,6 +233,32 @@ class TestRoundtrip:
                        *extra)
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == f"surface: {name}"
+
+    @pytest.mark.parametrize("surface", ["catenoid", "helicoid",
+                                         "associated-family"])
+    def test_minimal_roundtrip_converges_at_order_2(self, surface, capsys):
+        code = run_cli("roundtrip", "--surface", surface, "--grid", "17x17",
+                       "--refine", "2")
+        rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[2:]]
+        assert code == 0
+        assert [r[1:3] for r in rows] == [["admissible", "minimal_m2"]] * 3
+        assert float(rows[0][4]) <= 1e-3
+        assert all(float(r[6]) >= 1.9 for r in rows[1:])
+
+    @pytest.mark.parametrize("surface", ["catenoid", "helicoid",
+                                         "associated-family"])
+    def test_perturbed_minimal_data_exits_1(self, surface, capsys):
+        code = run_cli("roundtrip", "--surface", surface, "--grid", "33x33",
+                       "--perturb-nu", "0.01")
+        [row] = [ln.split() for ln in capsys.readouterr().out.splitlines()[2:]]
+        assert code == 1 and row[1:3] == ["rejected", "minimal_m2"]
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_tol_scale_exits_2(self, value, capsys):
+        code = run_cli("roundtrip", "--surface", "ellipsoid", "--grid",
+                       "17x17", "--tol-scale", value)
+        assert code == 2
+        assert "tol_scale must be finite and > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["forward", "roundtrip"])
     def test_perturb_nu_is_refused_for_codim_2(self, command, tmp_path, capsys):

@@ -16,7 +16,7 @@ from isogauss.curvature import (metric_field, node_norm, riemann_tensor,
                                 symmetric_eig, to_orthonormal)
 from isogauss.errors import InvalidGrassmannDataError
 from isogauss.grid import build_chart, interior_max
-from isogauss.reconstruct import (box_error, immerse, integrate,
+from isogauss.reconstruct import (box_error, integrate,
                                    observed_order, roundtrip)
 from isogauss.surfaces import CATALOG, CliffordTorus, generate
 
@@ -337,7 +337,8 @@ class TestGenericCodimTwo:
         h_err = interior_max(graph4.chart, node_norm(
             rep.candidate.h_alpha - graph4.data.h_alpha, 3))
         assert H_err < tol and h_err < tol
-        imm = immerse(rep, graph4.chart, PipelineOptions())
+        imm = integrate(rep.candidate.U, graph4.chart,
+                        curl_tol=PipelineOptions().fd_tol(graph4.chart))
         assert box_error(imm.u, graph4.data.u, graph4.chart, 0) < tol
 
 

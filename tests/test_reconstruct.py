@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from isogauss.curvature import metric_field
 from isogauss.errors import NonIntegrableError
 from isogauss.grid import build_chart, grad_all
 from isogauss.reconstruct import (box_error, compare_up_to_translation,
-                                  curl_residual, immerse, integrate,
+                                  curl_residual, integrate,
                                   observed_order, roundtrip, roundtrip_level,
                                   verify_immersion)
 from isogauss.surfaces import (CATALOG, Catenoid, Ellipsoid, Plane, RoundSphere,
@@ -42,12 +41,6 @@ class TestIntegrate:
                                               U[half:, ..., 0].copy())
         with pytest.raises(NonIntegrableError):
             integrate(U, sphere.chart, curl_tol=50 * sphere.dx2)
-
-    def test_curl_warn_mode(self, sphere):
-        U = sphere.data.du.copy()
-        U[..., 0] *= 1.5
-        with pytest.warns(UserWarning):
-            integrate(U, sphere.chart, curl_tol=1e-8, on_curl="warn")
 
     def test_translation_invariance(self, sphere):
         a = integrate(sphere.data.du, sphere.chart, base_value=0.0)
@@ -171,26 +164,38 @@ class TestRoundtripDriver:
         run = roundtrip_level(ELLIPSOID, chart, PipelineOptions(), 1)
         assert run.chart == chart.refine() and rows[-1] == run.row()
 
-    def test_curl_warns_only_for_the_minimal_representative(self, ellipsoid):
-        zero_tol = PipelineOptions(tol_scale=0.0)
-        report = run_pipeline(ellipsoid.metric, ellipsoid.data.frame)
-        with pytest.raises(NonIntegrableError):
-            immerse(report, ellipsoid.chart, zero_tol)
-        data = generate(Catenoid(), Catenoid().default_chart(17))
-        report = run_pipeline(metric_field(data.chart, data.g), data.frame)
-        assert report.method == "minimal_m2"
-        with pytest.warns(UserWarning, match="not integrable"):
-            immerse(report, data.chart, zero_tol)
+    def test_zero_curl_tolerance_raises_for_every_route(self):
+        # the discrete curl is never exactly 0, and no route is exempt
+        for surface in (ELLIPSOID, Catenoid()):
+            run = roundtrip_level(surface, surface.default_chart(17),
+                                  PipelineOptions(), 0)
+            assert run.report.admissible
+            with pytest.raises(NonIntegrableError):
+                integrate(run.report.candidate.U, run.chart, curl_tol=0.0)
+
+    @pytest.mark.parametrize("name", ["catenoid", "helicoid",
+                                      "associated-family"])
+    def test_perturbed_minimal_data_rejected_at_parallelity(self, name):
+        surface = CATALOG[name]()
+        run = roundtrip_level(surface, surface.default_chart(33),
+                              PipelineOptions(), 0, perturb_nu=1e-2)
+        report = run.report
+        assert (report.verdict, report.method, report.failed_step) == \
+            ("rejected", "minimal_m2", "4")
+        assert report.residuals["parallelity"] > report.thresholds["parallelity"]
 
 
 def test_sign_flip_reconstructs_negated_immersion(ellipsoid):
-    plus = run_pipeline(ellipsoid.metric, ellipsoid.data.frame,
-                        PipelineOptions(sign_branch=1))
-    minus = run_pipeline(ellipsoid.metric, ellipsoid.data.frame,
-                         PipelineOptions(sign_branch=-1))
-    up = integrate(plus.candidate.U, ellipsoid.chart)
-    um = integrate(minus.candidate.U, ellipsoid.chart)
-    assert compare_up_to_translation(um.u, -up.u) < 1e-12
+    catenoid = generate(Catenoid(), Catenoid().default_chart(33))
+    for metric, frame in ((ellipsoid.metric, ellipsoid.data.frame),
+                          (metric_field(catenoid.chart, catenoid.g),
+                           catenoid.frame)):
+        plus = run_pipeline(metric, frame, PipelineOptions(sign_branch=1))
+        minus = run_pipeline(metric, frame, PipelineOptions(sign_branch=-1))
+        assert plus.admissible and minus.admissible
+        up = integrate(plus.candidate.U, metric.chart)
+        um = integrate(minus.candidate.U, metric.chart)
+        assert compare_up_to_translation(um.u, -up.u) < 1e-12
 
 
 # (surface, points per axis) -> (verdict, method, decade of rec_error or
@@ -207,12 +212,12 @@ VERDICT_MATRIX = {
     ("graph", 33): ("admissible", "theorem2", -3),
     ("cylinder", 17): ("inapplicable", "none", None),
     ("cylinder", 33): ("inapplicable", "none", None),
-    ("catenoid", 17): ("admissible", "minimal_m2", -1),
-    ("catenoid", 33): ("admissible", "minimal_m2", 0),
-    ("helicoid", 17): ("admissible", "minimal_m2", 0),
-    ("helicoid", 33): ("admissible", "minimal_m2", 0),
-    ("associated-family", 17): ("admissible", "minimal_m2", 0),
-    ("associated-family", 33): ("admissible", "minimal_m2", 0),
+    ("catenoid", 17): ("admissible", "minimal_m2", -4),
+    ("catenoid", 33): ("admissible", "minimal_m2", -4),
+    ("helicoid", 17): ("admissible", "minimal_m2", -4),
+    ("helicoid", 33): ("admissible", "minimal_m2", -4),
+    ("associated-family", 17): ("admissible", "minimal_m2", -4),
+    ("associated-family", 33): ("admissible", "minimal_m2", -4),
     ("clifford-torus", 17): ("admissible", "codim", -4),
     ("clifford-torus", 33): ("admissible", "codim", -5),
     ("graph-r4", 17): ("admissible", "codim", -1),
@@ -226,7 +231,7 @@ VERDICT_MATRIX = {
 }
 
 # the m = 3 surfaces with theorem3 forced: below 11^3 its nullspace is not
-# one-dimensional and the chart reads inapplicable (the PSD root is no route)
+# one-dimensional and the chart reads inapplicable
 THEOREM3_MATRIX = {
     ("hypersphere-m3", 7): ("inapplicable", "theorem3", None),
     ("hypersphere-m3", 9): ("inapplicable", "theorem3", None),
@@ -242,9 +247,6 @@ THEOREM3_MATRIX = {
 # CHANGES.md FOUND line that names it.  They are pinned as they read today,
 # not asserted correct: mending a defect changes its cells and drops their
 # marks in the same diff.
-_MINIMAL = ("FOUND: for minimal_m2 data the roundtrip rec_error compares the "
-            "PSD-root representative with another member of the associated "
-            "family, so it does not fall with refinement")
 KNOWN_DEFECTS = {
     ("graph-r4", 17): "FOUND: codim.mean_curvature_vector counts rho's second "
                       "eigenvalue as 1 on coarse grids; graph-r4 at 17^2 then "
@@ -252,11 +254,8 @@ KNOWN_DEFECTS = {
     ("ellipsoid-m3", 7): "FOUND: the coarse-chart gate covers only tau >= 1; "
                          "below it step 1 misreads non-minimal data as "
                          "minimal whenever tau exceeds its normalized q "
-                         "(here q 0.721 < tau 0.889: convex data is routed "
-                         "to theorem3)",
-    **{(name, points): _MINIMAL
-       for name in ("catenoid", "helicoid", "associated-family")
-       for points in (17, 33)},
+                         "(here q 0.862-0.884 < tau 0.889: convex data is "
+                         "routed to theorem3)",
 }
 
 
@@ -273,14 +272,10 @@ def test_verdict_matrix_is_pinned():
     decade of a reconstruction error fails here until the table is updated,
     so the flip shows in the diff."""
     got = {}
-    with warnings.catch_warnings():
-        # the minimal-surface representative need not integrate
-        warnings.filterwarnings("ignore", "mixed-partials residual")
-        for name, factory in CATALOG.items():
-            surface = factory()
-            for points in ((7, 9, 13) if surface.m == 3 else (17, 33)):
-                got[name, points] = _matrix_cell(surface, points,
-                                                 PipelineOptions())
+    for name, factory in CATALOG.items():
+        surface = factory()
+        for points in ((7, 9, 13) if surface.m == 3 else (17, 33)):
+            got[name, points] = _matrix_cell(surface, points, PipelineOptions())
     assert got == VERDICT_MATRIX
     assert set(KNOWN_DEFECTS) <= set(VERDICT_MATRIX)
 
