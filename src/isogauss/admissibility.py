@@ -24,9 +24,9 @@ import numpy as np
 from .codim import (RANK_REL_TOL, _block_products, build_normal_frame,
                     frame_consistency, mean_curvature_vector, second_forms,
                     third_forms, weingarten_combination)
-from .curvature import (CurvaturePack, MetricField, node_max, node_norm,
-                        riemann_tensor, spd_solve, symmetric_eig,
-                        to_orthonormal)
+from .curvature import (CurvaturePack, MetricField, curvature_operator,
+                        node_max, node_norm, riemann_tensor, spd_solve,
+                        symmetric_eig, to_orthonormal)
 from .errors import (BranchError, ConfigurationError, DegenerateGaussMapError,
                      DomainError)
 from .grid import Chart, align_signs, grad_all, interior_max
@@ -207,8 +207,26 @@ def _antisymmetric_basis(m: int) -> np.ndarray:
     return np.array(mats)
 
 
-# theorem3 assembles its per-node system this many nodes at a time (rounded
-# to whole axis-0 slabs), so its temporaries do not grow with the grid
+def _theorem3_map(m: int) -> np.ndarray:
+    """The constant map ``C`` of theorem3's per-node system.
+
+    Row ``(b, i, j)`` of the system, column ``e``, is ``(S_e M_b - 2 W_b
+    g^{-1} S_e)_{ij}`` for the bases ``W`` of so(m) and ``S`` of symmetric
+    matrices; it is linear in ``z = [vec M_b, vec g^{-1}]``, so the system
+    is ``(z @ C).reshape(nb m^2, p)``.  ``C`` is those two products applied
+    to the identity; its entries are 0, +-1 and +-2.
+    """
+    W, S = _antisymmetric_basis(m), _symmetric_basis(m)
+    nb, p = W.shape[0], S.shape[0]
+    unit_M = np.eye(nb * m * m).reshape(nb * m * m, nb, m, m)
+    unit_g = np.eye(m * m).reshape(m * m, m, m)
+    rows = np.concatenate([np.einsum("eik,zbkj->zbije", S, unit_M),
+                           -2.0 * np.einsum("bik,zkl,elj->zbije", W, unit_g, S)])
+    return rows.reshape(nb * m * m + m * m, nb * m * m * p)
+
+
+# theorem3 solves its per-node system this many nodes at a time (rounded to
+# whole axis-0 slabs), so the system and its Gram do not grow with the grid
 _THEOREM3_BLOCK_NODES = 4096
 
 
@@ -216,11 +234,16 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
                     options: PipelineOptions | None = None) -> Theorem3Result:
     """Per-node nullspace solve of ``h k^{-1} R(Om) = 2 Om h`` over so_g.
 
-    Assembles, for every node, the linear map on symmetric ``h`` obtained by
-    letting ``Om`` run over the m(m-1)/2 basis elements of so_g, and takes the
-    bottom eigenvector of its trace-scaled Gram matrix as the nullspace.  A
-    one-dimensional numerical nullspace (small last singular value, clear gap
-    to the second-last) certifies uniqueness up to scale; the missing scale is
+    Letting ``Om`` run over the m(m-1)/2 basis elements ``g^{-1} W_b`` of
+    so_g gives, for every node, a linear map on symmetric ``h``.  Its
+    ``(m^2 m(m-1)/2) x m(m+1)/2`` matrix is one product ``z @ C`` of the
+    node's ``z = [vec M_b, vec g^{-1}]``, ``M_b = k^{-1} R(g^{-1} W_b)``
+    (:func:`curvature.curvature_operator`), with the constant map of
+    :func:`_theorem3_map`.  The bottom eigenvector of the trace-scaled Gram
+    matrix of that system, from the Jacobi kernel
+    :func:`curvature.symmetric_eig`, is the nullspace.  A one-dimensional
+    numerical nullspace (small last singular value, clear gap to the
+    second-last) certifies uniqueness up to scale; the missing scale is
     restored from ``Tr(h^2) = Tr k`` and the sign is fixed once per chart
     (trace >= 0 at the center) and continued seamlessly.
 
@@ -228,9 +251,9 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     eigenvector, so the gap keeps the accuracy of an SVD.  The others are
     square roots of Gram eigenvalues, resolved only to about ``1e-8`` of the
     largest; a gap tolerance below that cannot separate the second-last
-    from zero.  The system is assembled in blocks of whole axis-0 slabs of
-    about ``_THEOREM3_BLOCK_NODES`` nodes, so its temporaries do not grow
-    with the grid.
+    from zero.  The system, its Gram and the eigensolve run in blocks of
+    whole axis-0 slabs of about ``_THEOREM3_BLOCK_NODES`` nodes, so their
+    temporaries do not grow with the grid.
     """
     options = options or PipelineOptions()
     chart = metric.chart
@@ -243,29 +266,26 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
             <= RANK_REL_TOL * max(float(np.max(k_eigs)), 1e-300)):
         raise DegenerateGaussMapError("third form not invertible; dnu is degenerate")
     ginv = metric.g_inv
-    g = metric.g
 
-    W = _antisymmetric_basis(m)            # (nb, m, m)
-    S = _symmetric_basis(m)                # (p, m, m)
-    nb, p = W.shape[0], S.shape[0]
+    W = _antisymmetric_basis(m)
+    C = _theorem3_map(m)
+    rows, p = W.size, m * (m + 1) // 2
+    # z = [vec M_b, vec g^{-1}] per node
+    z = np.empty(chart.shape + (C.shape[0],))
+    np.matmul(kop_inv[..., None, :, :],
+              curvature_operator(pack, metric, ginv[..., None, :, :] @ W,
+                                 check=False),
+              out=z[..., :rows].reshape(chart.shape + W.shape))
+    z[..., rows:] = ginv.reshape(chart.shape + (m * m,))
     null = np.empty(chart.shape + (p,))
     sig1, sig_prev, sig_last = np.empty((3,) + chart.shape)
     step = max(1, _THEOREM3_BLOCK_NODES // math.prod(chart.shape[1:]))
     for i0 in range(0, chart.shape[0], step):
         blk = slice(i0, i0 + step)
-        gi = ginv[blk]
-        Om_up = np.einsum("...ik,bkl,...lj->...bij", gi, W, gi, optimize=True)
-        T = np.einsum("...ip,...jq,...pqkl,...bkl->...bij",
-                      gi, gi, pack.R_low[blk], Om_up, optimize=True)
-        CO = -(T @ g[blk][..., None, :, :])                # R(Om_b) as operator
-        M = kop_inv[blk][..., None, :, :] @ CO
-        rows = (np.einsum("eik,...bkj->...bije", S, M, optimize=True)
-                - 2.0 * np.einsum("bik,...kl,elj->...bije", W, gi, S,
-                                  optimize=True))
-        mat = rows.reshape(rows.shape[:-4] + (nb * m * m, p))
+        mat = (z[blk] @ C).reshape(z[blk].shape[:-1] + (rows, p))
         gram = mat.mT @ mat
         tr = np.einsum("...ii->...", gram)
-        ev, V = np.linalg.eigh(gram / tr[..., None, None])
+        ev, V = symmetric_eig(gram / tr[..., None, None], vectors=True)
         null[blk] = V[..., :, 0]
         sig1[blk] = np.sqrt(ev[..., -1])
         sig_prev[blk] = np.sqrt(np.clip(ev[..., 1], 0.0, None))
@@ -286,6 +306,7 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
         return Theorem3Result(None, gap, has_null, unique, frac_unique,
                               "indeterminate", utol)
 
+    S = _symmetric_basis(m)
     h_raw = (null @ S.reshape(p, m * m)).reshape(chart.shape + (m, m))
     hop = ginv @ h_raw
     tr_h2 = np.einsum("...ij,...ji->...", hop, hop)

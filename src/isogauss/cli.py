@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import math
 import sys
 
@@ -154,9 +155,9 @@ def cmd_reconstruct(args) -> int:
               f"{'0' if options.sign_branch > 0 else 'pi'} at the chart center")
     imm = integrate(report.candidate.U, chart, curl_tol=options.fd_tol(chart))
     out = args.out or "reconstruction"
-    datafiles.write_dataset(out + ".immersion.txt",
-                            datafiles.immersion_dataset(chart, imm.u))
-    _write_plot_data(out + ".xyz.txt", chart, imm.u)
+    # the u rows are formatted once, for both files, and freed after them
+    _write_plot_data(out + ".xyz.txt", chart, datafiles.write_dataset(
+        out + ".immersion.txt", datafiles.immersion_dataset(chart, imm.u))["u"])
     res_g, res_n = verify_immersion(imm, metric, normals)
     print(f"verification: metric residual {res_g:.3e}, "
           f"tangency residual {res_n:.3e}, curl residual {imm.curl_residual:.3e}")
@@ -164,14 +165,19 @@ def cmd_reconstruct(args) -> int:
     return EXIT_ADMISSIBLE
 
 
-def _write_plot_data(path, chart, u) -> None:
-    coords = chart.mesh().reshape(chart.num_points, chart.m)
-    pts = u.reshape(chart.num_points, -1)
+def _write_plot_data(path, chart, u_text: str) -> None:
+    """``.xyz.txt``: one line per node, its chart coordinates and then its
+    row of ``u_text``, the immersion's ``u`` rows as :func:`write_dataset`
+    formatted them.  Each coordinate value is formatted once per axis, and
+    the lines go to the file one at a time."""
+    u_lines = u_text.splitlines(keepends=True)
     header = " ".join([f"x{i+1}" for i in range(chart.m)]
-                      + [f"u{i+1}" for i in range(pts.shape[1])])
-    rows = np.concatenate([coords, pts], axis=1)
+                      + [f"u{i+1}" for i in range(len(u_lines[0].split()))])
+    axes = [[f"{x:.17g} " for x in axis.tolist()] for axis in chart.axes()]
     with open(path, "w", newline="\n") as fh:
-        fh.write("# " + header + "\n" + datafiles.format_rows(rows))
+        fh.write("# " + header + "\n")
+        fh.writelines(map(str.__add__, map("".join, itertools.product(*axes)),
+                          u_lines))
 
 
 def cmd_roundtrip(args) -> int:

@@ -97,7 +97,9 @@ def format_rows(rows: np.ndarray) -> str:
     return (line * count) % tuple(rows.ravel().tolist())
 
 
-def write_dataset(path, dataset: Dataset) -> None:
+def write_dataset(path, dataset: Dataset) -> dict[str, str]:
+    """Write ``dataset`` to ``path`` and return each block's rows as written
+    (:func:`format_rows`), so that a caller can reuse the text."""
     chart = dataset.chart
     lines = ["# isogauss dataset",
              f"format_version = {FORMAT_VERSION}",
@@ -107,14 +109,13 @@ def write_dataset(path, dataset: Dataset) -> None:
              "grid_shape = " + " ".join(str(s) for s in chart.shape),
              "spacing = " + " ".join(_fmt(dx) for dx in chart.spacing),
              "origin = " + " ".join(_fmt(x) for x in chart.origin)]
-    parts = ["\n".join(lines) + "\n"]
-    for name in _BLOCK_ORDER:
-        if name not in dataset.blocks:
-            continue
-        rows = dataset.blocks[name].reshape(chart.num_points, -1)
-        parts += [f"begin {name}\n", format_rows(rows), f"end {name}\n"]
+    texts = {name: format_rows(dataset.blocks[name].reshape(chart.num_points, -1))
+             for name in _BLOCK_ORDER if name in dataset.blocks}
     with open(path, "w", newline="\n") as fh:
-        fh.write("".join(parts))
+        fh.write("\n".join(lines) + "\n")
+        for name, text in texts.items():
+            fh.writelines((f"begin {name}\n", text, f"end {name}\n"))
+    return texts
 
 
 # first character of an unindented data row; any other line takes the

@@ -429,12 +429,15 @@ class OracleData:
 def _cstep_jacobian(fn, x: np.ndarray) -> np.ndarray:
     """d fn / d x_j by complex step; appends the derivative axis last."""
     m = x.shape[-1]
-    cols = []
+    out = None
     for j in range(m):
         xc = x.astype(complex)
         xc[..., j] += 1j * _CSTEP
-        cols.append(np.imag(fn(xc)) / _CSTEP)
-    return np.stack(cols, axis=-1)
+        col = fn(xc).imag
+        if out is None:
+            out = np.empty(col.shape + (m,))
+        np.divide(col, _CSTEP, out=out[..., j])
+    return out
 
 
 def generate(surface: Surface, chart: Chart) -> OracleData:

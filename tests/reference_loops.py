@@ -7,10 +7,11 @@ These are the straightforward loops that ``grid.align_signs``,
 exact solve, the index-notation contractions and triangular solves that
 ``curvature`` replaces by batched matrix products, and the finite-difference
 second derivatives that ``surfaces.generate`` replaces by the Weingarten
-identity, the whole-grid batched SVD that
-``admissibility.h_from_theorem3`` replaces by a blocked Gram eigensolve,
-the per-matrix LAPACK ``cholesky``, ``inv`` and ``solve`` calls that
-``curvature.cholesky_factors`` replaces by one elementwise kernel, and the
+identity, the ``einsum`` assembly with a whole-grid batched SVD or a
+per-node LAPACK ``eigh`` of its Gram matrix that
+``admissibility.h_from_theorem3`` replaces by one constant map and the
+Jacobi kernel, the per-matrix LAPACK ``cholesky``, ``inv`` and ``solve``
+calls that ``curvature.cholesky_factors`` replaces by one elementwise kernel, and the
 per-matrix LAPACK ``eigvalsh``, ``eigh`` and ``svd`` calls that
 ``curvature.symmetric_eig`` replaces by one elementwise Jacobi kernel (with
 ``codim.weingarten_combination`` as it scored each candidate by its own
@@ -220,20 +221,18 @@ def golden_min(fn, a, b, iters=80):
     return 0.5 * (a + b)
 
 
-def h_from_theorem3_svd(pack, k, metric, options=None):
-    """theorem3 by one whole-grid batched SVD of the Frobenius-normalized
-    per-node system, with the last right singular vector as the nullspace
-    and the signs continued by the node loop above."""
-    options = options or PipelineOptions()
+def _theorem3_rows(pack, k, metric):
+    """theorem3's per-node ``(nb m^2, p)`` system by index-notation
+    ``einsum`` over the whole grid, with ``k^{-1}`` from one LAPACK ``inv``
+    per node."""
     chart = metric.chart
     m = chart.m
     if m < 3:
         raise DomainError("the linear-system route needs m >= 3")
-    kop = raise_index(metric, k)
     k_eigs = np.linalg.eigvalsh(to_orthonormal(metric, k))
     if float(np.min(k_eigs)) <= RANK_REL_TOL * max(float(np.max(k_eigs)), 1e-300):
         raise DegenerateGaussMapError("third form not invertible; dnu is degenerate")
-    kop_inv = np.linalg.inv(kop)
+    kop_inv = np.linalg.inv(raise_index(metric, k))
     ginv = metric.g_inv
     g = metric.g
 
@@ -247,13 +246,18 @@ def h_from_theorem3_svd(pack, k, metric, options=None):
     rows = (np.einsum("eik,...bkj->...bije", S, M, optimize=True)
             - 2.0 * np.einsum("bik,...kl,elj->...bije", W, ginv, S, optimize=True))
     nb, p = W.shape[0], S.shape[0]
-    mat = rows.reshape(chart.shape + (nb * m * m, p))
-    norm = np.sqrt(np.sum(mat * mat, axis=(-2, -1)))
-    mat = mat / norm[..., None, None]
-    _, sig, Vh = np.linalg.svd(mat, full_matrices=False)
-    sig1 = sig[..., 0]
-    sig_last = sig[..., -1]
-    sig_prev = sig[..., -2]
+    return rows.reshape(chart.shape + (nb * m * m, p))
+
+
+def _theorem3_result(k, metric, options, null, sig1, sig_prev, sig_last):
+    """theorem3's certificate, scale and signs from the per-node nullspace
+    vector and the first, second-last and last singular values, with the
+    signs continued by the node loop above."""
+    chart = metric.chart
+    m = chart.m
+    S = _symmetric_basis(m)
+    p = S.shape[0]
+    ginv = metric.g_inv
     gtol = options.unit_tol(chart)
     has_null = sig_last <= gtol * sig1
     unique = has_null & (sig_prev > gtol * sig1)
@@ -269,10 +273,10 @@ def h_from_theorem3_svd(pack, k, metric, options=None):
         return Theorem3Result(None, gap, has_null, unique, frac_unique,
                               "indeterminate", gtol)
 
-    h_raw = (Vh[..., -1, :] @ S.reshape(p, m * m)).reshape(chart.shape + (m, m))
+    h_raw = (null @ S.reshape(p, m * m)).reshape(chart.shape + (m, m))
     hop = ginv @ h_raw
     tr_h2 = np.einsum("...ij,...ji->...", hop, hop)
-    tr_k = np.einsum("...ii->...", kop)
+    tr_k = np.einsum("...ii->...", raise_index(metric, k))
     lam = np.sqrt(tr_k / np.where(tr_h2 > 0, tr_h2, np.inf))
     if not np.all(np.isfinite(lam)):
         return Theorem3Result(None, gap, has_null, unique, frac_unique,
@@ -289,6 +293,33 @@ def h_from_theorem3_svd(pack, k, metric, options=None):
     if lead * options.sign_branch < 0:
         h = -h
     return Theorem3Result(h, gap, has_null, unique, frac_unique, "ok", gtol)
+
+
+def h_from_theorem3_svd(pack, k, metric, options=None):
+    """theorem3 by one whole-grid batched SVD of the Frobenius-normalized
+    per-node system, with the last right singular vector as the nullspace."""
+    options = options or PipelineOptions()
+    mat = _theorem3_rows(pack, k, metric)
+    norm = np.sqrt(np.sum(mat * mat, axis=(-2, -1)))
+    _, sig, Vh = np.linalg.svd(mat / norm[..., None, None], full_matrices=False)
+    return _theorem3_result(k, metric, options, Vh[..., -1, :], sig[..., 0],
+                            sig[..., -2], sig[..., -1])
+
+
+def h_from_theorem3_eigh(pack, k, metric, options=None):
+    """theorem3 by one LAPACK ``eigh`` per node of the trace-scaled Gram
+    matrix of the ``einsum``-assembled system: the bottom eigenvector is the
+    nullspace, the residual norm ``|mat v|`` the last singular value."""
+    options = options or PipelineOptions()
+    mat = _theorem3_rows(pack, k, metric)
+    gram = mat.mT @ mat
+    tr = np.einsum("...ii->...", gram)
+    ev, V = np.linalg.eigh(gram / tr[..., None, None])
+    sig_last = np.sqrt(np.sum(np.square(mat @ V[..., :, :1]),
+                              axis=(-2, -1)) / tr)
+    return _theorem3_result(k, metric, options, V[..., :, 0],
+                            np.sqrt(ev[..., -1]),
+                            np.sqrt(np.clip(ev[..., 1], 0.0, None)), sig_last)
 
 
 def _fmt(x):

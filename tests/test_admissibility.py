@@ -230,33 +230,57 @@ class TestTheorem3:
 
 
 class TestTheorem3Reference:
-    """The blocked Gram eigensolve against the whole-grid batched SVD that it
-    replaced: same certificate, same ``h``."""
+    """The constant-map assembly and Jacobi eigensolve against the
+    whole-grid batched SVD and the ``einsum`` assembly with LAPACK ``eigh``
+    that it replaced: same certificate, same ``h``."""
+
+    REFERENCES = [reference_loops.h_from_theorem3_svd,
+                  reference_loops.h_from_theorem3_eigh]
 
     def assert_agrees(self, pack, k, metric):
         new = h_from_theorem3(pack, k, metric, PipelineOptions())
-        ref = reference_loops.h_from_theorem3_svd(pack, k, metric,
-                                                  PipelineOptions())
-        assert new.status == ref.status
-        assert new.frac_unique == ref.frac_unique
-        assert np.array_equal(new.has_nullspace, ref.has_nullspace)
-        assert np.array_equal(new.unique, ref.unique)
-        resolved = ref.gap > 1e-12
-        assert np.all(np.abs(new.gap - ref.gap)[resolved]
-                      <= 1e-9 * ref.gap[resolved])
-        if ref.h is None:
-            assert new.h is None
-        else:
-            assert np.max(np.abs(new.h - ref.h)) <= 1e-12 * np.max(np.abs(ref.h))
+        for reference in self.REFERENCES:
+            ref = reference(pack, k, metric, PipelineOptions())
+            assert new.status == ref.status
+            assert new.frac_unique == ref.frac_unique
+            assert np.array_equal(new.has_nullspace, ref.has_nullspace)
+            assert np.array_equal(new.unique, ref.unique)
+            resolved = ref.gap > 1e-12
+            assert np.all(np.abs(new.gap - ref.gap)[resolved]
+                          <= 1e-9 * ref.gap[resolved])
+            if ref.h is None:
+                assert new.h is None
+            else:
+                assert (np.max(np.abs(new.h - ref.h))
+                        <= 1e-12 * np.max(np.abs(ref.h)))
         return new
 
     def test_ellipsoid_m3(self, ellipsoid_m3):
         p = ellipsoid_m3
         assert self.assert_agrees(p.pack, p.forms.k, p.metric).status == "ok"
 
+    @pytest.mark.parametrize("points, status", [
+        (7, "indeterminate"), (13, "ok"), (21, "ok")])
+    def test_ellipsoid_m3_grids(self, points, status):
+        _, pack, k, metric = theorem3_inputs(EllipsoidM3(), points)
+        assert self.assert_agrees(pack, k, metric).status == status
+
     def test_hypersphere_m3(self):
         _, pack, k, metric = theorem3_inputs(HypersphereM3(1.0), 13)
         assert self.assert_agrees(pack, k, metric).status == "ok"
+
+    def test_perturbed_gauss_map_indeterminate(self):
+        # a mix of nodes with and without a unique nullspace: the masks
+        # must agree node by node
+        surf = EllipsoidM3()
+        chart = surf.default_chart(13)
+        data = generate(surf, chart)
+        nu = smooth_rotation_of_gauss_map(data.frame[..., 0], chart, 0.1, seed=3)
+        metric = metric_field(chart, data.g)
+        res = self.assert_agrees(riemann_tensor(metric),
+                                 third_form(chart, nu[..., None]), metric)
+        assert res.status == "indeterminate"
+        assert 0.5 < res.frac_unique < 0.99
 
     def test_flat_metric_no_solution(self):
         chart = build_chart(3, (9, 9, 9), (0.1,) * 3)
@@ -270,6 +294,14 @@ class TestTheorem3Reference:
         slabs = admissibility._THEOREM3_BLOCK_NODES // (15 * 13)
         assert 1 < slabs < chart.shape[0] and chart.shape[0] % slabs != 0
         assert self.assert_agrees(pack, k, metric).status == "ok"
+
+    def test_constant_map_entries(self):
+        # the two einsums of the system applied to the identity: 135
+        # entries, every one 0, +-1 or +-2
+        C = admissibility._theorem3_map(3)
+        assert C.shape == (36, 162)
+        assert np.count_nonzero(C) == 135
+        assert set(np.unique(C)) <= {-2.0, -1.0, 0.0, 1.0, 2.0}
 
 
 class TestChecks:

@@ -120,6 +120,21 @@ class TestReconstruct:
         err = box_error(imm.blocks["u"], oracle.blocks["u"], imm.chart, 0)
         assert err < 50 * imm.chart.max_spacing ** 2
 
+    def test_theorem3_plot_rows_are_the_immersion_rows(self, tmp_path, capsys):
+        out = tmp_path / "ell3"
+        assert run_cli("forward", "--surface", "ellipsoid-m3", "--grid",
+                       "13x13x13", "--out", str(out)) == 0
+        assert run_cli("reconstruct", str(out) + ".dataset.txt", "--out",
+                       str(tmp_path / "rec3"), "--method", "theorem3") == 0
+        lines = (tmp_path / "rec3.immersion.txt").read_text().splitlines()
+        u_rows = lines[lines.index("begin u") + 1:lines.index("end u")]
+        plot = (tmp_path / "rec3.xyz.txt").read_text().splitlines()
+        assert plot[0] == "# x1 x2 x3 u1 u2 u3 u4"
+        assert len(plot) == 1 + 13 ** 3 == 1 + len(u_rows)
+        # the u columns of the plot file are the immersion's rows, byte for
+        # byte, after three coordinate columns
+        assert [row.split(" ", 3)[3] for row in plot[1:]] == u_rows
+
     def test_rejected_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "pert"
         run_cli("forward", "--surface", "ellipsoid", "--axes", "1,1.5,2",

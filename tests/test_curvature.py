@@ -148,7 +148,7 @@ def one_bad_node(m, bad):
 
 
 class TestCholeskyFactors:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_matches_lapack_on_random_batches(self, m):
         rng = np.random.default_rng(m)
         X = rng.standard_normal((40, 30, m, m))
@@ -209,7 +209,7 @@ class TestSymmetricEig:
         resid = node_norm(a @ V - V * w[..., None, :], 2)
         assert np.all(resid <= 1e-14 * scale)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_matches_lapack_on_random_batches(self, m):
         rng = np.random.default_rng(m)
         X = rng.standard_normal((40, 30, m, m))
@@ -218,9 +218,23 @@ class TestSymmetricEig:
         self._assert_matches_lapack(a)
         assert np.array_equal(a, before)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_matches_lapack_on_special_nodes(self, m):
         self._assert_matches_lapack(special_nodes(m, np.random.default_rng(m)))
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_matches_lapack_on_clustered_and_rank_deficient(self, m):
+        # clusters 1e-8 apart, a fourfold eigenvalue, and Grams of rank
+        # m - 1 with lambda_0 / lambda_max about 1e-10, like theorem3's
+        rng = np.random.default_rng(10 + m)
+        Q = np.linalg.qr(rng.standard_normal((300, m, m)))[0]
+        lam = np.empty((300, m))
+        lam[:100] = 1.0 + 1e-8 * rng.standard_normal((100, m))
+        lam[100:200] = np.r_[np.ones(4), rng.uniform(2.0, 3.0, m - 4)]
+        lam[200:] = rng.uniform(0.1, 1.0, (100, m))
+        lam[200:, 0] = 1e-10 * lam[200:].max(axis=-1)
+        a = Q @ (lam[..., None] * Q.mT)
+        self._assert_matches_lapack(0.5 * (a + a.mT))
 
     def test_reads_the_lower_triangle(self):
         rng = np.random.default_rng(5)
@@ -452,6 +466,26 @@ class TestCurvatureOperator:
         scale = 1.0 + np.max(node_norm(expect, 2))
         res = interior_max(p.chart, node_norm(RO - expect, 2)) / scale
         assert res < 30 * p.dx2
+
+    def test_stack_matches_one_at_a_time_and_index_notation(self, ellipsoid_m3):
+        # theorem3's stack g^{-1} W_b against single calls and against
+        # -(g^{ip} g^{jq} R_pqkl (Om g^{-1})^{kl}) g written as one einsum
+        p = ellipsoid_m3
+        g_inv, R_low = p.metric.g_inv, p.pack.R_low
+        Om = np.stack([self.random_g_antisymmetric(p.metric, seed=s)
+                       for s in range(3)], axis=-3)
+        RO = curvature_operator(p.pack, p.metric, Om)
+        assert RO.shape == Om.shape
+        for b in range(3):
+            one = curvature_operator(p.pack, p.metric, Om[..., b, :, :])
+            T = np.einsum("...ip,...jq,...pqkl,...kl->...ij", g_inv, g_inv,
+                          R_low, Om[..., b, :, :] @ g_inv)
+            for other in (one, -(T @ p.metric.g)):
+                scale = np.max(node_norm(other, 2))
+                assert np.max(node_norm(RO[..., b, :, :] - other, 2)) < 1e-13 * scale
+        Om[..., 1, :, :] += np.eye(3)
+        with pytest.raises(DomainError):
+            curvature_operator(p.pack, p.metric, Om)
 
     def test_rejects_non_antisymmetric(self, sphere):
         Om = np.broadcast_to(np.eye(2), sphere.chart.shape + (2, 2)).copy()

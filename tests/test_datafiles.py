@@ -189,7 +189,8 @@ class TestEquivalenceWithReferenceLoops:
                 assert np.array_equal(got.blocks[block].view(np.int64),
                                       arr.view(np.int64)), (label, block)
         new, old = tmp_path / "plot.new", tmp_path / "plot.old"
-        cli._write_plot_data(new, chart, data.u)
+        cli._write_plot_data(new, chart, datafiles.format_rows(
+            data.u.reshape(chart.num_points, -1)))
         reference_loops.write_plot_data(old, chart, data.u)
         assert new.read_bytes() == old.read_bytes()
 
@@ -202,7 +203,7 @@ class TestEquivalenceWithReferenceLoops:
         u = np.resize(np.array(special), chart.shape + (3,))
         ds = datafiles.immersion_dataset(chart, u)
         new, old = tmp_path / "new.txt", tmp_path / "old.txt"
-        datafiles.write_dataset(new, ds)
+        texts = datafiles.write_dataset(new, ds)
         reference_loops.write_dataset(old, ds)
         assert new.read_bytes() == old.read_bytes()
         text = new.read_text()
@@ -211,7 +212,8 @@ class TestEquivalenceWithReferenceLoops:
             assert token in text
         back = datafiles.read_dataset(new).blocks["u"]
         assert np.array_equal(back.view(np.int64), u.view(np.int64))
-        cli._write_plot_data(new, chart, u)
+        # the u rows as the immersion file has them, as cmd_reconstruct does
+        cli._write_plot_data(new, chart, texts["u"])
         reference_loops.write_plot_data(old, chart, u)
         assert new.read_bytes() == old.read_bytes()
 
