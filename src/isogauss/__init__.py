@@ -21,15 +21,14 @@ from .curvature import (CurvaturePack, MetricField, christoffel,
                         curvature_operator, metric_field, raise_index,
                         riemann_tensor)
 from .grid import Chart, build_chart
-from .reconstruct import (Immersion, compare_up_to_translation, integrate,
-                          verify_immersion)
+from .reconstruct import compare_up_to_translation, integrate, verify_immersion
 from .surfaces import CATALOG, OracleData, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport", "CandidateSolution", "Chart", "CodimForms",
-    "CurvaturePack", "Immersion", "MetricField", "NormalFrame", "OracleData",
+    "CurvaturePack", "MetricField", "NormalFrame", "OracleData",
     "PipelineOptions", "CATALOG", "build_U", "build_chart",
     "build_normal_frame", "check_h_squared", "check_isometry",
     "check_minimal_m2", "check_parallel", "christoffel", "codazzi_residual",

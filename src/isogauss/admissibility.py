@@ -5,8 +5,9 @@ The decision pipeline follows four steps: positivity of the scalar invariant
 (closed form when ``q > 0``, a per-node homogeneous linear system solved by
 an eigensolve of its Gram matrix when ``q = 0`` and ``m >= 3``, one member
 of the associated family, from its Hopf angle, when ``q = 0`` and
-``m = 2``); the quadratic check ``h^2 = k``; and isometry plus parallelity
-of the bundle map ``U`` that would be the differential of the immersion.
+``m = 2``); the quadratic check ``h^2 = k``; and isometry, parallelity
+and integrability (the curl) of the bundle map ``U`` that would be the
+differential of the immersion, so an admissible ``U`` integrates.
 Every codimension ``d`` shares the normal frame of :mod:`isogauss.codim`
 and steps 1, 3 and 4; normal data of codimension ``d >= 2`` recovers its
 candidates in step 2 from the trace matrix.  All verdicts carry named
@@ -16,14 +17,16 @@ asserted by callers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codim import (RANK_REL_TOL, _block_products, build_normal_frame,
-                    frame_consistency, mean_curvature_vector, second_forms,
-                    third_forms, weingarten_combination)
+from .codim import (RANK_REL_TOL, _block_products, _right_singular,
+                    build_normal_frame, frame_consistency,
+                    mean_curvature_vector, second_forms, third_forms,
+                    weingarten_combination)
 from .curvature import (CurvaturePack, MetricField, curvature_operator,
                         node_max, node_norm, riemann_tensor, spd_solve,
                         symmetric_eig, to_orthonormal)
@@ -32,7 +35,8 @@ from .errors import (BranchError, ConfigurationError, DegenerateGaussMapError,
 from .grid import Chart, align_signs, grad_all, interior_max
 
 RESIDUAL_KEYS = ("step1_positivity", "h_squared", "isometry", "parallelity",
-                 "gauss_condition_m2", "conformality_m2", "nullspace_gap")
+                 "curl", "gauss_condition_m2", "conformality_m2",
+                 "nullspace_gap")
 
 VERDICT_ADMISSIBLE = "admissible"
 VERDICT_REJECTED = "rejected"
@@ -129,10 +133,11 @@ def step1_positivity(s: np.ndarray, k: np.ndarray, metric: MetricField,
 
     ``k`` is the third form, summed over the normal directions.  On the
     positive branch ``H = sqrt(q)`` is the mean curvature (its length in
-    codimension ``d >= 2``).  A sign change across the chart beyond noise is
-    classified ``mixed``; the smooth-square-root subtlety makes any branch
-    choice there a guess, so the pipeline reports the data inapplicable
-    instead of picking one.
+    codimension ``d >= 2``).  A chart whose normalized ``q`` is within noise
+    of zero at some node (``qn_min`` in ``[-tau, tau]``) and above noise at
+    another (``qn_max > tau``) is classified ``mixed``; the
+    smooth-square-root subtlety makes any branch choice there a guess, so
+    the pipeline reports the data inapplicable instead of picking one.
     """
     options = options or PipelineOptions()
     chart = metric.chart
@@ -239,13 +244,13 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     ``(m^2 m(m-1)/2) x m(m+1)/2`` matrix is one product ``z @ C`` of the
     node's ``z = [vec M_b, vec g^{-1}]``, ``M_b = k^{-1} R(g^{-1} W_b)``
     (:func:`curvature.curvature_operator`), with the constant map of
-    :func:`_theorem3_map`.  The bottom eigenvector of the trace-scaled Gram
-    matrix of that system, from the Jacobi kernel
-    :func:`curvature.symmetric_eig`, is the nullspace.  A one-dimensional
-    numerical nullspace (small last singular value, clear gap to the
-    second-last) certifies uniqueness up to scale; the missing scale is
-    restored from ``Tr(h^2) = Tr k`` and the sign is fixed once per chart
-    (trace >= 0 at the center) and continued seamlessly.
+    :func:`_theorem3_map`.  The bottom right singular vector of that
+    system, from the Jacobi kernel :func:`curvature.symmetric_eig` on its
+    Gram matrix (:func:`codim._right_singular`), is the nullspace.  A
+    one-dimensional numerical nullspace (small last singular value, clear
+    gap to the second-last) certifies uniqueness up to scale; the missing
+    scale is restored from ``Tr(h^2) = Tr k`` and the sign is fixed once per
+    chart (trace >= 0 at the center) and continued seamlessly.
 
     The last singular value is the residual norm ``|mat v|`` of that
     eigenvector, so the gap keeps the accuracy of an SVD.  The others are
@@ -277,20 +282,14 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
                                  check=False),
               out=z[..., :rows].reshape(chart.shape + W.shape))
     z[..., rows:] = ginv.reshape(chart.shape + (m * m,))
-    null = np.empty(chart.shape + (p,))
-    sig1, sig_prev, sig_last = np.empty((3,) + chart.shape)
+    null, sig = np.empty((2,) + chart.shape + (p,))
     step = max(1, _THEOREM3_BLOCK_NODES // math.prod(chart.shape[1:]))
     for i0 in range(0, chart.shape[0], step):
         blk = slice(i0, i0 + step)
-        mat = (z[blk] @ C).reshape(z[blk].shape[:-1] + (rows, p))
-        gram = mat.mT @ mat
-        tr = np.einsum("...ii->...", gram)
-        ev, V = symmetric_eig(gram / tr[..., None, None], vectors=True)
+        sig[blk], V = _right_singular(
+            (z[blk] @ C).reshape(z[blk].shape[:-1] + (rows, p)))
         null[blk] = V[..., :, 0]
-        sig1[blk] = np.sqrt(ev[..., -1])
-        sig_prev[blk] = np.sqrt(np.clip(ev[..., 1], 0.0, None))
-        resid = mat @ V[..., :, :1]
-        sig_last[blk] = node_norm(resid, 2) / np.sqrt(tr)
+    sig_last, sig_prev, sig1 = sig[..., 0], sig[..., 1], sig[..., -1]
     utol = options.unit_tol(chart)
     has_null = sig_last <= utol * sig1
     unique = has_null & (sig_prev > utol * sig1)
@@ -363,7 +362,7 @@ def h_from_hopf_angle(metric: MetricField, Gamma: np.ndarray, k: np.ndarray,
     k_on = to_orthonormal(metric, k)
     kappa = np.sqrt(0.5 * (k_on[..., 0, 0] + k_on[..., 1, 1]))
     phi = integrate(hopf_angle_gradient(metric, Gamma, kappa)[..., None, :],
-                    metric.chart).u[..., 0]
+                    metric.chart)[..., 0]
     c, s = sign * kappa * np.cos(phi), sign * kappa * np.sin(phi)
     h_on = np.empty(k.shape)
     h_on[..., 0, 0], h_on[..., 1, 1] = c, -c
@@ -424,23 +423,24 @@ def check_isometry(U: np.ndarray, metric: MetricField) -> float:
 
 
 def check_parallel(U: np.ndarray, Gamma: np.ndarray, frame: np.ndarray,
-                   chart: Chart) -> float:
+                   chart: Chart, dU: np.ndarray | None = None) -> float:
     """Parallelity defect of U: tangential part of dU minus the Gamma term.
 
     Per node and index pair (i, j) this is the norm of
     ``d_i u_j - sum_a <d_i u_j, nu^a> nu^a - Gamma^k_ij u_k`` over the
     columns of the ``(*grid, n, d)`` normal frame, normalized by
-    ``1 + |Gamma| |U|``; the interior maximum is returned.
+    ``1 + |Gamma| |U|``; the interior maximum is returned.  ``dU`` is
+    ``grad_all(U, chart)`` when the caller has it; it is overwritten.
     """
     m = chart.m
-    dU = grad_all(U, chart)                                   # (..., n, j, i)
-    flat = dU.reshape(U.shape[:-1] + (m * m,))
-    tang = dU.copy()
-    for a in range(frame.shape[-1]):
-        nu = frame[..., a]
-        ip = (nu[..., None, :] @ flat).reshape(chart.shape + (1, m, m))
-        tang -= nu[..., :, None, None] * ip
-    del dU, flat
+    tang = grad_all(U, chart) if dU is None else dU           # (..., n, j, i)
+    flat = tang.reshape(U.shape[:-1] + (m * m,))
+    # every normal component is read from dU before any is removed
+    ips = [(frame[..., None, :, a] @ flat).reshape(chart.shape + (1, m, m))
+           for a in range(frame.shape[-1])]
+    for a, ip in enumerate(ips):
+        tang -= frame[..., :, None, None, a] * ip
+    del flat, ips
     # [..., n, i, j] = u_k Gamma^k_ij
     gam = (U @ Gamma.reshape(chart.shape + (m, m * m))).reshape(tang.shape)
     tang -= np.swapaxes(gam, -1, -2)
@@ -451,6 +451,25 @@ def check_parallel(U: np.ndarray, Gamma: np.ndarray, frame: np.ndarray,
     # U is a derived field: a deeper margin keeps its boundary-layer
     # truncation error out of the stencil
     return interior_max(chart, res / scale, margin=4)
+
+
+def curl_residual(U: np.ndarray, chart: Chart,
+                  dU: np.ndarray | None = None) -> float:
+    """Mixed-partials defect: the interior max over nodes and pairs
+    ``i < j`` of ``|d_i u_j - d_j u_i|``, normalized by ``1 + max |U|`` over
+    the chart.
+
+    Zero (up to discretization) is exactly path independence of the line
+    integral of U, i.e. integrability of du = U.  ``dU`` is
+    ``grad_all(U, chart)`` when the caller has it.
+    """
+    if dU is None:
+        dU = grad_all(U, chart)                               # (..., n, j, i)
+    res = np.zeros(chart.shape)
+    for i, j in itertools.combinations(range(chart.m), 2):
+        np.maximum(res, node_norm(dU[..., j, i] - dU[..., i, j], 1), out=res)
+    scale = 1.0 + float(np.max(node_norm(U, 2)))
+    return interior_max(chart, res, margin=4) / scale
 
 
 @dataclass(frozen=True)
@@ -513,7 +532,7 @@ def codazzi_residual(h: np.ndarray, Gamma: np.ndarray, metric: MetricField) -> f
 # the residuals a candidate is judged by, in report order (a residual
 # without a threshold is never judged)
 _JUDGED = ("gauss_condition_m2", "conformality_m2", "h_squared", "isometry",
-           "parallelity")
+           "parallelity", "curl")
 
 
 def _failed_step(failing: list[str]) -> str:
@@ -535,7 +554,7 @@ def _failure_note(failing: list[str], step: str,
 
 def _badness(report: AdmissibilityReport) -> float:
     return max(report.residuals[k]
-               for k in ("h_squared", "isometry", "parallelity"))
+               for k in ("h_squared", "isometry", "parallelity", "curl"))
 
 
 def run_pipeline(metric: MetricField, normals: np.ndarray,
@@ -601,9 +620,10 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
                       "s + Tr k is negative beyond noise: no immersion exists")
     if s1.classification == "mixed":
         return finish(VERDICT_INAPPLICABLE, None, "none",
-                      "s + Tr k changes sign across the chart beyond noise; a "
-                      "smooth square root may or may not exist and no branch "
-                      "is selected")
+                      f"normalized s + Tr k runs from {s1.qn_min:.4g}, within "
+                      f"tau = {tau:.4g} of 0, to {s1.qn_max:.4g} > tau: it is "
+                      f"neither zero nor positive beyond noise on the whole "
+                      f"chart, so no branch is selected")
 
     # step 2: candidates (h^a, H^a)
     if not hypersurface:
@@ -680,14 +700,18 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
         candidates = [(h[..., None, :, :], H[..., None])]
 
     # steps 3 and 4
-    thresholds.update(h_squared=tau, isometry=tau, parallelity=tau)
+    thresholds.update(h_squared=tau, isometry=tau, parallelity=tau, curl=tau)
     best = None
     for h_alpha, H_alpha in candidates:
         U = build_U(wc.A, wc.k, np.moveaxis(h_alpha, -3, -1) @ wc.w, frame)
         res, ext = dict(residuals), dict(extra)
         res["h_squared"] = check_h_squared(h_alpha, forms.k_ab, metric)
         res["isometry"] = check_isometry(U, metric)
-        res["parallelity"] = check_parallel(U, pack.Gamma, frame, chart)
+        # U's one derivative: the curl reads it, then parallelity reuses it
+        dU = grad_all(U, chart)
+        res["curl"] = curl_residual(U, chart, dU)
+        res["parallelity"] = check_parallel(U, pack.Gamma, frame, chart, dU)
+        del dU
         if hypersurface:
             ext["codazzi"] = codazzi_residual(h_alpha[..., 0, :, :], pack.Gamma,
                                               metric)

@@ -153,14 +153,15 @@ def cmd_reconstruct(args) -> int:
         print("note: minimal-surface data determines a one-parameter family; "
               "writing its member with Hopf angle phi = "
               f"{'0' if options.sign_branch > 0 else 'pi'} at the chart center")
-    imm = integrate(report.candidate.U, chart, curl_tol=options.fd_tol(chart))
+    u = integrate(report.candidate.U, chart)
     out = args.out or "reconstruction"
     # the u rows are formatted once, for both files, and freed after them
     _write_plot_data(out + ".xyz.txt", chart, datafiles.write_dataset(
-        out + ".immersion.txt", datafiles.immersion_dataset(chart, imm.u))["u"])
-    res_g, res_n = verify_immersion(imm, metric, normals)
+        out + ".immersion.txt", datafiles.immersion_dataset(chart, u))["u"])
+    res_g, res_n = verify_immersion(u, metric, normals)
     print(f"verification: metric residual {res_g:.3e}, "
-          f"tangency residual {res_n:.3e}, curl residual {imm.curl_residual:.3e}")
+          f"tangency residual {res_n:.3e}, "
+          f"curl residual {report.residuals['curl']:.3e}")
     print(f"wrote {out}.immersion.txt and {out}.xyz.txt")
     return EXIT_ADMISSIBLE
 

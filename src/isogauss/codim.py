@@ -224,7 +224,7 @@ def _block_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _right_singular(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of a ``(..., d, d)`` stack, ascending, and the right
+    """Singular values of a ``(..., r, p)`` stack, ascending, and the right
     singular vectors as columns, from the eigenpairs of the Gram ``E^T E``.
     The smallest singular value is the residual norm ``|E v|`` of its vector
     ``v``, which is as accurate as an SVD's; the square root of the smallest

@@ -308,14 +308,6 @@ def dataset_normals(ds: Dataset) -> np.ndarray:
     return normals
 
 
-def oracle_h_alpha(ds: Dataset) -> np.ndarray:
-    m, d = ds.m, ds.codim
-    sym = m * (m + 1) // 2
-    rows = ds.blocks["h"]
-    parts = [unpack_sym(rows[..., a * sym:(a + 1) * sym], m) for a in range(d)]
-    return np.stack(parts, axis=-3)
-
-
 # ---------------------------------------------------------------------------
 # reports
 

@@ -41,14 +41,6 @@ class BranchError(IsoGaussError):
     """A solve branch was called outside its validity region."""
 
 
-class NonIntegrableError(IsoGaussError):
-    """Candidate differential fails the mixed-partials (curl) check."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class DomainError(IsoGaussError):
     """Input outside the mathematical domain of an operation."""
 

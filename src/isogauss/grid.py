@@ -96,10 +96,6 @@ class Chart:
         grids = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack(grids, axis=-1)
 
-    def node_coords(self, index: tuple[int, ...]) -> np.ndarray:
-        return np.array([self.origin[i] + self.spacing[i] * index[i]
-                         for i in range(self.m)])
-
     def refine(self, factor: int = 2) -> "Chart":
         """Same coordinate box with ``factor``-times finer spacing."""
         shape = tuple(factor * (n - 1) + 1 for n in self.shape)
@@ -137,16 +133,6 @@ def _deriv_into(f: np.ndarray, dx: float, axis: int, out: np.ndarray) -> None:
     np.multiply(f[-3:-2], 0.5 / dx, out=last)
     last += f[-2:-1] * (-2.0 / dx)
     last += f[-1:] * (1.5 / dx)
-
-
-def deriv(values: np.ndarray, chart: Chart, axis: int) -> np.ndarray:
-    """Second-order finite difference along grid axis ``axis``."""
-    if not 0 <= axis < chart.m:
-        raise ConfigurationError(f"axis {axis} out of range for m = {chart.m}")
-    values = np.asarray(values, dtype=float)
-    out = np.empty(values.shape)
-    _deriv_into(values, chart.spacing[axis], axis, out)
-    return out
 
 
 def grad_all(values: np.ndarray, chart: Chart) -> np.ndarray:

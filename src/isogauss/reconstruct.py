@@ -3,85 +3,54 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .admissibility import AdmissibilityReport, PipelineOptions, run_pipeline
 from .curvature import MetricField, metric_field, node_max, node_norm
-from .errors import NonIntegrableError
+from .errors import DomainError
 from .grid import Chart, grad_all, interior_max
 from .surfaces import (OracleData, Surface, generate,
                        smooth_rotation_of_gauss_map)
 
 
-@dataclass(frozen=True)
-class Immersion:
-    u: np.ndarray                 # (*grid, n)
-    base_index: tuple[int, ...]
-    base_value: np.ndarray        # (n,)
-    curl_residual: float
+def integrate(U: np.ndarray, chart: Chart) -> np.ndarray:
+    """Trapezoidal integration of du = U along axis-ordered staircase paths.
 
-
-def curl_residual(U: np.ndarray, chart: Chart) -> float:
-    """Mixed-partials defect ``max |d_i u_j - d_j u_i|`` (normalized).
-
-    Zero (up to discretization) is exactly path independence of the line
-    integral of U, i.e. integrability of du = U.
-    """
-    dU = grad_all(U, chart)                                   # (..., n, j, i)
-    defect = dU - np.swapaxes(dU, -1, -2)
-    res = node_max(node_norm(np.moveaxis(defect, -3, -1), 1), 2)
-    scale = 1.0 + float(np.max(node_norm(U, 2)))
-    return interior_max(chart, res, margin=4) / scale
-
-
-def integrate(U: np.ndarray, chart: Chart, base_index: tuple[int, ...] | None = None,
-              base_value=0.0, curl_tol: float | None = None) -> Immersion:
-    """Trapezoidal integration of U along axis-ordered staircase paths.
-
-    The path runs from the base node (chart center by default) first along
-    axis 0, then axis 1, and so on; path independence is not assumed but
-    certified via :func:`curl_residual`.  Above ``curl_tol`` the data fails
-    the integrability condition and :class:`NonIntegrableError` is raised.
+    The path runs from the chart center, where ``u = 0``, first along axis
+    0, then axis 1, and so on.  Path independence is not checked here: the
+    pipeline judges it as the step-4 ``curl`` residual
+    (:func:`isogauss.admissibility.curl_residual`), so the ``U`` of an
+    admissible report integrates.
     """
     n = U.shape[-2] if U.ndim >= 2 else 0
     if U.shape != chart.shape + (n, chart.m):
-        raise NonIntegrableError(
+        raise DomainError(
             f"U has shape {U.shape}, expected {chart.shape + (n, chart.m)}")
-    base_index = tuple(base_index) if base_index is not None else chart.center
-    base_value = np.broadcast_to(np.asarray(base_value, dtype=float), (n,)).copy()
-
-    res = curl_residual(U, chart)
-    if curl_tol is not None and res > curl_tol:
-        raise NonIntegrableError(
-            f"mixed-partials residual {res:.3e} exceeds {curl_tol:.3e}: "
-            f"du = U is not integrable", residual=res)
-
+    base = chart.center
     u = np.zeros(chart.shape + (n,))
-    u[base_index] = base_value
     # after handling axis a the values are valid on the slab that is free on
     # axes <= a and pinned to the base index on axes > a
     for a in range(chart.m):
-        slab = tuple(slice(None) if t <= a else slice(base_index[t], base_index[t] + 1)
+        slab = tuple(slice(None) if t <= a else slice(base[t], base[t] + 1)
                      for t in range(chart.m))
         useg = np.moveaxis(u[slab], a, 0)
         Useg = np.moveaxis(U[slab][..., a], a, 0)
         dx = chart.spacing[a]
-        b = base_index[a]
+        b = base[a]
         inc = 0.5 * dx * (Useg[1:] + Useg[:-1])               # trapezoid
         if b < useg.shape[0] - 1:
             useg[b + 1:] = useg[b] + np.cumsum(inc[b:], axis=0)
         if b > 0:
             useg[b - 1::-1] = useg[b] - np.cumsum(inc[b - 1::-1], axis=0)
-    return Immersion(u=u, base_index=base_index, base_value=base_value,
-                     curl_residual=res)
+    return u
 
 
-def verify_immersion(imm: Immersion, metric: MetricField,
+def verify_immersion(u: np.ndarray, metric: MetricField,
                      normals: np.ndarray) -> tuple[float, float]:
-    """Re-differentiate u and report the metric and tangency residuals.
+    """Re-differentiate the immersion ``u`` and report the metric and
+    tangency residuals.
 
     ``normals`` is the ``(*grid, n, d)`` stack of normal columns for any
     codimension ``d``; each column is normalized per node.  Returns interior
@@ -89,7 +58,7 @@ def verify_immersion(imm: Immersion, metric: MetricField,
     ``max_a |<u_i, nu^a>| / (1 + |du|)``.
     """
     chart = metric.chart
-    du = grad_all(imm.u, chart)
+    du = grad_all(u, chart)
     gram = du.mT @ du
     res_g = node_norm(gram - metric.g, 2) / (1.0 + node_norm(metric.g, 2))
     nu = normals / node_norm(normals.mT, 1)[..., None, :]
@@ -187,8 +156,7 @@ def roundtrip_level(surface: Surface, chart: Chart, options: PipelineOptions,
             turn = z[0] / z[1] / abs(z[0] / z[1])      # exp(i delta)
             J = np.array([[0.0, -1.0], [1.0, 0.0]])
             U = turn.real * U - turn.imag * (U @ Li.mT @ J @ metric.chol.mT)
-        u = integrate(U, chart, curl_tol=options.fd_tol(chart)).u
-        error = box_error(u, data.u, chart, level)
+        error = box_error(integrate(U, chart), data.u, chart, level)
     return RoundtripLevel(chart, data, metric, report, worst, error)
 
 

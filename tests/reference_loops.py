@@ -18,8 +18,9 @@ per-matrix LAPACK ``eigvalsh``, ``eigh`` and ``svd`` calls that
 eigensolve), the ``np.sum`` / ``np.max`` reductions over trailing axes and
 the ``np.gradient`` stack that ``curvature.node_norm``,
 ``curvature.node_max`` and ``grid.grad_all`` replace by elementwise
-kernels, and the per-matrix LAPACK ``det`` of ``check_minimal_m2``; the
-equivalence tests compare the package against them.
+kernels, the per-matrix LAPACK ``det`` of ``check_minimal_m2``, and the
+whole antisymmetric defect that ``admissibility.curl_residual`` reads only
+above the diagonal; the equivalence tests compare the package against them.
 ``gauss_map_differential`` is the hypersurface formula that the one-column
 normal frame reproduces.
 """
@@ -510,6 +511,16 @@ def gradient_stack(values, chart):
     """``grid.grad_all`` as one ``np.gradient`` per axis, stacked."""
     return np.stack([np.gradient(values, chart.spacing[a], axis=a, edge_order=2)
                      for a in range(chart.m)], axis=-1)
+
+
+def curl_residual(U, chart):
+    """``admissibility.curl_residual`` over the whole ``(j, i)`` block of
+    ``d_i u_j - d_j u_i``, diagonal included, by ``np.sum`` and ``np.max``."""
+    dU = gradient_stack(U, chart)
+    defect = np.moveaxis(dU - np.swapaxes(dU, -1, -2), -3, -1)
+    res = node_max(node_norm(defect, 1), 2)
+    scale = 1.0 + float(np.max(node_norm(U, 2)))
+    return float(np.max(res[chart.interior_slices(4)])) / scale
 
 
 def check_minimal_m2(metric, k, s):

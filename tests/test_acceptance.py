@@ -284,7 +284,7 @@ def test_criterion_09_sign_invariance(capsys):
         assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12
     up = integrate(plus.candidate.U, chart)
     um = integrate(minus.candidate.U, chart)
-    flip_dev = compare_up_to_translation(um.u, -up.u)
+    flip_dev = compare_up_to_translation(um, -up)
     assert flip_dev <= 1e-12
     announce(9, f"residual shifts <= 1e-12, flipped reconstruction "
                 f"deviation {flip_dev:.1e}")

@@ -120,6 +120,19 @@ class TestStep1:
                                third_form(chart, normals), metric)
         assert res.classification == "mixed"
 
+    def test_mixed_note_names_the_compared_numbers(self):
+        # ellipsoid 13^2: no interior q is negative (step-1 residual 0), but
+        # its smallest normalized q lies within tau = 0.5 of zero
+        surf = CATALOG["ellipsoid"]()
+        data = generate(surf, surf.default_chart(13))
+        report = run_pipeline(metric_field(data.chart, data.g), data.frame)
+        assert (report.verdict, report.residuals["step1_positivity"]) == \
+            ("inapplicable", 0.0)
+        assert report.notes == [
+            "normalized s + Tr k runs from 0.4071, within tau = 0.5 of 0, to "
+            "0.8092 > tau: it is neither zero nor positive beyond noise on "
+            "the whole chart, so no branch is selected"]
+
 
 class TestTheorem2:
     def test_unit_sphere_h_equals_g(self, sphere):

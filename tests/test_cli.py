@@ -394,6 +394,30 @@ def test_removed_options_exit_2(flags, ellipsoid_files, tmp_path, monkeypatch,
     assert not list(tmp_path.iterdir())
 
 
+def test_admissible_implies_integrable_on_every_command(tmp_path, capsys):
+    """graph at 17^2 with C = 14.5: only the curl is over tau (1.02 tau,
+    parallelity 0.94 tau), so ``check``, ``reconstruct`` and ``roundtrip``
+    all reject at step 4; none reads admissible and then fails to
+    integrate."""
+    out = tmp_path / "graph"
+    assert run_cli("forward", "--surface", "graph", "--grid", "17x17",
+                   "--out", str(out)) == 0
+    dataset, flags = str(out) + ".dataset.txt", ("--tol-scale", "14.5")
+    assert run_cli("check", dataset, "--out", str(tmp_path / "report.txt"),
+                   *flags) == 1
+    report = datafiles.parse_report((tmp_path / "report.txt").read_text())
+    failing = [key for key, value in report["residuals"].items()
+               if value > report["thresholds"][key]]
+    assert (report["verdict"], report["failed_step"], failing) == \
+        ("rejected", "4", ["curl"])
+    assert run_cli("reconstruct", dataset, "--out", str(tmp_path / "rec"),
+                   *flags) == 1
+    assert not (tmp_path / "rec.immersion.txt").exists()
+    assert run_cli("roundtrip", "--surface", "graph", "--grid", "17x17",
+                   *flags) == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_wrong_kind_dataset_exit_2(ellipsoid_files, capsys):
     assert run_cli("check", str(ellipsoid_files) + ".oracle.txt") == 2
 

@@ -6,8 +6,8 @@ import pytest
 from isogauss import admissibility, codim
 from isogauss.admissibility import (PipelineOptions, build_U, check_h_squared,
                                     check_isometry, check_parallel,
-                                    h_from_theorem2, run_pipeline,
-                                    step1_positivity)
+                                    curl_residual, h_from_theorem2,
+                                    run_pipeline, step1_positivity)
 from isogauss.codim import (_resolve_full_fixed_space, _rho_and_B,
                             _right_singular, build_normal_frame,
                             frame_consistency, mean_curvature_vector,
@@ -275,8 +275,9 @@ class TestBuildU:
         assert check_isometry(U, clifford.metric) < tol
         assert check_parallel(U, clifford.pack.Gamma, frame.frame,
                               clifford.chart) < tol
-        imm = integrate(U, clifford.chart, curl_tol=tol)
-        assert box_error(imm.u, clifford.data.u, clifford.chart, 0) < tol
+        assert curl_residual(U, clifford.chart) < tol
+        u = integrate(U, clifford.chart)
+        assert box_error(u, clifford.data.u, clifford.chart, 0) < tol
 
     def test_frame_order_independence(self, clifford_problem):
         clifford, frame, _ = clifford_problem
@@ -337,9 +338,9 @@ class TestGenericCodimTwo:
         h_err = interior_max(graph4.chart, node_norm(
             rep.candidate.h_alpha - graph4.data.h_alpha, 3))
         assert H_err < tol and h_err < tol
-        imm = integrate(rep.candidate.U, graph4.chart,
-                        curl_tol=PipelineOptions().fd_tol(graph4.chart))
-        assert box_error(imm.u, graph4.data.u, graph4.chart, 0) < tol
+        assert rep.residuals["curl"] < tol
+        u = integrate(rep.candidate.U, graph4.chart)
+        assert box_error(u, graph4.data.u, graph4.chart, 0) < tol
 
 
 class TestCodimPipeline:
@@ -350,6 +351,7 @@ class TestCodimPipeline:
         assert rep.residuals["h_squared"] < tol
         assert rep.residuals["isometry"] < tol
         assert rep.residuals["parallelity"] < tol
+        assert rep.residuals["curl"] < tol
         H_err = interior_max(clifford.chart,
                              np.max(np.abs(rep.candidate.H_alpha
                                            - clifford.data.H_alpha), axis=-1))

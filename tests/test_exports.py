@@ -1,6 +1,7 @@
 """The package's public names, and the names the benchmark traces: every
-one must still exist."""
+one must still exist.  Every module-level function or class must be used."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -51,3 +52,36 @@ def test_every_traced_name_resolves():
     absent = {(module, fn) for module, fn in tracer.TRACED + tracer.COUNTED
               if not _resolves(module, fn)}
     assert sorted(absent - KNOWN_ABSENT) == []
+
+
+def _used_names(root: pathlib.Path) -> set[str]:
+    """Identifiers, attribute names, imported names and whole string
+    constants (the benchmark traces functions by name) of every Python file
+    under ``src/``, ``scripts/`` and ``perfbench/``; a definition's own
+    name is none of these."""
+    used = set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in (root / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value)
+    return used
+
+
+def test_every_module_level_definition_is_used():
+    # a function or class that only the tests call is dead code: delete it
+    # and port its tests to what the package uses instead
+    root = pathlib.Path(__file__).resolve().parents[1]
+    used = _used_names(root)
+    dead = [f"{path.stem}.{node.name}"
+            for path in sorted((root / "src" / "isogauss").glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in used]
+    assert dead == []

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogauss.errors import ConfigurationError
-from isogauss.grid import (align_signs, build_chart, center_sign, deriv,
+from isogauss.grid import (align_signs, build_chart, center_sign,
                            grad_all, staircase_slabs)
 from isogauss.reconstruct import observed_order
 
@@ -50,18 +50,18 @@ class TestDerivative:
     def test_constant_is_exactly_zero(self):
         chart = chart2()
         f = np.full(chart.shape, 3.7)
-        assert np.all(deriv(f, chart, 0) == 0.0)
+        assert np.all(grad_all(f, chart)[..., 0] == 0.0)
 
     def test_linear_ramp_exact(self):
         chart = chart2()
         f = chart.mesh()[..., 0]
-        assert np.allclose(deriv(f, chart, 0), 1.0, atol=1e-12)
-        assert np.allclose(deriv(f, chart, 1), 0.0, atol=1e-12)
+        assert np.allclose(grad_all(f, chart)[..., 0], 1.0, atol=1e-12)
+        assert np.allclose(grad_all(f, chart)[..., 1], 0.0, atol=1e-12)
 
     def test_quadratic_exact_in_interior(self):
         chart = chart2()
         x = chart.mesh()
-        d0 = deriv(x[..., 0] ** 2 + x[..., 0] * x[..., 1], chart, 0)
+        d0 = grad_all(x[..., 0] ** 2 + x[..., 0] * x[..., 1], chart)[..., 0]
         expect = 2 * chart.mesh()[..., 0] + chart.mesh()[..., 1]
         assert np.allclose(d0[chart.interior], expect[chart.interior], atol=1e-12)
 
@@ -70,7 +70,7 @@ class TestDerivative:
         errs = []
         for n in (17, 33):
             chart = build_chart(2, (n, n), (1.0 / (n - 1),) * 2, (0.0, 0.0))
-            d = deriv(np.sin(3 * chart.mesh()[..., 0]), chart, 0)
+            d = grad_all(np.sin(3 * chart.mesh()[..., 0]), chart)[..., 0]
             errs.append(np.max(np.abs(d - 3 * np.cos(3 * chart.mesh()[..., 0]))))
         assert observed_order(*errs) >= 1.9
 
@@ -82,8 +82,8 @@ class TestDerivative:
             chart = build_chart(2, (n, n), (1.0 / (n - 1),) * 2, (0.0, 0.0))
             x = chart.mesh()
             f = np.sin(2 * x[..., 0]) * np.cos(x[..., 1])
-            d01 = deriv(deriv(f, chart, 0), chart, 1)
-            d10 = deriv(deriv(f, chart, 1), chart, 0)
+            d01 = grad_all(grad_all(f, chart)[..., 0], chart)[..., 1]
+            d10 = grad_all(grad_all(f, chart)[..., 1], chart)[..., 0]
             assert np.max(np.abs(d01 - d10)) < 1e-11
             exact = -2 * np.cos(2 * x[..., 0]) * np.sin(x[..., 1])
             errs.append(np.max(np.abs((d01 - exact)[chart.interior])))
@@ -96,8 +96,8 @@ class TestDerivative:
         rng = np.random.default_rng(0)
         f = rng.standard_normal(chart.shape)
         g = rng.standard_normal(chart.shape)
-        lhs = deriv(a * f + b * g, chart, 0)
-        rhs = a * deriv(f, chart, 0) + b * deriv(g, chart, 0)
+        lhs = grad_all(a * f + b * g, chart)[..., 0]
+        rhs = a * grad_all(f, chart)[..., 0] + b * grad_all(g, chart)[..., 0]
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -201,7 +201,7 @@ def test_grad_all_stacks_derivative_axis_last():
 
 
 class TestGradAll:
-    """``grad_all`` and ``deriv`` are ``np.gradient``'s stencil bit for bit."""
+    """``grad_all`` is ``np.gradient``'s stencil bit for bit."""
 
     @pytest.mark.parametrize("shape,index", [((5,), (2,)), ((13,), ()),
                                              ((5, 9), (2, 2, 2)),
@@ -216,8 +216,6 @@ class TestGradAll:
         g = grad_all(f, chart)
         assert g.shape == shape + index + (m,)
         assert np.array_equal(g, reference_loops.gradient_stack(f, chart))
-        for a in range(m):
-            assert np.array_equal(deriv(f, chart, a), g[..., a])
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_non_contiguous_views(self, m):
