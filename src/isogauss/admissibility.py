@@ -203,13 +203,27 @@ def _symmetric_basis(m: int) -> np.ndarray:
 
 def _antisymmetric_basis(m: int) -> np.ndarray:
     mats = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = np.zeros((m, m))
-            w[a, b] = 1.0
-            w[b, a] = -1.0
-            mats.append(w)
+    for a, b in itertools.combinations(range(m), 2):
+        w = np.zeros((m, m))
+        w[a, b] = 1.0
+        w[b, a] = -1.0
+        mats.append(w)
     return np.array(mats)
+
+
+def _so_g_basis(g_inv: np.ndarray) -> np.ndarray:
+    """The basis ``g^{-1} W_b`` of so_g, ``(*grid, nb, m, m)``, with ``W``
+    from :func:`_antisymmetric_basis`.  ``W_b`` holds one +1, at ``(a, b)``,
+    and one -1, so column ``b`` of ``g^{-1} W_b`` is column ``a`` of
+    ``g^{-1}``, column ``a`` is minus column ``b`` and the rest are zero:
+    exact copies, no product."""
+    m = g_inv.shape[-1]
+    pairs = list(itertools.combinations(range(m), 2))
+    out = np.zeros(g_inv.shape[:-2] + (len(pairs), m, m))
+    for i, (a, b) in enumerate(pairs):
+        out[..., i, :, b] = g_inv[..., :, a]
+        np.negative(g_inv[..., :, b], out=out[..., i, :, a])
+    return out
 
 
 def _theorem3_map(m: int) -> np.ndarray:
@@ -278,7 +292,7 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     # z = [vec M_b, vec g^{-1}] per node
     z = np.empty(chart.shape + (C.shape[0],))
     np.matmul(kop_inv[..., None, :, :],
-              curvature_operator(pack, metric, ginv[..., None, :, :] @ W,
+              curvature_operator(pack, metric, _so_g_basis(ginv),
                                  check=False),
               out=z[..., :rows].reshape(chart.shape + W.shape))
     z[..., rows:] = ginv.reshape(chart.shape + (m * m,))
@@ -367,7 +381,7 @@ def h_from_hopf_angle(metric: MetricField, Gamma: np.ndarray, k: np.ndarray,
     h_on = np.empty(k.shape)
     h_on[..., 0, 0], h_on[..., 1, 1] = c, -c
     h_on[..., 0, 1] = h_on[..., 1, 0] = s
-    return metric.chol @ h_on @ metric.chol.mT
+    return metric.chol @ h_on @ np.ascontiguousarray(metric.chol.mT)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +422,17 @@ def build_U(A: np.ndarray, k: np.ndarray, h: np.ndarray,
     if kinvh is None:
         raise DegenerateGaussMapError(
             "third form not positive definite, cannot invert A^*")
-    U = -(A @ kinvh)
+    U = A @ kinvh
+    np.negative(U, out=U)
     for a in range(frame.shape[-1]):
         nu = frame[..., a]
-        U = U - nu[..., :, None] * (nu[..., None, :] @ U)
+        U -= nu[..., :, None] * (nu[..., None, :] @ U)
     return U
 
 
 def check_isometry(U: np.ndarray, metric: MetricField) -> float:
     """Interior max of ``|U^T U - g| / (1 + |g|)`` per node."""
-    utu = U.mT @ U
+    utu = np.ascontiguousarray(U.mT) @ U
     res = node_norm(utu - metric.g, 2) / (1.0 + node_norm(metric.g, 2))
     return interior_max(metric.chart, res)
 
@@ -445,8 +460,9 @@ def check_parallel(U: np.ndarray, Gamma: np.ndarray, frame: np.ndarray,
     gam = (U @ Gamma.reshape(chart.shape + (m, m * m))).reshape(tang.shape)
     tang -= np.swapaxes(gam, -1, -2)
     del gam
-    # norm over n, then the largest over (i, j)
-    res = node_max(node_norm(np.moveaxis(tang, -3, -1), 1), 2)
+    # norm over n, read where it lies (moving n last would copy tang);
+    # then the largest over (i, j)
+    res = node_max(np.sqrt(np.einsum("...nij,...nij->...ij", tang, tang)), 2)
     scale = 1.0 + node_norm(Gamma, 3) * node_norm(U, 2)
     # U is a derived field: a deeper margin keeps its boundary-layer
     # truncation error out of the stencil
@@ -511,14 +527,13 @@ def codazzi_residual(h: np.ndarray, Gamma: np.ndarray, metric: MetricField) -> f
     """Interior max of ``(nabla_i h)_jk - (nabla_j h)_ik`` (normalized)."""
     chart = metric.chart
     m = chart.m
-    dh = grad_all(h, chart)                                   # (..., j, k, i)
+    # [..., i, j, k] = d_i h_jk, a view of grad_all's (..., j, k, i) that
+    # takes both Gamma terms in place
+    nabla = np.einsum("...jki->...ijk", grad_all(h, chart))
     G = Gamma.reshape(chart.shape + (m, m * m))
     # [..., (i, j), k] = Gamma^p_ij h_pk and [..., j, (i, k)] = h_jp Gamma^p_ik
-    t1 = (G.mT @ h).reshape(dh.shape)
-    t2 = (h @ G).reshape(dh.shape)
-    nabla = np.einsum("...jki->...ijk", dh) - t1
-    nabla -= np.swapaxes(t2, -3, -2)
-    del dh, t1, t2
+    nabla -= (G.mT @ h).reshape(nabla.shape)
+    nabla -= np.swapaxes((h @ G).reshape(nabla.shape), -3, -2)
     defect = nabla - np.swapaxes(nabla, -3, -2)
     del nabla
     res = node_norm(defect, 3)
@@ -699,7 +714,9 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
         H = np.einsum("...ij,...ij->...", metric.g_inv, h)
         candidates = [(h[..., None, :, :], H[..., None])]
 
-    # steps 3 and 4
+    # steps 3 and 4 read only Gamma of the curvature data
+    Gamma = pack.Gamma
+    del pack
     thresholds.update(h_squared=tau, isometry=tau, parallelity=tau, curl=tau)
     best = None
     for h_alpha, H_alpha in candidates:
@@ -710,10 +727,10 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
         # U's one derivative: the curl reads it, then parallelity reuses it
         dU = grad_all(U, chart)
         res["curl"] = curl_residual(U, chart, dU)
-        res["parallelity"] = check_parallel(U, pack.Gamma, frame, chart, dU)
+        res["parallelity"] = check_parallel(U, Gamma, frame, chart, dU)
         del dU
         if hypersurface:
-            ext["codazzi"] = codazzi_residual(h_alpha[..., 0, :, :], pack.Gamma,
+            ext["codazzi"] = codazzi_residual(h_alpha[..., 0, :, :], Gamma,
                                               metric)
         else:
             ext["aalpha_consistency"] = frame_consistency(nf.A, U, h_alpha,

@@ -131,7 +131,7 @@ def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
             overlaps[slab] = eye
             continue
         Qs, Qp = Q[slab], Q[prev]                              # views
-        D = np.swapaxes(Qp, -1, -2) @ Qs
+        D = np.ascontiguousarray(Qp.mT) @ Qs
         for k in zip(*np.nonzero(flipped(D))):
             Qs[k] = Qs[k] @ _signed_permutation_fit(D[k].T).T
             D[k] = Qp[k].T @ Qs[k]
@@ -141,16 +141,16 @@ def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
     dets[chart.center] = math.inf
     min_det = float(np.min(dets))
 
-    defect = float(np.max(node_norm(Q.mT @ Q - eye, 2)))
+    QT = np.ascontiguousarray(Q.mT)
+    defect = float(np.max(node_norm(QT @ Q - eye, 2)))
 
     dQ = grad_all(Q, chart)                                    # [..., n, a, i]
     if d > 1:
         flat = dQ.reshape(chart.shape + (n, d * chart.m))
-        # [..., a, i, b] = <d_i nu^a, nu^b>, self terms skipped
-        off = (flat.mT @ Q).reshape(chart.shape + (d, chart.m, d))
-        off *= (1.0 - eye)[:, None, :]
-        off = off.reshape(chart.shape + (d * chart.m, d))
-        dQ = dQ - (Q @ off.mT).reshape(dQ.shape)
+        # [..., b, a, i] = <nu^b, d_i nu^a>, self terms skipped
+        off = (QT @ flat).reshape(chart.shape + (d, d, chart.m))
+        off *= (1.0 - eye)[:, :, None]
+        dQ -= (Q @ off.reshape(chart.shape + (d, d * chart.m))).reshape(dQ.shape)
     return NormalFrame(chart=chart, frame=Q, A=np.swapaxes(dQ, -1, -2),
                        orthonormality_defect=defect, min_overlap_det=min_det)
 
@@ -171,8 +171,8 @@ class CodimForms:
 def third_forms(frame: NormalFrame) -> CodimForms:
     # A^T A once for all blocks: [..., (a, i), (b, j)]
     flat = frame.A.mT.reshape(frame.frame.shape[:-1] + (-1,))
-    kk = (flat.mT @ flat).reshape(flat.shape[:-2]
-                                  + (frame.d, frame.chart.m) * 2)
+    kk = (np.ascontiguousarray(flat.mT) @ flat).reshape(
+        flat.shape[:-2] + (frame.d, frame.chart.m) * 2)
     k_ab = np.einsum("...aibj->...abij", kk)
     k = np.einsum("...aaij->...ij", k_ab)
     k = 0.5 * (k + np.swapaxes(k, -1, -2))
@@ -391,8 +391,7 @@ def _candidate_forms(weights: np.ndarray, k_ab: np.ndarray,
     blocks are taken to g-orthonormal frames once."""
     d = k_ab.shape[-4]
     # [a, b, ...] = k^{ab} in g-orthonormal frames
-    blocks = (metric.chol_inv @ np.moveaxis(k_ab, (-4, -3), (0, 1))
-              @ metric.chol_inv.mT)
+    blocks = to_orthonormal(metric, np.moveaxis(k_ab, (-4, -3), (0, 1)))
     pair_weights = (weights[:, :, None] * weights[:, None, :]).reshape(-1, d * d)
     return (pair_weights @ blocks.reshape(d * d, -1)).reshape(
         (len(weights),) + blocks.shape[2:])
@@ -441,6 +440,6 @@ def frame_consistency(A: np.ndarray, U: np.ndarray, h_alpha: np.ndarray,
     the directions that :func:`weingarten_combination` did not invert."""
     # [..., (a, i), j] = <A^a e_i, u_j>
     flat = A.mT.reshape(A.shape[:-2] + (-1,))
-    h_back = -(flat.mT @ U).reshape(h_alpha.shape)
+    h_back = -(np.ascontiguousarray(flat.mT) @ U).reshape(h_alpha.shape)
     cons = node_norm(h_back - h_alpha, 3) / (1.0 + node_norm(h_alpha, 3))
     return interior_max(chart, cons)

@@ -246,7 +246,8 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     if factors is None:
         return None
     L_inv = factors[1]
-    return L_inv.mT @ (L_inv @ b)
+    del factors     # L is not read: freed, it makes room for L^{-T}
+    return np.ascontiguousarray(L_inv.mT) @ (L_inv @ b)
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,9 @@ def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
     """Validate a sampled metric and factor it once for every node.
 
     The metric must have the chart's shape, be finite and symmetric to
-    ``_SYM_TOL`` (it is then symmetrized), and be positive definite at every
+    ``_SYM_TOL`` (it is then symmetrized, unless it already is exactly, in
+    which case ``g`` is the input array itself; either way ``g.mT`` equals
+    ``g`` bit for bit), and be positive definite at every
     node.  ``chol`` and ``chol_inv`` come from :func:`cholesky_factors`, which
     agrees with LAPACK to the last bits; when it fails, the eigenvalues name
     the node of the smallest one in the :class:`SingularMetricError`.  The
@@ -288,7 +291,8 @@ def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
     asym = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
     if asym > _SYM_TOL * scale:
         raise SingularMetricError(f"metric not symmetric: asymmetry {asym:.3e}")
-    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    if asym > 0:
+        g = 0.5 * (g + np.swapaxes(g, -1, -2))
     factors = cholesky_factors(g)
     if factors is None:
         # eigenvalues only to name the node; the smallest one is named even
@@ -301,7 +305,7 @@ def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
     # inv(L) directly: L^T inv(g) agrees with it only to about
     # cond(g) * 1e-16, which is 1e-6 on a metric near singularity
     chol, chol_inv = factors
-    g_inv = chol_inv.mT @ chol_inv
+    g_inv = np.ascontiguousarray(chol_inv.mT) @ chol_inv
     err = np.max(node_norm(g @ g_inv - np.eye(m), 2))
     rel = float(np.max(node_norm(g, 2)) * np.max(node_norm(g_inv, 2)))
     if err > 1e-12 * max(1.0, rel):
@@ -349,13 +353,14 @@ def riemann_tensor(metric: MetricField) -> CurvaturePack:
     R += GG
     R -= np.swapaxes(GG, -3, -2)                      # Gamma^l_jp Gamma^p_ik
     del GG
-    # [..., (i, j, k), l] = g_lp R^p_ijk
+    # [..., (i, j, k), l] = g_lp R^p_ijk; g is exactly symmetric, so it
+    # stands for its transpose
     R_low = (R.reshape(chart.shape + (m, m ** 3)).mT
-             @ metric.g.mT).reshape(R.shape)
+             @ metric.g).reshape(R.shape)
     del R
-    # [..., i, l] = R_low[..., i, (j, k), l] g^(jk): a matrix-vector product
-    Ric = (np.swapaxes(R_low.reshape(chart.shape + (m, m * m, m)), -1, -2)
-           @ metric.g_inv.reshape(chart.shape + (1, m * m, 1)))[..., 0]
+    # [..., i, l] = g^(jk) R_low[..., i, (j, k), l]: a vector-matrix product
+    Ric = (metric.g_inv.reshape(chart.shape + (1, 1, m * m))
+           @ R_low.reshape(chart.shape + (m, m * m, m)))[..., 0, :]
     s = np.einsum("...il,...il->...", metric.g_inv, Ric)
     return CurvaturePack(chart=chart, Gamma=Gamma, R_low=R_low, Ric=Ric, s=s)
 
@@ -371,7 +376,8 @@ def to_orthonormal(metric: MetricField, b_low: np.ndarray) -> np.ndarray:
     Returns ``inv(L) b inv(L)^T`` where ``g = L L^T``; symmetric input gives
     a symmetric output whose eigenvalues are those of the g-raised operator.
     """
-    return metric.chol_inv @ b_low @ metric.chol_inv.mT
+    return (metric.chol_inv @ b_low
+            @ np.ascontiguousarray(metric.chol_inv.mT))
 
 
 def _per_operator(field: np.ndarray, Om_op: np.ndarray) -> np.ndarray:

@@ -59,10 +59,11 @@ def verify_immersion(u: np.ndarray, metric: MetricField,
     """
     chart = metric.chart
     du = grad_all(u, chart)
-    gram = du.mT @ du
+    duT = np.ascontiguousarray(du.mT)
+    gram = duT @ du
     res_g = node_norm(gram - metric.g, 2) / (1.0 + node_norm(metric.g, 2))
     nu = normals / node_norm(normals.mT, 1)[..., None, :]
-    tang = du.mT @ nu
+    tang = duT @ nu
     res_n = node_max(np.abs(tang), 2) / (1.0 + node_norm(du, 2))
     # u integrates a derived field: strip its boundary-layer error margin
     return interior_max(chart, res_g, margin=4), interior_max(chart, res_n, margin=4)
@@ -155,7 +156,8 @@ def roundtrip_level(surface: Surface, chart: Chart, options: PipelineOptions,
                  for h in (data.h_alpha, report.candidate.h_alpha)]
             turn = z[0] / z[1] / abs(z[0] / z[1])      # exp(i delta)
             J = np.array([[0.0, -1.0], [1.0, 0.0]])
-            U = turn.real * U - turn.imag * (U @ Li.mT @ J @ metric.chol.mT)
+            LiT, LT = (np.ascontiguousarray(a.mT) for a in (Li, metric.chol))
+            U = turn.real * U - turn.imag * (U @ LiT @ J @ LT)
         error = box_error(integrate(U, chart), data.u, chart, level)
     return RoundtripLevel(chart, data, metric, report, worst, error)
 

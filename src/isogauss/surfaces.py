@@ -454,12 +454,14 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
     d = frame.shape[-1]
 
     m = chart.m
-    g = du.mT @ du
+    duT = np.ascontiguousarray(du.mT)
+    g = duT @ du
     flat = dframe.reshape(u.shape + (d * m,))
     # Weingarten: <d_i u, nu^a> = 0 gives h^a_ij = -<d_i u, d_j nu^a>;
     # [..., i, (a, j)] -> [..., a, i, j]
-    h_alpha = -np.swapaxes((du.mT @ flat).reshape(chart.shape + (m, d, m)),
+    h_alpha = -np.swapaxes((duT @ flat).reshape(chart.shape + (m, d, m)),
                            -3, -2)
+    del duT
     h_alpha = 0.5 * (h_alpha + np.swapaxes(h_alpha, -1, -2))
     g_inv = spd_solve(g, np.eye(m))
     if g_inv is None:
@@ -469,19 +471,20 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
     H_alpha = (h_alpha.reshape(chart.shape + (d, m * m))
                @ g_inv.reshape(chart.shape + (m * m, 1)))[..., 0]
 
-    # [..., (a, j), b] = <d_j nu^a, nu^b>; removing it leaves the
+    # [..., b, (a, j)] = <nu^b, d_j nu^a>; removing it leaves the
     # tangential differentials [..., n, (a, j)]
-    normal_part = flat.mT @ frame
-    A_frame = flat - frame @ normal_part.mT
+    A_frame = flat - frame @ (np.ascontiguousarray(frame.mT) @ flat)
     # [..., (a, i), (b, j)] = <A^a e_i, A^b e_j>
-    k_ab = np.einsum("...aibj->...abij", (A_frame.mT @ A_frame).reshape(
-        chart.shape + (d, m) * 2))
+    k_ab = np.einsum("...aibj->...abij", (
+        np.ascontiguousarray(A_frame.mT) @ A_frame).reshape(
+            chart.shape + (d, m) * 2))
     k = np.einsum("...aaij->...ij", k_ab)
     k = 0.5 * (k + np.swapaxes(k, -1, -2))
 
     # the branch the decision pipeline selects by default
     if center_sign(chart, H_alpha) < 0:
-        u, du, h_alpha, H_alpha = -u, -du, -h_alpha, -H_alpha
+        for arr in (u, du, h_alpha, H_alpha):
+            np.negative(arr, out=arr)
 
     return OracleData(surface=surface, chart=chart, u=u, du=du, frame=frame,
                       g=g, h_alpha=h_alpha, H_alpha=H_alpha, k_ab=k_ab, k=k)

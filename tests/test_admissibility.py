@@ -58,6 +58,16 @@ def theorem3_inputs(surface, points):
     return chart, riemann_tensor(metric), third_form(chart, data.frame), metric
 
 
+def traced_peak_mb(fn, *args):
+    """Highest memory ``tracemalloc`` traces during ``fn(*args)``, in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def saddle_problem(nu_slope, n=33):
     """The saddle metric paired with a fabricated nondegenerate Gauss map
     whose third-form trace is tunable; returns ``(chart, metric, normals)``."""
@@ -189,6 +199,13 @@ class TestTheorem3:
         res = h_from_theorem3(exact_curvature_pack(p), p.data.k, p.metric,
                               PipelineOptions())
         assert interior_max(p.chart, res.gap) < 1e-12
+
+    def test_traced_peak_within_budget(self):
+        # 13.23 MB measured at 21^3; a copy of R_low or of a block's system
+        # on this path adds 2.4 or 3.8 MB
+        chart, pack, k, metric = theorem3_inputs(EllipsoidM3(), 21)
+        assert traced_peak_mb(h_from_theorem3, pack, k, metric,
+                              PipelineOptions()) < 14.0
 
     def test_temporaries_do_not_grow_with_the_grid(self):
         # the per-node system is assembled in node blocks, so the traced peak
@@ -495,6 +512,14 @@ class TestCodazziResidual:
 
 
 class TestPipeline:
+    def test_traced_peak_within_budget(self):
+        # 32.91 MB measured at 257^2; holding R_low and Ric through steps
+        # 3-4 adds 11 MB
+        surface = Ellipsoid()
+        data = generate(surface, surface.default_chart(257))
+        metric = metric_field(data.chart, data.g)
+        assert traced_peak_mb(run_pipeline, metric, data.frame) < 34.0
+
     def test_oracle_ellipsoid_admissible(self, ellipsoid):
         report = run_pipeline(ellipsoid.metric, ellipsoid.data.frame)
         assert report.verdict == "admissible"

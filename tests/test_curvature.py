@@ -507,6 +507,26 @@ class TestBatchedKernels:
     """The batched matrix products agree node by node with the index-notation
     contractions and the two triangular solves of ``reference_loops``."""
 
+    @pytest.mark.parametrize("rows, cols", [(3, 2), (2, 2), (3, 3), (4, 2)])
+    def test_contiguous_operand_is_the_transposed_view_bit_for_bit(self, rows,
+                                                                   cols):
+        # the pipeline's products read contiguous copies of transposed
+        # operands (X^T X, X^T Y and Y X^T on its stack shapes); the results
+        # stay byte-identical only because the copy changes no bit of them,
+        # and X^T X stays exactly symmetric
+        rng = np.random.default_rng(10 * rows + cols)
+        grid = (65, 63)
+        x, y = (rng.standard_normal(grid + (rows, cols))
+                * np.exp(4.0 * rng.standard_normal(grid + (1, 1)))
+                for _ in range(2))
+        xT = np.ascontiguousarray(x.mT)
+        gram = xT @ x
+        assert gram.tobytes() == (x.mT @ x).tobytes()
+        assert np.array_equal(gram, gram.mT)
+        assert (xT @ y).tobytes() == (x.mT @ y).tobytes()
+        if rows == cols:
+            assert (y @ xT).tobytes() == (y @ x.mT).tobytes()
+
     PROBLEMS = ["ellipsoid", "ellipsoid_m3", "clifford"]
 
     @pytest.mark.parametrize("name", PROBLEMS)

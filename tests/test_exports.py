@@ -1,5 +1,6 @@
 """The package's public names, and the names the benchmark traces: every
-one must still exist.  Every module-level function or class must be used."""
+one must still exist.  Every module-level function or class must be used,
+and no per-node product reads a transposed view outside a listed few."""
 
 import ast
 import importlib
@@ -85,3 +86,64 @@ def test_every_module_level_definition_is_used():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name not in used]
     assert dead == []
+
+
+# transposed operands of ``@`` kept on purpose, by (module, function,
+# operand source), each with its reason.  numpy runs a batched product 3-4x
+# slower when ``X.mT @ X`` takes its symmetric-rank-k route or the right
+# operand is a transposed view; a contiguous copy costs about 0.7 ms per
+# (257^2, 2, 2) stack.
+TRANSPOSED_OPERANDS = {
+    ("curvature", "riemann_tensor", "R.reshape(chart.shape + (m, m ** 3)).mT"):
+        "R is the largest array of the step: a copy would add an R-sized "
+        "temporary",
+    ("curvature", "curvature_operator",
+     "pack.R_low.reshape(grid + (m * m, m * m)).mT"):
+        "a copy of R_low would raise theorem3's memory peak",
+    ("codim", "_right_singular", "E.mT"):
+        "E is theorem3's per-block system: a copy would raise its peak",
+    ("admissibility", "codazzi_residual", "G.mT"):
+        "a left operand distinct from the right one: at 257^2 its copy "
+        "costs more than the transposed read",
+}
+
+
+def _is_transposed(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "mT"
+    if isinstance(node, ast.Call):
+        func = node.func
+        return getattr(func, "attr", getattr(func, "id", None)) == "swapaxes"
+    return False
+
+
+def _transposed_operands(tree: ast.AST, module: str):
+    """(module, innermost function, operand source) of every ``.mT`` or
+    ``swapaxes`` operand of ``@`` or ``np.matmul``."""
+    def walk(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        operands = []
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) == "matmul"):
+            operands = node.args[:2]
+        for operand in operands:
+            if _is_transposed(operand):
+                yield module, function, ast.unparse(operand)
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+
+    yield from walk(tree, None)
+
+
+def test_batched_products_take_contiguous_operands():
+    # a per-node product must not read a transposed view, except at the
+    # sites listed above; a listed site that is gone must leave the list
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "isogauss"
+    found = {site for path in sorted(root.glob("*.py"))
+             for site in _transposed_operands(ast.parse(path.read_text()),
+                                              path.stem)}
+    assert sorted(found - set(TRANSPOSED_OPERANDS)) == []
+    assert sorted(set(TRANSPOSED_OPERANDS) - found) == []
