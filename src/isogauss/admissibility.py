@@ -35,8 +35,7 @@ from .errors import (BranchError, ConfigurationError, DegenerateGaussMapError,
 from .grid import Chart, align_signs, grad_all, interior_max
 
 RESIDUAL_KEYS = ("step1_positivity", "h_squared", "isometry", "parallelity",
-                 "curl", "gauss_condition_m2", "conformality_m2",
-                 "nullspace_gap")
+                 "curl", "aalpha_consistency", "nullspace_gap")
 
 VERDICT_ADMISSIBLE = "admissible"
 VERDICT_REJECTED = "rejected"
@@ -91,12 +90,12 @@ class CandidateSolution:
 class AdmissibilityReport:
     verdict: str
     failed_step: str | None
-    residuals: dict[str, float]
+    residuals: dict[str, float]    # what is judged; NaN where not run
     thresholds: dict[str, float]
     method: str
     candidate: CandidateSolution | None = None
     notes: list[str] = field(default_factory=list)
-    extra: dict[str, float] = field(default_factory=dict)
+    extra: dict[str, float] = field(default_factory=dict)  # read by no verdict
 
     @property
     def admissible(self) -> bool:
@@ -488,41 +487,6 @@ def curl_residual(U: np.ndarray, chart: Chart,
     return interior_max(chart, res, margin=4) / scale
 
 
-@dataclass(frozen=True)
-class MinimalCaseResult:
-    gauss_condition: float
-    conformality: float
-
-
-def _det2(a: np.ndarray) -> np.ndarray:
-    """Determinant of each ``2 x 2`` matrix, elementwise."""
-    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-
-
-def check_minimal_m2(metric: MetricField, k: np.ndarray,
-                     s: np.ndarray) -> MinimalCaseResult:
-    """Minimal-surface admissibility for m = 2: K + sqrt(det_g k) = 0 and
-    conformality of the Gauss map (unsigned); ``k`` is its third form."""
-    chart = metric.chart
-    if chart.m != 2:
-        raise DomainError("the minimal-surface check applies to m = 2 only")
-    K = 0.5 * s
-    det_gk = _det2(k) / _det2(metric.g)
-    root = np.sqrt(np.clip(det_gk, 0.0, None))
-    inter = chart.interior
-    scale1 = 1.0 + float(np.max(np.abs(K[inter]))) + float(np.max(root[inter]))
-    gauss_res = float(np.max(np.abs(K + root)[inter])) / scale1
-
-    k_on = to_orthonormal(metric, k)
-    s1 = np.sqrt(np.clip(k_on[..., 0, 0], 0.0, None))
-    s2 = np.sqrt(np.clip(k_on[..., 1, 1], 0.0, None))
-    sigma = 0.5 * (s1 + s2)
-    sigma = np.where(sigma > 0, sigma, np.inf)
-    pw = np.abs(k_on[..., 0, 1]) / sigma ** 2 + np.abs(s1 - s2) / sigma
-    conf_res = float(np.max(pw[inter]))
-    return MinimalCaseResult(gauss_condition=gauss_res, conformality=conf_res)
-
-
 def codazzi_residual(h: np.ndarray, Gamma: np.ndarray, metric: MetricField) -> float:
     """Interior max of ``(nabla_i h)_jk - (nabla_j h)_ik`` (normalized)."""
     chart = metric.chart
@@ -545,26 +509,9 @@ def codazzi_residual(h: np.ndarray, Gamma: np.ndarray, metric: MetricField) -> f
 # the pipeline
 
 # the residuals a candidate is judged by, in report order (a residual
-# without a threshold is never judged)
-_JUDGED = ("gauss_condition_m2", "conformality_m2", "h_squared", "isometry",
-           "parallelity", "curl")
-
-
-def _failed_step(failing: list[str]) -> str:
-    if failing[0].endswith("_m2"):
-        return "minimal-case"
-    return "3" if {"h_squared", "aalpha_consistency"} & set(failing) else "4"
-
-
-def _failure_note(failing: list[str], step: str,
-                  hypersurface: bool) -> list[str]:
-    if not hypersurface:
-        return [f"failing: {', '.join(failing)}"]
-    if step == "3":
-        return ["candidate h does not square to the third form"]
-    if step == "4":
-        return [f"bundle map fails the {' and '.join(failing)} check"]
-    return []
+# without a threshold, NaN, is never judged)
+_JUDGED = ("h_squared", "isometry", "parallelity", "curl",
+           "aalpha_consistency")
 
 
 def _badness(report: AdmissibilityReport) -> float:
@@ -685,10 +632,6 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
                           "the linear-system route needs m >= 3")
 
         if method == "minimal_m2":
-            mres = check_minimal_m2(metric, k, pack.s)
-            residuals["gauss_condition_m2"] = mres.gauss_condition
-            residuals["conformality_m2"] = mres.conformality
-            thresholds["gauss_condition_m2"] = thresholds["conformality_m2"] = tau
             h = h_from_hopf_angle(metric, pack.Gamma, k, sign)
             notes.append("minimal-surface regime: the data fix a one-parameter "
                          "family; the candidate is its member with Hopf angle "
@@ -718,10 +661,12 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
     Gamma = pack.Gamma
     del pack
     thresholds.update(h_squared=tau, isometry=tau, parallelity=tau, curl=tau)
+    if not hypersurface:
+        thresholds["aalpha_consistency"] = tau
     best = None
     for h_alpha, H_alpha in candidates:
         U = build_U(wc.A, wc.k, np.moveaxis(h_alpha, -3, -1) @ wc.w, frame)
-        res, ext = dict(residuals), dict(extra)
+        res = dict(residuals)
         res["h_squared"] = check_h_squared(h_alpha, forms.k_ab, metric)
         res["isometry"] = check_isometry(U, metric)
         # U's one derivative: the curl reads it, then parallelity reuses it
@@ -729,23 +674,18 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
         res["curl"] = curl_residual(U, chart, dU)
         res["parallelity"] = check_parallel(U, Gamma, frame, chart, dU)
         del dU
-        if hypersurface:
-            ext["codazzi"] = codazzi_residual(h_alpha[..., 0, :, :], Gamma,
-                                              metric)
-        else:
-            ext["aalpha_consistency"] = frame_consistency(nf.A, U, h_alpha,
+        if not hypersurface:
+            res["aalpha_consistency"] = frame_consistency(nf.A, U, h_alpha,
                                                           chart)
         candidate = CandidateSolution(h_alpha, H_alpha, U, method, sign)
         failing = [key for key in _JUDGED if res[key] > thresholds[key]]
-        if ext.get("aalpha_consistency", 0.0) > tau:
-            failing.append("aalpha_consistency")
         if not failing:
             return AdmissibilityReport(VERDICT_ADMISSIBLE, None, res, thresholds,
-                                       method, candidate, notes, ext)
-        step = _failed_step(failing)
+                                       method, candidate, notes, extra)
+        step = "3" if {"h_squared", "aalpha_consistency"} & set(failing) else "4"
         report = AdmissibilityReport(
             VERDICT_REJECTED, step, res, thresholds, method, candidate,
-            notes + _failure_note(failing, step, hypersurface), ext)
+            notes + [f"failing: {', '.join(failing)}"], extra)
         if best is None or _badness(report) < _badness(best):
             best = report
     return best

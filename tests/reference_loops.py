@@ -18,8 +18,7 @@ per-matrix LAPACK ``eigvalsh``, ``eigh`` and ``svd`` calls that
 eigensolve), the ``np.sum`` / ``np.max`` reductions over trailing axes and
 the ``np.gradient`` stack that ``curvature.node_norm``,
 ``curvature.node_max`` and ``grid.grad_all`` replace by elementwise
-kernels, the per-matrix LAPACK ``det`` of ``check_minimal_m2``, and the
-whole antisymmetric defect that ``admissibility.curl_residual`` reads only
+kernels, and the whole antisymmetric defect that ``admissibility.curl_residual`` reads only
 above the diagonal; the equivalence tests compare the package against them.
 ``gauss_map_differential`` is the hypersurface formula that the one-column
 normal frame reproduces.
@@ -31,9 +30,8 @@ import math
 
 import numpy as np
 
-from isogauss.admissibility import (MinimalCaseResult, PipelineOptions,
-                                    Theorem3Result, _antisymmetric_basis,
-                                    _symmetric_basis)
+from isogauss.admissibility import (PipelineOptions, Theorem3Result,
+                                    _antisymmetric_basis, _symmetric_basis)
 from isogauss.codim import (_FLIP_THRESHOLD, RANK_REL_TOL,
                             WeingartenCombination, _block_products,
                             _combinations, _halpha_ops, _signed_permutation_fit)
@@ -522,23 +520,3 @@ def curl_residual(U, chart):
     scale = 1.0 + float(np.max(node_norm(U, 2)))
     return float(np.max(res[chart.interior_slices(4)])) / scale
 
-
-def check_minimal_m2(metric, k, s):
-    """``admissibility.check_minimal_m2`` with ``det(k) / det(g)`` from one
-    LAPACK ``det`` per matrix."""
-    chart = metric.chart
-    K = 0.5 * s
-    det_gk = np.linalg.det(k) / np.linalg.det(metric.g)
-    root = np.sqrt(np.clip(det_gk, 0.0, None))
-    inter = chart.interior
-    scale1 = 1.0 + float(np.max(np.abs(K[inter]))) + float(np.max(root[inter]))
-    gauss_res = float(np.max(np.abs(K + root)[inter])) / scale1
-
-    k_on = to_orthonormal(metric, k)
-    s1 = np.sqrt(np.clip(k_on[..., 0, 0], 0.0, None))
-    s2 = np.sqrt(np.clip(k_on[..., 1, 1], 0.0, None))
-    sigma = 0.5 * (s1 + s2)
-    sigma = np.where(sigma > 0, sigma, np.inf)
-    pw = np.abs(k_on[..., 0, 1]) / sigma ** 2 + np.abs(s1 - s2) / sigma
-    conf_res = float(np.max(pw[inter]))
-    return MinimalCaseResult(gauss_condition=gauss_res, conformality=conf_res)

@@ -7,11 +7,10 @@ import pytest
 
 from isogauss import admissibility
 from isogauss.admissibility import (PipelineOptions, build_U, check_h_squared,
-                                    check_isometry, check_minimal_m2,
-                                    check_parallel, codazzi_residual,
-                                    h_from_theorem2, h_from_theorem3,
-                                    hopf_angle_gradient, run_pipeline,
-                                    step1_positivity)
+                                    check_isometry, check_parallel,
+                                    codazzi_residual, h_from_theorem2,
+                                    h_from_theorem3, hopf_angle_gradient,
+                                    run_pipeline, step1_positivity)
 from isogauss.codim import build_normal_frame, third_forms
 from isogauss.curvature import (metric_field, node_norm, riemann_tensor,
                                 to_orthonormal)
@@ -21,7 +20,7 @@ from isogauss.errors import (BranchError, ConfigurationError,
                              SamplingError)
 from isogauss.grid import build_chart, interior_max
 from isogauss.surfaces import (CATALOG, Catenoid, Ellipsoid, EllipsoidM3,
-                               Helicoid, HypersphereM3, generate,
+                               HypersphereM3, generate,
                                smooth_rotation_of_gauss_map)
 
 import reference_loops
@@ -426,36 +425,9 @@ class TestChecks:
 
 
 class TestMinimalCase:
-    @pytest.mark.parametrize("surf", [Catenoid(), Helicoid()], ids=lambda s: s.name)
-    def test_minimal_pair_passes(self, surf):
-        data = generate(surf, surf.default_chart(49))
-        metric = metric_field(data.chart, data.g)
-        res = check_minimal_m2(metric, third_form(data.chart, data.frame),
-                               riemann_tensor(metric).s)
-        tol = 50 * data.chart.max_spacing ** 2
-        assert res.gauss_condition < tol
-        assert res.conformality < tol
-
-    @pytest.mark.parametrize("surf", [Catenoid(), Helicoid()], ids=lambda s: s.name)
-    def test_matches_the_lapack_determinants(self, surf):
-        data = generate(surf, surf.default_chart(49))
-        metric = metric_field(data.chart, data.g)
-        args = (metric, third_form(data.chart, data.frame),
-                riemann_tensor(metric).s)
-        res, ref = check_minimal_m2(*args), reference_loops.check_minimal_m2(*args)
-        assert res.gauss_condition == pytest.approx(ref.gauss_condition,
-                                                    rel=1e-14, abs=0.0)
-        assert res.conformality == ref.conformality
-
-    def test_m3_rejected(self, ellipsoid_m3):
-        with pytest.raises(DomainError):
-            check_minimal_m2(ellipsoid_m3.metric, ellipsoid_m3.forms.k,
-                             ellipsoid_m3.pack.s)
-
     def test_sphere_routed_to_theorem2_not_minimal(self, sphere):
         report = run_pipeline(sphere.metric, sphere.data.frame)
         assert report.method == "theorem2"
-        assert math.isnan(report.residuals["gauss_condition_m2"])
 
 
 def hopf_angle_error(surf, chart, margin):
@@ -538,9 +510,11 @@ class TestPipeline:
         key = "h_squared" if bad.failed_step == "3" else "parallelity"
         assert bad.residuals[key] > 10 * good.residuals[key]
         # a failing h^2 = k names step 3 even when the bundle checks fail too
-        if bad.residuals["h_squared"] > bad.thresholds["h_squared"]:
-            assert bad.failed_step == "3"
-            assert bad.notes == ["candidate h does not square to the third form"]
+        failing = [key for key in ("h_squared", "isometry", "parallelity",
+                                   "curl")
+                   if bad.residuals[key] > bad.thresholds[key]]
+        assert bad.notes == [f"failing: {', '.join(failing)}"]
+        assert (bad.failed_step == "3") == ("h_squared" in failing)
 
     def test_catenoid_admissible_via_minimal_branch(self):
         surf = Catenoid()
@@ -810,6 +784,25 @@ ROTATION_CASES = ([(name, "auto") for name in sorted(CATALOG)]
                      ("hypersphere-m3", "theorem3")])
 
 
+def chart_transformed(chart, g, normals, how):
+    """The same data on a relabelled chart: ``swap`` exchanges the first two
+    axes (grid, spacing and the index pair of ``g`` together), ``reflect``
+    runs the first axis backwards (the arrays flipped, and that axis's
+    off-diagonal entries of ``g`` negated)."""
+    if how == "swap":
+        perm = [1, 0] + list(range(2, chart.m))
+        new = replace(chart, **{field: tuple(getattr(chart, field)[i]
+                                             for i in perm)
+                                for field in ("shape", "spacing", "origin")})
+        g = np.swapaxes(g, 0, 1)[..., perm, :][..., perm]
+        return new, g, np.swapaxes(normals, 0, 1)
+    sign = np.ones(chart.m)
+    sign[0] = -1.0
+    top = chart.origin[0] + (chart.shape[0] - 1) * chart.spacing[0]
+    new = replace(chart, origin=(-top,) + chart.origin[1:])
+    return new, np.flip(g, 0) * np.outer(sign, sign), np.flip(normals, 0)
+
+
 class TestAmbientRotation:
     @pytest.mark.parametrize("name, method", ROTATION_CASES)
     def test_rotation_changes_no_verdict_and_no_residual(self, name, method):
@@ -826,3 +819,30 @@ class TestAmbientRotation:
                 if not math.isnan(threshold):
                     assert abs(report.residuals[key] - base.residuals[key]) \
                         <= 1e-8 * threshold, (seed, key)
+
+    @pytest.mark.parametrize("how", ["swap", "reflect"])
+    @pytest.mark.parametrize("name, method", ROTATION_CASES)
+    def test_chart_symmetry_changes_no_verdict(self, name, method, how):
+        # minimal_m2 takes the family member whose Hopf angle is 0 in the
+        # Cholesky frame, whose first vector follows the first chart axis:
+        # there only the member-independent residuals stay equal
+        surf = CATALOG[name]()
+        data = generate(surf, surf.default_chart(13 if surf.m == 3 else 33))
+        options = PipelineOptions(method=method)
+        base = run_pipeline(metric_field(data.chart, data.g), data.frame,
+                            options)
+        chart, g, normals = chart_transformed(data.chart, data.g, data.frame,
+                                              how)
+        report = run_pipeline(metric_field(chart, g), normals, options)
+        assert (report.verdict, report.method, report.failed_step) == \
+            (base.verdict, base.method, base.failed_step)
+        exact = (("step1_positivity", "h_squared")
+                 if base.method == "minimal_m2" else base.thresholds)
+        for key, threshold in base.thresholds.items():
+            if math.isnan(threshold):
+                continue
+            if key in exact:
+                assert abs(report.residuals[key] - base.residuals[key]) \
+                    <= 1e-8 * threshold, key
+            else:
+                assert report.residuals[key] <= threshold, key

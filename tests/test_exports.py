@@ -27,7 +27,8 @@ def test_star_import_succeeds():
 KNOWN_ABSENT = {("gaussmap", "build_gauss_field"),
                 ("gaussmap", "degeneracy_report"),
                 ("codim", "run_codim_pipeline"), ("codim", "build_U_codim"),
-                ("grid", "staircase_orders"), ("admissibility", "spd_sqrt")}
+                ("grid", "staircase_orders"), ("admissibility", "spd_sqrt"),
+                ("admissibility", "check_minimal_m2")}
 
 
 def _load_tracer():

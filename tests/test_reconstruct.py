@@ -293,27 +293,61 @@ THEOREM3_MATRIX = {
     ("ellipsoid-m3", 13): ("admissible", "theorem3", -4),
 }
 
-# Cells of VERDICT_MATRIX that are known to be wrong, each with the
-# CHANGES.md FOUND line that names it.  They are pinned as they read today,
-# not asserted correct: mending a defect changes its cells and drops their
-# marks in the same diff.
+# m = 2 charts between the coarse-chart gate (tau >= 1) and the first grid
+# whose tau lies below the data's normalized q: (surface, points,
+# perturb_nu) -> (verdict, method, failed_step, decade of rec_error)
+COARSE_MATRIX = {
+    ("round-sphere", 10, 0.0): ("admissible", "minimal_m2", None, -1),
+    ("round-sphere", 10, 1e-2): ("admissible", "minimal_m2", None, -1),
+    ("ellipsoid", 10, 0.0): ("rejected", "minimal_m2", "3", None),
+}
+
+_STEP1_MISREAD = ("FOUND: the coarse-chart gate covers only tau >= 1; below "
+                  "it step 1 misreads non-minimal data as minimal whenever "
+                  "tau exceeds its normalized q ")
+
+# Cells of VERDICT_MATRIX and COARSE_MATRIX that are known to be wrong, each
+# with the CHANGES.md FOUND line that names it.  They are pinned as they read
+# today, not asserted correct: mending a defect changes its cells and drops
+# their marks in the same diff.
 KNOWN_DEFECTS = {
     ("graph-r4", 17): "FOUND: codim.mean_curvature_vector counts rho's second "
                       "eigenvalue as 1 on coarse grids; graph-r4 at 17^2 then "
                       "reads admissible with a wrong immersion",
-    ("ellipsoid-m3", 7): "FOUND: the coarse-chart gate covers only tau >= 1; "
-                         "below it step 1 misreads non-minimal data as "
-                         "minimal whenever tau exceeds its normalized q "
-                         "(here q 0.862-0.884 < tau 0.889: convex data is "
-                         "routed to theorem3)",
+    ("ellipsoid-m3", 7): _STEP1_MISREAD + "(here q 0.862-0.884 < tau 0.889: "
+                         "convex data is routed to theorem3)",
+    ("round-sphere", 10, 0.0): _STEP1_MISREAD + "(here q 0.799-0.800 < tau "
+                               "0.889: the sphere reads admissible as a "
+                               "minimal surface, rec_error 0.12)",
+    ("round-sphere", 10, 1e-2): _STEP1_MISREAD + "(here q 0.793-0.807 < tau "
+                                "0.889: perturbed data reads admissible as "
+                                "minimal)",
+    ("ellipsoid", 10, 0.0): _STEP1_MISREAD + "(here q 0.435-0.788 < tau "
+                            "0.889: convex data is rejected on the minimal "
+                            "route)",
 }
 
 
-def _matrix_cell(surface, points, options):
-    level = roundtrip_level(surface, surface.default_chart(points), options, 0)
+def _level(name, points, options, perturb_nu=0.0):
+    surface = CATALOG[name]()
+    return roundtrip_level(surface, surface.default_chart(points), options, 0,
+                           perturb_nu=perturb_nu)
+
+
+def _matrix_cell(level):
     error = level.rec_error
     return (level.report.verdict, level.report.method,
             None if math.isnan(error) else math.floor(math.log10(error)))
+
+
+def assert_judged_by_one_rule(report):
+    """Rejected at step 3 or 4 exactly when some finite residual exceeds
+    its threshold, and no ``extra`` key is judged."""
+    over = [key for key, value in report.residuals.items()
+            if not math.isnan(value) and value > report.thresholds[key]]
+    assert (report.verdict == "rejected"
+            and report.failed_step in ("3", "4")) == bool(over), over
+    assert not set(report.extra) & set(report.thresholds)
 
 
 def test_verdict_matrix_is_pinned():
@@ -323,15 +357,28 @@ def test_verdict_matrix_is_pinned():
     so the flip shows in the diff."""
     got = {}
     for name, factory in CATALOG.items():
-        surface = factory()
-        for points in ((7, 9, 13) if surface.m == 3 else (17, 33)):
-            got[name, points] = _matrix_cell(surface, points, PipelineOptions())
+        for points in ((7, 9, 13) if factory().m == 3 else (17, 33)):
+            level = _level(name, points, PipelineOptions())
+            got[name, points] = _matrix_cell(level)
+            assert_judged_by_one_rule(level.report)
     assert got == VERDICT_MATRIX
-    assert set(KNOWN_DEFECTS) <= set(VERDICT_MATRIX)
+    assert set(KNOWN_DEFECTS) <= set(VERDICT_MATRIX) | set(COARSE_MATRIX)
+
+
+def test_coarse_matrix_is_pinned():
+    got = {}
+    for name, points, perturb_nu in COARSE_MATRIX:
+        level = _level(name, points, PipelineOptions(), perturb_nu)
+        verdict, method, decade = _matrix_cell(level)
+        got[name, points, perturb_nu] = (verdict, method,
+                                         level.report.failed_step, decade)
+        assert_judged_by_one_rule(level.report)
+    assert got == COARSE_MATRIX
+    assert set(COARSE_MATRIX) <= set(KNOWN_DEFECTS)
 
 
 def test_theorem3_matrix_is_pinned():
     options = PipelineOptions(method="theorem3")
-    got = {(name, points): _matrix_cell(CATALOG[name](), points, options)
+    got = {(name, points): _matrix_cell(_level(name, points, options))
            for name, points in THEOREM3_MATRIX}
     assert got == THEOREM3_MATRIX
