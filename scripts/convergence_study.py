@@ -16,14 +16,16 @@ from isogauss.curvature import riemann_tensor
 from isogauss.grid import interior_max
 from isogauss.reconstruct import observed_order, roundtrip_level
 from isogauss.surfaces import (Ellipsoid, Graph, RoundSphere,
-                               gauss_codazzi_residuals)
+                               gauss_codazzi_residuals, generate)
 
 BENCHMARKS = [RoundSphere(1.0), Ellipsoid((1.0, 1.5, 2.0)), Graph((1.0, 0.0, 2.0))]
 
 
-def residuals_at(surface, chart, level):
-    """The residuals of ``chart`` refined ``level`` times."""
-    run = roundtrip_level(surface, chart, PipelineOptions(), level)
+def residuals_at(surface, chart, level, finest=None):
+    """The residuals of ``chart`` refined ``level`` times, restricted from
+    the oracle ``finest`` when it is given."""
+    run = roundtrip_level(surface, chart, PipelineOptions(), level,
+                          finest=finest)
     chart, data, metric = run.chart, run.data, run.metric
     pack = riemann_tensor(metric)
     margin = 2 * 2 ** level
@@ -45,8 +47,10 @@ def main():
     args = parser.parse_args()
 
     for surface in BENCHMARKS:
+        # sampled once, at the finest level, and restricted to the others
         chart = surface.default_chart(args.points)
-        history = [residuals_at(surface, chart, level)
+        finest = generate(surface, chart.refine(2 ** args.levels))
+        history = [residuals_at(surface, chart, level, finest)
                    for level in range(args.levels + 1)]
         print(f"\n{surface.name}")
         keys = list(history[0])

@@ -31,7 +31,7 @@ from .curvature import (MetricField, node_norm, raise_index, symmetric_eig,
                         to_orthonormal)
 from .errors import DomainError, InvalidGrassmannDataError, SamplingError
 from .grid import (Chart, align_signs, center_sign, grad_all, interior_max,
-                   staircase_slabs)
+                   staircase_runs)
 
 _FLIP_THRESHOLD = 0.5
 # relative size below which a pivot, singular value or eigenvalue counts as
@@ -90,7 +90,10 @@ def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
     towards the chart center and repairs a sign or order flip (an overlap
     far from the identity) by the maximal-overlap signed permutation.  So
     the frame is continuous across the whole chart: normal data is an
-    unoriented plane.
+    unoriented plane.  The sweep forms the overlaps of each
+    :func:`isogauss.grid.staircase_runs` run with one product and visits
+    only the slabs that hold a flip or follow a repaired node; the overlaps
+    are those of the slab-by-slab sweep bit for bit.
     """
     spans = np.asarray(spans, dtype=float)
     if spans.ndim != chart.m + 2 or spans.shape[:chart.m] != chart.shape:
@@ -126,16 +129,29 @@ def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
     # each node's repaired overlap with its previous node; the center has
     # none, holds the identity and is left out of the minimum
     overlaps = np.empty(chart.shape + (d, d))
-    for slab, prev in staircase_slabs(chart):
-        if prev is None:
-            overlaps[slab] = eye
-            continue
-        Qs, Qp = Q[slab], Q[prev]                              # views
-        D = np.ascontiguousarray(Qp.mT) @ Qs
-        for k in zip(*np.nonzero(flipped(D))):
-            Qs[k] = Qs[k] @ _signed_permutation_fit(D[k].T).T
-            D[k] = Qp[k].T @ Qs[k]
-        overlaps[slab] = D
+    overlaps[chart.center] = eye
+    for a, run, prev in staircase_runs(chart):
+        # views with the slabs on axis 0; one product gives every overlap
+        # that no repair in this run changes
+        Qr, Qp = (np.moveaxis(Q[s], a, 0) for s in (run, prev))
+        D = np.ascontiguousarray(Qp.mT) @ Qr
+        bad = flipped(D)
+        repaired = None
+        for j, flips in enumerate(bad.reshape(len(D), -1).any(axis=1)):
+            if not flips and repaired is None:
+                continue
+            Qs, Qps, Ds, bads = (v[j:j + 1] for v in (Qr, Qp, D, bad))
+            if repaired is not None:
+                # the overlaps behind the nodes repaired one slab back
+                Ds[repaired] = (np.ascontiguousarray(Qps[repaired].mT)
+                                @ Qs[repaired])
+                bads[repaired] = flipped(Ds[repaired])
+            nodes = np.nonzero(bads)
+            for k in zip(*nodes):
+                Qs[k] = Qs[k] @ _signed_permutation_fit(Ds[k].T).T
+                Ds[k] = Qps[k].T @ Qs[k]
+            repaired = nodes if nodes[0].size else None
+        overlaps[run] = np.moveaxis(D, 0, a)
     # a 1 x 1 overlap is its own determinant; LAPACK per node costs more
     dets = overlaps[..., 0, 0] if d == 1 else np.linalg.det(overlaps)
     dets[chart.center] = math.inf

@@ -194,6 +194,32 @@ def center_sign(chart: Chart, vectors: np.ndarray) -> int:
 Slab = tuple[slice, ...]
 
 
+def _pin(i: int) -> slice:
+    return slice(i, i + 1)
+
+
+def staircase_runs(chart: Chart) -> Iterator[tuple[int, Slab, Slab]]:
+    """The traversal of :func:`staircase_slabs` after the center, grouped
+    into ``2 m`` runs: ``(axis, run, previous)`` for each axis ``a`` and
+    side, upwards first.
+
+    ``run`` selects the nodes that are free on the axes before ``a``, on the
+    side of the center on axis ``a`` and at the center on the axes after it;
+    its slice on axis ``a`` walks out from the center, so that position
+    ``j`` along the axis of ``array[run]`` is the ``j``-th slab of the side.
+    ``previous`` is the same selection one step back towards the center, so
+    ``array[previous]`` matches ``array[run]`` node for node.
+    """
+    base = chart.center
+    for a in range(chart.m):
+        lead = (slice(None),) * a
+        tail = tuple(_pin(c) for c in base[a + 1:])
+        b = base[a]
+        for run, prev in ((slice(b + 1, None), slice(b, -1)),
+                          (slice(b - 1, None, -1), slice(b, 0, -1))):
+            yield a, lead + (run,) + tail, lead + (prev,) + tail
+
+
 def staircase_slabs(chart: Chart) -> Iterator[tuple[Slab, Slab | None]]:
     """Deterministic center-out, axis-ordered traversal, one slab at a time.
 
@@ -209,16 +235,9 @@ def staircase_slabs(chart: Chart) -> Iterator[tuple[Slab, Slab | None]]:
     before it, so a per-node sign or frame can be continued across the chart
     without seams in ``sum(shape) - m + 1`` steps.
     """
-    def pin(i):
-        return slice(i, i + 1)
-
-    base = chart.center
-    yield tuple(pin(c) for c in base), None
-    for a in range(chart.m):
-        lead = (slice(None),) * a
-        tail = tuple(pin(c) for c in base[a + 1:])
-        b = base[a]
-        for side, step in ((range(b + 1, chart.shape[a]), 1),
-                           (range(b - 1, -1, -1), -1)):
-            for i in side:
-                yield lead + (pin(i),) + tail, lead + (pin(i - step),) + tail
+    yield tuple(_pin(c) for c in chart.center), None
+    for a, run, prev in staircase_runs(chart):
+        n = chart.shape[a]
+        for i, k in zip(range(*run[a].indices(n)), range(*prev[a].indices(n))):
+            yield (run[:a] + (_pin(i),) + run[a + 1:],
+                   prev[:a] + (_pin(k),) + prev[a + 1:])

@@ -128,14 +128,17 @@ class RoundtripLevel(NamedTuple):
 
 
 def roundtrip_level(surface: Surface, chart: Chart, options: PipelineOptions,
-                    level: int, perturb_nu: float = 0.0,
-                    seed: int = 0) -> RoundtripLevel:
+                    level: int, perturb_nu: float = 0.0, seed: int = 0,
+                    finest: OracleData | None = None) -> RoundtripLevel:
     """Sample ``surface`` on ``chart`` refined ``level`` times, decide, and
-    integrate and compare when admissible.  A nonzero ``perturb_nu`` first
+    integrate and compare when admissible.  Given ``finest``, the oracle of
+    a finer refinement of ``chart``, the level restricts it
+    (:meth:`isogauss.surfaces.OracleData.restrict`) instead of sampling;
+    the result is the same bit for bit.  A nonzero ``perturb_nu`` first
     rotates a hypersurface Gauss map smoothly by that magnitude."""
-    for _ in range(level):
-        chart = chart.refine()
-    data = generate(surface, chart)
+    chart = chart.refine(2 ** level)
+    data = (generate(surface, chart) if finest is None
+            else finest.restrict(chart))
     metric = metric_field(chart, data.g)
     normals = data.frame
     if perturb_nu:
@@ -165,7 +168,9 @@ def roundtrip_level(surface: Surface, chart: Chart, options: PipelineOptions,
 def roundtrip(surface: Surface, chart: Chart, options: PipelineOptions,
               levels: int, perturb_nu: float = 0.0,
               seed: int = 0) -> list[RoundtripRow]:
-    """The rows of levels ``0..levels``; only scalars outlive a level, so no
-    field of one level is alive while the next is computed."""
-    return [roundtrip_level(surface, chart, options, level, perturb_nu,
-                            seed).row() for level in range(levels + 1)]
+    """The rows of levels ``0..levels``.  The surface is sampled once, on
+    the finest chart, and every level restricts that oracle; beside it only
+    scalars outlive a level, so the peak is the finest level's."""
+    finest = generate(surface, chart.refine(2 ** levels))
+    return [roundtrip_level(surface, chart, options, level, perturb_nu, seed,
+                            finest).row() for level in range(levels + 1)]

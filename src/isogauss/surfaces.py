@@ -14,9 +14,10 @@ A catalog surface is declared data plus two functions.  The class data is
 ``(origin, extent)`` and the ``polar_axes`` whose polar angle must stay off
 the poles; the dataclass fields are the surface's parameters, and
 ``CATALOG`` maps each name to its factory, whose keywords are the
-parameters the command line offers.  A subclass defines only ``point``
-(the immersion) and ``frame`` (its orthonormal normal frame), both
-complex-safe; :meth:`Surface.default_chart` and
+parameters the command line offers.  A subclass defines only ``point(x)``
+(the immersion) and ``frame(x, u)`` (its orthonormal normal frame, handed
+the point ``u = point(x)`` so that a frame built from the point does not
+evaluate it again), both complex-safe; :meth:`Surface.default_chart` and
 :meth:`Surface.validate_window` read the data.
 
 Orientation conventions: normals follow the stated geometric convention per
@@ -31,7 +32,7 @@ surfaces (mean curvature zero) are stored as parametrized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -85,8 +86,9 @@ class Surface:
         """Immersion value at chart coordinates ``x[..., m]`` (complex-safe)."""
         raise NotImplementedError
 
-    def frame(self, x: np.ndarray) -> np.ndarray:
-        """Orthonormal normal frame ``(..., n, n-m)`` (complex-safe)."""
+    def frame(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Orthonormal normal frame ``(..., n, n-m)`` at ``x``, where the
+        immersion takes the value ``u = point(x)`` (complex-safe)."""
         raise NotImplementedError
 
     def default_chart(self, shape) -> Chart:
@@ -123,7 +125,7 @@ class Plane(Surface):
         z = np.zeros_like(x[..., 0])
         return np.stack([x[..., 0], x[..., 1], z], axis=-1)
 
-    def frame(self, x):
+    def frame(self, x, u):
         nu = np.zeros(x.shape[:-1] + (3,), dtype=x.dtype)
         nu[..., 2] = 1.0
         return nu[..., None]
@@ -144,8 +146,8 @@ class RoundSphere(Surface):
         return self.radius * np.stack(
             [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
 
-    def frame(self, x):
-        return (self.point(x) / self.radius)[..., None]   # outward
+    def frame(self, x, u):
+        return (u / self.radius)[..., None]   # outward
 
 
 @dataclass(frozen=True)
@@ -163,8 +165,7 @@ class Ellipsoid(Surface):
                          b * np.sin(th) * np.sin(ph),
                          c * np.cos(th)], axis=-1)
 
-    def frame(self, x):
-        u = self.point(x)
+    def frame(self, x, u):
         a, b, c = self.axes
         w = np.stack([u[..., 0] / a**2, u[..., 1] / b**2, u[..., 2] / c**2], axis=-1)
         return _unit(w)[..., None]   # outward
@@ -184,7 +185,7 @@ class Graph(Surface):
         p, q = x[..., 0], x[..., 1]
         return np.stack([p, q, cxx * p * p + cxy * p * q + cyy * q * q], axis=-1)
 
-    def frame(self, x):
+    def frame(self, x, u):
         cxx, cxy, cyy = self.coeffs
         p, q = x[..., 0], x[..., 1]
         fx = 2 * cxx * p + cxy * q
@@ -207,7 +208,7 @@ class Cylinder(Surface):
         r = self.radius
         return np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
 
-    def frame(self, x):
+    def frame(self, x, u):
         th = x[..., 0]
         return np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=-1)[..., None]
 
@@ -241,7 +242,7 @@ class AssociatedFamily(Surface):
         conj = np.stack([np.sinh(s) * np.sin(t), -np.sinh(s) * np.cos(t), t], axis=-1)
         return self.scale * (math.cos(self.theta) * cat + math.sin(self.theta) * conj)
 
-    def frame(self, x):
+    def frame(self, x, u):
         s, t = x[..., 0], x[..., 1]
         nu = np.stack([-np.cos(t) / np.cosh(s), -np.sin(t) / np.cosh(s),
                        np.sinh(s) / np.cosh(s)], axis=-1)
@@ -271,7 +272,7 @@ class CliffordTorus(Surface):
         return np.stack([self.r1 * np.cos(t1), self.r1 * np.sin(t1),
                          self.r2 * np.cos(t2), self.r2 * np.sin(t2)], axis=-1)
 
-    def frame(self, x):
+    def frame(self, x, u):
         t1, t2 = x[..., 0], x[..., 1]
         z = np.zeros_like(t1)
         n1 = np.stack([np.cos(t1), np.sin(t1), z, z], axis=-1)
@@ -295,7 +296,7 @@ class GraphR4(Surface):
         return np.stack([p, q, a1 * p * p + b1 * p * q + c1 * q * q,
                          a2 * p * p + b2 * p * q + c2 * q * q], axis=-1)
 
-    def frame(self, x):
+    def frame(self, x, u):
         a1, b1, c1, a2, b2, c2 = self.coeffs
         p, q = x[..., 0], x[..., 1]
         one = np.ones_like(p)
@@ -329,7 +330,7 @@ class HypersphereM3(Surface):
     def point(self, x):
         return self.radius * _sphere3(x)
 
-    def frame(self, x):
+    def frame(self, x, u):
         return _sphere3(x)[..., None]   # outward
 
 
@@ -345,8 +346,7 @@ class EllipsoidM3(Surface):
         w = _sphere3(x)
         return w * np.asarray(self.axes)
 
-    def frame(self, x):
-        u = self.point(x)
+    def frame(self, x, u):
         w = u / np.asarray(self.axes) ** 2
         return _unit(w)[..., None]   # outward
 
@@ -381,6 +381,8 @@ class OracleData:
     and ``k_ab[..., a, b, i, j]`` holds the mixed third forms
     ``<A^a e_i, A^b e_j>`` built from the tangential parts of ``d frame``;
     both come from complex-step first derivatives and are exact to rounding.
+    ``branch`` is the sign (+1 or -1) that ``u``, ``du``, ``h_alpha`` and
+    ``H_alpha`` carry relative to the parametrization.
     """
 
     surface: Surface
@@ -393,6 +395,7 @@ class OracleData:
     H_alpha: np.ndarray    # (*grid, d)
     k_ab: np.ndarray       # (*grid, d, d, m, m)
     k: np.ndarray          # (*grid, m, m) = sum_a k_aa
+    branch: int
 
     @property
     def m(self) -> int:
@@ -425,19 +428,60 @@ class OracleData:
         self._hyper()
         return self.H_alpha[..., 0]
 
+    def restrict(self, chart: Chart) -> "OracleData":
+        """The oracle of ``chart``, whose nodes are every ``s``-th node of
+        this chart on each axis (``self`` when the charts are equal).
 
-def _cstep_jacobian(fn, x: np.ndarray) -> np.ndarray:
-    """d fn / d x_j by complex step; appends the derivative axis last."""
+        The fields are contiguous copies, and the branch is chosen again by
+        :func:`isogauss.grid.center_sign` at ``chart``'s center.  Every field
+        of :func:`generate` is computed node by node, so the result equals
+        ``generate(self.surface, chart)`` bit for bit.  The node coordinates
+        must agree bit for bit, as those of a chart refined by a power of
+        two do.
+        """
+        if chart == self.chart:
+            return self
+        steps = [(fine - 1) // (coarse - 1)
+                 for fine, coarse in zip(self.chart.shape, chart.shape)]
+        if chart.m != self.m or not all(
+                s >= 1 and np.array_equal(a, b[::s])
+                for s, a, b in zip(steps, chart.axes(), self.chart.axes())):
+            raise DomainError("the chart's nodes are not nodes of the "
+                              "oracle's chart")
+        index = tuple(slice(None, None, s) for s in steps)
+        copies = {f.name: getattr(self, f.name)[index].copy()
+                  for f in fields(self)
+                  if isinstance(getattr(self, f.name), np.ndarray)}
+        out = replace(self, chart=chart, **copies)
+        if center_sign(chart, self.branch * out.H_alpha) != self.branch:
+            out._flip_branch()
+        return out
+
+    def _flip_branch(self) -> None:
+        """Negate, in place, the fields that carry the branch."""
+        for arr in (self.u, self.du, self.h_alpha, self.H_alpha):
+            np.negative(arr, out=arr)
+        object.__setattr__(self, "branch", -self.branch)
+
+
+def _cstep_sample(surface: Surface, x: np.ndarray):
+    """``(u, du, frame, dframe)``: the point and the frame at ``x`` and their
+    derivatives by complex step, on a trailing axis.  Each of the ``m + 1``
+    evaluations runs ``point`` once and hands its value to ``frame``."""
     m = x.shape[-1]
-    out = None
+    u = np.real(surface.point(x))
+    frame = np.real(surface.frame(x, u))
+    du = np.empty(u.shape + (m,))
+    dframe = np.empty(frame.shape + (m,))
     for j in range(m):
         xc = x.astype(complex)
         xc[..., j] += 1j * _CSTEP
-        col = fn(xc).imag
-        if out is None:
-            out = np.empty(col.shape + (m,))
-        np.divide(col, _CSTEP, out=out[..., j])
-    return out
+        uc = surface.point(xc)
+        fc = surface.frame(xc, uc)
+        np.divide(uc.imag, _CSTEP, out=du[..., j])
+        np.divide(fc.imag, _CSTEP, out=dframe[..., j])
+        del xc, uc, fc   # no complex field outlives its direction
+    return u, du, frame, dframe
 
 
 def generate(surface: Surface, chart: Chart) -> OracleData:
@@ -446,12 +490,8 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
         raise DomainError(
             f"{surface.name} expects m = {surface.m}, chart has m = {chart.m}")
     surface.validate_window(chart)
-    x = chart.mesh()
-    u = np.real(surface.point(x))
-    du = _cstep_jacobian(surface.point, x)
-    frame = np.real(surface.frame(x))
-    dframe = _cstep_jacobian(surface.frame, x)   # (..., n, a, j)
-    d = frame.shape[-1]
+    u, du, frame, dframe = _cstep_sample(surface, chart.mesh())
+    d = frame.shape[-1]                          # dframe: (..., n, a, j)
 
     m = chart.m
     duT = np.ascontiguousarray(du.mT)
@@ -481,13 +521,13 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
     k = np.einsum("...aaij->...ij", k_ab)
     k = 0.5 * (k + np.swapaxes(k, -1, -2))
 
+    data = OracleData(surface=surface, chart=chart, u=u, du=du, frame=frame,
+                      g=g, h_alpha=h_alpha, H_alpha=H_alpha, k_ab=k_ab, k=k,
+                      branch=1)
     # the branch the decision pipeline selects by default
     if center_sign(chart, H_alpha) < 0:
-        for arr in (u, du, h_alpha, H_alpha):
-            np.negative(arr, out=arr)
-
-    return OracleData(surface=surface, chart=chart, u=u, du=du, frame=frame,
-                      g=g, h_alpha=h_alpha, H_alpha=H_alpha, k_ab=k_ab, k=k)
+        data._flip_branch()
+    return data
 
 
 def gauss_codazzi_residuals(data: OracleData, pack: CurvaturePack,

@@ -41,8 +41,8 @@ from isogauss.datafiles import (_BLOCK_ORDER, FORMAT_VERSION, KINDS, Dataset,
 from isogauss.errors import (DatasetFormatError, DegenerateGaussMapError,
                              DomainError)
 from isogauss.grid import build_chart, center_sign, grad_all
-from isogauss.surfaces import _cstep_jacobian
 
+_CSTEP = 1e-100
 _FD2_STEP = 1e-5
 
 
@@ -144,6 +144,17 @@ def to_orthonormal(metric, b_low):
                        -1, -2)
 
 
+def cstep_jacobian(fn, x):
+    """d fn / d x_j by complex step, one function at a time; appends the
+    derivative axis last."""
+    cols = []
+    for j in range(x.shape[-1]):
+        xc = x.astype(complex)
+        xc[..., j] += 1j * _CSTEP
+        cols.append(fn(xc).imag / _CSTEP)
+    return np.stack(cols, axis=-1)
+
+
 def second_derivatives(fn, x):
     """u_ij = d_j d_i u, shape (..., n, m, m), by a central difference of
     the complex-step gradient (error ~ 1e-10)."""
@@ -154,8 +165,8 @@ def second_derivatives(fn, x):
         xm = x.copy()
         xp[..., j] += _FD2_STEP
         xm[..., j] -= _FD2_STEP
-        dp = _cstep_jacobian(fn, xp)
-        dm = _cstep_jacobian(fn, xm)
+        dp = cstep_jacobian(fn, xp)
+        dm = cstep_jacobian(fn, xm)
         cols.append((dp - dm) / (2 * _FD2_STEP))
     u2 = np.stack(cols, axis=-1)                 # (..., n, i, j)
     return 0.5 * (u2 + np.swapaxes(u2, -1, -2))

@@ -163,7 +163,8 @@ class TestMeanCurvatureVector:
         # curved metric paired with an unrelated plane field: both rho
         # eigenvalues land well below 1, so no mean curvature vector exists
         chart = ellipsoid.chart
-        spans = np.real(CliffordTorus(1.0, 1.0).frame(chart.mesh()))
+        torus, x = CliffordTorus(1.0, 1.0), chart.mesh()
+        spans = np.real(torus.frame(x, torus.point(x)))
         frame = build_normal_frame(chart, spans)
         forms = third_forms(frame)
         mc = mean_curvature(forms, ellipsoid)
@@ -391,7 +392,7 @@ class TestLoopEquivalence:
         frame = build_normal_frame(chart, spans)
         Q, min_det = reference_loops.normal_frame(chart, spans)
         assert np.array_equal(frame.frame, Q)
-        assert abs(frame.min_overlap_det - min_det) <= 1e-15
+        assert frame.min_overlap_det == min_det
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_frames_match_node_loop_on_catalog(self, name):
@@ -409,6 +410,47 @@ class TestLoopEquivalence:
         swap = rng.random(chart.shape) < 0.3
         spans = np.where(swap[..., None, None], spans[..., ::-1], spans)
         self._assert_same_frame(chart, spans)
+
+    @staticmethod
+    def _flipped_spans(name, points, region):
+        """Catalog spans with the columns negated on ``region`` (a function
+        of the chart giving an index into the grid)."""
+        surf = CATALOG[name]()
+        chart = surf.default_chart(points)
+        spans = generate(surf, chart).frame.copy()
+        spans[region(chart)] *= -1.0
+        return chart, spans
+
+    @pytest.mark.parametrize("name", ["ellipsoid", "clifford-torus",
+                                      "graph-r4"])
+    @pytest.mark.parametrize("region", [
+        # one node off the center row
+        lambda c: (c.center[0] + 3, c.center[1] + 4),
+        # a block reached only along the second axis
+        lambda c: (slice(2, 9), slice(c.center[1] + 2, c.center[1] + 6)),
+        # every face node, so first and last slabs of the runs flip
+        lambda c: np.pad(np.zeros(tuple(n - 2 for n in c.shape), bool), 1,
+                         constant_values=True),
+    ], ids=["node", "block", "faces"])
+    def test_partial_flips_match_node_loop(self, name, region):
+        # the sweep visits only the slabs that hold a flip or follow a
+        # repaired node; the rest keep the overlaps of one product
+        self._assert_same_frame(*self._flipped_spans(name, 15, region))
+
+    def test_partial_column_swaps_match_node_loop(self):
+        surf = CATALOG["graph-r4"]()
+        chart = surf.default_chart(21)
+        spans = generate(surf, chart).frame
+        swap = np.random.default_rng(5).random(chart.shape) < 0.03
+        spans = np.where(swap[..., None, None], spans[..., ::-1], spans)
+        self._assert_same_frame(chart, spans)
+
+    def test_flips_on_the_last_axis_only_match_node_loop(self):
+        # nodes off the center on the last axis lie only in its runs
+        def region(c):
+            return (slice(None), slice(1, 4), slice(c.center[2] + 1, None, 2))
+        self._assert_same_frame(
+            *self._flipped_spans("ellipsoid-m3", 9, region))
 
     @pytest.mark.parametrize("r2", [1.0, 1.4])
     @pytest.mark.parametrize("branch", [1, -1])

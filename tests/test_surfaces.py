@@ -1,6 +1,7 @@
 import inspect
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from isogauss import surfaces
 from isogauss.curvature import metric_field, node_norm, raise_index, riemann_tensor
 from isogauss.errors import DomainError, SingularMetricError
-from isogauss.grid import interior_max
+from isogauss.grid import build_chart, interior_max
 from isogauss.reconstruct import compare_up_to_translation, observed_order
 from isogauss.surfaces import (CATALOG, AssociatedFamily, Catenoid,
                                Ellipsoid, Graph, Helicoid, HypersphereM3,
@@ -140,7 +141,8 @@ class TestWeingartenOracle:
         x = data.chart.mesh()
         point = np.real(surf.point(x))
         u2 = reference_loops.second_derivatives(surf.point, x)
-        ref = np.einsum("...na,...nij->...aij", np.real(surf.frame(x)), u2)
+        ref = np.einsum("...na,...nij->...aij",
+                        np.real(surf.frame(x, point)), u2)
         if np.array_equal(data.u, -point):      # the stored branch
             ref = -ref
         assert np.max(node_norm(data.h_alpha - ref, 3)) <= \
@@ -160,9 +162,7 @@ class TestWeingartenOracle:
         surf = CATALOG[name]()
         chart = catalog_chart(surf)
         x = chart.mesh()
-        du = surfaces._cstep_jacobian(surf.point, x)
-        frame = np.real(surf.frame(x))
-        dframe = surfaces._cstep_jacobian(surf.frame, x)
+        _, du, frame, dframe = surfaces._cstep_sample(surf, x)
         d, m = frame.shape[-1], chart.m
         assert np.max(np.abs(du.mT @ frame)) <= 1e-13 * np.max(np.abs(du))
         w = -(du.mT @ dframe.reshape(chart.shape + (-1, d * m))).reshape(
@@ -292,6 +292,82 @@ def test_malformed_parameters_rejected(name, kwargs):
 def test_zero_coefficients_and_negative_lengths_allowed():
     assert Graph((0.0, 0.0, 0.0)).coeffs == (0.0, 0.0, 0.0)
     assert RoundSphere(-1.0).radius == -1.0
+
+
+def assert_same_oracle(got, want):
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.flags.c_contiguous and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+class TestRestriction:
+    """Generation is pointwise and a refined chart holds the coarse node
+    coordinates bit for bit, so a restricted oracle is a coarse one."""
+
+    @pytest.mark.parametrize("refinements", [1, 2])
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_restricted_oracle_is_the_coarse_oracle(self, name, refinements):
+        surf = CATALOG[name]()
+        # an even node count moves the center node under refinement
+        for points in ((9, 10) if surf.m == 2 else (5, 6)):
+            chart = surf.default_chart(points)
+            fine = generate(surf, chart.refine(2 ** refinements))
+            assert_same_oracle(fine.restrict(chart), generate(surf, chart))
+
+    def test_branch_is_chosen_again_at_the_coarse_center(self):
+        # a saddle whose mean curvature is negative at the fine center and
+        # vanishes at the coarse one, where the branch rule keeps +1
+        surf = Graph((1.0, 0.0, -1.0))
+        chart = build_chart(2, (6, 6), (0.2, 0.4), (-0.3, -0.9))
+        fine = generate(surf, chart.refine())
+        coarse = generate(surf, chart)
+        assert (fine.branch, coarse.branch) == (-1, 1)
+        assert_same_oracle(fine.restrict(chart), coarse)
+
+    def test_restriction_keeps_an_equal_chart_and_needs_shared_nodes(self):
+        surf = Ellipsoid()
+        data = generate(surf, surf.default_chart(9))
+        assert data.restrict(surf.default_chart(9)) is data
+        for chart in (surf.default_chart(17), surf.default_chart(6),
+                      replace(surf.default_chart(5), origin=(0.7, 0.3))):
+            with pytest.raises(DomainError):
+                data.restrict(chart)
+
+    @pytest.mark.parametrize("name", ["ellipsoid", "catenoid",
+                                      "hypersphere-m3"])
+    def test_gauss_map_rotation_commutes_with_restriction(self, name):
+        surf = CATALOG[name]()
+        chart = surf.default_chart(9 if surf.m == 2 else 5)
+        fine = generate(surf, chart.refine().refine())
+        every = tuple(slice(None, None, 4) for _ in range(surf.m))
+        rotated = smooth_rotation_of_gauss_map(fine.nu, fine.chart, 1e-2,
+                                               seed=3)[every]
+        assert np.array_equal(rotated, smooth_rotation_of_gauss_map(
+            generate(surf, chart).nu, chart, 1e-2, seed=3))
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "round-sphere", "ellipsoid-m3"])
+def test_generate_evaluates_point_and_frame_once_per_direction(name):
+    # the value and each complex-step direction run point once and hand it
+    # to frame: m + 1 evaluations of each
+    calls = Counter()
+
+    @dataclass(frozen=True)
+    class Counting(type(CATALOG[name]())):
+        def point(self, x):
+            calls["point"] += 1
+            return super().point(x)
+
+        def frame(self, x, u):
+            calls["frame"] += 1
+            return super().frame(x, u)
+
+    surf = Counting()
+    generate(surf, surf.default_chart(9 if surf.m == 2 else 5))
+    assert calls == {"point": surf.m + 1, "frame": surf.m + 1}
 
 
 class TestPerturbation:
