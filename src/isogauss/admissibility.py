@@ -23,16 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codim import (RANK_REL_TOL, _block_products, _right_singular,
-                    build_normal_frame, frame_consistency,
-                    mean_curvature_vector, second_forms, third_forms,
-                    weingarten_combination)
+from .codim import (_block_products, _right_singular, build_normal_frame,
+                    frame_consistency, mean_curvature_vector, second_forms,
+                    third_forms, weingarten_combination)
 from .curvature import (CurvaturePack, MetricField, curvature_operator,
                         node_max, node_norm, riemann_tensor, spd_solve,
-                        symmetric_eig, to_orthonormal)
+                        to_orthonormal)
 from .errors import (BranchError, ConfigurationError, DegenerateGaussMapError,
                      DomainError)
-from .grid import Chart, align_signs, grad_all, interior_max
+from .grid import Chart, align_signs, grad_all, integrate, interior_max
 
 RESIDUAL_KEYS = ("step1_positivity", "h_squared", "isometry", "parallelity",
                  "curl", "aalpha_consistency", "nullspace_gap")
@@ -271,17 +270,18 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     largest; a gap tolerance below that cannot separate the second-last
     from zero.  The system, its Gram and the eigensolve run in blocks of
     whole axis-0 slabs of about ``_THEOREM3_BLOCK_NODES`` nodes, so their
-    temporaries do not grow with the grid.
+    temporaries do not grow with the grid.  Invertibility of the Gauss-map
+    differential is judged once, before step 1
+    (:func:`isogauss.codim.weingarten_combination`); here only a ``k``
+    that is not positive definite raises :class:`DegenerateGaussMapError`.
     """
     options = options or PipelineOptions()
     chart = metric.chart
     m = chart.m
     if m < 3:
         raise DomainError("the linear-system route needs m >= 3")
-    k_eigs = symmetric_eig(to_orthonormal(metric, k))
     kop_inv = spd_solve(k, metric.g)
-    if (kop_inv is None or float(np.min(k_eigs))
-            <= RANK_REL_TOL * max(float(np.max(k_eigs)), 1e-300)):
+    if kop_inv is None:
         raise DegenerateGaussMapError("third form not invertible; dnu is degenerate")
     ginv = metric.g_inv
 
@@ -291,8 +291,7 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     # z = [vec M_b, vec g^{-1}] per node
     z = np.empty(chart.shape + (C.shape[0],))
     np.matmul(kop_inv[..., None, :, :],
-              curvature_operator(pack, metric, _so_g_basis(ginv),
-                                 check=False),
+              curvature_operator(pack, metric, _so_g_basis(ginv)),
               out=z[..., :rows].reshape(chart.shape + W.shape))
     z[..., rows:] = ginv.reshape(chart.shape + (m * m,))
     null, sig = np.empty((2,) + chart.shape + (p,))
@@ -371,7 +370,6 @@ def h_from_hopf_angle(metric: MetricField, Gamma: np.ndarray, k: np.ndarray,
     m = 2 data whose Hopf angle is 0 at the chart center (``sign = -1`` is
     ``phi = pi``, i.e. ``-h``); ``kappa^2 = tr(k_on) / 2`` and ``phi``
     integrates :func:`hopf_angle_gradient`."""
-    from .reconstruct import integrate     # reconstruct imports this module
     k_on = to_orthonormal(metric, k)
     kappa = np.sqrt(0.5 * (k_on[..., 0, 0] + k_on[..., 1, 1]))
     phi = integrate(hopf_angle_gradient(metric, Gamma, kappa)[..., None, :],

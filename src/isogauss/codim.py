@@ -85,15 +85,15 @@ def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
     full-rank input and invariant under positive column scalings, and for
     ``d = 1`` it is plain normalization.  The data is rank deficient when
     the smallest pivot anywhere is at most ``RANK_REL_TOL`` times the
-    largest.  A center-out sweep over :func:`isogauss.grid.staircase_slabs`
+    largest.  A center-out sweep over :func:`isogauss.grid.staircase_runs`
     then compares each node with its already repaired neighbor one step
     towards the chart center and repairs a sign or order flip (an overlap
     far from the identity) by the maximal-overlap signed permutation.  So
     the frame is continuous across the whole chart: normal data is an
-    unoriented plane.  The sweep forms the overlaps of each
-    :func:`isogauss.grid.staircase_runs` run with one product and visits
-    only the slabs that hold a flip or follow a repaired node; the overlaps
-    are those of the slab-by-slab sweep bit for bit.
+    unoriented plane.  The sweep forms the overlaps of each run with one
+    product and revisits only the steps of a run that hold a flip or follow
+    a repaired node; the overlaps are those of a node-by-node sweep bit for
+    bit.
     """
     spans = np.asarray(spans, dtype=float)
     if spans.ndim != chart.m + 2 or spans.shape[:chart.m] != chart.shape:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularMetricError
+from .errors import SingularMetricError
 from .grid import Chart, grad_all
 
 _SYM_TOL = 1e-8
@@ -387,15 +387,8 @@ def _per_operator(field: np.ndarray, Om_op: np.ndarray) -> np.ndarray:
     return field.reshape(field.shape[:-2] + (1,) * stack + field.shape[-2:])
 
 
-def antisymmetry_defect(metric: MetricField, Om_op: np.ndarray) -> float:
-    """Max deviation of an operator field from so_g (g Om skew)."""
-    gOm = _per_operator(metric.g, Om_op) @ Om_op
-    scale = 1.0 + float(np.max(node_norm(gOm, 2)))
-    return float(np.max(node_norm(gOm + np.swapaxes(gOm, -1, -2), 2))) / scale
-
-
 def curvature_operator(pack: CurvaturePack, metric: MetricField,
-                       Om_op: np.ndarray, check: bool = True) -> np.ndarray:
+                       Om_op: np.ndarray) -> np.ndarray:
     """Curvature operator on 2-forms, applied to g-antisymmetric operators.
 
     ``Om_op`` is one operator per node, ``(*grid, m, m)``, or a stack of
@@ -406,8 +399,6 @@ def curvature_operator(pack: CurvaturePack, metric: MetricField,
     sphere return ``2 * Om`` (equivalently, Gauss-compatible data satisfy
     ``R(Om) = 2 h Om h`` with ``h`` the g-raised second fundamental form).
     """
-    if check and antisymmetry_defect(metric, Om_op) > 1e-8:
-        raise DomainError("operator argument is not g-antisymmetric")
     grid = pack.R_low.shape[:-4]
     m = Om_op.shape[-1]
     g_inv = _per_operator(metric.g_inv, Om_op)

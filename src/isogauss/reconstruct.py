@@ -9,42 +9,9 @@ import numpy as np
 
 from .admissibility import AdmissibilityReport, PipelineOptions, run_pipeline
 from .curvature import MetricField, metric_field, node_max, node_norm
-from .errors import DomainError
-from .grid import Chart, grad_all, interior_max
+from .grid import Chart, grad_all, integrate, interior_max
 from .surfaces import (OracleData, Surface, generate,
                        smooth_rotation_of_gauss_map)
-
-
-def integrate(U: np.ndarray, chart: Chart) -> np.ndarray:
-    """Trapezoidal integration of du = U along axis-ordered staircase paths.
-
-    The path runs from the chart center, where ``u = 0``, first along axis
-    0, then axis 1, and so on.  Path independence is not checked here: the
-    pipeline judges it as the step-4 ``curl`` residual
-    (:func:`isogauss.admissibility.curl_residual`), so the ``U`` of an
-    admissible report integrates.
-    """
-    n = U.shape[-2] if U.ndim >= 2 else 0
-    if U.shape != chart.shape + (n, chart.m):
-        raise DomainError(
-            f"U has shape {U.shape}, expected {chart.shape + (n, chart.m)}")
-    base = chart.center
-    u = np.zeros(chart.shape + (n,))
-    # after handling axis a the values are valid on the slab that is free on
-    # axes <= a and pinned to the base index on axes > a
-    for a in range(chart.m):
-        slab = tuple(slice(None) if t <= a else slice(base[t], base[t] + 1)
-                     for t in range(chart.m))
-        useg = np.moveaxis(u[slab], a, 0)
-        Useg = np.moveaxis(U[slab][..., a], a, 0)
-        dx = chart.spacing[a]
-        b = base[a]
-        inc = 0.5 * dx * (Useg[1:] + Useg[:-1])               # trapezoid
-        if b < useg.shape[0] - 1:
-            useg[b + 1:] = useg[b] + np.cumsum(inc[b:], axis=0)
-        if b > 0:
-            useg[b - 1::-1] = useg[b] - np.cumsum(inc[b - 1::-1], axis=0)
-    return u
 
 
 def verify_immersion(u: np.ndarray, metric: MetricField,

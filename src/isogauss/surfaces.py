@@ -37,7 +37,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .curvature import CurvaturePack, MetricField, node_norm, spd_solve
+from .admissibility import codazzi_residual
+from .curvature import CurvaturePack, MetricField, cholesky_factors, node_norm
 from .errors import DomainError, SingularMetricError
 from .grid import Chart, build_chart, center_sign, check_shape
 
@@ -503,11 +504,13 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
                            -3, -2)
     del duT
     h_alpha = 0.5 * (h_alpha + np.swapaxes(h_alpha, -1, -2))
-    g_inv = spd_solve(g, np.eye(m))
-    if g_inv is None:
+    factors = cholesky_factors(g)
+    if factors is None:
         raise SingularMetricError(
             f"{surface.name} is not immersed on this chart: the induced "
             "metric is not positive definite")
+    L_inv = factors[1]
+    g_inv = np.ascontiguousarray(L_inv.mT) @ L_inv
     H_alpha = (h_alpha.reshape(chart.shape + (d, m * m))
                @ g_inv.reshape(chart.shape + (m * m, 1)))[..., 0]
 
@@ -539,8 +542,6 @@ def gauss_codazzi_residuals(data: OracleData, pack: CurvaturePack,
     >= 2 this is the flat-normal-connection form, valid for the catalog
     frames (which are parallel in the normal bundle).
     """
-    from .admissibility import codazzi_residual   # cycle-free at call time
-
     h = data.h_alpha
     quad = (np.einsum("...ail,...ajk->...ijkl", h, h, optimize=True)
             - np.einsum("...aik,...ajl->...ijkl", h, h, optimize=True))

@@ -657,6 +657,28 @@ class TestRouting:
         elif report.admissible:
             assert report.candidate.h_alpha.shape[-3] == 1
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+    def test_nearly_flat_direction_has_one_gauss_map_gate(self, eps):
+        # the graph of x^2 + y^2 + eps z^2 in R^4: the singular-value ratio
+        # of dnu (about 0.67 eps) passes the invertibility gate, so
+        # theorem3 judges the data instead of raising on its own, stricter
+        # test of the third form's eigenvalues
+        chart = build_chart(3, (13,) * 3, (0.8 / 12,) * 3, (-0.4,) * 3)
+        x = chart.mesh()
+        grad = np.stack([2 * x[..., 0], 2 * x[..., 1], 2 * eps * x[..., 2]],
+                        axis=-1)
+        g = np.eye(3) + grad[..., :, None] * grad[..., None, :]
+        nu = np.concatenate([-grad, np.ones(chart.shape + (1,))], axis=-1)
+        nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
+        metric = metric_field(chart, g)
+        auto = run_pipeline(metric, nu[..., None])
+        forced = run_pipeline(metric, nu[..., None],
+                              PipelineOptions(method="theorem3"))
+        ratio = auto.extra["dnu_min_singular"] / auto.extra["dnu_max_singular"]
+        assert 0.5 * eps < ratio < eps
+        assert (auto.verdict, auto.method) == ("admissible", "theorem2")
+        assert (forced.verdict, forced.method) == ("inapplicable", "theorem3")
+
     def test_method_request_on_codim2_data_is_noted(self):
         surf = CATALOG["clifford-torus"]()
         data = generate(surf, surf.default_chart(17))

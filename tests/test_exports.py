@@ -148,3 +148,16 @@ def test_batched_products_take_contiguous_operands():
                                               path.stem)}
     assert sorted(found - set(TRANSPOSED_OPERANDS)) == []
     assert sorted(set(TRANSPOSED_OPERANDS) - found) == []
+
+
+def test_no_import_inside_a_function():
+    # every module imports at the top, so the import graph is the one its
+    # headers show; a cycle must be broken by moving code, not by deferring
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "isogauss"
+    found = [f"{path.stem}.{node.name}"
+             for path in sorted(root.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(isinstance(inner, (ast.Import, ast.ImportFrom))
+                     for inner in ast.walk(node))]
+    assert found == []

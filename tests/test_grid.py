@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from isogauss.errors import ConfigurationError
 from isogauss.grid import (align_signs, build_chart, center_sign,
-                           grad_all, staircase_slabs)
+                           grad_all, staircase_runs)
 from isogauss.reconstruct import observed_order
 
 import reference_loops
@@ -102,42 +102,38 @@ class TestDerivative:
 
 
 class TestStaircase:
+    @staticmethod
+    def run_pairs(chart):
+        """(node, previous node) of every run, in walk order."""
+        index = np.indices(chart.shape)
+        for a, run, prev in staircase_runs(chart):
+            nodes, prevs = (np.moveaxis(index[(slice(None),) + s], a + 1, 1)
+                            .reshape(chart.m, -1).T for s in (run, prev))
+            yield a, [(tuple(map(int, x)), tuple(map(int, y)))
+                      for x, y in zip(nodes, prevs)]
+
     @pytest.mark.parametrize("shape", [(5, 7), (6, 5, 7)])
     def test_visits_every_node_once_with_valid_predecessor(self, shape):
         chart = build_chart(len(shape), shape, (0.1,) * len(shape))
-        index = np.indices(shape)
         covered = np.zeros(shape, dtype=int)
-        steps = 0
-        for slab, prev in staircase_slabs(chart):
-            if prev is None:
-                assert steps == 0
-                assert covered[slab].size == 1
-                assert tuple(int(i[slab].item()) for i in index) == chart.center
-            else:
-                assert np.all(covered[prev] == 1)
-                # every node of the slab is one step from its partner in
-                # the previous slab, along the same single axis
-                delta = np.abs(index[(slice(None),) + slab]
-                               - index[(slice(None),) + prev])
-                moved = [a for a in range(len(shape)) if np.any(delta[a])]
-                assert len(moved) == 1 and np.all(delta[moved[0]] == 1)
-            covered[slab] += 1
-            steps += 1
+        covered[chart.center] = 1
+        runs = 0
+        for a, pairs in self.run_pairs(chart):
+            # walked out from the center, so each previous node is the
+            # center, in an earlier run or earlier in this one
+            for node, prev in pairs:
+                assert covered[prev] == 1
+                delta = [abs(i - j) for i, j in zip(node, prev)]
+                assert delta == [int(t == a) for t in range(len(shape))]
+                covered[node] += 1
+            runs += 1
         assert np.all(covered == 1)
-        assert steps == sum(shape) - len(shape) + 1
+        assert runs == 2 * len(shape)
 
     @pytest.mark.parametrize("shape", [(5, 7), (6, 5, 7)])
-    def test_slabs_expand_to_node_staircase(self, shape):
+    def test_runs_expand_to_node_staircase(self, shape):
         chart = build_chart(len(shape), shape, (0.1,) * len(shape))
-        index = np.indices(shape)
-        pairs = set()
-        for slab, prev in staircase_slabs(chart):
-            if prev is None:
-                continue
-            nodes = index[(slice(None),) + slab].reshape(len(shape), -1).T
-            prevs = index[(slice(None),) + prev].reshape(len(shape), -1).T
-            pairs.update((tuple(map(int, a)), tuple(map(int, b)))
-                         for a, b in zip(nodes, prevs))
+        pairs = {pair for _, run in self.run_pairs(chart) for pair in run}
         reference = {(idx, prev) for idx, prev
                      in reference_loops.staircase_orders(chart) if prev is not None}
         assert pairs == reference
@@ -168,6 +164,29 @@ class TestStaircase:
         # a zero dot product keeps +1 in both
         zero = np.zeros(chart.shape + (3,))
         assert np.array_equal(align_signs(chart, zero), np.ones(chart.shape))
+
+    @pytest.mark.parametrize("shape", [(15, 12), (9, 8, 7)])
+    def test_align_signs_restarts_at_planted_ties(self, shape):
+        # exact-zero dot products inside flipped regions: the node after a
+        # tie takes +1 whatever its neighbor's sign, and the walk goes on
+        # from there; a NaN dot product fails ">= 0" and restarts at -1
+        chart = build_chart(len(shape), shape, (0.05,) * len(shape))
+        rng = np.random.default_rng(7)
+        base = np.array([1.0, -2.0, 0.5])
+        for _ in range(3):
+            flips = np.where(chart.mesh()[..., 0] > 0.15, -1.0, 1.0)
+            flips[rng.random(shape) < 0.2] *= -1.0
+            vectors = base * flips[..., None]
+            vectors[rng.random(shape) < 0.1] = 0.0
+            vectors[rng.random(shape) < 0.02] = np.nan
+            sign = align_signs(chart, vectors)
+            assert np.array_equal(sign, reference_loops.align_signs(chart, vectors))
+            # some tie follows a node of sign -1, so a walk that carried
+            # the sign across it would differ
+            assert any(sign[prev] < 0 and sign[idx] > 0
+                       and np.dot(vectors[idx], vectors[prev]) == 0
+                       for idx, prev in reference_loops.staircase_orders(chart)
+                       if prev is not None)
 
 
 class TestCenterSign:
