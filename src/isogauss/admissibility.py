@@ -257,8 +257,9 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     node's ``z = [vec M_b, vec g^{-1}]``, ``M_b = k^{-1} R(g^{-1} W_b)``
     (:func:`curvature.curvature_operator`), with the constant map of
     :func:`_theorem3_map`.  The bottom right singular vector of that
-    system, from the Jacobi kernel :func:`curvature.symmetric_eig` on its
-    Gram matrix (:func:`codim._right_singular`), is the nullspace.  A
+    system, the only eigenvector the Jacobi kernel
+    :func:`curvature.symmetric_eig` forms of its Gram matrix
+    (:func:`codim._right_singular`), is the nullspace.  A
     one-dimensional numerical nullspace (small last singular value, clear
     gap to the second-last) certifies uniqueness up to scale; the missing
     scale is restored from ``Tr(h^2) = Tr k`` and the sign is fixed once per
@@ -298,9 +299,8 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     step = max(1, _THEOREM3_BLOCK_NODES // math.prod(chart.shape[1:]))
     for i0 in range(0, chart.shape[0], step):
         blk = slice(i0, i0 + step)
-        sig[blk], V = _right_singular(
+        sig[blk], null[blk] = _right_singular(
             (z[blk] @ C).reshape(z[blk].shape[:-1] + (rows, p)))
-        null[blk] = V[..., :, 0]
     sig_last, sig_prev, sig1 = sig[..., 0], sig[..., 1], sig[..., -1]
     utol = options.unit_tol(chart)
     has_null = sig_last <= utol * sig1

@@ -241,15 +241,16 @@ def _block_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _right_singular(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values of a ``(..., r, p)`` stack, ascending, and the right
-    singular vectors as columns, from the eigenpairs of the Gram ``E^T E``.
-    The smallest singular value is the residual norm ``|E v|`` of its vector
-    ``v``, which is as accurate as an SVD's; the square root of the smallest
-    Gram eigenvalue would resolve it only to about ``1e-8 |E|``.
+    singular vector ``v`` of the smallest, shape ``(..., p)``, from the
+    eigenvalues and bottom eigenvector of the Gram ``E^T E``.  The smallest
+    singular value is the residual norm ``|E v|``, which is as accurate as
+    an SVD's; the square root of the smallest Gram eigenvalue would resolve
+    it only to about ``1e-8 |E|``.
     """
-    lam, V = symmetric_eig(E.mT @ E, vectors=True)
+    lam, v = symmetric_eig(E.mT @ E, vectors=True)
     sig = np.sqrt(np.clip(lam, 0.0, None))
-    sig[..., 0] = node_norm(E @ V[..., :, :1], 2)
-    return sig, V
+    sig[..., 0] = node_norm(E @ v[..., None], 2)
+    return sig, v
 
 
 def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
@@ -261,12 +262,12 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
     ``length`` is ``|H| = sqrt(s + Tr k)`` from step 1; relative singular
     values of ``rho^T - I`` up to ``unit_tol``
     (:meth:`isogauss.admissibility.PipelineOptions.unit_tol`) count as unit
-    eigenvalues.  The singular values and right singular vectors of
-    ``E = rho^T - I`` come from
+    eigenvalues.  The singular values of ``E = rho^T - I`` and the right
+    singular vector ``v`` of the smallest come from
     :func:`isogauss.curvature.symmetric_eig` of the ``d x d`` Gram
-    ``E^T E`` (:func:`_right_singular`).  The smallest singular value is
-    the residual norm ``|E v|`` of its vector ``v``, not the square root of
-    the smallest Gram eigenvalue (which resolves it only to about
+    ``E^T E`` (:func:`_right_singular`), which forms no other vector.  The
+    smallest singular value is the residual norm ``|E v|``, not the square
+    root of the smallest Gram eigenvalue (which resolves it only to about
     ``1e-8 |E|``), so ``unit_eigen_distance`` keeps the accuracy of an SVD.
     Generic data has a one-dimensional fixed space at eigenvalue 1; the unit
     fixed vector is continued outwards from the chart center and scaled to
@@ -283,7 +284,7 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
     inter = chart.interior
     rho, B, k_ab_op = _rho_and_B(forms, Ric, metric)
     scale = np.maximum(1.0, node_norm(rho, 2))
-    sig, V = _right_singular(np.swapaxes(rho, -1, -2) - np.eye(d))
+    sig, v = _right_singular(np.swapaxes(rho, -1, -2) - np.eye(d))
     dims = np.sum(sig <= unit_tol * scale[..., None], axis=-1)
     unit_dist = interior_max(chart, sig[..., 0] / scale)
 
@@ -296,7 +297,6 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
                       ["rho has no eigenvalue within tolerance of 1: data "
                        "inadmissible"])
     if float(np.mean(dims[inter] == 1)) >= 0.99:
-        v = V[..., :, 0]
         v = v * align_signs(chart, v)[..., None]
         v = v * (center_sign(chart, v) * sign_branch)
         return result("ok", [length[..., None] * v], 1)

@@ -110,8 +110,19 @@ def _rotate(c: np.ndarray, s: np.ndarray, x: np.ndarray, y: np.ndarray,
     y += tmp[0]
 
 
+def _cos_sin(t: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
+    """``c = 1 / sqrt(1 + t^2)`` and ``s = t c`` of the rotation with tangent
+    ``t``, in place; the same operations give the same bits every time."""
+    np.square(t, out=c)
+    c += 1.0
+    np.sqrt(c, out=c)
+    np.reciprocal(c, out=c)
+    np.multiply(t, c, out=s)
+
+
 def symmetric_eig(a: np.ndarray, vectors: bool = False):
-    """Eigenvalues, ascending, and on request eigenvectors, per node.
+    """Eigenvalues, ascending, and on request the bottom eigenvector, per
+    node.
 
     ``a`` is a ``(..., m, m)`` stack of symmetric matrices; only its lower
     triangle is read.  Cyclic Jacobi (Golub & Van Loan, *Matrix
@@ -127,12 +138,21 @@ def symmetric_eig(a: np.ndarray, vectors: bool = False):
     Frobenius norm, or after ``_JACOBI_MAX_SWEEPS``.  The eigenvalues are
     then accurate to about ``eps * |a|``, as LAPACK's are (Demmel &
     Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).  A node with a
-    non-finite entry gets NaN eigenvalues (and vectors); the kernel never
+    non-finite entry gets NaN eigenvalues (and vector); the kernel never
     raises.
 
+    The eigenvectors are the columns of the product ``J_1 ... J_n`` of the
+    rotations, and only the bottom one is formed: with ``vectors`` each
+    rotation's tangent is kept (8 B per node, so at most
+    ``8 * sweeps * m (m - 1) / 2`` bytes per node in all), and after the
+    sweeps ``e_j``, ``j`` the first index of the smallest diagonal entry,
+    goes through ``J_n`` first and ``J_1`` last.  Each ``J`` is rebuilt
+    from its tangent by the operations the sweep used, so it is the
+    sweep's rotation bit for bit.
+
     Returns ``w`` of shape ``(..., m)``, or with ``vectors`` the pair
-    ``(w, V)`` with orthonormal columns ``V[..., :, i]`` and
-    ``a V = V diag(w)``.
+    ``(w, v)``: ``v`` of shape ``(..., m)`` is a unit vector with
+    ``a v = w[..., 0] v``.
     """
     a = np.asarray(a, dtype=float)
     m = a.shape[-1]
@@ -162,16 +182,12 @@ def symmetric_eig(a: np.ndarray, vectors: bool = False):
     for i in range(m):
         tol += np.square(work[row[i, i]], out=d)
     tol *= 0.5 * np.finfo(float).eps ** 2
-    # c and s rotate the other rows and the vectors; with neither (m = 2,
-    # values only) t alone finishes each pair
-    rotates = vectors or m > 2
-    if rotates:
+    # c and s rotate the other rows (m > 2) and the vector; with neither
+    # (m = 2, values only) t alone finishes each pair
+    if vectors or m > 2:
         c, s = np.empty((2,) + batch)
         pair_tmp = np.empty((2,) + batch)
-    if vectors:
-        V = np.zeros((m, m) + batch)
-        for i in range(m):
-            V[i, i] = 1.0
+    tangents = []
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(_JACOBI_MAX_SWEEPS):
             if not np.any(off2 > tol):
@@ -179,6 +195,9 @@ def symmetric_eig(a: np.ndarray, vectors: bool = False):
             for p, q in pairs:
                 app, aqq = work[row[p, p]], work[row[q, q]]
                 apq = work[row[p, q]]
+                if vectors:
+                    t = np.empty(batch)
+                    tangents.append(t)
                 # t = tan(angle), the smaller root of
                 # t^2 + t (aqq - app) / apq - 1 = 0; tiny keeps 0 / 0 away
                 np.subtract(aqq, app, out=d)
@@ -192,48 +211,55 @@ def symmetric_eig(a: np.ndarray, vectors: bool = False):
                 r += d
                 np.add(apq, apq, out=t)
                 t /= r
-                if rotates:
-                    np.square(t, out=c)
-                    c += 1.0
-                    np.sqrt(c, out=c)
-                    np.reciprocal(c, out=c)
-                    np.multiply(t, c, out=s)
-                t *= apq
-                app -= t
-                aqq += t
+                np.multiply(t, apq, out=r)
+                app -= r
+                aqq += r
                 apq.fill(0.0)
-                for k in range(m):
-                    if k != p and k != q:
-                        _rotate(c, s, work[row[k, p]], work[row[k, q]],
-                                pair_tmp)
-                if vectors:
+                if m > 2:
+                    _cos_sin(t, c, s)
                     for k in range(m):
-                        _rotate(c, s, V[k, p], V[k, q], pair_tmp)
+                        if k != p and k != q:
+                            _rotate(c, s, work[row[k, p]], work[row[k, q]],
+                                    pair_tmp)
             off2.fill(0.0)
             for p, q in pairs:
                 off2 += np.square(work[row[p, q]], out=d)
-        # odd-even transposition sort of the diagonal, ascending
-        for sweep in range(m):
-            for i in range(sweep % 2, m - 1, 2):
-                x, y = work[row[i, i]], work[row[i + 1, i + 1]]
-                if vectors:
-                    # swapping two columns is a quarter turn: c = 0, s = 1
-                    np.greater(x, y, out=s)
-                    np.subtract(1.0, s, out=c)
-                    for k in range(m):
-                        _rotate(c, s, V[k, i], V[k, i + 1], pair_tmp)
-                np.minimum(x, y, out=d)
-                np.maximum(x, y, out=y)
-                np.copyto(x, d)
+        if vectors:
+            # e_j, j the first index of the smallest diagonal entry: the
+            # column the ascending stable sort below puts first
+            v = np.empty((m,) + batch)
+            v[0] = 1.0
+            low = work[row[0, 0]]
+            for i in range(1, m):
+                np.less(work[row[i, i]], low, out=v[i])
+                np.subtract(1.0, v[i], out=d)
+                v[:i] *= d
+                low = np.minimum(low, work[row[i, i]], out=r)
+            # the sweep's _rotate(c, s, x_p, x_q) is x <- J^T x; with the
+            # pair swapped it is x <- J x
+            for n in reversed(range(len(tangents))):
+                p, q = pairs[n % len(pairs)]
+                _cos_sin(tangents.pop(), c, s)
+                _rotate(c, s, v[q], v[p], pair_tmp)
+    # odd-even transposition sort of the diagonal, ascending
+    for sweep in range(m):
+        for i in range(sweep % 2, m - 1, 2):
+            x, y = work[row[i, i]], work[row[i + 1, i + 1]]
+            np.minimum(x, y, out=d)
+            np.maximum(x, y, out=y)
+            np.copyto(x, d)
     w = np.empty(batch + (m,))
     for i in range(m):
         np.ldexp(work[row[i, i]], expo, out=w[..., i])
     np.copyto(w, np.nan, where=bad[..., None])
     if not vectors:
         return w
-    V = np.moveaxis(V, (0, 1), (-2, -1))
-    np.copyto(V, np.nan, where=bad[..., None, None])
-    return w, V
+    # a view, the vector axis outermost in memory: the products callers
+    # form of it keep their rounding (a C-order copy moves the codim route's
+    # residuals in their last digits)
+    v = np.moveaxis(v, 0, -1)
+    np.copyto(v, np.nan, where=bad[..., None])
+    return w, v
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:

@@ -472,15 +472,19 @@ def build_U(A, k, h, frame):
 
 def symmetric_eig(a, vectors=False):
     """``curvature.symmetric_eig`` by one LAPACK ``eigvalsh`` or ``eigh``
-    call per matrix (lower triangle, ascending)."""
-    return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+    call per matrix (lower triangle, ascending); with ``vectors`` the
+    bottom eigenvector, ``eigh``'s column 0."""
+    if not vectors:
+        return np.linalg.eigvalsh(a)
+    w, V = np.linalg.eigh(a)
+    return w, V[..., :, 0]
 
 
 def right_singular(E):
     """``codim._right_singular`` from one LAPACK SVD per matrix: singular
-    values ascending, right singular vectors as columns."""
+    values ascending and the right singular vector of the smallest."""
     _, sig, Vh = np.linalg.svd(E)
-    return sig[..., ::-1], Vh[..., ::-1, :].mT
+    return sig[..., ::-1], Vh[..., -1, :]
 
 
 def weingarten_combination(A, k_ab, metric):

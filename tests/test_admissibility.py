@@ -11,7 +11,7 @@ from isogauss.admissibility import (PipelineOptions, build_U, check_h_squared,
                                     codazzi_residual, h_from_theorem2,
                                     h_from_theorem3, hopf_angle_gradient,
                                     run_pipeline, step1_positivity)
-from isogauss.codim import build_normal_frame, third_forms
+from isogauss.codim import _right_singular, build_normal_frame, third_forms
 from isogauss.curvature import (metric_field, node_norm, riemann_tensor,
                                 to_orthonormal)
 from isogauss.grid import grad_all
@@ -205,6 +205,23 @@ class TestTheorem3:
         chart, pack, k, metric = theorem3_inputs(EllipsoidM3(), 21)
         assert traced_peak_mb(h_from_theorem3, pack, k, metric,
                               PipelineOptions()) < 14.0
+
+    def test_eigensolve_keeps_one_tangent_per_rotation(self, monkeypatch):
+        # the first block at 21^3: 3969 nodes, each a (27, 6) system whose
+        # Gram takes 4 sweeps of 15 rotations.  3.15 MB measured; keeping
+        # (c, s) instead of the tangent adds 1.9 MB, and so would any other
+        # second array per rotation
+        chart, pack, k, metric = theorem3_inputs(EllipsoidM3(), 21)
+        blocks = []
+
+        def keep_block(E):
+            blocks.append(E)
+            return _right_singular(E)
+
+        monkeypatch.setattr(admissibility, "_right_singular", keep_block)
+        h_from_theorem3(pack, k, metric, PipelineOptions())
+        assert blocks[0].shape == (9, 21, 21, 27, 6)
+        assert traced_peak_mb(_right_singular, blocks[0]) < 3.46
 
     def test_temporaries_do_not_grow_with_the_grid(self):
         # the per-node system is assembled in node blocks, so the traced peak

@@ -515,8 +515,8 @@ class TestLapackAgreement:
         problem = codim_problem
         rho = _rho_and_B(problem.forms, problem.pack.Ric, problem.metric)[0]
         E = rho.mT - np.eye(2)
-        sig, V = _right_singular(E)
-        ref_sig, ref_V = reference_loops.right_singular(E)
+        sig, v = _right_singular(E)
+        ref_sig, ref_v = reference_loops.right_singular(E)
         assert np.all(np.abs(sig - ref_sig) <= 1e-12 * ref_sig[..., -1:])
         # the smallest one, a residual norm, agrees with the SVD's to
         # rounding of |E| even where it is far below |E|
@@ -525,7 +525,7 @@ class TestLapackAgreement:
         # the smallest one's vector, where it is defined (the torus' trace
         # matrix is a multiple of the identity at many nodes)
         simple = ref_sig[..., 1] - ref_sig[..., 0] > 1e-3 * ref_sig[..., -1]
-        cos = np.abs(np.sum(V[..., :, 0] * ref_V[..., :, 0], axis=-1))
+        cos = np.abs(np.sum(v * ref_v, axis=-1))
         assert np.all(np.abs(cos[simple] - 1.0) <= 1e-10)
 
     def test_mean_curvature_matches_lapack_route(self, codim_problem,

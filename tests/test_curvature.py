@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isogauss import curvature
 from isogauss.curvature import (cholesky_factors, christoffel,
                                 curvature_operator, metric_field, node_max,
                                 node_norm, raise_index, riemann_tensor,
@@ -196,53 +197,68 @@ def special_nodes(m, rng):
     return np.array(nodes)
 
 
-class TestSymmetricEig:
-    @staticmethod
-    def _assert_matches_lapack(a):
-        m = a.shape[-1]
-        w, V = symmetric_eig(a, vectors=True)
-        assert np.array_equal(symmetric_eig(a), w)
-        ref = reference_loops.symmetric_eig(a)
-        scale = np.max(np.abs(ref), axis=-1)
-        assert np.all(np.abs(w - ref) <= 1e-14 * scale[..., None])
-        assert np.max(np.abs(V.mT @ V - np.eye(m))) <= 1e-14
-        resid = node_norm(a @ V - V * w[..., None, :], 2)
-        assert np.all(resid <= 1e-14 * scale)
+def clustered_nodes(m, rng):
+    """300 nodes with clusters 1e-8 apart, a fourfold eigenvalue (all
+    ``m`` eigenvalues equal when ``m <= 4``), and Grams of rank ``m - 1``
+    with ``lambda_0 / lambda_max`` about 1e-10, like theorem3's."""
+    k = min(4, m)
+    Q = np.linalg.qr(rng.standard_normal((300, m, m)))[0]
+    lam = np.empty((300, m))
+    lam[:100] = 1.0 + 1e-8 * rng.standard_normal((100, m))
+    lam[100:200] = np.r_[np.ones(k), rng.uniform(2.0, 3.0, m - k)]
+    lam[200:] = rng.uniform(0.1, 1.0, (100, m))
+    lam[200:, 0] = 1e-10 * lam[200:].max(axis=-1)
+    a = Q @ (lam[..., None] * Q.mT)
+    return 0.5 * (a + a.mT)
 
+
+def assert_bottom_eigenpair(a):
+    """``symmetric_eig(a, vectors=True)`` against LAPACK ``eigh``: the
+    eigenvalues are the values-only call's bit for bit and LAPACK's to
+    ``1e-14`` of the node's scale, and ``v`` is a unit bottom eigenvector,
+    LAPACK's up to sign wherever the bottom eigenvalue is simple."""
+    m = a.shape[-1]
+    w, v = symmetric_eig(a, vectors=True)
+    assert v.shape == a.shape[:-1]
+    assert np.array_equal(symmetric_eig(a), w)
+    ref_w, ref_v = reference_loops.symmetric_eig(a, vectors=True)
+    scale = np.max(np.abs(ref_w), axis=-1)
+    assert np.all(np.abs(w - ref_w) <= 1e-14 * scale[..., None])
+    assert np.max(np.abs(node_norm(v, 1) - 1.0)) <= 1e-14
+    resid = node_norm(a @ v[..., None] - w[..., :1, None] * v[..., None], 2)
+    assert np.all(resid <= 1e-14 * scale)
+    if m > 1:
+        simple = ref_w[..., 1] - ref_w[..., 0] > 1e-8 * scale
+        cos = np.abs(np.sum(v * ref_v, axis=-1))
+        assert np.all(cos[simple] >= 1.0 - 1e-10)
+
+
+class TestSymmetricEig:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_matches_lapack_on_random_batches(self, m):
         rng = np.random.default_rng(m)
         X = rng.standard_normal((40, 30, m, m))
         a = X + X.mT
         before = a.copy()
-        self._assert_matches_lapack(a)
+        assert_bottom_eigenpair(a)
         assert np.array_equal(a, before)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_matches_lapack_on_special_nodes(self, m):
-        self._assert_matches_lapack(special_nodes(m, np.random.default_rng(m)))
+        assert_bottom_eigenpair(special_nodes(m, np.random.default_rng(m)))
 
-    @pytest.mark.parametrize("m", [5, 6])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_matches_lapack_on_clustered_and_rank_deficient(self, m):
-        # clusters 1e-8 apart, a fourfold eigenvalue, and Grams of rank
-        # m - 1 with lambda_0 / lambda_max about 1e-10, like theorem3's
-        rng = np.random.default_rng(10 + m)
-        Q = np.linalg.qr(rng.standard_normal((300, m, m)))[0]
-        lam = np.empty((300, m))
-        lam[:100] = 1.0 + 1e-8 * rng.standard_normal((100, m))
-        lam[100:200] = np.r_[np.ones(4), rng.uniform(2.0, 3.0, m - 4)]
-        lam[200:] = rng.uniform(0.1, 1.0, (100, m))
-        lam[200:, 0] = 1e-10 * lam[200:].max(axis=-1)
-        a = Q @ (lam[..., None] * Q.mT)
-        self._assert_matches_lapack(0.5 * (a + a.mT))
+        assert_bottom_eigenpair(
+            clustered_nodes(m, np.random.default_rng(10 + m)))
 
     def test_reads_the_lower_triangle(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((50, 3, 3))
         a = X + X.mT
-        w, V = symmetric_eig(a, vectors=True)
-        w_low, V_low = symmetric_eig(np.tril(a), vectors=True)
-        assert np.array_equal(w, w_low) and np.array_equal(V, V_low)
+        w, v = symmetric_eig(a, vectors=True)
+        w_low, v_low = symmetric_eig(np.tril(a), vectors=True)
+        assert np.array_equal(w, w_low) and np.array_equal(v, v_low)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -253,12 +269,54 @@ class TestSymmetricEig:
         a[2, m - 1, 0] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w, V = symmetric_eig(a, vectors=True)
+            w, v = symmetric_eig(a, vectors=True)
             assert np.array_equal(symmetric_eig(a), w, equal_nan=True)
-        assert np.all(np.isnan(w[2])) and np.all(np.isnan(V[2]))
+        assert np.all(np.isnan(w[2])) and np.all(np.isnan(v[2]))
         keep = np.arange(6) != 2
-        self._assert_matches_lapack(a[keep])
+        assert_bottom_eigenpair(a[keep])
         assert np.array_equal(w[keep], symmetric_eig(a[keep]))
+
+
+class TestJacobiReplay:
+    """The bottom eigenvector comes from replaying the recorded rotations,
+    last first and each transposed; a replay in sweep order, or of the
+    untransposed rotations, leaves the bound of ``assert_bottom_eigenpair``
+    by far."""
+
+    def test_batch_of_many_sweeps(self, monkeypatch):
+        # the m = 6 batch of test_matches_lapack_on_clustered_and_rank_deficient
+        a = clustered_nodes(6, np.random.default_rng(16))
+        assert_bottom_eigenpair(a)
+        # five sweeps do not meet the tolerance: the replay runs through
+        # at least six sweeps of rotations
+        w = symmetric_eig(a)
+        monkeypatch.setattr(curvature, "_JACOBI_MAX_SWEEPS", 5)
+        assert not np.array_equal(symmetric_eig(a), w)
+
+    def test_one_rotation(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((200, 2, 2))
+        a = X + X.mT
+        assert_bottom_eigenpair(a)
+        # every node is turned (no v is e_0 or e_1), so each one sees the
+        # direction of its rotation
+        w, v = symmetric_eig(a, vectors=True)
+        assert np.all(np.abs(v[..., 0] * v[..., 1]) > 0)
+
+    def test_no_rotation(self):
+        a = np.random.default_rng(4).standard_normal((50, 1, 1))
+        w, v = symmetric_eig(a, vectors=True)
+        assert np.array_equal(w, a[..., 0])
+        assert np.array_equal(v, np.ones((50, 1)))
+        assert_bottom_eigenpair(a)
+
+    def test_ties_take_the_first_index(self):
+        # a diagonal node is not rotated: v is e_j for the first smallest j
+        a = np.array([np.diag([2.0, 1.0, 1.0]), np.diag([1.0, 1.0, 3.0]),
+                      np.diag([3.0, 2.0, 1.0])])
+        w, v = symmetric_eig(a, vectors=True)
+        assert np.array_equal(v, np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                           [0.0, 0.0, 1.0]]))
 
 
 class TestNodeReductions:
