@@ -7,8 +7,10 @@ Index conventions (fixed once, all modules inherit them):
 * ``R^l_{ijk}`` = curvature of the coordinate frame in the convention
   ``R(e_i, e_j) e_k = R^l_{ijk} e_l`` with
   ``R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma^l_{ip}Gamma^p_{jk}
-  - Gamma^l_{jp}Gamma^p_{ik}``.
-* ``R_low[..., i, j, k, l] = g_{lp} R^p_{ijk}``.
+  - Gamma^l_{jp}Gamma^p_{ik}``, kept components first for ``i < j`` only
+  (:class:`CurvaturePack`).
+* ``R_low[..., i, j, k, l] = g_{lp} R^p_{ijk}``, formed only where it is
+  read (:func:`riemann_low`).
 * ``Ric[..., i, l] = g^{jk} R_{ijkl}`` and ``s = g^{il} Ric_{il}``.
 
 With these choices the unit round sphere carries scalar curvature
@@ -19,12 +21,13 @@ formula relies on it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularMetricError
-from .grid import Chart, grad_all
+from .grid import Chart, _deriv_into
 
 _SYM_TOL = 1e-8
 
@@ -343,52 +346,164 @@ def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
 
 @dataclass(frozen=True)
 class CurvaturePack:
-    """Christoffels plus the Riemann family of one metric."""
+    """Christoffels plus the Riemann family of one metric.
+
+    ``R`` keeps ``R^l_ijk`` components first, one contiguous node array per
+    component, and only for the index pairs ``i < j``: ``R[l, n, k]`` is
+    ``R^l_ijk`` for the ``n``-th pair ``(i, j)`` of
+    ``itertools.combinations(range(m), 2)``, and the pairs ``j < i`` follow
+    by antisymmetry.  ``R_low`` is formed from it only where it is
+    read, by :func:`riemann_low`; a pack given an ``R_low`` of its own
+    (an exact one, say) hands that one out instead.
+    """
 
     chart: Chart
     Gamma: np.ndarray      # (*grid, m, m, m)  Gamma^k_ij
-    R_low: np.ndarray      # (*grid, m, m, m, m)  R_ijkl
+    R: np.ndarray          # (m, m (m - 1) / 2, m, *grid)  R^l_ijk, i < j
     Ric: np.ndarray        # (*grid, m, m)
     s: np.ndarray          # (*grid,)
+    R_low: np.ndarray | None = None    # (*grid, m, m, m, m)  R_ijkl
+
+
+def _components_first(a: np.ndarray, k: int) -> np.ndarray:
+    """A contiguous copy of ``a`` with its last ``k`` (component) axes first,
+    so that each component is one contiguous array over the nodes."""
+    axes = range(a.ndim - k, a.ndim)
+    return np.ascontiguousarray(np.moveaxis(a, axes, range(k)))
+
+
+def _sum_of_products(terms, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``out = sum a * b`` over the factor pairs ``(a, b)`` of ``terms``,
+    summed in their order; ``tmp`` is scratch."""
+    (a, b), *rest = terms
+    np.multiply(a, b, out=out)
+    for a, b in rest:
+        out += np.multiply(a, b, out=tmp)
+    return out
 
 
 def christoffel(metric: MetricField) -> np.ndarray:
-    """Christoffel symbols ``Gamma^k_ij`` of the Levi-Civita connection."""
+    """Christoffel symbols ``Gamma^k_ij`` of the Levi-Civita connection.
+
+    ``Gamma_lij = (d_i g_jl + d_j g_il - d_l g_ij) / 2`` is formed one
+    component at a time, each derivative ``d_a g_ij`` (``i <= j``) once;
+    ``Gamma^k_ij = g^kl Gamma_lij`` is one ``(m x m)(m x m^2)`` product per
+    node.
+    """
     chart = metric.chart
     m = chart.m
-    dg = grad_all(metric.g, chart)                    # [..., i, j, l] = d_l g_ij
-    low = 0.5 * (np.einsum("...jli->...lij", dg)      # d_i g_jl
-                 + np.einsum("...ilj->...lij", dg)    # d_j g_il
-                 - np.einsum("...ijl->...lij", dg))   # d_l g_ij
+    dg = {}
+    for i in range(m):
+        for j in range(i, m):
+            for a in range(m):
+                dg[i, j, a] = dg[j, i, a] = np.empty(chart.shape)
+                _deriv_into(metric.g[..., i, j], chart.spacing[a], a,
+                            dg[i, j, a])
+    low = np.empty(chart.shape + (m, m, m))
+    t = np.empty(chart.shape)
+    for l in range(m):
+        for i in range(m):
+            for j in range(i, m):
+                np.add(dg[j, l, i], dg[i, l, j], out=t)
+                t -= dg[i, j, l]
+                t *= 0.5
+                # symmetric in (i, j) bit for bit, as g is
+                low[..., l, i, j] = t
+                if i != j:
+                    low[..., l, j, i] = t
+    del dg, t
     flat = low.reshape(chart.shape + (m, m * m))
     return (metric.g_inv @ flat).reshape(low.shape)
 
 
 def riemann_tensor(metric: MetricField) -> CurvaturePack:
-    """Full curvature data of the metric (see module docstring for signs)."""
+    """Full curvature data of the metric (see module docstring for signs).
+
+    Every component is one elementwise sum over contiguous node arrays,
+    summed in index order:
+    ``R^l_ijk = d_i G^l_jk - d_j G^l_ik + sum_p G^l_ip G^p_jk
+    - sum_p G^l_jp G^p_ik`` for ``i < j``, each derivative taken once into
+    a scratch array, then ``Ric_il = g_lp (g^jk R^p_ijk)`` and
+    ``s = g^il Ric_il``.  ``R_low`` is not formed (see :func:`riemann_low`).
+    """
     chart = metric.chart
     m = chart.m
     Gamma = christoffel(metric)
-    dG = grad_all(Gamma, chart)                       # [..., l, j, k, a] = d_a G^l_jk
-    R = np.einsum("...ljki->...lijk", dG) - np.einsum("...likj->...lijk", dG)
-    del dG
-    # [..., l, i, j, k] = Gamma^l_ip Gamma^p_jk: one (m^2 x m)(m x m^2)
-    # product per node
-    GG = (Gamma.reshape(chart.shape + (m * m, m))
-          @ Gamma.reshape(chart.shape + (m, m * m))).reshape(R.shape)
-    R += GG
-    R -= np.swapaxes(GG, -3, -2)                      # Gamma^l_jp Gamma^p_ik
-    del GG
-    # [..., (i, j, k), l] = g_lp R^p_ijk; g is exactly symmetric, so it
-    # stands for its transpose
-    R_low = (R.reshape(chart.shape + (m, m ** 3)).mT
-             @ metric.g).reshape(R.shape)
-    del R
-    # [..., i, l] = g^(jk) R_low[..., i, (j, k), l]: a vector-matrix product
-    Ric = (metric.g_inv.reshape(chart.shape + (1, 1, m * m))
-           @ R_low.reshape(chart.shape + (m, m * m, m)))[..., 0, :]
-    s = np.einsum("...il,...il->...", metric.g_inv, Ric)
-    return CurvaturePack(chart=chart, Gamma=Gamma, R_low=R_low, Ric=Ric, s=s)
+    G = _components_first(Gamma, 3)
+    pairs = list(itertools.combinations(range(m), 2))
+    R = np.empty((m, len(pairs), m) + chart.shape)
+    t, u = np.empty((2,) + chart.shape)
+    for l in range(m):
+        for n, (i, j) in enumerate(pairs):
+            for k in range(m):
+                r = R[l, n, k]
+                _deriv_into(G[l, j, k], chart.spacing[i], i, r)
+                _deriv_into(G[l, i, k], chart.spacing[j], j, t)
+                r -= t
+                r += _sum_of_products(
+                    [(G[l, i, p], G[p, j, k]) for p in range(m)], t, u)
+                r -= _sum_of_products(
+                    [(G[l, j, p], G[p, i, k]) for p in range(m)], t, u)
+    del G
+    g = _components_first(metric.g, 2)
+    g_inv = _components_first(metric.g_inv, 2)
+    # A[p, i] = g^jk R^p_ijk; the pairs j < i enter with R's sign flipped
+    A = np.zeros((m, m) + chart.shape)
+    for p in range(m):
+        for n, (i, j) in enumerate(pairs):
+            a_i, a_j = A[p, i], A[p, j]
+            for k in range(m):
+                a_i += np.multiply(g_inv[j, k], R[p, n, k], out=t)
+                a_j -= np.multiply(g_inv[i, k], R[p, n, k], out=t)
+    Ric = np.empty(chart.shape + (m, m))
+    s = np.zeros(chart.shape)
+    for i in range(m):
+        for l in range(m):
+            _sum_of_products([(g[l, p], A[p, i]) for p in range(m)], t, u)
+            Ric[..., i, l] = t
+            s += np.multiply(g_inv[i, l], t, out=u)
+    return CurvaturePack(chart=chart, Gamma=Gamma, R=R, Ric=Ric, s=s)
+
+
+def _lowered_pairs(pack: CurvaturePack, metric: MetricField) -> np.ndarray:
+    """``R_ijkl = g_lp R^p_ijk`` for the pairs ``i < j``, ``(*grid, m, m,
+    m (m - 1) / 2)``: ``[..., k, l, n]`` for the ``n``-th pair ``(i, j)``, in
+    ``pack.R``'s order.
+    Each entry is one sum over ``p`` in index order; a pack's own ``R_low``
+    gives its rows ``i < j`` instead.  The rows ``j < i`` are the negation
+    and ``i = j`` zero, so these hold all of ``R_low``.
+    """
+    m = metric.chart.m
+    pairs = list(itertools.combinations(range(m), 2))
+    if pack.R_low is not None:
+        rows = pack.R_low[..., [i for i, _ in pairs], [j for _, j in pairs], :, :]
+        return np.ascontiguousarray(np.moveaxis(rows, -3, -1))
+    g = _components_first(metric.g, 2)
+    out = np.empty(metric.chart.shape + (m, m, len(pairs)))
+    t, u = np.empty((2,) + metric.chart.shape)
+    for n in range(len(pairs)):
+        for k in range(m):
+            for l in range(m):
+                out[..., k, l, n] = _sum_of_products(
+                    [(g[l, p], pack.R[p, n, k]) for p in range(m)], t, u)
+    return out
+
+
+def riemann_low(pack: CurvaturePack, metric: MetricField) -> np.ndarray:
+    """``R_ijkl = g_lp R^p_ijk``, ``(*grid, m, m, m, m)``: the pack's own
+    ``R_low`` when it has one, else the rows ``i < j`` of
+    :func:`_lowered_pairs` completed by antisymmetry, so that it is
+    antisymmetric in ``(i, j)`` bit for bit.
+    """
+    if pack.R_low is not None:
+        return pack.R_low
+    m = metric.chart.m
+    lowered = _lowered_pairs(pack, metric)
+    R_low = np.zeros(metric.chart.shape + (m,) * 4)
+    for n, (i, j) in enumerate(itertools.combinations(range(m), 2)):
+        R_low[..., i, j, :, :] = lowered[..., n]
+        np.negative(lowered[..., n], out=R_low[..., j, i, :, :])
+    return R_low
 
 
 def raise_index(metric: MetricField, b_low: np.ndarray) -> np.ndarray:
@@ -420,14 +535,25 @@ def curvature_operator(pack: CurvaturePack, metric: MetricField,
     ``Om_op`` is one operator per node, ``(*grid, m, m)``, or a stack of
     them, ``(*grid, *stack, m, m)``; the result has its shape.  With
     ``Y = R_low[(p, q), (k, l)] (Om g^{-1})^{kl}`` the result is
-    ``-g^{-1} Y``: one ``(m^2 x m^2)`` product per node and operator.  The
+    ``-g^{-1} Y``: one ``(m^2 x m (m - 1) / 2)`` product per node and
+    operator forms the entries ``p < q`` of ``Y``, from the rows of
+    ``R_low`` that :func:`_lowered_pairs` holds.  The
     overall sign is fixed by the calibration constraint that the unit round
     sphere return ``2 * Om`` (equivalently, Gauss-compatible data satisfy
     ``R(Om) = 2 h Om h`` with ``h`` the g-raised second fundamental form).
     """
-    grid = pack.R_low.shape[:-4]
+    grid = metric.chart.shape
     m = Om_op.shape[-1]
+    lowered = _lowered_pairs(pack, metric)
     g_inv = _per_operator(metric.g_inv, Om_op)
     Om_up = (Om_op @ g_inv).reshape(grid + (-1, m * m))
-    Y = Om_up @ pack.R_low.reshape(grid + (m * m, m * m)).mT
-    return -(g_inv @ Y.reshape(Om_op.shape))
+    Y_pairs = Om_up @ lowered.reshape(grid + (m * m, -1))
+    del lowered, Om_up
+    # -Y, whose entries q < p and p = q follow from R_low's antisymmetry in
+    # (p, q); negating an operand negates a product exactly
+    neg_Y = np.zeros(Y_pairs.shape[:-1] + (m, m))
+    for n, (p, q) in enumerate(itertools.combinations(range(m), 2)):
+        np.negative(Y_pairs[..., n], out=neg_Y[..., p, q])
+        neg_Y[..., q, p] = Y_pairs[..., n]
+    del Y_pairs
+    return g_inv @ neg_Y.reshape(Om_op.shape)

@@ -38,7 +38,8 @@ from typing import ClassVar
 import numpy as np
 
 from .admissibility import codazzi_residual
-from .curvature import CurvaturePack, MetricField, cholesky_factors, node_norm
+from .curvature import (CurvaturePack, MetricField, cholesky_factors,
+                        node_norm, riemann_low)
 from .errors import DomainError, SingularMetricError
 from .grid import Chart, build_chart, center_sign, check_shape
 
@@ -546,7 +547,8 @@ def gauss_codazzi_residuals(data: OracleData, pack: CurvaturePack,
     quad = (np.einsum("...ail,...ajk->...ijkl", h, h, optimize=True)
             - np.einsum("...aik,...ajl->...ijkl", h, h, optimize=True))
     scale = 1.0 + float(np.max(node_norm(quad, 4)))
-    gauss = float(np.max(node_norm((pack.R_low - quad)[data.chart.interior], 4))) / scale
+    R_low = riemann_low(pack, metric)
+    gauss = float(np.max(node_norm((R_low - quad)[data.chart.interior], 4))) / scale
     codazzi = max(codazzi_residual(h[..., a, :, :], pack.Gamma, metric)
                   for a in range(data.d))
     return gauss, codazzi

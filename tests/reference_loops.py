@@ -35,7 +35,8 @@ from isogauss.admissibility import (PipelineOptions, Theorem3Result,
 from isogauss.codim import (_FLIP_THRESHOLD, RANK_REL_TOL,
                             WeingartenCombination, _block_products,
                             _combinations, _halpha_ops, _signed_permutation_fit)
-from isogauss.curvature import node_norm, raise_index, to_orthonormal
+from isogauss.curvature import (node_norm, raise_index, riemann_low,
+                                to_orthonormal)
 from isogauss.datafiles import (_BLOCK_ORDER, FORMAT_VERSION, KINDS, Dataset,
                                 _validate_blocks)
 from isogauss.errors import (DatasetFormatError, DegenerateGaussMapError,
@@ -250,7 +251,7 @@ def _theorem3_rows(pack, k, metric):
     S = _symmetric_basis(m)
     Om_up = np.einsum("...ik,bkl,...lj->...bij", ginv, W, ginv, optimize=True)
     T = np.einsum("...ip,...jq,...pqkl,...bkl->...bij",
-                  ginv, ginv, pack.R_low, Om_up, optimize=True)
+                  ginv, ginv, riemann_low(pack, metric), Om_up, optimize=True)
     CO = -(T @ g[..., None, :, :])
     M = kop_inv[..., None, :, :] @ CO
     rows = (np.einsum("eik,...bkj->...bije", S, M, optimize=True)

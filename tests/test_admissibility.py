@@ -5,15 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from isogauss import admissibility
+from isogauss import admissibility, curvature
 from isogauss.admissibility import (PipelineOptions, build_U, check_h_squared,
                                     check_isometry, check_parallel,
                                     codazzi_residual, h_from_theorem2,
                                     h_from_theorem3, hopf_angle_gradient,
                                     run_pipeline, step1_positivity)
 from isogauss.codim import _right_singular, build_normal_frame, third_forms
-from isogauss.curvature import (metric_field, node_norm, riemann_tensor,
-                                to_orthonormal)
+from isogauss.curvature import (metric_field, node_norm, riemann_low,
+                                riemann_tensor, to_orthonormal)
 from isogauss.grid import grad_all
 from isogauss.errors import (BranchError, ConfigurationError,
                              DegenerateGaussMapError, DomainError,
@@ -200,8 +200,8 @@ class TestTheorem3:
         assert interior_max(p.chart, res.gap) < 1e-12
 
     def test_traced_peak_within_budget(self):
-        # 13.23 MB measured at 21^3; a copy of R_low or of a block's system
-        # on this path adds 2.4 or 3.8 MB
+        # 12.56 MB measured at 21^3, R_low's rows i < j formed inside the
+        # call; a copy of a block's system on this path adds 3.8 MB
         chart, pack, k, metric = theorem3_inputs(EllipsoidM3(), 21)
         assert traced_peak_mb(h_from_theorem3, pack, k, metric,
                               PipelineOptions()) < 14.0
@@ -509,6 +509,33 @@ class TestPipeline:
         metric = metric_field(data.chart, data.g)
         assert traced_peak_mb(run_pipeline, metric, data.frame) < 34.0
 
+    def test_only_theorem3_forms_the_lowered_tensor(self, monkeypatch,
+                                                     ellipsoid, clifford):
+        # R_low is formed where it is read: the curvature operator of
+        # theorem3, never on the theorem2, minimal_m2 or codim routes
+        formed = []
+
+        def record(pack, metric):
+            formed.append(metric.chart.m)
+            return real(pack, metric)
+
+        real = curvature._lowered_pairs
+        monkeypatch.setattr(curvature, "_lowered_pairs", record)
+        catenoid = generate(Catenoid(), Catenoid().default_chart(17))
+        for metric, frame, method in (
+                (ellipsoid.metric, ellipsoid.data.frame, "theorem2"),
+                (metric_field(catenoid.chart, catenoid.g), catenoid.frame,
+                 "minimal_m2"),
+                (clifford.metric, clifford.data.frame, "codim")):
+            report = run_pipeline(metric, frame)
+            assert (report.verdict, report.method) == ("admissible", method)
+        assert formed == []
+        data = generate(EllipsoidM3(), EllipsoidM3().default_chart(11))
+        report = run_pipeline(metric_field(data.chart, data.g), data.frame,
+                              PipelineOptions(method="theorem3"))
+        assert (report.verdict, report.method) == ("admissible", "theorem3")
+        assert formed == [3]
+
     def test_oracle_ellipsoid_admissible(self, ellipsoid):
         report = run_pipeline(ellipsoid.metric, ellipsoid.data.frame)
         assert report.verdict == "admissible"
@@ -611,8 +638,8 @@ class TestPipeline:
         quad = (np.einsum("...il,...jk->...ijkl", h, h)
                 - np.einsum("...ik,...jl->...ijkl", h, h))
         scale = 1.0 + float(np.max(node_norm(quad, 4)))
-        res = interior_max(ellipsoid.chart,
-                           node_norm(ellipsoid.pack.R_low - quad, 4)) / scale
+        R_low = riemann_low(ellipsoid.pack, ellipsoid.metric)
+        res = interior_max(ellipsoid.chart, node_norm(R_low - quad, 4)) / scale
         assert res < 50 * ellipsoid.dx2
 
     def test_report_carries_all_residual_keys(self, sphere):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 from isogauss import curvature
 from isogauss.curvature import (cholesky_factors, christoffel,
                                 curvature_operator, metric_field, node_max,
-                                node_norm, raise_index, riemann_tensor,
-                                symmetric_eig, to_orthonormal)
+                                node_norm, raise_index, riemann_low,
+                                riemann_tensor, symmetric_eig,
+                                to_orthonormal)
 from isogauss.errors import SingularMetricError
 from isogauss.grid import build_chart, interior_max
 from isogauss.reconstruct import observed_order
-from isogauss.surfaces import RoundSphere, generate
+from isogauss.surfaces import Ellipsoid, RoundSphere, generate
 
 import reference_loops
 
@@ -38,6 +40,23 @@ def polar_metric(n=33):
     g[..., 0, 0] = 1.0
     g[..., 1, 1] = r ** 2
     return chart, metric_field(chart, g), r
+
+
+def analytic_metric_m4(n=7):
+    """The unit 4-sphere's metric, stereographic through a dense linear
+    chart ``y = A x``, plus a small rank-one term: every entry nonzero, and
+    the sampled scalar curvature stays between 2.7 and 13.4, away from a
+    zero where a relative error means nothing.  The catalog has no m = 4
+    surface."""
+    chart = build_chart(4, (n,) * 4, (0.1,) * 4, (0.2, -0.1, 0.3, 0.0))
+    x = chart.mesh()
+    A = np.eye(4) + 0.25 * np.arange(1.0, 17.0).reshape(4, 4) / 16.0
+    y = x @ A.T
+    conformal = 4.0 / (1.0 + np.sum(y * y, axis=-1)) ** 2
+    a = np.sin(x + np.roll(0.5 * x, 1, axis=-1) + np.arange(4.0))
+    g = (conformal[..., None, None] * (A.T @ A)
+         + 0.05 * a[..., :, None] * a[..., None, :])
+    return metric_field(chart, g)
 
 
 def sphere_metric(n=49):
@@ -402,8 +421,9 @@ class TestChristoffel:
 class TestRiemann:
     def test_flat_metric_zero(self):
         chart = build_chart(2, (17, 17), (0.07, 0.07))
-        pack = riemann_tensor(flat_metric(chart))
-        assert np.max(np.abs(pack.R_low)) < 1e-12
+        metric = flat_metric(chart)
+        pack = riemann_tensor(metric)
+        assert np.max(np.abs(riemann_low(pack, metric))) < 1e-12
         assert np.max(np.abs(pack.Ric)) < 1e-12
         assert np.max(np.abs(pack.s)) < 1e-12
 
@@ -424,7 +444,7 @@ class TestRiemann:
             20 * chart.max_spacing ** 2 / radius ** 2
 
     def test_lowered_tensor_symmetries(self, sphere):
-        R = sphere.pack.R_low
+        R = riemann_low(sphere.pack, sphere.metric)
         tol = 30 * sphere.dx2
         assert interior_max(sphere.chart,
                             node_norm(R + np.swapaxes(R, -4, -3), 4)) < tol
@@ -437,7 +457,7 @@ class TestRiemann:
         errs = []
         for n in (25, 49):
             chart, metric, _ = sphere_metric(n)
-            R = riemann_tensor(metric).R_low
+            R = riemann_low(riemann_tensor(metric), metric)
             cyc = (R + np.einsum("...iklj->...ijkl", R)
                    + np.einsum("...iljk->...ijkl", R))
             errs.append(interior_max(chart, node_norm(cyc, 4)))
@@ -446,7 +466,8 @@ class TestRiemann:
     def test_ricci_contraction_slot_consistency(self, sphere):
         # tracing the alternative slot pair gives the same Ricci up to FD noise
         pack, metric = sphere.pack, sphere.metric
-        alt = np.einsum("...jk,...jikl->...il", metric.g_inv, pack.R_low)
+        alt = np.einsum("...jk,...jikl->...il", metric.g_inv,
+                        riemann_low(pack, metric))
         assert interior_max(sphere.chart, node_norm(pack.Ric + alt, 2)) < 30 * sphere.dx2
         sym = pack.Ric - np.swapaxes(pack.Ric, -1, -2)
         assert interior_max(sphere.chart, node_norm(sym, 2)) < 30 * sphere.dx2
@@ -456,8 +477,36 @@ class TestRiemann:
         h = sphere.data.h
         quad = (np.einsum("...il,...jk->...ijkl", h, h)
                 - np.einsum("...ik,...jl->...ijkl", h, h))
-        res = interior_max(sphere.chart, node_norm(sphere.pack.R_low - quad, 4))
+        R_low = riemann_low(sphere.pack, sphere.metric)
+        res = interior_max(sphere.chart, node_norm(R_low - quad, 4))
         assert res < 20 * sphere.dx2
+
+    def test_gamma_is_christoffel_bit_for_bit(self, ellipsoid, ellipsoid_m3,
+                                              clifford):
+        for metric in (ellipsoid.metric, ellipsoid_m3.metric, clifford.metric,
+                       analytic_metric_m4()):
+            assert (riemann_tensor(metric).Gamma.tobytes()
+                    == christoffel(metric).tobytes())
+
+    def test_lowered_tensor_exactly_antisymmetric_in_i_j(self, ellipsoid_m3):
+        for metric in (ellipsoid_m3.metric, analytic_metric_m4()):
+            R = riemann_low(riemann_tensor(metric), metric)
+            assert np.any(R != 0)
+            assert np.array_equal(R, -np.swapaxes(R, -4, -3))
+
+    def test_traced_peak_within_budget(self):
+        # 16.4 MB measured at 257^2; the full dG stack and an unpaired R
+        # alone take 8.5 MB each
+        surface = Ellipsoid()
+        data = generate(surface, surface.default_chart(257))
+        metric = metric_field(data.chart, data.g)
+        tracemalloc.start()
+        try:
+            riemann_tensor(metric)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak <= 21.3
 
     def test_ric_identity_calibration_on_sphere(self, sphere):
         # Ric = h H - k with the calibrated trace slot
@@ -529,7 +578,7 @@ class TestCurvatureOperator:
         # theorem3's stack g^{-1} W_b against single calls and against
         # -(g^{ip} g^{jq} R_pqkl (Om g^{-1})^{kl}) g written as one einsum
         p = ellipsoid_m3
-        g_inv, R_low = p.metric.g_inv, p.pack.R_low
+        g_inv, R_low = p.metric.g_inv, riemann_low(p.pack, p.metric)
         Om = np.stack([self.random_g_antisymmetric(p.metric, seed=s)
                        for s in range(3)], axis=-3)
         RO = curvature_operator(p.pack, p.metric, Om)
@@ -579,14 +628,18 @@ class TestBatchedKernels:
 
     PROBLEMS = ["ellipsoid", "ellipsoid_m3", "clifford"]
 
-    @pytest.mark.parametrize("name", PROBLEMS)
+    @pytest.mark.parametrize("name", PROBLEMS + ["analytic_m4"])
     def test_curvature_matches_index_notation(self, name, request):
-        problem = request.getfixturevalue(name)
-        metric, pack = problem.metric, problem.pack
+        if name == "analytic_m4":
+            metric = analytic_metric_m4()
+            pack = riemann_tensor(metric)
+        else:
+            problem = request.getfixturevalue(name)
+            metric, pack = problem.metric, problem.pack
         Gamma = reference_loops.christoffel(metric)
         R_low, Ric, s = reference_loops.riemann_tensor(metric, Gamma)
         assert per_node_rel(christoffel(metric), Gamma, 3) <= 1e-12
-        assert per_node_rel(pack.R_low, R_low, 4) <= 1e-12
+        assert per_node_rel(riemann_low(pack, metric), R_low, 4) <= 1e-12
         assert per_node_rel(pack.Ric, Ric, 2) <= 1e-12
         assert per_node_rel(pack.s[..., None], s[..., None], 1) <= 1e-12
 

@@ -95,12 +95,6 @@ def test_every_module_level_definition_is_used():
 # operand is a transposed view; a contiguous copy costs about 0.7 ms per
 # (257^2, 2, 2) stack.
 TRANSPOSED_OPERANDS = {
-    ("curvature", "riemann_tensor", "R.reshape(chart.shape + (m, m ** 3)).mT"):
-        "R is the largest array of the step: a copy would add an R-sized "
-        "temporary",
-    ("curvature", "curvature_operator",
-     "pack.R_low.reshape(grid + (m * m, m * m)).mT"):
-        "a copy of R_low would raise theorem3's memory peak",
     ("codim", "_right_singular", "E.mT"):
         "E is theorem3's per-block system: a copy would raise its peak",
     ("admissibility", "codazzi_residual", "G.mT"):
