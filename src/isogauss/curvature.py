@@ -467,11 +467,11 @@ def riemann_tensor(metric: MetricField) -> CurvaturePack:
 
 def _lowered_pairs(pack: CurvaturePack, metric: MetricField) -> np.ndarray:
     """``R_ijkl = g_lp R^p_ijk`` for the pairs ``i < j``, ``(*grid, m, m,
-    m (m - 1) / 2)``: ``[..., k, l, n]`` for the ``n``-th pair ``(i, j)``, in
-    ``pack.R``'s order.
-    Each entry is one sum over ``p`` in index order; a pack's own ``R_low``
-    gives its rows ``i < j`` instead.  The rows ``j < i`` are the negation
-    and ``i = j`` zero, so these hold all of ``R_low``.
+    m (m - 1) / 2)``: ``[..., k, l, n]`` for the ``n``-th pair ``(i, j)`` in
+    ``pack.R``'s order.  Each entry is one sum over ``p`` in index order; a
+    pack's own ``R_low`` gives its rows ``i < j`` instead.  The rows
+    ``j < i`` are their negation and ``i = j`` zero, so these hold all of
+    ``R_low``.
     """
     m = metric.chart.m
     pairs = list(itertools.combinations(range(m), 2))
@@ -535,10 +535,9 @@ def curvature_operator(pack: CurvaturePack, metric: MetricField,
     ``Om_op`` is one operator per node, ``(*grid, m, m)``, or a stack of
     them, ``(*grid, *stack, m, m)``; the result has its shape.  With
     ``Y = R_low[(p, q), (k, l)] (Om g^{-1})^{kl}`` the result is
-    ``-g^{-1} Y``: one ``(m^2 x m (m - 1) / 2)`` product per node and
-    operator forms the entries ``p < q`` of ``Y``, from the rows of
-    ``R_low`` that :func:`_lowered_pairs` holds.  The
-    overall sign is fixed by the calibration constraint that the unit round
+    ``-g^{-1} Y``.  One ``(m^2 x m (m - 1) / 2)`` product per node and
+    operator forms the entries ``p < q`` of ``Y`` from the rows of ``R_low``
+    that :func:`_lowered_pairs` holds.  The overall sign is fixed by the calibration constraint that the unit round
     sphere return ``2 * Om`` (equivalently, Gauss-compatible data satisfy
     ``R(Om) = 2 h Om h`` with ``h`` the g-raised second fundamental form).
     """
