@@ -514,12 +514,12 @@ class TestPipeline:
         # R_low is formed where it is read: the curvature operator of
         # theorem3, never on the theorem2, minimal_m2 or codim routes
         formed = []
+        real = curvature._lowered_pairs
 
         def record(pack, metric):
             formed.append(metric.chart.m)
             return real(pack, metric)
 
-        real = curvature._lowered_pairs
         monkeypatch.setattr(curvature, "_lowered_pairs", record)
         catenoid = generate(Catenoid(), Catenoid().default_chart(17))
         for metric, frame, method in (
