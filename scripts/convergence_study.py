@@ -30,7 +30,8 @@ def residuals_at(surface, chart, level, finest=None):
     pack = riemann_tensor(metric)
     margin = 2 * 2 ** level
 
-    tr_k = np.einsum("...ij,...ij->...", metric.g_inv, data.k)
+    # g_inv is components first, the oracle's k grid first
+    tr_k = np.einsum("ij...,...ij->...", metric.g_inv, data.k)
     trace_id = interior_max(chart, np.abs(data.H ** 2 - (pack.s + tr_k)), margin)
     gauss, _ = gauss_codazzi_residuals(data, pack, metric)
     return {"trace_identity": trace_id, "gauss_defect": gauss,

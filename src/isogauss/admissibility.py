@@ -23,11 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codim import (_block_products, _right_singular, build_normal_frame,
+from .codim import (_right_singular, _weighted, build_normal_frame,
                     frame_consistency, mean_curvature_vector, second_forms,
                     third_forms, weingarten_combination)
-from .curvature import (CurvaturePack, MetricField, curvature_operator,
-                        node_max, node_norm, riemann_tensor, spd_solve,
+from .curvature import (CurvaturePack, MetricField, _sum_of_products,
+                        components_first, curvature_operator, grid_first,
+                        node_inner, node_max, node_norm, node_product,
+                        riemann_tensor, spd_solve, symmetric_part,
                         to_orthonormal)
 from .errors import (BranchError, ConfigurationError, DegenerateGaussMapError,
                      DomainError)
@@ -75,12 +77,12 @@ class PipelineOptions:
 
 @dataclass(frozen=True)
 class CandidateSolution:
-    """Per-node candidate (h^a, H^a, U) produced by one solve route; the
-    normal axis has length d (1 for hypersurfaces)."""
+    """Per-node candidate (h^a, H^a, U) produced by one solve route,
+    components first; the normal axis has length d (1 for hypersurfaces)."""
 
-    h_alpha: np.ndarray    # (*grid, d, m, m), symmetric
-    H_alpha: np.ndarray    # (*grid, d), = Tr_g h^a
-    U: np.ndarray          # (*grid, n, m)
+    h_alpha: np.ndarray    # (d, m, m, *grid), symmetric
+    H_alpha: np.ndarray    # (d, *grid), = Tr_g h^a
+    U: np.ndarray          # (n, m, *grid)
     method: str
     sign_branch: int
 
@@ -111,7 +113,7 @@ def _nan_residuals() -> dict[str, float]:
 
 def third_form_trace(k: np.ndarray, metric: MetricField) -> np.ndarray:
     """Tr_g k, equal per node to |A|^2 in g-orthonormal frames."""
-    return np.einsum("...ij,...ij->...", metric.g_inv, k)
+    return node_inner(metric.g_inv, k, 2)
 
 
 @dataclass(frozen=True)
@@ -170,13 +172,12 @@ def h_from_theorem2(Ric: np.ndarray, k: np.ndarray, H: np.ndarray) -> np.ndarray
         raise BranchError(
             "mean curvature vanishes somewhere; use the linear-system or "
             "minimal-surface route instead")
-    h = (Ric + k) / H[..., None, None]
-    return 0.5 * (h + np.swapaxes(h, -1, -2))
+    return symmetric_part((Ric + k) / H)
 
 
 @dataclass(frozen=True)
 class Theorem3Result:
-    h: np.ndarray | None
+    h: np.ndarray | None       # (m, m, *grid)
     gap: np.ndarray            # (*grid,) sigma_last / sigma_second_last
     has_nullspace: np.ndarray  # (*grid,) bool
     unique: np.ndarray         # (*grid,) bool
@@ -284,7 +285,10 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
     kop_inv = spd_solve(k, metric.g)
     if kop_inv is None:
         raise DegenerateGaussMapError("third form not invertible; dnu is degenerate")
-    ginv = metric.g_inv
+    # the per-block system and its eigensolve keep batched products on the
+    # grid-first layout: its inputs are written grid first here, and h is
+    # read back components first at the end
+    kop_inv, ginv = grid_first(kop_inv, 2), grid_first(metric.g_inv, 2)
 
     W = _antisymmetric_basis(m)
     C = _theorem3_map(m)
@@ -339,12 +343,14 @@ def h_from_theorem3(pack: CurvaturePack, k: np.ndarray, metric: MetricField,
         lead = hc[np.argmax(np.abs(hc))]
     if lead * options.sign_branch < 0:
         h = -h
-    return Theorem3Result(h, gap, has_null, unique, frac_unique, "ok", utol)
+    return Theorem3Result(components_first(h, 2), gap, has_null, unique,
+                          frac_unique, "ok", utol)
 
 
 def hopf_angle_gradient(metric: MetricField, Gamma: np.ndarray,
                         kappa: np.ndarray) -> np.ndarray:
-    """Gradient ``f_j = chol[j, a] dphi(e_a)`` of the Hopf angle, m = 2.
+    """Gradient ``f[j] = chol[j, a] dphi(e_a)`` of the Hopf angle, m = 2,
+    ``(m, *grid)``.
 
     In the Cholesky frame ``e_a`` (the rows of ``chol_inv``) a trace-free
     ``h`` with ``h^2 = kappa^2 I`` is ``h_phi = kappa [[cos phi, sin phi],
@@ -355,12 +361,12 @@ def hopf_angle_gradient(metric: MetricField, Gamma: np.ndarray,
     """
     L, Li = metric.chol, metric.chol_inv
     # e1 = d_0 / L00 and g(d_i, e2) = L_i1, so w_j = L11 Gamma^1_j0 / L00
-    f = (-2.0 * L[..., 1, 1] / L[..., 0, 0])[..., None] * Gamma[..., 1, :, 0]
+    f = (-2.0 * L[1, 1] / L[0, 0]) * Gamma[1, :, 0]
     dlog = grad_all(np.log(kappa), metric.chart)
-    e1_log = Li[..., 0, 0] * dlog[..., 0]
-    e2_log = Li[..., 1, 0] * dlog[..., 0] + Li[..., 1, 1] * dlog[..., 1]
-    f[..., 0] += L[..., 0, 0] * e2_log
-    f[..., 1] += L[..., 1, 0] * e2_log - L[..., 1, 1] * e1_log
+    e1_log = Li[0, 0] * dlog[0]
+    e2_log = Li[1, 0] * dlog[0] + Li[1, 1] * dlog[1]
+    f[0] += L[0, 0] * e2_log
+    f[1] += L[1, 0] * e2_log - L[1, 1] * e1_log
     return f
 
 
@@ -371,14 +377,15 @@ def h_from_hopf_angle(metric: MetricField, Gamma: np.ndarray, k: np.ndarray,
     ``phi = pi``, i.e. ``-h``); ``kappa^2 = tr(k_on) / 2`` and ``phi``
     integrates :func:`hopf_angle_gradient`."""
     k_on = to_orthonormal(metric, k)
-    kappa = np.sqrt(0.5 * (k_on[..., 0, 0] + k_on[..., 1, 1]))
-    phi = integrate(hopf_angle_gradient(metric, Gamma, kappa)[..., None, :],
-                    metric.chart)[..., 0]
+    kappa = np.sqrt(0.5 * (k_on[0, 0] + k_on[1, 1]))
+    phi = integrate(hopf_angle_gradient(metric, Gamma, kappa)[None],
+                    metric.chart)[0]
     c, s = sign * kappa * np.cos(phi), sign * kappa * np.sin(phi)
     h_on = np.empty(k.shape)
-    h_on[..., 0, 0], h_on[..., 1, 1] = c, -c
-    h_on[..., 0, 1] = h_on[..., 1, 0] = s
-    return metric.chol @ h_on @ np.ascontiguousarray(metric.chol.mT)
+    h_on[0, 0], h_on[1, 1] = c, -c
+    h_on[0, 1] = h_on[1, 0] = s
+    L = metric.chol
+    return node_product(node_product(L, h_on), L.swapaxes(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +395,15 @@ def h_from_hopf_angle(metric: MetricField, Gamma: np.ndarray, k: np.ndarray,
 def check_h_squared(h_alpha: np.ndarray, k_ab: np.ndarray,
                     metric: MetricField) -> float:
     """Interior max of ``|h^a g^{-1} h^b - k^{ab}| / (1 + |k^{ab}|)`` per
-    node, over every block of the ``(*grid, d, m, m)`` lowered second forms
-    and the ``(*grid, d, d, m, m)`` mixed third forms (``h^2 = k`` when
+    node, over every block of the ``(d, m, m, *grid)`` lowered second forms
+    and the ``(d, d, m, m, *grid)`` mixed third forms (``h^2 = k`` when
     ``d = 1``)."""
-    defect = _block_products(h_alpha @ metric.g_inv[..., None, :, :], h_alpha)
+    d = h_alpha.shape[0]
+    hg = [node_product(h, metric.g_inv) for h in h_alpha]
+    defect = np.empty(k_ab.shape)
+    for a in range(d):
+        for b in range(d):
+            node_product(hg[a], h_alpha[b], out=defect[a, b])
     defect -= k_ab
     res = node_norm(defect, 4) / (1.0 + node_norm(k_ab, 4))
     return interior_max(metric.chart, res)
@@ -401,7 +413,7 @@ def build_U(A: np.ndarray, k: np.ndarray, h: np.ndarray,
             frame: np.ndarray) -> np.ndarray:
     """Solve ``A^T U = -h`` with columns in the normal complement.
 
-    ``A`` is the ``(*grid, n, m)`` differential of one normal direction,
+    ``A`` is the ``(n, m, *grid)`` differential of one normal direction,
     ``k = A^T A`` its third form and ``h`` its second form.  That direction
     is an everywhere-invertible combination of the frame (the unit normal
     when ``d = 1``; :func:`isogauss.codim.weingarten_combination`) and ``h``
@@ -411,26 +423,27 @@ def build_U(A: np.ndarray, k: np.ndarray, h: np.ndarray,
     ``k^{-1} h = L^{-T} (L^{-1} h)`` from the Cholesky factor ``k = L L^T``
     (:func:`isogauss.curvature.spd_solve`); a ``k`` that is not positive
     definite at some node raises :class:`DegenerateGaussMapError`.
-    Columns are re-projected onto the complement of the ``(*grid, n, d)``
+    Columns are re-projected onto the complement of the ``(d, n, *grid)``
     normal frame to strip the O(dx^2) normal component that discrete
-    differentiation leaves in ``A``.
+    differentiation leaves in ``A``.  Every product is a
+    :func:`isogauss.curvature.node_product` sum.
     """
     kinvh = spd_solve(k, h)
     if kinvh is None:
         raise DegenerateGaussMapError(
             "third form not positive definite, cannot invert A^*")
-    U = A @ kinvh
+    U = node_product(A, kinvh)
     np.negative(U, out=U)
-    for a in range(frame.shape[-1]):
-        nu = frame[..., a]
-        U -= nu[..., :, None] * (nu[..., None, :] @ U)
+    for nu in frame:
+        U -= nu[:, None] * node_product(nu[None], U)
     return U
 
 
 def check_isometry(U: np.ndarray, metric: MetricField) -> float:
     """Interior max of ``|U^T U - g| / (1 + |g|)`` per node."""
-    utu = np.ascontiguousarray(U.mT) @ U
-    res = node_norm(utu - metric.g, 2) / (1.0 + node_norm(metric.g, 2))
+    defect = node_product(U.swapaxes(0, 1), U)
+    defect -= metric.g
+    res = node_norm(defect, 2) / (1.0 + node_norm(metric.g, 2))
     return interior_max(metric.chart, res)
 
 
@@ -440,26 +453,29 @@ def check_parallel(U: np.ndarray, Gamma: np.ndarray, frame: np.ndarray,
 
     Per node and index pair (i, j) this is the norm of
     ``d_i u_j - sum_a <d_i u_j, nu^a> nu^a - Gamma^k_ij u_k`` over the
-    columns of the ``(*grid, n, d)`` normal frame, normalized by
+    columns of the ``(d, n, *grid)`` normal frame, normalized by
     ``1 + |Gamma| |U|``; the interior maximum is returned.  ``dU`` is
     ``grad_all(U, chart)`` when the caller has it; it is overwritten.
     """
     m = chart.m
-    tang = grad_all(U, chart) if dU is None else dU           # (..., n, j, i)
-    flat = tang.reshape(U.shape[:-1] + (m * m,))
+    tang = grad_all(U, chart) if dU is None else dU           # [n, j, i]
     # every normal component is read from dU before any is removed
-    ips = [(frame[..., None, :, a] @ flat).reshape(chart.shape + (1, m, m))
-           for a in range(frame.shape[-1])]
-    for a, ip in enumerate(ips):
-        tang -= frame[..., :, None, None, a] * ip
-    del flat, ips
-    # [..., n, i, j] = u_k Gamma^k_ij
-    gam = (U @ Gamma.reshape(chart.shape + (m, m * m))).reshape(tang.shape)
-    tang -= np.swapaxes(gam, -1, -2)
-    del gam
-    # norm over n, read where it lies (moving n last would copy tang);
-    # then the largest over (i, j)
-    res = node_max(np.sqrt(np.einsum("...nij,...nij->...ij", tang, tang)), 2)
+    ips = [node_product(nu[None], tang.reshape((len(nu), m * m) + chart.shape))
+           .reshape((1, m, m) + chart.shape) for nu in frame]
+    for nu, ip in zip(frame, ips):
+        for n, nu_n in enumerate(nu):
+            tang[n] -= nu_n * ip[0]
+    del ips, ip
+    # u_k Gamma^k_ij, subtracted at [n, j, i] one entry at a time
+    t, u = np.empty((2,) + chart.shape)
+    for n in range(len(U)):
+        for i in range(m):
+            for j in range(m):
+                tang[n, j, i] -= _sum_of_products(
+                    [(U[n, k], Gamma[k, i, j]) for k in range(m)], t, u)
+    del t, u
+    # norm over n, then the largest over (i, j)
+    res = node_max(node_norm(tang, 1), 2)
     scale = 1.0 + node_norm(Gamma, 3) * node_norm(U, 2)
     # U is a derived field: a deeper margin keeps its boundary-layer
     # truncation error out of the stencil
@@ -477,26 +493,32 @@ def curl_residual(U: np.ndarray, chart: Chart,
     ``grad_all(U, chart)`` when the caller has it.
     """
     if dU is None:
-        dU = grad_all(U, chart)                               # (..., n, j, i)
+        dU = grad_all(U, chart)                               # [n, j, i]
     res = np.zeros(chart.shape)
     for i, j in itertools.combinations(range(chart.m), 2):
-        np.maximum(res, node_norm(dU[..., j, i] - dU[..., i, j], 1), out=res)
+        np.maximum(res, node_norm(dU[:, j, i] - dU[:, i, j], 1), out=res)
     scale = 1.0 + float(np.max(node_norm(U, 2)))
     return interior_max(chart, res, margin=4) / scale
 
 
 def codazzi_residual(h: np.ndarray, Gamma: np.ndarray, metric: MetricField) -> float:
-    """Interior max of ``(nabla_i h)_jk - (nabla_j h)_ik`` (normalized)."""
+    """Interior max of ``(nabla_i h)_jk - (nabla_j h)_ik`` (normalized), for
+    an ``(m, m, *grid)`` form ``h``."""
     chart = metric.chart
     m = chart.m
-    # [..., i, j, k] = d_i h_jk, a view of grad_all's (..., j, k, i) that
-    # takes both Gamma terms in place
-    nabla = np.einsum("...jki->...ijk", grad_all(h, chart))
-    G = Gamma.reshape(chart.shape + (m, m * m))
-    # [..., (i, j), k] = Gamma^p_ij h_pk and [..., j, (i, k)] = h_jp Gamma^p_ik
-    nabla -= (G.mT @ h).reshape(nabla.shape)
-    nabla -= np.swapaxes((h @ G).reshape(nabla.shape), -3, -2)
-    defect = nabla - np.swapaxes(nabla, -3, -2)
+    dh = grad_all(h, chart)                                   # [j, k, i]
+    nabla = np.empty((m, m, m) + chart.shape)                  # [i, j, k]
+    t, u = np.empty((2,) + chart.shape)
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                x = nabla[i, j, k]
+                np.copyto(x, dh[j, k, i])
+                x -= _sum_of_products(
+                    [(Gamma[p, i, j], h[p, k]) for p in range(m)], t, u)
+                x -= _sum_of_products(
+                    [(h[j, p], Gamma[p, i, k]) for p in range(m)], t, u)
+    defect = nabla - nabla.swapaxes(0, 1)
     del nabla
     res = node_norm(defect, 3)
     scale = 1.0 + node_norm(h, 2) * (1.0 + node_norm(Gamma, 3))
@@ -652,8 +674,8 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
                               ">= 2 at some nodes; it does not determine "
                               "h up to scale")
             h = r3.h  # h_from_theorem3 applies options.sign_branch itself
-        H = np.einsum("...ij,...ij->...", metric.g_inv, h)
-        candidates = [(h[..., None, :, :], H[..., None])]
+        H = node_inner(metric.g_inv, h, 2)
+        candidates = [(h[None], H[None])]
 
     # steps 3 and 4 read only Gamma of the curvature data
     Gamma = pack.Gamma
@@ -663,7 +685,7 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
         thresholds["aalpha_consistency"] = tau
     best = None
     for h_alpha, H_alpha in candidates:
-        U = build_U(wc.A, wc.k, np.moveaxis(h_alpha, -3, -1) @ wc.w, frame)
+        U = build_U(wc.A, wc.k, _weighted(wc.w, h_alpha), frame)
         res = dict(residuals)
         res["h_squared"] = check_h_squared(h_alpha, forms.k_ab, metric)
         res["isometry"] = check_isometry(U, metric)

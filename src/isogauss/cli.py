@@ -7,6 +7,7 @@ format error, 3 inapplicable.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import itertools
 import math
@@ -155,9 +156,11 @@ def cmd_reconstruct(args) -> int:
               f"{'0' if options.sign_branch > 0 else 'pi'} at the chart center")
     u = integrate(report.candidate.U, chart)
     out = args.out or "reconstruction"
-    # the u rows are formatted once, for both files, and freed after them
+    # the u rows are formatted once, for both files, and freed after them;
+    # the dataset holds u grid first
     _write_plot_data(out + ".xyz.txt", chart, datafiles.write_dataset(
-        out + ".immersion.txt", datafiles.immersion_dataset(chart, u))["u"])
+        out + ".immersion.txt",
+        datafiles.immersion_dataset(chart, np.moveaxis(u, 0, -1)))["u"])
     res_g, res_n = verify_immersion(u, metric, normals)
     print(f"verification: metric residual {res_g:.3e}, "
           f"tangency residual {res_n:.3e}, "
@@ -234,20 +237,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forward", help="sample a catalog surface to dataset files")
     add_surface_args(p)
     p.add_argument("--out", help="output prefix")
-    p.set_defaults(func=cmd_forward)
+    p.set_defaults(handler="cmd_forward")
 
     p = sub.add_parser("check", help="run the admissibility pipeline on a dataset")
     p.add_argument("dataset")
     p.add_argument("--out", help="report file")
     add_tol_args(p)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(handler="cmd_check")
 
     p = sub.add_parser("reconstruct", help="check and integrate the immersion")
     p.add_argument("dataset")
     p.add_argument("--out", help="output prefix")
     p.add_argument("--report", help="report file")
     add_tol_args(p)
-    p.set_defaults(func=cmd_reconstruct)
+    p.set_defaults(handler="cmd_reconstruct")
 
     p = sub.add_parser("roundtrip",
                        help="forward -> check -> reconstruct -> compare")
@@ -255,18 +258,27 @@ def build_parser() -> argparse.ArgumentParser:
     add_tol_args(p)
     p.add_argument("--refine", type=int, default=0,
                    help="extra halved-spacing levels for convergence orders")
-    p.set_defaults(func=cmd_roundtrip)
+    p.set_defaults(handler="cmd_roundtrip")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs about 1 ms,
+    fifty times its ``parse_args``.  It names each command's handler, and
+    :func:`main` looks the name up when it runs, so a handler replaced
+    after the first call (a tracing wrapper, say) is the one that runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (CliError, IsoGaussError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,8 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import (MetricField, node_norm, raise_index, symmetric_eig,
-                        to_orthonormal)
+from .curvature import (MetricField, components_first, grid_first,
+                        node_inner, node_norm, node_product, raise_index,
+                        symmetric_eig, symmetric_part, to_orthonormal)
 from .errors import DomainError, InvalidGrassmannDataError, SamplingError
 from .grid import (Chart, align_signs, center_sign, grad_all, interior_max,
                    staircase_runs)
@@ -41,27 +42,28 @@ RANK_REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class NormalFrame:
-    """Orthonormal normal frame with its tangential differentials.
+    """Orthonormal normal frame with its tangential differentials,
+    components first.
 
-    ``frame[..., :, a]`` are the frame columns; ``A[..., :, i, a]`` is the
-    tangential part of ``d_i nu^a`` (components along the *other* frame
+    ``frame[a]`` is the column ``nu^a``, ``(n, *grid)``; ``A[a, :, i]`` is
+    the tangential part of ``d_i nu^a`` (components along the *other* frame
     directions removed; the self component vanishes identically for unit
     columns and is left untouched).
     """
 
     chart: Chart
-    frame: np.ndarray          # (*grid, n, d)
-    A: np.ndarray              # (*grid, n, m, d)
+    frame: np.ndarray          # (d, n, *grid)
+    A: np.ndarray              # (d, n, m, *grid)
     orthonormality_defect: float
     min_overlap_det: float
 
     @property
     def d(self) -> int:
-        return self.frame.shape[-1]
+        return self.frame.shape[0]
 
     @property
     def n(self) -> int:
-        return self.frame.shape[-2]
+        return self.frame.shape[1]
 
 
 def _signed_permutation_fit(D: np.ndarray) -> np.ndarray:
@@ -80,20 +82,22 @@ def _signed_permutation_fit(D: np.ndarray) -> np.ndarray:
 def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
     """Orthonormalize per-node spanning sets into a continuous frame.
 
-    The spans are Gram-Schmidt-orthonormalized column by column, vectorized
-    over the nodes; this is QR with positive diagonal, smooth in smooth
-    full-rank input and invariant under positive column scalings, and for
-    ``d = 1`` it is plain normalization.  The data is rank deficient when
-    the smallest pivot anywhere is at most ``RANK_REL_TOL`` times the
-    largest.  A center-out sweep over :func:`isogauss.grid.staircase_runs`
-    then compares each node with its already repaired neighbor one step
-    towards the chart center and repairs a sign or order flip (an overlap
-    far from the identity) by the maximal-overlap signed permutation.  So
-    the frame is continuous across the whole chart: normal data is an
-    unoriented plane.  The sweep forms the overlaps of each run with one
-    product and revisits only the steps of a run that hold a flip or follow
-    a repaired node; the overlaps are those of a node-by-node sweep bit for
-    bit.
+    ``spans`` is grid first, ``(*grid, n, d)``, as datasets and the oracle
+    hold normal data; it is read once into the components-first frame.
+    The spans are Gram-Schmidt-orthonormalized column by column, each inner
+    product one elementwise sum over the nodes; this is QR with positive
+    diagonal, smooth in smooth full-rank input and invariant under positive
+    column scalings, and for ``d = 1`` it is plain normalization.  The data
+    is rank deficient when the smallest pivot anywhere is at most
+    ``RANK_REL_TOL`` times the largest.  A center-out sweep over
+    :func:`isogauss.grid.staircase_runs` then compares each node with its
+    already repaired neighbor one step towards the chart center and repairs
+    a sign or order flip (an overlap far from the identity) by the
+    maximal-overlap signed permutation.  So the frame is continuous across
+    the whole chart: normal data is an unoriented plane.  The sweep forms
+    the overlaps of each run with one :func:`node_product` and revisits
+    only the steps of a run that hold a flip or follow a repaired node,
+    node by node on grid-first views.
     """
     spans = np.asarray(spans, dtype=float)
     if spans.ndim != chart.m + 2 or spans.shape[:chart.m] != chart.shape:
@@ -106,16 +110,17 @@ def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
             f"invalid plane dimension {d} in R^{n} for m = {chart.m}")
     if not np.all(np.isfinite(spans)):
         raise SamplingError("normal data contains non-finite values")
-    Q = np.empty_like(spans)
-    pivots = np.empty(chart.shape + (d,))
+    # [a, n, ...]: column a of every node
+    spans = np.moveaxis(spans, (-1, -2), (0, 1))
+    Q = np.empty((d, n) + chart.shape)
+    pivots = np.empty((d,) + chart.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(d):
-            v = spans[..., a]
+            v = spans[a]
             for b in range(a):
-                q = Q[..., b]
-                v = v - np.sum(q * v, axis=-1)[..., None] * q
-            pivots[..., a] = np.sqrt(np.sum(v * v, axis=-1))
-            Q[..., a] = v / pivots[..., a, None]
+                v = v - node_inner(Q[b], v, 1) * Q[b]
+            pivots[a] = node_norm(v, 1)
+            np.divide(v, pivots[a], out=Q[a])
     # a zero pivot leaves NaN, which fails the comparison too
     if not float(np.min(pivots)) > RANK_REL_TOL * float(np.max(pivots)):
         raise InvalidGrassmannDataError(
@@ -126,15 +131,27 @@ def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
     def flipped(D):
         return np.linalg.norm(D - eye, axis=(-2, -1)) > _FLIP_THRESHOLD
 
+    def overlap(P, R):
+        """``P^T R`` of grid-first ``(K, n, d)`` node stacks, summed as the
+        run's product sums it."""
+        return np.moveaxis(node_product(np.moveaxis(P, (2, 1), (0, 1)),
+                                        np.moveaxis(R, (1, 2), (0, 1))),
+                           (0, 1), (-2, -1))
+
     # each node's repaired overlap with its previous node; the center has
     # none, holds the identity and is left out of the minimum
-    overlaps = np.empty(chart.shape + (d, d))
-    overlaps[chart.center] = eye
+    comps = (slice(None),) * 2
+    overlaps = np.empty((d, d) + chart.shape)
+    overlaps[comps + chart.center] = eye
+    # grid-first views of Q and of the overlaps for the node-by-node repairs
+    Qg = np.moveaxis(Q, (0, 1), (-1, -2))
     for a, run, prev in staircase_runs(chart):
-        # views with the slabs on axis 0; one product gives every overlap
-        # that no repair in this run changes
-        Qr, Qp = (np.moveaxis(Q[s], a, 0) for s in (run, prev))
-        D = np.ascontiguousarray(Qp.mT) @ Qr
+        D_run = overlaps[comps + run]
+        node_product(Q[comps + prev], Q[comps + run].swapaxes(0, 1),
+                     out=D_run)
+        # views with the slabs on axis 0, nodes first
+        Qr, Qp, D = (np.moveaxis(v, a, 0) for v in (
+            Qg[run], Qg[prev], np.moveaxis(D_run, (0, 1), (-2, -1))))
         bad = flipped(D)
         repaired = None
         for j, flips in enumerate(bad.reshape(len(D), -1).any(axis=1)):
@@ -143,58 +160,61 @@ def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
             Qs, Qps, Ds, bads = (v[j:j + 1] for v in (Qr, Qp, D, bad))
             if repaired is not None:
                 # the overlaps behind the nodes repaired one slab back
-                Ds[repaired] = (np.ascontiguousarray(Qps[repaired].mT)
-                                @ Qs[repaired])
+                Ds[repaired] = overlap(Qps[repaired], Qs[repaired])
                 bads[repaired] = flipped(Ds[repaired])
             nodes = np.nonzero(bads)
             for k in zip(*nodes):
                 Qs[k] = Qs[k] @ _signed_permutation_fit(Ds[k].T).T
-                Ds[k] = Qps[k].T @ Qs[k]
+                Ds[k] = overlap(Qps[k][None], Qs[k][None])[0]
             repaired = nodes if nodes[0].size else None
-        overlaps[run] = np.moveaxis(D, 0, a)
     # a 1 x 1 overlap is its own determinant; LAPACK per node costs more
-    dets = overlaps[..., 0, 0] if d == 1 else np.linalg.det(overlaps)
+    dets = (overlaps[0, 0] if d == 1
+            else np.linalg.det(np.moveaxis(overlaps, (0, 1), (-2, -1))))
     dets[chart.center] = math.inf
     min_det = float(np.min(dets))
 
-    QT = np.ascontiguousarray(Q.mT)
-    defect = float(np.max(node_norm(QT @ Q - eye, 2)))
+    gram = node_product(Q, Q.swapaxes(0, 1))
+    for a in range(d):
+        gram[a, a] -= 1.0
+    defect = float(np.max(node_norm(gram, 2)))
 
-    dQ = grad_all(Q, chart)                                    # [..., n, a, i]
+    A = grad_all(Q, chart)                                     # [a, n, i]
     if d > 1:
-        flat = dQ.reshape(chart.shape + (n, d * chart.m))
-        # [..., b, a, i] = <nu^b, d_i nu^a>, self terms skipped
-        off = (QT @ flat).reshape(chart.shape + (d, d, chart.m))
-        off *= (1.0 - eye)[:, :, None]
-        dQ -= (Q @ off.reshape(chart.shape + (d, d * chart.m))).reshape(dQ.shape)
-    return NormalFrame(chart=chart, frame=Q, A=np.swapaxes(dQ, -1, -2),
+        # <nu^b, d_i nu^a>, self terms skipped, all read before any is
+        # removed
+        off = {(b, a): node_product(Q[b][None], A[a])[0]
+               for a in range(d) for b in range(d) if b != a}
+        for (b, a), ip in off.items():
+            A[a] -= Q[b][:, None] * ip
+    return NormalFrame(chart=chart, frame=Q, A=A,
                        orthonormality_defect=defect, min_overlap_det=min_det)
 
 
 @dataclass(frozen=True)
 class CodimForms:
-    """Mixed third forms of a normal frame."""
+    """Mixed third forms of a normal frame, components first."""
 
     chart: Chart
-    k_ab: np.ndarray       # (*grid, d, d, m, m), <A^a e_i, A^b e_j>
-    k: np.ndarray          # (*grid, m, m), sum of the diagonal blocks
+    k_ab: np.ndarray       # (d, d, m, m, *grid), <A^a e_i, A^b e_j>
+    k: np.ndarray          # (m, m, *grid), sum of the diagonal blocks
 
     @property
     def d(self) -> int:
-        return self.k_ab.shape[-4]
+        return self.k_ab.shape[0]
 
 
 def third_forms(frame: NormalFrame) -> CodimForms:
-    # A^T A once for all blocks: [..., (a, i), (b, j)]
-    flat = frame.A.mT.reshape(frame.frame.shape[:-1] + (-1,))
-    kk = (np.ascontiguousarray(flat.mT) @ flat).reshape(
-        flat.shape[:-2] + (frame.d, frame.chart.m) * 2)
-    k_ab = np.einsum("...aibj->...abij", kk)
-    k = np.einsum("...aaij->...ij", k_ab)
-    k = 0.5 * (k + np.swapaxes(k, -1, -2))
-    if frame.d == 1:
-        # the one block is k: hold the per-node forms once
-        k_ab = k[..., None, None, :, :]
+    """``k^{ab} = (A^a)^T A^b`` block by block, each a :func:`node_product`;
+    the blocks ``a = b`` and their sum ``k`` are symmetric bit for bit."""
+    A, d, m = frame.A, frame.d, frame.chart.m
+    k_ab = np.empty((d, d, m, m) + frame.chart.shape)
+    for a in range(d):
+        for b in range(d):
+            node_product(A[a].swapaxes(0, 1), A[b], out=k_ab[a, b])
+    # for d = 1 the one block is k: the per-node forms are held once
+    k = k_ab[0, 0]
+    for a in range(1, d):
+        k = k + k_ab[a, a]
     return CodimForms(chart=frame.chart, k_ab=k_ab, k=k)
 
 
@@ -204,8 +224,12 @@ def third_forms(frame: NormalFrame) -> CodimForms:
 
 @dataclass(frozen=True)
 class MeanCurvatureResult:
+    """The trace-matrix route's result.  Its internals keep batched products
+    on the grid-first layout (see :func:`_rho_and_B`); the candidates are
+    components first, as the pipeline passes them on."""
+
     status: str                     # ok | degenerate | rejected | indeterminate
-    candidates: list[np.ndarray]    # each (*grid, d)
+    candidates: list[np.ndarray]    # each (d, *grid)
     unit_eigen_distance: float      # interior max of sigma_min(rho^T - I)
     unit_tol: float                 # unit-eigenvalue tolerance of the counts
     fixed_dim: int                  # typical fixed-space dimension
@@ -217,13 +241,22 @@ class MeanCurvatureResult:
 
 
 def _rho_and_B(forms: CodimForms, Ric: np.ndarray, metric: MetricField):
-    ric_k = Ric + forms.k
-    ric_k = 0.5 * (ric_k + np.swapaxes(ric_k, -1, -2))
-    eigs = symmetric_eig(to_orthonormal(metric, ric_k))
+    """The trace matrix ``rho`` and the operators ``B = (Ric + k)^{-1}`` and
+    ``g^{-1} k^{ab}`` of the recovery formula.  ``Ric + k``, its
+    eigenvalues and the raised forms are formed components first; ``B``
+    and ``g^{-1} k^{ab}`` are then written grid first, the one conversion
+    of the trace-matrix internals, which keep their batched products
+    (LAPACK ``inv``, ``rho``, the candidates' operators and the direction
+    solve) on that layout."""
+    ric_k = symmetric_part(Ric + forms.k)
+    eigs = symmetric_eig(np.moveaxis(to_orthonormal(metric, ric_k),
+                                     (0, 1), (-2, -1)))
     if float(np.min(np.abs(eigs))) <= 1e-10 * max(float(np.max(np.abs(eigs))), 1e-300):
         raise DomainError("Ric + k is not invertible; the trace matrix is undefined")
-    B = np.linalg.inv(raise_index(metric, ric_k))
-    k_ab_op = metric.g_inv[..., None, None, :, :] @ forms.k_ab
+    B = np.linalg.inv(grid_first(raise_index(metric, ric_k), 2))
+    # g^{-1} k^{ab} as [i, j, a, b, ...], then grid first as [..., a, b, i, j]
+    raised = raise_index(metric, np.moveaxis(forms.k_ab, (0, 1), (2, 3)))
+    k_ab_op = grid_first(np.moveaxis(raised, (2, 3), (0, 1)), 4)
     rho = np.einsum("...ij,...abji->...ab", B, k_ab_op, optimize=True)
     return rho, B, k_ab_op
 
@@ -232,6 +265,13 @@ def _halpha_ops(H: np.ndarray, B: np.ndarray, k_ab_op: np.ndarray) -> np.ndarray
     """h^b as operators from the recovery formula, shape (*grid, d, m, m)."""
     Hk = H[..., None, :] @ k_ab_op.reshape(k_ab_op.shape[:-3] + (-1,))
     return B[..., None, :, :] @ Hk.reshape(k_ab_op.shape[:-4] + k_ab_op.shape[-3:])
+
+
+def _trailing_norm(a: np.ndarray, k: int) -> np.ndarray:
+    """Frobenius norm over the last ``k`` axes of a grid-first array, per
+    node: the norm of the trace-matrix and theorem3 internals."""
+    flat = a.reshape(a.shape[:a.ndim - k] + (-1,))
+    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
 def _block_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -249,7 +289,7 @@ def _right_singular(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     lam, v = symmetric_eig(E.mT @ E, vectors=True)
     sig = np.sqrt(np.clip(lam, 0.0, None))
-    sig[..., 0] = node_norm(E @ v[..., None], 2)
+    sig[..., 0] = _trailing_norm(E @ v[..., None], 2)
     return sig, v
 
 
@@ -283,7 +323,7 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
     d = forms.d
     inter = chart.interior
     rho, B, k_ab_op = _rho_and_B(forms, Ric, metric)
-    scale = np.maximum(1.0, node_norm(rho, 2))
+    scale = np.maximum(1.0, _trailing_norm(rho, 2))
     sig, v = _right_singular(np.swapaxes(rho, -1, -2) - np.eye(d))
     dims = np.sum(sig <= unit_tol * scale[..., None], axis=-1)
     unit_dist = interior_max(chart, sig[..., 0] / scale)
@@ -299,10 +339,10 @@ def mean_curvature_vector(forms: CodimForms, Ric: np.ndarray,
     if float(np.mean(dims[inter] == 1)) >= 0.99:
         v = v * align_signs(chart, v)[..., None]
         v = v * (center_sign(chart, v) * sign_branch)
-        return result("ok", [length[..., None] * v], 1)
+        return result("ok", [components_first(length[..., None] * v, 1)], 1)
     if float(np.mean(dims[inter] == d)) >= 0.99 and d == 2:
         cands = _resolve_full_fixed_space(chart, length, B, k_ab_op, sign_branch)
-        return result("degenerate", cands, d,
+        return result("degenerate", [components_first(H, 1) for H in cands], d,
                       ["fixed space of rho is the whole normal space; "
                        "direction resolved against the quadratic product "
                        "constraint"])
@@ -333,7 +373,7 @@ def _resolve_full_fixed_space(chart: Chart, length: np.ndarray, B: np.ndarray,
     X00 = _block_products(P0, P0) - K
     X11 = _block_products(P1, P1) - K
     Xx = _block_products(P0, P1) + _block_products(P1, P0)
-    denom = 2.0 * (1.0 + node_norm(K, 4))[..., None, None, None, None]
+    denom = 2.0 * (1.0 + _trailing_norm(K, 4))[..., None, None, None, None]
     Y = (np.stack([X00 + X11, X00 - X11, Xx]) / denom).reshape(3, -1)
     G = (Y @ Y.T) / math.prod(K.shape[:-4])               # mean over nodes
 
@@ -363,15 +403,19 @@ def _resolve_full_fixed_space(chart: Chart, length: np.ndarray, B: np.ndarray,
 
 def second_forms(H: np.ndarray, B: np.ndarray, k_ab_op: np.ndarray,
                  metric: MetricField) -> np.ndarray:
-    """Candidate second forms ``h^a``, lowered and symmetrized.
+    """Candidate second forms ``h^a``, lowered and symmetrized,
+    ``(d, m, m, *grid)``.
 
-    ``B`` and ``k_ab_op`` are the operators :func:`mean_curvature_vector`
-    formed (``MeanCurvatureResult.B`` / ``.k_ab_op``), shared by every
-    candidate ``H``; the product check ``h^a h^b = k^{ab}`` is
+    ``H`` is a ``(d, *grid)`` candidate of :func:`mean_curvature_vector`;
+    ``B`` and ``k_ab_op`` are the grid-first operators it formed
+    (``MeanCurvatureResult.B`` / ``.k_ab_op``), shared by every candidate.
+    The operators of :func:`_halpha_ops` are read components first, once,
+    and lowered by :func:`isogauss.curvature.node_product`; the product
+    check ``h^a h^b = k^{ab}`` is
     :func:`isogauss.admissibility.check_h_squared`.
     """
-    h_low = metric.g[..., None, :, :] @ _halpha_ops(H, B, k_ab_op)
-    return 0.5 * (h_low + np.swapaxes(h_low, -1, -2))
+    ops = components_first(_halpha_ops(grid_first(H, 1), B, k_ab_op), 3)
+    return np.stack([symmetric_part(node_product(metric.g, op)) for op in ops])
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +426,8 @@ class WeingartenCombination(NamedTuple):
     """One normal direction ``sum_a w_a nu^a`` with its differential."""
 
     w: np.ndarray          # (d,)
-    A: np.ndarray          # (*grid, n, m), sum_a w_a A^a
-    k: np.ndarray          # (*grid, m, m), its third form
+    A: np.ndarray          # (n, m, *grid), sum_a w_a A^a
+    k: np.ndarray          # (m, m, *grid), its third form
     min_singular: float    # extreme singular values of A, domain in g
     max_singular: float
     invertible: bool
@@ -400,17 +444,26 @@ def _combinations(d: int) -> np.ndarray:
     return np.array(weights)
 
 
+def _weighted(w: np.ndarray, blocks) -> np.ndarray:
+    """``sum_a w_a blocks[a]``, summed in index order."""
+    out = w[0] * blocks[0]
+    for w_a, block in zip(w[1:], blocks[1:]):
+        out += w_a * block
+    return out
+
+
 def _candidate_forms(weights: np.ndarray, k_ab: np.ndarray,
                      metric: MetricField) -> np.ndarray:
     """``k_w = sum_ab w_a w_b k^{ab}`` in g-orthonormal frames for every row
-    ``w`` of ``weights``, shape ``(len(weights), *grid, m, m)``; the ``d^2``
-    blocks are taken to g-orthonormal frames once."""
-    d = k_ab.shape[-4]
-    # [a, b, ...] = k^{ab} in g-orthonormal frames
-    blocks = to_orthonormal(metric, np.moveaxis(k_ab, (-4, -3), (0, 1)))
+    ``w`` of ``weights``, shape ``(len(weights), m, m, *grid)``; the ``d^2``
+    blocks are taken to g-orthonormal frames by one
+    :func:`isogauss.curvature.to_orthonormal`."""
+    d = k_ab.shape[0]
+    # [i, j, a, b, ...] = k^{ab} in g-orthonormal frames
+    blocks = to_orthonormal(metric, np.moveaxis(k_ab, (0, 1), (2, 3)))
+    flat = [blocks[:, :, a, b] for a in range(d) for b in range(d)]
     pair_weights = (weights[:, :, None] * weights[:, None, :]).reshape(-1, d * d)
-    return (pair_weights @ blocks.reshape(d * d, -1)).reshape(
-        (len(weights),) + blocks.shape[2:])
+    return np.stack([_weighted(pw, flat) for pw in pair_weights])
 
 
 def weingarten_combination(A: np.ndarray, k_ab: np.ndarray,
@@ -432,20 +485,21 @@ def weingarten_combination(A: np.ndarray, k_ab: np.ndarray,
     exceeds ``RANK_REL_TOL``: for ``d = 1`` this is the Gauss map having an
     invertible differential.
     """
-    d = k_ab.shape[-4]
+    d = k_ab.shape[0]
     weights = _combinations(d)
     # a temporary: the kernel frees it once read
-    eigs = symmetric_eig(_candidate_forms(weights, k_ab, metric))
+    eigs = symmetric_eig(np.moveaxis(_candidate_forms(weights, k_ab, metric),
+                                     (1, 2), (-2, -1)))
     axes = tuple(range(1, eigs.ndim))
     max_sv = np.sqrt(np.clip(np.max(eigs, axis=axes), 0.0, None))
     min_sv = np.sqrt(np.clip(np.min(eigs, axis=axes), 0.0, None))
     c = int(np.argmax(min_sv / np.maximum(max_sv, 1e-300)))
     w, min_sv, max_sv = weights[c], float(min_sv[c]), float(max_sv[c])
     if c < d:
-        A_w, k_w = A[..., c], k_ab[..., c, c, :, :]
+        A_w, k_w = A[c], k_ab[c, c]
     else:
-        A_w = A @ w
-        k_w = np.einsum("...abij,a,b->...ij", k_ab, w, w, optimize=True)
+        A_w = _weighted(w, A)
+        k_w = _weighted(np.outer(w, w).ravel(), k_ab.reshape((d * d,) + k_ab.shape[2:]))
     return WeingartenCombination(w, A_w, k_w, min_sv, max_sv,
                                  min_sv > RANK_REL_TOL * max_sv and max_sv > 0.0)
 
@@ -454,8 +508,11 @@ def frame_consistency(A: np.ndarray, U: np.ndarray, h_alpha: np.ndarray,
                       chart: Chart) -> float:
     """Interior max of ``|h^a + (A^a)^T U|`` over all directions (normalized):
     the directions that :func:`weingarten_combination` did not invert."""
-    # [..., (a, i), j] = <A^a e_i, u_j>
-    flat = A.mT.reshape(A.shape[:-2] + (-1,))
-    h_back = -(np.ascontiguousarray(flat.mT) @ U).reshape(h_alpha.shape)
-    cons = node_norm(h_back - h_alpha, 3) / (1.0 + node_norm(h_alpha, 3))
+    defect = np.empty(h_alpha.shape)
+    for a in range(A.shape[0]):
+        # [i, j] = <A^a e_i, u_j>
+        node_product(A[a].swapaxes(0, 1), U, out=defect[a])
+    np.negative(defect, out=defect)
+    defect -= h_alpha
+    cons = node_norm(defect, 3) / (1.0 + node_norm(h_alpha, 3))
     return interior_max(chart, cons)

@@ -2,16 +2,19 @@
 
 Index conventions (fixed once, all modules inherit them):
 
-* ``Gamma[..., k, i, j]``  = Christoffel symbol with upper index first,
+* Every per-node field is stored components first, ``(*components,
+  *grid)`` (see :mod:`isogauss.grid`), so ``g[i, j]`` is one contiguous
+  array over the nodes.
+* ``Gamma[k, i, j]`` = Christoffel symbol with upper index first,
   symmetric in ``(i, j)``.
 * ``R^l_{ijk}`` = curvature of the coordinate frame in the convention
   ``R(e_i, e_j) e_k = R^l_{ijk} e_l`` with
   ``R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma^l_{ip}Gamma^p_{jk}
   - Gamma^l_{jp}Gamma^p_{ik}``, kept components first for ``i < j`` only
   (:class:`CurvaturePack`).
-* ``R_low[..., i, j, k, l] = g_{lp} R^p_{ijk}``, formed only where it is
+* ``R_low[i, j, k, l] = g_{lp} R^p_{ijk}``, formed only where it is
   read (:func:`riemann_low`).
-* ``Ric[..., i, l] = g^{jk} R_{ijkl}`` and ``s = g^{il} Ric_{il}``.
+* ``Ric[i, l] = g^{jk} R_{ijkl}`` and ``s = g^{il} Ric_{il}``.
 
 With these choices the unit round sphere carries scalar curvature
 ``m (m - 1) > 0`` and satisfies ``R_{ijkl} = h_{il} h_{jk} - h_{ik} h_{jl}``
@@ -32,67 +35,121 @@ from .grid import Chart, _deriv_into
 _SYM_TOL = 1e-8
 
 
-def node_norm(a: np.ndarray, k: int) -> np.ndarray:
-    """Frobenius norm over the last ``k`` axes, per node.
+def _sum_of_products(terms, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``out = sum a * b`` over the factor pairs ``(a, b)`` of ``terms``,
+    summed in their order; ``tmp`` is scratch."""
+    (a, b), *rest = terms
+    np.multiply(a, b, out=out)
+    for a, b in rest:
+        out += np.multiply(a, b, out=tmp)
+    return out
 
-    The ``k`` axes are flattened (a view for contiguous input) and summed by
-    one ``einsum``: numpy's ``reduce`` over a block of a few trailing
-    entries costs more than the arithmetic.  The order of the sum differs
-    from ``np.sum``'s, which moves a norm by at most a few ulp.
-    """
+
+def _leading_flat(a: np.ndarray, k: int) -> np.ndarray:
+    """``a`` with its leading ``k`` (component) axes flattened into one."""
     a = np.asarray(a)
-    flat = a.reshape(a.shape[:a.ndim - k] + (-1,))
-    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
+    return a.reshape((-1,) + a.shape[k:])
+
+
+def node_inner(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """``sum a * b`` over the leading ``k`` axes, per node, summed in index
+    order: ``Tr(a^T b)`` of two ``(m, m, *grid)`` forms for ``k = 2``."""
+    a, b = _leading_flat(a, k), _leading_flat(b, k)
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    return _sum_of_products(zip(a, b), np.empty(shape), np.empty(shape))
+
+
+def node_norm(a: np.ndarray, k: int) -> np.ndarray:
+    """Frobenius norm over the leading ``k`` (component) axes, per node:
+    the square root of :func:`node_inner`, so a NaN entry makes its node's
+    norm NaN."""
+    out = node_inner(a, a, k)
+    return np.sqrt(out, out=out)
 
 
 def node_max(a: np.ndarray, k: int) -> np.ndarray:
-    """Maximum over the last ``k`` axes, per node.
+    """Maximum over the leading ``k`` (component) axes, per node.
 
-    A chain of elementwise ``np.maximum`` over the flattened trailing block,
-    for the reason given in :func:`node_norm`.  The maximum is exact, and a
-    NaN anywhere in a node's block makes that node's result NaN, as with
+    A chain of elementwise ``np.maximum`` over the components, each one
+    contiguous array over the nodes.  The maximum is exact, and a NaN
+    anywhere in a node's block makes that node's result NaN, as with
     ``np.max``.
     """
-    a = np.asarray(a)
-    flat = a.reshape(a.shape[:a.ndim - k] + (-1,))
-    out = flat[..., 0].copy()
-    for i in range(1, flat.shape[-1]):
-        np.maximum(out, flat[..., i], out=out)
+    flat = _leading_flat(a, k)
+    out = flat[0].copy()
+    for x in flat[1:]:
+        np.maximum(out, x, out=out)
+    return out
+
+
+def node_product(a: np.ndarray, b: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Per-node matrix product ``out[i, j] = sum_k a[i, k] b[k, j]``, each
+    entry one elementwise sum over contiguous node arrays, in index order.
+
+    The matrix indices are the two leading axes of ``a`` and ``b``; the
+    trailing axes (the grid, after any stack of blocks) broadcast, and a
+    constant matrix broadcasts against every node.  A transpose is the
+    view ``x.swapaxes(0, 1)``, whose entries are still contiguous node
+    arrays, so it costs nothing.  The sums do not depend on which BLAS
+    kernel a batched ``@`` would pick.  ``out``, when given, receives the
+    ``(p, r, *rest)`` result.
+    """
+    p, q = a.shape[:2]
+    r = b.shape[1]
+    rest = np.broadcast_shapes(a.shape[2:], b.shape[2:])
+    if out is None:
+        out = np.empty((p, r) + rest)
+    tmp = np.empty(rest)
+    for i in range(p):
+        for j in range(r):
+            _sum_of_products([(a[i, k], b[k, j]) for k in range(q)],
+                             out[i, j], tmp)
+    return out
+
+
+def symmetric_part(a: np.ndarray) -> np.ndarray:
+    """``(a + a^T) / 2`` over the two leading (matrix) axes, a new
+    C-contiguous array whose entries ``[i, j]`` and ``[j, i]`` are equal
+    bit for bit."""
+    out = np.add(a, a.swapaxes(0, 1), out=np.empty(a.shape))
+    out *= 0.5
     return out
 
 
 def cholesky_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Lower Cholesky factor ``L`` (``a = L L^T``) and ``inv(L)`` per node.
 
-    ``a`` is a ``(..., m, m)`` stack of symmetric matrices; only its lower
-    triangle is read.  ``L`` comes from the unblocked Cholesky-Banachiewicz
-    recurrence and ``inv(L)`` from forward substitution, one entry at a time,
-    each entry one elementwise operation over all nodes.  At these sizes
-    that is LAPACK's arithmetic up to the order of the rounding, without a
-    LAPACK call per matrix.  Returns ``None`` when any pivot is not ``> 0``
-    (a NaN pivot included), i.e. when some node is not positive definite.
+    ``a`` is an ``(m, m, *grid)`` stack of symmetric matrices, components
+    first; only its lower triangle is read.  ``L`` comes from the unblocked
+    Cholesky-Banachiewicz recurrence and ``inv(L)`` from forward
+    substitution, one entry at a time, each entry one elementwise operation
+    over all nodes.  At these sizes that is LAPACK's arithmetic up to the
+    order of the rounding, without a LAPACK call per matrix.  Returns
+    ``None`` when any pivot is not ``> 0`` (a NaN pivot included), i.e. when
+    some node is not positive definite.
     """
-    m = a.shape[-1]
+    m = a.shape[0]
     L = np.zeros(a.shape)
     L_inv = np.zeros(a.shape)
     for i in range(m):
         for j in range(i + 1):
-            s = a[..., i, j].copy()
+            s = a[i, j].copy()
             for k in range(j):
-                s -= L[..., i, k] * L[..., j, k]
+                s -= L[i, k] * L[j, k]
             if i == j:
                 if not np.all(s > 0):
                     return None
-                L[..., i, i] = np.sqrt(s)
+                L[i, i] = np.sqrt(s)
             else:
-                L[..., i, j] = s / L[..., j, j]
+                L[i, j] = s / L[j, j]
     for j in range(m):
-        L_inv[..., j, j] = 1.0 / L[..., j, j]
+        L_inv[j, j] = 1.0 / L[j, j]
         for i in range(j + 1, m):
-            s = L[..., i, j] * L_inv[..., j, j]
+            s = L[i, j] * L_inv[j, j]
             for k in range(j + 1, i):
-                s += L[..., i, k] * L_inv[..., k, j]
-            L_inv[..., i, j] = -s / L[..., i, i]
+                s += L[i, k] * L_inv[k, j]
+            L_inv[i, j] = -s / L[i, i]
     return L, L_inv
 
 
@@ -267,16 +324,17 @@ def symmetric_eig(a: np.ndarray, vectors: bool = False):
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """``a^{-1} b`` per node as ``L^{-T} (L^{-1} b)``, ``L`` from
-    :func:`cholesky_factors`; ``None`` when ``a`` is not positive definite.
-    The factors are dropped on return, so they do not add to the memory
-    peak of a caller that only needs the solution.
+    :func:`cholesky_factors` and both products from :func:`node_product`;
+    ``None`` when ``a`` is not positive definite.  The factors are dropped
+    on return, so they do not add to the memory peak of a caller that only
+    needs the solution.
     """
     factors = cholesky_factors(a)
     if factors is None:
         return None
     L_inv = factors[1]
-    del factors     # L is not read: freed, it makes room for L^{-T}
-    return np.ascontiguousarray(L_inv.mT) @ (L_inv @ b)
+    del factors     # L is not read: freed, it makes room for the solution
+    return node_product(L_inv.swapaxes(0, 1), node_product(L_inv, b))
 
 
 @dataclass(frozen=True)
@@ -290,24 +348,43 @@ class MetricField:
     """
 
     chart: Chart
-    g: np.ndarray
-    g_inv: np.ndarray
-    chol: np.ndarray
-    chol_inv: np.ndarray
+    g: np.ndarray          # (m, m, *grid)
+    g_inv: np.ndarray      # (m, m, *grid)
+    chol: np.ndarray       # (m, m, *grid), lower
+    chol_inv: np.ndarray   # (m, m, *grid), lower
+
+
+def components_first(a: np.ndarray, k: int) -> np.ndarray:
+    """A C-contiguous ``(*components, *grid)`` copy of a grid-first array
+    whose last ``k`` axes are components: the one conversion at an entry
+    point that takes the grid-first arrays of datasets and the oracle."""
+    a = np.asarray(a, dtype=float)
+    return np.ascontiguousarray(
+        np.moveaxis(a, range(a.ndim - k, a.ndim), range(k)))
+
+
+def grid_first(a: np.ndarray, k: int) -> np.ndarray:
+    """A C-contiguous ``(*grid, *components)`` copy of a components-first
+    array with ``k`` leading component axes, for the batched products that
+    keep the grid-first layout."""
+    return np.ascontiguousarray(
+        np.moveaxis(a, range(k), range(a.ndim - k, a.ndim)))
 
 
 def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
     """Validate a sampled metric and factor it once for every node.
 
+    ``g_values`` is grid-first, ``(*grid, m, m)``, as datasets and the
+    oracle hold it; the :class:`MetricField` holds a components-first copy.
     The metric must have the chart's shape, be finite and symmetric to
-    ``_SYM_TOL`` (it is then symmetrized, unless it already is exactly, in
-    which case ``g`` is the input array itself; either way ``g.mT`` equals
-    ``g`` bit for bit), and be positive definite at every
-    node.  ``chol`` and ``chol_inv`` come from :func:`cholesky_factors`, which
-    agrees with LAPACK to the last bits; when it fails, the eigenvalues name
-    the node of the smallest one in the :class:`SingularMetricError`.  The
-    product ``g g_inv`` must be the identity to ``1e-12`` relative to
-    ``|g| |g_inv|``.
+    ``_SYM_TOL`` (it is then symmetrized, so ``g[i, j]`` equals ``g[j, i]``
+    bit for bit), and be positive definite at every node.  ``chol`` and
+    ``chol_inv`` come from :func:`cholesky_factors`, which agrees with
+    LAPACK to the last bits; when it fails, the eigenvalues name the node
+    of the smallest one in the :class:`SingularMetricError`.  ``g_inv`` and
+    the product ``g g_inv`` are :func:`node_product` sums; the product must
+    be the identity to ``1e-12`` relative to ``|g| |g_inv|``, and a
+    ``g_inv`` that overflows fails that check.
     """
     g = np.asarray(g_values, dtype=float)
     m = chart.m
@@ -320,13 +397,14 @@ def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
     asym = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
     if asym > _SYM_TOL * scale:
         raise SingularMetricError(f"metric not symmetric: asymmetry {asym:.3e}")
+    g = components_first(g, 2)
     if asym > 0:
-        g = 0.5 * (g + np.swapaxes(g, -1, -2))
+        g = symmetric_part(g)
     factors = cholesky_factors(g)
     if factors is None:
         # eigenvalues only to name the node; the smallest one is named even
         # when it rounds to just above zero
-        low = symmetric_eig(g)[..., 0]
+        low = symmetric_eig(np.moveaxis(g, (0, 1), (-2, -1)))[..., 0]
         node = tuple(int(i) for i in np.unravel_index(np.argmin(low), low.shape))
         raise SingularMetricError(
             f"metric not positive definite at node {node} "
@@ -334,10 +412,15 @@ def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
     # inv(L) directly: L^T inv(g) agrees with it only to about
     # cond(g) * 1e-16, which is 1e-6 on a metric near singularity
     chol, chol_inv = factors
-    g_inv = np.ascontiguousarray(chol_inv.mT) @ chol_inv
-    err = np.max(node_norm(g @ g_inv - np.eye(m), 2))
-    rel = float(np.max(node_norm(g, 2)) * np.max(node_norm(g_inv, 2)))
-    if err > 1e-12 * max(1.0, rel):
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_inv = node_product(chol_inv.swapaxes(0, 1), chol_inv)
+        defect = node_product(g, g_inv)
+        for i in range(m):
+            defect[i, i] -= 1.0
+        err = float(np.max(node_norm(defect, 2)))
+        rel = float(np.max(node_norm(g, 2)) * np.max(node_norm(g_inv, 2)))
+    # NaN and an infinite g_inv fail here too
+    if not (np.isfinite(rel) and err <= 1e-12 * max(1.0, rel)):
         raise SingularMetricError(
             f"metric inversion failed the identity check: {err:.3e}")
     return MetricField(chart=chart, g=g, g_inv=g_inv, chol=chol,
@@ -346,11 +429,10 @@ def metric_field(chart: Chart, g_values: np.ndarray) -> MetricField:
 
 @dataclass(frozen=True)
 class CurvaturePack:
-    """Christoffels plus the Riemann family of one metric.
+    """Christoffels plus the Riemann family of one metric, components first.
 
-    ``R`` keeps ``R^l_ijk`` components first, one contiguous node array per
-    component, and only for the index pairs ``i < j``: ``R[l, n, k]`` is
-    ``R^l_ijk`` for the ``n``-th pair ``(i, j)`` of
+    ``R`` keeps ``R^l_ijk`` only for the index pairs ``i < j``: ``R[l, n,
+    k]`` is ``R^l_ijk`` for the ``n``-th pair ``(i, j)`` of
     ``itertools.combinations(range(m), 2)``, and the pairs ``j < i`` follow
     by antisymmetry.  ``R_low`` is formed from it only where it is
     read, by :func:`riemann_low`; a pack given an ``R_low`` of its own
@@ -358,37 +440,25 @@ class CurvaturePack:
     """
 
     chart: Chart
-    Gamma: np.ndarray      # (*grid, m, m, m)  Gamma^k_ij
+    Gamma: np.ndarray      # (m, m, m, *grid)  Gamma^k_ij
     R: np.ndarray          # (m, m (m - 1) / 2, m, *grid)  R^l_ijk, i < j
-    Ric: np.ndarray        # (*grid, m, m)
+    Ric: np.ndarray        # (m, m, *grid)
     s: np.ndarray          # (*grid,)
-    R_low: np.ndarray | None = None    # (*grid, m, m, m, m)  R_ijkl
-
-
-def _components_first(a: np.ndarray, k: int) -> np.ndarray:
-    """A contiguous copy of ``a`` with its last ``k`` (component) axes first,
-    so that each component is one contiguous array over the nodes."""
-    axes = range(a.ndim - k, a.ndim)
-    return np.ascontiguousarray(np.moveaxis(a, axes, range(k)))
-
-
-def _sum_of_products(terms, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """``out = sum a * b`` over the factor pairs ``(a, b)`` of ``terms``,
-    summed in their order; ``tmp`` is scratch."""
-    (a, b), *rest = terms
-    np.multiply(a, b, out=out)
-    for a, b in rest:
-        out += np.multiply(a, b, out=tmp)
-    return out
+    R_low: np.ndarray | None = None    # (m, m, m, m, *grid)  R_ijkl
 
 
 def christoffel(metric: MetricField) -> np.ndarray:
-    """Christoffel symbols ``Gamma^k_ij`` of the Levi-Civita connection.
+    """Christoffel symbols ``Gamma^k_ij`` of the Levi-Civita connection,
+    ``(m, m, m, *grid)``.
 
     ``Gamma_lij = (d_i g_jl + d_j g_il - d_l g_ij) / 2`` is formed one
     component at a time, each derivative ``d_a g_ij`` (``i <= j``) once;
-    ``Gamma^k_ij = g^kl Gamma_lij`` is one ``(m x m)(m x m^2)`` product per
-    node.
+    ``Gamma^k_ij = g^kl Gamma_lij`` is one batched ``(m x m)(m x m^2)``
+    product per node.  That product keeps the grid-first layout: the finite
+    differences of ``R`` and of ``U`` differentiate its rounding, and an
+    elementwise sum moved parallelity and curl at 257^2 by about 1e-8
+    relative.  So ``g_inv`` and ``Gamma_low`` are written grid first for
+    it, and ``Gamma`` is stored components first.
     """
     chart = metric.chart
     m = chart.m
@@ -397,8 +467,7 @@ def christoffel(metric: MetricField) -> np.ndarray:
         for j in range(i, m):
             for a in range(m):
                 dg[i, j, a] = dg[j, i, a] = np.empty(chart.shape)
-                _deriv_into(metric.g[..., i, j], chart.spacing[a], a,
-                            dg[i, j, a])
+                _deriv_into(metric.g[i, j], chart.spacing[a], a, dg[i, j, a])
     low = np.empty(chart.shape + (m, m, m))
     t = np.empty(chart.shape)
     for l in range(m):
@@ -413,7 +482,9 @@ def christoffel(metric: MetricField) -> np.ndarray:
                     low[..., l, j, i] = t
     del dg, t
     flat = low.reshape(chart.shape + (m, m * m))
-    return (metric.g_inv @ flat).reshape(low.shape)
+    Gamma = grid_first(metric.g_inv, 2) @ flat
+    del low, flat
+    return components_first(Gamma.reshape(chart.shape + (m, m, m)), 3)
 
 
 def riemann_tensor(metric: MetricField) -> CurvaturePack:
@@ -428,8 +499,7 @@ def riemann_tensor(metric: MetricField) -> CurvaturePack:
     """
     chart = metric.chart
     m = chart.m
-    Gamma = christoffel(metric)
-    G = _components_first(Gamma, 3)
+    G = christoffel(metric)
     pairs = list(itertools.combinations(range(m), 2))
     R = np.empty((m, len(pairs), m) + chart.shape)
     t, u = np.empty((2,) + chart.shape)
@@ -444,9 +514,7 @@ def riemann_tensor(metric: MetricField) -> CurvaturePack:
                     [(G[l, i, p], G[p, j, k]) for p in range(m)], t, u)
                 r -= _sum_of_products(
                     [(G[l, j, p], G[p, i, k]) for p in range(m)], t, u)
-    del G
-    g = _components_first(metric.g, 2)
-    g_inv = _components_first(metric.g_inv, 2)
+    g, g_inv = metric.g, metric.g_inv
     # A[p, i] = g^jk R^p_ijk; the pairs j < i enter with R's sign flipped
     A = np.zeros((m, m) + chart.shape)
     for p in range(m):
@@ -455,42 +523,42 @@ def riemann_tensor(metric: MetricField) -> CurvaturePack:
             for k in range(m):
                 a_i += np.multiply(g_inv[j, k], R[p, n, k], out=t)
                 a_j -= np.multiply(g_inv[i, k], R[p, n, k], out=t)
-    Ric = np.empty(chart.shape + (m, m))
+    Ric = np.empty((m, m) + chart.shape)
     s = np.zeros(chart.shape)
     for i in range(m):
         for l in range(m):
-            _sum_of_products([(g[l, p], A[p, i]) for p in range(m)], t, u)
-            Ric[..., i, l] = t
-            s += np.multiply(g_inv[i, l], t, out=u)
-    return CurvaturePack(chart=chart, Gamma=Gamma, R=R, Ric=Ric, s=s)
+            _sum_of_products([(g[l, p], A[p, i]) for p in range(m)],
+                             Ric[i, l], u)
+            s += np.multiply(g_inv[i, l], Ric[i, l], out=u)
+    return CurvaturePack(chart=chart, Gamma=G, R=R, Ric=Ric, s=s)
 
 
 def _lowered_pairs(pack: CurvaturePack, metric: MetricField) -> np.ndarray:
-    """``R_ijkl = g_lp R^p_ijk`` for the pairs ``i < j``, ``(*grid, m, m,
-    m (m - 1) / 2)``: ``[..., k, l, n]`` for the ``n``-th pair ``(i, j)`` in
-    ``pack.R``'s order.  Each entry is one sum over ``p`` in index order; a
-    pack's own ``R_low`` gives its rows ``i < j`` instead.  The rows
+    """``R_ijkl = g_lp R^p_ijk`` for the pairs ``i < j``, ``(m, m,
+    m (m - 1) / 2, *grid)``: ``[k, l, n]`` for the ``n``-th pair ``(i, j)``
+    in ``pack.R``'s order.  Each entry is one sum over ``p`` in index order;
+    a pack's own ``R_low`` gives its rows ``i < j`` instead.  The rows
     ``j < i`` are their negation and ``i = j`` zero, so these hold all of
     ``R_low``.
     """
     m = metric.chart.m
     pairs = list(itertools.combinations(range(m), 2))
     if pack.R_low is not None:
-        rows = pack.R_low[..., [i for i, _ in pairs], [j for _, j in pairs], :, :]
-        return np.ascontiguousarray(np.moveaxis(rows, -3, -1))
-    g = _components_first(metric.g, 2)
-    out = np.empty(metric.chart.shape + (m, m, len(pairs)))
-    t, u = np.empty((2,) + metric.chart.shape)
+        rows = pack.R_low[[i for i, _ in pairs], [j for _, j in pairs]]
+        return np.ascontiguousarray(np.moveaxis(rows, 0, 2))
+    g = metric.g
+    out = np.empty((m, m, len(pairs)) + metric.chart.shape)
+    t = np.empty(metric.chart.shape)
     for n in range(len(pairs)):
         for k in range(m):
             for l in range(m):
-                out[..., k, l, n] = _sum_of_products(
-                    [(g[l, p], pack.R[p, n, k]) for p in range(m)], t, u)
+                _sum_of_products([(g[l, p], pack.R[p, n, k]) for p in range(m)],
+                                 out[k, l, n], t)
     return out
 
 
 def riemann_low(pack: CurvaturePack, metric: MetricField) -> np.ndarray:
-    """``R_ijkl = g_lp R^p_ijk``, ``(*grid, m, m, m, m)``: the pack's own
+    """``R_ijkl = g_lp R^p_ijk``, ``(m, m, m, m, *grid)``: the pack's own
     ``R_low`` when it has one, else the rows ``i < j`` of
     :func:`_lowered_pairs` completed by antisymmetry, so that it is
     antisymmetric in ``(i, j)`` bit for bit.
@@ -499,26 +567,28 @@ def riemann_low(pack: CurvaturePack, metric: MetricField) -> np.ndarray:
         return pack.R_low
     m = metric.chart.m
     lowered = _lowered_pairs(pack, metric)
-    R_low = np.zeros(metric.chart.shape + (m,) * 4)
+    R_low = np.zeros((m,) * 4 + metric.chart.shape)
     for n, (i, j) in enumerate(itertools.combinations(range(m), 2)):
-        R_low[..., i, j, :, :] = lowered[..., n]
-        np.negative(lowered[..., n], out=R_low[..., j, i, :, :])
+        R_low[i, j] = lowered[:, :, n]
+        np.negative(lowered[:, :, n], out=R_low[j, i])
     return R_low
 
 
 def raise_index(metric: MetricField, b_low: np.ndarray) -> np.ndarray:
     """Bilinear form -> operator: ``b^i_j = g^{ik} b_kj``."""
-    return metric.g_inv @ b_low
+    return node_product(metric.g_inv, b_low)
 
 
 def to_orthonormal(metric: MetricField, b_low: np.ndarray) -> np.ndarray:
     """Express a (0,2)-form in per-node g-orthonormal frames.
 
-    Returns ``inv(L) b inv(L)^T`` where ``g = L L^T``; symmetric input gives
-    a symmetric output whose eigenvalues are those of the g-raised operator.
+    Returns ``inv(L) b inv(L)^T`` where ``g = L L^T``, two
+    :func:`node_product` sums; symmetric input gives a symmetric output
+    whose eigenvalues are those of the g-raised operator.  ``b_low`` is
+    ``(m, m, *grid)``, or ``(m, m, *stack, *grid)`` for a stack of forms.
     """
-    return (metric.chol_inv @ b_low
-            @ np.ascontiguousarray(metric.chol_inv.mT))
+    L_inv = metric.chol_inv
+    return node_product(node_product(L_inv, b_low), L_inv.swapaxes(0, 1))
 
 
 def _per_operator(field: np.ndarray, Om_op: np.ndarray) -> np.ndarray:
@@ -532,19 +602,22 @@ def curvature_operator(pack: CurvaturePack, metric: MetricField,
                        Om_op: np.ndarray) -> np.ndarray:
     """Curvature operator on 2-forms, applied to g-antisymmetric operators.
 
-    ``Om_op`` is one operator per node, ``(*grid, m, m)``, or a stack of
-    them, ``(*grid, *stack, m, m)``; the result has its shape.  With
-    ``Y = R_low[(p, q), (k, l)] (Om g^{-1})^{kl}`` the result is
-    ``-g^{-1} Y``.  One ``(m^2 x m (m - 1) / 2)`` product per node and
-    operator forms the entries ``p < q`` of ``Y`` from the rows of ``R_low``
-    that :func:`_lowered_pairs` holds.  The overall sign is fixed by the calibration constraint that the unit round
+    Part of theorem3's per-block system, which keeps batched products on
+    the grid-first layout: ``Om_op`` is one operator per node,
+    ``(*grid, m, m)``, or a stack of them, ``(*grid, *stack, m, m)``, and
+    the result has its shape; ``g_inv`` and the rows of ``R_low`` are
+    written grid first for it.  With ``Y = R_low[(p, q), (k, l)] (Om
+    g^{-1})^{kl}`` the result is ``-g^{-1} Y``.  One ``(m^2 x m (m - 1) /
+    2)`` product per node and operator forms the entries ``p < q`` of ``Y``
+    from the rows of ``R_low`` that :func:`_lowered_pairs` holds.  The
+    overall sign is fixed by the calibration constraint that the unit round
     sphere return ``2 * Om`` (equivalently, Gauss-compatible data satisfy
     ``R(Om) = 2 h Om h`` with ``h`` the g-raised second fundamental form).
     """
     grid = metric.chart.shape
     m = Om_op.shape[-1]
-    lowered = _lowered_pairs(pack, metric)
-    g_inv = _per_operator(metric.g_inv, Om_op)
+    lowered = grid_first(_lowered_pairs(pack, metric), 3)
+    g_inv = _per_operator(grid_first(metric.g_inv, 2), Om_op)
     Om_up = (Om_op @ g_inv).reshape(grid + (-1, m * m))
     Y_pairs = Om_up @ lowered.reshape(grid + (m * m, -1))
     del lowered, Om_up

@@ -301,7 +301,7 @@ def dataset_normals(ds: Dataset) -> np.ndarray:
         normals = ds.blocks["nu"][..., None]
     if ds.codim == 1:
         nu = normals[..., 0]
-        dev = float(np.max(np.abs(node_norm(nu, 1) - 1.0)))
+        dev = float(np.max(np.abs(node_norm(np.moveaxis(nu, -1, 0), 1) - 1.0)))
         if dev >= 1e-6:
             raise InvalidGaussMapError(
                 f"gauss map is not unit length: max deviation {dev:.3e}")

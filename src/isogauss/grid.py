@@ -1,10 +1,16 @@
 """Rectangular coordinate charts and finite-difference calculus on sampled fields.
 
 Array layout convention used throughout the package: a field sampled on a
-chart with grid shape ``(N_1, ..., N_m)`` is stored as an ndarray of shape
-``(N_1, ..., N_m, *index_shape)`` -- grid axes first, component indices
-after.  Finite differencing appends the differentiation index as the *last*
-axis, so ``grad_all(f)[..., i] == d f / d x_i``.
+chart with grid shape ``(N_1, ..., N_m)`` is stored as a C-contiguous
+ndarray of shape ``(*index_shape, N_1, ..., N_m)`` -- component indices
+first, grid axes after -- so each component is one contiguous array over
+the nodes, and per-node algebra is a few elementwise operations on those
+arrays (:func:`isogauss.curvature.node_product`).  Finite differencing
+puts the differentiation index just before the grid axes, so
+``grad_all(f)[..., i, :, :] == d f / d x_i`` for ``m = 2``.  Datasets and
+the oracle of :mod:`isogauss.surfaces` keep the grid-first layout
+``(N_1, ..., N_m, *index_shape)`` of the text format; the pipeline's entry
+points convert them once.
 
 Stencils are 3-point second order everywhere: central in the interior,
 one-sided on the two boundary layers (this is exactly ``np.gradient`` with
@@ -53,9 +59,13 @@ class Chart:
                 raise ConfigurationError(
                     f"chart {name} has length {len(tup)}, expected m = {self.m}")
         check_shape(self.shape)
-        if any(not np.isfinite(dx) or dx <= 0 for dx in self.spacing):
-            raise ConfigurationError(f"spacings must be positive, got {self.spacing}")
-        if any(not np.isfinite(x) for x in self.origin):
+        # the thresholds square the spacing: the square must stay finite
+        # (then so does the far corner origin + spacing * (n - 1))
+        if any(not (0 < dx and math.isfinite(dx * dx)) for dx in self.spacing):
+            raise ConfigurationError(
+                f"spacings must be positive with a finite square, got "
+                f"{self.spacing}")
+        if any(not math.isfinite(x) for x in self.origin):
             raise ConfigurationError(f"origin must be finite, got {self.origin}")
 
     @property
@@ -136,40 +146,46 @@ def _deriv_into(f: np.ndarray, dx: float, axis: int, out: np.ndarray) -> None:
 
 
 def grad_all(values: np.ndarray, chart: Chart) -> np.ndarray:
-    """All first derivatives, on a new trailing axis.
+    """All first derivatives of a components-first field, on a new axis
+    just before the grid axes.
 
-    The ``(*values.shape, m)`` result is allocated once and each axis's
-    derivative is written into its slot, with no stacking copy.
+    ``values`` is ``(*components, *grid)``; the ``(*components, m, *grid)``
+    result is allocated once and each axis's derivative is written into its
+    slot, with no stacking copy.
     """
     values = np.asarray(values, dtype=float)
-    out = np.empty(values.shape + (chart.m,))
+    lead = values.ndim - chart.m
+    out = np.empty(values.shape[:lead] + (chart.m,) + chart.shape)
+    slots = np.moveaxis(out, lead, 0)
     for a in range(chart.m):
-        _deriv_into(values, chart.spacing[a], a, out[..., a])
+        _deriv_into(values, chart.spacing[a], lead + a, slots[a])
     return out
 
 
 def integrate(U: np.ndarray, chart: Chart) -> np.ndarray:
     """Trapezoidal integration of du = U along axis-ordered staircase paths.
 
-    The path runs from the chart center, where ``u = 0``, first along axis
-    0, then axis 1, and so on: along each :func:`staircase_runs` run, ``u``
-    is its value one step before the run plus one cumulative sum of
-    trapezoid increments.  Path independence is not checked here: the
-    pipeline judges it as the step-4 ``curl`` residual
+    ``U`` is ``(n, m, *grid)`` and ``u`` is ``(n, *grid)``.  The path runs
+    from the chart center, where ``u = 0``, first along axis 0, then axis
+    1, and so on: along each :func:`staircase_runs` run, ``u`` is its value
+    one step before the run plus one cumulative sum of trapezoid
+    increments.  Path independence is not checked here: the pipeline judges
+    it as the step-4 ``curl`` residual
     (:func:`isogauss.admissibility.curl_residual`), so the ``U`` of an
     admissible report integrates.
     """
-    n = U.shape[-2] if U.ndim >= 2 else 0
-    if U.shape != chart.shape + (n, chart.m):
+    n = U.shape[0] if U.ndim >= 2 else 0
+    if U.shape != (n, chart.m) + chart.shape:
         raise DomainError(
-            f"U has shape {U.shape}, expected {chart.shape + (n, chart.m)}")
-    u = np.zeros(chart.shape + (n,))
+            f"U has shape {U.shape}, expected {(n, chart.m) + chart.shape}")
+    u = np.zeros((n,) + chart.shape)
+    each = (slice(None),)
     for a, run, prev in staircase_runs(chart):
         # a downward run steps by -dx
         h = 0.5 * chart.spacing[a] * (run[a].step or 1)
-        inc = h * (U[run][..., a] + U[prev][..., a])
-        first = (slice(None),) * a + (slice(0, 1),)
-        u[run] = u[prev][first] + np.cumsum(inc, axis=a)
+        inc = h * (U[each + (a,) + run] + U[each + (a,) + prev])
+        first = each * (a + 1) + (slice(0, 1),)
+        u[each + run] = u[each + prev][first] + np.cumsum(inc, axis=a + 1)
     return u
 
 
@@ -181,7 +197,9 @@ def interior_max(chart: Chart, pointwise: np.ndarray, margin: int = 2) -> float:
 def align_signs(chart: Chart, vectors: np.ndarray) -> np.ndarray:
     """Per-node +-1 factors making a sign-ambiguous vector field continuous.
 
-    ``vectors`` holds one flat vector per node (trailing axis).  The center
+    ``vectors`` is grid first, one flat vector per node on the trailing
+    axes, as the eigenvectors of the trace-matrix and theorem3 routes come
+    out of their batched internals.  The center
     keeps sign +1; every other node takes the sign that makes its dot product
     with its already-aligned staircase neighbor nonnegative (a zero dot
     product keeps +1).  Along a :func:`staircase_runs` run each node's sign
@@ -213,7 +231,8 @@ def center_sign(chart: Chart, vectors: np.ndarray) -> int:
     """The sign branch rule: +-1 making a vector field point "up" at the
     chart center.
 
-    ``vectors`` holds one vector per node (trailing axes).  The result is the
+    ``vectors`` is grid first, one vector per node on the trailing axes, as
+    the oracle holds its mean curvature.  The result is the
     sign of the first center component whose size exceeds
     ``1e-8 * max(1, max |vectors|)``, or +1 when none does.  The oracle
     catalog stores, and the pipeline selects by default, the branch on which

@@ -8,7 +8,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .admissibility import AdmissibilityReport, PipelineOptions, run_pipeline
-from .curvature import MetricField, metric_field, node_max, node_norm
+from .curvature import (MetricField, components_first, metric_field, node_max,
+                        node_norm, node_product)
 from .grid import Chart, grad_all, integrate, interior_max
 from .surfaces import (OracleData, Surface, generate,
                        smooth_rotation_of_gauss_map)
@@ -19,18 +20,22 @@ def verify_immersion(u: np.ndarray, metric: MetricField,
     """Re-differentiate the immersion ``u`` and report the metric and
     tangency residuals.
 
-    ``normals`` is the ``(*grid, n, d)`` stack of normal columns for any
-    codimension ``d``; each column is normalized per node.  Returns interior
-    maxima of ``|<u_i, u_j> - g| / (1 + |g|)`` and of
-    ``max_a |<u_i, nu^a>| / (1 + |du|)``.
+    ``u`` is the ``(n, *grid)`` output of :func:`integrate`; ``normals`` is
+    the grid-first ``(*grid, n, d)`` stack of normal columns of a dataset,
+    for any codimension ``d``, and each column is normalized per node.
+    Returns interior maxima of ``|<u_i, u_j> - g| / (1 + |g|)`` and of
+    ``max_a |<u_i, nu^a>| / (1 + |du|)``, each product a
+    :func:`isogauss.curvature.node_product` sum.
     """
     chart = metric.chart
-    du = grad_all(u, chart)
-    duT = np.ascontiguousarray(du.mT)
-    gram = duT @ du
-    res_g = node_norm(gram - metric.g, 2) / (1.0 + node_norm(metric.g, 2))
-    nu = normals / node_norm(normals.mT, 1)[..., None, :]
-    tang = duT @ nu
+    du = grad_all(u, chart)                                   # [n, i]
+    duT = du.swapaxes(0, 1)
+    gram = node_product(duT, du)
+    gram -= metric.g
+    res_g = node_norm(gram, 2) / (1.0 + node_norm(metric.g, 2))
+    nu = components_first(normals, 2)                         # [n, a]
+    nu /= node_norm(nu, 1)
+    tang = node_product(duT, nu)
     res_n = node_max(np.abs(tang), 2) / (1.0 + node_norm(du, 2))
     # u integrates a derived field: strip its boundary-layer error margin
     return interior_max(chart, res_g, margin=4), interior_max(chart, res_n, margin=4)
@@ -46,7 +51,7 @@ def compare_up_to_translation(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = a - b
     mean = np.mean(diff.reshape(-1, diff.shape[-1]), axis=0)
-    return float(np.max(node_norm(diff - mean, 1)))
+    return float(np.max(node_norm(np.moveaxis(diff - mean, -1, 0), 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -56,11 +61,14 @@ def compare_up_to_translation(a: np.ndarray, b: np.ndarray) -> float:
 def box_error(u: np.ndarray, oracle_u: np.ndarray, chart: Chart,
               level: int) -> float:
     """Error of refinement ``level`` on the coordinate box that level 0
-    measures; NaN if the box is one node wide, where any ``u`` reads 0."""
+    measures, for the ``(n, *grid)`` output ``u`` of :func:`integrate` and
+    the grid-first oracle; NaN if the box is one node wide, where any ``u``
+    reads 0."""
     region = chart.interior_slices(4 * 2 ** level)
     if any(s.stop - s.start < 2 for s in region):
         return math.nan
-    return compare_up_to_translation(u[region], oracle_u[region])
+    return compare_up_to_translation(np.moveaxis(u, 0, -1)[region],
+                                     oracle_u[region])
 
 
 def observed_order(coarse: float, fine: float) -> float:
@@ -121,13 +129,16 @@ def roundtrip_level(surface: Surface, chart: Chart, options: PipelineOptions,
             # the data fix only the associated family: turn to the oracle's
             # member by the center Hopf angle delta, h_{phi + delta} = h_phi
             # (cos delta - sin delta J) in the Cholesky frame; U is linear in h
-            Li, c = metric.chol_inv, chart.center
-            z = [complex(*(Li[c] @ h[c][0] @ Li[c].T)[0])
-                 for h in (data.h_alpha, report.candidate.h_alpha)]
+            node = (slice(None),) * 2 + chart.center
+            Li = metric.chol_inv
+            z = [complex(*(Li[node] @ h @ Li[node].T)[0])
+                 for h in (data.h_alpha[chart.center][0],
+                           report.candidate.h_alpha[0][node])]
             turn = z[0] / z[1] / abs(z[0] / z[1])      # exp(i delta)
             J = np.array([[0.0, -1.0], [1.0, 0.0]])
-            LiT, LT = (np.ascontiguousarray(a.mT) for a in (Li, metric.chol))
-            U = turn.real * U - turn.imag * (U @ LiT @ J @ LT)
+            UJ = node_product(node_product(U, Li.swapaxes(0, 1)), J)
+            U = turn.real * U - turn.imag * node_product(
+                UJ, metric.chol.swapaxes(0, 1))
         error = box_error(integrate(U, chart), data.u, chart, level)
     return RoundtripLevel(chart, data, metric, report, worst, error)
 

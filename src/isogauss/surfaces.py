@@ -39,7 +39,7 @@ import numpy as np
 
 from .admissibility import codazzi_residual
 from .curvature import (CurvaturePack, MetricField, cholesky_factors,
-                        node_norm, riemann_low)
+                        components_first, grid_first, node_norm, riemann_low)
 from .errors import DomainError, SingularMetricError
 from .grid import Chart, build_chart, center_sign, check_shape
 
@@ -505,12 +505,12 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
                            -3, -2)
     del duT
     h_alpha = 0.5 * (h_alpha + np.swapaxes(h_alpha, -1, -2))
-    factors = cholesky_factors(g)
+    factors = cholesky_factors(np.moveaxis(g, (-2, -1), (0, 1)))
     if factors is None:
         raise SingularMetricError(
             f"{surface.name} is not immersed on this chart: the induced "
             "metric is not positive definite")
-    L_inv = factors[1]
+    L_inv = grid_first(factors[1], 2)
     g_inv = np.ascontiguousarray(L_inv.mT) @ L_inv
     H_alpha = (h_alpha.reshape(chart.shape + (d, m * m))
                @ g_inv.reshape(chart.shape + (m * m, 1)))[..., 0]
@@ -543,14 +543,14 @@ def gauss_codazzi_residuals(data: OracleData, pack: CurvaturePack,
     >= 2 this is the flat-normal-connection form, valid for the catalog
     frames (which are parallel in the normal bundle).
     """
-    h = data.h_alpha
-    quad = (np.einsum("...ail,...ajk->...ijkl", h, h, optimize=True)
-            - np.einsum("...aik,...ajl->...ijkl", h, h, optimize=True))
+    h = components_first(data.h_alpha, 3)
+    quad = (np.einsum("ail...,ajk...->ijkl...", h, h, optimize=True)
+            - np.einsum("aik...,ajl...->ijkl...", h, h, optimize=True))
     scale = 1.0 + float(np.max(node_norm(quad, 4)))
     R_low = riemann_low(pack, metric)
-    gauss = float(np.max(node_norm((R_low - quad)[data.chart.interior], 4))) / scale
-    codazzi = max(codazzi_residual(h[..., a, :, :], pack.Gamma, metric)
-                  for a in range(data.d))
+    inter = (slice(None),) * 4 + data.chart.interior
+    gauss = float(np.max(node_norm((R_low - quad)[inter], 4))) / scale
+    codazzi = max(codazzi_residual(h_a, pack.Gamma, metric) for h_a in h)
     return gauss, codazzi
 
 

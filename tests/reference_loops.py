@@ -35,13 +35,13 @@ from isogauss.admissibility import (PipelineOptions, Theorem3Result,
 from isogauss.codim import (_FLIP_THRESHOLD, RANK_REL_TOL,
                             WeingartenCombination, _block_products,
                             _combinations, _halpha_ops, _signed_permutation_fit)
-from isogauss.curvature import (node_norm, raise_index, riemann_low,
-                                to_orthonormal)
+from isogauss.curvature import riemann_low
 from isogauss.datafiles import (_BLOCK_ORDER, FORMAT_VERSION, KINDS, Dataset,
                                 _validate_blocks)
 from isogauss.errors import (DatasetFormatError, DegenerateGaussMapError,
                              DomainError)
-from isogauss.grid import build_chart, center_sign, grad_all
+from isogauss.grid import build_chart, center_sign
+from layout import gf, gf_metric
 
 _CSTEP = 1e-100
 _FD2_STEP = 1e-5
@@ -93,32 +93,43 @@ def normal_frame(chart, spans):
             for b in range(a):
                 v = v - np.sum(Q[idx][:, b] * v) * Q[idx][:, b]
             Q[idx][:, a] = v / np.sqrt(np.sum(v * v))
+    def overlap(P, R):
+        # P^T R, each entry summed over the ambient index in index order
+        D = P[0][:, None] * R[0][None, :]
+        for i in range(1, len(P)):
+            D = D + P[i][:, None] * R[i][None, :]
+        return D
+
     min_det = math.inf
     for idx, prev in staircase_orders(chart):
         if prev is None:
             continue
-        D = Q[prev].T @ Q[idx]
+        D = overlap(Q[prev], Q[idx])
         if np.linalg.norm(D - np.eye(d)) > _FLIP_THRESHOLD:
             G = _signed_permutation_fit(D.T)
             Q[idx] = Q[idx] @ G.T
-            D = Q[prev].T @ Q[idx]
+            D = overlap(Q[prev], Q[idx])
         min_det = min(min_det, float(np.linalg.det(D)))
     return Q, min_det
 
 
 def gauss_map_differential(chart, nu):
     """``A = d nu`` and ``k = A^T A`` of the normalized field ``nu``,
-    straight from the differences: what the one-column frame reduces to.
-    ``k`` is the same batched product ``codim.third_forms`` forms, so the
-    two agree bit for bit."""
-    A = grad_all(nu / np.sqrt(np.sum(nu * nu, axis=-1))[..., None], chart)
-    k = A.mT @ A
-    return A, 0.5 * (k + np.swapaxes(k, -1, -2))
+    straight from the differences, grid first: what the one-column frame
+    reduces to.  ``k`` sums the products over the ambient index in index
+    order, as ``codim.third_forms`` does, so the two agree bit for bit."""
+    A = gradient_stack(nu / np.sqrt(np.sum(nu * nu, axis=-1))[..., None],
+                       chart)
+    k = A[..., 0, :, None] * A[..., 0, None, :]
+    for n in range(1, A.shape[-2]):
+        k = k + A[..., n, :, None] * A[..., n, None, :]
+    return A, k
 
 
 def christoffel(metric):
     """``Gamma^k_ij = g^kl Gamma_lij``, contracted in index notation."""
-    dg = grad_all(metric.g, metric.chart)             # [..., i, j, l] = d_l g_ij
+    metric = gf_metric(metric)
+    dg = gradient_stack(metric.g, metric.chart)       # [..., i, j, l] = d_l g_ij
     low = 0.5 * (np.einsum("...jli->...lij", dg)
                  + np.einsum("...ilj->...lij", dg)
                  - np.einsum("...ijl->...lij", dg))
@@ -127,7 +138,8 @@ def christoffel(metric):
 
 def riemann_tensor(metric, Gamma):
     """``(R_low, Ric, s)`` of ``Gamma``, contracted in index notation."""
-    dG = grad_all(Gamma, metric.chart)                # [..., l, j, k, a] = d_a G^l_jk
+    metric = gf_metric(metric)
+    dG = gradient_stack(Gamma, metric.chart)          # [..., l, j, k, a] = d_a G^l_jk
     R = (np.einsum("...ljki->...lijk", dG)
          - np.einsum("...likj->...lijk", dG)
          + np.einsum("...lip,...pjk->...lijk", Gamma, Gamma)
@@ -139,7 +151,9 @@ def riemann_tensor(metric, Gamma):
 
 
 def to_orthonormal(metric, b_low):
-    """``inv(L) b inv(L)^T`` by two batched solves against ``L``."""
+    """``inv(L) b inv(L)^T`` by two batched solves against ``L``, grid
+    first."""
+    metric = gf_metric(metric)
     tmp = np.linalg.solve(metric.chol, b_low)
     return np.swapaxes(np.linalg.solve(metric.chol, np.swapaxes(tmp, -1, -2)),
                        -1, -2)
@@ -243,15 +257,17 @@ def _theorem3_rows(pack, k, metric):
     k_eigs = np.linalg.eigvalsh(to_orthonormal(metric, k))
     if float(np.min(k_eigs)) <= RANK_REL_TOL * max(float(np.max(k_eigs)), 1e-300):
         raise DegenerateGaussMapError("third form not invertible; dnu is degenerate")
-    kop_inv = np.linalg.inv(raise_index(metric, k))
+    R_low = gf(riemann_low(pack, metric), 4)
+    metric = gf_metric(metric)
     ginv = metric.g_inv
     g = metric.g
+    kop_inv = np.linalg.inv(ginv @ k)
 
     W = _antisymmetric_basis(m)
     S = _symmetric_basis(m)
     Om_up = np.einsum("...ik,bkl,...lj->...bij", ginv, W, ginv, optimize=True)
     T = np.einsum("...ip,...jq,...pqkl,...bkl->...bij",
-                  ginv, ginv, riemann_low(pack, metric), Om_up, optimize=True)
+                  ginv, ginv, R_low, Om_up, optimize=True)
     CO = -(T @ g[..., None, :, :])
     M = kop_inv[..., None, :, :] @ CO
     rows = (np.einsum("eik,...bkj->...bije", S, M, optimize=True)
@@ -268,7 +284,7 @@ def _theorem3_result(k, metric, options, null, sig1, sig_prev, sig_last):
     m = chart.m
     S = _symmetric_basis(m)
     p = S.shape[0]
-    ginv = metric.g_inv
+    ginv = gf(metric.g_inv, 2)
     gtol = options.unit_tol(chart)
     has_null = sig_last <= gtol * sig1
     unique = has_null & (sig_prev > gtol * sig1)
@@ -287,7 +303,7 @@ def _theorem3_result(k, metric, options, null, sig1, sig_prev, sig_last):
     h_raw = (null @ S.reshape(p, m * m)).reshape(chart.shape + (m, m))
     hop = ginv @ h_raw
     tr_h2 = np.einsum("...ij,...ji->...", hop, hop)
-    tr_k = np.einsum("...ii->...", raise_index(metric, k))
+    tr_k = np.einsum("...ij,...ji->...", ginv, k)
     lam = np.sqrt(tr_k / np.where(tr_h2 > 0, tr_h2, np.inf))
     if not np.all(np.isfinite(lam)):
         return Theorem3Result(None, gap, has_null, unique, frac_unique,
@@ -491,16 +507,19 @@ def right_singular(E):
 def weingarten_combination(A, k_ab, metric):
     """``codim.weingarten_combination`` forming ``A_w`` and ``k_w`` for every
     candidate and scoring each by its own LAPACK ``eigvalsh`` of
-    ``to_orthonormal(k_w)``."""
-    d = A.shape[-1]
+    ``to_orthonormal(k_w)``.  ``A`` and ``k_ab`` are the package's
+    components-first differentials and third forms, and ``A_w`` and ``k_w``
+    their weighted sums in index order, as the package forms them."""
+    d = A.shape[0]
     best = None
     for c, w in enumerate(_combinations(d)):
         if c < d:
-            A_w, k_w = A[..., c], k_ab[..., c, c, :, :]
+            A_w, k_w = A[c], k_ab[c, c]
         else:
-            A_w = A @ w
-            k_w = np.einsum("...abij,a,b->...ij", k_ab, w, w, optimize=True)
-        eigs = np.linalg.eigvalsh(to_orthonormal(metric, k_w))
+            A_w = sum(w_a * A_a for w_a, A_a in zip(w, A))
+            k_w = sum(w[a] * w[b] * k_ab[a, b]
+                      for a in range(d) for b in range(d))
+        eigs = np.linalg.eigvalsh(to_orthonormal(metric, gf(k_w, 2)))
         max_sv = math.sqrt(max(float(np.max(eigs)), 0.0))
         min_sv = math.sqrt(max(float(np.min(eigs)), 0.0))
         score = min_sv / max(max_sv, 1e-300)

@@ -18,7 +18,7 @@ from isogauss.admissibility import (RESIDUAL_KEYS, PipelineOptions,
 from isogauss.cli import main as cli_main
 from isogauss.codim import (CodimForms, build_normal_frame,
                             mean_curvature_vector, third_forms)
-from isogauss.curvature import metric_field, node_norm, riemann_tensor
+from isogauss.curvature import metric_field, riemann_tensor
 from isogauss.grid import interior_max
 from isogauss.reconstruct import (compare_up_to_translation, integrate,
                                    observed_order, roundtrip, roundtrip_level)
@@ -26,6 +26,9 @@ from isogauss.surfaces import (Catenoid, CliffordTorus, Cylinder, Ellipsoid,
                                EllipsoidM3, Graph, Helicoid, HypersphereM3,
                                Plane, RoundSphere, generate,
                                smooth_rotation_of_gauss_map)
+
+from layout import cf, gf
+from reference_loops import node_norm as trailing_norm
 
 C = 50.0          # generic residual constant (pipeline default)
 
@@ -89,14 +92,15 @@ def test_criterion_02_closed_form_identities():
             data = generate(surf, chart)
             metric = metric_field(chart, data.g)
             pack = riemann_tensor(metric)
-            tr_k = np.einsum("...ij,...ij->...", metric.g_inv, data.k)
+            tr_k = np.einsum("ij...,...ij->...", metric.g_inv, data.k)
+            Ric = gf(pack.Ric, 2)
             scale1 = 1.0 + float(np.max(data.H ** 2))
-            scale2 = 1.0 + float(np.max(node_norm(pack.Ric + data.k, 2)))
+            scale2 = 1.0 + float(np.max(trailing_norm(Ric + data.k, 2)))
             margin = 2 * 2 ** level
             r1 = interior_max(chart, np.abs(data.H ** 2 - (pack.s + tr_k)),
                               margin) / scale1
-            r2 = interior_max(chart, node_norm(
-                data.h * data.H[..., None, None] - (pack.Ric + data.k), 2),
+            r2 = interior_max(chart, trailing_norm(
+                data.h * data.H[..., None, None] - (Ric + data.k), 2),
                 margin) / scale2
             assert r1 <= C * chart.max_spacing ** 2, (surf.name, "trace", r1)
             assert r2 <= C * chart.max_spacing ** 2, (surf.name, "form", r2)
@@ -122,7 +126,7 @@ def test_criterion_03_linear_system_uniqueness():
     h = data.h_alpha
     quad = (np.einsum("...ail,...ajk->...ijkl", h, h)
             - np.einsum("...aik,...ajl->...ijkl", h, h))
-    exact = h_from_theorem3(replace(pack, R_low=quad), data.k, metric,
+    exact = h_from_theorem3(replace(pack, R_low=cf(quad, 4)), cf(data.k, 2), metric,
                             PipelineOptions())
     inter = chart.interior
     frac = float(np.mean(exact.gap[inter] < 1e-6))
@@ -132,8 +136,8 @@ def test_criterion_03_linear_system_uniqueness():
     k = third_forms(build_normal_frame(chart, data.frame)).k
     fd = h_from_theorem3(pack, k, metric, PipelineOptions())
     assert fd.status == "ok"
-    scale = float(np.max(node_norm(data.h, 2)))
-    rel = interior_max(chart, node_norm(fd.h - data.h, 2)) / scale
+    scale = float(np.max(trailing_norm(data.h, 2)))
+    rel = interior_max(chart, trailing_norm(gf(fd.h, 2) - data.h, 2)) / scale
     assert rel <= 5e-3
     announce(3, f"exact-form gap < 1e-6 at {100 * frac:.1f}% of nodes, "
                 f"fd solution relative error {rel:.1e}")
@@ -199,7 +203,7 @@ def test_criterion_06_codazzi_gauss_consequences():
         report = run.report
         assert report.admissible
         bound = 5.0 * (report.residuals["parallelity"] + run.chart.max_spacing ** 2)
-        codazzi = codazzi_residual(report.candidate.h_alpha[..., 0, :, :],
+        codazzi = codazzi_residual(report.candidate.h_alpha[0],
                                    riemann_tensor(run.metric).Gamma, run.metric)
         assert codazzi <= bound, surf.name
     orders = []
@@ -228,7 +232,8 @@ def test_criterion_07_codimension_two():
     data = generate(surf, chart)
     metric = metric_field(chart, data.g)
     pack = riemann_tensor(metric)
-    forms_exact = CodimForms(chart=chart, k_ab=data.k_ab, k=data.k)
+    forms_exact = CodimForms(chart=chart, k_ab=cf(data.k_ab, 4),
+                             k=cf(data.k, 2))
     s1 = step1_positivity(pack.s, forms_exact.k, metric)
     mc = mean_curvature_vector(forms_exact, pack.Ric, s1.H, metric,
                                s1.threshold)
@@ -243,16 +248,18 @@ def test_criterion_07_codimension_two():
         tol = C * chart.max_spacing ** 2
         assert report.residuals["h_squared"] <= tol         # product check
         margin = 2 * 2 ** level
+        H_alpha = gf(report.candidate.H_alpha, 1)
+        h_alpha = gf(report.candidate.h_alpha, 3)
         H_err = min(
             interior_max(chart, np.max(np.abs(
-                report.candidate.H_alpha - data.H_alpha), axis=-1), margin),
+                H_alpha - data.H_alpha), axis=-1), margin),
             interior_max(chart, np.max(np.abs(
-                report.candidate.H_alpha + data.H_alpha), axis=-1), margin))
+                H_alpha + data.H_alpha), axis=-1), margin))
         h_err = min(
-            interior_max(chart, node_norm(
-                report.candidate.h_alpha - data.h_alpha, 3), margin),
-            interior_max(chart, node_norm(
-                report.candidate.h_alpha + data.h_alpha, 3), margin))
+            interior_max(chart, trailing_norm(
+                h_alpha - data.h_alpha, 3), margin),
+            interior_max(chart, trailing_norm(
+                h_alpha + data.h_alpha, 3), margin))
         assert H_err <= tol and h_err <= tol
         errs.append(run.rec_error)
     order = observed_order(*errs)
@@ -285,8 +292,8 @@ def test_criterion_09_sign_invariance(capsys):
     for key in RESIDUAL_KEYS:
         a, b = plus.residuals[key], minus.residuals[key]
         assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12
-    up = integrate(plus.candidate.U, chart)
-    um = integrate(minus.candidate.U, chart)
+    up = gf(integrate(plus.candidate.U, chart), 1)
+    um = gf(integrate(minus.candidate.U, chart), 1)
     flip_dev = compare_up_to_translation(um, -up)
     assert flip_dev <= 1e-12
     announce(9, f"residual shifts <= 1e-12, flipped reconstruction "

@@ -12,8 +12,8 @@ from isogauss.admissibility import (PipelineOptions, build_U, check_h_squared,
                                     h_from_theorem3, hopf_angle_gradient,
                                     run_pipeline, step1_positivity)
 from isogauss.codim import _right_singular, build_normal_frame, third_forms
-from isogauss.curvature import (metric_field, node_norm, riemann_low,
-                                riemann_tensor, to_orthonormal)
+from isogauss.curvature import (metric_field, node_norm, node_product,
+                                riemann_low, riemann_tensor, to_orthonormal)
 from isogauss.grid import grad_all
 from isogauss.errors import (BranchError, ConfigurationError,
                              DegenerateGaussMapError, DomainError,
@@ -24,6 +24,7 @@ from isogauss.surfaces import (CATALOG, Catenoid, Ellipsoid, EllipsoidM3,
                                smooth_rotation_of_gauss_map)
 
 import reference_loops
+from layout import cf, gf
 
 
 def saddle_metric(x):
@@ -43,9 +44,9 @@ def third_form(chart, normals):
 def exact_curvature_pack(p):
     """``p.pack`` with ``R_low`` assembled exactly from the oracle ``h`` by
     the Gauss equation, free of finite-difference error."""
-    h = p.data.h_alpha
-    quad = (np.einsum("...ail,...ajk->...ijkl", h, h)
-            - np.einsum("...aik,...ajl->...ijkl", h, h))
+    h = cf(p.data.h_alpha, 3)
+    quad = (np.einsum("ail...,ajk...->ijkl...", h, h)
+            - np.einsum("aik...,ajl...->ijkl...", h, h))
     return replace(p.pack, R_low=quad)
 
 
@@ -147,7 +148,7 @@ class TestTheorem2:
     def test_unit_sphere_h_equals_g(self, sphere):
         res = step1_positivity(sphere.pack.s, sphere.forms.k, sphere.metric)
         h = h_from_theorem2(sphere.pack.Ric, sphere.forms.k, res.H)
-        err = interior_max(sphere.chart, node_norm(h - sphere.data.g, 2))
+        err = interior_max(sphere.chart, node_norm(h - sphere.metric.g, 2))
         assert err < 50 * sphere.dx2
 
     @pytest.mark.parametrize("fixture", ["ellipsoid", "graph_surface"])
@@ -155,8 +156,9 @@ class TestTheorem2:
         p = request.getfixturevalue(fixture)
         res = step1_positivity(p.pack.s, p.forms.k, p.metric)
         h = h_from_theorem2(p.pack.Ric, p.forms.k, res.H)
-        scale = 1.0 + float(np.max(node_norm(p.data.h, 2)))
-        err = interior_max(p.chart, node_norm(h - p.data.h, 2)) / scale
+        oracle_h = cf(p.data.h, 2)
+        scale = 1.0 + float(np.max(node_norm(oracle_h, 2)))
+        err = interior_max(p.chart, node_norm(h - oracle_h, 2)) / scale
         assert err < 50 * p.dx2
 
     def test_vanishing_H_routed_away(self):
@@ -165,7 +167,7 @@ class TestTheorem2:
         metric = metric_field(data.chart, data.g)
         pack = riemann_tensor(metric)
         with pytest.raises(BranchError):
-            h_from_theorem2(pack.Ric, data.k, np.zeros(data.chart.shape))
+            h_from_theorem2(pack.Ric, cf(data.k, 2), np.zeros(data.chart.shape))
 
 
 class TestTheorem3:
@@ -174,20 +176,22 @@ class TestTheorem3:
         res = h_from_theorem3(p.pack, p.forms.k, p.metric, PipelineOptions())
         assert res.status == "ok"
         assert res.frac_unique >= 0.99
-        scale = float(np.max(node_norm(p.data.h, 2)))
-        err = interior_max(p.chart, node_norm(res.h - p.data.h, 2)) / scale
+        oracle_h = cf(p.data.h, 2)
+        scale = float(np.max(node_norm(oracle_h, 2)))
+        err = interior_max(p.chart, node_norm(res.h - oracle_h, 2)) / scale
         assert err < 5e-3
 
     def test_exact_forms_have_tiny_gap(self, ellipsoid_m3):
         # with curvature assembled exactly from the oracle h, the nullspace
         # certificate reaches machine precision (the uniqueness statement)
         p = ellipsoid_m3
-        res = h_from_theorem3(exact_curvature_pack(p), p.data.k, p.metric,
-                              PipelineOptions())
+        res = h_from_theorem3(exact_curvature_pack(p), cf(p.data.k, 2),
+                              p.metric, PipelineOptions())
         assert res.status == "ok"
         assert interior_max(p.chart, res.gap) < 1e-6
-        scale = float(np.max(node_norm(p.data.h, 2)))
-        err = np.max(node_norm(res.h - p.data.h, 2)) / scale
+        oracle_h = cf(p.data.h, 2)
+        scale = float(np.max(node_norm(oracle_h, 2)))
+        err = np.max(node_norm(res.h - oracle_h, 2)) / scale
         assert err < 1e-8
 
     def test_exact_forms_gap_at_rounding_level(self, ellipsoid_m3):
@@ -195,8 +199,8 @@ class TestTheorem3:
         # (2e-15 here); the square root of the Gram's bottom eigenvalue only
         # resolves it to about 1e-8 and must fail this bound
         p = ellipsoid_m3
-        res = h_from_theorem3(exact_curvature_pack(p), p.data.k, p.metric,
-                              PipelineOptions())
+        res = h_from_theorem3(exact_curvature_pack(p), cf(p.data.k, 2),
+                              p.metric, PipelineOptions())
         assert interior_max(p.chart, res.gap) < 1e-12
 
     def test_traced_peak_within_budget(self):
@@ -245,9 +249,9 @@ class TestTheorem3:
         data = generate(surf, surf.default_chart(13))
         metric = metric_field(data.chart, data.g)
         pack = riemann_tensor(metric)
-        res = h_from_theorem3(pack, data.k, metric, PipelineOptions())
+        res = h_from_theorem3(pack, cf(data.k, 2), metric, PipelineOptions())
         assert res.status == "ok"
-        err = interior_max(data.chart, node_norm(res.h - data.g, 2))
+        err = interior_max(data.chart, node_norm(res.h - metric.g, 2))
         assert err < 100 * data.chart.max_spacing ** 2
 
     def test_flat_curvature_with_unit_k_has_no_solution(self):
@@ -255,7 +259,7 @@ class TestTheorem3:
         g = np.broadcast_to(np.eye(3), chart.shape + (3, 3)).copy()
         metric = metric_field(chart, g)
         pack = riemann_tensor(metric)
-        res = h_from_theorem3(pack, g.copy(), metric, PipelineOptions())
+        res = h_from_theorem3(pack, metric.g.copy(), metric, PipelineOptions())
         assert res.status == "no_solution"
 
     def test_m2_rejected(self, sphere):
@@ -286,7 +290,7 @@ class TestTheorem3Reference:
     def assert_agrees(self, pack, k, metric):
         new = h_from_theorem3(pack, k, metric, PipelineOptions())
         for reference in self.REFERENCES:
-            ref = reference(pack, k, metric, PipelineOptions())
+            ref = reference(pack, gf(k, 2), metric, PipelineOptions())
             assert new.status == ref.status
             assert new.frac_unique == ref.frac_unique
             assert np.array_equal(new.has_nullspace, ref.has_nullspace)
@@ -297,7 +301,7 @@ class TestTheorem3Reference:
             if ref.h is None:
                 assert new.h is None
             else:
-                assert (np.max(np.abs(new.h - ref.h))
+                assert (np.max(np.abs(gf(new.h, 2) - ref.h))
                         <= 1e-12 * np.max(np.abs(ref.h)))
         return new
 
@@ -332,7 +336,7 @@ class TestTheorem3Reference:
         chart = build_chart(3, (9, 9, 9), (0.1,) * 3)
         g = np.broadcast_to(np.eye(3), chart.shape + (3, 3)).copy()
         metric = metric_field(chart, g)
-        res = self.assert_agrees(riemann_tensor(metric), g.copy(), metric)
+        res = self.assert_agrees(riemann_tensor(metric), metric.g.copy(), metric)
         assert res.status == "no_solution"
 
     def test_last_block_shorter_than_the_others(self):
@@ -352,64 +356,67 @@ class TestTheorem3Reference:
 
 class TestChecks:
     def test_h_squared_on_sphere_h_equals_g(self, sphere):
-        res = check_h_squared(sphere.data.g[..., None, :, :], sphere.forms.k_ab,
+        res = check_h_squared(sphere.metric.g[None], sphere.forms.k_ab,
                               sphere.metric)
         assert res < 50 * sphere.dx2
 
     def test_h_squared_theorem2_ellipsoid(self, ellipsoid):
         s1 = step1_positivity(ellipsoid.pack.s, ellipsoid.forms.k, ellipsoid.metric)
         h = h_from_theorem2(ellipsoid.pack.Ric, ellipsoid.forms.k, s1.H)
-        res = check_h_squared(h[..., None, :, :], ellipsoid.forms.k_ab,
-                              ellipsoid.metric)
+        res = check_h_squared(h[None], ellipsoid.forms.k_ab, ellipsoid.metric)
         assert res < 50 * ellipsoid.dx2
         # the block-wise check is the hypersurface h g^{-1} h = k, bit for bit
         k, metric = ellipsoid.forms.k, ellipsoid.metric
-        single = node_norm(h @ metric.g_inv @ h - k, 2) / (1.0 + node_norm(k, 2))
+        single = (node_norm(node_product(node_product(h, metric.g_inv), h) - k, 2)
+                  / (1.0 + node_norm(k, 2)))
         assert res == interior_max(ellipsoid.chart, single)
 
     def test_h_squared_codim2_is_every_block_product(self, clifford):
         # the oracle's forms satisfy h^a g^{-1} h^b = k^{ab} for all (a, b);
         # swapping the two normal directions breaks the diagonal blocks
-        data = clifford.data
-        assert check_h_squared(data.h_alpha, data.k_ab, clifford.metric) < 1e-12
-        assert check_h_squared(data.h_alpha[..., ::-1, :, :], data.k_ab,
-                               clifford.metric) > 0.1
+        h_alpha, k_ab = cf(clifford.data.h_alpha, 3), cf(clifford.data.k_ab, 4)
+        assert check_h_squared(h_alpha, k_ab, clifford.metric) < 1e-12
+        assert check_h_squared(h_alpha[::-1], k_ab, clifford.metric) > 0.1
 
     def test_build_U_on_unit_sphere_is_minus_A(self, sphere):
         # with h = g and k = g the solve gives U = -A, the antipodal branch
-        A = sphere.frame.A[..., 0]
-        U = build_U(A, sphere.forms.k, sphere.data.g, sphere.frame.frame)
+        A = sphere.frame.A[0]
+        U = build_U(A, sphere.forms.k, sphere.metric.g, sphere.frame.frame)
         err = interior_max(sphere.chart, node_norm(U + A, 2))
         assert err < 50 * sphere.dx2
         assert check_isometry(U, sphere.metric) < 50 * sphere.dx2
 
     def test_build_U_matches_oracle_differential(self, ellipsoid):
         frame = ellipsoid.frame
-        U = build_U(frame.A[..., 0], ellipsoid.forms.k, ellipsoid.data.h,
+        U = build_U(frame.A[0], ellipsoid.forms.k, cf(ellipsoid.data.h, 2),
                     frame.frame)
-        err = interior_max(ellipsoid.chart, node_norm(U - ellipsoid.data.du, 2))
+        err = interior_max(ellipsoid.chart,
+                           node_norm(U - cf(ellipsoid.data.du, 2), 2))
         assert err < 50 * ellipsoid.dx2
 
     def test_build_U_agrees_with_a_solve(self, ellipsoid):
-        args = (ellipsoid.frame.A[..., 0], ellipsoid.forms.k, ellipsoid.data.h,
-                ellipsoid.frame.frame)
-        U, ref = build_U(*args), reference_loops.build_U(*args)
-        assert np.max(node_norm(U - ref, 2) / node_norm(ref, 2)) <= 1e-14
+        frame, k, h = ellipsoid.frame, ellipsoid.forms.k, ellipsoid.data.h
+        U = gf(build_U(frame.A[0], k, cf(h, 2), frame.frame), 2)
+        ref = reference_loops.build_U(gf(frame.A[0], 2), gf(k, 2), h,
+                                      np.moveaxis(frame.frame, (0, 1), (-1, -2)))
+        rel = (reference_loops.node_norm(U - ref, 2)
+               / reference_loops.node_norm(ref, 2))
+        assert np.max(rel) <= 1e-14
 
     @pytest.mark.parametrize("bad", [[[1.0, 1.0], [1.0, 1.0]],
                                      [[1.0, 0.2], [0.2, -0.5]]],
                              ids=["singular", "indefinite"])
     def test_build_U_degenerate_third_form_raises(self, ellipsoid, bad):
         k = ellipsoid.forms.k.copy()
-        k[10, 20] = bad
+        k[..., 10, 20] = bad
         with pytest.raises(DegenerateGaussMapError):
-            build_U(ellipsoid.frame.A[..., 0], k, ellipsoid.data.h,
+            build_U(ellipsoid.frame.A[0], k, cf(ellipsoid.data.h, 2),
                     ellipsoid.frame.frame)
 
     def test_zero_h_fails_isometry(self, ellipsoid):
         frame = ellipsoid.frame
-        U = build_U(frame.A[..., 0], ellipsoid.forms.k,
-                    np.zeros_like(ellipsoid.data.h), frame.frame)
+        U = build_U(frame.A[0], ellipsoid.forms.k,
+                    np.zeros_like(ellipsoid.metric.g), frame.frame)
         assert np.max(np.abs(U)) < 1e-12
         expect = interior_max(
             ellipsoid.chart,
@@ -417,11 +424,11 @@ class TestChecks:
         assert check_isometry(U, ellipsoid.metric) == pytest.approx(expect)
 
     def test_isometry_detects_scaling(self, ellipsoid):
-        res = check_isometry(2.0 * ellipsoid.data.du, ellipsoid.metric)
+        res = check_isometry(2.0 * cf(ellipsoid.data.du, 2), ellipsoid.metric)
         assert res > 0.5    # 4g vs g is an O(1) failure
 
     def test_parallel_on_oracle_data(self, ellipsoid):
-        res = check_parallel(ellipsoid.data.du, ellipsoid.pack.Gamma,
+        res = check_parallel(cf(ellipsoid.data.du, 2), ellipsoid.pack.Gamma,
                              ellipsoid.frame.frame, ellipsoid.chart)
         assert res < 50 * ellipsoid.dx2
 
@@ -435,7 +442,8 @@ class TestChecks:
             nu_bad = smooth_rotation_of_gauss_map(data.frame[..., 0], chart,
                                                   5e-2, seed=1)
             Gamma = riemann_tensor(metric).Gamma
-            vals.append(check_parallel(data.du, Gamma, nu_bad[..., None], chart))
+            vals.append(check_parallel(cf(data.du, 2), Gamma,
+                                       cf(nu_bad, 1)[None], chart))
         # the defect is driven by the perturbation, not by discretization
         assert min(vals) > 1e-3
         assert abs(vals[0] - vals[1]) < 0.5 * vals[0]
@@ -454,13 +462,14 @@ def hopf_angle_error(surf, chart, margin):
     data = generate(surf, chart)
     metric = metric_field(chart, data.g)
     k_on = to_orthonormal(metric, third_form(chart, data.frame))
-    kappa = np.sqrt(0.5 * (k_on[..., 0, 0] + k_on[..., 1, 1]))
+    kappa = np.sqrt(0.5 * (k_on[0, 0] + k_on[1, 1]))
     f = hopf_angle_gradient(metric, riemann_tensor(metric).Gamma, kappa)
-    h_on = to_orthonormal(metric, data.h)
-    a, b = h_on[..., 0, 0], h_on[..., 0, 1]
+    h_on = to_orthonormal(metric, cf(data.h, 2))
+    a, b = h_on[0, 0], h_on[0, 1]
     da, db = grad_all(a, chart), grad_all(b, chart)
-    dphi = (a[..., None] * db - b[..., None] * da) / (a * a + b * b)[..., None]
-    return float(np.max(np.abs(f - dphi)[chart.interior_slices(margin)]))
+    dphi = (a * db - b * da) / (a * a + b * b)
+    return float(np.max(np.abs(f - dphi)[(slice(None),)
+                                         + chart.interior_slices(margin)]))
 
 
 class TestHopfAngle:
@@ -482,7 +491,7 @@ class TestCodazziResidual:
         g = np.broadcast_to(np.eye(2), chart.shape + (2, 2)).copy()
         metric = metric_field(chart, g)
         Gamma = riemann_tensor(metric).Gamma
-        h = np.broadcast_to(np.diag([1.0, 2.0]), chart.shape + (2, 2)).copy()
+        h = cf(np.broadcast_to(np.diag([1.0, 2.0]), chart.shape + (2, 2)), 2)
         assert codazzi_residual(h, Gamma, metric) < 1e-13
 
     def test_conformal_multiple_of_metric_fails_persistently(self):
@@ -493,7 +502,7 @@ class TestCodazziResidual:
             metric = metric_field(data.chart, data.g)
             Gamma = riemann_tensor(metric).Gamma
             f = np.sin(data.chart.mesh()[..., 0] + data.chart.mesh()[..., 1])
-            vals.append(codazzi_residual(f[..., None, None] * data.g, Gamma, metric))
+            vals.append(codazzi_residual(f * metric.g, Gamma, metric))
         # metric compatibility kills the nabla(g) part; what remains is the
         # df wedge g term, which does not shrink under refinement
         assert min(vals) > 1e-2
@@ -634,9 +643,9 @@ class TestPipeline:
     def test_gauss_equation_follows_from_pipeline_success(self, ellipsoid):
         # never checked by the pipeline, yet it must hold for admissible data
         report = run_pipeline(ellipsoid.metric, ellipsoid.data.frame)
-        h = report.candidate.h_alpha[..., 0, :, :]
-        quad = (np.einsum("...il,...jk->...ijkl", h, h)
-                - np.einsum("...ik,...jl->...ijkl", h, h))
+        h = report.candidate.h_alpha[0]
+        quad = (np.einsum("il...,jk...->ijkl...", h, h)
+                - np.einsum("ik...,jl...->ijkl...", h, h))
         scale = 1.0 + float(np.max(node_norm(quad, 4)))
         R_low = riemann_low(ellipsoid.pack, ellipsoid.metric)
         res = interior_max(ellipsoid.chart, node_norm(R_low - quad, 4)) / scale
@@ -697,9 +706,9 @@ class TestRouting:
                 report.failed_step) == CATALOG_ROUTES[name]
         if data.d == 2:
             assert report.extra["fixed_space_dim"] == FIXED_SPACE_DIM[name]
-            assert report.candidate.h_alpha.shape[-3] == 2
+            assert report.candidate.h_alpha.shape[0] == 2
         elif report.admissible:
-            assert report.candidate.h_alpha.shape[-3] == 1
+            assert report.candidate.h_alpha.shape[0] == 1
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
     def test_nearly_flat_direction_has_one_gauss_map_gate(self, eps):
@@ -912,3 +921,42 @@ class TestAmbientRotation:
                     <= 1e-8 * threshold, key
             else:
                 assert report.residuals[key] <= threshold, key
+
+
+# the stage outputs the pipeline passes on, and the routes that form them
+LAYOUT_CASES = [("ellipsoid", 17, "auto"), ("graph-r4", 33, "auto"),
+                ("ellipsoid-m3", 13, "theorem3")]
+STAGES = ("build_normal_frame", "third_forms", "weingarten_combination",
+          "riemann_tensor")
+
+
+@pytest.mark.parametrize("name, points, method", LAYOUT_CASES)
+def test_every_stage_field_is_components_first(monkeypatch, name, points,
+                                               method):
+    # one layout throughout: every per-node array a stage hands on ends in
+    # the grid axes and is C-contiguous, so each component is one
+    # contiguous array over the nodes
+    surf = CATALOG[name]()
+    data = generate(surf, surf.default_chart(points))
+    chart = data.chart
+    seen = [metric_field(chart, data.g)]
+    for stage in STAGES:
+        def record(*args, real=getattr(admissibility, stage)):
+            out = real(*args)
+            seen.append(out)
+            return out
+        monkeypatch.setattr(admissibility, stage, record)
+    report = run_pipeline(seen[0], data.frame, PipelineOptions(method=method))
+    assert report.admissible
+    seen.append(report.candidate)
+    assert [type(obj).__name__ for obj in seen] == [
+        "MetricField", "NormalFrame", "CodimForms", "WeingartenCombination",
+        "CurvaturePack", "CandidateSolution"]
+    for obj in seen:
+        fields = obj._asdict() if hasattr(obj, "_asdict") else vars(obj)
+        for key, value in fields.items():
+            # the combination's weights w are one vector, not a field
+            if isinstance(value, np.ndarray) and key != "w":
+                where = f"{type(obj).__name__}.{key}"
+                assert value.shape[value.ndim - chart.m:] == chart.shape, where
+                assert value.flags.c_contiguous, where

@@ -1,13 +1,17 @@
 import argparse
 import inspect
+import warnings
 
 import numpy as np
 import pytest
 
 from isogauss import datafiles
+from isogauss import cli
 from isogauss.cli import build_parser, main
 from isogauss.reconstruct import box_error, observed_order
 from isogauss.surfaces import CATALOG, generate
+
+from layout import cf
 
 
 def run_cli(*argv):
@@ -31,6 +35,16 @@ class TestForward:
     def test_unknown_surface_exit_2(self, tmp_path, capsys):
         assert run_cli("forward", "--surface", "moebius",
                        "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("spacing, origin", [
+        ("1e300,1e300", "0,0"), ("1e200,0.1", "0,0"), ("1e300,0.1", "-1e308,0")])
+    def test_extreme_spacing_exit_2(self, tmp_path, capsys, spacing, origin):
+        # a spacing whose square overflows is a chart error, not a traceback
+        for command in (("forward", "--out", str(tmp_path / "x")),
+                        ("roundtrip",)):
+            assert run_cli(*command, "--surface", "ellipsoid", "--grid", "9x9",
+                           "--spacing", spacing, "--origin", origin) == 2
+            assert "error: " in capsys.readouterr().err
 
     def test_bad_window_exit_2(self, tmp_path):
         code = run_cli("forward", "--surface", "round-sphere", "--grid", "9x9",
@@ -85,6 +99,24 @@ class TestCheck:
         bad.write_text("not a dataset\n")
         assert run_cli("check", str(bad)) == 2
 
+    def test_metric_whose_inverse_overflows_exit_2(self, tmp_path, capsys):
+        # g scaled by 1e-310 is positive definite, but g^{-1} overflows to
+        # inf: the identity check must refuse it (not read a NaN defect as
+        # passing), and nothing but the error line may reach stderr
+        surf = CATALOG["ellipsoid"]()
+        data = generate(surf, surf.default_chart(9))
+        path = tmp_path / "tiny.dataset.txt"
+        datafiles.write_dataset(path, datafiles.gauss_dataset(
+            data.chart, data.n, 1e-310 * data.g, frame=data.frame))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("check", str(path)) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: metric inversion failed")
+
     def test_non_unit_frame_block_exit_2(self, ellipsoid_files, tmp_path,
                                          capsys):
         # d = 1 normals are unit length in a one-column frame block too
@@ -117,7 +149,7 @@ class TestReconstruct:
         assert len(plot) == 1 + 33 * 33
         # reconstruction matches the oracle up to translation
         oracle = datafiles.read_dataset(str(ellipsoid_files) + ".oracle.txt")
-        err = box_error(imm.blocks["u"], oracle.blocks["u"], imm.chart, 0)
+        err = box_error(cf(imm.blocks["u"], 1), oracle.blocks["u"], imm.chart, 0)
         assert err < 50 * imm.chart.max_spacing ** 2
 
     def test_theorem3_plot_rows_are_the_immersion_rows(self, tmp_path, capsys):
@@ -163,7 +195,7 @@ class TestReconstruct:
         oracle = datafiles.read_dataset(str(out) + ".oracle.txt").blocks["u"]
         for name, sign in (("catrec", -1), ("catpi", 1)):
             imm = datafiles.read_dataset(str(tmp_path / f"{name}.immersion.txt"))
-            err = box_error(imm.blocks["u"], sign * oracle, imm.chart, 0)
+            err = box_error(cf(imm.blocks["u"], 1), sign * oracle, imm.chart, 0)
             assert err < 50 * imm.chart.max_spacing ** 2
 
 
@@ -420,6 +452,20 @@ def test_admissible_implies_integrable_on_every_command(tmp_path, capsys):
 
 def test_wrong_kind_dataset_exit_2(ellipsoid_files, capsys):
     assert run_cli("check", str(ellipsoid_files) + ".oracle.txt") == 2
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # main reuses one parser; it is the one build_parser makes, help text
+    # included
+    assert cli._parser() is cli._parser()
+    assert cli._parser().format_help() == build_parser().format_help()
+    # a handler replaced after the parser exists (as the benchmark's tracer
+    # wraps them) is the one that runs
+    calls = []
+    monkeypatch.setattr(cli, "cmd_check",
+                        lambda args: calls.append(args.dataset) or 0)
+    assert run_cli("check", "some.dataset.txt") == 0
+    assert calls == ["some.dataset.txt"]
 
 
 def test_sign_branch_flag_negates_reconstruction(ellipsoid_files, tmp_path, capsys):

@@ -22,6 +22,13 @@ from isogauss.surfaces import CATALOG, CliffordTorus, generate
 
 import reference_loops
 from conftest import Problem
+from layout import cf, gf
+
+
+def gf_frame(Q):
+    """The grid-first ``(*grid, n, d)`` columns of a ``(d, n, *grid)``
+    frame."""
+    return np.moveaxis(Q, (0, 1), (-1, -2))
 
 
 def mean_curvature(forms, problem):
@@ -35,7 +42,7 @@ def mean_curvature(forms, problem):
 def frame_U(frame, h_alpha, metric):
     """``build_U`` through the best-conditioned Weingarten combination."""
     wc = weingarten_combination(frame.A, third_forms(frame).k_ab, metric)
-    return build_U(wc.A, wc.k, np.einsum("...aij,a->...ij", h_alpha, wc.w),
+    return build_U(wc.A, wc.k, np.einsum("aij...,a->ij...", h_alpha, wc.w),
                    frame.frame)
 
 
@@ -56,7 +63,7 @@ class TestNormalFrame:
         frame = build_normal_frame(chart, spans)
         assert frame.orthonormality_defect < 1e-12
         assert np.max(np.abs(frame.A)) < 1e-12
-        assert np.max(np.abs(frame.frame[..., :2, :])) < 1e-12
+        assert np.max(np.abs(frame.frame[:, :2])) < 1e-12
 
     def test_clifford_frame_orthonormal_and_continuous(self, clifford_problem):
         _, frame, _ = clifford_problem
@@ -77,7 +84,7 @@ class TestNormalFrame:
         base = build_normal_frame(clifford.chart, clifford.data.frame)
         # continuous result, equal to the canonical frame up to one global
         # signed permutation
-        overlap = np.einsum("...na,...nb->...ab", frame.frame, base.frame)
+        overlap = np.einsum("an...,bn...->...ab", frame.frame, base.frame)
         assert np.max(np.abs(overlap - overlap[clifford.chart.center])) < 1e-8
 
     def test_rank_deficient_spans_rejected(self):
@@ -112,13 +119,13 @@ class TestThirdForms:
         forms = third_forms(frame)
         _, k = reference_loops.gauss_map_differential(
             ellipsoid.chart, ellipsoid.data.frame[..., 0])
-        assert np.array_equal(forms.k, k)
-        assert np.array_equal(forms.k_ab[..., 0, 0, :, :], k)
+        assert np.array_equal(gf(forms.k, 2), k)
+        assert np.array_equal(gf(forms.k_ab[0, 0], 2), k)
 
     def test_clifford_matches_oracle(self, clifford_problem):
         clifford, _, forms = clifford_problem
         err = interior_max(clifford.chart,
-                           node_norm(forms.k_ab - clifford.data.k_ab, 4))
+                           node_norm(forms.k_ab - cf(clifford.data.k_ab, 4), 4))
         assert err < 50 * clifford.dx2
 
     def test_flat_plane_in_r4_all_zero(self):
@@ -154,9 +161,9 @@ class TestMeanCurvatureVector:
         assert mc.status == "degenerate"
         assert mc.fixed_dim == 2
         assert mc.unit_tol == max(1e-6, 50 * torus.dx2)
-        want = np.einsum("ab,...b->...a", O, torus.data.H_alpha)
+        want = np.einsum("ab,...b->a...", O, torus.data.H_alpha)
         err = interior_max(torus.chart,
-                           np.max(np.abs(mc.candidates[0] - want), axis=-1))
+                           np.max(np.abs(mc.candidates[0] - want), axis=0))
         assert err < 50 * torus.dx2
 
     def test_rho_without_unit_eigenvalue_rejected(self, ellipsoid):
@@ -174,8 +181,8 @@ class TestMeanCurvatureVector:
     def test_oracle_exact_forms_have_unit_eigenvalue(self, clifford):
         # with analytically exact third forms, rho - I is at machine precision
         from isogauss.codim import CodimForms
-        forms = CodimForms(chart=clifford.chart, k_ab=clifford.data.k_ab,
-                           k=clifford.data.k)
+        forms = CodimForms(chart=clifford.chart, k_ab=cf(clifford.data.k_ab, 4),
+                           k=cf(clifford.data.k, 2))
         mc = mean_curvature(forms, clifford)
         assert mc.unit_eigen_distance < 1e-6
 
@@ -192,7 +199,7 @@ class TestSecondForms:
         h2 = h_from_theorem2(ellipsoid.pack.Ric, ellipsoid.forms.k, s1.H)
         scale = 1.0 + float(np.max(node_norm(h2, 2)))
         err = interior_max(ellipsoid.chart,
-                           node_norm(h_alpha[..., 0, :, :] - h2, 2)) / scale
+                           node_norm(h_alpha[0] - h2, 2)) / scale
         assert err < 100 * ellipsoid.dx2
         assert res < 50 * ellipsoid.dx2
 
@@ -204,7 +211,7 @@ class TestSecondForms:
         res = check_h_squared(h_alpha, forms.k_ab, clifford.metric)
         assert res < 50 * clifford.dx2
         err = interior_max(clifford.chart,
-                           node_norm(h_alpha - clifford.data.h_alpha, 3))
+                           node_norm(h_alpha - cf(clifford.data.h_alpha, 3), 3))
         assert err < 50 * clifford.dx2
 
     def test_flat_fabrication_fails_product_check(self):
@@ -216,7 +223,7 @@ class TestSecondForms:
         frame = build_normal_frame(chart, data.frame)
         forms = third_forms(frame)
         pack = riemann_tensor(metric)
-        H = np.ones(chart.shape + (2,))
+        H = np.ones((2,) + chart.shape)
         _, B, k_ab_op = _rho_and_B(forms, pack.Ric, metric)
         h_alpha = second_forms(H, B, k_ab_op, metric)
         assert check_h_squared(h_alpha, forms.k_ab, metric) > 0.1
@@ -230,7 +237,7 @@ class TestWeingartenCombination:
         # one frame direction is taken as views, not copied
         assert np.shares_memory(wc.A, frame.A)
         assert np.shares_memory(wc.k, forms.k_ab)
-        eigs = symmetric_eig(to_orthonormal(ellipsoid.metric, forms.k))
+        eigs = symmetric_eig(gf(to_orthonormal(ellipsoid.metric, forms.k), 2))
         assert wc.min_singular == np.sqrt(np.min(eigs))
         assert wc.max_singular == np.sqrt(np.max(eigs))
 
@@ -240,7 +247,7 @@ class TestWeingartenCombination:
         wc = weingarten_combination(frame.A, forms.k_ab, clifford.metric)
         assert wc.invertible and np.count_nonzero(wc.w) == 2
         assert wc.min_singular > 0.1 * wc.max_singular
-        k_w = np.einsum("...ni,...nj->...ij", wc.A, wc.A)
+        k_w = np.einsum("ni...,nj...->ij...", wc.A, wc.A)
         assert np.max(np.abs(wc.k - k_w)) < 1e-12
 
     def test_constant_planes_are_not_invertible(self):
@@ -261,18 +268,19 @@ class TestBuildU:
         # the continued one-column frame against the Gauss map's raw
         # differential
         frame = build_normal_frame(ellipsoid.chart, ellipsoid.data.frame)
-        U = frame_U(frame, ellipsoid.data.h_alpha, ellipsoid.metric)
+        U = frame_U(frame, cf(ellipsoid.data.h_alpha, 3), ellipsoid.metric)
         A, k = reference_loops.gauss_map_differential(
             ellipsoid.chart, ellipsoid.data.frame[..., 0])
-        U_hyper = build_U(A, k, ellipsoid.data.h, frame.frame)
+        U_hyper = build_U(cf(A, 2), cf(k, 2), cf(ellipsoid.data.h, 2),
+                          frame.frame)
         assert np.array_equal(U, U_hyper)
 
     def test_clifford_residuals_and_roundtrip(self, clifford_problem):
         clifford, frame, forms = clifford_problem
-        U = frame_U(frame, clifford.data.h_alpha, clifford.metric)
+        h_alpha = cf(clifford.data.h_alpha, 3)
+        U = frame_U(frame, h_alpha, clifford.metric)
         tol = 50 * clifford.dx2
-        assert frame_consistency(frame.A, U, clifford.data.h_alpha,
-                                 clifford.chart) < tol
+        assert frame_consistency(frame.A, U, h_alpha, clifford.chart) < tol
         assert check_isometry(U, clifford.metric) < tol
         assert check_parallel(U, clifford.pack.Gamma, frame.frame,
                               clifford.chart) < tol
@@ -284,9 +292,9 @@ class TestBuildU:
         clifford, frame, _ = clifford_problem
         swapped = build_normal_frame(clifford.chart,
                                      clifford.data.frame[..., ::-1])
-        U_a = frame_U(frame, clifford.data.h_alpha, clifford.metric)
-        U_b = frame_U(swapped, clifford.data.h_alpha[..., ::-1, :, :],
-                      clifford.metric)
+        h_alpha = cf(clifford.data.h_alpha, 3)
+        U_a = frame_U(frame, h_alpha, clifford.metric)
+        U_b = frame_U(swapped, h_alpha[::-1], clifford.metric)
         assert np.max(np.abs(U_a - U_b)) < 1e-9
 
 
@@ -307,8 +315,8 @@ class TestFrameCovariance:
                 assert abs(val - other) < 1e-8
         assert np.max(np.abs(rep_a.candidate.U - rep_b.candidate.U)) < 1e-8
         # h^a transforms covariantly; the length of the H vector is invariant
-        na = np.linalg.norm(rep_a.candidate.H_alpha, axis=-1)
-        nb = np.linalg.norm(rep_b.candidate.H_alpha, axis=-1)
+        na = np.linalg.norm(rep_a.candidate.H_alpha, axis=0)
+        nb = np.linalg.norm(rep_b.candidate.H_alpha, axis=0)
         assert np.max(np.abs(na - nb)) < 1e-8
 
 
@@ -335,9 +343,9 @@ class TestGenericCodimTwo:
         assert rep.verdict == "admissible"
         tol = 50 * graph4.dx2
         H_err = interior_max(graph4.chart, np.max(np.abs(
-            rep.candidate.H_alpha - graph4.data.H_alpha), axis=-1))
+            rep.candidate.H_alpha - cf(graph4.data.H_alpha, 1)), axis=0))
         h_err = interior_max(graph4.chart, node_norm(
-            rep.candidate.h_alpha - graph4.data.h_alpha, 3))
+            rep.candidate.h_alpha - cf(graph4.data.h_alpha, 3), 3))
         assert H_err < tol and h_err < tol
         assert rep.residuals["curl"] < tol
         u = integrate(rep.candidate.U, graph4.chart)
@@ -355,13 +363,14 @@ class TestCodimPipeline:
         assert rep.residuals["curl"] < tol
         H_err = interior_max(clifford.chart,
                              np.max(np.abs(rep.candidate.H_alpha
-                                           - clifford.data.H_alpha), axis=-1))
+                                           - cf(clifford.data.H_alpha, 1)),
+                                    axis=0))
         assert H_err < tol
         # |H| = sqrt(s + Tr k) holds by construction of the scaling step
-        tr_k = np.einsum("...ij,...ij->...", clifford.metric.g_inv,
+        tr_k = np.einsum("ij...,...ij->...", clifford.metric.g_inv,
                          clifford.data.k)
         expect = np.sqrt(clifford.pack.s + tr_k)
-        got = np.linalg.norm(rep.candidate.H_alpha, axis=-1)
+        got = np.linalg.norm(rep.candidate.H_alpha, axis=0)
         assert interior_max(clifford.chart, np.abs(got - expect)) < tol
 
     def test_sign_branch_flip(self, clifford):
@@ -391,7 +400,7 @@ class TestLoopEquivalence:
     def _assert_same_frame(chart, spans):
         frame = build_normal_frame(chart, spans)
         Q, min_det = reference_loops.normal_frame(chart, spans)
-        assert np.array_equal(frame.frame, Q)
+        assert np.array_equal(gf_frame(frame.frame), Q)
         assert frame.min_overlap_det == min_det
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -468,7 +477,7 @@ class TestLoopEquivalence:
         spans = np.einsum("...nb,ab->...na", data.frame, O)
         forms = third_forms(build_normal_frame(chart, spans))
         _, B, k_ab_op = _rho_and_B(forms, pack.Ric, metric)
-        length = np.sqrt(pack.s + np.einsum("...ij,...ij->...", metric.g_inv,
+        length = np.sqrt(pack.s + np.einsum("ij...,ij...->...", metric.g_inv,
                                             forms.k))
         got = _resolve_full_fixed_space(chart, length, B, k_ab_op, branch)
         want = reference_loops.resolve_full_fixed_space(chart, length, B,

@@ -277,10 +277,15 @@ def _mangle(draw, lines):
         ends = [i for i, line in enumerate(lines) if line.startswith("end ")]
         del lines[draw(st.sampled_from(ends))]
     elif mode == "header":
-        key = draw(st.sampled_from(["m", "n", "grid_shape"]))
+        key = draw(st.sampled_from(["m", "n", "grid_shape", "spacing",
+                                    "origin"]))
         i = next(j for j, line in enumerate(lines) if line.startswith(key + " "))
-        values = draw(st.lists(st.integers(-2, 12), min_size=1, max_size=4))
-        lines[i] = f"{key} = " + " ".join(str(v) for v in values)
+        # spacings and origins far out of range: a square or a far corner
+        # that overflows must be a format error
+        pool = (st.integers(-2, 12) if key in ("m", "n", "grid_shape")
+                else st.sampled_from([1e200, 1e300, -1e308, 1.7e308, 0.5]))
+        values = draw(st.lists(pool, min_size=1, max_size=4))
+        lines[i] = f"{key} = " + " ".join(repr(v) for v in values)
     elif mode == "drop_row":
         del lines[draw(st.sampled_from(rows))]
     elif mode == "extra_row":

@@ -97,9 +97,6 @@ def test_every_module_level_definition_is_used():
 TRANSPOSED_OPERANDS = {
     ("codim", "_right_singular", "E.mT"):
         "E is theorem3's per-block system: a copy would raise its peak",
-    ("admissibility", "codazzi_residual", "G.mT"):
-        "a left operand distinct from the right one: at 257^2 its copy "
-        "costs more than the transposed read",
 }
 
 

@@ -6,12 +6,14 @@ import pytest
 from isogauss import datafiles
 from isogauss.admissibility import run_pipeline, third_form_trace
 from isogauss.codim import build_normal_frame, third_forms
-from isogauss.curvature import metric_field, node_norm, to_orthonormal
+from isogauss.curvature import metric_field, to_orthonormal
 from isogauss.errors import InvalidGaussMapError
 from isogauss.grid import build_chart, interior_max
 from isogauss.surfaces import Cylinder, Plane, generate
 
 import reference_loops
+from layout import gf
+from reference_loops import node_norm as trailing_norm
 
 
 def constant_gauss(chart, vec=(0.0, 0.0, 1.0)):
@@ -33,25 +35,26 @@ class TestBuildGaussField:
 
     def test_unit_sphere_third_form_equals_metric(self, sphere):
         # nu = u/r on the unit sphere, so dnu = du and k = g
-        res = interior_max(sphere.chart, node_norm(sphere.forms.k - sphere.data.g, 2))
+        res = interior_max(sphere.chart,
+                           trailing_norm(gf(sphere.forms.k, 2) - sphere.data.g, 2))
         assert res < 20 * sphere.dx2
 
     def test_ellipsoid_third_form_matches_oracle(self, ellipsoid):
         res = interior_max(ellipsoid.chart,
-                           node_norm(ellipsoid.forms.k - ellipsoid.data.k, 2))
+                           trailing_norm(gf(ellipsoid.forms.k, 2) - ellipsoid.data.k, 2))
         assert res < 30 * ellipsoid.dx2
         # the one-column frame differentiates the normal as it is given
         A, k = reference_loops.gauss_map_differential(
             ellipsoid.chart, ellipsoid.data.frame[..., 0])
-        assert np.array_equal(ellipsoid.frame.A[..., 0], A)
-        assert np.array_equal(ellipsoid.forms.k, k)
+        assert np.array_equal(gf(ellipsoid.frame.A[0], 2), A)
+        assert np.array_equal(gf(ellipsoid.forms.k, 2), k)
 
     def test_small_norm_deviation_renormalized(self):
         chart = build_chart(2, (9, 9), (0.1, 0.1))
         frame = constant_gauss(chart, (0.0, 0.0, 1.0 + 5e-7))
-        assert np.max(np.abs(np.linalg.norm(frame.frame[..., 0], axis=-1)
+        assert np.max(np.abs(np.linalg.norm(frame.frame[0], axis=0)
                              - 1.0)) < 1e-15
-        nu = frame.frame[..., 0] * (1.0 + 5e-7)
+        nu = gf(frame.frame[0], 1) * (1.0 + 5e-7)
         assert datafiles.dataset_normals(nu_dataset(chart, nu)).shape == \
             chart.shape + (3, 1)
 
@@ -65,20 +68,21 @@ class TestBuildGaussField:
 
     def test_columns_tangent_to_sphere(self, ellipsoid):
         frame = ellipsoid.frame
-        ip = np.einsum("...nj,...n->...j", frame.A[..., 0], frame.frame[..., 0])
-        assert interior_max(ellipsoid.chart, np.max(np.abs(ip), axis=-1)) < \
+        ip = np.einsum("nj...,n...->j...", frame.A[0], frame.frame[0])
+        assert interior_max(ellipsoid.chart, np.max(np.abs(ip), axis=0)) < \
             20 * ellipsoid.dx2
 
     def test_k_positive_semidefinite(self, ellipsoid):
-        eigs = np.linalg.eigvalsh(to_orthonormal(ellipsoid.metric, ellipsoid.forms.k))
+        eigs = np.linalg.eigvalsh(
+            gf(to_orthonormal(ellipsoid.metric, ellipsoid.forms.k), 2))
         assert float(np.min(eigs)) > -1e-12
 
     def test_trace_equals_frame_norm_of_A(self, ellipsoid):
         # Tr_g k per node = |A|^2 measured in g-orthonormal frames
-        A, metric = ellipsoid.frame.A[..., 0], ellipsoid.metric
+        A, metric = gf(ellipsoid.frame.A[0], 2), ellipsoid.metric
         tr = third_form_trace(ellipsoid.forms.k, metric)
         Ahat = np.einsum("...nk,...ki->...ni", A,
-                         np.linalg.inv(np.swapaxes(metric.chol, -1, -2)))
+                         np.linalg.inv(gf(metric.chol, 2).mT))
         frob = np.sum(Ahat ** 2, axis=(-2, -1))
         assert np.max(np.abs(tr - frob)) < 1e-10 * (1 + np.max(np.abs(tr)))
 

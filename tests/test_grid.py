@@ -37,6 +37,12 @@ class TestBuildChart:
         with pytest.raises(ConfigurationError):
             build_chart(2, (8, 8), (0.1, -0.1), (0.0, 0.0))
 
+    @pytest.mark.parametrize("spacing", [(1e200, 0.1), (0.1, 1e300)])
+    def test_spacing_whose_square_overflows(self, spacing):
+        # the thresholds C * dx^2 must stay finite
+        with pytest.raises(ConfigurationError):
+            build_chart(2, (8, 8), spacing, (0.0, 0.0))
+
     def test_refine_keeps_box(self):
         chart = build_chart(2, (9, 13), (0.1, 0.05), (1.0, -1.0))
         fine = chart.refine()
@@ -50,18 +56,18 @@ class TestDerivative:
     def test_constant_is_exactly_zero(self):
         chart = chart2()
         f = np.full(chart.shape, 3.7)
-        assert np.all(grad_all(f, chart)[..., 0] == 0.0)
+        assert np.all(grad_all(f, chart)[0] == 0.0)
 
     def test_linear_ramp_exact(self):
         chart = chart2()
         f = chart.mesh()[..., 0]
-        assert np.allclose(grad_all(f, chart)[..., 0], 1.0, atol=1e-12)
-        assert np.allclose(grad_all(f, chart)[..., 1], 0.0, atol=1e-12)
+        assert np.allclose(grad_all(f, chart)[0], 1.0, atol=1e-12)
+        assert np.allclose(grad_all(f, chart)[1], 0.0, atol=1e-12)
 
     def test_quadratic_exact_in_interior(self):
         chart = chart2()
         x = chart.mesh()
-        d0 = grad_all(x[..., 0] ** 2 + x[..., 0] * x[..., 1], chart)[..., 0]
+        d0 = grad_all(x[..., 0] ** 2 + x[..., 0] * x[..., 1], chart)[0]
         expect = 2 * chart.mesh()[..., 0] + chart.mesh()[..., 1]
         assert np.allclose(d0[chart.interior], expect[chart.interior], atol=1e-12)
 
@@ -70,7 +76,7 @@ class TestDerivative:
         errs = []
         for n in (17, 33):
             chart = build_chart(2, (n, n), (1.0 / (n - 1),) * 2, (0.0, 0.0))
-            d = grad_all(np.sin(3 * chart.mesh()[..., 0]), chart)[..., 0]
+            d = grad_all(np.sin(3 * chart.mesh()[..., 0]), chart)[0]
             errs.append(np.max(np.abs(d - 3 * np.cos(3 * chart.mesh()[..., 0]))))
         assert observed_order(*errs) >= 1.9
 
@@ -82,8 +88,8 @@ class TestDerivative:
             chart = build_chart(2, (n, n), (1.0 / (n - 1),) * 2, (0.0, 0.0))
             x = chart.mesh()
             f = np.sin(2 * x[..., 0]) * np.cos(x[..., 1])
-            d01 = grad_all(grad_all(f, chart)[..., 0], chart)[..., 1]
-            d10 = grad_all(grad_all(f, chart)[..., 1], chart)[..., 0]
+            d01 = grad_all(grad_all(f, chart)[0], chart)[1]
+            d10 = grad_all(grad_all(f, chart)[1], chart)[0]
             assert np.max(np.abs(d01 - d10)) < 1e-11
             exact = -2 * np.cos(2 * x[..., 0]) * np.sin(x[..., 1])
             errs.append(np.max(np.abs((d01 - exact)[chart.interior])))
@@ -96,8 +102,8 @@ class TestDerivative:
         rng = np.random.default_rng(0)
         f = rng.standard_normal(chart.shape)
         g = rng.standard_normal(chart.shape)
-        lhs = grad_all(a * f + b * g, chart)[..., 0]
-        rhs = a * grad_all(f, chart)[..., 0] + b * grad_all(g, chart)[..., 0]
+        lhs = grad_all(a * f + b * g, chart)[0]
+        rhs = a * grad_all(f, chart)[0] + b * grad_all(g, chart)[0]
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -210,13 +216,18 @@ class TestCenterSign:
         assert center_sign(chart, v) == 1
 
 
-def test_grad_all_stacks_derivative_axis_last():
+def test_grad_all_puts_the_derivative_axis_before_the_grid():
     chart = chart2()
     x = chart.mesh()
     g = grad_all(x[..., 0] + 2 * x[..., 1], chart)
-    assert g.shape == chart.shape + (2,)
-    assert np.allclose(g[..., 0], 1.0)
-    assert np.allclose(g[..., 1], 2.0)
+    assert g.shape == (2,) + chart.shape
+    assert np.allclose(g[0], 1.0)
+    assert np.allclose(g[1], 2.0)
+
+
+def _grid_first(g, k):
+    """A grid-first view of a field with ``k`` leading component axes."""
+    return np.moveaxis(g, range(k), range(-k, 0))
 
 
 class TestGradAll:
@@ -228,22 +239,26 @@ class TestGradAll:
                                              ((7, 5, 6), (3, 3)),
                                              ((5, 5, 5), ())])
     def test_equals_the_gradient_stack(self, shape, index):
-        m = len(shape)
+        m, k = len(shape), len(index)
         rng = np.random.default_rng(sum(shape))
         chart = build_chart(m, shape, tuple(rng.uniform(0.01, 0.3, m)))
-        f = rng.standard_normal(shape + index)
+        f = rng.standard_normal(index + shape)
         g = grad_all(f, chart)
-        assert g.shape == shape + index + (m,)
-        assert np.array_equal(g, reference_loops.gradient_stack(f, chart))
+        assert g.shape == index + (m,) + shape
+        assert np.array_equal(_grid_first(g, k + 1),
+                              reference_loops.gradient_stack(
+                                  _grid_first(f, k), chart))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_non_contiguous_views(self, m):
         shape = (5, 9, 6)[:m]
         rng = np.random.default_rng(m)
         chart = build_chart(m, shape, (0.1, 0.07, 0.2)[:m])
-        big = rng.standard_normal(tuple(n + 4 for n in shape) + (3, 2))
-        interior = big[(slice(2, -2),) * m + (Ellipsis, 1)]
-        for f in (interior, np.asfortranarray(interior),
-                  big[(slice(2, -2),) * m].mT):
-            assert np.array_equal(grad_all(f, chart),
-                                  reference_loops.gradient_stack(f, chart))
+        big = rng.standard_normal((3, 2) + tuple(n + 4 for n in shape))
+        inner = big[(Ellipsis,) + (slice(2, -2),) * m]
+        interior = inner[:, 1]
+        for f in (interior, np.asfortranarray(interior), inner.swapaxes(0, 1)):
+            k = f.ndim - m
+            assert np.array_equal(_grid_first(grad_all(f, chart), k + 1),
+                                  reference_loops.gradient_stack(
+                                      _grid_first(f, k), chart))

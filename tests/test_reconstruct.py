@@ -15,6 +15,7 @@ from isogauss.surfaces import (CATALOG, Catenoid, Ellipsoid, Plane, RoundSphere,
                                generate)
 
 import reference_loops
+from layout import cf, gf
 
 ELLIPSOID = Ellipsoid((1.0, 1.5, 2.0))
 
@@ -23,8 +24,8 @@ class TestIntegrate:
     def test_constant_columns_give_affine_exactly(self):
         chart = build_chart(2, (9, 11), (0.1, 0.2), (0.0, 0.0))
         cols = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, -1.0]])
-        U = np.broadcast_to(cols, chart.shape + (3, 2)).copy()
-        u = integrate(U, chart)
+        U = cf(np.broadcast_to(cols, chart.shape + (3, 2)), 2)
+        u = gf(integrate(U, chart), 1)
         x = chart.mesh() - chart.mesh()[chart.center]
         assert np.max(np.abs(u - np.einsum("nj,...j->...n", cols, x))) < 1e-12
         assert np.array_equal(u[chart.center], np.zeros(3))
@@ -32,10 +33,11 @@ class TestIntegrate:
     def test_a_misshapen_U_is_a_domain_error(self):
         chart = build_chart(2, (9, 11), (0.1, 0.2), (0.0, 0.0))
         with pytest.raises(DomainError):
-            integrate(np.zeros(chart.shape + (3, 3)), chart)
+            integrate(np.zeros((3, 3) + chart.shape), chart)
 
     def test_sphere_oracle_roundtrip(self, sphere_pair):
-        errs = [box_error(integrate(p.data.du, p.chart), p.data.u, p.chart, level)
+        errs = [box_error(integrate(cf(p.data.du, 2), p.chart), p.data.u,
+                          p.chart, level)
                 for level, p in enumerate(sphere_pair)]
         assert errs[1] < 50 * sphere_pair[1].dx2
         assert observed_order(*errs) >= 1.5
@@ -44,13 +46,13 @@ class TestIntegrate:
         # swapping the columns of du on half the chart breaks integrability:
         # the curl residual rises far above the threshold the pipeline
         # judges it by, where the exact du stays far below it
-        U = sphere.data.du.copy()
+        U = cf(sphere.data.du, 2)
         half = sphere.chart.shape[0] // 2
-        U[half:, ..., 0], U[half:, ..., 1] = (U[half:, ..., 1].copy(),
-                                              U[half:, ..., 0].copy())
+        U[:, 0, half:], U[:, 1, half:] = (U[:, 1, half:].copy(),
+                                          U[:, 0, half:].copy())
         tau = 50 * sphere.dx2
         assert curl_residual(U, sphere.chart) > 10 * tau
-        assert curl_residual(sphere.data.du, sphere.chart) < 0.1 * tau
+        assert curl_residual(cf(sphere.data.du, 2), sphere.chart) < 0.1 * tau
 
     @pytest.mark.parametrize("name, points", [("ellipsoid", 33),
                                               ("clifford-torus", 17),
@@ -61,7 +63,7 @@ class TestIntegrate:
         surface = CATALOG[name]()
         data = generate(surface, surface.default_chart(points))
         U = data.du + 0.01 * np.sin(data.chart.mesh()[..., :1, None])
-        curl = curl_residual(U, data.chart)
+        curl = curl_residual(cf(U, 2), data.chart)
         assert curl > 1e-4
         assert curl == pytest.approx(reference_loops.curl_residual(U, data.chart),
                                      rel=1e-14, abs=0)
@@ -69,7 +71,7 @@ class TestIntegrate:
     def test_translation_invariance(self, sphere):
         # u is 0 at the chart center; a translate of the oracle compares
         # as the oracle does
-        u = integrate(sphere.data.du, sphere.chart)
+        u = gf(integrate(cf(sphere.data.du, 2), sphere.chart), 1)
         assert np.array_equal(u[sphere.chart.center], np.zeros(3))
         shifted = sphere.data.u + np.array([5.0, -1.0, 2.0])
         assert compare_up_to_translation(u, shifted) == pytest.approx(
@@ -82,40 +84,40 @@ class TestIntegrate:
         def gradient_field(chart):
             # d f for f = x^2 + 3 x y - y^2
             x, y = chart.mesh()[..., 0], chart.mesh()[..., 1]
-            return np.stack([2 * x + 3 * y, 3 * x - 2 * y], axis=-1)[..., None, :]
+            return np.stack([2 * x + 3 * y, 3 * x - 2 * y])[None]
 
         chart = build_chart(2, (17, 17), (0.06, 0.05), (0.2, -0.1))
         sub = build_chart(2, (11, 15), chart.spacing, chart.origin)
         assert sub.center != chart.center
-        full = integrate(gradient_field(chart), chart)
-        part = integrate(gradient_field(sub), sub)
+        full = gf(integrate(gradient_field(chart), chart), 1)
+        part = gf(integrate(gradient_field(sub), sub), 1)
         assert compare_up_to_translation(full[:11, :15], part) < 1e-12
 
 
 class TestVerifyImmersion:
     def test_oracle_reconstruction_verifies(self, ellipsoid):
-        u = integrate(ellipsoid.data.du, ellipsoid.chart)
+        u = integrate(cf(ellipsoid.data.du, 2), ellipsoid.chart)
         res_g, res_n = verify_immersion(u, ellipsoid.metric, ellipsoid.data.frame)
         tol = 50 * ellipsoid.dx2
         assert res_g < tol and res_n < tol
 
     def test_constant_map_fails_metric_residual(self, ellipsoid):
-        res_g, _ = verify_immersion(np.zeros(ellipsoid.chart.shape + (3,)),
+        res_g, _ = verify_immersion(np.zeros((3,) + ellipsoid.chart.shape),
                                     ellipsoid.metric, ellipsoid.data.frame)
-        g_norm = np.linalg.norm(ellipsoid.metric.g, axis=(-2, -1))
+        g_norm = np.linalg.norm(ellipsoid.metric.g, axis=(0, 1))
         assert res_g > 0.5 * np.min(g_norm / (1 + g_norm))
 
     def test_catenoid_self_consistent(self):
         surf = Catenoid()
         data = generate(surf, surf.default_chart(49))
         metric = metric_field(data.chart, data.g)
-        u = integrate(data.du, data.chart)
+        u = integrate(cf(data.du, 2), data.chart)
         res_g, res_n = verify_immersion(u, metric, data.frame)
         tol = 50 * data.chart.max_spacing ** 2
         assert res_g < tol and res_n < tol
 
     def test_codim2_oracle_verifies_and_every_column_counts(self, clifford):
-        u = integrate(clifford.data.du, clifford.chart)
+        u = integrate(cf(clifford.data.du, 2), clifford.chart)
         tol = 50 * clifford.dx2
         res_g, res_n = verify_immersion(u, clifford.metric, clifford.data.frame)
         assert res_g < tol and res_n < tol
@@ -130,12 +132,12 @@ class TestVerifyImmersion:
         report = run_pipeline(ellipsoid.metric, ellipsoid.data.frame)
         u = integrate(report.candidate.U, ellipsoid.chart)
         # h_ij = <d_j u_i, nu>
-        ddu = grad_all(grad_all(u, ellipsoid.chart), ellipsoid.chart)
+        ddu = gf(grad_all(grad_all(u, ellipsoid.chart), ellipsoid.chart), 3)
         h_back = np.einsum("...nij,...n->...ij", ddu,
                            ellipsoid.data.frame[..., 0])
         h_back = 0.5 * (h_back + np.swapaxes(h_back, -1, -2))
         reg = ellipsoid.chart.interior_slices(6)
-        h = report.candidate.h_alpha[..., 0, :, :]
+        h = gf(report.candidate.h_alpha[0], 2)
         err = np.max(np.linalg.norm((h_back - h)[reg], axis=(-2, -1)))
         scale = 1.0 + np.max(np.linalg.norm(h, axis=(-2, -1)))
         assert err / scale < 100 * ellipsoid.dx2
@@ -275,8 +277,8 @@ def test_sign_flip_reconstructs_negated_immersion(ellipsoid):
         plus = run_pipeline(metric, frame, PipelineOptions(sign_branch=1))
         minus = run_pipeline(metric, frame, PipelineOptions(sign_branch=-1))
         assert plus.admissible and minus.admissible
-        up = integrate(plus.candidate.U, metric.chart)
-        um = integrate(minus.candidate.U, metric.chart)
+        up = gf(integrate(plus.candidate.U, metric.chart), 1)
+        um = gf(integrate(minus.candidate.U, metric.chart), 1)
         assert compare_up_to_translation(um, -up) < 1e-12
 
 

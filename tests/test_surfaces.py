@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from isogauss import surfaces
-from isogauss.curvature import metric_field, node_norm, raise_index, riemann_tensor
+from isogauss.curvature import metric_field, raise_index, riemann_tensor
 from isogauss.errors import DomainError, SingularMetricError
 from isogauss.grid import build_chart, interior_max
 from isogauss.reconstruct import compare_up_to_translation, observed_order
@@ -18,6 +18,8 @@ from isogauss.surfaces import (CATALOG, AssociatedFamily, Catenoid,
                                smooth_rotation_of_gauss_map)
 
 import reference_loops
+from layout import cf, gf
+from reference_loops import node_norm as trailing_norm
 
 ALL_HYPERSURFACES = [
     (RoundSphere(1.0), 33),
@@ -93,11 +95,11 @@ class TestOracleSelfConsistency:
     def test_hsquared_and_trace_identities(self, surf, n):
         data = generate(surf, surf.default_chart(n))
         metric = metric_field(data.chart, data.g)
-        hop = raise_index(metric, data.h)
-        kop = raise_index(metric, data.k)
+        hop = gf(raise_index(metric, cf(data.h, 2)), 2)
+        kop = gf(raise_index(metric, cf(data.k, 2)), 2)
         # h^2 = k as operators (forward direction)
-        scale = 1.0 + np.max(node_norm(kop, 2))
-        res = np.max(node_norm(np.einsum("...ik,...kj->...ij", hop, hop) - kop, 2))
+        scale = 1.0 + np.max(trailing_norm(kop, 2))
+        res = np.max(trailing_norm(np.einsum("...ik,...kj->...ij", hop, hop) - kop, 2))
         assert res / scale < 1e-8
 
     @pytest.mark.parametrize("surf,n", ALL_HYPERSURFACES,
@@ -110,10 +112,10 @@ class TestOracleSelfConsistency:
         tol = 50 * chart.max_spacing ** 2
         # Ric = h H - k
         expect = data.h * data.H[..., None, None] - data.k
-        scale = 1.0 + float(np.max(node_norm(expect, 2)))
-        assert interior_max(chart, node_norm(pack.Ric - expect, 2)) / scale < tol
+        scale = 1.0 + float(np.max(trailing_norm(expect, 2)))
+        assert interior_max(chart, trailing_norm(gf(pack.Ric, 2) - expect, 2)) / scale < tol
         # s = H^2 - Tr k
-        tr_k = np.einsum("...ij,...ij->...", metric.g_inv, data.k)
+        tr_k = np.einsum("ij...,...ij->...", metric.g_inv, data.k)
         expect_s = data.H ** 2 - tr_k
         scale_s = 1.0 + float(np.max(np.abs(expect_s)))
         assert interior_max(chart, np.abs(pack.s - expect_s)) / scale_s < tol
@@ -122,8 +124,8 @@ class TestOracleSelfConsistency:
         # sum_a H^a h^a = Ric + k on the flat torus
         data, pack = clifford.data, clifford.pack
         lhs = np.einsum("...a,...aij->...ij", data.H_alpha, data.h_alpha)
-        rhs = pack.Ric + data.k
-        assert interior_max(clifford.chart, node_norm(lhs - rhs, 2)) < \
+        rhs = gf(pack.Ric, 2) + data.k
+        assert interior_max(clifford.chart, trailing_norm(lhs - rhs, 2)) < \
             50 * clifford.dx2
 
 
@@ -145,8 +147,8 @@ class TestWeingartenOracle:
                         np.real(surf.frame(x, point)), u2)
         if np.array_equal(data.u, -point):      # the stored branch
             ref = -ref
-        assert np.max(node_norm(data.h_alpha - ref, 3)) <= \
-            1e-9 * np.max(node_norm(ref, 3))
+        assert np.max(trailing_norm(data.h_alpha - ref, 3)) <= \
+            1e-9 * np.max(trailing_norm(ref, 3))
 
     @pytest.mark.parametrize("surf", [RoundSphere(2.0), HypersphereM3(2.0)],
                              ids=lambda v: v.name)
@@ -205,9 +207,10 @@ class TestGaussCodazziResiduals:
         bump = eps * np.sin(3 * x[..., 0]) * np.cos(2 * x[..., 1])
         h_bad = ellipsoid.data.h.copy()
         h_bad[..., 0, 0] += bump
-        base = codazzi_residual(ellipsoid.data.h, ellipsoid.pack.Gamma,
+        base = codazzi_residual(cf(ellipsoid.data.h, 2), ellipsoid.pack.Gamma,
                                 ellipsoid.metric)
-        pert = codazzi_residual(h_bad, ellipsoid.pack.Gamma, ellipsoid.metric)
+        pert = codazzi_residual(cf(h_bad, 2), ellipsoid.pack.Gamma,
+                                ellipsoid.metric)
         assert pert - base > 0.1 * eps
         assert pert - base < 50 * eps
 
