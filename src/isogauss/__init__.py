@@ -11,9 +11,9 @@ the same :func:`run_pipeline` and the same normal frame of
 
 from .admissibility import (AdmissibilityReport, CandidateSolution,
                             PipelineOptions, build_U, check_h_squared,
-                            check_isometry, check_parallel, codazzi_residual,
-                            h_from_hopf_angle, h_from_theorem2,
-                            h_from_theorem3, run_pipeline, step1_positivity)
+                            check_isometry, check_parallel, h_from_hopf_angle,
+                            h_from_theorem2, h_from_theorem3, run_pipeline,
+                            step1_positivity)
 from .codim import (CodimForms, NormalFrame, build_normal_frame,
                     mean_curvature_vector, second_forms, third_forms)
 from .curvature import (CurvaturePack, MetricField, christoffel,
@@ -30,9 +30,9 @@ __all__ = [
     "CurvaturePack", "MetricField", "NormalFrame", "OracleData",
     "PipelineOptions", "CATALOG", "build_U", "build_chart",
     "build_normal_frame", "check_h_squared", "check_isometry",
-    "check_parallel", "christoffel", "codazzi_residual",
-    "compare_up_to_translation", "curvature_operator", "generate",
-    "h_from_hopf_angle", "h_from_theorem2", "h_from_theorem3", "integrate",
-    "metric_field", "raise_index", "riemann_tensor", "run_pipeline",
-    "second_forms", "step1_positivity", "third_forms", "verify_immersion",
+    "check_parallel", "christoffel", "compare_up_to_translation",
+    "curvature_operator", "generate", "h_from_hopf_angle", "h_from_theorem2",
+    "h_from_theorem3", "integrate", "metric_field", "raise_index",
+    "riemann_tensor", "run_pipeline", "second_forms", "step1_positivity",
+    "third_forms", "verify_immersion",
 ]

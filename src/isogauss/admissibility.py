@@ -501,42 +501,20 @@ def curl_residual(U: np.ndarray, chart: Chart,
     return interior_max(chart, res, margin=4) / scale
 
 
-def codazzi_residual(h: np.ndarray, Gamma: np.ndarray, metric: MetricField) -> float:
-    """Interior max of ``(nabla_i h)_jk - (nabla_j h)_ik`` (normalized), for
-    an ``(m, m, *grid)`` form ``h``."""
-    chart = metric.chart
-    m = chart.m
-    dh = grad_all(h, chart)                                   # [j, k, i]
-    nabla = np.empty((m, m, m) + chart.shape)                  # [i, j, k]
-    t, u = np.empty((2,) + chart.shape)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                x = nabla[i, j, k]
-                np.copyto(x, dh[j, k, i])
-                x -= _sum_of_products(
-                    [(Gamma[p, i, j], h[p, k]) for p in range(m)], t, u)
-                x -= _sum_of_products(
-                    [(h[j, p], Gamma[p, i, k]) for p in range(m)], t, u)
-    defect = nabla - nabla.swapaxes(0, 1)
-    del nabla
-    res = node_norm(defect, 3)
-    scale = 1.0 + node_norm(h, 2) * (1.0 + node_norm(Gamma, 3))
-    return interior_max(chart, res / scale, margin=4)
-
-
 # ---------------------------------------------------------------------------
 # the pipeline
 
 # the residuals a candidate is judged by, in report order (a residual
-# without a threshold, NaN, is never judged)
+# without a threshold, NaN, is never judged; a NaN residual against a
+# threshold fails)
 _JUDGED = ("h_squared", "isometry", "parallelity", "curl",
            "aalpha_consistency")
 
 
 def _badness(report: AdmissibilityReport) -> float:
-    return max(report.residuals[k]
-               for k in ("h_squared", "isometry", "parallelity", "curl"))
+    values = [report.residuals[k]
+              for k in ("h_squared", "isometry", "parallelity", "curl")]
+    return math.inf if any(map(math.isnan, values)) else max(values)
 
 
 def run_pipeline(metric: MetricField, normals: np.ndarray,
@@ -698,7 +676,8 @@ def run_pipeline(metric: MetricField, normals: np.ndarray,
             res["aalpha_consistency"] = frame_consistency(nf.A, U, h_alpha,
                                                           chart)
         candidate = CandidateSolution(h_alpha, H_alpha, U, method, sign)
-        failing = [key for key in _JUDGED if res[key] > thresholds[key]]
+        failing = [key for key in _JUDGED if math.isfinite(thresholds[key])
+                   and not res[key] <= thresholds[key]]
         if not failing:
             return AdmissibilityReport(VERDICT_ADMISSIBLE, None, res, thresholds,
                                        method, candidate, notes, extra)

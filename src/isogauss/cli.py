@@ -85,6 +85,10 @@ def _make_chart(surface: surfaces.Surface, args):
 
 
 def _perturb_nu(args, surface: surfaces.Surface) -> float:
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
+    if not math.isfinite(args.perturb_nu or 0.0):
+        raise CliError(f"--perturb-nu must be finite, got {args.perturb_nu}")
     if args.perturb_nu and surface.codim != 1:
         raise CliError("--perturb-nu applies to hypersurface data only")
     return args.perturb_nu or 0.0

@@ -205,12 +205,18 @@ class CodimForms:
 
 def third_forms(frame: NormalFrame) -> CodimForms:
     """``k^{ab} = (A^a)^T A^b`` block by block, each a :func:`node_product`;
-    the blocks ``a = b`` and their sum ``k`` are symmetric bit for bit."""
+    the blocks ``a = b`` and their sum ``k`` are symmetric bit for bit.
+    A product that overflows (a differential near the largest float) raises
+    :class:`SamplingError`."""
     A, d, m = frame.A, frame.d, frame.chart.m
     k_ab = np.empty((d, d, m, m) + frame.chart.shape)
-    for a in range(d):
-        for b in range(d):
-            node_product(A[a].swapaxes(0, 1), A[b], out=k_ab[a, b])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(d):
+            for b in range(d):
+                node_product(A[a].swapaxes(0, 1), A[b], out=k_ab[a, b])
+    if not np.all(np.isfinite(k_ab)):
+        raise SamplingError("the third form k = dnu^T dnu is not finite: "
+                            "the Gauss-map differential overflows")
     # for d = 1 the one block is k: the per-node forms are held once
     k = k_ab[0, 0]
     for a in range(1, d):

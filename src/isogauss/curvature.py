@@ -12,8 +12,8 @@ Index conventions (fixed once, all modules inherit them):
   ``R^l_{ijk} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma^l_{ip}Gamma^p_{jk}
   - Gamma^l_{jp}Gamma^p_{ik}``, kept components first for ``i < j`` only
   (:class:`CurvaturePack`).
-* ``R_low[i, j, k, l] = g_{lp} R^p_{ijk}``, formed only where it is
-  read (:func:`riemann_low`).
+* ``R_ijkl = g_{lp} R^p_{ijk}`` is formed only inside theorem3's
+  curvature operator, for ``i < j`` (:func:`_lowered_pairs`).
 * ``Ric[i, l] = g^{jk} R_{ijkl}`` and ``s = g^{il} Ric_{il}``.
 
 With these choices the unit round sphere carries scalar curvature
@@ -434,9 +434,8 @@ class CurvaturePack:
     ``R`` keeps ``R^l_ijk`` only for the index pairs ``i < j``: ``R[l, n,
     k]`` is ``R^l_ijk`` for the ``n``-th pair ``(i, j)`` of
     ``itertools.combinations(range(m), 2)``, and the pairs ``j < i`` follow
-    by antisymmetry.  ``R_low`` is formed from it only where it is
-    read, by :func:`riemann_low`; a pack given an ``R_low`` of its own
-    (an exact one, say) hands that one out instead.
+    by antisymmetry.  Exact input (``R`` from the Gauss equation, say)
+    enters through ``R`` like any other.
     """
 
     chart: Chart
@@ -444,7 +443,6 @@ class CurvaturePack:
     R: np.ndarray          # (m, m (m - 1) / 2, m, *grid)  R^l_ijk, i < j
     Ric: np.ndarray        # (m, m, *grid)
     s: np.ndarray          # (*grid,)
-    R_low: np.ndarray | None = None    # (m, m, m, m, *grid)  R_ijkl
 
 
 def christoffel(metric: MetricField) -> np.ndarray:
@@ -495,7 +493,8 @@ def riemann_tensor(metric: MetricField) -> CurvaturePack:
     ``R^l_ijk = d_i G^l_jk - d_j G^l_ik + sum_p G^l_ip G^p_jk
     - sum_p G^l_jp G^p_ik`` for ``i < j``, each derivative taken once into
     a scratch array, then ``Ric_il = g_lp (g^jk R^p_ijk)`` and
-    ``s = g^il Ric_il``.  ``R_low`` is not formed (see :func:`riemann_low`).
+    ``s = g^il Ric_il``.  The lowered ``R_ijkl`` is not formed (see
+    :func:`_lowered_pairs`).
     """
     chart = metric.chart
     m = chart.m
@@ -536,42 +535,21 @@ def riemann_tensor(metric: MetricField) -> CurvaturePack:
 def _lowered_pairs(pack: CurvaturePack, metric: MetricField) -> np.ndarray:
     """``R_ijkl = g_lp R^p_ijk`` for the pairs ``i < j``, ``(m, m,
     m (m - 1) / 2, *grid)``: ``[k, l, n]`` for the ``n``-th pair ``(i, j)``
-    in ``pack.R``'s order.  Each entry is one sum over ``p`` in index order;
-    a pack's own ``R_low`` gives its rows ``i < j`` instead.  The rows
-    ``j < i`` are their negation and ``i = j`` zero, so these hold all of
-    ``R_low``.
+    in ``pack.R``'s order.  Each entry is one sum over ``p`` in index order.
+    The rows ``j < i`` are their negation and ``i = j`` zero, so these hold
+    all of ``R_ijkl``.
     """
     m = metric.chart.m
-    pairs = list(itertools.combinations(range(m), 2))
-    if pack.R_low is not None:
-        rows = pack.R_low[[i for i, _ in pairs], [j for _, j in pairs]]
-        return np.ascontiguousarray(np.moveaxis(rows, 0, 2))
+    npairs = pack.R.shape[1]
     g = metric.g
-    out = np.empty((m, m, len(pairs)) + metric.chart.shape)
+    out = np.empty((m, m, npairs) + metric.chart.shape)
     t = np.empty(metric.chart.shape)
-    for n in range(len(pairs)):
+    for n in range(npairs):
         for k in range(m):
             for l in range(m):
                 _sum_of_products([(g[l, p], pack.R[p, n, k]) for p in range(m)],
                                  out[k, l, n], t)
     return out
-
-
-def riemann_low(pack: CurvaturePack, metric: MetricField) -> np.ndarray:
-    """``R_ijkl = g_lp R^p_ijk``, ``(m, m, m, m, *grid)``: the pack's own
-    ``R_low`` when it has one, else the rows ``i < j`` of
-    :func:`_lowered_pairs` completed by antisymmetry, so that it is
-    antisymmetric in ``(i, j)`` bit for bit.
-    """
-    if pack.R_low is not None:
-        return pack.R_low
-    m = metric.chart.m
-    lowered = _lowered_pairs(pack, metric)
-    R_low = np.zeros((m,) * 4 + metric.chart.shape)
-    for n, (i, j) in enumerate(itertools.combinations(range(m), 2)):
-        R_low[i, j] = lowered[:, :, n]
-        np.negative(lowered[:, :, n], out=R_low[j, i])
-    return R_low
 
 
 def raise_index(metric: MetricField, b_low: np.ndarray) -> np.ndarray:
@@ -605,14 +583,14 @@ def curvature_operator(pack: CurvaturePack, metric: MetricField,
     Part of theorem3's per-block system, which keeps batched products on
     the grid-first layout: ``Om_op`` is one operator per node,
     ``(*grid, m, m)``, or a stack of them, ``(*grid, *stack, m, m)``, and
-    the result has its shape; ``g_inv`` and the rows of ``R_low`` are
-    written grid first for it.  With ``Y = R_low[(p, q), (k, l)] (Om
-    g^{-1})^{kl}`` the result is ``-g^{-1} Y``.  One ``(m^2 x m (m - 1) /
-    2)`` product per node and operator forms the entries ``p < q`` of ``Y``
-    from the rows of ``R_low`` that :func:`_lowered_pairs` holds.  The
-    overall sign is fixed by the calibration constraint that the unit round
-    sphere return ``2 * Om`` (equivalently, Gauss-compatible data satisfy
-    ``R(Om) = 2 h Om h`` with ``h`` the g-raised second fundamental form).
+    the result has its shape; ``g_inv`` and the rows of ``R_ijkl`` are
+    written grid first for it.  With ``Y_pq = R_pqkl (Om g^{-1})^{kl}`` the
+    result is ``-g^{-1} Y``.  One ``(m^2 x m (m - 1) / 2)`` product per node
+    and operator forms the entries ``p < q`` of ``Y`` from the rows of
+    ``R_ijkl`` that :func:`_lowered_pairs` holds.  The overall sign is fixed
+    by the calibration constraint that the unit round sphere return
+    ``2 * Om`` (equivalently, Gauss-compatible data satisfy ``R(Om) = 2 h Om
+    h`` with ``h`` the g-raised second fundamental form).
     """
     grid = metric.chart.shape
     m = Om_op.shape[-1]
@@ -621,7 +599,7 @@ def curvature_operator(pack: CurvaturePack, metric: MetricField,
     Om_up = (Om_op @ g_inv).reshape(grid + (-1, m * m))
     Y_pairs = Om_up @ lowered.reshape(grid + (m * m, -1))
     del lowered, Om_up
-    # -Y, whose entries q < p and p = q follow from R_low's antisymmetry in
+    # -Y, whose entries q < p and p = q follow from R_pqkl's antisymmetry in
     # (p, q); negating an operand negates a product exactly
     neg_Y = np.zeros(Y_pairs.shape[:-1] + (m, m))
     for n, (p, q) in enumerate(itertools.combinations(range(m), 2)):

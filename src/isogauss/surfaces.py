@@ -37,9 +37,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .admissibility import codazzi_residual
-from .curvature import (CurvaturePack, MetricField, cholesky_factors,
-                        components_first, grid_first, node_norm, riemann_low)
+from .curvature import cholesky_factors, grid_first
 from .errors import DomainError, SingularMetricError
 from .grid import Chart, build_chart, center_sign, check_shape
 
@@ -532,26 +530,6 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
     if center_sign(chart, H_alpha) < 0:
         data._flip_branch()
     return data
-
-
-def gauss_codazzi_residuals(data: OracleData, pack: CurvaturePack,
-                            metric: MetricField) -> tuple[float, float]:
-    """Interior maxima of the Gauss and Codazzi defects of oracle data.
-
-    Gauss: ``R_ijkl - sum_a (h^a_il h^a_jk - h^a_ik h^a_jl)``.  Codazzi is the
-    symmetrized-covariant-derivative defect of each ``h^a``; for codimension
-    >= 2 this is the flat-normal-connection form, valid for the catalog
-    frames (which are parallel in the normal bundle).
-    """
-    h = components_first(data.h_alpha, 3)
-    quad = (np.einsum("ail...,ajk...->ijkl...", h, h, optimize=True)
-            - np.einsum("aik...,ajl...->ijkl...", h, h, optimize=True))
-    scale = 1.0 + float(np.max(node_norm(quad, 4)))
-    R_low = riemann_low(pack, metric)
-    inter = (slice(None),) * 4 + data.chart.interior
-    gauss = float(np.max(node_norm((R_low - quad)[inter], 4))) / scale
-    codazzi = max(codazzi_residual(h_a, pack.Gamma, metric) for h_a in h)
-    return gauss, codazzi
 
 
 def smooth_rotation_of_gauss_map(nu: np.ndarray, chart: Chart, magnitude: float,

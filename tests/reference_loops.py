@@ -22,26 +22,35 @@ kernels, and the whole antisymmetric defect that ``admissibility.curl_residual``
 above the diagonal; the equivalence tests compare the package against them.
 ``gauss_map_differential`` is the hypersurface formula that the one-column
 normal frame reproduces.
+
+The Gauss and Codazzi equations, which the pipeline never evaluates, are
+the tests' independent checks of the oracle and of admissible candidates:
+``riemann_low`` completes theorem3's lowered rows ``i < j`` to the whole
+``R_ijkl``, ``codazzi_residual`` and ``gauss_codazzi_residuals`` measure the
+two defects, and ``gauss_equation_R`` is the exact curvature of the Gauss
+equation in ``CurvaturePack.R``'s layout, which theorem3 reads through its
+own path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
+from isogauss import curvature
 from isogauss.admissibility import (PipelineOptions, Theorem3Result,
                                     _antisymmetric_basis, _symmetric_basis)
 from isogauss.codim import (_FLIP_THRESHOLD, RANK_REL_TOL,
                             WeingartenCombination, _block_products,
                             _combinations, _halpha_ops, _signed_permutation_fit)
-from isogauss.curvature import riemann_low
 from isogauss.datafiles import (_BLOCK_ORDER, FORMAT_VERSION, KINDS, Dataset,
                                 _validate_blocks)
 from isogauss.errors import (DatasetFormatError, DegenerateGaussMapError,
                              DomainError)
-from isogauss.grid import build_chart, center_sign
-from layout import gf, gf_metric
+from isogauss.grid import build_chart, center_sign, grad_all, interior_max
+from layout import cf, gf, gf_metric
 
 _CSTEP = 1e-100
 _FD2_STEP = 1e-5
@@ -148,6 +157,77 @@ def riemann_tensor(metric, Gamma):
     Ric = np.einsum("...jk,...ijkl->...il", metric.g_inv, R_low)
     s = np.einsum("...il,...il->...", metric.g_inv, Ric)
     return R_low, Ric, s
+
+
+def riemann_low(pack, metric):
+    """``R_ijkl = g_lp R^p_ijk``, ``(m, m, m, m, *grid)``: the rows ``i < j``
+    of ``curvature._lowered_pairs`` completed by antisymmetry, so that it is
+    antisymmetric in ``(i, j)`` bit for bit."""
+    m = metric.chart.m
+    lowered = curvature._lowered_pairs(pack, metric)
+    R_low = np.zeros((m,) * 4 + metric.chart.shape)
+    for n, (i, j) in enumerate(itertools.combinations(range(m), 2)):
+        R_low[i, j] = lowered[:, :, n]
+        np.negative(lowered[:, :, n], out=R_low[j, i])
+    return R_low
+
+
+def gauss_equation_R(h_alpha, metric):
+    """``R^l_ijk = g^lp R_ijkp`` with ``R_ijkl = sum_a (h^a_il h^a_jk -
+    h^a_ik h^a_jl)``, exact in the second forms ``h_alpha`` (grid first,
+    ``(*grid, d, m, m)``): the rows ``i < j`` in ``CurvaturePack.R``'s
+    layout, free of finite-difference error."""
+    m = metric.chart.m
+    h = cf(h_alpha, 3)
+    quad = (np.einsum("ail...,ajk...->ijkl...", h, h)
+            - np.einsum("aik...,ajl...->ijkl...", h, h))
+    pairs = list(itertools.combinations(range(m), 2))
+    rows = quad[[i for i, _ in pairs], [j for _, j in pairs]]
+    return np.einsum("lp...,nkp...->lnk...", metric.g_inv, rows)
+
+
+def codazzi_residual(h, Gamma, metric):
+    """Interior max of ``(nabla_i h)_jk - (nabla_j h)_ik`` (normalized), for
+    an ``(m, m, *grid)`` form ``h``."""
+    chart = metric.chart
+    m = chart.m
+    dh = grad_all(h, chart)                                   # [j, k, i]
+    nabla = np.empty((m, m, m) + chart.shape)                  # [i, j, k]
+    t, u = np.empty((2,) + chart.shape)
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                x = nabla[i, j, k]
+                np.copyto(x, dh[j, k, i])
+                x -= curvature._sum_of_products(
+                    [(Gamma[p, i, j], h[p, k]) for p in range(m)], t, u)
+                x -= curvature._sum_of_products(
+                    [(h[j, p], Gamma[p, i, k]) for p in range(m)], t, u)
+    defect = nabla - nabla.swapaxes(0, 1)
+    del nabla
+    res = curvature.node_norm(defect, 3)
+    scale = 1.0 + curvature.node_norm(h, 2) * (
+        1.0 + curvature.node_norm(Gamma, 3))
+    return interior_max(chart, res / scale, margin=4)
+
+
+def gauss_codazzi_residuals(data, pack, metric):
+    """Interior maxima of the Gauss and Codazzi defects of oracle data.
+
+    Gauss: ``R_ijkl - sum_a (h^a_il h^a_jk - h^a_ik h^a_jl)``.  Codazzi is the
+    symmetrized-covariant-derivative defect of each ``h^a``; for codimension
+    >= 2 this is the flat-normal-connection form, valid for the catalog
+    frames (which are parallel in the normal bundle).
+    """
+    h = cf(data.h_alpha, 3)
+    quad = (np.einsum("ail...,ajk...->ijkl...", h, h, optimize=True)
+            - np.einsum("aik...,ajl...->ijkl...", h, h, optimize=True))
+    scale = 1.0 + float(np.max(curvature.node_norm(quad, 4)))
+    R_low = riemann_low(pack, metric)
+    inter = (slice(None),) * 4 + data.chart.interior
+    gauss = float(np.max(curvature.node_norm((R_low - quad)[inter], 4))) / scale
+    codazzi = max(codazzi_residual(h_a, pack.Gamma, metric) for h_a in h)
+    return gauss, codazzi
 
 
 def to_orthonormal(metric, b_low):

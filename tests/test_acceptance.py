@@ -27,6 +27,7 @@ from isogauss.surfaces import (Catenoid, CliffordTorus, Cylinder, Ellipsoid,
                                Plane, RoundSphere, generate,
                                smooth_rotation_of_gauss_map)
 
+import reference_loops
 from layout import cf, gf
 from reference_loops import node_norm as trailing_norm
 
@@ -123,10 +124,8 @@ def test_criterion_03_linear_system_uniqueness():
     metric = metric_field(chart, data.g)
     pack = riemann_tensor(metric)
 
-    h = data.h_alpha
-    quad = (np.einsum("...ail,...ajk->...ijkl", h, h)
-            - np.einsum("...aik,...ajl->...ijkl", h, h))
-    exact = h_from_theorem3(replace(pack, R_low=cf(quad, 4)), cf(data.k, 2), metric,
+    R = reference_loops.gauss_equation_R(data.h_alpha, metric)
+    exact = h_from_theorem3(replace(pack, R=R), cf(data.k, 2), metric,
                             PipelineOptions())
     inter = chart.interior
     frac = float(np.mean(exact.gap[inter] < 1e-6))
@@ -196,15 +195,14 @@ def test_criterion_06_codazzi_gauss_consequences():
     """Codazzi residual <= 5 * (parallelity + dx^2) on admissible candidates;
     the Gauss-equation residual of oracle surfaces is C*dx^2 at order >= 1.5
     without ever being checked by the pipeline."""
-    from isogauss.admissibility import codazzi_residual
-    from isogauss.surfaces import gauss_codazzi_residuals
     for surf in ROUNDTRIP_SURFACES:
         run = roundtrip_level(surf, surf.default_chart(64), PipelineOptions(), 0)
         report = run.report
         assert report.admissible
         bound = 5.0 * (report.residuals["parallelity"] + run.chart.max_spacing ** 2)
-        codazzi = codazzi_residual(report.candidate.h_alpha[0],
-                                   riemann_tensor(run.metric).Gamma, run.metric)
+        codazzi = reference_loops.codazzi_residual(
+            report.candidate.h_alpha[0], riemann_tensor(run.metric).Gamma,
+            run.metric)
         assert codazzi <= bound, surf.name
     orders = []
     for surf in (RoundSphere(1.0), Ellipsoid((1.0, 1.5, 2.0)), Catenoid()):
@@ -214,7 +212,8 @@ def test_criterion_06_codazzi_gauss_consequences():
             data = generate(surf, chart)
             metric = metric_field(chart, data.g)
             pack = riemann_tensor(metric)
-            gauss, _ = gauss_codazzi_residuals(data, pack, metric)
+            gauss, _ = reference_loops.gauss_codazzi_residuals(data, pack,
+                                                               metric)
             assert gauss <= C * chart.max_spacing ** 2
             gs.append(gauss)
         orders.append(observed_order(gs[0], gs[1]))

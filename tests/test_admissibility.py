@@ -8,12 +8,12 @@ import pytest
 from isogauss import admissibility, curvature
 from isogauss.admissibility import (PipelineOptions, build_U, check_h_squared,
                                     check_isometry, check_parallel,
-                                    codazzi_residual, h_from_theorem2,
-                                    h_from_theorem3, hopf_angle_gradient,
-                                    run_pipeline, step1_positivity)
+                                    h_from_theorem2, h_from_theorem3,
+                                    hopf_angle_gradient, run_pipeline,
+                                    step1_positivity)
 from isogauss.codim import _right_singular, build_normal_frame, third_forms
 from isogauss.curvature import (metric_field, node_norm, node_product,
-                                riemann_low, riemann_tensor, to_orthonormal)
+                                riemann_tensor, to_orthonormal)
 from isogauss.grid import grad_all
 from isogauss.errors import (BranchError, ConfigurationError,
                              DegenerateGaussMapError, DomainError,
@@ -25,6 +25,7 @@ from isogauss.surfaces import (CATALOG, Catenoid, Ellipsoid, EllipsoidM3,
 
 import reference_loops
 from layout import cf, gf
+from reference_loops import codazzi_residual, riemann_low
 
 
 def saddle_metric(x):
@@ -42,12 +43,10 @@ def third_form(chart, normals):
 
 
 def exact_curvature_pack(p):
-    """``p.pack`` with ``R_low`` assembled exactly from the oracle ``h`` by
-    the Gauss equation, free of finite-difference error."""
-    h = cf(p.data.h_alpha, 3)
-    quad = (np.einsum("ail...,ajk...->ijkl...", h, h)
-            - np.einsum("aik...,ajl...->ijkl...", h, h))
-    return replace(p.pack, R_low=quad)
+    """``p.pack`` with ``R`` assembled exactly from the oracle ``h`` by the
+    Gauss equation, free of finite-difference error."""
+    return replace(p.pack,
+                   R=reference_loops.gauss_equation_R(p.data.h_alpha, p.metric))
 
 
 def theorem3_inputs(surface, points):
@@ -656,6 +655,39 @@ class TestPipeline:
         report = run_pipeline(sphere.metric, sphere.data.frame)
         assert set(RESIDUAL_KEYS) <= set(report.residuals)
         assert set(RESIDUAL_KEYS) <= set(report.thresholds)
+
+    def test_nan_residual_fails_its_threshold(self, monkeypatch):
+        # NaN > tau is False: a NaN judged residual must fail, not pass
+        surf = Ellipsoid()
+        data = generate(surf, surf.default_chart(17))
+        metric = metric_field(data.chart, data.g)
+        monkeypatch.setattr(admissibility, "check_h_squared",
+                            lambda *args: math.nan)
+        report = run_pipeline(metric, data.frame)
+        assert report.verdict == "rejected" and report.failed_step == "3"
+        assert report.notes[-1] == "failing: h_squared"
+
+    def test_overflowing_normalization_fails_h_squared(self):
+        # at spacing 1e-150, |k^{ab}| ~ 1e298 and the 1 + |k^{ab}| norm of
+        # h_squared overflows to a NaN residual, which must be named failing
+        surf = Ellipsoid()
+        data = generate(surf, surf.default_chart(9))
+        metric = metric_field(build_chart(2, (9, 9), (1e-150, 1e-150)), data.g)
+        with np.errstate(all="ignore"):
+            report = run_pipeline(metric, data.frame)
+        assert math.isnan(report.residuals["h_squared"])
+        assert report.verdict == "rejected" and report.failed_step == "3"
+        assert report.notes[-1] == ("failing: h_squared, isometry, "
+                                    "parallelity, curl")
+
+    def test_badness_ranks_a_nan_residual_worst(self):
+        def report(h_squared):
+            residuals = dict.fromkeys(admissibility.RESIDUAL_KEYS, 1.0)
+            residuals["h_squared"] = h_squared
+            return admissibility.AdmissibilityReport(
+                "rejected", "3", residuals, {}, "codim", None, [], {})
+        assert admissibility._badness(report(math.nan)) == math.inf
+        assert admissibility._badness(report(2.0)) == 2.0
 
 
 # (verdict, method, failed_step) of every catalog surface through the one

@@ -8,6 +8,7 @@ import pytest
 from isogauss import datafiles
 from isogauss import cli
 from isogauss.cli import build_parser, main
+from isogauss.grid import build_chart
 from isogauss.reconstruct import box_error, observed_order
 from isogauss.surfaces import CATALOG, generate
 
@@ -116,6 +117,26 @@ class TestCheck:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("error: metric inversion failed")
+
+    def test_third_form_that_overflows_exit_2(self, tmp_path, capsys):
+        # at spacing 1e-300, dnu ~ 1e300 is invertible but k = dnu^T dnu
+        # overflows: a sampling error, not a degenerate Gauss map, and
+        # nothing but the error line may reach stderr
+        surf = CATALOG["ellipsoid"]()
+        data = generate(surf, surf.default_chart(9))
+        path = tmp_path / "fine.dataset.txt"
+        chart = build_chart(2, (9, 9), (1e-300, 1e-300))
+        datafiles.write_dataset(path, datafiles.gauss_dataset(
+            chart, data.n, data.g, frame=data.frame))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("check", str(path)) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: the third form k = dnu^T dnu is not "
+                               "finite")
 
     def test_non_unit_frame_block_exit_2(self, ellipsoid_files, tmp_path,
                                          capsys):
@@ -306,6 +327,29 @@ class TestRoundtrip:
                        "17x17", "--tol-scale", value)
         assert code == 2
         assert "tol_scale must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["forward", "roundtrip"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--seed", "-1"), "--seed must be >= 0"),
+        (("--perturb-nu", "inf"), "--perturb-nu must be finite"),
+        (("--perturb-nu", "nan"), "--perturb-nu must be finite"),
+        (("--perturb-nu=-inf",), "--perturb-nu must be finite")])
+    def test_bad_perturbation_is_a_usage_error(self, command, flags, message,
+                                               tmp_path, capsys):
+        # a negative seed or a non-finite magnitude is refused before any
+        # sampling: exit 2 with one error line, no warning, no files
+        extra = ["--out", str(tmp_path / "x")] if command == "forward" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(command, "--surface", "ellipsoid", "--grid", "17",
+                           "--perturb-nu", "0.01", *flags, *extra)
+        assert code == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {message}")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["forward", "roundtrip"])
     def test_perturb_nu_is_refused_for_codim_2(self, command, tmp_path, capsys):

@@ -10,7 +10,7 @@ from isogauss import curvature
 from isogauss.curvature import (cholesky_factors, christoffel,
                                 curvature_operator, metric_field, node_inner,
                                 node_max, node_norm, node_product,
-                                raise_index, riemann_low, riemann_tensor,
+                                raise_index, riemann_tensor,
                                 spd_solve, symmetric_eig, to_orthonormal)
 from isogauss.errors import SingularMetricError
 from isogauss.grid import build_chart, grad_all, interior_max
@@ -20,6 +20,7 @@ from isogauss.surfaces import Ellipsoid, RoundSphere, generate
 import reference_loops
 from layout import cf, gf, gf_metric
 from reference_loops import node_norm as trailing_norm
+from reference_loops import riemann_low
 
 
 def per_node_rel(new, old, k):

@@ -28,7 +28,10 @@ KNOWN_ABSENT = {("gaussmap", "build_gauss_field"),
                 ("gaussmap", "degeneracy_report"),
                 ("codim", "run_codim_pipeline"), ("codim", "build_U_codim"),
                 ("grid", "staircase_orders"), ("admissibility", "spd_sqrt"),
-                ("admissibility", "check_minimal_m2")}
+                ("admissibility", "check_minimal_m2"),
+                # the Codazzi defect is a test reference now; no workload
+                # has called it since the pipeline stopped evaluating it
+                ("admissibility", "codazzi_residual")}
 
 
 def _load_tracer():
@@ -139,6 +142,30 @@ def test_batched_products_take_contiguous_operands():
                                               path.stem)}
     assert sorted(found - set(TRANSPOSED_OPERANDS)) == []
     assert sorted(set(TRANSPOSED_OPERANDS) - found) == []
+
+
+def _package_imports(path: pathlib.Path) -> set[str]:
+    """Short names of the package modules that one module imports, in
+    relative or absolute form."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["isogauss" if node.level else None,
+                                          node.module]))
+            names += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in names
+            if name.startswith("isogauss.")}
+
+
+def test_oracle_is_independent_of_the_decision_code():
+    # surfaces is the closed-form oracle the pipeline is checked against: it
+    # must not import the code that decides or reconstructs
+    path = (pathlib.Path(__file__).resolve().parents[1] / "src" / "isogauss"
+            / "surfaces.py")
+    assert _package_imports(path) & {"admissibility", "codim",
+                                     "reconstruct"} == set()
 
 
 def test_no_import_inside_a_function():
