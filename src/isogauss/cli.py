@@ -7,6 +7,7 @@ format error, 3 inapplicable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import itertools
@@ -99,6 +100,17 @@ def _options(args) -> PipelineOptions:
                            sign_branch=args.sign_branch)
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report an ``OSError`` raised while writing ``path`` (or a file named
+    from it) as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {exc.filename or path}: "
+                       f"{exc.strerror or exc}") from exc
+
+
 def _load_problem(path):
     ds = datafiles.read_dataset(path)
     if ds.kind != "metric+gauss":
@@ -125,10 +137,11 @@ def cmd_forward(args) -> int:
         frame = nu[..., None]
     out = args.out or f"{surface.name}_{'x'.join(str(s) for s in chart.shape)}"
     ds = datafiles.gauss_dataset(chart, data.n, data.g, frame=frame)
-    datafiles.write_dataset(out + ".dataset.txt", ds)
-    oracle = datafiles.oracle_dataset(chart, data.n, data.u, data.h_alpha,
-                                      data.k, data.H_alpha)
-    datafiles.write_dataset(out + ".oracle.txt", oracle)
+    with _writing(out):
+        datafiles.write_dataset(out + ".dataset.txt", ds)
+        oracle = datafiles.oracle_dataset(chart, data.n, data.u, data.h_alpha,
+                                          data.k, data.H_alpha)
+        datafiles.write_dataset(out + ".oracle.txt", oracle)
     print(f"wrote {out}.dataset.txt and {out}.oracle.txt")
     return EXIT_ADMISSIBLE
 
@@ -138,7 +151,7 @@ def cmd_check(args) -> int:
     report = run_pipeline(metric, normals, _options(args))
     text = datafiles.format_report(report)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
+        with _writing(args.out), open(args.out, "w", newline="\n") as fh:
             fh.write(text)
     print(text, end="")
     return _VERDICT_EXIT[report.verdict]
@@ -149,7 +162,8 @@ def cmd_reconstruct(args) -> int:
     options = _options(args)
     report = run_pipeline(metric, normals, options)
     if args.report:
-        datafiles.write_report(args.report, report)
+        with _writing(args.report):
+            datafiles.write_report(args.report, report)
     if not report.admissible:
         print(f"verdict = {report.verdict}: no reconstruction written")
         return _VERDICT_EXIT[report.verdict]
@@ -162,9 +176,10 @@ def cmd_reconstruct(args) -> int:
     out = args.out or "reconstruction"
     # the u rows are formatted once, for both files, and freed after them;
     # the dataset holds u grid first
-    _write_plot_data(out + ".xyz.txt", chart, datafiles.write_dataset(
-        out + ".immersion.txt",
-        datafiles.immersion_dataset(chart, np.moveaxis(u, 0, -1)))["u"])
+    with _writing(out):
+        _write_plot_data(out + ".xyz.txt", chart, datafiles.write_dataset(
+            out + ".immersion.txt",
+            datafiles.immersion_dataset(chart, np.moveaxis(u, 0, -1)))["u"])
     res_g, res_n = verify_immersion(u, metric, normals)
     print(f"verification: metric residual {res_g:.3e}, "
           f"tangency residual {res_n:.3e}, "
@@ -192,7 +207,9 @@ def cmd_roundtrip(args) -> int:
     surface = _make_surface(args)
     perturb_nu = _perturb_nu(args, surface)
     chart = _make_chart(surface, args)
-    rows = roundtrip(surface, chart, _options(args), max(0, args.refine),
+    if args.refine < 0:
+        raise CliError(f"--refine must be >= 0, got {args.refine}")
+    rows = roundtrip(surface, chart, _options(args), args.refine,
                      perturb_nu, args.seed)
     print(f"surface: {surface.name}")
     print(f"{'grid':>12} {'verdict':>13} {'method':>11} {'max_resid':>11} "
@@ -285,6 +302,9 @@ def main(argv=None) -> int:
         return globals()[args.handler](args)
     except (CliError, IsoGaussError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -41,6 +41,16 @@ def check_shape(shape: tuple[int, ...]) -> None:
             f">= {MIN_POINTS_PER_AXIS} points, got {tuple(shape)}")
 
 
+def check_mesh_size(shape: tuple[int, ...]) -> None:
+    """Raise :class:`ConfigurationError` unless the node coordinates of a
+    grid of ``shape`` (``m`` doubles a node) fit in one addressable array.
+    Checked on the shape alone, before anything is allocated."""
+    if math.prod(shape) * len(shape) * 8 > np.iinfo(np.intp).max:
+        raise ConfigurationError(
+            f"grid too large: its node coordinates need more than "
+            f"{np.iinfo(np.intp).max} bytes")
+
+
 @dataclass(frozen=True)
 class Chart:
     """A uniform rectangular grid over an open box in R^m."""
@@ -98,6 +108,9 @@ class Chart:
         return max(self.spacing)
 
     def axes(self) -> list[np.ndarray]:
+        """The node coordinates on each axis: every coordinate array of the
+        chart is built from these."""
+        check_mesh_size(self.shape)
         return [self.origin[i] + self.spacing[i] * np.arange(self.shape[i])
                 for i in range(self.m)]
 
@@ -109,6 +122,8 @@ class Chart:
     def refine(self, factor: int = 2) -> "Chart":
         """Same coordinate box with ``factor``-times finer spacing."""
         shape = tuple(factor * (n - 1) + 1 for n in self.shape)
+        # before a factor too large for a float divides the spacing
+        check_mesh_size(shape)
         spacing = tuple(dx / factor for dx in self.spacing)
         return replace(self, shape=shape, spacing=spacing)
 

@@ -20,6 +20,14 @@ the point ``u = point(x)`` so that a frame built from the point does not
 evaluate it again), both complex-safe; :meth:`Surface.default_chart` and
 :meth:`Surface.validate_window` read the data.
 
+Both functions work components first, as the pipeline does: ``x`` is
+``(m, *grid)``, so ``x[i]`` is one contiguous array over the nodes, and
+the components are written along axis 0, ``point`` returning
+``(n, *grid)`` and ``frame`` ``(n, d, *grid)``.  :func:`generate` writes
+what it samples straight into the grid-first :class:`OracleData` fields;
+the third forms ``k_ab`` and ``k`` are formed from the stored frame
+derivative only when they are read.
+
 Orientation conventions: normals follow the stated geometric convention per
 surface (outward for closed surfaces, upward for graphs).  The stored
 immersion branch is flipped, when necessary, so that the mean curvature
@@ -37,7 +45,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .curvature import cholesky_factors, grid_first
+from .curvature import cholesky_factors, components_first, grid_first
 from .errors import DomainError, SingularMetricError
 from .grid import Chart, build_chart, center_sign, check_shape
 
@@ -45,9 +53,20 @@ _CSTEP = 1e-100
 _POLAR_MARGIN = 0.05    # closest a polar angle may come to a pole
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_i a_i b_i`` over axis 0, complex-safe (no conjugate).  Four
+    complex terms add as ``(0 + 1) + (2 + 3)``, the order ``np.sum`` takes
+    along a contiguous trailing axis, so that a frame has the bits it has in
+    the grid-first layout; other sums add in index order, as it does."""
+    p = a * b
+    if len(p) == 4 and np.iscomplexobj(p):
+        return (p[0] + p[1]) + (p[2] + p[3])
+    return np.sum(p, axis=0)
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     # complex-safe normalization (sum of squares, not |.|^2)
-    return v / np.sqrt(np.sum(v * v, axis=-1))[..., None]
+    return v / np.sqrt(_dot(v, v))
 
 
 @dataclass(frozen=True)
@@ -83,11 +102,12 @@ class Surface:
         return self.n - self.m
 
     def point(self, x: np.ndarray) -> np.ndarray:
-        """Immersion value at chart coordinates ``x[..., m]`` (complex-safe)."""
+        """Immersion value ``(n, *grid)`` at the chart coordinates ``x``,
+        given components first as ``(m, *grid)`` (complex-safe)."""
         raise NotImplementedError
 
     def frame(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Orthonormal normal frame ``(..., n, n-m)`` at ``x``, where the
+        """Orthonormal normal frame ``(n, n-m, *grid)`` at ``x``, where the
         immersion takes the value ``u = point(x)`` (complex-safe)."""
         raise NotImplementedError
 
@@ -122,13 +142,12 @@ class Plane(Surface):
     window = (-0.5, -0.5), (1.0, 1.0)
 
     def point(self, x):
-        z = np.zeros_like(x[..., 0])
-        return np.stack([x[..., 0], x[..., 1], z], axis=-1)
+        return np.stack([x[0], x[1], np.zeros_like(x[0])])
 
     def frame(self, x, u):
-        nu = np.zeros(x.shape[:-1] + (3,), dtype=x.dtype)
-        nu[..., 2] = 1.0
-        return nu[..., None]
+        nu = np.zeros((3, 1) + x.shape[1:], dtype=x.dtype)
+        nu[2] = 1.0
+        return nu
 
 
 @dataclass(frozen=True)
@@ -142,12 +161,13 @@ class RoundSphere(Surface):
     radius: float = 1.0
 
     def point(self, x):
-        th, ph = x[..., 0], x[..., 1]
-        return self.radius * np.stack(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
+        th, ph = x
+        s = np.sin(th)
+        return self.radius * np.stack([s * np.cos(ph), s * np.sin(ph),
+                                       np.cos(th)])
 
     def frame(self, x, u):
-        return (u / self.radius)[..., None]   # outward
+        return (u / self.radius)[:, None]   # outward
 
 
 @dataclass(frozen=True)
@@ -159,16 +179,16 @@ class Ellipsoid(Surface):
     axes: tuple[float, float, float] = (1.0, 1.5, 2.0)
 
     def point(self, x):
-        th, ph = x[..., 0], x[..., 1]
+        th, ph = x
         a, b, c = self.axes
-        return np.stack([a * np.sin(th) * np.cos(ph),
-                         b * np.sin(th) * np.sin(ph),
-                         c * np.cos(th)], axis=-1)
+        s = np.sin(th)
+        return np.stack([a * s * np.cos(ph), b * s * np.sin(ph),
+                         c * np.cos(th)])
 
     def frame(self, x, u):
         a, b, c = self.axes
-        w = np.stack([u[..., 0] / a**2, u[..., 1] / b**2, u[..., 2] / c**2], axis=-1)
-        return _unit(w)[..., None]   # outward
+        w = np.stack([u[0] / a**2, u[1] / b**2, u[2] / c**2])
+        return _unit(w)[:, None]   # outward
 
 
 @dataclass(frozen=True)
@@ -182,16 +202,15 @@ class Graph(Surface):
 
     def point(self, x):
         cxx, cxy, cyy = self.coeffs
-        p, q = x[..., 0], x[..., 1]
-        return np.stack([p, q, cxx * p * p + cxy * p * q + cyy * q * q], axis=-1)
+        p, q = x
+        return np.stack([p, q, cxx * p * p + cxy * p * q + cyy * q * q])
 
     def frame(self, x, u):
         cxx, cxy, cyy = self.coeffs
-        p, q = x[..., 0], x[..., 1]
+        p, q = x
         fx = 2 * cxx * p + cxy * q
         fy = cxy * p + 2 * cyy * q
-        w = np.stack([-fx, -fy, np.ones_like(p)], axis=-1)
-        return _unit(w)[..., None]
+        return _unit(np.stack([-fx, -fy, np.ones_like(p)]))[:, None]
 
 
 @dataclass(frozen=True)
@@ -204,13 +223,13 @@ class Cylinder(Surface):
     radius: float = 1.0
 
     def point(self, x):
-        th, z = x[..., 0], x[..., 1]
+        th, z = x
         r = self.radius
-        return np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
+        return np.stack([r * np.cos(th), r * np.sin(th), z])
 
     def frame(self, x, u):
-        th = x[..., 0]
-        return np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=-1)[..., None]
+        th = x[0]
+        return np.stack([np.cos(th), np.sin(th), np.zeros_like(th)])[:, None]
 
 
 @dataclass(frozen=True)
@@ -237,16 +256,17 @@ class AssociatedFamily(Surface):
         return "associated-family"
 
     def point(self, x):
-        s, t = x[..., 0], x[..., 1]
-        cat = np.stack([np.cosh(s) * np.cos(t), np.cosh(s) * np.sin(t), s], axis=-1)
-        conj = np.stack([np.sinh(s) * np.sin(t), -np.sinh(s) * np.cos(t), t], axis=-1)
+        s, t = x
+        ch, sh, ct, st = np.cosh(s), np.sinh(s), np.cos(t), np.sin(t)
+        cat = np.stack([ch * ct, ch * st, s])
+        conj = np.stack([sh * st, -sh * ct, t])
         return self.scale * (math.cos(self.theta) * cat + math.sin(self.theta) * conj)
 
     def frame(self, x, u):
-        s, t = x[..., 0], x[..., 1]
-        nu = np.stack([-np.cos(t) / np.cosh(s), -np.sin(t) / np.cosh(s),
-                       np.sinh(s) / np.cosh(s)], axis=-1)
-        return nu[..., None]
+        s, t = x
+        ch = np.cosh(s)
+        return np.stack([-np.cos(t) / ch, -np.sin(t) / ch,
+                         np.sinh(s) / ch])[:, None]
 
 
 def Catenoid(scale: float = 1.0) -> AssociatedFamily:
@@ -268,16 +288,16 @@ class CliffordTorus(Surface):
     r2: float = 1.0
 
     def point(self, x):
-        t1, t2 = x[..., 0], x[..., 1]
+        t1, t2 = x
         return np.stack([self.r1 * np.cos(t1), self.r1 * np.sin(t1),
-                         self.r2 * np.cos(t2), self.r2 * np.sin(t2)], axis=-1)
+                         self.r2 * np.cos(t2), self.r2 * np.sin(t2)])
 
     def frame(self, x, u):
-        t1, t2 = x[..., 0], x[..., 1]
-        z = np.zeros_like(t1)
-        n1 = np.stack([np.cos(t1), np.sin(t1), z, z], axis=-1)
-        n2 = np.stack([z, z, np.cos(t2), np.sin(t2)], axis=-1)
-        return np.stack([n1, n2], axis=-1)
+        t1, t2 = x
+        nu = np.zeros((4, 2) + t1.shape, dtype=x.dtype)
+        nu[0, 0], nu[1, 0] = np.cos(t1), np.sin(t1)
+        nu[2, 1], nu[3, 1] = np.cos(t2), np.sin(t2)
+        return nu
 
 
 @dataclass(frozen=True)
@@ -292,31 +312,31 @@ class GraphR4(Surface):
 
     def point(self, x):
         a1, b1, c1, a2, b2, c2 = self.coeffs
-        p, q = x[..., 0], x[..., 1]
+        p, q = x
         return np.stack([p, q, a1 * p * p + b1 * p * q + c1 * q * q,
-                         a2 * p * p + b2 * p * q + c2 * q * q], axis=-1)
+                         a2 * p * p + b2 * p * q + c2 * q * q])
 
     def frame(self, x, u):
         a1, b1, c1, a2, b2, c2 = self.coeffs
-        p, q = x[..., 0], x[..., 1]
+        p, q = x
         one = np.ones_like(p)
         zero = np.zeros_like(p)
         # raw normals of a double graph, then complex-safe Gram-Schmidt
         n1 = np.stack([-(2 * a1 * p + b1 * q), -(b1 * p + 2 * c1 * q),
-                       one, zero], axis=-1)
+                       one, zero])
         n2 = np.stack([-(2 * a2 * p + b2 * q), -(b2 * p + 2 * c2 * q),
-                       zero, one], axis=-1)
+                       zero, one])
         q1 = _unit(n1)
-        n2 = n2 - np.sum(n2 * q1, axis=-1)[..., None] * q1
-        return np.stack([q1, _unit(n2)], axis=-1)
+        n2 = n2 - _dot(n2, q1) * q1
+        return np.stack([q1, _unit(n2)], axis=1)
 
 
 def _sphere3(x: np.ndarray) -> np.ndarray:
-    t1, t2, t3 = x[..., 0], x[..., 1], x[..., 2]
-    return np.stack([np.cos(t1),
-                     np.sin(t1) * np.cos(t2),
-                     np.sin(t1) * np.sin(t2) * np.cos(t3),
-                     np.sin(t1) * np.sin(t2) * np.sin(t3)], axis=-1)
+    t1, t2, t3 = x
+    s1 = np.sin(t1)
+    s12 = s1 * np.sin(t2)
+    return np.stack([np.cos(t1), s1 * np.cos(t2), s12 * np.cos(t3),
+                     s12 * np.sin(t3)])
 
 
 @dataclass(frozen=True)
@@ -331,7 +351,7 @@ class HypersphereM3(Surface):
         return self.radius * _sphere3(x)
 
     def frame(self, x, u):
-        return _sphere3(x)[..., None]   # outward
+        return _sphere3(x)[:, None]   # outward
 
 
 @dataclass(frozen=True)
@@ -343,12 +363,11 @@ class EllipsoidM3(Surface):
     axes: tuple[float, float, float, float] = (1.0, 1.1, 1.2, 1.3)
 
     def point(self, x):
-        w = _sphere3(x)
-        return w * np.asarray(self.axes)
+        return _sphere3(x) * np.reshape(self.axes, (4, 1, 1, 1))
 
     def frame(self, x, u):
-        w = u / np.asarray(self.axes) ** 2
-        return _unit(w)[..., None]   # outward
+        w = u / np.reshape(self.axes, (4, 1, 1, 1)) ** 2
+        return _unit(w)[:, None]   # outward
 
 
 CATALOG = {
@@ -373,16 +392,19 @@ CATALOG = {
 
 @dataclass(frozen=True)
 class OracleData:
-    """Ground-truth fields of one sampled immersion.
+    """Ground-truth fields of one sampled immersion, grid first.
 
     The normal frame is stored as columns ``frame[..., :, alpha]``; for
     hypersurfaces it has a single column, exposed as ``nu``/``h``/``H`` for
-    convenience.  ``h_alpha[..., a, i, j] = -<d_i u, d_j nu^a>``, symmetrized,
-    and ``k_ab[..., a, b, i, j]`` holds the mixed third forms
-    ``<A^a e_i, A^b e_j>`` built from the tangential parts of ``d frame``;
-    both come from complex-step first derivatives and are exact to rounding.
-    ``branch`` is the sign (+1 or -1) that ``u``, ``du``, ``h_alpha`` and
-    ``H_alpha`` carry relative to the parametrization.
+    convenience.  ``dframe[..., :, a, j]`` is ``d_j nu^a``, and
+    ``h_alpha[..., a, i, j] = -<d_i u, d_j nu^a>``, symmetrized.  The mixed
+    third forms ``k_ab[..., a, b, i, j] = <A^a e_i, A^b e_j>``, built from
+    the tangential parts of ``dframe``, and their trace ``k`` are
+    properties, formed from ``dframe`` on each read.  Every field comes from
+    complex-step first derivatives and is exact to rounding.  ``branch`` is
+    the sign (+1 or -1) that ``u``, ``du``, ``h_alpha`` and ``H_alpha``
+    carry relative to the parametrization; the frame and ``dframe`` carry
+    none.
     """
 
     surface: Surface
@@ -390,11 +412,10 @@ class OracleData:
     u: np.ndarray          # (*grid, n)
     du: np.ndarray         # (*grid, n, m)
     frame: np.ndarray      # (*grid, n, d)
+    dframe: np.ndarray     # (*grid, n, d, m)
     g: np.ndarray          # (*grid, m, m)
     h_alpha: np.ndarray    # (*grid, d, m, m)
     H_alpha: np.ndarray    # (*grid, d)
-    k_ab: np.ndarray       # (*grid, d, d, m, m)
-    k: np.ndarray          # (*grid, m, m) = sum_a k_aa
     branch: int
 
     @property
@@ -408,6 +429,26 @@ class OracleData:
     @property
     def d(self) -> int:
         return self.frame.shape[-1]
+
+    @property
+    def k_ab(self) -> np.ndarray:
+        """``(*grid, d, d, m, m)``: the mixed third forms."""
+        d, m = self.d, self.m
+        flat = self.dframe.reshape(self.u.shape + (d * m,))
+        # [..., b, (a, j)] = <nu^b, d_j nu^a>; removing it leaves the
+        # tangential differentials [..., n, (a, j)]
+        A_frame = flat - self.frame @ (np.ascontiguousarray(self.frame.mT)
+                                       @ flat)
+        # [..., (a, i), (b, j)] = <A^a e_i, A^b e_j>
+        return np.einsum("...aibj->...abij", (
+            np.ascontiguousarray(A_frame.mT) @ A_frame).reshape(
+                self.chart.shape + (d, m) * 2))
+
+    @property
+    def k(self) -> np.ndarray:
+        """``(*grid, m, m)``: the third form ``sum_a k_aa``."""
+        k = np.einsum("...aaij->...ij", self.k_ab)
+        return 0.5 * (k + np.swapaxes(k, -1, -2))
 
     def _hyper(self):
         if self.d != 1:
@@ -465,22 +506,32 @@ class OracleData:
 
 
 def _cstep_sample(surface: Surface, x: np.ndarray):
-    """``(u, du, frame, dframe)``: the point and the frame at ``x`` and their
-    derivatives by complex step, on a trailing axis.  Each of the ``m + 1``
-    evaluations runs ``point`` once and hands its value to ``frame``."""
-    m = x.shape[-1]
-    u = np.real(surface.point(x))
-    frame = np.real(surface.frame(x, u))
+    """``(u, du, frame, dframe)`` grid first: the point and the frame at the
+    components-first coordinates ``x`` and their derivatives by complex
+    step, on a trailing axis.  Each of the ``m + 1`` evaluations runs
+    ``point`` once, components first, and hands its value to ``frame``; what
+    it gives is written once, straight into the grid-first fields."""
+    m = len(x)
+    # allocated before any temporary, so that the fields, which outlive the
+    # call, do not sit above the freed temporaries in the heap
+    u = np.empty(x.shape[1:] + (surface.n,))
+    frame = np.empty(u.shape + (surface.codim,))
     du = np.empty(u.shape + (m,))
     dframe = np.empty(frame.shape + (m,))
+    value = surface.point(x)
+    np.copyto(np.moveaxis(u, -1, 0), value)
+    np.copyto(np.moveaxis(frame, (-2, -1), (0, 1)), surface.frame(x, value))
+    del value
+    xc = x.astype(complex)
     for j in range(m):
-        xc = x.astype(complex)
-        xc[..., j] += 1j * _CSTEP
+        xc[j] += 1j * _CSTEP
         uc = surface.point(xc)
         fc = surface.frame(xc, uc)
-        np.divide(uc.imag, _CSTEP, out=du[..., j])
-        np.divide(fc.imag, _CSTEP, out=dframe[..., j])
-        del xc, uc, fc   # no complex field outlives its direction
+        np.divide(uc.imag, _CSTEP, out=np.moveaxis(du[..., j], -1, 0))
+        np.divide(fc.imag, _CSTEP,
+                  out=np.moveaxis(dframe[..., j], (-2, -1), (0, 1)))
+        del uc, fc   # no complex field outlives its direction
+        xc[j] = x[j]
     return u, du, frame, dframe
 
 
@@ -490,17 +541,17 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
         raise DomainError(
             f"{surface.name} expects m = {surface.m}, chart has m = {chart.m}")
     surface.validate_window(chart)
-    u, du, frame, dframe = _cstep_sample(surface, chart.mesh())
+    u, du, frame, dframe = _cstep_sample(surface,
+                                          components_first(chart.mesh(), 1))
     d = frame.shape[-1]                          # dframe: (..., n, a, j)
 
     m = chart.m
     duT = np.ascontiguousarray(du.mT)
     g = duT @ du
-    flat = dframe.reshape(u.shape + (d * m,))
     # Weingarten: <d_i u, nu^a> = 0 gives h^a_ij = -<d_i u, d_j nu^a>;
     # [..., i, (a, j)] -> [..., a, i, j]
-    h_alpha = -np.swapaxes((duT @ flat).reshape(chart.shape + (m, d, m)),
-                           -3, -2)
+    h_alpha = -np.swapaxes((duT @ dframe.reshape(u.shape + (d * m,))).reshape(
+        chart.shape + (m, d, m)), -3, -2)
     del duT
     h_alpha = 0.5 * (h_alpha + np.swapaxes(h_alpha, -1, -2))
     factors = cholesky_factors(np.moveaxis(g, (-2, -1), (0, 1)))
@@ -513,18 +564,8 @@ def generate(surface: Surface, chart: Chart) -> OracleData:
     H_alpha = (h_alpha.reshape(chart.shape + (d, m * m))
                @ g_inv.reshape(chart.shape + (m * m, 1)))[..., 0]
 
-    # [..., b, (a, j)] = <nu^b, d_j nu^a>; removing it leaves the
-    # tangential differentials [..., n, (a, j)]
-    A_frame = flat - frame @ (np.ascontiguousarray(frame.mT) @ flat)
-    # [..., (a, i), (b, j)] = <A^a e_i, A^b e_j>
-    k_ab = np.einsum("...aibj->...abij", (
-        np.ascontiguousarray(A_frame.mT) @ A_frame).reshape(
-            chart.shape + (d, m) * 2))
-    k = np.einsum("...aaij->...ij", k_ab)
-    k = 0.5 * (k + np.swapaxes(k, -1, -2))
-
     data = OracleData(surface=surface, chart=chart, u=u, du=du, frame=frame,
-                      g=g, h_alpha=h_alpha, H_alpha=H_alpha, k_ab=k_ab, k=k,
+                      dframe=dframe, g=g, h_alpha=h_alpha, H_alpha=H_alpha,
                       branch=1)
     # the branch the decision pipeline selects by default
     if center_sign(chart, H_alpha) < 0:

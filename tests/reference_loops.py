@@ -21,7 +21,8 @@ the ``np.gradient`` stack that ``curvature.node_norm``,
 kernels, and the whole antisymmetric defect that ``admissibility.curl_residual`` reads only
 above the diagonal; the equivalence tests compare the package against them.
 ``gauss_map_differential`` is the hypersurface formula that the one-column
-normal frame reproduces.
+normal frame reproduces, and ``generate_grid_first`` is the oracle as it was
+sampled grid first, with its third forms formed eagerly.
 
 The Gauss and Codazzi equations, which the pipeline never evaluates, are
 the tests' independent checks of the oracle and of admissible candidates:
@@ -237,6 +238,75 @@ def to_orthonormal(metric, b_low):
     tmp = np.linalg.solve(metric.chol, b_low)
     return np.swapaxes(np.linalg.solve(metric.chol, np.swapaxes(tmp, -1, -2)),
                        -1, -2)
+
+
+def _leading(a):
+    """A contiguous copy of ``a`` with its trailing axis moved first."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+class GridFirst:
+    """A catalog surface read grid first, through a layout adapter:
+    ``point(x)`` takes ``x[..., m]`` and returns ``(..., n)``, and
+    ``frame(x, u)`` returns ``(..., n, d)``.  Each argument reaches the
+    surface as a contiguous components-first copy, as the package's own
+    sampler hands it over."""
+
+    def __init__(self, surface):
+        self.surface = surface
+
+    def point(self, x):
+        return np.moveaxis(self.surface.point(_leading(x)), 0, -1)
+
+    def frame(self, x, u):
+        return np.moveaxis(self.surface.frame(_leading(x), _leading(u)),
+                           (0, 1), (-2, -1))
+
+
+def generate_grid_first(surface, chart):
+    """The fields of ``surfaces.generate``, sampled and multiplied grid
+    first as it did before its sampler went components first: each of the
+    ``m + 1`` complex-step evaluations runs on the ``(*grid, m)`` mesh
+    through :class:`GridFirst`, the derivatives land on a trailing axis, and
+    the third forms ``k_ab`` and ``k`` are formed with the other products.
+    Returns a dict of the fields, ``dframe`` and ``branch`` included."""
+    surface = GridFirst(surface)
+    x = chart.mesh()
+    m = chart.m
+    u = np.real(surface.point(x))
+    frame = np.real(surface.frame(x, u))
+    du = np.empty(u.shape + (m,))
+    dframe = np.empty(frame.shape + (m,))
+    for j in range(m):
+        xc = x.astype(complex)
+        xc[..., j] += 1j * _CSTEP
+        uc = surface.point(xc)
+        fc = surface.frame(xc, uc)
+        du[..., j] = uc.imag / _CSTEP
+        dframe[..., j] = fc.imag / _CSTEP
+    d = frame.shape[-1]
+    duT = np.ascontiguousarray(du.mT)
+    g = duT @ du
+    flat = dframe.reshape(u.shape + (d * m,))
+    h_alpha = -np.swapaxes((duT @ flat).reshape(chart.shape + (m, d, m)),
+                           -3, -2)
+    h_alpha = 0.5 * (h_alpha + np.swapaxes(h_alpha, -1, -2))
+    L_inv = gf(curvature.cholesky_factors(
+        np.moveaxis(g, (-2, -1), (0, 1)))[1], 2)
+    g_inv = np.ascontiguousarray(L_inv.mT) @ L_inv
+    H_alpha = (h_alpha.reshape(chart.shape + (d, m * m))
+               @ g_inv.reshape(chart.shape + (m * m, 1)))[..., 0]
+    A_frame = flat - frame @ (np.ascontiguousarray(frame.mT) @ flat)
+    k_ab = np.einsum("...aibj->...abij", (
+        np.ascontiguousarray(A_frame.mT) @ A_frame).reshape(
+            chart.shape + (d, m) * 2))
+    k = np.einsum("...aaij->...ij", k_ab)
+    k = 0.5 * (k + np.swapaxes(k, -1, -2))
+    branch = center_sign(chart, H_alpha)
+    if branch < 0:
+        u, du, h_alpha, H_alpha = -u, -du, -h_alpha, -H_alpha
+    return dict(u=u, du=du, frame=frame, dframe=dframe, g=g, h_alpha=h_alpha,
+                H_alpha=H_alpha, k_ab=k_ab, k=k, branch=branch)
 
 
 def cstep_jacobian(fn, x):

@@ -494,6 +494,49 @@ def test_admissible_implies_integrable_on_every_command(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("forward", "--surface", "ellipsoid", "--grid", "9x9",
+     "--out", "{missing}/x"),
+    ("check", "{dataset}", "--out", "{missing}/report.txt"),
+    ("reconstruct", "{dataset}", "--out", "{missing}/rec"),
+    ("reconstruct", "{dataset}", "--report", "{missing}/report.txt"),
+], ids=["forward-out", "check-out", "reconstruct-out", "reconstruct-report"])
+def test_write_to_a_missing_directory_exit_2(argv, ellipsoid_files, tmp_path,
+                                             capsys):
+    # the dataset is admissible: a failed write is a usage error, not a
+    # rejection, and ends in one error line
+    missing = tmp_path / "missing"
+    dataset = str(ellipsoid_files) + ".dataset.txt"
+    assert run_cli(*(a.format(missing=missing, dataset=dataset)
+                     for a in argv)) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot write {missing}/")
+    assert line.endswith("No such file or directory")
+
+
+@pytest.mark.parametrize("refine, message", [
+    ("-1", "--refine must be >= 0, got -1"), ("40", "grid too large"),
+    ("60", "grid too large"), ("1000", "grid too large")])
+def test_refine_out_of_range_exit_2(refine, message, capsys):
+    # refused before anything is sampled or allocated
+    assert run_cli("roundtrip", "--surface", "ellipsoid", "--grid", "9x9",
+                   "--refine", refine) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {message}")
+
+
+def test_out_of_memory_exit_2(monkeypatch, capsys):
+    def cmd_check(args):
+        raise MemoryError("Unable to allocate 64.0 TiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_check", cmd_check)
+    assert run_cli("check", "some.dataset.txt") == 2
+    assert capsys.readouterr().err == \
+        "error: out of memory: Unable to allocate 64.0 TiB for an array\n"
+
+
 def test_wrong_kind_dataset_exit_2(ellipsoid_files, capsys):
     assert run_cli("check", str(ellipsoid_files) + ".oracle.txt") == 2
 

@@ -170,8 +170,8 @@ class TestMeanCurvatureVector:
         # curved metric paired with an unrelated plane field: both rho
         # eigenvalues land well below 1, so no mean curvature vector exists
         chart = ellipsoid.chart
-        torus, x = CliffordTorus(1.0, 1.0), chart.mesh()
-        spans = np.real(torus.frame(x, torus.point(x)))
+        torus, x = CliffordTorus(1.0, 1.0), cf(chart.mesh(), 1)
+        spans = gf(torus.frame(x, torus.point(x)), 2)
         frame = build_normal_frame(chart, spans)
         forms = third_forms(frame)
         mc = mean_curvature(forms, ellipsoid)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from isogauss.errors import ConfigurationError
 from isogauss.grid import (align_signs, build_chart, center_sign,
-                           grad_all, staircase_runs)
+                           check_mesh_size, grad_all, staircase_runs)
 from isogauss.reconstruct import observed_order
 
 import reference_loops
@@ -42,6 +42,23 @@ class TestBuildChart:
         # the thresholds C * dx^2 must stay finite
         with pytest.raises(ConfigurationError):
             build_chart(2, (8, 8), spacing, (0.0, 0.0))
+
+    def test_node_coordinates_must_be_addressable(self):
+        # checked on the shape alone, before any coordinate is allocated;
+        # the chart itself may be larger, so that a dataset header can still
+        # be checked against its row count
+        largest = np.iinfo(np.intp).max // 8
+        check_mesh_size((largest,))
+        for shape in ((largest + 1,), (2 ** 31, 2 ** 31)):
+            with pytest.raises(ConfigurationError, match="grid too large"):
+                check_mesh_size(shape)
+        huge = build_chart(2, (2 ** 31, 2 ** 31), (0.1, 0.1))
+        for method in (huge.axes, huge.mesh, huge.refine):
+            with pytest.raises(ConfigurationError, match="grid too large"):
+                method()
+        # refused before the spacing divides by a factor no float holds
+        with pytest.raises(ConfigurationError, match="grid too large"):
+            build_chart(2, (9, 9), (0.1, 0.1)).refine(2 ** 2000)
 
     def test_refine_keeps_box(self):
         chart = build_chart(2, (9, 13), (0.1, 0.05), (1.0, -1.0))
