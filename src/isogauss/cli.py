@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import inspect
 import itertools
@@ -292,7 +293,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Keep freed heap memory mapped for reuse, once per process; returns
+    whether the policy took.  By default glibc hands each freed 0.5-5 MB
+    array back to the kernel, so a repeated or refined command faults its
+    whole working set in again.  Without glibc's ``mallopt`` (or with a
+    stub that returns 0) the C library keeps its defaults."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        # no loadable C library, Windows (CDLL(None) is a TypeError), or no
+        # such symbol (macOS)
+        return False
+    if mallopt(-3, 32 << 20) != 1:      # M_MMAP_THRESHOLD: glibc's 64-bit cap
+        return False
+    return mallopt(-1, 1 << 30) == 1    # M_TRIM_THRESHOLD: 1 GiB
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = _parser()
     try:
         args = parser.parse_args(argv)

@@ -992,3 +992,46 @@ def test_every_stage_field_is_components_first(monkeypatch, name, points,
                 where = f"{type(obj).__name__}.{key}"
                 assert value.shape[value.ndim - chart.m:] == chart.shape, where
                 assert value.flags.c_contiguous, where
+
+
+# The verdict depends on the chart's unit (ROADMAP item 9). The chart
+# rescaled by x -> lambda x is the same surface: spacing and origin times
+# lambda, g / lambda^2, the normals unchanged. The thresholds tau = C dx^2
+# are in chart units and the residuals are normalized by 1 + |.|, so a
+# small unit rejects and a large one lifts tau past 1, where every chart is
+# too coarse to decide. These cells record that dependence as it stands; a
+# change that removes it updates them.
+CHART_UNIT_CELLS = {
+    ("ellipsoid", 33): {0.01: ("rejected", "theorem2", "3"),
+                        0.1: ("rejected", "theorem2", "3"),
+                        1.0: ("admissible", "theorem2", None),
+                        10.0: ("inapplicable", "none", None)},
+    ("ellipsoid-m3", 13): {0.01: ("rejected", "theorem2", "3"),
+                           0.1: ("rejected", "theorem2", "3"),
+                           1.0: ("admissible", "theorem2", None),
+                           10.0: ("inapplicable", "none", None)},
+    ("catenoid", 33): {0.01: ("rejected", "none", "1"),
+                       0.1: ("rejected", "minimal_m2", "4"),
+                       1.0: ("admissible", "minimal_m2", None),
+                       10.0: ("inapplicable", "none", None)},
+    ("clifford-torus", 33): {0.01: ("admissible", "codim", None),
+                             0.1: ("admissible", "codim", None),
+                             1.0: ("admissible", "codim", None),
+                             10.0: ("inapplicable", "none", None)},
+}
+
+
+@pytest.mark.parametrize("name, points", list(CHART_UNIT_CELLS))
+def test_verdict_in_a_rescaled_chart_is_pinned(name, points):
+    surf = CATALOG[name]()
+    data = generate(surf, surf.default_chart(points))
+    chart = data.chart
+    found = {}
+    for lam in CHART_UNIT_CELLS[name, points]:
+        scaled = build_chart(chart.m, chart.shape,
+                             [lam * dx for dx in chart.spacing],
+                             [lam * x0 for x0 in chart.origin])
+        report = run_pipeline(metric_field(scaled, data.g / lam ** 2),
+                              data.frame)
+        found[lam] = (report.verdict, report.method, report.failed_step)
+    assert found == CHART_UNIT_CELLS[name, points]

@@ -1,5 +1,9 @@
 import argparse
+import ctypes
 import inspect
+import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -553,6 +557,79 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
                         lambda args: calls.append(args.dataset) or 0)
     assert run_cli("check", "some.dataset.txt") == 0
     assert calls == ["some.dataset.txt"]
+
+
+@pytest.fixture
+def fresh_allocator_policy():
+    """The policy helper with its cache cleared before and after the test;
+    what ``mallopt`` set stays set, as it would in any process."""
+    cli._keep_freed_memory.cache_clear()
+    yield cli._keep_freed_memory
+    cli._keep_freed_memory.cache_clear()
+
+
+def test_repeated_command_reuses_freed_memory(capsys):
+    # glibc would hand each freed multi-MB array back to the kernel, and the
+    # next call would fault it in again: about 5,300 faults per call here
+    if not cli._keep_freed_memory():
+        pytest.skip("the C library has no mallopt")
+    argv = ["roundtrip", "--surface", "ellipsoid", "--grid", "65x65",
+            "--refine", "1"]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+
+
+def test_no_mallopt_keeps_the_defaults(fresh_allocator_policy, monkeypatch,
+                                       capsys):
+    argv = ("roundtrip", "--surface", "ellipsoid", "--grid", "17x17")
+    assert run_cli(*argv) == 0
+    expected = capsys.readouterr().out
+    fresh_allocator_policy.cache_clear()
+
+    def no_library(name):
+        raise OSError(f"cannot load {name!r}")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr() == (expected, "")
+    assert fresh_allocator_policy() is False
+
+
+@pytest.mark.parametrize("returned, calls", [
+    (1, [(-3, 32 << 20), (-1, 1 << 30)]),
+    (0, [(-3, 32 << 20)])])              # a stub, as musl's: no second call
+def test_mallopt_is_called_once_per_process(fresh_allocator_policy,
+                                            monkeypatch, capsys, returned,
+                                            calls):
+    seen = []
+
+    def mallopt(param, value):
+        seen.append((param, value))
+        return returned
+
+    class Library:
+        def __init__(self, name):
+            assert name is None
+            self.mallopt = mallopt
+
+    monkeypatch.setattr(ctypes, "CDLL", Library)
+    for _ in range(3):
+        assert run_cli("roundtrip", "--surface", "moebius") == 2
+    assert seen == calls
+    assert fresh_allocator_policy() is bool(returned)
+
+
+def test_importing_the_package_keeps_the_allocator_defaults():
+    # only main sets the policy: a script or notebook that imports isogauss
+    # keeps the C library's defaults
+    code = ("import isogauss, isogauss.cli as c; "
+            "print(c._keep_freed_memory.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"
 
 
 def test_sign_branch_flag_negates_reconstruction(ellipsoid_files, tmp_path, capsys):
