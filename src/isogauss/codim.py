@@ -92,12 +92,14 @@ def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
     ``RANK_REL_TOL`` times the largest.  A center-out sweep over
     :func:`isogauss.grid.staircase_runs` then compares each node with its
     already repaired neighbor one step towards the chart center and repairs
-    a sign or order flip (an overlap far from the identity) by the
-    maximal-overlap signed permutation.  So the frame is continuous across
-    the whole chart: normal data is an unoriented plane.  The sweep forms
-    the overlaps of each run with one :func:`node_product` and revisits
-    only the steps of a run that hold a flip or follow a repaired node,
-    node by node on grid-first views.
+    any per-node sign or order change of the columns (an overlap far from
+    the identity) by the maximal-overlap signed permutation.  So the frame
+    is continuous across the whole chart: normal data is an unoriented
+    plane.  The sweep forms the overlaps of each run with one
+    :func:`node_product`; each flipped node, in order along its line,
+    takes the signed permutation nearest its current overlap, and so does
+    the rest of its line, whose overlaps it conjugates.  Only a run that
+    held a flip forms its overlaps again.
     """
     spans = np.asarray(spans, dtype=float)
     if spans.ndim != chart.m + 2 or spans.shape[:chart.m] != chart.shape:
@@ -127,46 +129,31 @@ def build_normal_frame(chart: Chart, spans: np.ndarray) -> NormalFrame:
             "spanning sets are rank deficient at some node")
 
     eye = np.eye(d)
-
-    def flipped(D):
-        return np.linalg.norm(D - eye, axis=(-2, -1)) > _FLIP_THRESHOLD
-
-    def overlap(P, R):
-        """``P^T R`` of grid-first ``(K, n, d)`` node stacks, summed as the
-        run's product sums it."""
-        return np.moveaxis(node_product(np.moveaxis(P, (2, 1), (0, 1)),
-                                        np.moveaxis(R, (1, 2), (0, 1))),
-                           (0, 1), (-2, -1))
-
     # each node's repaired overlap with its previous node; the center has
     # none, holds the identity and is left out of the minimum
     comps = (slice(None),) * 2
     overlaps = np.empty((d, d) + chart.shape)
     overlaps[comps + chart.center] = eye
-    # grid-first views of Q and of the overlaps for the node-by-node repairs
+    # grid-first view of Q for the repairs
     Qg = np.moveaxis(Q, (0, 1), (-1, -2))
     for a, run, prev in staircase_runs(chart):
         D_run = overlaps[comps + run]
         node_product(Q[comps + prev], Q[comps + run].swapaxes(0, 1),
                      out=D_run)
-        # views with the slabs on axis 0, nodes first
+        # views with the steps of the run on axis 0
         Qr, Qp, D = (np.moveaxis(v, a, 0) for v in (
             Qg[run], Qg[prev], np.moveaxis(D_run, (0, 1), (-2, -1))))
-        bad = flipped(D)
-        repaired = None
-        for j, flips in enumerate(bad.reshape(len(D), -1).any(axis=1)):
-            if not flips and repaired is None:
-                continue
-            Qs, Qps, Ds, bads = (v[j:j + 1] for v in (Qr, Qp, D, bad))
-            if repaired is not None:
-                # the overlaps behind the nodes repaired one slab back
-                Ds[repaired] = overlap(Qps[repaired], Qs[repaired])
-                bads[repaired] = flipped(Ds[repaired])
-            nodes = np.nonzero(bads)
-            for k in zip(*nodes):
-                Qs[k] = Qs[k] @ _signed_permutation_fit(Ds[k].T).T
-                Ds[k] = overlap(Qps[k][None], Qs[k][None])[0]
-            repaired = nodes if nodes[0].size else None
+        # repairs conjugate the later overlaps of a line, which keeps
+        # their distance from the identity: the mask holds for the run
+        flips = np.nonzero(np.linalg.norm(D - eye, axis=(-2, -1))
+                           > _FLIP_THRESHOLD)
+        for k in zip(*flips):
+            G = _signed_permutation_fit(Qp[k].T @ Qr[k]).T
+            rest = (slice(k[0], None),) + k[1:]
+            Qr[rest] = Qr[rest] @ G
+        if flips[0].size:
+            node_product(Q[comps + prev], Q[comps + run].swapaxes(0, 1),
+                         out=D_run)
     # a 1 x 1 overlap is its own determinant; LAPACK per node costs more
     dets = (overlaps[0, 0] if d == 1
             else np.linalg.det(np.moveaxis(overlaps, (0, 1), (-2, -1))))

@@ -245,7 +245,8 @@ def _validate_blocks(kind: str, chart: Chart, n: int, arrays) -> None:
 
     if kind == "metric+gauss":
         need("g", sym)
-        if d == 1 and "nu" in arrays:
+        # the block dataset_normals reads: the frame whenever there is one
+        if d == 1 and "frame" not in arrays:
             need("nu", n)
         else:
             need("frame", n * d)

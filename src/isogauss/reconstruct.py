@@ -44,8 +44,12 @@ def verify_immersion(u: np.ndarray, metric: MetricField,
 def compare_up_to_translation(a: np.ndarray, b: np.ndarray) -> float:
     """Max deviation of two immersions after removing the mean offset.
 
-    Rotation is *not* quotiented: the shared Gauss map pins it, only the
-    integration constant is free.
+    Rotation is *not* quotiented; only the integration constant is.  An
+    oriented hypersurface's shared Gauss map pins the rotation, but normal
+    planes do not: a rotation that maps every tangent and normal plane onto
+    itself fits the same data, and a chart change of the Clifford torus
+    reconstructs it as ``diag(1, 1, -1, -1) u_oracle``, which reads as a
+    large deviation here.  Comparing up to such motions is ROADMAP item 15.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")

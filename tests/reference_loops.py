@@ -116,7 +116,7 @@ def normal_frame(chart, spans):
             continue
         D = overlap(Q[prev], Q[idx])
         if np.linalg.norm(D - np.eye(d)) > _FLIP_THRESHOLD:
-            G = _signed_permutation_fit(D.T)
+            G = _signed_permutation_fit(D)
             Q[idx] = Q[idx] @ G.T
             D = overlap(Q[prev], Q[idx])
         min_det = min(min_det, float(np.linalg.det(D)))

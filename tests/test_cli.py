@@ -1,6 +1,8 @@
 import argparse
 import ctypes
 import inspect
+import os
+import pathlib
 import resource
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import isogauss
 from isogauss import datafiles
 from isogauss import cli
 from isogauss.cli import build_parser, main
@@ -153,6 +156,24 @@ class TestCheck:
             blocks={"g": ds.blocks["g"], "frame": frame}))
         assert run_cli("check", str(bad)) == 2
         assert "not unit length" in capsys.readouterr().err
+
+    def test_frame_block_beside_nu_is_validated_exit_2(self, tmp_path,
+                                                       capsys):
+        # a frame block is the one read whenever there is one, so it is the
+        # one validated, even beside a valid nu block
+        surf = CATALOG["ellipsoid"]()
+        data = generate(surf, surf.default_chart(9))
+        path = tmp_path / "both.dataset.txt"
+        datafiles.write_dataset(path, datafiles.Dataset(
+            kind="metric+gauss", chart=data.chart, n=data.n,
+            blocks={"g": datafiles.pack_sym(data.g),
+                    "nu": data.frame[..., 0],
+                    "frame": data.frame[..., :2, 0]}))
+        assert run_cli("check", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: block 'frame' rows have 2 entries")
 
     def test_clifford_exit_0(self, tmp_path, capsys):
         out = tmp_path / "torus"
@@ -628,7 +649,11 @@ def test_importing_the_package_keeps_the_allocator_defaults():
     # keeps the C library's defaults
     code = ("import isogauss, isogauss.cli as c; "
             "print(c._keep_freed_memory.cache_info().currsize)")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
+    # the child imports the package this process imported, installed or not
+    package_root = str(pathlib.Path(isogauss.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout
     assert out == "0\n"
 

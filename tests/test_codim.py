@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,12 @@ from isogauss.surfaces import CATALOG, CliffordTorus, generate
 import reference_loops
 from conftest import Problem
 from layout import cf, gf
+
+
+# the eight signed permutations of two columns, the identity first
+SIGNED_PERMUTATIONS_2 = [np.diag(signs) @ P
+                         for P in (np.eye(2), np.eye(2)[::-1])
+                         for signs in itertools.product((1.0, -1.0), repeat=2)]
 
 
 def gf_frame(Q):
@@ -319,6 +326,30 @@ class TestFrameCovariance:
         nb = np.linalg.norm(rep_b.candidate.H_alpha, axis=0)
         assert np.max(np.abs(na - nb)) < 1e-8
 
+    @pytest.mark.parametrize("surface", [CliffordTorus(1.0, 1.4),
+                                         CATALOG["graph-r4"]()],
+                             ids=["clifford-torus", "graph-r4"])
+    @pytest.mark.parametrize("region", [np.s_[19:, 19:], np.s_[19:]],
+                             ids=["quadrant", "half"])
+    def test_in_plane_change_of_basis_leaves_the_report_unchanged(
+            self, surface, region):
+        # normal data is a field of planes: any signed permutation of the
+        # spanning columns on part of the chart, the order-4 ones
+        # (nu1, nu2) -> (nu2, -nu1) and (-nu2, nu1) included, spans the
+        # same planes
+        problem = Problem(surface, 33)
+        clean = run_pipeline(problem.metric, problem.data.frame)
+        for S in SIGNED_PERMUTATIONS_2:
+            spans = problem.data.frame.copy()
+            spans[region] = spans[region] @ S
+            rep = run_pipeline(problem.metric, spans)
+            assert ((rep.verdict, rep.method, rep.failed_step)
+                    == (clean.verdict, clean.method, clean.failed_step)), S
+            np.testing.assert_allclose(
+                [rep.residuals[k] for k in sorted(clean.residuals)],
+                [clean.residuals[k] for k in sorted(clean.residuals)],
+                rtol=1e-10, atol=0.0, equal_nan=True, err_msg=str(S))
+
 
 class TestGenericCodimTwo:
     """A double graph in R^4: the trace matrix has a simple unit eigenvalue,
@@ -393,7 +424,7 @@ class TestCodimPipeline:
 
 
 class TestLoopEquivalence:
-    """The slab-wise frame repair and the exact direction solve give what
+    """The run-wise frame repair and the exact direction solve give what
     the per-node loop and the per-angle scan give."""
 
     @staticmethod
@@ -413,12 +444,21 @@ class TestLoopEquivalence:
     def test_frames_match_node_loop_under_column_flips(self, name):
         surf = CATALOG[name]()
         chart = surf.default_chart(21)
-        spans = generate(surf, chart).frame
+        clean = generate(surf, chart).frame
         rng = np.random.default_rng(17)
-        spans = spans * rng.choice([-1.0, 1.0], size=chart.shape + (1, spans.shape[-1]))
+        signs = rng.choice([-1.0, 1.0], size=chart.shape + (1, clean.shape[-1]))
         swap = rng.random(chart.shape) < 0.3
-        spans = np.where(swap[..., None, None], spans[..., ::-1], spans)
+        spans = np.where(swap[..., None, None], (clean * signs)[..., ::-1],
+                         clean * signs)
         self._assert_same_frame(chart, spans)
+        # the sign-and-swap steps between neighbors include order-4 ones;
+        # the repair undoes them all and keeps the center's columns
+        center = np.diag(signs[chart.center][0])
+        if swap[chart.center]:
+            center = center[:, ::-1]
+        frame = gf_frame(build_normal_frame(chart, spans).frame)
+        expected = gf_frame(build_normal_frame(chart, clean).frame) @ center
+        assert np.max(np.abs(frame - expected)) < 1e-12
 
     @staticmethod
     def _flipped_spans(name, points, region):
@@ -442,8 +482,8 @@ class TestLoopEquivalence:
                          constant_values=True),
     ], ids=["node", "block", "faces"])
     def test_partial_flips_match_node_loop(self, name, region):
-        # the sweep visits only the slabs that hold a flip or follow a
-        # repaired node; the rest keep the overlaps of one product
+        # a flipped node repairs the rest of its line, and only a run that
+        # held a flip forms its overlaps again
         self._assert_same_frame(*self._flipped_spans(name, 15, region))
 
     def test_partial_column_swaps_match_node_loop(self):
